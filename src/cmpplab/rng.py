@@ -84,12 +84,5 @@ class RngStream:
         self._cursors[lane] = k + 1
         return float(uniforms(self.seed, self.path_index, lane, k))
 
-    def peek_uniforms(self, lane: int, start: int, count: int) -> np.ndarray:
-        """Block of uniforms without moving the cursor (batch engine use)."""
-        return uniforms(self.seed, self.path_index, lane, np.arange(start, start + count))
-
-    def set_cursor(self, lane: int, position: int) -> None:
-        self._cursors[lane] = int(position)
-
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path_index={self.path_index})"

@@ -49,8 +49,8 @@ import numpy as np
 
 from .dist import expectation, parse_distribution
 from .expr import RealFn, parse
-from .model import (BaseModel, DerivedModel, MeasureChange, derive_q_model,
-                    measure_change, validate_change)
+from .model import (AdmissibilityReport, BaseModel, DerivedModel, MeasureChange,
+                    derive_q_model, measure_change, validate_change)
 from .premium import esscher_change, expected_value_change, premium_density
 from .sim import BASE_P, DERIVED_Q
 from .verify import (check_martingale, check_reweighting, degeneracy_test,
@@ -140,6 +140,12 @@ def _parse_params(value: str, source: str, lineno: int) -> Dict[str, float]:
             raise ScenarioError(f"bad parameter value {num.strip()!r}",
                                 source, lineno) from None
     return out
+
+
+def _check_horizon(horizon: float, source: str, line: int = 0) -> float:
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ScenarioError(f"mc.horizon must be finite and > 0, got {horizon!r}", source, line)
+    return horizon
 
 
 def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
@@ -232,7 +238,8 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
 
     paths = get_number("mc", "paths", 100_000, int, "path count")
     seed = get_number("mc", "seed", 20190521, int, "seed")
-    horizon = get_number("mc", "horizon", 2.0, float, "horizon")
+    horizon = _check_horizon(get_number("mc", "horizon", 2.0, float, "horizon"),
+                             source, get("mc", "horizon")[1])
     if paths < 100:
         raise ScenarioError("mc.paths must be at least 100", source)
 
@@ -330,8 +337,7 @@ def _annotate(scn: Scenario, row: Row) -> Row:
     return replace(row, paper_value=pv) if pv is not None else row
 
 
-def _job_validate(scn: Scenario, derived) -> List[Row]:
-    rep = validate_change(scn.base, scn.change, scn.level)
+def _job_validate(scn: Scenario, rep: AdmissibilityReport) -> List[Row]:
     mk = lambda **kw: _annotate(scn, Row(scenario=scn.name, job="validate",
                                          seed=scn.seed, **kw))
     rows = [
@@ -400,20 +406,13 @@ def _job_simulate(scn: Scenario, derived: DerivedModel) -> List[Row]:
     quote = premium_density(scn.base, derived)
     mk = lambda **kw: _annotate(scn, Row(scenario=scn.name, job="simulate",
                                          seed=scn.seed, **kw))
-    rows = []
-    rep = mc_estimate(f_aggregate(), scn.base, derived, BASE_P, t,
-                      scn.paths, scn.seed, oracle=t * e_rate * e_x)
-    rows.append(mk(quantity=f"E_P[S_{t:g}]", estimate=rep.estimate,
-                   stderr=rep.stderr, oracle=rep.oracle, verdict=rep.verdict))
-    rep = mc_estimate(f_count(), scn.base, derived, BASE_P, t,
-                      scn.paths, scn.seed, oracle=t * e_rate)
-    rows.append(mk(quantity=f"E_P[N_{t:g}]", estimate=rep.estimate,
-                   stderr=rep.stderr, oracle=rep.oracle, verdict=rep.verdict))
-    rep = mc_estimate(f_aggregate(), scn.base, derived, DERIVED_Q, t,
-                      scn.paths, scn.seed, oracle=t * quote.p_derived)
-    rows.append(mk(quantity=f"E_Q[S_{t:g}]", estimate=rep.estimate,
-                   stderr=rep.stderr, oracle=rep.oracle, verdict=rep.verdict))
-    return rows
+    reps = mc_estimate([f_aggregate(), f_count()], scn.base, derived, BASE_P, t,
+                       scn.paths, scn.seed, oracle=[t * e_rate * e_x, t * e_rate])
+    reps.append(mc_estimate(f_aggregate(), scn.base, derived, DERIVED_Q, t,
+                            scn.paths, scn.seed, oracle=t * quote.p_derived))
+    return [mk(quantity=q, estimate=rep.estimate, stderr=rep.stderr,
+               oracle=rep.oracle, verdict=rep.verdict)
+            for q, rep in zip((f"E_P[S_{t:g}]", f"E_P[N_{t:g}]", f"E_Q[S_{t:g}]"), reps)]
 
 
 def _job_reweighting(scn: Scenario, derived: DerivedModel) -> List[Row]:
@@ -421,16 +420,13 @@ def _job_reweighting(scn: Scenario, derived: DerivedModel) -> List[Row]:
     battery = [f_one(), f_count(), f_aggregate(), f_count_eq(0)]
     mk = lambda **kw: _annotate(scn, Row(scenario=scn.name, job="verify-reweighting",
                                          seed=scn.seed, **kw))
-    rows = []
-    for f in battery:
-        res = check_reweighting(f, scn.base, scn.change, t=t, n=scn.paths,
-                                seed=scn.seed, horizon=t)
-        rows.append(mk(
-            quantity=f"gap[{f.name}]@t={t:g}", estimate=res.difference,
-            stderr=res.pooled_stderr, oracle=0.0, verdict=res.verdict,
-            detail=(f"direct={res.direct.estimate:.6g}+-{res.direct.stderr:.3g}, "
-                    f"weighted={res.weighted.estimate:.6g}+-{res.weighted.stderr:.3g}")))
-    return rows
+    results = check_reweighting(battery, derived, t=t, n=scn.paths, seed=scn.seed,
+                                horizon=t)
+    return [mk(quantity=f"gap[{f.name}]@t={t:g}", estimate=res.difference,
+               stderr=res.pooled_stderr, oracle=0.0, verdict=res.verdict,
+               detail=(f"direct={res.direct.estimate:.6g}+-{res.direct.stderr:.3g}, "
+                       f"weighted={res.weighted.estimate:.6g}+-{res.weighted.stderr:.3g}"))
+            for f, res in zip(battery, results)]
 
 
 def _job_martingale(scn: Scenario, derived: DerivedModel) -> List[Row]:
@@ -453,7 +449,7 @@ def _job_martingale(scn: Scenario, derived: DerivedModel) -> List[Row]:
 
 
 def _job_degeneracy(scn: Scenario, derived: DerivedModel) -> List[Row]:
-    res = degeneracy_test(scn.base, scn.change, n=scn.paths, seed=scn.seed)
+    res = degeneracy_test(derived, n=scn.paths, seed=scn.seed)
     grid = scn.base.mixing_law.interior_grid(16)
     gvals = np.array([derived.g(t) for t in grid])
     predicted_degenerate = bool(np.allclose(gvals, gvals[0], rtol=1e-12, atol=0.0))
@@ -474,8 +470,8 @@ def _job_singularity(scn: Scenario, derived: DerivedModel) -> List[Row]:
     rows_out = []
     mk = lambda **kw: _annotate(scn, Row(scenario=scn.name, job="singularity",
                                          seed=scn.seed, **kw))
-    for r in singularity_probe(scn.base, scn.change, horizons, n=n,
-                               seed=scn.seed, theta_fixed=theta):
+    for r in singularity_probe(derived, horizons=horizons, n=n, seed=scn.seed,
+                               theta_fixed=theta):
         verdict = "info"
         if r.drift_oracle is not None:
             verdict = "pass" if abs(r.drift - r.drift_oracle) <= 3.0 * r.drift_stderr \
@@ -567,7 +563,8 @@ def run_scenario(name_or_path: str, overrides: Optional[dict] = None,
             if key in overrides and overrides[key] is not None:
                 scn = replace(scn, **{key: int(overrides[key])})
         if overrides.get("horizon") is not None:
-            scn = replace(scn, horizon=float(overrides["horizon"]))
+            scn = replace(scn, horizon=_check_horizon(float(overrides["horizon"]),
+                                                      "--horizon"))
         if overrides.get("format") is not None:
             fmt = overrides["format"]
             if fmt not in ("csv", "json-lines"):
@@ -591,7 +588,7 @@ def run_scenario(name_or_path: str, overrides: Optional[dict] = None,
                      seed=scn.seed, detail=repr(v)) for k, v in sorted(params.items())]
 
         report = validate_change(scn.base, scn.change, scn.level)
-        rows += _job_validate(scn, None)
+        rows += _job_validate(scn, report)
         derived = None
         if report.verdict:
             derived = derive_q_model(scn.base, scn.change)

@@ -256,21 +256,34 @@ def _simulate_chunked(base, derived, under, horizon, seed, n, family=FAM_DEFAULT
         done += m
 
 
-def mc_estimate(f: Union[PathFunctional, Callable], base: BaseModel,
-                derived: Optional[DerivedModel], under: MeasureTag, t: float,
-                n: int, seed: int, horizon: Optional[float] = None,
-                oracle: Optional[float] = None, family: int = FAM_DEFAULT) -> MCReport:
-    """Sample mean and stderr of a path functional at time t over n paths."""
+def _battery_reports(f, oracle, batches, t, label="", change=None, include_xi=True):
+    """(reports, single) for a functional or a battery (list or tuple, ``oracle``
+    a sequence or None) in one pass over the batches, which are freed on return;
+    samples are weighted by the likelihood ratio, once per batch, if ``change`` is set."""
+    single = not isinstance(f, (list, tuple))
+    fs, oracles = ([f], [oracle]) if single else (list(f), list(oracle or [None] * len(f)))
+    fs = [g if isinstance(g, PathFunctional) else from_callable(getattr(g, "__name__", "f"), g)
+          for g in fs]
+    cols: List[list] = [[] for _ in fs]
+    for b in batches:
+        w = 1.0 if change is None else np.exp(log_density_batch(b, t, change, include_xi))
+        for col, g in zip(cols, fs):
+            col.append(g.eval_batch(b, t) * w)
+    return [MCReport.from_samples(g.name + label, np.concatenate(col), o)
+            for g, col, o in zip(fs, cols, oracles, strict=True)], single
+
+
+def mc_estimate(f, base: BaseModel, derived: Optional[DerivedModel], under: MeasureTag,
+                t: float, n: int, seed: int, horizon: Optional[float] = None,
+                oracle=None, family: int = FAM_DEFAULT) -> Union[MCReport, List[MCReport]]:
+    """Sample mean and stderr of a path functional at time t over n paths; a
+    battery (list or tuple, ``oracle`` a sequence or None) shares one simulation."""
     if n < 100:
         raise ValueError("n must be at least 100")
-    if not isinstance(f, PathFunctional):
-        f = from_callable(getattr(f, "__name__", "f"), f)
     horizon = t if horizon is None else horizon
-    values = np.concatenate([
-        f.eval_batch(b, t)
-        for b in _simulate_chunked(base, derived, under, horizon, seed, n, family)
-    ])
-    return MCReport.from_samples(f.name, values, oracle=oracle)
+    reps, single = _battery_reports(
+        f, oracle, _simulate_chunked(base, derived, under, horizon, seed, n, family), t)
+    return reps[0] if single else reps
 
 
 @dataclass(frozen=True)
@@ -285,43 +298,40 @@ class ReweightingResult:
         return self.verdict == "pass"
 
 
-def check_reweighting(f: Union[PathFunctional, Callable], base: BaseModel,
-                      change: MeasureChange, t: float, n: int, seed: int,
-                      under_conditional: Optional[float] = None,
-                      horizon: Optional[float] = None,
-                      oracle: Optional[float] = None) -> ReweightingResult:
+def check_reweighting(f, model: Union[BaseModel, DerivedModel],
+                      change: Optional[MeasureChange] = None, *, t: float, n: int, seed: int,
+                      under_conditional: Optional[float] = None, horizon: Optional[float] = None,
+                      oracle=None) -> Union[ReweightingResult, List[ReweightingResult]]:
     """Both routes to E_Q[f]: direct simulation under the derived measure
     versus base-measure simulation weighted by the likelihood ratio.
 
-    With ``under_conditional`` set, the conditional form is tested at
-    that theta (weights then exclude xi).  The two sides run in disjoint
-    stream families; the verdict is pass iff the routes agree within 3
-    pooled standard errors.
+    ``model`` is a DerivedModel, or a base model and its ``change`` (derived
+    here, so NotValidated fires if needed); a battery ``f`` (list or tuple,
+    ``oracle`` a sequence or None) simulates each side once.  With
+    ``under_conditional`` set, the conditional form is tested at that theta
+    (weights then exclude xi).  The sides run in disjoint stream families;
+    the verdict is pass iff they agree within 3 pooled standard errors.
     """
-    derived = derive_q_model(base, change)   # raises NotValidated if needed
-    if not isinstance(f, PathFunctional):
-        f = from_callable(getattr(f, "__name__", "f"), f)
+    derived = model if isinstance(model, DerivedModel) else derive_q_model(model, change)
     horizon = t if horizon is None else horizon
     theta = under_conditional
     tag_q = DERIVED_Q if theta is None else conditional_q(theta)
     tag_p = BASE_P if theta is None else conditional_p(theta)
-    include_xi = theta is None
 
-    direct_vals = np.concatenate([
-        f.eval_batch(b, t)
-        for b in _simulate_chunked(base, derived, tag_q, horizon, seed, n, FAM_DIRECT)
-    ])
-    weighted_vals = np.concatenate([
-        f.eval_batch(b, t) * np.exp(log_density_batch(b, t, change, include_xi))
-        for b in _simulate_chunked(base, None, tag_p, horizon, seed, n, FAM_WEIGHTED)
-    ])
-    direct = MCReport.from_samples(f"{f.name} direct@{tag_q}", direct_vals, oracle)
-    weighted = MCReport.from_samples(f"{f.name} weighted@{tag_p}", weighted_vals, oracle)
-    diff = direct.estimate - weighted.estimate
-    pooled = math.hypot(direct.stderr, weighted.stderr)
-    verdict = "pass" if abs(diff) <= 3.0 * pooled else "fail"
-    return ReweightingResult(direct=direct, weighted=weighted,
-                             difference=diff, pooled_stderr=pooled, verdict=verdict)
+    direct, single = _battery_reports(
+        f, oracle, _simulate_chunked(derived.base, derived, tag_q, horizon, seed, n, FAM_DIRECT),
+        t, f" direct@{tag_q}")
+    weighted, _ = _battery_reports(
+        f, oracle, _simulate_chunked(derived.base, None, tag_p, horizon, seed, n, FAM_WEIGHTED),
+        t, f" weighted@{tag_p}", derived.change, include_xi=theta is None)
+    results = []
+    for d, w in zip(direct, weighted):
+        diff = d.estimate - w.estimate
+        pooled = math.hypot(d.stderr, w.stderr)
+        verdict = "pass" if abs(diff) <= 3.0 * pooled else "fail"
+        results.append(ReweightingResult(direct=d, weighted=w, difference=diff,
+                                         pooled_stderr=pooled, verdict=verdict))
+    return results[0] if single else results
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +463,8 @@ def _partial_expectation(d: Distribution, f: Callable[[float], float],
     return integrate_finite(lambda x: f(x) * d.density(x), a, b)
 
 
-def degeneracy_test(base: BaseModel, change: MeasureChange, n: int, seed: int,
+def degeneracy_test(model: Union[BaseModel, DerivedModel],
+                    change: Optional[MeasureChange] = None, *, n: int, seed: int,
                     s: float = 0.5, t: float = 1.0) -> DegeneracyResult:
     """Probe whether the unconditionally centered aggregate is a martingale
     under the derived measure.
@@ -463,7 +474,7 @@ def degeneracy_test(base: BaseModel, change: MeasureChange, n: int, seed: int,
     the quadrature covariance oracle
     (t-s) E_Q[X] (E_Q[ind_A g(Theta)] - Q(A) E_Q[g(Theta)]).
     """
-    derived = derive_q_model(base, change)
+    derived = model if isinstance(model, DerivedModel) else derive_q_model(model, change)
     g = derived.g
     e_g = expectation(derived.q_mixing, lambda th: g(th))
     e_x = derived.q_claim.moment(1)
@@ -471,7 +482,7 @@ def degeneracy_test(base: BaseModel, change: MeasureChange, n: int, seed: int,
     events = [theta_in(0.0, med), theta_in(med, math.inf), whole_space()]
 
     sums = {ev.describe(): [0.0, 0.0, 0] for ev in events}
-    for b in _simulate_chunked(base, derived, DERIVED_Q, t, seed, n, FAM_DEGENERACY):
+    for b in _simulate_chunked(derived.base, derived, DERIVED_Q, t, seed, n, FAM_DEGENERACY):
         v_s = b.aggregates_at(s) - s * e_g * e_x
         v_t = b.aggregates_at(t) - t * e_g * e_x
         inc = v_t - v_s
@@ -544,7 +555,8 @@ def _drift_oracle(base: BaseModel, change: MeasureChange, derived: DerivedModel,
     return drift + log_xi_mean / horizon
 
 
-def singularity_probe(base: BaseModel, change: MeasureChange,
+def singularity_probe(model: Union[BaseModel, DerivedModel],
+                      change: Optional[MeasureChange] = None, *,
                       horizons: Sequence[float], n: int, seed: int,
                       theta_fixed: Optional[float] = None) -> List[DriftRow]:
     """Log likelihood-ratio drift table under both measures.
@@ -556,7 +568,8 @@ def singularity_probe(base: BaseModel, change: MeasureChange,
     finite-horizon table can only exhibit the trend, never certify the
     limit statement.
     """
-    derived = derive_q_model(base, change)
+    derived = model if isinstance(model, DerivedModel) else derive_q_model(model, change)
+    base, change = derived.base, derived.change
     include_xi = theta_fixed is None
     rows = []
     for T in horizons:

@@ -1,0 +1,103 @@
+"""Functional batteries and the run's single derived model.
+
+A battery is evaluated on one pass over shared batches; it must give the
+same reports, bit for bit, as one call per functional.  A scenario run
+simulates each (measure, horizon, seed, family, n) stream of a job once,
+and validates and derives its model once.
+"""
+
+import pytest
+
+import cmpplab.scenario
+import cmpplab.verify
+from cmpplab.dist import Exponential, Gamma
+from cmpplab.model import BaseModel, derive_q_model, measure_change, validate_change
+from cmpplab.scenario import run_scenario
+from cmpplab.sim import BASE_P, DERIVED_Q
+from cmpplab.verify import (check_reweighting, degeneracy_test, f_aggregate,
+                            f_count, f_count_eq, f_one, mc_estimate,
+                            singularity_probe)
+
+SEED = 20190521
+
+
+@pytest.fixture(scope="module")
+def base62():
+    return BaseModel(Exponential(0.2), Gamma(2.0, 2.0))
+
+
+@pytest.fixture(scope="module")
+def change62():
+    return measure_change(alpha="ln(theta)", gamma="ln(x/5)",
+                          xi="(27/8)*theta^2*exp(-theta)")
+
+
+@pytest.fixture(scope="module")
+def derived62(base62, change62):
+    validate_change(base62, change62, level=2)
+    return derive_q_model(base62, change62)
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    # several batches per side, so the one-pass accumulation is exercised
+    monkeypatch.setattr(cmpplab.verify, "CHUNK", 1500)
+
+
+@pytest.mark.parametrize("theta", [None, 1.5])
+def test_reweighting_battery_matches_single_calls(base62, change62, derived62,
+                                                  small_chunks, theta):
+    battery = [f_one(), f_count(), f_aggregate(), f_count_eq(0)]
+    oracles = [1.0, None, 200.0 / 9.0, None]
+    shared = check_reweighting(battery, derived62, t=1.0, n=4000, seed=SEED,
+                               under_conditional=theta, oracle=oracles)
+    single = [check_reweighting(f, base62, change62, t=1.0, n=4000, seed=SEED,
+                                under_conditional=theta, oracle=o)
+              for f, o in zip(battery, oracles)]
+    assert shared == single
+
+
+def test_mc_estimate_battery_matches_single_calls(base62, derived62, small_chunks):
+    battery = [f_aggregate(), f_count(), lambda p, t: float(p.theta)]
+    oracles = [200.0 / 9.0, None, None]
+    shared = mc_estimate(battery, base62, derived62, DERIVED_Q, 1.0, 4000, SEED,
+                         oracle=oracles)
+    single = [mc_estimate(f, base62, derived62, DERIVED_Q, 1.0, 4000, SEED, oracle=o)
+              for f, o in zip(battery, oracles)]
+    assert shared == single
+
+
+def test_battery_oracles_must_match(base62, derived62):
+    with pytest.raises(ValueError):
+        mc_estimate([f_one(), f_count()], base62, derived62, BASE_P, 1.0, 1000, SEED,
+                    oracle=[1.0])
+
+
+def test_derived_model_form_matches_base_and_change(base62, change62, derived62):
+    assert degeneracy_test(derived62, n=2000, seed=SEED) == \
+        degeneracy_test(base62, change62, n=2000, seed=SEED)
+    assert singularity_probe(derived62, horizons=[2.0], n=1000, seed=SEED) == \
+        singularity_probe(base62, change62, horizons=[2.0], n=1000, seed=SEED)
+
+
+def test_run_simulates_each_stream_once(tmp_path, monkeypatch):
+    calls = {"simulate_batch": 0, "derive_q_model": 0, "validate_change": 0}
+
+    def counted(module, name):
+        orig = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cmpplab.verify, "simulate_batch")
+    counted(cmpplab.scenario, "derive_q_model")
+    counted(cmpplab.verify, "derive_q_model")
+    counted(cmpplab.scenario, "validate_change")
+    out = tmp_path / "r62.csv"
+    assert run_scenario("example-6.2", {"paths": 1000, "output": str(out)}) in (0, 1)
+    # simulate 2, verify-reweighting 2, verify-martingale 2 (pilot + paths,
+    # the latter repeating simulate's Q stream), degeneracy 1
+    assert calls == {"simulate_batch": 7, "derive_q_model": 1, "validate_change": 1}

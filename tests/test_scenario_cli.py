@@ -279,3 +279,40 @@ def test_module_invocation(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the horizon is checked before any simulation can start
+
+BAD_HORIZONS = ["-1", "0", "nan", "inf"]
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a simulation started")
+
+    monkeypatch.setattr("cmpplab.verify.simulate_batch", refuse)
+    monkeypatch.setattr("cmpplab.sim.simulate_batch", refuse)
+
+
+@pytest.mark.parametrize("horizon", BAD_HORIZONS)
+def test_bad_horizon_in_file_exit_2(tmp_path, capsys, no_simulation, horizon):
+    text = GOOD_SCENARIO.replace("jobs = validate, derive-q, premium", "jobs = simulate")
+    text = text.replace("horizon = 1.0", f"horizon = {horizon}")
+    scn_path = tmp_path / "bad_horizon.scn"
+    scn_path.write_text(text)
+    line = text.splitlines().index(f"horizon = {horizon}") + 1
+    out = tmp_path / "r.csv"
+    assert main(["run", str(scn_path), "--output", str(out)]) == 2
+    assert f"{scn_path}:{line}: mc.horizon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon", BAD_HORIZONS)
+def test_bad_horizon_override_exit_2(tmp_path, capsys, no_simulation, horizon):
+    out = tmp_path / "r.csv"
+    assert main(["run", "example-6.1a", f"--horizon={horizon}",
+                 "--output", str(out)]) == 2
+    assert "--horizon: mc.horizon" in capsys.readouterr().err
+    assert not out.exists()
