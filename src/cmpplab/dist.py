@@ -487,8 +487,8 @@ class Tilted(Distribution):
     """
 
     def __init__(self, base: Distribution,
-                 weight: Optional[Union[RealFn, Callable[[float], float]]] = None,
-                 log_weight: Optional[Union[RealFn, Callable[[float], float]]] = None):
+                 weight: Optional[RealFn] = None,
+                 log_weight: Optional[RealFn] = None):
         if weight is None and log_weight is None:
             raise DistError("tilted law needs a weight or a log-weight")
         if base.is_discrete:
@@ -509,18 +509,20 @@ class Tilted(Distribution):
     def weight_at(self, x):
         if self._weight is not None:
             w = self._weight
-            return w(x) if not isinstance(x, np.ndarray) else (
-                w.eval_array(x) if isinstance(w, RealFn) else np.vectorize(w)(x))
+            return w.eval_array(x) if isinstance(x, np.ndarray) else w(x)
         lw = self.log_weight_at(x)
         return np.exp(lw) if isinstance(x, np.ndarray) else math.exp(min(lw, 709.0))
 
     def log_weight_at(self, x):
         if self._log_weight is not None:
             lw = self._log_weight
-            return lw(x) if not isinstance(x, np.ndarray) else (
-                lw.eval_array(x) if isinstance(lw, RealFn) else np.vectorize(lw)(x))
+            return lw.eval_array(x) if isinstance(x, np.ndarray) else lw(x)
         w = self.weight_at(x)
-        return np.log(w) if isinstance(x, np.ndarray) else math.log(w)
+        if isinstance(x, np.ndarray):
+            return np.log(w)
+        if w < 0.0:
+            raise DistError(f"tilt weight is negative at {x!r}")
+        return math.log(w) if w > 0.0 else -math.inf
 
     def logpdf(self, x):
         if isinstance(x, np.ndarray):
@@ -622,11 +624,16 @@ class Tilted(Distribution):
         half = 0.5 * (b - a)
         mids = 0.5 * (a + b)
         pts = mids[:, None] + half[:, None] * nodes[None, :]
+        log_pts = np.asarray(self.logpdf(pts.ravel()))
+        log_xs = np.asarray(self.logpdf(xs))
+        # NaN is a negative weight, +inf an infinite one (-inf, a zero weight, is fine)
+        if not ((log_pts < np.inf).all() and (log_xs < np.inf).all()):
+            raise DistError("tilt weight is negative or not finite at a CDF table node")
         with np.errstate(over="ignore"):
-            vals = np.exp(np.asarray(self.logpdf(pts.ravel()))).reshape(pts.shape)
+            vals = np.exp(log_pts).reshape(pts.shape)
         masses = (vals * weights[None, :]).sum(axis=1) * half
         cdf = left_tail + np.concatenate([[0.0], np.cumsum(masses)])
-        dens = np.exp(np.asarray(self.logpdf(xs)))
+        dens = np.exp(log_xs)
         spline = CubicHermiteSpline(xs, cdf, dens)
         self._table = (xs, cdf, spline)
 
@@ -661,8 +668,7 @@ class Tilted(Distribution):
     def literal(self):
         w = self._log_weight if self._weight is None else self._weight
         tag = "log_weight" if self._weight is None else "weight"
-        wtxt = str(w) if isinstance(w, RealFn) else "<callable>"
-        return f"tilted(base={self.base.literal()}, {tag}={wtxt!r})"
+        return f"tilted(base={self.base.literal()}, {tag}={str(w)!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,12 @@ Precedence is therefore ^ (right-assoc) > unary minus > * / > + -, so
 allowed; every other identifier must be a declared parameter.
 
 Evaluation is pure IEEE double arithmetic: the same tree at the same
-point always returns the same bits.  Overflow saturates to inf; domain
-violations (ln of a non-positive number, division by zero, fractional
-power of a negative base) raise DomainError.
+point always returns the same bits.  A point is a float (``RealFn(x)``)
+or an array (``RealFn.eval_array``); both modes obey one set of domain
+rules.  Overflow saturates to inf.  These raise DomainError, in an array
+at any element: ln of a value <= 0, sqrt of a value < 0, division by 0,
+a^b with a < 0 and non-integer b or with a = 0 and b < 0, and a NaN
+result (e.g. inf - inf).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -262,72 +265,62 @@ def to_source(node: Node) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: one walker; the mode lives in the ops table, the domain rules
+# are written once.  Scalars use ``math`` and arrays numpy ufuncs: the two
+# differ in the last bit for some exp/pow/log inputs, and each mode keeps
+# the bits it has always produced.
 
-def _eval_node(node: Node, point: float, params: Mapping[str, float]) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return point
-    if isinstance(node, Param):
-        v = params.get(node.name)
-        if v is None:
-            raise UnboundParameter(f"parameter '{node.name}' has no value")
-        return v
-    if isinstance(node, Neg):
-        return -_eval_node(node.arg, point, params)
-    if isinstance(node, Call):
-        v = _eval_node(node.arg, point, params)
-        if node.fn == "ln":
-            if v <= 0.0:
-                raise DomainError(f"ln of non-positive value {v!r}")
-            return math.log(v)
-        if node.fn == "exp":
-            try:
-                return math.exp(v)
-            except OverflowError:
-                return math.inf
-        if v < 0.0:
-            raise DomainError(f"sqrt of negative value {v!r}")
-        return math.sqrt(v)
-    a = _eval_node(node.lhs, point, params)
-    b = _eval_node(node.rhs, point, params)
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    if node.op == "*":
-        return a * b
-    if node.op == "/":
-        if b == 0.0:
-            raise DomainError("division by zero")
-        return a / b
+def _exp(v: float) -> float:
     try:
-        return math.pow(a, b)
-    except ValueError:
-        raise DomainError(f"invalid power {a!r} ^ {b!r}") from None
+        return math.exp(v)
     except OverflowError:
         return math.inf
 
 
-def _numpy_eval(node: Node, xs: np.ndarray, params: Mapping[str, float]):
+def _pow(a: float, b: float) -> float:
+    try:
+        return math.pow(a, b)
+    except OverflowError:
+        return -math.inf if a < 0.0 and b % 2.0 == 1.0 else math.inf
+
+
+class _Ops(NamedTuple):
+    log: Callable
+    exp: Callable
+    sqrt: Callable
+    pow: Callable
+    any: Callable  # does a condition hold at some point?
+
+
+_SCALAR = _Ops(math.log, _exp, math.sqrt, _pow, bool)
+_ARRAY = _Ops(np.log, np.exp, np.sqrt, np.power, np.any)
+
+
+def _eval(node: Node, x, params: Mapping[str, float], ops: _Ops):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
-        return xs
+        return x
     if isinstance(node, Param):
         v = params.get(node.name)
         if v is None:
             raise UnboundParameter(f"parameter '{node.name}' has no value")
         return v
     if isinstance(node, Neg):
-        return -_numpy_eval(node.arg, xs, params)
+        return -_eval(node.arg, x, params, ops)
     if isinstance(node, Call):
-        v = _numpy_eval(node.arg, xs, params)
-        fn = {"ln": np.log, "exp": np.exp, "sqrt": np.sqrt}[node.fn]
-        return fn(v)
-    a = _numpy_eval(node.lhs, xs, params)
-    b = _numpy_eval(node.rhs, xs, params)
+        v = _eval(node.arg, x, params, ops)
+        if node.fn == "ln":
+            if ops.any(v <= 0.0):
+                raise DomainError("ln of a non-positive value")
+            return ops.log(v)
+        if node.fn == "exp":
+            return ops.exp(v)
+        if ops.any(v < 0.0):
+            raise DomainError("sqrt of a negative value")
+        return ops.sqrt(v)
+    a = _eval(node.lhs, x, params, ops)
+    b = _eval(node.rhs, x, params, ops)
     if node.op == "+":
         return a + b
     if node.op == "-":
@@ -335,8 +328,20 @@ def _numpy_eval(node: Node, xs: np.ndarray, params: Mapping[str, float]):
     if node.op == "*":
         return a * b
     if node.op == "/":
+        if ops.any(b == 0.0):
+            raise DomainError("division by zero")
         return a / b
-    return np.power(a, b)
+    if ops.any(((a < 0.0) & (b % 1.0 != 0.0)) | ((a == 0.0) & (b < 0.0))):
+        raise DomainError("invalid power: a negative base with a fractional "
+                          "exponent, or zero with a negative one")
+    return ops.pow(a, b)
+
+
+def _value(node: Node, x, params: Mapping[str, float], ops: _Ops):
+    out = _eval(node, x, params, ops)
+    if ops.any(out != out):
+        raise DomainError("evaluation produced NaN")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +356,15 @@ class RealFn:
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __call__(self, point: float) -> float:
-        return _eval_node(self.tree, float(point), self.params)
+        return _value(self.tree, float(point), self.params, _SCALAR)
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; NaN results are rejected as domain errors."""
+        """Vectorized evaluation under the same domain rules as a call."""
         xs = np.asarray(xs, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.asarray(_numpy_eval(self.tree, xs, self.params), dtype=float)
+            out = np.asarray(_value(self.tree, xs, self.params, _ARRAY), dtype=float)
         if out.shape != xs.shape:
             out = np.broadcast_to(out, xs.shape).copy()
-        if np.isnan(out).any():
-            raise DomainError("vectorized evaluation produced NaN inside the domain")
         return out
 
     def bind(self, **params: float) -> "RealFn":
@@ -414,10 +417,12 @@ def walk(node: Node):
 
 
 def const_value(node: Node, params: Mapping[str, float]) -> Optional[float]:
-    """Value of a variable-free subtree, or None if the variable appears."""
-    if any(isinstance(n, Var) for n in walk(node)):
+    """Value of a constant subtree; None if the free variable or an unbound
+    parameter appears in it."""
+    if any(isinstance(n, Var) or (isinstance(n, Param) and params.get(n.name) is None)
+           for n in walk(node)):
         return None
-    return _eval_node(node, 0.0, params)
+    return _value(node, 0.0, params, _SCALAR)
 
 
 def constant(value: float) -> RealFn:

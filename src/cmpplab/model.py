@@ -31,7 +31,7 @@ import numpy as np
 
 from .dist import (Beta, Degenerate, Distribution, Exponential, Gamma, Tilted,
                    Uniform, expectation, log_weighted_expectation)
-from .expr import (Bin, Call, Neg, Num, Param, RealFn, Var, const_value,
+from .expr import (Bin, Call, DomainError, Neg, Num, RealFn, Var, const_value,
                    identity, parse)
 from .quadrature import DivergentIntegral
 
@@ -167,62 +167,58 @@ def _pair_key(base: BaseModel, change: MeasureChange):
 def validate_change(base: BaseModel, change: MeasureChange, level: int = 1) -> AdmissibilityReport:
     """Check normalizations, positivity and the level-l moment gates.
 
-    Divergent integrals are reported as gate failures in the returned
-    report rather than raised.
+    Divergent integrals and domain errors (a formula undefined somewhere
+    on the support) are reported as named failures in the returned report
+    rather than raised.
     """
     if level not in (1, 2):
         raise ModelError(f"level must be 1 or 2, got {level}")
     failures = []
 
-    try:
-        gamma_norm = log_weighted_expectation(base.claim_law, change.gamma)
-    except DivergentIntegral as e:
-        gamma_norm = math.inf
-        failures.append(f"gamma_norm: divergent ({e})")
-    if abs(gamma_norm - 1.0) > NORM_TOL:
-        if math.isfinite(gamma_norm):
-            failures.append(f"gamma_norm: {gamma_norm!r} differs from 1 beyond {NORM_TOL:g}")
+    def attempt(fn):
+        try:
+            return fn(), ""
+        except DivergentIntegral as e:
+            return math.inf, f"divergent ({e})"
+        except DomainError as e:
+            return math.inf, f"domain error ({e})"
 
-    try:
-        xi_norm = expectation(base.mixing_law, change.xi)
-    except DivergentIntegral as e:
-        xi_norm = math.inf
-        failures.append(f"xi_norm: divergent ({e})")
-    if abs(xi_norm - 1.0) > NORM_TOL and math.isfinite(xi_norm):
+    gamma_norm, why = attempt(lambda: log_weighted_expectation(base.claim_law, change.gamma))
+    if why:
+        failures.append(f"gamma_norm: {why}")
+    elif not abs(gamma_norm - 1.0) <= NORM_TOL:  # NaN fails too
+        failures.append(f"gamma_norm: {gamma_norm!r} differs from 1 beyond {NORM_TOL:g}")
+
+    xi_norm, why = attempt(lambda: expectation(base.mixing_law, change.xi))
+    if why:
+        failures.append(f"xi_norm: {why}")
+    elif not abs(xi_norm - 1.0) <= NORM_TOL:  # NaN fails too
         failures.append(f"xi_norm: {xi_norm!r} differs from 1 beyond {NORM_TOL:g}")
 
     # positivity proxy: a 511-point quantile grid (nodes plus midpoints);
     # the almost-sure statement cannot be checked exhaustively
     grid = base.mixing_law.interior_grid(256, p_lo=1e-9)
     grid = np.unique(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
-    xi_vals = change.xi.eval_array(grid)
-    xi_positive = bool((xi_vals > 0.0).all())
+    positive, why = attempt(lambda: bool((change.xi.eval_array(grid) > 0.0).all()))
+    xi_positive = not why and positive
     if not xi_positive:
-        failures.append("xi_positive: xi is not positive on the support grid")
+        failures.append(f"xi_positive: {why or 'xi is not positive on the support grid'}")
 
     g = derive_g(change)
-    gates = {}
-    for ell in (1, 2):
-        try:
-            cg = log_weighted_expectation(
-                base.claim_law, lambda x: change.gamma(x) + ell * math.log(x))
-        except DivergentIntegral:
-            cg = math.inf
-        try:
-            mg = expectation(base.mixing_law, lambda t: change.xi(t) * g(t) ** ell)
-        except DivergentIntegral:
-            mg = math.inf
-        gates[ell] = (cg, mg)
+    gates = {ell: (attempt(lambda: log_weighted_expectation(
+                       base.claim_law, lambda x: change.gamma(x) + ell * math.log(x))),
+                   attempt(lambda: expectation(
+                       base.mixing_law, lambda t: change.xi(t) * g(t) ** ell)))
+             for ell in (1, 2)}
 
-    level_achieved = 0
-    for ell in (1, 2):
-        if math.isfinite(gates[ell][0]) and math.isfinite(gates[ell][1]):
-            level_achieved = ell
-    claim_gate, mixing_gate = gates[level]
+    level_achieved = max((ell for ell in (1, 2)
+                          if all(math.isfinite(v) for v, _ in gates[ell])), default=0)
+    (claim_gate, claim_why), (mixing_gate, mixing_why) = gates[level]
     if not math.isfinite(claim_gate):
-        failures.append(f"claim_gate: E[X^{level} e^gamma(X)] diverges")
+        failures.append(f"claim_gate: E[X^{level} e^gamma(X)]: {claim_why or 'not finite'}")
     if not math.isfinite(mixing_gate):
-        failures.append(f"mixing_gate: E[xi(Theta) g(Theta)^{level}] diverges")
+        failures.append(f"mixing_gate: E[xi(Theta) g(Theta)^{level}]: "
+                        f"{mixing_why or 'not finite'}")
 
     verdict = not failures
     report = AdmissibilityReport(
@@ -250,7 +246,7 @@ def derive_g(change: MeasureChange) -> RealFn:
     """
     tree = change.alpha.tree
     params = change.alpha.params
-    c = const_value(tree, params) if _is_bound(change.alpha) else None
+    c = const_value(tree, params)
     if c is not None:
         if c == 0.0:
             return identity("theta")
@@ -259,10 +255,6 @@ def derive_g(change: MeasureChange) -> RealFn:
     if isinstance(tree, Call) and tree.fn == "ln" and isinstance(tree.arg, Var):
         return RealFn(Bin("^", Var("theta"), Num(2.0)), "theta")
     return RealFn(Bin("*", Var("theta"), Call("exp", tree)), "theta", params)
-
-
-def _is_bound(fn: RealFn) -> bool:
-    return all(v is not None for v in fn.params.values())
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +274,7 @@ def _combine(op, a, b):
 
 def _analyze_weight(node, params) -> Optional[Tuple[float, float, float]]:
     """Match node = C * v^k * e^{s v}; return (C, k, s) or None."""
-    v = const_value(node, params) if _node_bound(node, params) else None
+    v = const_value(node, params)
     if v is not None:
         return (v, 0.0, 0.0)
     if isinstance(node, Var):
@@ -294,7 +286,7 @@ def _analyze_weight(node, params) -> Optional[Tuple[float, float, float]]:
         return _combine(node.op, _analyze_weight(node.lhs, params),
                         _analyze_weight(node.rhs, params))
     if isinstance(node, Bin) and node.op == "^":
-        e = const_value(node.rhs, params) if _node_bound(node.rhs, params) else None
+        e = const_value(node.rhs, params)
         inner = _analyze_weight(node.lhs, params)
         if e is None or inner is None:
             return None
@@ -313,7 +305,7 @@ def _analyze_weight(node, params) -> Optional[Tuple[float, float, float]]:
 
 def _analyze_affine(node, params) -> Optional[Tuple[float, float]]:
     """Match node = s*v + c; return (s, c) or None."""
-    v = const_value(node, params) if _node_bound(node, params) else None
+    v = const_value(node, params)
     if v is not None:
         return (0.0, v)
     if isinstance(node, Var):
@@ -330,14 +322,14 @@ def _analyze_affine(node, params) -> Optional[Tuple[float, float]]:
         return (a[0] + sign * b[0], a[1] + sign * b[1])
     if isinstance(node, Bin) and node.op == "*":
         for lhs, rhs in ((node.lhs, node.rhs), (node.rhs, node.lhs)):
-            c = const_value(lhs, params) if _node_bound(lhs, params) else None
+            c = const_value(lhs, params)
             if c is not None:
                 inner = _analyze_affine(rhs, params)
                 if inner is not None:
                     return (c * inner[0], c * inner[1])
         return None
     if isinstance(node, Bin) and node.op == "/":
-        c = const_value(node.rhs, params) if _node_bound(node.rhs, params) else None
+        c = const_value(node.rhs, params)
         if c in (None, 0.0):
             return None
         inner = _analyze_affine(node.lhs, params)
@@ -351,7 +343,7 @@ def _analyze_log_weight(node, params) -> Optional[Tuple[float, float, float]]:
     _flatten_sum(node, 1.0, terms)
     s = k = c = 0.0
     for sign, t in terms:
-        v = const_value(t, params) if _node_bound(t, params) else None
+        v = const_value(t, params)
         if v is not None:
             c += sign * v
             continue
@@ -366,7 +358,7 @@ def _analyze_log_weight(node, params) -> Optional[Tuple[float, float, float]]:
         if isinstance(t, Bin) and t.op == "*":
             matched = False
             for lhs, rhs in ((t.lhs, t.rhs), (t.rhs, t.lhs)):
-                cc = const_value(lhs, params) if _node_bound(lhs, params) else None
+                cc = const_value(lhs, params)
                 if cc is not None and isinstance(rhs, Call) and rhs.fn == "ln":
                     inner = _analyze_weight(rhs.arg, params)
                     if inner is None or inner[2] != 0.0 or inner[0] <= 0.0:
@@ -393,12 +385,6 @@ def _flatten_sum(node, sign, out):
         _flatten_sum(node.arg, -sign, out)
     else:
         out.append((sign, node))
-
-
-def _node_bound(node, params) -> bool:
-    from .expr import walk
-    return all(params.get(n.name) is not None
-               for n in walk(node) if isinstance(n, Param))
 
 
 def _tilt_to_catalog(base: Distribution,

@@ -1,17 +1,13 @@
 """Adaptive quadrature with a divergence guard for unbounded domains.
 
 Finite intervals go to QUADPACK (``scipy.integrate.quad``) at rel. tol
-1e-9 / abs. tol 1e-12.  Semi-infinite integrals are handled two ways:
-
-* ``integrate_transformed`` maps [a, inf) onto (0, 1) by the smooth
-  substitution x = a + t/(1-t); use it for integrands known to be
-  integrable.
-* ``integrate_semi_infinite`` truncates at [a, T] and doubles T.  Given
-  a reference tail-mass function (1 - cdf of the base law when the
-  integrand is weight * density), the guard declares divergence when a
-  doubling still grows the value by more than 1% although the reference
-  tail mass beyond T is under 1e-12.  Non-finite partial values are
-  divergent immediately.
+1e-9 / abs. tol 1e-12.  Semi-infinite integrals go to
+``integrate_semi_infinite``, which truncates at [a, T] and doubles T.
+Given a reference tail-mass function (1 - cdf of the base law when the
+integrand is weight * density), the guard declares divergence when a
+doubling still grows the value by more than 1% although the reference
+tail mass beyond T is under 1e-12.  Non-finite partial values are
+divergent immediately.
 
 The guard is what turns e.g. an exponential moment that does not exist
 into a DivergentIntegral error instead of a plausible-looking number.
@@ -52,18 +48,6 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float) -> float:
         return 0.0
     value, _err = integrate.quad(_saturating(f), a, b,
                                  epsabs=ABS_TOL, epsrel=REL_TOL, limit=400)
-    return value
-
-
-def integrate_transformed(f: Callable[[float], float], a: float) -> float:
-    """Integrate f over [a, inf) via the map x = a + t/(1-t), t in (0,1)."""
-
-    def g(t: float) -> float:
-        onem = 1.0 - t
-        return f(a + t / onem) / (onem * onem)
-
-    value, _err = integrate.quad(g, 0.0, 1.0, epsabs=ABS_TOL, epsrel=REL_TOL,
-                                 limit=400, points=[0.0, 1.0])
     return value
 
 

@@ -47,12 +47,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .dist import expectation, parse_distribution
-from .expr import RealFn, parse
+from .dist import DistError, expectation, parse_distribution
+from .expr import DomainError, RealFn, parse
 from .model import (AdmissibilityReport, BaseModel, DerivedModel, MeasureChange,
                     derive_q_model, measure_change, validate_change)
 from .premium import esscher_change, expected_value_change, premium_density
-from .sim import BASE_P, DERIVED_Q
+from .quadrature import DivergentIntegral
+from .sim import BASE_P, DERIVED_Q, SimulationError
 from .verify import (check_martingale, check_reweighting, degeneracy_test,
                      f_aggregate, f_count, f_count_eq, f_one, mc_estimate,
                      process_v, singularity_probe)
@@ -61,6 +62,10 @@ JOB_NAMES = ("simulate", "validate", "derive-q", "verify-reweighting",
              "verify-martingale", "degeneracy", "singularity", "premium")
 
 OUTPUT_DIR_ENV = "CMPPLAB_OUTPUT_DIR"
+
+# what the library raises on an input it cannot handle; inside a job these
+# become one ``fail`` row instead of a traceback
+JOB_ERRORS = (DomainError, DistError, DivergentIntegral, SimulationError)
 
 
 class ScenarioError(ValueError):
@@ -589,18 +594,26 @@ def run_scenario(name_or_path: str, overrides: Optional[dict] = None,
 
         report = validate_change(scn.base, scn.change, scn.level)
         rows += _job_validate(scn, report)
-        derived = None
+        derived, skipped = None, "change failed validation"
         if report.verdict:
-            derived = derive_q_model(scn.base, scn.change)
+            try:
+                derived = derive_q_model(scn.base, scn.change)
+            except JOB_ERRORS as e:
+                skipped = f"derived model failed: {type(e).__name__}: {e}"
         for job in scn.jobs:
             if job == "validate":
                 continue  # always ran first
             if derived is None:
                 rows.append(Row(scenario=scn.name, job=job, seed=scn.seed,
                                 quantity="skipped", verdict="fail",
-                                detail="change failed validation"))
+                                detail=skipped))
                 continue
-            rows += _JOB_RUNNERS[job](scn, derived)
+            try:
+                rows += _JOB_RUNNERS[job](scn, derived)
+            except JOB_ERRORS as e:
+                rows.append(Row(scenario=scn.name, job=job, seed=scn.seed,
+                                quantity="error", verdict="fail",
+                                detail=f"{type(e).__name__}: {e}"))
     except ScenarioError as e:
         print(f"error: {e}", file=stderr)
         return 2

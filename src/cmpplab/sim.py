@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .dist import log_weighted_expectation
-from .expr import RealFn
+from .expr import DomainError, RealFn
 from .model import BaseModel, DerivedModel, MeasureChange, _pair_key, derive_g
 from .rng import LANE_ARRIVAL, LANE_CLAIM, LANE_MISC, RngStream, uniforms
 
@@ -116,19 +116,23 @@ class Path:
     def __len__(self) -> int:
         return int(self.event_times.size)
 
+    def as_batch(self) -> "PathBatch":
+        """This path as a one-path PathBatch; the scalar path functions are
+        entry [0] of the matching batch functions."""
+        n = len(self)
+        return PathBatch(thetas=np.array([float(self.theta)]),
+                         counts=np.array([n], dtype=np.int64),
+                         offsets=np.array([0, n], dtype=np.int64),
+                         times=self.event_times, claims=self.claims,
+                         horizon=self.horizon)
+
     def count_at(self, t: float) -> int:
         """N_t: number of events up to and including t."""
-        self._check_time(t)
-        return int(np.searchsorted(self.event_times, t, side="right"))
+        return int(self.as_batch().counts_at(t)[0])
 
     def aggregate_at(self, t: float) -> float:
         """S_t: sum of the first N_t claims."""
-        n = self.count_at(t)
-        return float(self.claims[:n].sum())
-
-    def _check_time(self, t: float) -> None:
-        if t < 0.0 or t > self.horizon:
-            raise OutOfHorizon(f"t={t!r} outside [0, {self.horizon!r}]")
+        return float(self.as_batch().aggregates_at(t)[0])
 
 
 def count_at(path: Path, t: float) -> int:
@@ -300,29 +304,21 @@ def log_density_M(path: Path, t: float, change: MeasureChange,
     - t theta (e^{alpha(theta)} - 1); without it, the conditional
     density ln M~_t (no xi term).
     """
-    path._check_time(t)
-    theta = path.theta
-    n = path.count_at(t)
-    a = change.alpha(theta)
-    total = n * a - t * theta * math.expm1(a)
-    if n:
-        total += math.fsum(change.gamma(x) for x in path.claims[:n])
-    if include_xi:
-        xi = change.xi(theta)
-        if xi <= 0.0:
-            raise ValueError(f"xi({theta!r}) = {xi!r} is not positive")
-        total += math.log(xi)
-    return total
+    return float(log_density_batch(path.as_batch(), t, change, include_xi)[0])
 
 
 def log_density_batch(batch: PathBatch, t: float, change: MeasureChange,
                       include_xi: bool = True) -> np.ndarray:
+    """log_density_M for every path of the batch; DomainError where xi <= 0."""
     alphas = change.alpha.eval_array(batch.thetas)
     counts = batch.counts_at(t)
     out = counts * alphas - t * batch.thetas * np.expm1(alphas)
     out += batch.claim_prefix_apply(t, change.gamma)
     if include_xi:
-        out += np.log(change.xi.eval_array(batch.thetas))
+        xi = change.xi.eval_array(batch.thetas)
+        if (xi <= 0.0).any():
+            raise DomainError("xi is not positive at a simulated theta")
+        out += np.log(xi)
     return out
 
 
@@ -344,13 +340,12 @@ def claim_tilt_mean(base: BaseModel, change: MeasureChange) -> float:
 def surplus_v(path: Path, t: float, base: BaseModel, change: MeasureChange) -> float:
     """Centered aggregate under the derived measure:
     V_t = S_t - t g(theta) E[X e^{gamma(X)}]."""
-    g = derive_g(change)
-    return path.aggregate_at(t) - t * g(path.theta) * claim_tilt_mean(base, change)
+    return float(surplus_v_batch(path.as_batch(), t, base, change)[0])
 
 
 def surplus_y(path: Path, t: float, base: BaseModel) -> float:
     """Claim surplus under the base measure: Y_t = S_t - t theta E[X]."""
-    return path.aggregate_at(t) - t * path.theta * base.claim_law.moment(1)
+    return float(surplus_y_batch(path.as_batch(), t, base)[0])
 
 
 def surplus_v_batch(batch: PathBatch, t: float, base: BaseModel,

@@ -78,17 +78,23 @@ def test_both_variables_rejected():
         parse("x + theta")
 
 
+DOMAIN_ERRORS = [
+    ("ln(x)", 0.0), ("ln(x-1)", 0.5), ("ln(x-1)", 1.0), ("1/x", 0.0),
+    ("1/(x-1)", 1.0), ("(x-1)^(-1)", 1.0), ("sqrt(-x)", 4.0), ("(-2)^x", 0.5),
+    ("exp(1000*x) - exp(1000*x)", 1.0),
+]
+
+
 def test_domain_errors():
-    with pytest.raises(DomainError):
-        parse("ln(x)")(0.0)
-    with pytest.raises(DomainError):
-        parse("ln(x-1)")(0.5)
-    with pytest.raises(DomainError):
-        parse("1/x")(0.0)
-    with pytest.raises(DomainError):
-        parse("sqrt(-x)")(4.0)
-    with pytest.raises(DomainError):
-        parse("(-2)^x")(0.5)
+    import numpy as np
+    for src, point in DOMAIN_ERRORS:
+        f = parse(src)
+        with pytest.raises(DomainError):
+            f(point)
+        with pytest.raises(DomainError):
+            f.eval_array(np.array([point]))
+        with pytest.raises(DomainError):       # one bad element spoils the array
+            f.eval_array(np.array([point + 10.0, point]))
 
 
 def test_unbound_parameter():
@@ -143,3 +149,26 @@ def test_roundtrip_property(src):
     fn = parse(src, var="x", params=PARAMS)
     again = parse(str(fn), var="x", params=PARAMS)
     assert fn.tree == again.tree
+
+
+GRID = [-2.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 3.7, 10.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees())
+def test_scalar_and_array_agree(src):
+    """Both modes raise DomainError at a point, or they agree to rel 1e-9."""
+    import numpy as np
+    fn = parse(src, var="x", params=PARAMS)
+    for point in GRID:
+        try:
+            scalar = fn(point)
+        except DomainError:
+            scalar = None
+        try:
+            array = fn.eval_array(np.array([point]))[0]
+        except DomainError:
+            array = None
+        assert (scalar is None) == (array is None), (src, point)
+        if scalar is not None:
+            assert np.isclose(scalar, array, rtol=1e-9, atol=0.0), (src, point)

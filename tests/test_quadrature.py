@@ -3,7 +3,7 @@ import math
 import pytest
 
 from cmpplab.quadrature import (DivergentIntegral, integrate_finite,
-                                integrate_semi_infinite, integrate_transformed)
+                                integrate_semi_infinite)
 
 
 def gamma22_pdf(x):
@@ -28,12 +28,6 @@ def test_semi_infinite_normalization_and_moments():
     assert m1 == pytest.approx(1.0, rel=1e-9)
     m3 = integrate_semi_infinite(lambda x: x**3 * gamma22_pdf(x), 0.0, gamma22_tail)
     assert m3 == pytest.approx(3.0, rel=1e-9)  # Gamma(5)/(Gamma(2) 2^3)
-
-
-def test_transform_route_matches():
-    assert integrate_transformed(gamma22_pdf, 0.0) == pytest.approx(1.0, rel=1e-9)
-    assert integrate_transformed(lambda x: math.exp(-x), 1.0) == pytest.approx(
-        math.exp(-1.0), rel=1e-9)
 
 
 def exp_rate_pdf(rate):

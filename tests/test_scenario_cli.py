@@ -316,3 +316,57 @@ def test_bad_horizon_override_exit_2(tmp_path, capsys, no_simulation, horizon):
                  "--output", str(out)]) == 2
     assert "--horizon: mc.horizon" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# library errors become fail rows, never tracebacks
+
+LIBRARY_ERROR_BASE = """
+[base]
+claim = exp(rate=0.2)
+mixing = gamma(rate=2,shape=2)
+
+[mc]
+paths = 1000
+"""
+
+
+def run_text(tmp_path, text):
+    scn_path = tmp_path / "s.scn"
+    scn_path.write_text(text)
+    out = tmp_path / "r.csv"
+    code = main(["run", str(scn_path), "--output", str(out)])
+    return code, {(r["job"], r["quantity"]): r for r in csv.DictReader(open(out))}
+
+
+def test_formula_undefined_on_support_fails_validation(tmp_path, capsys):
+    # ln(x-1) is undefined for claims below 1
+    code, rows = run_text(tmp_path, LIBRARY_ERROR_BASE + '[change]\ngamma = "ln(x-1)"\n')
+    assert code == 1
+    admissible = rows[("validate", "admissible")]
+    assert admissible["verdict"] == "fail"
+    assert "gamma_norm: domain error (ln of a non-positive value)" in admissible["detail"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("center,job,quantity,reason", [
+    # the Tilted mixing law meets the dip at a CDF table node
+    ("0.7", "verify-reweighting", "error",
+     "DistError: tilt weight is negative or not finite at a CDF table node"),
+    # its normalization quadrature meets the dip, so no derived model exists
+    ("0.5", "derive-q", "skipped",
+     "derived model failed: DistError: tilt weight is negative"),
+])
+def test_library_error_in_job_is_a_fail_row(tmp_path, capsys, center, job, quantity, reason):
+    # xi dips below 0 in a window narrower than the validation grid's spacing,
+    # so validation passes
+    change = (f'[change]\nxi = "(1.0001 - 2*exp(-((theta-{center})*10000)^2))/n"\n'
+              'params = n = 1.0000999999999998\n'
+              '[run]\njobs = validate, derive-q, verify-reweighting\n')
+    code, rows = run_text(tmp_path, LIBRARY_ERROR_BASE + change)
+    assert code == 1
+    assert rows[("validate", "admissible")]["verdict"] == "pass"
+    failed = rows[(job, quantity)]
+    assert failed["verdict"] == "fail"
+    assert failed["detail"].startswith(reason)
+    assert "Traceback" not in capsys.readouterr().err

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from cmpplab.dist import Degenerate, Exponential, Gamma, expectation
+from cmpplab.expr import DomainError
 from cmpplab.model import (BaseModel, derive_q_model, identity_change,
                            measure_change, validate_change)
 from cmpplab.rng import RngStream
@@ -190,6 +191,19 @@ def test_empty_path_hand_value():
     change = measure_change(alpha="ln(2)", gamma="0", xi="1")
     # N_t = 0: 0*alpha + 0 - t*theta*(e^alpha - 1) = -1*2*(2-1)
     assert log_density_M(p, 1.0, change) == pytest.approx(-2.0, abs=1e-14)
+
+
+def test_density_rejects_nonpositive_xi(base62):
+    change = measure_change(xi="theta-1")
+    p = Path(theta=0.5, event_times=np.array([0.2]), claims=np.array([3.0]), horizon=1.0)
+    with pytest.raises(DomainError):
+        log_density_M(p, 1.0, change)
+    b = simulate_batch(base62, None, BASE_P, 1.0, seed=5, n=200)
+    assert (b.thetas < 1.0).any()
+    with pytest.raises(DomainError):
+        log_density_batch(b, 1.0, change)
+    # the conditional density has no xi term
+    assert np.isfinite(log_density_batch(b, 1.0, change, include_xi=False)).all()
 
 
 def test_density_normalization(base62, change62, derived62):
