@@ -40,6 +40,7 @@ pass thresholds.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -51,7 +52,8 @@ from .dist import DistError, expectation, parse_distribution
 from .expr import DomainError, RealFn, parse
 from .model import (AdmissibilityReport, BaseModel, DerivedModel, MeasureChange,
                     derive_q_model, measure_change, validate_change)
-from .premium import esscher_change, expected_value_change, premium_density
+from .premium import (PremiumQuote, esscher_change, expected_value_change,
+                      premium_density)
 from .quadrature import DivergentIntegral
 from .sim import BASE_P, DERIVED_Q, SimulationError
 from .verify import (check_martingale, check_reweighting, degeneracy_test,
@@ -335,7 +337,11 @@ def resolve_scenario(name_or_path: str, params: Optional[Dict[str, float]] = Non
 
 
 # ---------------------------------------------------------------------------
-# job runners
+# job runners; those in _JOB_RUNNERS take the run's derived model and its
+# premium quote, computed on first use
+
+QuoteFn = Callable[[], PremiumQuote]
+
 
 def _annotate(scn: Scenario, row: Row) -> Row:
     pv = scn.paper_values.get(row.quantity)
@@ -363,7 +369,7 @@ def _job_validate(scn: Scenario, rep: AdmissibilityReport) -> List[Row]:
     return rows
 
 
-def _job_derive_q(scn: Scenario, derived: DerivedModel) -> List[Row]:
+def _job_derive_q(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> List[Row]:
     mk = lambda **kw: _annotate(scn, Row(scenario=scn.name, job="derive-q",
                                          seed=scn.seed, **kw))
     return [
@@ -374,8 +380,8 @@ def _job_derive_q(scn: Scenario, derived: DerivedModel) -> List[Row]:
     ]
 
 
-def _job_premium(scn: Scenario, derived: DerivedModel) -> List[Row]:
-    quote = premium_density(scn.base, derived)
+def _job_premium(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> List[Row]:
+    quote = quote()
     e_g = expectation(derived.q_mixing, derived.g)
     # independent recomputation of p(Q), quadrature on both factors
     pq_oracle = e_g * expectation(derived.q_claim, lambda x: x)
@@ -404,23 +410,22 @@ def _job_premium(scn: Scenario, derived: DerivedModel) -> List[Row]:
     ]
 
 
-def _job_simulate(scn: Scenario, derived: DerivedModel) -> List[Row]:
+def _job_simulate(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> List[Row]:
     t = scn.horizon
     e_x = scn.base.claim_law.moment(1)
     e_rate = expectation(scn.base.mixing_law, scn.base.rate_fn)
-    quote = premium_density(scn.base, derived)
     mk = lambda **kw: _annotate(scn, Row(scenario=scn.name, job="simulate",
                                          seed=scn.seed, **kw))
     reps = mc_estimate([f_aggregate(), f_count()], scn.base, derived, BASE_P, t,
                        scn.paths, scn.seed, oracle=[t * e_rate * e_x, t * e_rate])
     reps.append(mc_estimate(f_aggregate(), scn.base, derived, DERIVED_Q, t,
-                            scn.paths, scn.seed, oracle=t * quote.p_derived))
+                            scn.paths, scn.seed, oracle=t * quote().p_derived))
     return [mk(quantity=q, estimate=rep.estimate, stderr=rep.stderr,
                oracle=rep.oracle, verdict=rep.verdict)
             for q, rep in zip((f"E_P[S_{t:g}]", f"E_P[N_{t:g}]", f"E_Q[S_{t:g}]"), reps)]
 
 
-def _job_reweighting(scn: Scenario, derived: DerivedModel) -> List[Row]:
+def _job_reweighting(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> List[Row]:
     t = scn.horizon / 2.0
     battery = [f_one(), f_count(), f_aggregate(), f_count_eq(0)]
     mk = lambda **kw: _annotate(scn, Row(scenario=scn.name, job="verify-reweighting",
@@ -434,7 +439,7 @@ def _job_reweighting(scn: Scenario, derived: DerivedModel) -> List[Row]:
             for f, res in zip(battery, results)]
 
 
-def _job_martingale(scn: Scenario, derived: DerivedModel) -> List[Row]:
+def _job_martingale(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> List[Row]:
     h = scn.horizon
     pairs = [(h / 4.0, h / 2.0), (h / 2.0, h)]
     table = check_martingale(process_v(scn.change), scn.base, derived, DERIVED_Q,
@@ -453,7 +458,7 @@ def _job_martingale(scn: Scenario, derived: DerivedModel) -> List[Row]:
     return rows
 
 
-def _job_degeneracy(scn: Scenario, derived: DerivedModel) -> List[Row]:
+def _job_degeneracy(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> List[Row]:
     res = degeneracy_test(derived, n=scn.paths, seed=scn.seed)
     grid = scn.base.mixing_law.interior_grid(16)
     gvals = np.array([derived.g(t) for t in grid])
@@ -468,7 +473,7 @@ def _job_degeneracy(scn: Scenario, derived: DerivedModel) -> List[Row]:
         detail=f"g(Theta) degenerate={predicted_degenerate}; {res.describe()}"))]
 
 
-def _job_singularity(scn: Scenario, derived: DerivedModel) -> List[Row]:
+def _job_singularity(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> List[Row]:
     horizons = [scn.horizon * 5, scn.horizon * 25]
     theta = float(scn.base.mixing_law.quantile(0.5))
     n = max(1000, scn.paths // 25)
@@ -600,6 +605,13 @@ def run_scenario(name_or_path: str, overrides: Optional[dict] = None,
                 derived = derive_q_model(scn.base, scn.change)
             except JOB_ERRORS as e:
                 skipped = f"derived model failed: {type(e).__name__}: {e}"
+
+        @functools.lru_cache(maxsize=None)
+        def quote() -> PremiumQuote:
+            # the premium and simulate jobs share one quote; an error is not
+            # cached, so each job that needs the quote reports it
+            return premium_density(scn.base, derived)
+
         for job in scn.jobs:
             if job == "validate":
                 continue  # always ran first
@@ -609,7 +621,7 @@ def run_scenario(name_or_path: str, overrides: Optional[dict] = None,
                                 detail=skipped))
                 continue
             try:
-                rows += _JOB_RUNNERS[job](scn, derived)
+                rows += _JOB_RUNNERS[job](scn, derived, quote)
             except JOB_ERRORS as e:
                 rows.append(Row(scenario=scn.name, job=job, seed=scn.seed,
                                 quantity="error", verdict="fail",

@@ -10,8 +10,10 @@ the horizon is never stored.
 
 Draw layout per path (see rng): lane 0 draw 0 is theta, lane 1 holds
 interarrival uniforms, lane 2 claim uniforms.  The batch engine performs
-the identical construction vectorized, so ``simulate_path`` with stream
-(seed, i) and path i of a batch under the same seed are bit-identical.
+the identical construction vectorized, and every quantile transform (the
+Tilted laws' table inversion included) maps each uniform on its own, so
+``simulate_path`` with stream (seed, i) and path i of a batch under the
+same seed are bit-identical, whatever the batch's size or start index.
 
 A hard cap of 10^7 events per path turns a runaway intensity into a
 diagnostic instead of an endless loop.

@@ -101,3 +101,22 @@ def test_run_simulates_each_stream_once(tmp_path, monkeypatch):
     # simulate 2, verify-reweighting 2, verify-martingale 2 (pilot + paths,
     # the latter repeating simulate's Q stream), degeneracy 1
     assert calls == {"simulate_batch": 7, "derive_q_model": 1, "validate_change": 1}
+
+
+def test_run_computes_premium_quote_once(tmp_path, monkeypatch):
+    calls = []
+    orig = cmpplab.scenario.premium_density
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(cmpplab.scenario, "premium_density", counted)
+    scn = tmp_path / "q.scn"
+    scn.write_text('[base]\nclaim = exp(rate=0.2)\nmixing = gamma(rate=2,shape=2)\n'
+                   '[change]\nalpha = "ln(theta)"\ngamma = "ln(x/5)"\n'
+                   'xi = "(27/8)*theta^2*exp(-theta)"\n'
+                   '[run]\njobs = validate, premium, simulate\n[mc]\npaths = 200\n')
+    assert run_scenario(str(scn), {"output": str(tmp_path / "q.csv")}) in (0, 1)
+    # the premium and simulate jobs share the run's quote
+    assert len(calls) == 1

@@ -9,6 +9,7 @@ from cmpplab.dist import (Beta, Degenerate, DistError, Exponential, Gamma,
                           OutsideConvergenceStrip, Poisson, Tilted, Uniform,
                           expectation, log_weighted_expectation,
                           parse_distribution, sample_array)
+from cmpplab import dist as dist_module
 from cmpplab.expr import parse
 
 CATALOG = [Exponential(0.2), Exponential(1.0), Gamma(2.0, 2.0), Gamma(3.0, 4.0),
@@ -180,6 +181,71 @@ def test_tilted_sampling_ks():
     ref = Gamma(3.0, 4.0)
     res = stats.kstest(samples, lambda x: np.asarray(ref.cdf(x)))
     assert res.pvalue > 0.001
+
+
+def tilted_laws():
+    """The two Q laws of the tilted-mixture workload and a Beta tilt."""
+    return {
+        "q_claim": Tilted(Exponential(0.2), log_weight=parse("ln(1+x) - ln(6)", var="x")),
+        "q_mixing": Tilted(Gamma(2.0, 2.0), weight=parse("(1+theta)/2")),
+        "beta": Tilted(Beta(2.0, 1.0), weight=parse("1/(2*theta)")),
+    }
+
+
+TILTED = tilted_laws()
+P_GRID = np.unique(np.concatenate([
+    [0.0, 1e-300, 1e-15, 1e-14, 1e-6, 0.5, 1 - 1e-6, 1 - 1e-14, 1 - 1e-15, 1.0],
+    np.linspace(0.0, 1.0, 4001),
+    np.geomspace(1e-14, 1e-3, 500), 1.0 - np.geomspace(1e-14, 1e-3, 500)]))
+
+
+@pytest.mark.parametrize("name", sorted(TILTED))
+def test_tilted_quantile_inverts_its_table(name):
+    law = TILTED[name]
+    q = law.quantile(P_GRID)
+    xs, cdf, spline = law._ensure_table()
+    u = np.clip(P_GRID, cdf[0] + 1e-15, cdf[-1] - 1e-15)
+    assert np.max(np.abs(spline(q) - u)) <= 1e-15
+    assert (np.diff(q) >= 0.0).all()
+
+
+@pytest.mark.parametrize("name", sorted(TILTED))
+def test_tilted_quantile_is_pointwise(name):
+    # a draw is a function of its own uniform, not of the batch around it
+    law = TILTED[name]
+    p = np.asarray(sample_array(Uniform(0.0, 1.0), seed=7, n=500))
+    q = law.quantile(p)
+    for i in range(0, p.size, 7):
+        assert law.quantile(float(p[i])) == q[i]
+    perm = np.random.default_rng(3).permutation(p.size)
+    assert np.array_equal(law.quantile(p[perm]), q[perm])
+
+
+def test_tilted_quantile_shapes_and_nan():
+    law = TILTED["q_mixing"]
+    assert isinstance(law.quantile(0.3), float)
+    assert isinstance(law.quantile(np.float64(0.3)), float)
+    assert isinstance(law.quantile(np.array(0.3)), float)
+    p = np.linspace(0.1, 0.9, 6).reshape(2, 3)
+    q = law.quantile(p)
+    assert q.shape == (2, 3)
+    assert np.array_equal(q.ravel(), law.quantile(p.ravel()))
+    assert math.isnan(law.quantile(math.nan))
+    mixed = law.quantile(np.array([0.25, math.nan, 0.75]))
+    assert math.isnan(mixed[1])
+    assert mixed[0] == law.quantile(0.25) and mixed[2] == law.quantile(0.75)
+
+
+def test_tilted_quantile_iteration_cap(monkeypatch):
+    # a point still iterating at the cap keeps its last iterate, which lies
+    # in its own table segment
+    law = TILTED["q_claim"]
+    xs, cdf, _ = law._ensure_table()
+    monkeypatch.setattr(dist_module, "_INVERT_MAX_ITER", 1)
+    q = law.quantile(P_GRID)
+    u = np.clip(P_GRID, cdf[0] + 1e-15, cdf[-1] - 1e-15)
+    j = np.searchsorted(cdf, u, side="right") - 1
+    assert ((xs[j] <= q) & (q <= xs[j + 1])).all()
 
 
 def test_tilted_divergent_moment():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cmpplab.dist import Degenerate, Exponential, Gamma, expectation
+from cmpplab.dist import Degenerate, Exponential, Gamma, Tilted, expectation
 from cmpplab.expr import DomainError
 from cmpplab.model import (BaseModel, derive_q_model, identity_change,
                            measure_change, validate_change)
@@ -167,6 +167,38 @@ def test_scalar_equals_batch_member(base62, derived62):
         assert solo.theta == member.theta
         assert np.array_equal(solo.event_times, member.event_times)
         assert np.array_equal(solo.claims, member.claims)
+
+
+@pytest.fixture(scope="module")
+def derived_tilted(base62):
+    # no closure rule matches this change, so both Q laws are Tilted
+    change = measure_change(alpha="ln(1+theta)", gamma="ln(1+x) - ln(6)",
+                            xi="(1+theta)/2")
+    validate_change(base62, change, level=2)
+    derived = derive_q_model(base62, change)
+    assert isinstance(derived.q_claim, Tilted) and isinstance(derived.q_mixing, Tilted)
+    return derived
+
+
+def test_scalar_equals_batch_member_tilted(base62, derived_tilted):
+    batch = simulate_batch(base62, derived_tilted, DERIVED_Q, 2.0, seed=SEED, n=600)
+    for i in (0, 1, 2, 77, 301, 599):
+        solo = simulate_path(base62, derived_tilted, DERIVED_Q, 2.0, RngStream(SEED, i))
+        member = batch.path(i)
+        assert solo.theta == member.theta
+        assert np.array_equal(solo.event_times, member.event_times)
+        assert np.array_equal(solo.claims, member.claims)
+
+
+@pytest.mark.parametrize("split", [600, 990])
+def test_batch_independent_of_chunking_tilted(base62, derived_tilted, split):
+    args = (base62, derived_tilted, DERIVED_Q, 2.0)
+    whole = simulate_batch(*args, seed=SEED, n=1000)
+    first = simulate_batch(*args, seed=SEED, n=split)
+    second = simulate_batch(*args, seed=SEED, n=1000 - split, start_index=split)
+    assert np.array_equal(whole.thetas, np.concatenate([first.thetas, second.thetas]))
+    assert np.array_equal(whole.times, np.concatenate([first.times, second.times]))
+    assert np.array_equal(whole.claims, np.concatenate([first.claims, second.claims]))
 
 
 def test_batch_independent_of_chunking(base62):
