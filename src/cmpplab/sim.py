@@ -9,8 +9,13 @@ exceed the horizon.  Events landing exactly on a query time t count
 the horizon is never stored.
 
 Draw layout per path (see rng): lane 0 draw 0 is theta, lane 1 holds
-interarrival uniforms, lane 2 claim uniforms.  The batch engine performs
-the identical construction vectorized, and every quantile transform (the
+interarrival uniforms, lane 2 claim uniforms.  Interarrivals accumulate in
+blocks of 16 draws, event k of a block at (time of the last full block) +
+(the block's k-th partial sum); the first block is filled in two
+sub-blocks, 4 draws and then 12 for paths that accepted all 4, with the
+partial sum carried across, so a short path draws few uniforms and every
+rounding still depends on (seed, path index) alone.  The batch engine
+performs the construction vectorized, and every quantile transform (the
 Tilted laws' table inversion included) maps each uniform on its own, so
 ``simulate_path`` with stream (seed, i) and path i of a batch under the
 same seed are bit-identical, whatever the batch's size or start index.
@@ -34,6 +39,10 @@ from .rng import LANE_ARRIVAL, LANE_CLAIM, LANE_MISC, RngStream, uniforms
 
 EVENT_CAP = 10_000_000
 _FAMILY_STRIDE = 1 << 40  # disjoint path-index families for independent batches
+# interarrival accumulation blocks, and the first sub-block of a path's first
+# block (see the module docstring)
+_BLOCK = 16
+_HEAD = 4
 
 
 class SimulationError(RuntimeError):
@@ -224,31 +233,38 @@ def simulate_batch(base: BaseModel, derived: Optional[DerivedModel],
     thetas, rates = _resolve_theta_and_rate(base, derived, under, seed, indices)
 
     counts = np.zeros(n, dtype=np.int64)
-    last_time = np.zeros(n)
-    drawn = np.zeros(n, dtype=np.int64)
-    active = np.arange(n)
     chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    # fixed block size: the accumulation structure (and hence every rounding)
-    # depends only on (seed, path index), never on batch composition
-    block = 16
-    while horizon > 0.0 and active.size:
-        draws = drawn[active]
-        u = uniforms(seed, indices[active][:, None], LANE_ARRIVAL,
-                     draws[:, None] + np.arange(block)[None, :])
-        w = -np.log(u) / rates[active][:, None]
-        csum = last_time[active][:, None] + np.cumsum(w, axis=1)
+    # the still-running paths, compacted: row, counter index, rate, time of
+    # the last completed block, and the in-block partial sum carried into the
+    # second sub-block (None at a block's start)
+    rows = np.arange(n)
+    idx = indices[:, None]
+    rate = rates[:, None]
+    last = np.zeros((n, 1))
+    carry = None
+    drawn = 0  # every running path has drawn the same number of uniforms
+    while horizon > 0.0 and rows.size:
+        width = _HEAD if drawn == 0 else _BLOCK - drawn % _BLOCK
+        u = uniforms(seed, idx, LANE_ARRIVAL, drawn + np.arange(width))
+        w = -np.log(u) / rate
+        if carry is not None:
+            w[:, 0] += carry
+        part = np.cumsum(w, axis=1)
+        csum = last + part
         ok = csum <= horizon
         n_ok = ok.sum(axis=1)
-        accepted = csum[ok]  # row-major: grouped by path, in time order
-        chunks.append((active.copy(), n_ok, accepted))
-        counts[active] += n_ok
-        if (counts > EVENT_CAP).any():
+        chunks.append((rows, n_ok, csum[ok]))  # row-major: by path, in time order
+        counts[rows] += n_ok
+        if (counts[rows] > EVENT_CAP).any():
             raise SimulationError(
                 f"a path exceeded the {EVENT_CAP} event cap before the horizon")
-        drawn[active] += block
-        full = n_ok == block
-        last_time[active[full]] = csum[full, -1]
-        active = active[full]
+        drawn += width
+        full = n_ok == width
+        rows, idx, rate = rows[full], idx[full], rate[full]
+        if drawn % _BLOCK:  # inside the first block: carry its partial sum
+            carry, last = part[full, -1], last[full]
+        else:
+            carry, last = None, csum[full, -1:]
 
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])

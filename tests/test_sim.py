@@ -10,8 +10,8 @@ from cmpplab.dist import Degenerate, Exponential, Gamma, Tilted, expectation
 from cmpplab.expr import DomainError
 from cmpplab.model import (BaseModel, derive_q_model, identity_change,
                            measure_change, validate_change)
-from cmpplab.rng import RngStream
-from cmpplab.sim import (BASE_P, DERIVED_Q, OutOfHorizon, Path,
+from cmpplab.rng import LANE_ARRIVAL, RngStream, uniforms
+from cmpplab.sim import (_FAMILY_STRIDE, BASE_P, DERIVED_Q, OutOfHorizon, Path,
                          claim_tilt_mean, conditional_p, conditional_q,
                          dump_paths, log_density_M, log_density_batch,
                          simulate_batch, simulate_path, surplus_v,
@@ -207,6 +207,76 @@ def test_batch_independent_of_chunking(base62):
     second = simulate_batch(base62, None, BASE_P, 1.0, seed=5, n=400, start_index=600)
     assert np.array_equal(whole.times, np.concatenate([first.times, second.times]))
     assert np.array_equal(whole.thetas, np.concatenate([first.thetas, second.thetas]))
+
+
+# ---------------------------------------------------------------------------
+# arrival accumulation against the fixed-block reference loop
+
+def fixed_block_times(batch, rates, seed, start_index=0, family=0):
+    """Event times per path by the plain loop of 16-draw blocks: event k of a
+    block at (time of the last block) + cumsum(block)[k].  simulate_batch
+    draws fewer uniforms but must round exactly like this."""
+    n = len(batch)
+    indices = np.arange(start_index, start_index + n, dtype=np.uint64) \
+        + np.uint64(family * _FAMILY_STRIDE)
+    times = [[] for _ in range(n)]
+    last_time = np.zeros(n)
+    drawn = np.zeros(n, dtype=np.int64)
+    active = np.arange(n)
+    while batch.horizon > 0.0 and active.size:
+        u = uniforms(seed, indices[active][:, None], LANE_ARRIVAL,
+                     drawn[active][:, None] + np.arange(16)[None, :])
+        w = -np.log(u) / rates[active][:, None]
+        csum = last_time[active][:, None] + np.cumsum(w, axis=1)
+        ok = csum <= batch.horizon
+        for row, values, keep in zip(active, csum, ok):
+            times[row].extend(values[keep])
+        drawn[active] += 16
+        full = ok.sum(axis=1) == 16
+        last_time[active[full]] = csum[full, -1]
+        active = active[full]
+    return times
+
+
+def assert_times_match_reference(batch, rates, seed, **kw):
+    reference = fixed_block_times(batch, rates, seed, **kw)
+    for i, expected in enumerate(reference):
+        got = batch.times[batch.offsets[i]:batch.offsets[i + 1]]
+        assert got.tobytes() == np.array(expected, dtype=float).tobytes()
+
+
+def test_accumulation_matches_reference_across_blocks(base62):
+    # rate 40 on [0, 2]: about 80 events, five or more blocks per path
+    batch = simulate_batch(base62, None, conditional_p(40.0), 2.0, seed=SEED, n=300)
+    assert batch.counts.min() > 3 * 16
+    assert_times_match_reference(batch, np.full(300, 40.0), SEED)
+
+
+def test_accumulation_matches_reference_short_paths(base62):
+    batch = simulate_batch(base62, None, BASE_P, 5.0, seed=SEED, n=2000)
+    counts = batch.counts
+    # paths that stop inside the first sub-block, in the second, and later
+    assert (counts < 4).any() and ((counts >= 4) & (counts < 16)).any() \
+        and (counts >= 16).any()
+    assert_times_match_reference(batch, base62.rate_at(batch.thetas), SEED)
+
+
+def test_accumulation_matches_reference_q_side_chunked(base62, derived62):
+    assert isinstance(derived62.q_claim, Gamma)
+    args = (base62, derived62, DERIVED_Q, 2.0)
+    whole = simulate_batch(*args, seed=SEED, n=1000, family=3)
+    first = simulate_batch(*args, seed=SEED, n=990, family=3)
+    second = simulate_batch(*args, seed=SEED, n=10, start_index=990, family=3)
+    assert whole.times.tobytes() == np.concatenate([first.times, second.times]).tobytes()
+    assert whole.claims.tobytes() == np.concatenate([first.claims, second.claims]).tobytes()
+    assert_times_match_reference(whole, derived62.g_at(whole.thetas), SEED, family=3)
+    assert_times_match_reference(second, derived62.g_at(second.thetas), SEED,
+                                 start_index=990, family=3)
+    member = simulate_batch(*args, seed=SEED, n=1000).path(995)
+    solo = simulate_path(*args, RngStream(SEED, 995))
+    assert solo.theta == member.theta
+    assert solo.event_times.tobytes() == member.event_times.tobytes()
+    assert solo.claims.tobytes() == member.claims.tobytes()
 
 
 # ---------------------------------------------------------------------------
