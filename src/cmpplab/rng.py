@@ -33,6 +33,7 @@ LANE_ARRIVAL = 1    # interarrival uniforms
 LANE_CLAIM = 2      # claim-size uniforms
 
 _LANE_SHIFT = np.uint64(32)
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -60,8 +61,17 @@ def uniforms(seed: int, path_index, lane: int, draw_index) -> np.ndarray:
     with np.errstate(over="ignore"):
         state = (_base_state(seed, path_index) + counter * _GOLDEN) & _MASK
         bits = _mix64(state)
-    # top 53 bits -> (0,1); offset by half an ulp so 0.0 never occurs
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53)
+    return _bits_to_unit(bits)
+
+
+def _bits_to_unit(bits: np.ndarray) -> np.ndarray:
+    """Top 53 bits -> (0, 1), offset by half an ulp so 0.0 never occurs.
+
+    All 53 bits set would round up to 1.0; that one value is clamped to
+    the largest double below 1.
+    """
+    u = np.asarray(((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53))
+    return np.minimum(u, _BELOW_ONE, out=u)  # in place: no second array per call
 
 
 class RngStream:

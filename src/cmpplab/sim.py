@@ -16,7 +16,8 @@ sub-blocks, 4 draws and then 12 for paths that accepted all 4, with the
 partial sum carried across, so a short path draws few uniforms and every
 rounding still depends on (seed, path index) alone.  The batch engine
 performs the construction vectorized, and every quantile transform (the
-Tilted laws' table inversion included) maps each uniform on its own, so
+Gamma and Tilted laws' table-started inversions included) maps each
+uniform on its own, so
 ``simulate_path`` with stream (seed, i) and path i of a batch under the
 same seed are bit-identical, whatever the batch's size or start index.
 

@@ -88,6 +88,17 @@ def test_poisson_mass_and_moments():
     assert p.quantile(p.cdf(3) - 1e-9) == 3.0
 
 
+def test_poisson_quantile_nan():
+    p = Poisson(2.0)
+    assert math.isnan(p.quantile(math.nan))
+    q = p.quantile(np.array([0.5, math.nan]))
+    assert q[0] == 2.0 and math.isnan(q[1])
+    # a NaN does not stop the table from reaching the other points
+    big = Poisson(100.0)
+    q = big.quantile(np.array([0.5, math.nan]))
+    assert q[0] == big.quantile(0.5) == 100.0 and math.isnan(q[1])
+
+
 # ---------------------------------------------------------------------------
 # invariants
 
@@ -144,6 +155,59 @@ def test_gamma_sampling_ks():
     samples = sample_array(d, seed=99, n=100_000)
     res = stats.kstest(samples, lambda x: np.asarray(d.cdf(x)))
     assert res.pvalue > 0.001
+
+
+# ---------------------------------------------------------------------------
+# Gamma quantile: table start and one Halley step
+
+GAMMA_SHAPES = [0.05, 0.5, 1.0, 2.0, 4.0, 30.0, 300.0]
+GAMMA_GRID = np.concatenate([
+    [2.0**-54, 1e-15, 1e-12, 1e-9], np.geomspace(1e-8, 0.5, 200),
+    1.0 - np.geomspace(0.5, 1e-11, 200)[1:], [1.0 - 1e-12, 1.0 - 2.0**-53]])
+
+
+@pytest.mark.parametrize("shape", GAMMA_SHAPES)
+def test_gamma_quantile_matches_gammaincinv(shape):
+    from scipy.special import gammaincinv
+    for rate in (1.0, 2.5):
+        got = Gamma(rate, shape).quantile(GAMMA_GRID)
+        ref = gammaincinv(shape, GAMMA_GRID) / rate
+        assert ((got == ref) | (np.abs(got - ref) <= 1e-13 * ref)).all()
+
+
+def test_gamma_quantile_edges():
+    for d in (Gamma(1.0, 0.05), Gamma(2.0, 2.0), Gamma(0.5, 300.0)):
+        assert d.quantile(0.0) == 0.0
+        assert d.quantile(1.0) == math.inf
+        assert math.isnan(d.quantile(math.nan))
+        q = d.quantile(np.array([-0.5, -1e-300, 0.25, 1.0 + 1e-15, 2.0, math.nan]))
+        assert np.isnan(q[[0, 1, 3, 4, 5]]).all() and q[2] == d.quantile(0.25)
+    # the quantile underflows: 0, not NaN
+    assert Gamma(1.0, 0.01).quantile(1e-10) == 0.0
+    assert Gamma(1.0, 0.05).quantile(2.0**-54) == 0.0
+
+
+@pytest.mark.parametrize("shape", GAMMA_SHAPES)
+def test_gamma_quantile_is_pointwise(shape):
+    d = Gamma(2.0, shape)
+    p = np.concatenate([GAMMA_GRID, sample_array(Uniform(0.0, 1.0), seed=11, n=3000)])
+    q = d.quantile(p)
+    for i in range(0, p.size, 37):
+        assert d.quantile(float(p[i])) == q[i]
+    perm = np.random.default_rng(5).permutation(p.size)
+    assert d.quantile(p[perm]).tobytes() == q[perm].tobytes()
+    # across the block boundary of a batch large enough to be split
+    big = np.tile(p, 8)
+    assert d.quantile(big).tobytes() == np.tile(q, 8).tobytes()
+
+
+def test_gamma_table_is_outside_identity():
+    a, b = Gamma(2.0, 2.0), Gamma(2.0, 2.0)
+    a.quantile(np.array([0.1, 0.9]))
+    assert a._table is not None and b._table is None
+    assert a == b and hash(a) == hash(b)
+    assert a.literal() == b.literal() == "gamma(rate=2, shape=2)"
+    assert repr(a) == repr(b)
 
 
 # ---------------------------------------------------------------------------

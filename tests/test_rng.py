@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 
-from cmpplab.rng import LANE_ARRIVAL, LANE_CLAIM, LANE_MISC, RngStream, uniforms
+from cmpplab.rng import (LANE_ARRIVAL, LANE_CLAIM, LANE_MISC, RngStream, _bits_to_unit,
+                         uniforms)
 
 
 def test_scalar_stream_matches_batch():
@@ -21,6 +22,19 @@ def test_pure_function_of_coordinates():
 def test_values_in_open_unit_interval():
     u = uniforms(1, np.arange(200_000), LANE_MISC, 0)
     assert u.min() > 0.0 and u.max() < 1.0
+
+
+def test_bits_to_unit_stays_inside_open_interval():
+    bits = np.array([0, 1 << 11, (1 << 64) - (1 << 11), (1 << 64) - 1], dtype=np.uint64)
+    u = _bits_to_unit(bits)
+    assert u[0] == 2.0**-54 and u[1] == 3 * 2.0**-54
+    # all 53 top bits set: (2^53 - 1) + 0.5 rounds to 2^53, clamped below 1
+    assert u[3] == np.nextafter(1.0, 0.0) and u[2] == u[3]
+    assert (u > 0.0).all() and (u < 1.0).all()
+    # every other value keeps its bits
+    rest = np.array([12345 << 11, (1 << 63) + (7 << 11), (1 << 64) - (2 << 11)], dtype=np.uint64)
+    expected = ((rest >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    assert _bits_to_unit(rest).tobytes() == expected.tobytes()
 
 
 def test_uniform_moments():

@@ -281,6 +281,20 @@ def test_module_invocation(tmp_path):
     assert out.exists()
 
 
+def test_run_never_imports_scipy_stats(tmp_path):
+    # importing scipy.stats alone costs about 0.6 s and 19 MB, which would
+    # land on every run's start-up time and peak memory
+    out = tmp_path / "r.csv"
+    code = ("import sys\n"
+            "from cmpplab.cli import main\n"
+            f"code = main(['run', 'example-6.2', '--paths', '500', '--output', {str(out)!r}])\n"
+            "print(code, *sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() in (["0"], ["1"])
+    assert out.exists()
+
+
 # ---------------------------------------------------------------------------
 # the horizon is checked before any simulation can start
 
