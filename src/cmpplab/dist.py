@@ -204,8 +204,6 @@ class _GammaTable(NamedTuple):
     c3: np.ndarray
     u_band: float      # P(a, 1) for shape < 1.1, else u_split
     u_split: float     # P(a, max(1.1, a)): above it the step uses gammaincc
-    lgamma_a: float
-    lgamma_a1: float   # lgamma(a + 1)
 
 
 def _gamma_table(a: float) -> _GammaTable:
@@ -224,9 +222,8 @@ def _gamma_table(a: float) -> _GammaTable:
     x[low] = sp.gammaincinv(a, u[low])
     x[~low] = sp.gammainccinv(a, q[~low])
     log_x = np.log(x)
-    lgamma_a = math.lgamma(a)
     h = z[1] - z[0]
-    m = h * u * q * np.exp(lgamma_a + x - a * log_x)  # slope per segment width
+    m = h * u * q * np.exp(math.lgamma(a) + x - a * log_x)  # slope per segment width
     y0, y1, m0, m1 = log_x[:-1], log_x[1:], m[:-1], m[1:]
     d = y1 - y0
     x_split = max(1.1, a)
@@ -234,8 +231,7 @@ def _gamma_table(a: float) -> _GammaTable:
     u_band = float(sp.gammainc(a, 1.0)) if x_split > a else u_split
     return _GammaTable(u_lo=u_lo, z_lo=z_lo, inv_h=1.0 / h,
                        c0=y0, c1=m0, c2=3.0 * d - 2.0 * m0 - m1, c3=m0 + m1 - 2.0 * d,
-                       u_band=u_band, u_split=u_split,
-                       lgamma_a=lgamma_a, lgamma_a1=math.lgamma(a + 1.0))
+                       u_band=u_band, u_split=u_split)
 
 
 @dataclass(frozen=True, repr=False)
@@ -320,15 +316,14 @@ class Gamma(Distribution):
             # P(a, x) = P(a+2, x) + x^a e^-x / Gamma(a+1) * (1 + x/(a+1))
             band = np.flatnonzero((u > tab.u_band) & (u <= tab.u_split))
             xb = x[band]
-            f[band] = (sp.gammainc(a + 2.0, xb)
-                       + np.exp(a * np.log(xb) - xb - tab.lgamma_a1) * (1.0 + xb / (a + 1.0))
-                       - u[band])
+            head = np.exp(a * np.log(xb) - xb - math.lgamma(a + 1.0)) * (1.0 + xb / (a + 1.0))
+            f[band] = (sp.gammainc(a + 2.0, xb) + head) - u[band]
         upper = np.flatnonzero(u > tab.u_split)
         f[upper] = (1.0 - u[upper]) - sp.gammaincc(a, x[upper])
 
         # relative Newton step e = f / (x pdf(x)); Halley divides it by
         # 1 - (e x / 2) f''/f' = 1 + e (1 - a + x) / 2
-        e = tab.lgamma_a + x
+        e = x + math.lgamma(a)
         e -= a * log_x
         np.exp(e, out=e)
         e *= f

@@ -17,9 +17,9 @@ partial sum carried across, so a short path draws few uniforms and every
 rounding still depends on (seed, path index) alone.  The batch engine
 performs the construction vectorized, and every quantile transform (the
 Gamma and Tilted laws' table-started inversions included) maps each
-uniform on its own, so
-``simulate_path`` with stream (seed, i) and path i of a batch under the
-same seed are bit-identical, whatever the batch's size or start index.
+uniform on its own, so ``simulate_path`` with stream (seed, i) and path i
+of a batch under the same seed are bit-identical, whatever the batch's
+size or start index.
 
 A hard cap of 10^7 events per path turns a runaway intensity into a
 diagnostic instead of an endless loop.
@@ -250,8 +250,7 @@ def simulate_batch(base: BaseModel, derived: Optional[DerivedModel],
         w = -np.log(u) / rate
         if carry is not None:
             w[:, 0] += carry
-        part = np.cumsum(w, axis=1)
-        csum = last + part
+        csum = last + np.cumsum(w, axis=1)
         ok = csum <= horizon
         n_ok = ok.sum(axis=1)
         chunks.append((rows, n_ok, csum[ok]))  # row-major: by path, in time order
@@ -262,8 +261,8 @@ def simulate_batch(base: BaseModel, derived: Optional[DerivedModel],
         drawn += width
         full = n_ok == width
         rows, idx, rate = rows[full], idx[full], rate[full]
-        if drawn % _BLOCK:  # inside the first block: carry its partial sum
-            carry, last = part[full, -1], last[full]
+        if drawn % _BLOCK:  # inside the first block, where last is 0: carry csum
+            carry, last = csum[full, -1], last[full]
         else:
             carry, last = None, csum[full, -1:]
 

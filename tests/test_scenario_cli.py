@@ -287,8 +287,10 @@ def test_run_never_imports_scipy_stats(tmp_path):
     out = tmp_path / "r.csv"
     code = ("import sys\n"
             "from cmpplab.cli import main\n"
-            f"code = main(['run', 'example-6.2', '--paths', '500', '--output', {str(out)!r}])\n"
-            "print(code, *sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))\n")
+            f"code = main(['run', 'example-6.2', '--paths', '500', "
+            f"'--output', {str(out)!r}])\n"
+            "stats = [m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']]\n"
+            "print(code, *sorted(stats))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() in (["0"], ["1"])
