@@ -316,8 +316,8 @@ class Gamma(Distribution):
             # P(a, x) = P(a+2, x) + x^a e^-x / Gamma(a+1) * (1 + x/(a+1))
             band = np.flatnonzero((u > tab.u_band) & (u <= tab.u_split))
             xb = x[band]
-            head = np.exp(a * np.log(xb) - xb - math.lgamma(a + 1.0)) * (1.0 + xb / (a + 1.0))
-            f[band] = (sp.gammainc(a + 2.0, xb) + head) - u[band]
+            terms = np.exp(a * np.log(xb) - xb - math.lgamma(a + 1.0)) * (1.0 + xb / (a + 1.0))
+            f[band] = (sp.gammainc(a + 2.0, xb) + terms) - u[band]
         upper = np.flatnonzero(u > tab.u_split)
         f[upper] = (1.0 - u[upper]) - sp.gammaincc(a, x[upper])
 
