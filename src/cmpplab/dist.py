@@ -17,8 +17,9 @@ pure function of (seed, path index, lane, draw index); every quantile maps
 each point on its own, whatever the batch around it.  Gamma and Tilted laws
 invert from lazily built per-instance tables: a Gamma draw starts from a
 cubic table of log x against logit u and takes one Halley step on the exact
-cdf (within 1e-13 relative of gammaincinv for shapes from 0.05 up); a
-Tilted draw solves its CDF table's cubic.
+cdf (within 1e-13 relative of gammaincinv, tested for shapes 0.05 to 1e4;
+smaller shapes invert by gammaincinv alone); a Tilted draw solves its CDF
+table's cubic.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ _GAMMA_Z_HI = 37.0  # table's top logit; the largest double below 1 has logit 36
 # Gamma quantiles below this go to gammaincinv: there a double's relative
 # accuracy is limited to about |log x| ulps (the rounding of log u, times 1/shape)
 _GAMMA_X_MIN = 1e-60
+# Gamma laws of smaller shape invert by gammaincinv alone: as the shape falls,
+# P(a, 1.1) -> 1, so the Halley step's f = P(a, x) - u loses relative accuracy
+# (2.7e-13 at shape 0.01), and below about 1e-12 the table's nodes underflow
+_GAMMA_SHAPE_MIN = 0.05
 
 
 class DistError(ValueError):
@@ -195,14 +200,13 @@ class _GammaTable(NamedTuple):
     On segment j, log x = c0 + t (c1 + t (c2 + t c3)) with t = (z - z_lo)
     inv_h - j, z = logit u."""
 
-    u_lo: float        # smallest tabled u, P(a, _GAMMA_X_MIN) or 2^-54
+    u_lo: float        # smallest tabled u, P(a, _GAMMA_X_MIN) or 2^-54; 1: no table
     z_lo: float        # logit u_lo
     inv_h: float       # segments per unit of z
     c0: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
     c3: np.ndarray
-    u_band: float      # P(a, 1) for shape < 1.1, else u_split
     u_split: float     # P(a, max(1.1, a)): above it the step uses gammaincc
 
 
@@ -213,6 +217,10 @@ def _gamma_table(a: float) -> _GammaTable:
     or gammainccinv (u > 1/2), and their slopes are exact:
     d log x / dz = u (1 - u) / (x pdf(x)).
     """
+    if a < _GAMMA_SHAPE_MIN:
+        empty = np.empty(0)
+        return _GammaTable(u_lo=1.0, z_lo=math.inf, inv_h=0.0,
+                           c0=empty, c1=empty, c2=empty, c3=empty, u_split=1.0)
     u_lo = max(2.0**-54, float(sp.gammainc(a, _GAMMA_X_MIN)))
     z_lo = math.log(u_lo / (1.0 - u_lo))
     z = np.linspace(z_lo, _GAMMA_Z_HI, _GAMMA_SEGMENTS + 1)
@@ -226,12 +234,9 @@ def _gamma_table(a: float) -> _GammaTable:
     m = h * u * q * np.exp(math.lgamma(a) + x - a * log_x)  # slope per segment width
     y0, y1, m0, m1 = log_x[:-1], log_x[1:], m[:-1], m[1:]
     d = y1 - y0
-    x_split = max(1.1, a)
-    u_split = float(sp.gammainc(a, x_split))
-    u_band = float(sp.gammainc(a, 1.0)) if x_split > a else u_split
     return _GammaTable(u_lo=u_lo, z_lo=z_lo, inv_h=1.0 / h,
                        c0=y0, c1=m0, c2=3.0 * d - 2.0 * m0 - m1, c3=m0 + m1 - 2.0 * d,
-                       u_band=u_band, u_split=u_split)
+                       u_split=float(sp.gammainc(a, max(1.1, a))))
 
 
 @dataclass(frozen=True, repr=False)
@@ -308,16 +313,8 @@ class Gamma(Distribution):
         x = np.exp(log_x)
 
         f = np.empty_like(u)
-        lower = np.flatnonzero(u <= tab.u_band)
+        lower = np.flatnonzero(u <= tab.u_split)
         f[lower] = sp.gammainc(a, x[lower]) - u[lower]
-        if tab.u_band < tab.u_split:
-            # shape < 1.1 and x in (1, 1.1]: scipy's gammainc and gammaincc
-            # both take a slow series there, so use
-            # P(a, x) = P(a+2, x) + x^a e^-x / Gamma(a+1) * (1 + x/(a+1))
-            band = np.flatnonzero((u > tab.u_band) & (u <= tab.u_split))
-            xb = x[band]
-            terms = np.exp(a * np.log(xb) - xb - math.lgamma(a + 1.0)) * (1.0 + xb / (a + 1.0))
-            f[band] = (sp.gammainc(a + 2.0, xb) + terms) - u[band]
         upper = np.flatnonzero(u > tab.u_split)
         f[upper] = (1.0 - u[upper]) - sp.gammaincc(a, x[upper])
 

@@ -160,7 +160,7 @@ def test_gamma_sampling_ks():
 # ---------------------------------------------------------------------------
 # Gamma quantile: table start and one Halley step
 
-GAMMA_SHAPES = [0.05, 0.5, 1.0, 2.0, 4.0, 30.0, 300.0]
+GAMMA_SHAPES = [0.05, 0.5, 1.0, 2.0, 4.0, 30.0, 300.0, 1e4]
 GAMMA_GRID = np.concatenate([
     [2.0**-54, 1e-15, 1e-12, 1e-9], np.geomspace(1e-8, 0.5, 200),
     1.0 - np.geomspace(0.5, 1e-11, 200)[1:], [1.0 - 1e-12, 1.0 - 2.0**-53]])
@@ -185,6 +185,17 @@ def test_gamma_quantile_edges():
     # the quantile underflows: 0, not NaN
     assert Gamma(1.0, 0.01).quantile(1e-10) == 0.0
     assert Gamma(1.0, 0.05).quantile(2.0**-54) == 0.0
+
+
+@pytest.mark.parametrize("shape", [1e-20, 1e-18, 1e-15, 1e-12, 1e-6, 0.01, 0.049])
+def test_gamma_quantile_below_table_shapes(shape):
+    # below the table's smallest shape every point is gammaincinv's own
+    from scipy.special import gammaincinv
+    p = np.concatenate([GAMMA_GRID, [0.5, 0.999]])
+    got = Gamma(2.0, shape).quantile(p)
+    assert got.tobytes() == (gammaincinv(shape, p) / 2.0).tobytes()
+    q = Gamma(1.0, shape).quantile(np.array([0.0, 1.0, math.nan, -1.0]))
+    assert q[0] == 0.0 and q[1] == math.inf and np.isnan(q[2:]).all()
 
 
 @pytest.mark.parametrize("shape", GAMMA_SHAPES)
