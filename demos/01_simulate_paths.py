@@ -33,7 +33,7 @@ print(f"  mean S_1 = {aggs.mean():.4f}   (E[Theta] E[X] = 5)")
 
 print("\nEmpirical count law vs the mixed Poisson mass function:")
 mixed = [lab.expectation(base.mixing_law,
-                         lambda th, k=k: math.exp(-th) * th**k / math.factorial(k))
+                         lambda th, k=k: np.exp(-th) * th**k / math.factorial(k))
          for k in range(6)]
 emp = np.bincount(counts, minlength=6)[:6] / len(counts)
 for k in range(6):

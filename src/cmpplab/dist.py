@@ -32,12 +32,14 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 from scipy import special as sp
 
-from . import quadrature
 from .expr import RealFn, format_number
-from .quadrature import DivergentIntegral, integrate_finite, integrate_semi_infinite
+from .quadrature import (DivergentIntegral, evaluate, gauss_kronrod, integrate_finite,
+                         integrate_semi_infinite)
 from .rng import LANE_MISC, RngStream, uniforms
 
 ArrayLike = Union[float, np.ndarray]
+# an array callable (float array in, same-shape array out) or a RealFn
+Integrand = Union[Callable[[np.ndarray], ArrayLike], RealFn]
 
 NORMALIZATION_TOL = 1e-8
 _TAIL_EPS = 5e-13  # tabulation covers all but ~1e-12 of base mass
@@ -78,6 +80,9 @@ class Distribution:
 
     is_discrete = False
     support: tuple[float, float] = (-math.inf, math.inf)
+    # log density at support[1] - y as a function of y, for a law whose
+    # density can be singular at a finite upper end; None otherwise
+    logpdf_below_top: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     # -- subclasses provide: density, logpdf (continuous), cdf, quantile,
     #    moment, mgf; the base class supplies derived conveniences.
@@ -194,19 +199,44 @@ class Exponential(Distribution):
         return f"exp(rate={format_number(self.rate)})"
 
 
-class _GammaTable(NamedTuple):
-    """Standard gamma quantile of one shape, as a cubic in each segment.
+class _Hermite(NamedTuple):
+    """Piecewise cubic Hermite interpolant on knots x: on segment j,
+    y = c0 + t (c1 + t (c2 + t c3)) with t = (v - x_j) / (x_{j+1} - x_j)."""
 
-    On segment j, log x = c0 + t (c1 + t (c2 + t c3)) with t = (z - z_lo)
-    inv_h - j, z = logit u."""
-
-    u_lo: float        # smallest tabled u, P(a, _GAMMA_X_MIN) or 2^-54; 1: no table
-    z_lo: float        # logit u_lo
-    inv_h: float       # segments per unit of z
+    x: np.ndarray
     c0: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
     c3: np.ndarray
+
+    @classmethod
+    def through(cls, x, y, m0, m1) -> "_Hermite":
+        """Cubics through the knot values y with end slopes m0, m1 per unit t."""
+        d = np.diff(y)
+        return cls(x, y[:-1], m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d)
+
+    def at(self, j, t):
+        """Segment j's cubic at its local coordinate t."""
+        y = self.c3.take(j)
+        for c in (self.c2, self.c1, self.c0):
+            y *= t
+            y += c.take(j)
+        return y
+
+    def __call__(self, v):
+        """The interpolant at points v in [x_0, x_n]."""
+        j = np.clip(np.searchsorted(self.x, v, side="right") - 1, 0, self.x.size - 2)
+        return self.at(j, (v - self.x[j]) / (self.x[j + 1] - self.x[j]))
+
+
+class _GammaTable(NamedTuple):
+    """Standard gamma quantile of one shape: log x as a cubic of z = logit u
+    on equal segments, t = (z - z_lo) inv_h - j."""
+
+    u_lo: float        # smallest tabled u, P(a, _GAMMA_X_MIN) or 2^-54; 1: no table
+    z_lo: float        # logit u_lo
+    inv_h: float       # segments per unit of z
+    cubic: _Hermite
     u_split: float     # P(a, max(1.1, a)): above it the step uses gammaincc
 
 
@@ -218,9 +248,8 @@ def _gamma_table(a: float) -> _GammaTable:
     d log x / dz = u (1 - u) / (x pdf(x)).
     """
     if a < _GAMMA_SHAPE_MIN:
-        empty = np.empty(0)
         return _GammaTable(u_lo=1.0, z_lo=math.inf, inv_h=0.0,
-                           c0=empty, c1=empty, c2=empty, c3=empty, u_split=1.0)
+                           cubic=_Hermite(*[np.empty(0)] * 5), u_split=1.0)
     u_lo = max(2.0**-54, float(sp.gammainc(a, _GAMMA_X_MIN)))
     z_lo = math.log(u_lo / (1.0 - u_lo))
     z = np.linspace(z_lo, _GAMMA_Z_HI, _GAMMA_SEGMENTS + 1)
@@ -232,10 +261,8 @@ def _gamma_table(a: float) -> _GammaTable:
     log_x = np.log(x)
     h = z[1] - z[0]
     m = h * u * q * np.exp(math.lgamma(a) + x - a * log_x)  # slope per segment width
-    y0, y1, m0, m1 = log_x[:-1], log_x[1:], m[:-1], m[1:]
-    d = y1 - y0
     return _GammaTable(u_lo=u_lo, z_lo=z_lo, inv_h=1.0 / h,
-                       c0=y0, c1=m0, c2=3.0 * d - 2.0 * m0 - m1, c3=m0 + m1 - 2.0 * d,
+                       cubic=_Hermite.through(z, log_x, m[:-1], m[1:]),
                        u_split=float(sp.gammainc(a, max(1.1, a))))
 
 
@@ -305,11 +332,7 @@ class Gamma(Distribution):
         j = np.floor(t)
         np.clip(j, 0, _GAMMA_SEGMENTS - 1, out=j)
         t -= j
-        j = j.astype(np.intp)
-        log_x = tab.c3.take(j)
-        for c in (tab.c2, tab.c1, tab.c0):
-            log_x *= t
-            log_x += c.take(j)
+        log_x = tab.cubic.at(j.astype(np.intp), t)
         x = np.exp(log_x)
 
         f = np.empty_like(u)
@@ -372,6 +395,12 @@ class Beta(Distribution):
             lp = ((self.a - 1.0) * np.log(x) + (self.b - 1.0) * np.log1p(-x)
                   - sp.betaln(self.a, self.b))
         return _as_float_or_array(x, np.where((x > 0.0) & (x < 1.0), lp, -math.inf))
+
+    def logpdf_below_top(self, y):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lp = ((self.a - 1.0) * np.log1p(-y) + (self.b - 1.0) * np.log(y)
+                  - sp.betaln(self.a, self.b))
+        return np.where((y > 0.0) & (y < 1.0), lp, -math.inf)
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -561,50 +590,72 @@ def _check_order(k):
 # premium densities and quadrature oracles)
 
 
-def expectation(d: Distribution, f: Callable[[float], float]) -> float:
+def expectation(d: Distribution, f: Integrand) -> float:
     """E[f(X)] under d, with the divergence guard on unbounded supports.
 
-    Raises DivergentIntegral when the guard refuses.
+    f is an array callable or a RealFn.  Raises DivergentIntegral when the
+    guard refuses.
     """
+    return clipped_expectation(d, f, -math.inf, math.inf)
+
+
+def clipped_expectation(d: Distribution, f: Integrand, lo: float, hi: float) -> float:
+    """E[f(X) ind(lo <= X < hi)] under d; a point mass or a Poisson lattice
+    is summed directly."""
+    fn = f.eval_array if isinstance(f, RealFn) else f
     if isinstance(d, Degenerate):
-        return f(d.point)
+        return float(evaluate(fn, np.array([d.point]))[0]) if lo <= d.point < hi else 0.0
     if isinstance(d, Poisson):
-        return _poisson_sum(d, f)
-    lo, hi = d.support
-    if math.isinf(hi):
-        return integrate_semi_infinite(lambda x: f(x) * d.density(x), lo,
-                                       tail_mass=d.survival)
-    return integrate_finite(lambda x: f(x) * d.density(x), lo, hi)
+        ns = np.arange(int(d.quantile(1.0 - 1e-16)) + 61, dtype=float)
+        ns = ns[(lo <= ns) & (ns < hi)]
+        terms = evaluate(fn, ns) * d.density(ns)
+        if not np.isfinite(terms).all():
+            raise DivergentIntegral("poisson expectation not finite")
+        return math.fsum(terms.tolist())
+
+    def integrand(x, log_pdf=None):
+        return fn(x) * (d.density(x) if log_pdf is None else np.exp(log_pdf))
+
+    return _integrate_support(d, integrand, lo, hi)
 
 
-def log_weighted_expectation(d: Distribution, log_weight: Callable[[float], float],
-                             f: Optional[Callable[[float], float]] = None) -> float:
+def log_weighted_expectation(d: Distribution, log_weight: Integrand,
+                             f: Optional[Integrand] = None) -> float:
     """E[f(X) e^{log_weight(X)}] computed as exp(log_weight + logpdf) [* f].
 
     The log-space product keeps exponential tilts from overflowing in
     the intermediate even when the weight alone would.
     """
+    lw = log_weight.eval_array if isinstance(log_weight, RealFn) else log_weight
+    fn = (f.eval_array if isinstance(f, RealFn) else f) or (lambda x: 1.0)
     if isinstance(d, (Degenerate, Poisson)):
-        w = lambda x: math.exp(log_weight(x))
-        return expectation(d, (lambda x: f(x) * w(x)) if f else w)
-    lo, hi = d.support
+        return expectation(d, lambda x: fn(x) * np.exp(lw(x)))
 
-    def integrand(x: float) -> float:
-        lp = log_weight(x) + d.logpdf(x)
-        v = math.exp(lp) if lp < 709.0 else math.inf
-        return v * f(x) if f is not None else v
+    def integrand(x, log_pdf=None):
+        return np.exp(lw(x) + (d.logpdf(x) if log_pdf is None else log_pdf)) * fn(x)
 
-    if math.isinf(hi):
-        return integrate_semi_infinite(integrand, lo, tail_mass=d.survival)
-    return integrate_finite(integrand, lo, hi)
+    return _integrate_support(d, integrand)
 
 
-def _poisson_sum(d: Poisson, f: Callable[[float], float]) -> float:
-    cutoff = int(d.quantile(1.0 - 1e-16)) + 60
-    total = math.fsum(f(float(n)) * d.density(float(n)) for n in range(cutoff + 1))
-    if not math.isfinite(total):
-        raise DivergentIntegral("poisson expectation not finite")
-    return total
+def _integrate_support(d: Distribution, integrand, lo=-math.inf, hi=math.inf) -> float:
+    """integrand(x) over d's support clipped to [lo, hi), guarded if unbounded.
+
+    Doubles next to a finite upper end are too coarse for a density singular
+    there (a beta law with b < 1 loses 1e-8 to 6e-4 of its mass), so when
+    the law gives its log density as a function of the distance y to that
+    end, the upper half is integrated in y, as integrand(end - y, log pdf).
+    """
+    a, b = max(lo, d.support[0]), min(hi, d.support[1])
+    if a >= b:
+        return 0.0
+    if math.isinf(b):
+        return integrate_semi_infinite(integrand, a, tail_mass=d.survival)
+    below_top = d.logpdf_below_top
+    if below_top is None or b < d.support[1]:
+        return integrate_finite(integrand, a, b)
+    mid, last = 0.5 * (a + b), np.nextafter(b, a)  # f is not evaluated at b itself
+    return integrate_finite(integrand, a, mid) + integrate_finite(
+        lambda y: integrand(np.minimum(b - y, last), below_top(y)), 0.0, b - mid)
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +667,11 @@ class Tilted(Distribution):
 
     The weight can be given directly, in log form, or both; log form is
     preferred numerically.  Construction verifies the normalization
-    integral to 1e-8 by quadrature and refuses otherwise.  cdf, quantile
-    and sampling run off a lazily built CDF table covering all but
-    ~1e-12 of the base mass: a cubic Hermite interpolant of the cdf.
+    integral to 1e-8 by quadrature and refuses otherwise (a negative
+    weight at a quadrature node raises DistError).  cdf, quantile and
+    sampling run off a lazily built CDF table covering all but ~1e-12 of
+    the base mass: the cubic Hermite interpolant (_Hermite, the same code
+    as the Gamma quantile table) of the cdf, with the density as slopes.
     quantile solves that cubic on each point's table segment, to an ulp
     of x, so a draw is a function of its own uniform alone.
     """
@@ -634,8 +687,8 @@ class Tilted(Distribution):
         self._weight = weight
         self._log_weight = log_weight
         self._table = None
-        norm = log_weighted_expectation(base, self.log_weight_at)
-        if abs(norm - 1.0) > NORMALIZATION_TOL:
+        norm = log_weighted_expectation(base, self._checked_log_weight)
+        if not abs(norm - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
             raise DistError(
                 f"tilt weight has base-expectation {norm!r}, not 1 within {NORMALIZATION_TOL:g}")
 
@@ -643,52 +696,50 @@ class Tilted(Distribution):
     def support(self):
         return self.base.support
 
-    def weight_at(self, x):
-        if self._weight is not None:
-            w = self._weight
-            return w.eval_array(x) if isinstance(x, np.ndarray) else w(x)
-        lw = self.log_weight_at(x)
-        return np.exp(lw) if isinstance(x, np.ndarray) else math.exp(min(lw, 709.0))
-
     def log_weight_at(self, x):
+        """log weight at the points x; NaN where the weight is negative."""
+        x = np.asarray(x, dtype=float)
         if self._log_weight is not None:
-            lw = self._log_weight
-            return lw.eval_array(x) if isinstance(x, np.ndarray) else lw(x)
-        w = self.weight_at(x)
-        if isinstance(x, np.ndarray):
-            return np.log(w)
-        if w < 0.0:
-            raise DistError(f"tilt weight is negative at {x!r}")
-        return math.log(w) if w > 0.0 else -math.inf
+            return self._log_weight.eval_array(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(self._weight.eval_array(x))
+
+    def _checked_log_weight(self, x: np.ndarray) -> np.ndarray:
+        """log_weight_at, raising where the weight is negative."""
+        lw = self.log_weight_at(x)
+        negative = np.isnan(lw)
+        if negative.any():
+            raise DistError(f"tilt weight is negative at {float(x[negative][0])!r}")
+        return lw
 
     def logpdf(self, x):
-        if isinstance(x, np.ndarray):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return self.log_weight_at(x) + self.base.logpdf(x)
-        return self.log_weight_at(x) + self.base.logpdf(x)
+        with np.errstate(invalid="ignore"):
+            return self.log_weight_at(x) + self.base.logpdf(x)
+
+    @property
+    def logpdf_below_top(self):
+        below_top, top = self.base.logpdf_below_top, self.support[1]
+        if below_top is None:
+            return None
+        return lambda y: self.log_weight_at(top - y) + below_top(y)
 
     def density(self, x):
         xs = np.asarray(x, dtype=float)
         lo, hi = self.support
         inside = (xs > lo) & (xs < hi)
         out = np.zeros(xs.shape)
-        if out.ndim == 0:
-            return float(math.exp(self.logpdf(float(xs)))) if inside else 0.0
-        if inside.any():
-            with np.errstate(over="ignore"):
-                out[inside] = np.exp(self.logpdf(xs[inside]))
-        return out
+        with np.errstate(over="ignore"):
+            out[inside] = np.exp(self.logpdf(xs[inside]))
+        return _as_float_or_array(x, out)
 
     def moment(self, k):
         _check_order(k)
         if k == 0:
             return 1.0
 
-        def log_f(x):
-            return self.log_weight_at(x) + k * math.log(x)
-
         try:
-            return log_weighted_expectation(self.base, log_f)
+            return log_weighted_expectation(
+                self.base, lambda x: self._checked_log_weight(x) + k * np.log(x))
         except DivergentIntegral as e:
             raise DivergentMoment(f"moment {k} of tilted law diverges: {e}") from e
 
@@ -696,15 +747,14 @@ class Tilted(Distribution):
         if s == 0.0:
             return 1.0
         try:
-            return log_weighted_expectation(self.base, lambda x: self.log_weight_at(x) + s * x)
+            return log_weighted_expectation(self.base,
+                                            lambda x: self._checked_log_weight(x) + s * x)
         except DivergentIntegral as e:
             raise OutsideConvergenceStrip(f"mgf({s:g}) of tilted law diverges: {e}") from e
 
     # -- CDF table -----------------------------------------------------
 
     def _build_table(self):
-        from scipy.interpolate import CubicHermiteSpline
-
         base = self.base
         lo, hi = self.support
         # equal-probability nodes through the bulk, geometric refinement in
@@ -719,26 +769,23 @@ class Tilted(Distribution):
         # the base-quantile span can miss tilted mass: a weight singular at
         # the lower edge piles mass below xs[0], an outward tilt shifts mass
         # beyond xs[-1]; extend until both tilted tails are negligible
-        def pdf_scalar(x: float) -> float:
-            return float(self.density(x))
-
         left_tail = 0.0
         if math.isfinite(lo):
             for _ in range(8):
-                left_tail = integrate_finite(pdf_scalar, lo, xs[0])
+                left_tail = integrate_finite(self.density, lo, xs[0])
                 if left_tail < 1e-12:
                     break
                 extra = lo + (xs[0] - lo) * np.geomspace(1e-4, 1.0, 65)[:-1]
                 xs = np.unique(np.concatenate([extra, xs]))
         for _ in range(12):
             if math.isinf(hi):
-                right_tail = integrate_semi_infinite(pdf_scalar, xs[-1],
+                right_tail = integrate_semi_infinite(self.density, xs[-1],
                                                      tail_mass=base.survival)
                 if right_tail < 1e-12:
                     break
                 extra = np.linspace(xs[-1], 2.0 * xs[-1] - xs[0], 129)[1:]
             else:
-                right_tail = integrate_finite(pdf_scalar, xs[-1], hi)
+                right_tail = integrate_finite(self.density, xs[-1], hi)
                 if right_tail < 1e-12:
                     break
                 extra = hi - (hi - xs[-1]) * np.geomspace(1e-4, 1.0, 65)[:-1]
@@ -755,24 +802,15 @@ class Tilted(Distribution):
                 filler.append(np.linspace(xs[k], xs[k + 1], m + 1)[1:-1])
             xs = np.unique(np.concatenate(filler))
 
-        # 16-point Gauss-Legendre per segment, all evaluations batched
-        nodes, weights = np.polynomial.legendre.leggauss(16)
-        a, b = xs[:-1], xs[1:]
-        half = 0.5 * (b - a)
-        mids = 0.5 * (a + b)
-        pts = mids[:, None] + half[:, None] * nodes[None, :]
-        log_pts = np.asarray(self.logpdf(pts.ravel()))
-        log_xs = np.asarray(self.logpdf(xs))
-        # NaN is a negative weight, +inf an infinite one (-inf, a zero weight, is fine)
-        if not ((log_pts < np.inf).all() and (log_xs < np.inf).all()):
+        # one Gauss-Kronrod rule per segment, all evaluations batched; a NaN
+        # density is a negative weight, inf an infinite one
+        masses, _ = gauss_kronrod(self.density, xs[:-1], xs[1:])
+        slope = self.density(xs)
+        if not (np.isfinite(masses).all() and np.isfinite(slope).all()):
             raise DistError("tilt weight is negative or not finite at a CDF table node")
-        with np.errstate(over="ignore"):
-            vals = np.exp(log_pts).reshape(pts.shape)
-        masses = (vals * weights[None, :]).sum(axis=1) * half
         cdf = left_tail + np.concatenate([[0.0], np.cumsum(masses)])
-        dens = np.exp(log_xs)
-        spline = CubicHermiteSpline(xs, cdf, dens)
-        self._table = (xs, cdf, spline)
+        h = np.diff(xs)
+        self._table = (xs, cdf, _Hermite.through(xs, cdf, slope[:-1] * h, slope[1:] * h))
 
     def _ensure_table(self):
         if self._table is None:
@@ -781,8 +819,8 @@ class Tilted(Distribution):
 
     def cdf(self, x):
         xs_in = np.asarray(x, dtype=float)
-        xs, cdf, spline = self._ensure_table()
-        out = np.clip(spline(np.clip(xs_in, xs[0], xs[-1])), 0.0, 1.0)
+        xs, cdf, cubic = self._ensure_table()
+        out = np.clip(cubic(np.clip(xs_in, xs[0], xs[-1])), 0.0, 1.0)
         out = np.where(xs_in <= xs[0], 0.0, np.where(xs_in >= xs[-1], 1.0, out))
         return _as_float_or_array(x, out)
 
@@ -792,43 +830,66 @@ class Tilted(Distribution):
     def _invert(self, p):
         """Root of the table's own cubic on each point's segment.
 
-        Safeguarded Newton from linear interpolation, bracket [0, h_j]; a
-        step that leaves the bracket is replaced by bisection.  Each point
-        stops on its own once its step is below an ulp of x, so a result
-        depends on that point's p alone.  NaN maps to NaN.
+        Safeguarded Newton in the segment coordinate t from linear
+        interpolation, bracket [0, 1]; a step that leaves the bracket is
+        replaced by bisection.  Each point stops on its own once its step
+        is below an ulp of x, so a result depends on that point's p alone.
+        NaN maps to NaN.
         """
-        xs, cdf, spline = self._ensure_table()
+        xs, cdf, cubic = self._ensure_table()
         u = np.clip(p, cdf[0] + 1e-15, cdf[-1] - 1e-15)
-        j = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, len(xs) - 2)
-        # PPoly layout: on segment j, F(x_j + s) = c0 s^3 + c1 s^2 + c2 s + c3
-        c0, c1, c2, c3 = spline.c[:, j]
-        x0, x1 = xs[j], xs[j + 1]
-        h = x1 - x0
-        d = c3 - u
-        s = h * (-d / (cdf[j + 1] - c3))
-        a, b = np.zeros_like(s), h
         out = np.full(p.shape, np.nan)
         live = np.flatnonzero(~np.isnan(u))
-        state = np.stack([c0, c1, c2, d, x0, x1, s, a, b])[:, live]
-        for _ in range(_INVERT_MAX_ITER):
-            if live.size == 0:
-                break
-            c0, c1, c2, d, x0, x1, s, a, b = state
-            f = ((c0 * s + c1) * s + c2) * s + d
-            fp = (3.0 * c0 * s + 2.0 * c1) * s + c2
-            state[7] = a = np.where(f < 0.0, s, a)
-            state[8] = b = np.where(f > 0.0, s, b)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = s - f / fp
-            inside = (newton >= a) & (newton <= b)
-            s_new = np.where(f == 0.0, s, np.where(inside, newton, 0.5 * (a + b)))
-            x = np.minimum(x0 + s_new, x1)
-            done = np.abs(s_new - s) <= np.spacing(np.abs(x))
-            out[live[done]] = x[done]
-            state[6] = s_new
-            live, state = live[~done], state[:, ~done]
+        j = np.clip(np.searchsorted(cdf, u[live], side="right") - 1, 0, len(xs) - 2)
+        # one buffer per block holds each live point's state, compacted in
+        # place as points finish: f(t) = ((c3 t + c2) t + c1) t + d with
+        # d = c0 - u, f'(t) = (c3x3 t + c2x2) t + c1, the segment [x0, x1] of
+        # width h, the iterate t and its bracket [a, b]; three scratch rows
+        d = cubic.c0[j] - u[live]
+        buf = np.empty((15, live.size))
+        for row, v in zip(buf, (cubic.c3[j], cubic.c2[j], cubic.c1[j], d, 3.0 * cubic.c3[j],
+                                2.0 * cubic.c2[j], xs[j], xs[j + 1], xs[j + 1] - xs[j],
+                                d / (cubic.c0[j] - cdf[j + 1]), 0.0, 1.0)):
+            row[:] = v
+        state, n = buf[:12], live.size
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_INVERT_MAX_ITER):
+                if n == 0:
+                    break
+                c3, c2, c1, d, c3x3, c2x2, x0, x1, h, t, a, b, f, g, e = buf[:, :n]
+                for acc, coefs in ((f, (c3, c2, c1, d)), (g, (c3x3, c2x2, c1))):
+                    np.multiply(coefs[0], t, out=acc)
+                    for c in coefs[1:-1]:
+                        acc += c
+                        acc *= t
+                    acc += coefs[-1]
+                np.copyto(a, t, where=f < 0.0)
+                np.copyto(b, t, where=f > 0.0)
+                np.divide(f, g, out=g)
+                np.subtract(t, g, out=g)  # the Newton iterate, kept if inside [a, b]
+                np.add(a, b, out=e)
+                e *= 0.5
+                np.copyto(g, e, where=~((g >= a) & (g <= b)))
+                np.copyto(g, t, where=f == 0.0)
+                np.subtract(g, t, out=t)  # the step in x, |g - t| h
+                np.abs(t, out=t)
+                t *= h
+                np.multiply(g, h, out=f)  # x = min(x0 + g h, x1)
+                f += x0
+                np.minimum(f, x1, out=f)
+                np.abs(f, out=e)
+                done = t <= np.spacing(e, out=e)
+                t[:] = g
+                if done.any():
+                    keep = ~done
+                    out[live[done]] = f[done]
+                    live = live[keep]
+                    for row in state:
+                        row[:live.size] = row[:n][keep]
+                    n = live.size
         # points still live at the cap keep their last iterate
-        out[live] = np.minimum(state[4] + state[6], state[5])
+        x0, x1, h, t = (row[:n] for row in state[6:10])
+        out[live] = np.minimum(x0 + t * h, x1)
         return out
 
     def literal(self):

@@ -60,7 +60,7 @@ class BaseModel:
         if self.rate_fn.var not in (None, "theta"):
             raise ModelError("intensity map must be a function of theta")
         grid = self.mixing_law.interior_grid(64)
-        rates = np.array([self.rate_fn(t) for t in grid])
+        rates = self.rate_fn.eval_array(grid)
         if not (rates > 0.0).all():
             raise ModelError("intensity map must be positive on the mixing support")
         try:
@@ -206,9 +206,10 @@ def validate_change(base: BaseModel, change: MeasureChange, level: int = 1) -> A
 
     g = derive_g(change)
     gates = {ell: (attempt(lambda: log_weighted_expectation(
-                       base.claim_law, lambda x: change.gamma(x) + ell * math.log(x))),
+                       base.claim_law, lambda x: change.gamma.eval_array(x) + ell * np.log(x))),
                    attempt(lambda: expectation(
-                       base.mixing_law, lambda t: change.xi(t) * g(t) ** ell)))
+                       base.mixing_law,
+                       lambda t: change.xi.eval_array(t) * g.eval_array(t) ** ell)))
              for ell in (1, 2)}
 
     level_achieved = max((ell for ell in (1, 2)

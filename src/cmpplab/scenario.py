@@ -3,6 +3,7 @@
 A scenario file is line-oriented text: ``[section]`` headers and
 ``key = value`` pairs, with ``#`` comments.  Expression values are
 quoted strings; distribution values use the catalog literal syntax.
+The sections and keys below are the only ones; any other is an error.
 
     [scenario]
     name = my-model
@@ -62,6 +63,11 @@ from .verify import (check_martingale, check_reweighting, degeneracy_test,
 
 JOB_NAMES = ("simulate", "validate", "derive-q", "verify-reweighting",
              "verify-martingale", "degeneracy", "singularity", "premium")
+
+# every section and key the parser reads; anything else is a typo
+_SCENARIO_KEYS = {"scenario": ("name",), "base": ("claim", "mixing", "h"),
+                  "change": ("alpha", "gamma", "xi", "level", "params"), "run": ("jobs",),
+                  "mc": ("paths", "seed", "horizon"), "output": ("format", "path")}
 
 OUTPUT_DIR_ENV = "CMPPLAB_OUTPUT_DIR"
 
@@ -166,12 +172,19 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
             if not line.endswith("]"):
                 raise ScenarioError(f"malformed section header {line!r}", source, lineno)
             current = line[1:-1].strip().lower()
+            if current not in _SCENARIO_KEYS:
+                raise ScenarioError(f"unknown section [{current}] (known: "
+                                    f"{', '.join(_SCENARIO_KEYS)})", source, lineno)
             sections.setdefault(current, {})
             continue
         if current is None:
             raise ScenarioError("key outside any [section]", source, lineno)
         key, value = _parse_kv(line, source, lineno)
-        sections[current][key.lower()] = (value, lineno)
+        key = key.lower()
+        if key not in _SCENARIO_KEYS[current]:
+            raise ScenarioError(f"unknown key {key!r} in [{current}] (known: "
+                                f"{', '.join(_SCENARIO_KEYS[current])})", source, lineno)
+        sections[current][key] = (value, lineno)
 
     def get(section: str, key: str, default=None):
         return sections.get(section, {}).get(key, (default, 0))

@@ -351,7 +351,7 @@ def claim_tilt_mean(base: BaseModel, change: MeasureChange) -> float:
     key = _pair_key(base, change)
     if key not in _VCOEF_CACHE:
         _VCOEF_CACHE[key] = log_weighted_expectation(
-            base.claim_law, lambda x: change.gamma(x) + math.log(x))
+            base.claim_law, lambda x: change.gamma.eval_array(x) + np.log(x))
     return _VCOEF_CACHE[key]
 
 

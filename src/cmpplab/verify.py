@@ -24,9 +24,8 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy import special as sp
 
-from .dist import Distribution, expectation, log_weighted_expectation
+from .dist import clipped_expectation, expectation, log_weighted_expectation
 from .model import BaseModel, DerivedModel, MeasureChange, derive_q_model
-from .quadrature import integrate_finite, integrate_semi_infinite
 from .sim import (BASE_P, DERIVED_Q, MeasureTag, PathBatch, conditional_p,
                   conditional_q, log_density_batch, simulate_batch,
                   surplus_v_batch, surplus_y_batch)
@@ -447,22 +446,6 @@ class DegeneracyResult:
                 f"z={self.witness_z:.1f})")
 
 
-def _partial_expectation(d: Distribution, f: Callable[[float], float],
-                         lo: float, hi: float) -> float:
-    """E[f(X) ind(lo <= X < hi)] by quadrature (point mass handled directly)."""
-    from .dist import Degenerate
-    if isinstance(d, Degenerate):
-        return f(d.point) if lo <= d.point < hi else 0.0
-    slo, shi = d.support
-    a, b = max(lo, slo), min(hi, shi)
-    if a >= b:
-        return 0.0
-    if math.isinf(b):
-        return integrate_semi_infinite(lambda x: f(x) * d.density(x), a,
-                                       tail_mass=d.survival)
-    return integrate_finite(lambda x: f(x) * d.density(x), a, b)
-
-
 def degeneracy_test(model: Union[BaseModel, DerivedModel],
                     change: Optional[MeasureChange] = None, *, n: int, seed: int,
                     s: float = 0.5, t: float = 1.0) -> DegeneracyResult:
@@ -476,7 +459,7 @@ def degeneracy_test(model: Union[BaseModel, DerivedModel],
     """
     derived = model if isinstance(model, DerivedModel) else derive_q_model(model, change)
     g = derived.g
-    e_g = expectation(derived.q_mixing, lambda th: g(th))
+    e_g = expectation(derived.q_mixing, g)
     e_x = derived.q_claim.moment(1)
     med = float(derived.q_mixing.quantile(0.5))
     events = [theta_in(0.0, med), theta_in(med, math.inf), whole_space()]
@@ -501,8 +484,8 @@ def degeneracy_test(model: Union[BaseModel, DerivedModel],
         est = tot / cnt
         se = math.sqrt(max(tot2 / cnt - est * est, 0.0) / cnt)
         z = 0.0 if se == 0.0 else est / se
-        q_a = _partial_expectation(derived.q_mixing, lambda x: 1.0, ev.bound, ev.hi)
-        e_ga = _partial_expectation(derived.q_mixing, lambda x: g(x), ev.bound, ev.hi)
+        q_a = clipped_expectation(derived.q_mixing, lambda x: 1.0, ev.bound, ev.hi)
+        e_ga = clipped_expectation(derived.q_mixing, g, ev.bound, ev.hi)
         oracle = (t - s) * e_x * (e_ga - q_a * e_g)
         if best is None or abs(z) > abs(best[0]):
             best = (z, ev, est, se, oracle)
@@ -537,21 +520,22 @@ def _drift_oracle(base: BaseModel, change: MeasureChange, derived: DerivedModel,
     """Analytic per-unit-time drift of the log likelihood ratio."""
     alpha, gamma, xi = change.alpha, change.gamma, change.xi
     # mean of gamma(X): plain under P, e^gamma-weighted under Q
-    eg_p = expectation(base.claim_law, lambda x: gamma(x))
-    eg_q = log_weighted_expectation(base.claim_law, gamma, f=lambda x: gamma(x))
+    eg_p = expectation(base.claim_law, gamma)
+    eg_q = log_weighted_expectation(base.claim_law, gamma, f=gamma)
     g = derived.g
 
-    def per_theta(th: float) -> float:
-        a = alpha(th)
+    def per_theta(th: np.ndarray) -> np.ndarray:
+        a = alpha.eval_array(th)
         if side == "p":
-            return th * a + th * eg_p - th * math.expm1(a)
-        return g(th) * a + g(th) * eg_q - th * math.expm1(a)
+            return th * a + th * eg_p - th * np.expm1(a)
+        g_th = g.eval_array(th)
+        return g_th * a + g_th * eg_q - th * np.expm1(a)
 
     if theta is not None:
-        return per_theta(theta)
+        return float(per_theta(np.array([theta]))[0])
     mix = base.mixing_law if side == "p" else derived.q_mixing
     drift = expectation(mix, per_theta)
-    log_xi_mean = expectation(mix, lambda th: math.log(xi(th)))
+    log_xi_mean = expectation(mix, lambda th: np.log(xi.eval_array(th)))
     return drift + log_xi_mean / horizon
 
 

@@ -230,7 +230,7 @@ def test_criterion_8_mixed_count_marginal(worked):
         observed = np.bincount(counts, minlength=kmax + 1).astype(float)
         pmf = np.array([
             expectation(base.mixing_law,
-                        lambda th, k=k: math.exp(-th) * th**k / math.gamma(k + 1))
+                        lambda th, k=k: np.exp(-th) * th**k / math.gamma(k + 1))
             for k in range(kmax + 1)])
         pmf[-1] = 1.0 - pmf[:-1].sum()
         expected = pmf * len(counts)

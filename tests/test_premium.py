@@ -223,12 +223,11 @@ def test_j_integral_positivity_assumption():
 
 def test_per_theta_consistency(base62, derived62):
     quote = premium_density(base62, derived62)
-    integrated = expectation(derived62.q_mixing,
-                             lambda th: quote.per_theta_derived(th))
+    integrated = expectation(derived62.q_mixing, quote.per_theta_derived)
     assert integrated == pytest.approx(quote.p_derived, abs=1e-8 * quote.p_derived)
     base, change, derived = scenario63(1.0)
     q63 = premium_density(base, derived)
-    integrated = expectation(derived.q_mixing, lambda th: q63.per_theta_derived(th))
+    integrated = expectation(derived.q_mixing, q63.per_theta_derived)
     assert integrated == pytest.approx(q63.p_derived, abs=1e-8 * max(1.0, q63.p_derived))
 
 

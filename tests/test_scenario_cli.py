@@ -2,13 +2,14 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cmpplab.cli import main
 from cmpplab.scenario import (BUILTIN_SCENARIOS, Row, ScenarioError,
-                              parse_scenario_text, report_write,
+                              load_scenario_file, parse_scenario_text, report_write,
                               resolve_scenario, run_scenario)
 
 GOOD_SCENARIO = """
@@ -282,19 +283,27 @@ def test_module_invocation(tmp_path):
 
 
 def test_run_never_imports_scipy_stats(tmp_path):
-    # importing scipy.stats alone costs about 0.6 s and 19 MB, which would
-    # land on every run's start-up time and peak memory
-    out = tmp_path / "r.csv"
+    # a fresh interpreter with warnings as errors: a run prints nothing on
+    # stderr and imports no scipy module but scipy.special (scipy.stats alone
+    # costs about 0.6 s and 19 MB, scipy.integrate 0.36 s and 26 MB, on every
+    # run's start-up time and peak memory); tilted-mixture builds Tilted tables
     code = ("import sys\n"
             "from cmpplab.cli import main\n"
-            f"code = main(['run', 'example-6.2', '--paths', '500', "
-            f"'--output', {str(out)!r}])\n"
-            "stats = [m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']]\n"
-            "print(code, *sorted(stats))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() in (["0"], ["1"])
-    assert out.exists()
+            "code = main(sys.argv[1:])\n"
+            "banned = ('stats', 'integrate', 'interpolate', 'optimize')\n"
+            "found = [m for m in sys.modules\n"
+            "         if m.split('.')[0] == 'scipy' and m.split('.')[1:2] in [[b] for b in banned]]\n"
+            "print(code, *sorted(found))\n")
+    workload = Path(__file__).parent.parent / "benchmarks" / "workloads" / "tilted-mixture.scn"
+    for scenario, exit_code in (("example-6.2", 1), (str(workload), 0)):
+        out = tmp_path / "r.csv"
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code, "run", scenario,
+                               "--paths", "500", "--output", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout.split() == [str(exit_code)], scenario
+        assert out.exists()
+        out.unlink()
 
 
 # ---------------------------------------------------------------------------
@@ -386,3 +395,38 @@ def test_library_error_in_job_is_a_fail_row(tmp_path, capsys, center, job, quant
     assert failed["verdict"] == "fail"
     assert failed["detail"].startswith(reason)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# unknown sections and keys are refused before any simulation
+
+TILTED_MIXTURE = Path(__file__).parent.parent / "benchmarks" / "workloads" / "tilted-mixture.scn"
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("[run]", "[rnu]", "unknown section [rnu]"),
+    ("horizon = 2", "horizn = 20", "unknown key 'horizn' in [mc]"),
+    ("seed = 20190521", "seed = 20190521\nbogus = 3", "unknown key 'bogus' in [mc]"),
+    ("level = 2", "levle = 2", "unknown key 'levle' in [change]"),
+])
+def test_unknown_section_or_key_exit_2(tmp_path, capsys, no_simulation, old, new, message):
+    text = TILTED_MIXTURE.read_text()
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    scn_path = tmp_path / "typo.scn"
+    scn_path.write_text(text)
+    line = text.splitlines().index(new.splitlines()[-1]) + 1
+    out = tmp_path / "r.csv"
+    assert main(["run", str(scn_path), "--output", str(out)]) == 2
+    assert f"{scn_path}:{line}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_known_keys_all_parse():
+    # every key the parser reads, in one file
+    scn = parse_scenario_text(GOOD_SCENARIO.replace(
+        "[change]", '[base]\nh = "theta"\n[change]\nparams = c = 1').replace(
+        "format = csv", "format = csv\npath = out.csv"))
+    assert scn.out_path == "out.csv"
+    for workload in ("long-horizon", "tilted-mixture"):
+        load_scenario_file(str(TILTED_MIXTURE.parent / f"{workload}.scn"))

@@ -109,7 +109,7 @@ def test_mixed_count_matches_quadrature_pmf(base62):
     observed = np.bincount(counts, minlength=kmax + 1).astype(float)
     mixed = np.array([
         expectation(base62.mixing_law,
-                    lambda th, k=k: math.exp(-th) * th**k / math.gamma(k + 1))
+                    lambda th, k=k: np.exp(-th) * th**k / math.gamma(k + 1))
         for k in range(kmax + 1)])
     mixed[-1] = 1.0 - mixed[:-1].sum()
     expected = mixed * len(counts)

@@ -80,7 +80,7 @@ def test_reweighting_trivial_functional(base62, change62):
 
 
 def test_reweighting_vacuous_probability(base62, change62, derived62):
-    oracle = expectation(Gamma(3.0, 4.0), lambda th: math.exp(-th * th))
+    oracle = expectation(Gamma(3.0, 4.0), lambda th: np.exp(-th * th))
     res = check_reweighting(f_count_eq(0), base62, change62, t=1.0, n=100_000,
                             seed=SEED, oracle=oracle)
     assert res.verdict == "pass"
