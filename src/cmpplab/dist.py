@@ -844,7 +844,7 @@ class Tilted(Distribution):
         # one buffer per block holds each live point's state, compacted in
         # place as points finish: f(t) = ((c3 t + c2) t + c1) t + d with
         # d = c0 - u, f'(t) = (c3x3 t + c2x2) t + c1, the segment [x0, x1] of
-        # width h, the iterate t and its bracket [a, b]; three scratch rows
+        # width h, the iterate t and its bracket [a, b]; then three work rows
         d = cubic.c0[j] - u[live]
         buf = np.empty((15, live.size))
         for row, v in zip(buf, (cubic.c3[j], cubic.c2[j], cubic.c1[j], d, 3.0 * cubic.c3[j],

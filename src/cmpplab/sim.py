@@ -27,7 +27,6 @@ diagnostic instead of an endless loop.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
