@@ -9,8 +9,10 @@ exceed the horizon.  Events landing exactly on a query time t count
 the horizon is never stored.
 
 Draw layout per path (see rng): lane 0 draw 0 is theta, lane 1 holds
-interarrival uniforms, lane 2 claim uniforms.  Interarrivals accumulate in
-blocks of 16 draws, event k of a block at (time of the last full block) +
+interarrival uniforms, lane 2 claim uniforms.  A batch computes each
+path's key (``rng.PathKeys``) once and draws all three lanes from it; the
+draws are those of the rng contract, unchanged.  Interarrivals accumulate
+in blocks of 16 draws, event k of a block at (time of the last full block) +
 (the block's k-th partial sum); the first block is filled in two
 sub-blocks, 4 draws and then 12 for paths that accepted all 4, with the
 partial sum carried across, so a short path draws few uniforms and every
@@ -27,7 +29,7 @@ diagnostic instead of an endless loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -35,7 +37,7 @@ import numpy as np
 from .dist import log_weighted_expectation
 from .expr import DomainError, RealFn
 from .model import BaseModel, DerivedModel, MeasureChange, _pair_key, derive_g
-from .rng import LANE_ARRIVAL, LANE_CLAIM, LANE_MISC, RngStream, uniforms
+from .rng import LANE_ARRIVAL, LANE_CLAIM, LANE_MISC, PathKeys, RngStream, uniforms
 
 EVENT_CAP = 10_000_000
 _FAMILY_STRIDE = 1 << 40  # disjoint path-index families for independent batches
@@ -160,6 +162,8 @@ class PathBatch:
 
     Fields are read-only by convention; verify-side estimators consume
     batches directly instead of materializing per-path objects.
+    ``counts_at`` and ``aggregates_at`` compute each t once per batch and
+    return read-only arrays.
     """
 
     thetas: np.ndarray     # (n,)
@@ -168,6 +172,7 @@ class PathBatch:
     times: np.ndarray      # flat event times
     claims: np.ndarray     # flat claim sizes
     horizon: float
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return int(self.thetas.size)
@@ -178,34 +183,53 @@ class PathBatch:
                     self.claims[lo:hi].copy(), self.horizon)
 
     def counts_at(self, t: float) -> np.ndarray:
-        if t < 0.0 or t > self.horizon:
-            raise OutOfHorizon(f"t={t!r} outside [0, {self.horizon!r}]")
-        mask = np.concatenate([[0.0], np.cumsum(self.times <= t)])
-        return (mask[self.offsets[1:]] - mask[self.offsets[:-1]]).astype(np.int64)
+        """N_t of every path."""
+        return self._at("N", t)
 
     def aggregates_at(self, t: float) -> np.ndarray:
-        if t < 0.0 or t > self.horizon:
-            raise OutOfHorizon(f"t={t!r} outside [0, {self.horizon!r}]")
-        inc = np.concatenate([[0.0], np.cumsum(np.where(self.times <= t, self.claims, 0.0))])
-        return inc[self.offsets[1:]] - inc[self.offsets[:-1]]
+        """S_t of every path."""
+        return self._at("S", t)
 
     def claim_prefix_apply(self, t: float, fn: RealFn) -> np.ndarray:
         """Per-path sums of fn over claims with event time <= t."""
         vals = np.where(self.times <= t, fn.eval_array(self.claims), 0.0) \
             if self.claims.size else np.zeros(0)
-        inc = np.concatenate([[0.0], np.cumsum(vals)])
+        return self._path_sums(vals, float)
+
+    def _at(self, kind: str, t: float) -> np.ndarray:
+        if t < 0.0 or t > self.horizon:
+            raise OutOfHorizon(f"t={t!r} outside [0, {self.horizon!r}]")
+        key = (kind, t)
+        if key not in self._memo:
+            out = self._functional(kind, t)
+            out.flags.writeable = False
+            self._memo[key] = out
+        return self._memo[key]
+
+    def _functional(self, kind: str, t: float) -> np.ndarray:
+        """N_t ("N") or S_t ("S") of every path, computed afresh."""
+        if t == self.horizon:  # every event counts
+            return self.counts.view() if kind == "N" else self._path_sums(self.claims, float)
+        upto = self.times <= t
+        if kind == "N":
+            return self._path_sums(upto, np.int64)
+        return self._path_sums(np.where(upto, self.claims, 0.0), float)
+
+    def _path_sums(self, vals: np.ndarray, dtype) -> np.ndarray:
+        """Per-path sums of the flat vals, as differences of one running sum."""
+        inc = np.zeros(vals.size + 1, dtype=dtype)
+        np.cumsum(vals, out=inc[1:])
         return inc[self.offsets[1:]] - inc[self.offsets[:-1]]
 
 
 # ---------------------------------------------------------------------------
 # simulation
 
-def _resolve_theta_and_rate(base, derived, under, seed, indices):
-    n = indices.size
+def _resolve_theta_and_rate(base, derived, under, seed, keys):
     if under.is_conditional:
-        thetas = np.full(n, under.theta)
+        thetas = np.full(keys.state.size, under.theta)
     else:
-        u = uniforms(seed, indices, LANE_MISC, 0)
+        u = uniforms(seed, keys, LANE_MISC, 0)
         law = derived.q_mixing if under.is_q_side else base.mixing_law
         thetas = np.asarray(law.quantile(u), dtype=float)
     if under.is_q_side:
@@ -230,36 +254,43 @@ def simulate_batch(base: BaseModel, derived: Optional[DerivedModel],
         raise ValueError("horizon must be nonnegative")
     indices = np.arange(start_index, start_index + n, dtype=np.uint64) \
         + np.uint64(family * _FAMILY_STRIDE)
-    thetas, rates = _resolve_theta_and_rate(base, derived, under, seed, indices)
+    keys = PathKeys.of(seed, indices)  # every lane below reuses them
+    thetas, rates = _resolve_theta_and_rate(base, derived, under, seed, keys)
 
     counts = np.zeros(n, dtype=np.int64)
-    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    # the still-running paths, compacted: row, counter index, rate, time of
+    chunks: list[tuple[np.ndarray, int, np.ndarray, np.ndarray]] = []
+    # the still-running paths, compacted: row, path key, negated rate, time of
     # the last completed block, and the in-block partial sum carried into the
     # second sub-block (None at a block's start)
     rows = np.arange(n)
-    idx = indices[:, None]
-    rate = rates[:, None]
+    key = keys[:, None]
+    neg_rate = -rates[:, None]
     last = np.zeros((n, 1))
     carry = None
     drawn = 0  # every running path has drawn the same number of uniforms
     while horizon > 0.0 and rows.size:
         width = _HEAD if drawn == 0 else _BLOCK - drawn % _BLOCK
-        u = uniforms(seed, idx, LANE_ARRIVAL, drawn + np.arange(width))
-        w = -np.log(u) / rate
+        # interarrivals -ln(u) / rate, in place (negation is exact), then
+        # their running sums from the last block's time
+        csum = uniforms(seed, key, LANE_ARRIVAL, drawn + np.arange(width))
+        np.log(csum, out=csum)
+        csum /= neg_rate
         if carry is not None:
-            w[:, 0] += carry
-        csum = last + np.cumsum(w, axis=1)
+            csum[:, 0] += carry
+        np.cumsum(csum, axis=1, out=csum)
+        csum += last
         ok = csum <= horizon
         n_ok = ok.sum(axis=1)
-        chunks.append((rows, n_ok, csum[ok]))  # row-major: by path, in time order
+        # accepted times row-major (by path, in time order), after the
+        # `drawn` events every running path has had so far
+        chunks.append((rows, drawn, ok, csum[ok]))
         counts[rows] += n_ok
-        if (counts[rows] > EVENT_CAP).any():
+        if drawn + n_ok.max() > EVENT_CAP:
             raise SimulationError(
                 f"a path exceeded the {EVENT_CAP} event cap before the horizon")
         drawn += width
         full = n_ok == width
-        rows, idx, rate = rows[full], idx[full], rate[full]
+        rows, key, neg_rate = rows[full], key[full], neg_rate[full]
         if drawn % _BLOCK:  # inside the first block, where last is 0: carry csum
             carry, last = csum[full, -1], last[full]
         else:
@@ -268,22 +299,13 @@ def simulate_batch(base: BaseModel, derived: Optional[DerivedModel],
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     times = np.empty(int(offsets[-1]))
-    filled = np.zeros(n, dtype=np.int64)
-    for rows, n_ok, accepted in chunks:
-        take = n_ok > 0
-        rows, n_ok = rows[take], n_ok[take]
-        if rows.size == 0:
-            continue
-        starts = offsets[rows] + filled[rows]
-        dest = np.repeat(starts, n_ok) + _groupwise_arange(n_ok)
-        times[dest] = accepted
-        filled[rows] += n_ok
+    for rows, before, ok, accepted in chunks:
+        dest = offsets[rows, None] + np.arange(before, before + ok.shape[1])
+        times[dest[ok]] = accepted
 
     total = int(offsets[-1])
     if total:
-        path_of_claim = np.repeat(indices, counts)
-        claim_idx = _groupwise_arange(counts)
-        u = uniforms(seed, path_of_claim, LANE_CLAIM, claim_idx)
+        u = uniforms(seed, keys.repeat(counts), LANE_CLAIM, _groupwise_arange(counts))
         claim_law = derived.q_claim if under.is_q_side else base.claim_law
         claims = np.asarray(claim_law.quantile(u), dtype=float)
     else:

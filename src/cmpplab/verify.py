@@ -387,16 +387,18 @@ def check_martingale(process: ProcessSpec, base: BaseModel,
                 raise ValueError(
                     f"event {ev.describe()} anchored after the pair start s={s:g}")
 
+    times = {u for pair in pairs for u in pair}
+    described = [ev.describe() for ev in events]
     sums = {}
     for b in _simulate_chunked(base, derived, under, horizon, seed, n):
+        # each process value once per distinct time, each indicator once
+        value = {u: _process_values(process, b, u, base, under) for u in times}
+        indicators = [ev.indicator(b) for ev in events]
         for s, t in pairs:
-            zs = _process_values(process, b, s, base, under)
-            zt = _process_values(process, b, t, base, under)
-            inc = zt - zs
-            for ev in events:
-                ind = ev.indicator(b)
+            inc = value[t] - value[s]
+            for desc, ind in zip(described, indicators):
                 vals = np.where(ind, inc, 0.0)
-                key = (s, t, ev.describe())
+                key = (s, t, desc)
                 acc = sums.setdefault(key, [0.0, 0.0, 0])
                 acc[0] += float(vals.sum())
                 acc[1] += float((vals * vals).sum())

@@ -6,16 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from cmpplab import sim
 from cmpplab.dist import Degenerate, Exponential, Gamma, Tilted, expectation
 from cmpplab.expr import DomainError
 from cmpplab.model import (BaseModel, derive_q_model, identity_change,
                            measure_change, validate_change)
 from cmpplab.rng import LANE_ARRIVAL, RngStream, uniforms
 from cmpplab.sim import (_FAMILY_STRIDE, BASE_P, DERIVED_Q, OutOfHorizon, Path,
-                         claim_tilt_mean, conditional_p, conditional_q,
-                         dump_paths, log_density_M, log_density_batch,
-                         simulate_batch, simulate_path, surplus_v,
-                         surplus_v_batch, surplus_y, surplus_y_batch)
+                         SimulationError, claim_tilt_mean, conditional_p,
+                         conditional_q, dump_paths, log_density_M,
+                         log_density_batch, simulate_batch, simulate_path,
+                         surplus_v, surplus_v_batch, surplus_y, surplus_y_batch)
 
 SEED = 20190521
 
@@ -77,6 +78,44 @@ def test_aggregate_nondecreasing(idx, t1, t2):
     lo, hi = min(t1, t2), max(t1, t2)
     assert p.aggregate_at(lo) <= p.aggregate_at(hi)
     assert p.count_at(lo) <= p.count_at(hi)
+
+
+# ---------------------------------------------------------------------------
+# memoized path functionals
+
+def reference_functionals(batch, t):
+    """N_t and S_t of every path by the plain running sums of the flat arrays:
+    the rounding every report depends on."""
+    upto = batch.times <= t
+    n_inc = np.concatenate([[0], np.cumsum(upto)])
+    s_inc = np.concatenate([[0.0], np.cumsum(np.where(upto, batch.claims, 0.0))])
+    lo, hi = batch.offsets[:-1], batch.offsets[1:]
+    return n_inc[hi] - n_inc[lo], s_inc[hi] - s_inc[lo]
+
+
+def test_functionals_memoized_read_only_and_exact(base62, derived62):
+    def batch():
+        return simulate_batch(base62, derived62, DERIVED_Q, 2.0, seed=SEED, n=3000)
+
+    b = batch()
+    for t in (0.0, 0.37, 1.0, 2.0):
+        counts, aggs = b.counts_at(t), b.aggregates_at(t)
+        assert b.counts_at(t) is counts and b.aggregates_at(t) is aggs
+        assert not counts.flags.writeable and not aggs.flags.writeable
+        with pytest.raises(ValueError):
+            aggs[0] = 1.0
+        fresh = batch()
+        assert counts.dtype == np.int64
+        assert counts.tobytes() == fresh.counts_at(t).tobytes()
+        assert aggs.tobytes() == fresh.aggregates_at(t).tobytes()
+        ref_counts, ref_aggs = reference_functionals(fresh, t)
+        assert counts.tobytes() == ref_counts.astype(np.int64).tobytes()
+        assert aggs.tobytes() == ref_aggs.tobytes()
+    # at the horizon N_t is the event count, and the batch's counts stay writable
+    assert np.array_equal(b.counts_at(2.0), b.counts)
+    assert b.counts.flags.writeable
+    with pytest.raises(OutOfHorizon):
+        b.aggregates_at(2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +289,17 @@ def test_accumulation_matches_reference_across_blocks(base62):
     batch = simulate_batch(base62, None, conditional_p(40.0), 2.0, seed=SEED, n=300)
     assert batch.counts.min() > 3 * 16
     assert_times_match_reference(batch, np.full(300, 40.0), SEED)
+
+
+def test_event_cap_stops_a_runaway_path(base62, monkeypatch):
+    batch = simulate_batch(base62, None, conditional_p(40.0), 2.0, seed=SEED, n=300)
+    most = int(batch.counts.max())
+    monkeypatch.setattr(sim, "EVENT_CAP", most)
+    again = simulate_batch(base62, None, conditional_p(40.0), 2.0, seed=SEED, n=300)
+    assert again.times.tobytes() == batch.times.tobytes()
+    monkeypatch.setattr(sim, "EVENT_CAP", most - 1)
+    with pytest.raises(SimulationError, match="event cap"):
+        simulate_batch(base62, None, conditional_p(40.0), 2.0, seed=SEED, n=300)
 
 
 def test_accumulation_matches_reference_short_paths(base62):

@@ -7,7 +7,8 @@ from cmpplab.dist import Degenerate, Exponential, Gamma, expectation
 from cmpplab.model import (BaseModel, derive_q_model, identity_change,
                            measure_change, validate_change)
 from cmpplab.premium import esscher_change, expected_value_change
-from cmpplab.sim import BASE_P, DERIVED_Q, conditional_p, log_density_batch, simulate_batch
+from cmpplab.sim import (BASE_P, DERIVED_Q, PathBatch, conditional_p, log_density_batch,
+                         simulate_batch)
 from cmpplab.verify import (check_martingale, check_reweighting,
                             degeneracy_test, f_aggregate, f_count,
                             f_count_eq, f_one, mc_estimate,
@@ -151,6 +152,42 @@ def test_density_is_conditional_martingale(base62, change62, derived62):
                              conditional_p(1.0), [(0.5, 1.0), (1.0, 2.0)],
                              n=60_000, seed=SEED)
     assert table.verdict == "pass"
+
+
+@pytest.fixture
+def functional_log(monkeypatch):
+    """(batch id, kind, t) of every N_t or S_t a batch computes afresh."""
+    log, alive = [], []  # batches stay alive so that their ids stay unique
+    compute = PathBatch._functional
+
+    def counted(batch, kind, t):
+        alive.append(batch)
+        log.append((id(batch), kind, t))
+        return compute(batch, kind, t)
+
+    monkeypatch.setattr(PathBatch, "_functional", counted)
+    return log
+
+
+@pytest.mark.parametrize("process", ["v", "density"])
+def test_martingale_computes_each_functional_once_per_batch(
+        base62, derived62, change62, functional_log, process):
+    spec = process_v(change62) if process == "v" else process_density(change62)
+    table = check_martingale(spec, base62, derived62, DERIVED_Q,
+                             [(0.5, 1.0), (1.0, 2.0)], n=3000, seed=SEED)
+    assert len(table.cells) == 16  # the default 8 events, two pairs
+    assert len(functional_log) == len(set(functional_log))
+    by_batch = {}
+    for batch, kind, t in functional_log:
+        by_batch.setdefault(batch, set()).add((kind, t))
+    # the pilot batch of the event family, then the one 3000-path batch
+    pilot, main = by_batch.values()
+    assert pilot == {("S", 0.5)}
+    # the events need N and S at s = 0.5; the process needs V_t (from S_t)
+    # or the density (from N_t) at each distinct time 0.5, 1 and 2
+    kind = "S" if process == "v" else "N"
+    expected = {("N", 0.5), ("S", 0.5), (kind, 1.0), (kind, 2.0)}
+    assert main == expected
 
 
 def test_event_anchor_validation(base62, derived62, change62):
