@@ -27,7 +27,7 @@ print(f"  E[X^2 e^gamma] = {report.claim_gate:.6g} < inf")
 print(f"  E[xi g^2]      = {report.mixing_gate:.6g} < inf")
 print(f"  verdict        = {report.verdict}, level achieved {report.level_achieved}")
 
-derived = lab.derive_q_model(base, change)
+derived = lab.derive_q_model(report)   # the report is the admissibility token
 print("\nderived model (closure rules fired -> catalog forms):")
 print(f"  g        = {derived.g}")
 print(f"  q_claim  = {derived.q_claim}   mean {derived.q_claim.moment(1):g}")
@@ -44,15 +44,13 @@ print("\na weight outside the catalog falls back to a generic tilted law:")
 raw = lab.parse("theta/(1+theta)", var="theta")
 norm = lab.expectation(base.mixing_law, raw)
 odd = lab.measure_change(xi=f"(theta/(1+theta))/{norm!r}")
-lab.validate_change(base, odd)
-fallback = lab.derive_q_model(base, odd)
+fallback = lab.derive_q_model(lab.validate_change(base, odd))
 print(f"  q_mixing = {fallback.q_mixing}")
 print(f"  mean by guarded quadrature: {fallback.q_mixing.moment(1):.6f}")
 
 print("\ndegenerate mixing reduces everything to a plain compound Poisson change:")
 cpp = lab.BaseModel(lab.Exponential(0.2), lab.Degenerate(1.0))
 chg = lab.measure_change(alpha="ln(theta)", gamma="ln(x/5)", xi="1")
-lab.validate_change(cpp, chg, level=2)
-dcpp = lab.derive_q_model(cpp, chg)
+dcpp = lab.derive_q_model(lab.validate_change(cpp, chg, level=2))
 print(f"  q_mixing = {dcpp.q_mixing}, derived rate g(1) = {dcpp.g(1.0):g}, "
       f"q_claim = {dcpp.q_claim}")

@@ -14,8 +14,7 @@ import cmpplab as lab
 base = lab.BaseModel(lab.Exponential(0.2), lab.Gamma(2.0, 2.0))
 change = lab.measure_change(alpha="ln(theta)", gamma="ln(x/5)",
                             xi="(27/8)*theta^2*exp(-theta)")
-lab.validate_change(base, change, level=2)
-derived = lab.derive_q_model(base, change)
+derived = lab.derive_q_model(lab.validate_change(base, change, level=2))
 
 quote = lab.premium_density(base, derived)
 print("premium quote:")
@@ -27,7 +26,7 @@ print(f"  strict loading (p(P) < p(Q) < inf): {lab.check_condition_13(quote)}")
 
 print("\nper-theta loading flips at theta = 1/2 for this change:")
 for theta in (0.3, 0.499, 0.501, 1.0, 2.0):
-    ok = lab.check_condition_14(theta, base, change)
+    ok = lab.check_condition_14(theta, derived)
     print(f"  theta = {theta:5.3f}: p(P_th) = {quote.per_theta_base(theta):7.4f}, "
           f"p(Q_th) = {quote.per_theta_derived(theta):7.4f}  loaded: {ok}")
 
@@ -37,16 +36,14 @@ for t in (0.0, 0.25, 0.5, 0.75, 1.0):
 
 print("\nthe Esscher principle as a preset (claim tilt only, g = identity):")
 ess = lab.esscher_change(0.05, base)
-lab.validate_change(base, ess)
-qe = lab.premium_density(base, lab.derive_q_model(base, ess))
+qe = lab.premium_density(base, lab.derive_q_model(lab.validate_change(base, ess)))
 print(f"  gamma = {ess.gamma}")
 print(f"  p(Q) = {qe.p_derived:.5f} vs p(P) = {qe.p_base:g} "
       f"(loading iff E[X]E[e^cX] < E[X e^cX], true for c > 0)")
 
 print("\nthe Expected-Value principle (constant intensity multiplier):")
 ev = lab.expected_value_change(math.log(1.25))
-lab.validate_change(base, ev)
-qv = lab.premium_density(base, lab.derive_q_model(base, ev))
+qv = lab.premium_density(base, lab.derive_q_model(lab.validate_change(base, ev)))
 print(f"  g = {lab.derive_g(ev)}; p(Q)/p(P) = {qv.p_derived / qv.p_base:.4f} "
       f"(the loading factor e^c = 1.25)")
 

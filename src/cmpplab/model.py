@@ -11,7 +11,10 @@ change is the triple (alpha, gamma, xi):
 
 ``validate_change`` checks those normalizations by quadrature together
 with the level-l integrability gates E[X^l e^{gamma(X)}] < inf and
-E[xi(Theta) g(Theta)^l] < inf.  ``derive_q_model`` then produces the
+E[xi(Theta) g(Theta)^l] < inf.  Its ``AdmissibilityReport`` carries the
+(base, change) pair it judged and is the token ``derive_q_model`` takes:
+a report whose verdict failed raises NotValidated, so admissibility
+belongs to the pair, not to the process.  ``derive_q_model`` produces the
 tilted claim and mixing laws, in catalog form when a closure rule
 recognizes the weight (exponential tilt of a gamma stays gamma, power
 weights shift gamma/beta parameters), as a generic Tilted law otherwise.
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -43,7 +47,7 @@ class ModelError(ValueError):
 
 
 class NotValidated(ModelError):
-    """derive_q_model was called before a passing validate_change."""
+    """derive_q_model was given a report whose verdict failed."""
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,10 @@ def identity_change() -> MeasureChange:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
+    """What ``validate_change`` found for one (base, change) pair."""
+
+    base: BaseModel
+    change: MeasureChange
     gamma_norm: float
     xi_norm: float
     xi_positive: bool
@@ -146,23 +154,16 @@ class DerivedModel:
             return self.g.eval_array(theta)
         return self.g(theta)
 
+    @cached_property
+    def claim_tilt_mean(self) -> float:
+        """E[X e^{gamma(X)}] under the base claim law (the mean claim under
+        the new measure), by quadrature once per model."""
+        return log_weighted_expectation(
+            self.base.claim_law, lambda x: self.change.gamma.eval_array(x) + np.log(x))
+
 
 # ---------------------------------------------------------------------------
 # validation
-
-_VALIDATED: dict = {}
-
-
-def _fn_key(fn: RealFn):
-    return (str(fn), tuple(sorted(fn.params.items())))
-
-
-def _pair_key(base: BaseModel, change: MeasureChange):
-    return (
-        base.claim_law.literal(), base.mixing_law.literal(), _fn_key(base.rate_fn),
-        _fn_key(change.alpha), _fn_key(change.gamma), _fn_key(change.xi),
-    )
-
 
 def validate_change(base: BaseModel, change: MeasureChange, level: int = 1) -> AdmissibilityReport:
     """Check normalizations, positivity and the level-l moment gates.
@@ -221,17 +222,13 @@ def validate_change(base: BaseModel, change: MeasureChange, level: int = 1) -> A
         failures.append(f"mixing_gate: E[xi(Theta) g(Theta)^{level}]: "
                         f"{mixing_why or 'not finite'}")
 
-    verdict = not failures
-    report = AdmissibilityReport(
+    return AdmissibilityReport(
+        base=base, change=change,
         gamma_norm=gamma_norm, xi_norm=xi_norm, xi_positive=xi_positive,
         level_requested=level, level_achieved=level_achieved,
         claim_gate=claim_gate, mixing_gate=mixing_gate,
-        verdict=verdict, failures=tuple(failures),
+        verdict=not failures, failures=tuple(failures),
     )
-    if verdict:
-        key = _pair_key(base, change)
-        _VALIDATED[key] = max(level, _VALIDATED.get(key, 0))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +421,16 @@ def _tilt_to_catalog(base: Distribution,
 # ---------------------------------------------------------------------------
 # the derived model
 
-def derive_q_model(base: BaseModel, change: MeasureChange) -> DerivedModel:
+def derive_q_model(report: AdmissibilityReport) -> DerivedModel:
     """Tilted claim/mixing laws and the intensity map g under the new measure.
 
-    Requires a prior passing ``validate_change`` for this (base, change)
-    pair; raises NotValidated otherwise.
+    ``report`` is the ``validate_change`` report of the (base, change) pair
+    to derive; raises NotValidated unless its verdict passed.
     """
-    if _pair_key(base, change) not in _VALIDATED:
-        raise NotValidated(
-            "derive_q_model requires a passing validate_change for this pair")
+    if not report.verdict:
+        raise NotValidated("derive_q_model requires a passing validate_change report: "
+                           + "; ".join(report.failures))
+    base, change = report.base, report.change
     g = derive_g(change)
 
     claim_triple = _analyze_log_weight(change.gamma.tree, change.gamma.params)

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .dist import DivergentMoment, Tilted, expectation
 from .expr import Bin, Num, RealFn, Var, parse
-from .model import BaseModel, DerivedModel, MeasureChange, derive_q_model
+from .model import BaseModel, DerivedModel, MeasureChange
 from .quadrature import DivergentIntegral, integrate_finite
 
 
@@ -104,10 +104,9 @@ def check_condition_13(quote: PremiumQuote) -> bool:
     return quote.cond13
 
 
-def check_condition_14(theta: float, base: BaseModel, change: MeasureChange) -> bool:
+def check_condition_14(theta: float, derived: DerivedModel) -> bool:
     """Per-theta strict loading p(P_theta) < p(Q_theta) < inf."""
-    derived = derive_q_model(base, change)
-    quote = premium_density(base, derived)
+    quote = premium_density(derived.base, derived)
     p_p = quote.per_theta_base(theta)
     p_q = quote.per_theta_derived(theta)
     return math.isfinite(p_q) and p_p < p_q

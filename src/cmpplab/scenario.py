@@ -51,8 +51,8 @@ import numpy as np
 
 from .dist import DistError, expectation, parse_distribution
 from .expr import DomainError, RealFn, parse
-from .model import (AdmissibilityReport, BaseModel, DerivedModel, MeasureChange,
-                    derive_q_model, measure_change, validate_change)
+from .model import (NORM_TOL, AdmissibilityReport, BaseModel, DerivedModel,
+                    MeasureChange, derive_q_model, measure_change, validate_change)
 from .premium import (PremiumQuote, esscher_change, expected_value_change,
                       premium_density)
 from .quadrature import DivergentIntegral
@@ -366,9 +366,9 @@ def _job_validate(scn: Scenario, rep: AdmissibilityReport) -> List[Row]:
                                          seed=scn.seed, **kw))
     rows = [
         mk(quantity="gamma_norm", estimate=rep.gamma_norm, oracle=1.0,
-           verdict="pass" if abs(rep.gamma_norm - 1.0) <= 1e-8 else "fail"),
+           verdict="pass" if abs(rep.gamma_norm - 1.0) <= NORM_TOL else "fail"),
         mk(quantity="xi_norm", estimate=rep.xi_norm, oracle=1.0,
-           verdict="pass" if abs(rep.xi_norm - 1.0) <= 1e-8 else "fail"),
+           verdict="pass" if abs(rep.xi_norm - 1.0) <= NORM_TOL else "fail"),
         mk(quantity="xi_positive", estimate=float(rep.xi_positive),
            verdict="pass" if rep.xi_positive else "fail"),
         mk(quantity=f"claim_gate_l{scn.level}", estimate=rep.claim_gate,
@@ -455,7 +455,7 @@ def _job_reweighting(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Li
 def _job_martingale(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> List[Row]:
     h = scn.horizon
     pairs = [(h / 4.0, h / 2.0), (h / 2.0, h)]
-    table = check_martingale(process_v(scn.change), scn.base, derived, DERIVED_Q,
+    table = check_martingale(process_v(derived), scn.base, derived, DERIVED_Q,
                              pairs, n=scn.paths, seed=scn.seed)
     mk = lambda **kw: _annotate(scn, Row(scenario=scn.name, job="verify-martingale",
                                          seed=scn.seed, **kw))
@@ -615,7 +615,7 @@ def run_scenario(name_or_path: str, overrides: Optional[dict] = None,
         derived, skipped = None, "change failed validation"
         if report.verdict:
             try:
-                derived = derive_q_model(scn.base, scn.change)
+                derived = derive_q_model(report)
             except JOB_ERRORS as e:
                 skipped = f"derived model failed: {type(e).__name__}: {e}"
 

@@ -34,9 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dist import log_weighted_expectation
 from .expr import DomainError, RealFn
-from .model import BaseModel, DerivedModel, MeasureChange, _pair_key, derive_g
+from .model import BaseModel, DerivedModel, MeasureChange
 from .rng import LANE_ARRIVAL, LANE_CLAIM, LANE_MISC, PathKeys, RngStream, uniforms
 
 EVENT_CAP = 10_000_000
@@ -364,22 +363,10 @@ def log_density_batch(batch: PathBatch, t: float, change: MeasureChange,
 # ---------------------------------------------------------------------------
 # surplus processes
 
-_VCOEF_CACHE: dict = {}
-
-
-def claim_tilt_mean(base: BaseModel, change: MeasureChange) -> float:
-    """E[X e^{gamma(X)}] under the base claim law, cached per pair."""
-    key = _pair_key(base, change)
-    if key not in _VCOEF_CACHE:
-        _VCOEF_CACHE[key] = log_weighted_expectation(
-            base.claim_law, lambda x: change.gamma.eval_array(x) + np.log(x))
-    return _VCOEF_CACHE[key]
-
-
-def surplus_v(path: Path, t: float, base: BaseModel, change: MeasureChange) -> float:
+def surplus_v(path: Path, t: float, derived: DerivedModel) -> float:
     """Centered aggregate under the derived measure:
     V_t = S_t - t g(theta) E[X e^{gamma(X)}]."""
-    return float(surplus_v_batch(path.as_batch(), t, base, change)[0])
+    return float(surplus_v_batch(path.as_batch(), t, derived)[0])
 
 
 def surplus_y(path: Path, t: float, base: BaseModel) -> float:
@@ -387,11 +374,8 @@ def surplus_y(path: Path, t: float, base: BaseModel) -> float:
     return float(surplus_y_batch(path.as_batch(), t, base)[0])
 
 
-def surplus_v_batch(batch: PathBatch, t: float, base: BaseModel,
-                    change: MeasureChange) -> np.ndarray:
-    g = derive_g(change)
-    coef = claim_tilt_mean(base, change)
-    return batch.aggregates_at(t) - t * g.eval_array(batch.thetas) * coef
+def surplus_v_batch(batch: PathBatch, t: float, derived: DerivedModel) -> np.ndarray:
+    return batch.aggregates_at(t) - t * derived.g_at(batch.thetas) * derived.claim_tilt_mean
 
 
 def surplus_y_batch(batch: PathBatch, t: float, base: BaseModel) -> np.ndarray:

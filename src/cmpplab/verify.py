@@ -13,6 +13,9 @@ under normality; the Bonferroni table verdict controls the family rate
 at 1%.  All verdicts are deterministic given the seed.  The two sides of
 a reweighting check use disjoint stream families, so they are
 independent.
+
+Every estimator streams its samples through one ``Moments`` accumulator per
+cell; standard errors come from the sample variance (n - 1 denominator).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from scipy import special as sp
 
 from .dist import clipped_expectation, expectation, log_weighted_expectation
-from .model import BaseModel, DerivedModel, MeasureChange, derive_q_model
+from .model import BaseModel, DerivedModel, MeasureChange
 from .sim import (BASE_P, DERIVED_Q, MeasureTag, PathBatch, conditional_p,
                   conditional_q, log_density_batch, simulate_batch,
                   surplus_v_batch, surplus_y_batch)
@@ -45,6 +48,43 @@ FAM_SING_Q = 6
 # ---------------------------------------------------------------------------
 # reports
 
+class Moments:
+    """Count, mean and sum of squared deviations (M2) of a stream of samples.
+
+    Each chunk's mean and M2 are taken from the chunk itself, and chunks
+    merge by the pairwise update of Chan, Golub & LeVeque (1983), which does
+    not cancel the way raw sums of x and x^2 do.  On one chunk the mean and
+    ``stderr`` are bit for bit ``np.mean`` and ``np.std(ddof=1) / sqrt(n)``.
+    """
+
+    def __init__(self):
+        self.n = 0
+        self.mean = 0.0
+        self.m2 = 0.0
+
+    def add(self, x: np.ndarray) -> None:
+        m = x.size
+        if m == 0:
+            return
+        mean = float(x.sum() / m)
+        dev = x - mean
+        dev *= dev  # in place: a second temporary costs more than the sums
+        m2 = float(dev.sum())
+        if self.n == 0:
+            self.n, self.mean, self.m2 = m, mean, m2
+            return
+        n = self.n + m
+        delta = mean - self.mean
+        self.mean += delta * m / n
+        self.m2 += m2 + delta * delta * self.n * m / n
+        self.n = n
+
+    @property
+    def stderr(self) -> float:
+        """Standard error of the mean, from the sample variance."""
+        return math.sqrt(self.m2 / (self.n - 1)) / math.sqrt(self.n) if self.n > 1 else 0.0
+
+
 @dataclass(frozen=True)
 class MCReport:
     quantity: str
@@ -57,11 +97,9 @@ class MCReport:
     oracle: Optional[float] = None
 
     @staticmethod
-    def from_samples(quantity: str, values: np.ndarray,
+    def from_moments(quantity: str, acc: Moments,
                      oracle: Optional[float] = None) -> "MCReport":
-        n = len(values)
-        est = float(np.mean(values))
-        se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        n, est, se = acc.n, acc.mean, acc.stderr
         if oracle is None:
             verdict = "inconclusive"
         elif abs(est - oracle) <= 3.0 * se:
@@ -200,15 +238,16 @@ def default_event_family(s: float, base: BaseModel, derived: Optional[DerivedMod
 @dataclass(frozen=True)
 class ProcessSpec:
     kind: str                        # v_change | y_base | raw_aggregate | density | constant
-    change: Optional[MeasureChange] = None
+    change: Optional[MeasureChange] = None      # density
+    derived: Optional[DerivedModel] = None      # v_change
     value: float = 0.0
 
     def describe(self) -> str:
         return self.kind
 
 
-def process_v(change: MeasureChange) -> ProcessSpec:
-    return ProcessSpec("v_change", change=change)
+def process_v(derived: DerivedModel) -> ProcessSpec:
+    return ProcessSpec("v_change", derived=derived)
 
 
 def process_y() -> ProcessSpec:
@@ -236,7 +275,7 @@ def _process_values(spec: ProcessSpec, batch: PathBatch, t: float,
     if spec.kind == "y_base":
         return surplus_y_batch(batch, t, base)
     if spec.kind == "v_change":
-        return surplus_v_batch(batch, t, base, spec.change)
+        return surplus_v_batch(batch, t, spec.derived)
     if spec.kind == "density":
         return np.exp(log_density_batch(batch, t, spec.change,
                                         include_xi=not under.is_conditional))
@@ -263,13 +302,13 @@ def _battery_reports(f, oracle, batches, t, label="", change=None, include_xi=Tr
     fs, oracles = ([f], [oracle]) if single else (list(f), list(oracle or [None] * len(f)))
     fs = [g if isinstance(g, PathFunctional) else from_callable(getattr(g, "__name__", "f"), g)
           for g in fs]
-    cols: List[list] = [[] for _ in fs]
+    accs = [Moments() for _ in fs]
     for b in batches:
         w = 1.0 if change is None else np.exp(log_density_batch(b, t, change, include_xi))
-        for col, g in zip(cols, fs):
-            col.append(g.eval_batch(b, t) * w)
-    return [MCReport.from_samples(g.name + label, np.concatenate(col), o)
-            for g, col, o in zip(fs, cols, oracles, strict=True)], single
+        for acc, g in zip(accs, fs):
+            acc.add(g.eval_batch(b, t) * w)
+    return [MCReport.from_moments(g.name + label, acc, o)
+            for g, acc, o in zip(fs, accs, oracles, strict=True)], single
 
 
 def mc_estimate(f, base: BaseModel, derived: Optional[DerivedModel], under: MeasureTag,
@@ -297,21 +336,18 @@ class ReweightingResult:
         return self.verdict == "pass"
 
 
-def check_reweighting(f, model: Union[BaseModel, DerivedModel],
-                      change: Optional[MeasureChange] = None, *, t: float, n: int, seed: int,
+def check_reweighting(f, derived: DerivedModel, *, t: float, n: int, seed: int,
                       under_conditional: Optional[float] = None, horizon: Optional[float] = None,
                       oracle=None) -> Union[ReweightingResult, List[ReweightingResult]]:
     """Both routes to E_Q[f]: direct simulation under the derived measure
     versus base-measure simulation weighted by the likelihood ratio.
 
-    ``model`` is a DerivedModel, or a base model and its ``change`` (derived
-    here, so NotValidated fires if needed); a battery ``f`` (list or tuple,
-    ``oracle`` a sequence or None) simulates each side once.  With
+    A battery ``f`` (list or tuple, ``oracle`` a sequence or None)
+    simulates each side once.  With
     ``under_conditional`` set, the conditional form is tested at that theta
     (weights then exclude xi).  The sides run in disjoint stream families;
     the verdict is pass iff they agree within 3 pooled standard errors.
     """
-    derived = model if isinstance(model, DerivedModel) else derive_q_model(model, change)
     horizon = t if horizon is None else horizon
     theta = under_conditional
     tag_q = DERIVED_Q if theta is None else conditional_q(theta)
@@ -388,35 +424,27 @@ def check_martingale(process: ProcessSpec, base: BaseModel,
                     f"event {ev.describe()} anchored after the pair start s={s:g}")
 
     times = {u for pair in pairs for u in pair}
-    described = [ev.describe() for ev in events]
-    sums = {}
+    # one accumulator per (pair, event) position, so repeated events or
+    # pairs are separate cells
+    accs = [[Moments() for _ in events] for _ in pairs]
     for b in _simulate_chunked(base, derived, under, horizon, seed, n):
         # each process value once per distinct time, each indicator once
         value = {u: _process_values(process, b, u, base, under) for u in times}
         indicators = [ev.indicator(b) for ev in events]
-        for s, t in pairs:
+        for (s, t), row in zip(pairs, accs):
             inc = value[t] - value[s]
-            for desc, ind in zip(described, indicators):
-                vals = np.where(ind, inc, 0.0)
-                key = (s, t, desc)
-                acc = sums.setdefault(key, [0.0, 0.0, 0])
-                acc[0] += float(vals.sum())
-                acc[1] += float((vals * vals).sum())
-                acc[2] += len(b)
+            for acc, ind in zip(row, indicators):
+                acc.add(np.where(ind, inc, 0.0))
 
     cells = []
-    for (s, t, desc), (tot, tot2, cnt) in sums.items():
-        est = tot / cnt
-        var = max(tot2 / cnt - est * est, 0.0)
-        se = math.sqrt(var / cnt)
-        z = 0.0 if se == 0.0 else est / se
-        cell_pass = abs(est) <= 3.0 * se if se > 0.0 else est == 0.0
-        oracle = None
-        if cell_oracle is not None:
-            ev = next(e for e in events if e.describe() == desc)
-            oracle = cell_oracle(s, t, ev)
-        cells.append(MartingaleCell(s=s, t=t, event=desc, estimate=est,
-                                    stderr=se, z=z, cell_pass=cell_pass, oracle=oracle))
+    for (s, t), row in zip(pairs, accs):
+        for ev, acc in zip(events, row):
+            est, se = acc.mean, acc.stderr
+            z = 0.0 if se == 0.0 else est / se
+            cell_pass = abs(est) <= 3.0 * se if se > 0.0 else est == 0.0
+            oracle = None if cell_oracle is None else cell_oracle(s, t, ev)
+            cells.append(MartingaleCell(s=s, t=t, event=ev.describe(), estimate=est,
+                                        stderr=se, z=z, cell_pass=cell_pass, oracle=oracle))
     ncells = len(cells)
     z_crit = float(sp.ndtri(1.0 - (family_level / ncells) / 2.0))
     worst = max((abs(c.z) for c in cells), default=0.0)
@@ -448,8 +476,7 @@ class DegeneracyResult:
                 f"z={self.witness_z:.1f})")
 
 
-def degeneracy_test(model: Union[BaseModel, DerivedModel],
-                    change: Optional[MeasureChange] = None, *, n: int, seed: int,
+def degeneracy_test(derived: DerivedModel, *, n: int, seed: int,
                     s: float = 0.5, t: float = 1.0) -> DegeneracyResult:
     """Probe whether the unconditionally centered aggregate is a martingale
     under the derived measure.
@@ -459,32 +486,23 @@ def degeneracy_test(model: Union[BaseModel, DerivedModel],
     the quadrature covariance oracle
     (t-s) E_Q[X] (E_Q[ind_A g(Theta)] - Q(A) E_Q[g(Theta)]).
     """
-    derived = model if isinstance(model, DerivedModel) else derive_q_model(model, change)
     g = derived.g
     e_g = expectation(derived.q_mixing, g)
     e_x = derived.q_claim.moment(1)
     med = float(derived.q_mixing.quantile(0.5))
-    events = [theta_in(0.0, med), theta_in(med, math.inf), whole_space()]
+    events = [theta_in(0.0, med), theta_in(med, math.inf)]
 
-    sums = {ev.describe(): [0.0, 0.0, 0] for ev in events}
+    accs = [Moments() for _ in events]
     for b in _simulate_chunked(derived.base, derived, DERIVED_Q, t, seed, n, FAM_DEGENERACY):
         v_s = b.aggregates_at(s) - s * e_g * e_x
         v_t = b.aggregates_at(t) - t * e_g * e_x
         inc = v_t - v_s
-        for ev in events:
-            vals = np.where(ev.indicator(b), inc, 0.0)
-            acc = sums[ev.describe()]
-            acc[0] += float(vals.sum())
-            acc[1] += float((vals * vals).sum())
-            acc[2] += len(b)
+        for ev, acc in zip(events, accs):
+            acc.add(np.where(ev.indicator(b), inc, 0.0))
 
     best = None
-    for ev in events:
-        if ev.kind == "whole_space":
-            continue
-        tot, tot2, cnt = sums[ev.describe()]
-        est = tot / cnt
-        se = math.sqrt(max(tot2 / cnt - est * est, 0.0) / cnt)
+    for ev, acc in zip(events, accs):
+        est, se = acc.mean, acc.stderr
         z = 0.0 if se == 0.0 else est / se
         q_a = clipped_expectation(derived.q_mixing, lambda x: 1.0, ev.bound, ev.hi)
         e_ga = clipped_expectation(derived.q_mixing, g, ev.bound, ev.hi)
@@ -541,8 +559,7 @@ def _drift_oracle(base: BaseModel, change: MeasureChange, derived: DerivedModel,
     return drift + log_xi_mean / horizon
 
 
-def singularity_probe(model: Union[BaseModel, DerivedModel],
-                      change: Optional[MeasureChange] = None, *,
+def singularity_probe(derived: DerivedModel, *,
                       horizons: Sequence[float], n: int, seed: int,
                       theta_fixed: Optional[float] = None) -> List[DriftRow]:
     """Log likelihood-ratio drift table under both measures.
@@ -554,7 +571,6 @@ def singularity_probe(model: Union[BaseModel, DerivedModel],
     finite-horizon table can only exhibit the trend, never certify the
     limit statement.
     """
-    derived = model if isinstance(model, DerivedModel) else derive_q_model(model, change)
     base, change = derived.base, derived.change
     include_xi = theta_fixed is None
     rows = []
@@ -565,12 +581,12 @@ def singularity_probe(model: Union[BaseModel, DerivedModel],
             else:
                 tag = conditional_p(theta_fixed) if side == "p" else conditional_q(theta_fixed)
             fam = FAM_SING_P if side == "p" else FAM_SING_Q
-            vals = np.concatenate([
-                log_density_batch(b, T, change, include_xi=include_xi)
-                for b in _simulate_chunked(base, derived, tag, T, seed, n, fam)
-            ])
-            mean = float(vals.mean())
-            se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
+            acc, parts = Moments(), []
+            for b in _simulate_chunked(base, derived, tag, T, seed, n, fam):
+                parts.append(log_density_batch(b, T, change, include_xi=include_xi))
+                acc.add(parts[-1])
+            vals = np.concatenate(parts)  # for the quantiles
+            mean, se = acc.mean, acc.stderr
             oracle = _drift_oracle(base, change, derived, side, theta_fixed, T)
             rows.append(DriftRow(
                 horizon=T, side=side, mean_log_density=mean, stderr=se,

@@ -48,7 +48,7 @@ def worked():
         scn = resolve_scenario(name)
         rep = validate_change(scn.base, scn.change, scn.level)
         assert rep.verdict, f"{name} failed validation: {rep.failures}"
-        out[name] = (scn.base, scn.change, derive_q_model(scn.base, scn.change))
+        out[name] = (scn.base, scn.change, derive_q_model(rep))
     return out
 
 
@@ -69,8 +69,8 @@ def test_criterion_1_worked_closed_forms(worked):
         grid = ref.interior_grid(64)
         assert np.max(np.abs(tilted.density(grid) - ref.density(grid))) <= 1e-9
         assert abs(derived.q_claim.moment(1) - 10.0) <= 1e-9
-        assert check_condition_14(0.5 + 1e-6, base, change)
-        assert not check_condition_14(0.5 - 1e-6, base, change)
+        assert check_condition_14(0.5 + 1e-6, derived)
+        assert not check_condition_14(0.5 - 1e-6, derived)
 
     _report(1, "worked closed forms (moments, g, tilted mixing, "
                "derived claim mean, per-theta loading boundary)", body)
@@ -98,7 +98,7 @@ def test_criterion_2_oracle_adjudication(worked, tmp_path):
 
 def test_criterion_3_second_worked_model(worked):
     def body():
-        base, change, derived = worked["example-6.3"]
+        base, _, derived = worked["example-6.3"]
         c = 1.0
         claims = base.claim_law
         for theta in np.linspace(0.02, 0.98, 49):
@@ -111,7 +111,7 @@ def test_criterion_3_second_worked_model(worked):
         quote = premium_density(base, derived)
         for theta in np.linspace(0.005, 0.995, 100):
             brute = quote.per_theta_base(theta) < quote.per_theta_derived(theta)
-            assert check_condition_14(theta, base, change) == brute
+            assert check_condition_14(theta, derived) == brute
 
     _report(3, "second worked model (claim mgf grid, uniform mixing, "
                "claim mean 2, j-integral dual route, loading grid)", body)
@@ -180,7 +180,7 @@ def test_criterion_6_martingale_suite(worked):
     def body():
         for name in ("example-6.2", "example-6.3"):
             base, change, derived = worked[name]
-            table = check_martingale(process_v(change), base, derived,
+            table = check_martingale(process_v(derived), base, derived,
                                      DERIVED_Q, PAIRS, n=100_000, seed=SEED)
             assert table.passed(), (name, [c for c in table.cells if not c.cell_pass])
         base, change, derived = worked["example-6.2"]
@@ -204,12 +204,12 @@ def test_criterion_7_degeneracy_dichotomy(worked):
     def body():
         base_deg = BaseModel(Exponential(0.2), Degenerate(1.0))
         change_deg = measure_change(alpha="ln(theta)", gamma="ln(x/5)", xi="1")
-        validate_change(base_deg, change_deg, level=2)
-        res = degeneracy_test(base_deg, change_deg, n=200_000, seed=SEED)
+        derived_deg = derive_q_model(validate_change(base_deg, change_deg, level=2))
+        res = degeneracy_test(derived_deg, n=200_000, seed=SEED)
         assert res.is_martingale, res.describe()
 
-        base, change, _ = worked["example-6.2"]
-        res = degeneracy_test(base, change, n=1_000_000, seed=SEED)
+        _, _, derived = worked["example-6.2"]
+        res = degeneracy_test(derived, n=1_000_000, seed=SEED)
         assert not res.is_martingale
         assert abs(res.witness_z) >= 5.0, res.witness_z
         assert abs(res.witness_estimate - res.witness_oracle) \
@@ -248,8 +248,8 @@ def test_criterion_8_mixed_count_marginal(worked):
 
 def test_criterion_9_singularity_trend(worked):
     def body():
-        base, change, _ = worked["example-6.1b"]
-        rows = singularity_probe(base, change, horizons=[10.0, 50.0], n=4000,
+        _, _, derived = worked["example-6.1b"]
+        rows = singularity_probe(derived, horizons=[10.0, 50.0], n=4000,
                                  seed=SEED, theta_fixed=1.0)
         by = {(r.horizon, r.side): r for r in rows}
         for T in (10.0, 50.0):

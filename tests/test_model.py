@@ -132,16 +132,14 @@ def test_g_times_exp_minus_alpha_is_theta(base62, change62, change63):
 # derived models and closure rules
 
 def test_worked_derivation_62(base62, change62):
-    validate_change(base62, change62, level=2)
-    dm = derive_q_model(base62, change62)
+    dm = derive_q_model(validate_change(base62, change62, level=2))
     assert dm.q_mixing == Gamma(3.0, 4.0)
     assert dm.q_claim == Gamma(0.2, 2.0)
     assert dm.q_claim.moment(1) == pytest.approx(10.0, rel=1e-12)
 
 
 def test_worked_derivation_63(base63, change63):
-    validate_change(base63, change63, level=2)
-    dm = derive_q_model(base63, change63)
+    dm = derive_q_model(validate_change(base63, change63, level=2))
     assert dm.q_mixing == Uniform(0.0, 1.0)
     assert dm.q_claim == Gamma(1.0, 2.0)
     assert dm.q_claim.moment(1) == pytest.approx(2.0, rel=1e-12)
@@ -150,8 +148,9 @@ def test_worked_derivation_63(base63, change63):
 def test_esscher_closure_on_gamma():
     base = BaseModel(Gamma(1.5, 2.0), Beta(2.0, 1.0))
     change = measure_change(gamma="c*x - 2*ln(c+1)", params={"c": 0.5})
-    assert validate_change(base, change).verdict
-    dm = derive_q_model(base, change)
+    rep = validate_change(base, change)
+    assert rep.verdict
+    dm = derive_q_model(rep)
     assert dm.q_claim == Gamma(1.0, 2.0)
     # density algebra cross-check at 20 grid points
     xs = dm.q_claim.interior_grid(20)
@@ -165,8 +164,9 @@ def test_power_weight_closure_on_gamma():
     # weight theta e^{-theta} * Gamma(3)/Gamma(4) * 2^3/3^4... use normalizer
     norm = (3.0 ** 4 / 2.0 ** 3) * math.gamma(3.0) / math.gamma(4.0)
     change = measure_change(xi="n*theta*exp(-theta)", params={"n": norm})
-    assert validate_change(base, change).verdict
-    dm = derive_q_model(base, change)
+    rep = validate_change(base, change)
+    assert rep.verdict
+    dm = derive_q_model(rep)
     assert dm.q_mixing == Gamma(3.0, 4.0)
 
 
@@ -178,13 +178,12 @@ def test_unmatched_weight_falls_back_to_tilted(base62):
     change = measure_change(xi="(theta/(1+theta))/n", params={"n": norm})
     rep = validate_change(base62, change)
     assert rep.verdict
-    dm = derive_q_model(base62, change)
+    dm = derive_q_model(rep)
     assert isinstance(dm.q_mixing, Tilted)
 
 
 def test_pointwise_tilt_identity_even_when_catalog(base62, change62):
-    validate_change(base62, change62, level=2)
-    dm = derive_q_model(base62, change62)
+    dm = derive_q_model(validate_change(base62, change62, level=2))
     xs = dm.q_mixing.interior_grid(64)
     lhs = dm.q_mixing.density(xs)
     rhs = change62.xi.eval_array(xs) * base62.mixing_law.density(xs)
@@ -200,15 +199,14 @@ def test_degenerate_mixing_reduces_to_plain_compound_poisson():
     change = measure_change(alpha="ln(theta)", gamma="ln(x/5)", xi="1")
     rep = validate_change(base, change, level=2)
     assert rep.verdict
-    dm = derive_q_model(base, change)
+    dm = derive_q_model(rep)
     assert dm.q_mixing == Degenerate(1.0)
     assert dm.g(1.0) == 1.0
     assert dm.q_claim == Gamma(0.2, 2.0)
 
 
 def test_identity_change_maps_base_to_itself(base62):
-    validate_change(base62, identity_change(), level=2)
-    dm = derive_q_model(base62, identity_change())
+    dm = derive_q_model(validate_change(base62, identity_change(), level=2))
     assert dm.q_claim == base62.claim_law
     assert dm.q_mixing == base62.mixing_law
     assert str(dm.g) == "theta"
@@ -216,8 +214,17 @@ def test_identity_change_maps_base_to_itself(base62):
 
 def test_not_validated_error(base62):
     fresh = measure_change(alpha="0", gamma="0", xi="0.5 + theta*0.25")
-    with pytest.raises(NotValidated):
-        derive_q_model(base62, fresh)
+    rep = validate_change(base62, fresh)
+    assert not rep.verdict
+    with pytest.raises(NotValidated, match="xi_norm"):
+        derive_q_model(rep)
+
+
+def test_report_carries_its_pair(base62, change62):
+    rep = validate_change(base62, change62, level=2)
+    assert rep.base is base62 and rep.change is change62
+    dm = derive_q_model(rep)
+    assert dm.base is base62 and dm.change is change62
 
 
 def test_role_enforcement():

@@ -32,8 +32,7 @@ def change62():
 
 @pytest.fixture(scope="module")
 def derived62(base62, change62):
-    validate_change(base62, change62, level=2)
-    return derive_q_model(base62, change62)
+    return derive_q_model(validate_change(base62, change62, level=2))
 
 
 def scenario63(c=1.0):
@@ -41,8 +40,7 @@ def scenario63(c=1.0):
     change = measure_change(alpha="ln(c+theta) + 2*ln((c+1)/(c+1+theta))",
                             gamma="c*x - 2*ln(c+1)", xi="1/(2*theta)",
                             params={"c": c})
-    validate_change(base, change, level=2)
-    return base, change, derive_q_model(base, change)
+    return base, change, derive_q_model(validate_change(base, change, level=2))
 
 
 # ---------------------------------------------------------------------------
@@ -62,11 +60,11 @@ def test_worked_quote_62(base62, derived62):
 
 
 def test_identity_quote(base62):
-    validate_change(base62, identity_change(), level=1)
-    quote = premium_density(base62, derive_q_model(base62, identity_change()))
+    identity = derive_q_model(validate_change(base62, identity_change(), level=1))
+    quote = premium_density(base62, identity)
     assert quote.p_base == quote.p_derived
     assert not check_condition_13(quote)
-    assert not check_condition_14(1.0, base62, identity_change())
+    assert not check_condition_14(1.0, identity)
 
 
 def test_quote_without_derived_model(base62):
@@ -126,11 +124,11 @@ def test_condition_13_63():
     assert j_integral(1.0) > (2.0 / 3.0) / 8.0
 
 
-def test_condition_14_boundary_62(base62, change62):
-    assert check_condition_14(0.6, base62, change62)
-    assert not check_condition_14(0.4, base62, change62)
-    assert check_condition_14(0.5 + 1e-6, base62, change62)
-    assert not check_condition_14(0.5 - 1e-6, base62, change62)
+def test_condition_14_boundary_62(derived62):
+    assert check_condition_14(0.6, derived62)
+    assert not check_condition_14(0.4, derived62)
+    assert check_condition_14(0.5 + 1e-6, derived62)
+    assert not check_condition_14(0.5 - 1e-6, derived62)
 
 
 def test_condition_14_brute_force_grid_63():
@@ -138,7 +136,7 @@ def test_condition_14_brute_force_grid_63():
     quote = premium_density(base, derived)
     for theta in np.linspace(0.005, 0.995, 100):
         direct = quote.per_theta_base(theta) < quote.per_theta_derived(theta)
-        assert check_condition_14(theta, base, change) == direct
+        assert check_condition_14(theta, derived) == direct
         # the quadratic criterion with c = 1: theta^2 - 4 theta - 4 < 0
         assert direct == (theta**2 - 4.0 * theta - 4.0 < 0.0)
 
@@ -146,9 +144,9 @@ def test_condition_14_brute_force_grid_63():
 def test_condition_14_expected_value_iff_positive_loading(base62):
     for c, expected in ((0.3, True), (1.0, True), (-0.2, False), (0.0, False)):
         change = expected_value_change(c)
-        validate_change(base62, change, level=1)
+        derived = derive_q_model(validate_change(base62, change, level=1))
         for theta in (0.5, 1.0, 2.0):
-            assert check_condition_14(theta, base62, change) is expected
+            assert check_condition_14(theta, derived) is expected
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +168,11 @@ def test_esscher_outside_strip(base62):
 def test_esscher_condition_14_iff_covariance(base62):
     c = 0.05
     change = esscher_change(c, base62)
-    validate_change(base62, change, level=1)
+    derived = derive_q_model(validate_change(base62, change, level=1))
     claims = base62.claim_law
     lhs = claims.moment(1) * claims.mgf(c)
     rhs = log_weighted_expectation(claims, lambda x: c * x, f=lambda x: x)
-    assert (lhs < rhs) == check_condition_14(1.0, base62, change)
+    assert (lhs < rhs) == check_condition_14(1.0, derived)
     assert lhs < rhs
 
 
@@ -182,8 +180,7 @@ def test_esscher_monotone_in_c(base62):
     values = []
     for c in (0.01, 0.05, 0.1, 0.15, 0.19):
         change = esscher_change(c, base62)
-        validate_change(base62, change, level=1)
-        quote = premium_density(base62, derive_q_model(base62, change))
+        quote = premium_density(base62, derive_q_model(validate_change(base62, change, level=1)))
         values.append(quote.per_theta_derived(1.0))
     assert all(a < b for a, b in zip(values, values[1:]))
 
@@ -191,8 +188,7 @@ def test_esscher_monotone_in_c(base62):
 def test_expected_value_loading_factor(base62):
     c = 0.7
     change = expected_value_change(c)
-    validate_change(base62, change, level=1)
-    quote = premium_density(base62, derive_q_model(base62, change))
+    quote = premium_density(base62, derive_q_model(validate_change(base62, change, level=1)))
     for theta in (0.3, 1.0, 2.2):
         ratio = quote.per_theta_derived(theta) / quote.per_theta_base(theta)
         assert ratio == pytest.approx(math.exp(c), rel=1e-12)
@@ -235,8 +231,7 @@ def test_closed_form_premium_matches_monte_carlo_all_builtins():
     from cmpplab.scenario import resolve_scenario
     for name in ("example-6.1a", "example-6.1b", "example-6.2", "example-6.3"):
         scn = resolve_scenario(name)
-        validate_change(scn.base, scn.change, scn.level)
-        derived = derive_q_model(scn.base, scn.change)
+        derived = derive_q_model(validate_change(scn.base, scn.change, scn.level))
         quote = premium_density(scn.base, derived)
         rep = mc_estimate(f_aggregate(), scn.base, derived, DERIVED_Q, 1.0,
                           100_000, SEED, oracle=quote.p_derived)

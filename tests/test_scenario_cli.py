@@ -306,6 +306,34 @@ def test_run_never_imports_scipy_stats(tmp_path):
         out.unlink()
 
 
+def test_repeated_run_leaves_no_process_state(tmp_path):
+    # two runs in one fresh interpreter: the same report bytes, and no mutable
+    # module-level container of any cmpplab module changed (a run's
+    # validation and caches belong to its own objects)
+    code = ("import sys\n"
+            "import cmpplab.cli\n"
+            "from cmpplab.scenario import run_scenario\n"
+            "def state():\n"
+            "    return {f'{name}.{key}': repr(value)\n"
+            "            for name, mod in list(sys.modules.items())\n"
+            "            if name.split('.')[0] == 'cmpplab'\n"
+            "            for key, value in vars(mod).items()\n"
+            "            if isinstance(value, (dict, list, set, bytearray))\n"
+            "            and not key.startswith('__')}\n"
+            "before = state()\n"
+            "for out in sys.argv[1:]:\n"
+            "    run_scenario('example-6.2', {'paths': 500, 'output': out})\n"
+            "after = state()\n"
+            "print(*sorted(k for k in before.keys() | after.keys()\n"
+            "              if before.get(k) != after.get(k)))\n")
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    proc = subprocess.run([sys.executable, "-c", code, str(first), str(second)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout.split() == []
+    assert first.read_bytes() == second.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # the horizon is checked before any simulation can start
 

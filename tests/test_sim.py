@@ -13,7 +13,7 @@ from cmpplab.model import (BaseModel, derive_q_model, identity_change,
                            measure_change, validate_change)
 from cmpplab.rng import LANE_ARRIVAL, RngStream, uniforms
 from cmpplab.sim import (_FAMILY_STRIDE, BASE_P, DERIVED_Q, OutOfHorizon, Path,
-                         SimulationError, claim_tilt_mean, conditional_p,
+                         SimulationError, conditional_p,
                          conditional_q, dump_paths, log_density_M,
                          log_density_batch, simulate_batch, simulate_path,
                          surplus_v, surplus_v_batch, surplus_y, surplus_y_batch)
@@ -34,8 +34,7 @@ def change62():
 
 @pytest.fixture(scope="module")
 def derived62(base62, change62):
-    validate_change(base62, change62, level=2)
-    return derive_q_model(base62, change62)
+    return derive_q_model(validate_change(base62, change62, level=2))
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +212,7 @@ def derived_tilted(base62):
     # no closure rule matches this change, so both Q laws are Tilted
     change = measure_change(alpha="ln(1+theta)", gamma="ln(1+x) - ln(6)",
                             xi="(1+theta)/2")
-    validate_change(base62, change, level=2)
-    derived = derive_q_model(base62, change)
+    derived = derive_q_model(validate_change(base62, change, level=2))
     assert isinstance(derived.q_claim, Tilted) and isinstance(derived.q_mixing, Tilted)
     return derived
 
@@ -390,14 +388,14 @@ def test_density_additive_over_increments(base62, change62):
 # ---------------------------------------------------------------------------
 # surplus processes
 
-def test_surplus_formulas_62(base62, change62, derived62):
-    assert claim_tilt_mean(base62, change62) == pytest.approx(10.0, rel=1e-9)
+def test_surplus_formulas_62(base62, derived62):
+    assert derived62.claim_tilt_mean == pytest.approx(10.0, rel=1e-9)
     b = simulate_batch(base62, derived62, DERIVED_Q, 1.0, seed=3, n=500)
-    v = surplus_v_batch(b, 1.0, base62, change62)
+    v = surplus_v_batch(b, 1.0, derived62)
     expect = b.aggregates_at(1.0) - 10.0 * b.thetas**2
     assert np.max(np.abs(v - expect)) < 1e-9
     p = b.path(7)
-    assert surplus_v(p, 1.0, base62, change62) == pytest.approx(
+    assert surplus_v(p, 1.0, derived62) == pytest.approx(
         p.aggregate_at(1.0) - 10.0 * p.theta**2, rel=1e-9)
 
 
@@ -408,27 +406,28 @@ def test_surplus_formulas_63():
                             gamma="c*x - 2*ln(c+1)", xi="1",
                             params={"c": c})
     # xi = 1 works for the degenerate mixing; the V coefficient is E[X e^gamma] = 2
-    validate_change(base, change, level=2)
+    derived = derive_q_model(validate_change(base, change, level=2))
     p = simulate_path(base, None, BASE_P, 1.0, RngStream(9, 4))
     th = p.theta
     expect = p.aggregate_at(1.0) - 2.0 * (c + th) * (c + 1.0) ** 2 * th / (c + 1.0 + th) ** 2
-    assert surplus_v(p, 1.0, base, change) == pytest.approx(expect, rel=1e-9)
+    assert surplus_v(p, 1.0, derived) == pytest.approx(expect, rel=1e-9)
 
 
 def test_identity_change_v_equals_y(base62):
+    identity = derive_q_model(validate_change(base62, identity_change()))
     b = simulate_batch(base62, None, BASE_P, 1.0, seed=12, n=200)
-    v = surplus_v_batch(b, 1.0, base62, identity_change())
+    v = surplus_v_batch(b, 1.0, identity)
     y = surplus_y_batch(b, 1.0, base62)
     assert np.max(np.abs(v - y)) < 1e-9
     p = b.path(0)
-    assert surplus_v(p, 0.7, base62, identity_change()) == pytest.approx(
+    assert surplus_v(p, 0.7, identity) == pytest.approx(
         surplus_y(p, 0.7, base62), rel=1e-12)
 
 
-def test_v_coefficient_recomputation_consistent(base62, change62):
-    a = claim_tilt_mean(base62, change62)
-    b = claim_tilt_mean(base62, change62)
-    assert a == b  # cached value is bit-stable
+def test_v_coefficient_recomputation_consistent(base62, change62, derived62):
+    fresh = derive_q_model(validate_change(base62, change62, level=2))
+    assert fresh is not derived62
+    assert fresh.claim_tilt_mean == derived62.claim_tilt_mean  # bit-stable
 
 
 # ---------------------------------------------------------------------------

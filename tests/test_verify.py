@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from cmpplab.dist import Degenerate, Exponential, Gamma, expectation
-from cmpplab.model import (BaseModel, derive_q_model, identity_change,
+from cmpplab.model import (BaseModel, NotValidated, derive_q_model, identity_change,
                            measure_change, validate_change)
 from cmpplab.premium import esscher_change, expected_value_change
 from cmpplab.sim import (BASE_P, DERIVED_Q, PathBatch, conditional_p, log_density_batch,
                          simulate_batch)
-from cmpplab.verify import (check_martingale, check_reweighting,
+from cmpplab.verify import (Moments, check_martingale, check_reweighting,
+                            count_at_most, default_event_family,
                             degeneracy_test, f_aggregate, f_count,
                             f_count_eq, f_one, mc_estimate,
                             process_constant, process_density, process_raw,
@@ -31,8 +32,47 @@ def change62():
 
 @pytest.fixture(scope="module")
 def derived62(base62, change62):
-    validate_change(base62, change62, level=2)
-    return derive_q_model(base62, change62)
+    return derive_q_model(validate_change(base62, change62, level=2))
+
+
+# ---------------------------------------------------------------------------
+# the moment accumulator
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 4097, 65_536, 131_072])
+def test_moments_one_chunk_is_numpy_bit_for_bit(n):
+    x = np.random.default_rng(n).standard_normal(n) * 3.0 + 0.5
+    acc = Moments()
+    acc.add(x)
+    assert acc.n == n
+    assert acc.mean == np.mean(x)
+    expect = np.std(x, ddof=1) / math.sqrt(n) if n > 1 else 0.0
+    assert acc.stderr == expect
+
+
+def test_moments_merge_chunks_matches_concatenation():
+    x = np.random.default_rng(5).gamma(0.5, 4.0, size=10_000)
+    acc = Moments()
+    for lo, hi in ((0, 1), (1, 1500), (1500, 1500), (1500, 7001), (7001, 10_000)):
+        acc.add(x[lo:hi])
+    assert acc.n == x.size
+    assert acc.mean == pytest.approx(np.mean(x), rel=1e-12, abs=0.0)
+    se = np.std(x, ddof=1) / math.sqrt(x.size)
+    assert acc.stderr == pytest.approx(se, rel=1e-12, abs=0.0)
+
+
+def test_moments_do_not_cancel_on_a_large_offset():
+    n = 100_000
+    x = 1e8 + 1e-3 * np.random.default_rng(11).standard_normal(n)
+    # the raw-sum formula loses every digit of the variance here
+    tot, tot2 = float(x.sum()), float((x * x).sum())
+    raw_se = math.sqrt(max(tot2 / n - (tot / n) ** 2, 0.0) / n)
+    acc = Moments()
+    for chunk in np.array_split(x, 7):
+        acc.add(chunk)
+    se = np.std(x, ddof=1) / math.sqrt(n)
+    assert not raw_se == pytest.approx(se, rel=0.5)
+    assert se == pytest.approx(3.17e-6, rel=0.01)
+    assert acc.stderr == pytest.approx(se, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -74,31 +114,31 @@ def test_custom_callable_functional(base62, derived62):
 # ---------------------------------------------------------------------------
 # reweighting
 
-def test_reweighting_trivial_functional(base62, change62):
-    res = check_reweighting(f_one(), base62, change62, t=1.0, n=5000, seed=SEED)
+def test_reweighting_trivial_functional(derived62):
+    res = check_reweighting(f_one(), derived62, t=1.0, n=5000, seed=SEED)
     assert res.direct.estimate == 1.0
     assert res.verdict == "pass"
 
 
-def test_reweighting_vacuous_probability(base62, change62, derived62):
+def test_reweighting_vacuous_probability(derived62):
     oracle = expectation(Gamma(3.0, 4.0), lambda th: np.exp(-th * th))
-    res = check_reweighting(f_count_eq(0), base62, change62, t=1.0, n=100_000,
+    res = check_reweighting(f_count_eq(0), derived62, t=1.0, n=100_000,
                             seed=SEED, oracle=oracle)
     assert res.verdict == "pass"
     assert abs(res.direct.estimate - oracle) <= 3.0 * res.direct.stderr
     assert abs(res.weighted.estimate - oracle) <= 3.0 * res.weighted.stderr
 
 
-def test_reweighting_aggregate_with_oracle(base62, change62):
-    res = check_reweighting(f_aggregate(), base62, change62, t=1.0, n=100_000,
+def test_reweighting_aggregate_with_oracle(derived62):
+    res = check_reweighting(f_aggregate(), derived62, t=1.0, n=100_000,
                             seed=SEED, oracle=200.0 / 9.0)
     assert res.verdict == "pass"
     assert abs(res.direct.estimate - 200.0 / 9.0) <= 3.0 * res.direct.stderr
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
-def test_reweighting_conditional(base62, change62, theta):
-    res = check_reweighting(f_aggregate(), base62, change62, t=1.0, n=60_000,
+def test_reweighting_conditional(derived62, theta):
+    res = check_reweighting(f_aggregate(), derived62, t=1.0, n=60_000,
                             seed=SEED, under_conditional=theta,
                             oracle=theta**2 * 10.0)
     assert res.verdict == "pass"
@@ -128,8 +168,8 @@ def test_constant_process_passes(base62, derived62):
     assert all(c.estimate == 0.0 and c.stderr == 0.0 for c in table.cells)
 
 
-def test_v_is_martingale_under_q(base62, change62, derived62):
-    table = check_martingale(process_v(change62), base62, derived62, DERIVED_Q,
+def test_v_is_martingale_under_q(base62, derived62):
+    table = check_martingale(process_v(derived62), base62, derived62, DERIVED_Q,
                              [(0.5, 1.0), (1.0, 2.0)], n=60_000, seed=SEED)
     assert table.verdict == "pass"
     assert len(table.cells) == 16
@@ -172,7 +212,7 @@ def functional_log(monkeypatch):
 @pytest.mark.parametrize("process", ["v", "density"])
 def test_martingale_computes_each_functional_once_per_batch(
         base62, derived62, change62, functional_log, process):
-    spec = process_v(change62) if process == "v" else process_density(change62)
+    spec = process_v(derived62) if process == "v" else process_density(change62)
     table = check_martingale(spec, base62, derived62, DERIVED_Q,
                              [(0.5, 1.0), (1.0, 2.0)], n=3000, seed=SEED)
     assert len(table.cells) == 16  # the default 8 events, two pairs
@@ -190,10 +230,34 @@ def test_martingale_computes_each_functional_once_per_batch(
     assert main == expected
 
 
-def test_event_anchor_validation(base62, derived62, change62):
-    from cmpplab.verify import count_at_most
+def test_repeated_events_are_separate_cells(base62, derived62):
+    ev = count_at_most(0.5, 1)
+    kw = dict(n=4000, seed=3)
+    once = check_martingale(process_v(derived62), base62, derived62, DERIVED_Q,
+                            [(0.5, 1.0)], events=[ev], **kw)
+    twice = check_martingale(process_v(derived62), base62, derived62, DERIVED_Q,
+                             [(0.5, 1.0)], events=[ev, ev], **kw)
+    assert len(twice.cells) == 2
+    assert twice.cells[0] == twice.cells[1] == once.cells[0]
+    # a second cell tightens the Bonferroni threshold, nothing else
+    assert twice.z_threshold > once.z_threshold
+
+
+def test_default_family_keeps_eight_cells_when_descriptions_repeat():
+    # at this low intensity S_0.5 is 0 on most paths, so both aggregate
+    # events read S_0.5<=0
+    base = BaseModel(Exponential(0.2), Gamma(200.0, 2.0))
+    derived = derive_q_model(validate_change(base, identity_change()))
+    events = default_event_family(0.5, base, derived, DERIVED_Q, SEED)
+    assert events[3].describe() == events[4].describe() == "S_0.5<=0"
+    table = check_martingale(process_v(derived), base, derived, DERIVED_Q,
+                             [(0.5, 1.0)], n=2000, seed=SEED)
+    assert [c.event for c in table.cells] == [ev.describe() for ev in events]
+
+
+def test_event_anchor_validation(base62, derived62):
     with pytest.raises(ValueError):
-        check_martingale(process_v(change62), base62, derived62, DERIVED_Q,
+        check_martingale(process_v(derived62), base62, derived62, DERIVED_Q,
                          [(0.5, 1.0)], events=[count_at_most(0.8, 1)],
                          n=1000, seed=SEED)
 
@@ -204,13 +268,13 @@ def test_event_anchor_validation(base62, derived62, change62):
 def test_degenerate_mixing_centered_aggregate_is_martingale():
     base = BaseModel(Exponential(0.2), Degenerate(1.0))
     change = measure_change(alpha="ln(theta)", gamma="ln(x/5)", xi="1")
-    validate_change(base, change, level=2)
-    res = degeneracy_test(base, change, n=200_000, seed=SEED)
+    res = degeneracy_test(derive_q_model(validate_change(base, change, level=2)),
+                          n=200_000, seed=SEED)
     assert res.is_martingale
 
 
-def test_nondegenerate_mixing_violation_with_oracle(base62, change62):
-    res = degeneracy_test(base62, change62, n=400_000, seed=SEED)
+def test_nondegenerate_mixing_violation_with_oracle(derived62):
+    res = degeneracy_test(derived62, n=400_000, seed=SEED)
     assert not res.is_martingale
     assert abs(res.witness_z) >= 5.0
     # estimate agrees with the quadrature covariance oracle
@@ -233,9 +297,8 @@ def test_degeneracy_whole_space_centered(base62, change62, derived62):
 # singularity probe
 
 def test_identity_change_probe_is_zero(base62):
-    validate_change(base62, identity_change(), level=2)
-    rows = singularity_probe(base62, identity_change(), horizons=[2.0, 5.0],
-                             n=500, seed=SEED)
+    derived = derive_q_model(validate_change(base62, identity_change(), level=2))
+    rows = singularity_probe(derived, horizons=[2.0, 5.0], n=500, seed=SEED)
     assert all(r.mean_log_density == 0.0 for r in rows)
     assert all(r.frac_below == 0.0 and r.frac_above == 0.0 for r in rows)
 
@@ -243,8 +306,8 @@ def test_identity_change_probe_is_zero(base62):
 def test_expected_value_drifts(base62):
     c = math.log(2.0)
     change = expected_value_change(c)
-    validate_change(base62, change, level=2)
-    rows = singularity_probe(base62, change, horizons=[10.0, 50.0], n=4000,
+    derived = derive_q_model(validate_change(base62, change, level=2))
+    rows = singularity_probe(derived, horizons=[10.0, 50.0], n=4000,
                              seed=SEED, theta_fixed=1.0)
     by = {(r.horizon, r.side): r for r in rows}
     for T in (10.0, 50.0):
@@ -271,8 +334,7 @@ def test_drift_sign_battery(base62):
                        xi="(27/8)*theta^2*exp(-theta)"),
     ]
     for change in changes:
-        validate_change(base62, change, level=1)
-        derived = derive_q_model(base62, change)
+        derived = derive_q_model(validate_change(base62, change, level=1))
         alpha = change.alpha(theta)
         eg_p = expectation(base62.claim_law, change.gamma)
         drift = theta * alpha + theta * eg_p - theta * math.expm1(alpha)
@@ -283,6 +345,6 @@ def test_drift_sign_battery(base62):
 
 
 def test_probe_requires_validation(base62):
-    with pytest.raises(Exception):
-        singularity_probe(base62, measure_change(xi="theta^2"),
+    with pytest.raises(NotValidated):
+        singularity_probe(derive_q_model(validate_change(base62, measure_change(xi="theta^2"))),
                           horizons=[1.0], n=500, seed=SEED)
