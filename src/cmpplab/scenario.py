@@ -57,9 +57,9 @@ from .premium import (PremiumQuote, esscher_change, expected_value_change,
                       premium_density)
 from .quadrature import DivergentIntegral
 from .sim import BASE_P, DERIVED_Q, SimulationError
-from .verify import (check_martingale, check_reweighting, degeneracy_test,
-                     f_aggregate, f_count, f_count_eq, f_one, mc_estimate,
-                     process_v, singularity_probe)
+from .verify import (Plan, f_aggregate, f_count, f_count_eq, f_one, plan_degeneracy,
+                     plan_martingale, plan_mc_estimate, plan_reweighting,
+                     plan_singularity, process_v, run_streams)
 
 JOB_NAMES = ("simulate", "validate", "derive-q", "verify-reweighting",
              "verify-martingale", "degeneracy", "singularity", "premium")
@@ -351,7 +351,8 @@ def resolve_scenario(name_or_path: str, params: Optional[Dict[str, float]] = Non
 
 # ---------------------------------------------------------------------------
 # job runners; those in _JOB_RUNNERS take the run's derived model and its
-# premium quote, computed on first use
+# premium quote, computed on first use, and return the job's plan: the
+# consumers of the streams it reads, and its rows once they are fed
 
 QuoteFn = Callable[[], PremiumQuote]
 
@@ -382,18 +383,23 @@ def _job_validate(scn: Scenario, rep: AdmissibilityReport) -> List[Row]:
     return rows
 
 
-def _job_derive_q(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> List[Row]:
+def _rows_now(rows: List[Row]) -> Plan:
+    """The plan of a job that reads no stream."""
+    return Plan([], lambda: rows)
+
+
+def _job_derive_q(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Plan:
     mk = lambda **kw: _annotate(scn, Row(scenario=scn.name, job="derive-q",
                                          seed=scn.seed, **kw))
-    return [
+    return _rows_now([
         mk(quantity="g", detail=str(derived.g)),
         mk(quantity="q_claim", detail=derived.q_claim.literal()),
         mk(quantity="q_mixing", detail=derived.q_mixing.literal()),
         mk(quantity="E_Q[X_1]", estimate=derived.q_claim.moment(1)),
-    ]
+    ])
 
 
-def _job_premium(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> List[Row]:
+def _job_premium(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Plan:
     quote = quote()
     e_g = expectation(derived.q_mixing, derived.g)
     # independent recomputation of p(Q), quadrature on both factors
@@ -405,7 +411,7 @@ def _job_premium(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> List[R
     p_q = quote.per_theta_derived(med)
     mk = lambda **kw: _annotate(scn, Row(scenario=scn.name, job="premium",
                                          seed=scn.seed, **kw))
-    return [
+    return _rows_now([
         mk(quantity="p(P)", estimate=quote.p_base),
         mk(quantity="p(Q)", estimate=quote.p_derived, oracle=pq_oracle,
            verdict="pass" if pq_ok else "fail",
@@ -420,93 +426,119 @@ def _job_premium(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> List[R
         mk(quantity=f"cond14@theta={med:.6g}", estimate=p_q - p_p,
            verdict="pass" if (math.isfinite(p_q) and p_p < p_q) else "fail",
            detail=f"p(P_theta)={p_p:.6g}, p(Q_theta)={p_q:.6g}"),
-    ]
+    ])
 
 
-def _job_simulate(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> List[Row]:
+def _job_simulate(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Plan:
     t = scn.horizon
     e_x = scn.base.claim_law.moment(1)
     e_rate = expectation(scn.base.mixing_law, scn.base.rate_fn)
     mk = lambda **kw: _annotate(scn, Row(scenario=scn.name, job="simulate",
                                          seed=scn.seed, **kw))
-    reps = mc_estimate([f_aggregate(), f_count()], scn.base, derived, BASE_P, t,
-                       scn.paths, scn.seed, oracle=[t * e_rate * e_x, t * e_rate])
-    reps.append(mc_estimate(f_aggregate(), scn.base, derived, DERIVED_Q, t,
-                            scn.paths, scn.seed, oracle=t * quote().p_derived))
-    return [mk(quantity=q, estimate=rep.estimate, stderr=rep.stderr,
-               oracle=rep.oracle, verdict=rep.verdict)
-            for q, rep in zip((f"E_P[S_{t:g}]", f"E_P[N_{t:g}]", f"E_Q[S_{t:g}]"), reps)]
+    p = plan_mc_estimate([f_aggregate(), f_count()], BASE_P, t, scn.paths, scn.seed,
+                         oracle=[t * e_rate * e_x, t * e_rate])
+    # reads the verify-martingale job's stream when both run
+    q = plan_mc_estimate(f_aggregate(), DERIVED_Q, t, scn.paths, scn.seed)
+
+    def rows() -> List[Row]:
+        reps = p.finish()
+        oracle = t * quote().p_derived
+        reps.append(q.finish().against(oracle))
+        return [mk(quantity=name, estimate=rep.estimate, stderr=rep.stderr,
+                   oracle=rep.oracle, verdict=rep.verdict)
+                for name, rep in zip((f"E_P[S_{t:g}]", f"E_P[N_{t:g}]", f"E_Q[S_{t:g}]"),
+                                     reps)]
+
+    return Plan(p.consumers + q.consumers, rows)
 
 
-def _job_reweighting(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> List[Row]:
+def _job_reweighting(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Plan:
     t = scn.horizon / 2.0
     battery = [f_one(), f_count(), f_aggregate(), f_count_eq(0)]
     mk = lambda **kw: _annotate(scn, Row(scenario=scn.name, job="verify-reweighting",
                                          seed=scn.seed, **kw))
-    results = check_reweighting(battery, derived, t=t, n=scn.paths, seed=scn.seed,
-                                horizon=t)
-    return [mk(quantity=f"gap[{f.name}]@t={t:g}", estimate=res.difference,
-               stderr=res.pooled_stderr, oracle=0.0, verdict=res.verdict,
-               detail=(f"direct={res.direct.estimate:.6g}+-{res.direct.stderr:.3g}, "
-                       f"weighted={res.weighted.estimate:.6g}+-{res.weighted.stderr:.3g}"))
-            for f, res in zip(battery, results)]
+    plan = plan_reweighting(battery, derived, t=t, n=scn.paths, seed=scn.seed, horizon=t)
+
+    def rows() -> List[Row]:
+        return [mk(quantity=f"gap[{f.name}]@t={t:g}", estimate=res.difference,
+                   stderr=res.pooled_stderr, oracle=0.0, verdict=res.verdict,
+                   detail=(f"direct={res.direct.estimate:.6g}+-{res.direct.stderr:.3g}, "
+                           f"weighted={res.weighted.estimate:.6g}+-{res.weighted.stderr:.3g}"))
+                for f, res in zip(battery, plan.finish())]
+
+    return Plan(plan.consumers, rows)
 
 
-def _job_martingale(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> List[Row]:
+def _job_martingale(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Plan:
     h = scn.horizon
     pairs = [(h / 4.0, h / 2.0), (h / 2.0, h)]
-    table = check_martingale(process_v(derived), scn.base, derived, DERIVED_Q,
-                             pairs, n=scn.paths, seed=scn.seed)
+    plan = plan_martingale(process_v(derived), scn.base, derived, DERIVED_Q,
+                           pairs, n=scn.paths, seed=scn.seed)
     mk = lambda **kw: _annotate(scn, Row(scenario=scn.name, job="verify-martingale",
                                          seed=scn.seed, **kw))
-    rows = [mk(quantity=f"V[{c.s:g}->{c.t:g}]@{c.event}", estimate=c.estimate,
-               stderr=c.stderr, oracle=0.0,
-               verdict="pass" if c.cell_pass else "fail", detail=f"z={c.z:.2f}")
-            for c in table.cells]
-    rows.append(mk(quantity="V martingale (family verdict)",
-                   estimate=max(abs(c.z) for c in table.cells),
-                   oracle=table.z_threshold, verdict=table.verdict,
-                   detail=f"{len(table.cells)} cells, Bonferroni level "
-                          f"{table.family_level:g}"))
-    return rows
+
+    def rows() -> List[Row]:
+        table = plan.finish()
+        out = [mk(quantity=f"V[{c.s:g}->{c.t:g}]@{c.event}", estimate=c.estimate,
+                  stderr=c.stderr, oracle=0.0,
+                  verdict="pass" if c.cell_pass else "fail", detail=f"z={c.z:.2f}")
+               for c in table.cells]
+        out.append(mk(quantity="V martingale (family verdict)",
+                      estimate=max(abs(c.z) for c in table.cells),
+                      oracle=table.z_threshold, verdict=table.verdict,
+                      detail=f"{len(table.cells)} cells, Bonferroni level "
+                             f"{table.family_level:g}"))
+        return out
+
+    return Plan(plan.consumers, rows)
 
 
-def _job_degeneracy(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> List[Row]:
-    res = degeneracy_test(derived, n=scn.paths, seed=scn.seed)
-    grid = scn.base.mixing_law.interior_grid(16)
-    gvals = np.array([derived.g(t) for t in grid])
-    predicted_degenerate = bool(np.allclose(gvals, gvals[0], rtol=1e-12, atol=0.0))
-    agrees = res.is_martingale == predicted_degenerate
-    return [_annotate(scn, Row(
-        scenario=scn.name, job="degeneracy", seed=scn.seed,
-        quantity="centered-aggregate martingale dichotomy",
-        estimate=res.witness_estimate, stderr=res.witness_stderr,
-        oracle=res.witness_oracle,
-        verdict="pass" if agrees else "fail",
-        detail=f"g(Theta) degenerate={predicted_degenerate}; {res.describe()}"))]
+def _job_degeneracy(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Plan:
+    plan = plan_degeneracy(derived, n=scn.paths, seed=scn.seed)
+
+    def rows() -> List[Row]:
+        res = plan.finish()
+        grid = scn.base.mixing_law.interior_grid(16)
+        gvals = np.array([derived.g(t) for t in grid])
+        predicted_degenerate = bool(np.allclose(gvals, gvals[0], rtol=1e-12, atol=0.0))
+        agrees = res.is_martingale == predicted_degenerate
+        return [_annotate(scn, Row(
+            scenario=scn.name, job="degeneracy", seed=scn.seed,
+            quantity="centered-aggregate martingale dichotomy",
+            estimate=res.witness_estimate, stderr=res.witness_stderr,
+            oracle=res.witness_oracle,
+            verdict="pass" if agrees else "fail",
+            detail=f"g(Theta) degenerate={predicted_degenerate}; {res.describe()}"))]
+
+    return Plan(plan.consumers, rows)
 
 
-def _job_singularity(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> List[Row]:
+def _job_singularity(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Plan:
     horizons = [scn.horizon * 5, scn.horizon * 25]
     theta = float(scn.base.mixing_law.quantile(0.5))
     n = max(1000, scn.paths // 25)
-    rows_out = []
+    plan = plan_singularity(derived, horizons=horizons, n=n, seed=scn.seed,
+                            theta_fixed=theta)
     mk = lambda **kw: _annotate(scn, Row(scenario=scn.name, job="singularity",
                                          seed=scn.seed, **kw))
-    for r in singularity_probe(derived, horizons=horizons, n=n, seed=scn.seed,
-                               theta_fixed=theta):
-        verdict = "info"
-        if r.drift_oracle is not None:
-            verdict = "pass" if abs(r.drift - r.drift_oracle) <= 3.0 * r.drift_stderr \
-                else "fail"
-        rows_out.append(mk(
-            quantity=f"log-density drift T={r.horizon:g} under {r.side}",
-            estimate=r.drift, stderr=r.drift_stderr, oracle=r.drift_oracle,
-            verdict=verdict,
-            detail=(f"theta={theta:.6g}, q10={r.q10:.4g}, q50={r.q50:.4g}, "
-                    f"q90={r.q90:.4g}, frac<-5={r.frac_below:.4f}, "
-                    f"frac>+5={r.frac_above:.4f}")))
-    return rows_out
+
+    def rows() -> List[Row]:
+        rows_out = []
+        for r in plan.finish():
+            verdict = "info"
+            if r.drift_oracle is not None:
+                verdict = "pass" if abs(r.drift - r.drift_oracle) <= 3.0 * r.drift_stderr \
+                    else "fail"
+            rows_out.append(mk(
+                quantity=f"log-density drift T={r.horizon:g} under {r.side}",
+                estimate=r.drift, stderr=r.drift_stderr, oracle=r.drift_oracle,
+                verdict=verdict,
+                detail=(f"theta={theta:.6g}, q10={r.q10:.4g}, q50={r.q50:.4g}, "
+                        f"q90={r.q90:.4g}, frac<-5={r.frac_below:.4f}, "
+                        f"frac>+5={r.frac_above:.4f}")))
+        return rows_out
+
+    return Plan(plan.consumers, rows)
 
 
 _JOB_RUNNERS = {
@@ -625,20 +657,32 @@ def run_scenario(name_or_path: str, overrides: Optional[dict] = None,
             # cached, so each job that needs the quote reports it
             return premium_density(scn.base, derived)
 
+        def error_row(job: str, e: Exception) -> Row:
+            return Row(scenario=scn.name, job=job, seed=scn.seed, quantity="error",
+                       verdict="fail", detail=f"{type(e).__name__}: {e}")
+
+        # plan every job, then simulate each distinct stream once for all of
+        # them, then build the rows in job order; an error turns only its own
+        # job into an error row
+        plans: List[Tuple[str, Plan]] = []
         for job in scn.jobs:
             if job == "validate":
                 continue  # always ran first
             if derived is None:
-                rows.append(Row(scenario=scn.name, job=job, seed=scn.seed,
-                                quantity="skipped", verdict="fail",
-                                detail=skipped))
+                plans.append((job, _rows_now([Row(scenario=scn.name, job=job, seed=scn.seed,
+                                                  quantity="skipped", verdict="fail",
+                                                  detail=skipped)])))
                 continue
             try:
-                rows += _JOB_RUNNERS[job](scn, derived, quote)
+                plans.append((job, _JOB_RUNNERS[job](scn, derived, quote)))
             except JOB_ERRORS as e:
-                rows.append(Row(scenario=scn.name, job=job, seed=scn.seed,
-                                quantity="error", verdict="fail",
-                                detail=f"{type(e).__name__}: {e}"))
+                plans.append((job, _rows_now([error_row(job, e)])))
+        run_streams(scn.base, derived, [c for _, plan in plans for c in plan.consumers])
+        for job, plan in plans:
+            try:
+                rows += plan.finish()
+            except JOB_ERRORS as e:
+                rows.append(error_row(job, e))
     except ScenarioError as e:
         print(f"error: {e}", file=stderr)
         return 2

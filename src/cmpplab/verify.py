@@ -16,13 +16,21 @@ independent.
 
 Every estimator streams its samples through one ``Moments`` accumulator per
 cell; standard errors come from the sample variance (n - 1 denominator).
+
+Each estimator has a ``plan_*`` form: the ``Consumer`` of every stream it
+reads (a request ``(measure, horizon, seed, n, family)``, an ``add`` per
+chunk and a ``result``) and a ``finish`` that builds the estimate.
+``run_streams`` simulates each distinct request once and feeds every
+consumer of it, so estimators that read one stream share one pass.  The
+entry points (``mc_estimate``, ``check_reweighting``, ...) plan, run the
+streams and finish; a scenario run plans all of its jobs first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import special as sp
@@ -99,7 +107,15 @@ class MCReport:
     @staticmethod
     def from_moments(quantity: str, acc: Moments,
                      oracle: Optional[float] = None) -> "MCReport":
-        n, est, se = acc.n, acc.mean, acc.stderr
+        return MCReport._judged(quantity, acc.mean, acc.stderr, acc.n, oracle)
+
+    def against(self, oracle: float) -> "MCReport":
+        """The same estimate, judged against ``oracle``."""
+        return MCReport._judged(self.quantity, self.estimate, self.stderr, self.n, oracle)
+
+    @staticmethod
+    def _judged(quantity: str, est: float, se: float, n: int,
+                oracle: Optional[float]) -> "MCReport":
         if oracle is None:
             verdict = "inconclusive"
         elif abs(est - oracle) <= 3.0 * se:
@@ -283,7 +299,40 @@ def _process_values(spec: ProcessSpec, batch: PathBatch, t: float,
 
 
 # ---------------------------------------------------------------------------
-# estimators
+# streams and their consumers
+
+# (measure, horizon, seed, n, family): one stream of paths, simulated in chunks
+Request = Tuple[MeasureTag, float, int, int, int]
+
+
+class Consumer:
+    """One estimator's reader of one stream.
+
+    ``request`` names the stream, ``add(batch)`` takes its chunks in order,
+    and ``result()`` returns ``state``, the accumulators ``add`` fills, or
+    raises the error that stopped the consumer (its own or its stream's).
+    """
+
+    def __init__(self, request: Request, add: Callable[[PathBatch], None], state):
+        self.request = request
+        self.add = add
+        self.state = state
+        self.error: Optional[Exception] = None
+
+    def result(self):
+        if self.error is not None:
+            raise self.error
+        return self.state
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A planned estimator: the consumers to feed, and ``finish``, which
+    builds the estimate from their results once ``run_streams`` fed them."""
+
+    consumers: List[Consumer]
+    finish: Callable[[], Any]
+
 
 def _simulate_chunked(base, derived, under, horizon, seed, n, family=FAM_DEFAULT):
     done = 0
@@ -294,21 +343,92 @@ def _simulate_chunked(base, derived, under, horizon, seed, n, family=FAM_DEFAULT
         done += m
 
 
-def _battery_reports(f, oracle, batches, t, label="", change=None, include_xi=True):
-    """(reports, single) for a functional or a battery (list or tuple, ``oracle``
-    a sequence or None) in one pass over the batches, which are freed on return;
-    samples are weighted by the likelihood ratio, once per batch, if ``change`` is set."""
+def run_streams(base: BaseModel, derived: Optional[DerivedModel],
+                consumers: Sequence[Consumer]) -> None:
+    """Simulate each distinct request of the consumers once, in first-request
+    order, and give every chunk to each consumer of its stream.
+
+    No chunk outlives its turn.  A consumer whose ``add`` raises keeps the
+    error and is fed no more; an error of the simulation goes to every
+    consumer of that stream still being fed.  Either way ``result`` raises it.
+    """
+    streams: Dict[Request, List[Consumer]] = {}
+    for c in consumers:
+        streams.setdefault(c.request, []).append(c)
+    for (under, horizon, seed, n, family), live in streams.items():
+        try:
+            for b in _simulate_chunked(base, derived, under, horizon, seed, n, family):
+                for c in live:
+                    try:
+                        c.add(b)
+                    except Exception as e:  # raised again by c.result()
+                        c.error = _kept(e)
+                live = [c for c in live if c.error is None]
+                del b
+                if not live:
+                    break
+        except Exception as e:
+            for c in live:
+                c.error = _kept(e)
+
+
+def _kept(e: Exception) -> Exception:
+    """e with the locals of its traceback's finished frames dropped, so that
+    a kept error holds no chunk."""
+    import traceback
+    traceback.clear_frames(e.__traceback__)
+    return e
+
+
+def _run(base: BaseModel, derived: Optional[DerivedModel], plan: Plan):
+    run_streams(base, derived, plan.consumers)
+    return plan.finish()
+
+
+# ---------------------------------------------------------------------------
+# estimators
+
+def _battery(f, oracle):
+    """(functionals, oracles, single) of a functional or a battery (list or
+    tuple, ``oracle`` a sequence or None)."""
     single = not isinstance(f, (list, tuple))
     fs, oracles = ([f], [oracle]) if single else (list(f), list(oracle or [None] * len(f)))
+    if len(oracles) != len(fs):
+        raise ValueError(f"{len(fs)} functionals but {len(oracles)} oracles")
     fs = [g if isinstance(g, PathFunctional) else from_callable(getattr(g, "__name__", "f"), g)
           for g in fs]
+    return fs, oracles, single
+
+
+def _battery_consumer(request: Request, fs, t, change=None, include_xi=True) -> Consumer:
+    """One Moments per functional; samples are weighted by the likelihood
+    ratio, once per batch, if ``change`` is set."""
     accs = [Moments() for _ in fs]
-    for b in batches:
+
+    def add(b):
         w = 1.0 if change is None else np.exp(log_density_batch(b, t, change, include_xi))
         for acc, g in zip(accs, fs):
             acc.add(g.eval_batch(b, t) * w)
-    return [MCReport.from_moments(g.name + label, acc, o)
-            for g, acc, o in zip(fs, accs, oracles, strict=True)], single
+
+    return Consumer(request, add, accs)
+
+
+def plan_mc_estimate(f, under: MeasureTag, t: float, n: int, seed: int,
+                     horizon: Optional[float] = None, oracle=None,
+                     family: int = FAM_DEFAULT) -> Plan:
+    """The plan of ``mc_estimate``."""
+    if n < 100:
+        raise ValueError("n must be at least 100")
+    horizon = t if horizon is None else horizon
+    fs, oracles, single = _battery(f, oracle)
+    c = _battery_consumer((under, horizon, seed, n, family), fs, t)
+
+    def finish():
+        reps = [MCReport.from_moments(g.name, acc, o)
+                for g, acc, o in zip(fs, c.result(), oracles)]
+        return reps[0] if single else reps
+
+    return Plan([c], finish)
 
 
 def mc_estimate(f, base: BaseModel, derived: Optional[DerivedModel], under: MeasureTag,
@@ -316,12 +436,7 @@ def mc_estimate(f, base: BaseModel, derived: Optional[DerivedModel], under: Meas
                 oracle=None, family: int = FAM_DEFAULT) -> Union[MCReport, List[MCReport]]:
     """Sample mean and stderr of a path functional at time t over n paths; a
     battery (list or tuple, ``oracle`` a sequence or None) shares one simulation."""
-    if n < 100:
-        raise ValueError("n must be at least 100")
-    horizon = t if horizon is None else horizon
-    reps, single = _battery_reports(
-        f, oracle, _simulate_chunked(base, derived, under, horizon, seed, n, family), t)
-    return reps[0] if single else reps
+    return _run(base, derived, plan_mc_estimate(f, under, t, n, seed, horizon, oracle, family))
 
 
 @dataclass(frozen=True)
@@ -336,6 +451,34 @@ class ReweightingResult:
         return self.verdict == "pass"
 
 
+def plan_reweighting(f, derived: DerivedModel, *, t: float, n: int, seed: int,
+                     under_conditional: Optional[float] = None,
+                     horizon: Optional[float] = None, oracle=None) -> Plan:
+    """The plan of ``check_reweighting``: one consumer per side."""
+    horizon = t if horizon is None else horizon
+    theta = under_conditional
+    tag_q = DERIVED_Q if theta is None else conditional_q(theta)
+    tag_p = BASE_P if theta is None else conditional_p(theta)
+    fs, oracles, single = _battery(f, oracle)
+    direct = _battery_consumer((tag_q, horizon, seed, n, FAM_DIRECT), fs, t)
+    weighted = _battery_consumer((tag_p, horizon, seed, n, FAM_WEIGHTED), fs, t,
+                                 derived.change, include_xi=theta is None)
+
+    def finish():
+        results = []
+        for g, o, d_acc, w_acc in zip(fs, oracles, direct.result(), weighted.result()):
+            d = MCReport.from_moments(f"{g.name} direct@{tag_q}", d_acc, o)
+            w = MCReport.from_moments(f"{g.name} weighted@{tag_p}", w_acc, o)
+            diff = d.estimate - w.estimate
+            pooled = math.hypot(d.stderr, w.stderr)
+            verdict = "pass" if abs(diff) <= 3.0 * pooled else "fail"
+            results.append(ReweightingResult(direct=d, weighted=w, difference=diff,
+                                             pooled_stderr=pooled, verdict=verdict))
+        return results[0] if single else results
+
+    return Plan([direct, weighted], finish)
+
+
 def check_reweighting(f, derived: DerivedModel, *, t: float, n: int, seed: int,
                       under_conditional: Optional[float] = None, horizon: Optional[float] = None,
                       oracle=None) -> Union[ReweightingResult, List[ReweightingResult]]:
@@ -348,25 +491,9 @@ def check_reweighting(f, derived: DerivedModel, *, t: float, n: int, seed: int,
     (weights then exclude xi).  The sides run in disjoint stream families;
     the verdict is pass iff they agree within 3 pooled standard errors.
     """
-    horizon = t if horizon is None else horizon
-    theta = under_conditional
-    tag_q = DERIVED_Q if theta is None else conditional_q(theta)
-    tag_p = BASE_P if theta is None else conditional_p(theta)
-
-    direct, single = _battery_reports(
-        f, oracle, _simulate_chunked(derived.base, derived, tag_q, horizon, seed, n, FAM_DIRECT),
-        t, f" direct@{tag_q}")
-    weighted, _ = _battery_reports(
-        f, oracle, _simulate_chunked(derived.base, None, tag_p, horizon, seed, n, FAM_WEIGHTED),
-        t, f" weighted@{tag_p}", derived.change, include_xi=theta is None)
-    results = []
-    for d, w in zip(direct, weighted):
-        diff = d.estimate - w.estimate
-        pooled = math.hypot(d.stderr, w.stderr)
-        verdict = "pass" if abs(diff) <= 3.0 * pooled else "fail"
-        results.append(ReweightingResult(direct=d, weighted=w, difference=diff,
-                                         pooled_stderr=pooled, verdict=verdict))
-    return results[0] if single else results
+    return _run(derived.base, derived, plan_reweighting(
+        f, derived, t=t, n=n, seed=seed, under_conditional=under_conditional,
+        horizon=horizon, oracle=oracle))
 
 
 # ---------------------------------------------------------------------------
@@ -397,19 +524,15 @@ class MartingaleTable:
         return self.verdict == "pass"
 
 
-def check_martingale(process: ProcessSpec, base: BaseModel,
-                     derived: Optional[DerivedModel], under: MeasureTag,
-                     pairs: Sequence[Tuple[float, float]],
-                     events: Optional[Sequence[EventSpec]] = None,
-                     n: int = 100_000, seed: int = 0,
-                     family_level: float = 0.01,
-                     cell_oracle: Optional[Callable[[float, float, EventSpec], float]] = None,
-                     ) -> MartingaleTable:
-    """Integral-form martingale test: E[ind_A (Z_t - Z_s)] = 0 per cell.
-
-    Each cell passes at 3 stderr; the table verdict applies a Bonferroni
-    correction at the family level across all cells.
-    """
+def plan_martingale(process: ProcessSpec, base: BaseModel,
+                    derived: Optional[DerivedModel], under: MeasureTag,
+                    pairs: Sequence[Tuple[float, float]],
+                    events: Optional[Sequence[EventSpec]] = None,
+                    n: int = 100_000, seed: int = 0,
+                    family_level: float = 0.01,
+                    cell_oracle: Optional[Callable[[float, float, EventSpec], float]] = None,
+                    ) -> Plan:
+    """The plan of ``check_martingale``; the default events' pilot runs here."""
     for s, t in pairs:
         if not 0.0 <= s < t:
             raise ValueError(f"need 0 <= s < t, got ({s}, {t})")
@@ -427,7 +550,8 @@ def check_martingale(process: ProcessSpec, base: BaseModel,
     # one accumulator per (pair, event) position, so repeated events or
     # pairs are separate cells
     accs = [[Moments() for _ in events] for _ in pairs]
-    for b in _simulate_chunked(base, derived, under, horizon, seed, n):
+
+    def add(b):
         # each process value once per distinct time, each indicator once
         value = {u: _process_values(process, b, u, base, under) for u in times}
         indicators = [ev.indicator(b) for ev in events]
@@ -436,22 +560,44 @@ def check_martingale(process: ProcessSpec, base: BaseModel,
             for acc, ind in zip(row, indicators):
                 acc.add(np.where(ind, inc, 0.0))
 
-    cells = []
-    for (s, t), row in zip(pairs, accs):
-        for ev, acc in zip(events, row):
-            est, se = acc.mean, acc.stderr
-            z = 0.0 if se == 0.0 else est / se
-            cell_pass = abs(est) <= 3.0 * se if se > 0.0 else est == 0.0
-            oracle = None if cell_oracle is None else cell_oracle(s, t, ev)
-            cells.append(MartingaleCell(s=s, t=t, event=ev.describe(), estimate=est,
-                                        stderr=se, z=z, cell_pass=cell_pass, oracle=oracle))
-    ncells = len(cells)
-    z_crit = float(sp.ndtri(1.0 - (family_level / ncells) / 2.0))
-    worst = max((abs(c.z) for c in cells), default=0.0)
-    verdict = "pass" if worst <= z_crit else "fail"
-    return MartingaleTable(process=process.describe(), under=str(under),
-                           cells=tuple(cells), family_level=family_level,
-                           z_threshold=z_crit, verdict=verdict)
+    c = Consumer((under, horizon, seed, n, FAM_DEFAULT), add, accs)
+
+    def finish() -> MartingaleTable:
+        cells = []
+        for (s, t), row in zip(pairs, c.result()):
+            for ev, acc in zip(events, row):
+                est, se = acc.mean, acc.stderr
+                z = 0.0 if se == 0.0 else est / se
+                cell_pass = abs(est) <= 3.0 * se if se > 0.0 else est == 0.0
+                oracle = None if cell_oracle is None else cell_oracle(s, t, ev)
+                cells.append(MartingaleCell(s=s, t=t, event=ev.describe(), estimate=est,
+                                            stderr=se, z=z, cell_pass=cell_pass,
+                                            oracle=oracle))
+        z_crit = float(sp.ndtri(1.0 - (family_level / len(cells)) / 2.0))
+        worst = max((abs(cell.z) for cell in cells), default=0.0)
+        return MartingaleTable(process=process.describe(), under=str(under),
+                               cells=tuple(cells), family_level=family_level,
+                               z_threshold=z_crit,
+                               verdict="pass" if worst <= z_crit else "fail")
+
+    return Plan([c], finish)
+
+
+def check_martingale(process: ProcessSpec, base: BaseModel,
+                     derived: Optional[DerivedModel], under: MeasureTag,
+                     pairs: Sequence[Tuple[float, float]],
+                     events: Optional[Sequence[EventSpec]] = None,
+                     n: int = 100_000, seed: int = 0,
+                     family_level: float = 0.01,
+                     cell_oracle: Optional[Callable[[float, float, EventSpec], float]] = None,
+                     ) -> MartingaleTable:
+    """Integral-form martingale test: E[ind_A (Z_t - Z_s)] = 0 per cell.
+
+    Each cell passes at 3 stderr; the table verdict applies a Bonferroni
+    correction at the family level across all cells.
+    """
+    return _run(base, derived, plan_martingale(process, base, derived, under, pairs, events,
+                                               n, seed, family_level, cell_oracle))
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +622,44 @@ class DegeneracyResult:
                 f"z={self.witness_z:.1f})")
 
 
+def plan_degeneracy(derived: DerivedModel, *, n: int, seed: int,
+                    s: float = 0.5, t: float = 1.0) -> Plan:
+    """The plan of ``degeneracy_test``."""
+    g = derived.g
+    e_g = expectation(derived.q_mixing, g)
+    e_x = derived.q_claim.moment(1)
+    med = float(derived.q_mixing.quantile(0.5))
+    events = [theta_in(0.0, med), theta_in(med, math.inf)]
+    accs = [Moments() for _ in events]
+
+    def add(b):
+        v_s = b.aggregates_at(s) - s * e_g * e_x
+        v_t = b.aggregates_at(t) - t * e_g * e_x
+        inc = v_t - v_s
+        for ev, acc in zip(events, accs):
+            acc.add(np.where(ev.indicator(b), inc, 0.0))
+
+    c = Consumer((DERIVED_Q, t, seed, n, FAM_DEGENERACY), add, accs)
+
+    def finish() -> DegeneracyResult:
+        best = None
+        for ev, acc in zip(events, c.result()):
+            est, se = acc.mean, acc.stderr
+            z = 0.0 if se == 0.0 else est / se
+            q_a = clipped_expectation(derived.q_mixing, lambda x: 1.0, ev.bound, ev.hi)
+            e_ga = clipped_expectation(derived.q_mixing, g, ev.bound, ev.hi)
+            oracle = (t - s) * e_x * (e_ga - q_a * e_g)
+            if best is None or abs(z) > abs(best[0]):
+                best = (z, ev, est, se, oracle)
+        z, ev, est, se, oracle = best
+        return DegeneracyResult(is_martingale=abs(z) <= 3.0,
+                                witness_event=ev.describe(), witness_estimate=est,
+                                witness_stderr=se, witness_z=z, witness_oracle=oracle,
+                                s=s, t=t)
+
+    return Plan([c], finish)
+
+
 def degeneracy_test(derived: DerivedModel, *, n: int, seed: int,
                     s: float = 0.5, t: float = 1.0) -> DegeneracyResult:
     """Probe whether the unconditionally centered aggregate is a martingale
@@ -486,34 +670,7 @@ def degeneracy_test(derived: DerivedModel, *, n: int, seed: int,
     the quadrature covariance oracle
     (t-s) E_Q[X] (E_Q[ind_A g(Theta)] - Q(A) E_Q[g(Theta)]).
     """
-    g = derived.g
-    e_g = expectation(derived.q_mixing, g)
-    e_x = derived.q_claim.moment(1)
-    med = float(derived.q_mixing.quantile(0.5))
-    events = [theta_in(0.0, med), theta_in(med, math.inf)]
-
-    accs = [Moments() for _ in events]
-    for b in _simulate_chunked(derived.base, derived, DERIVED_Q, t, seed, n, FAM_DEGENERACY):
-        v_s = b.aggregates_at(s) - s * e_g * e_x
-        v_t = b.aggregates_at(t) - t * e_g * e_x
-        inc = v_t - v_s
-        for ev, acc in zip(events, accs):
-            acc.add(np.where(ev.indicator(b), inc, 0.0))
-
-    best = None
-    for ev, acc in zip(events, accs):
-        est, se = acc.mean, acc.stderr
-        z = 0.0 if se == 0.0 else est / se
-        q_a = clipped_expectation(derived.q_mixing, lambda x: 1.0, ev.bound, ev.hi)
-        e_ga = clipped_expectation(derived.q_mixing, g, ev.bound, ev.hi)
-        oracle = (t - s) * e_x * (e_ga - q_a * e_g)
-        if best is None or abs(z) > abs(best[0]):
-            best = (z, ev, est, se, oracle)
-    z, ev, est, se, oracle = best
-    return DegeneracyResult(is_martingale=abs(z) <= 3.0,
-                            witness_event=ev.describe(), witness_estimate=est,
-                            witness_stderr=se, witness_z=z, witness_oracle=oracle,
-                            s=s, t=t)
+    return _run(derived.base, derived, plan_degeneracy(derived, n=n, seed=seed, s=s, t=t))
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +716,47 @@ def _drift_oracle(base: BaseModel, change: MeasureChange, derived: DerivedModel,
     return drift + log_xi_mean / horizon
 
 
+def plan_singularity(derived: DerivedModel, *, horizons: Sequence[float], n: int,
+                     seed: int, theta_fixed: Optional[float] = None) -> Plan:
+    """The plan of ``singularity_probe``: one consumer per (horizon, side)."""
+    base, change = derived.base, derived.change
+    include_xi = theta_fixed is None
+    cells = []
+    for T in horizons:
+        for side in ("p", "q"):
+            if theta_fixed is None:
+                tag = BASE_P if side == "p" else DERIVED_Q
+            else:
+                tag = conditional_p(theta_fixed) if side == "p" else conditional_q(theta_fixed)
+            fam = FAM_SING_P if side == "p" else FAM_SING_Q
+            acc, parts = Moments(), []  # the parts for the quantiles
+
+            def add(b, T=T, acc=acc, parts=parts):
+                parts.append(log_density_batch(b, T, change, include_xi=include_xi))
+                acc.add(parts[-1])
+
+            cells.append((T, side, Consumer((tag, T, seed, n, fam), add, (acc, parts))))
+
+    def finish() -> List[DriftRow]:
+        rows = []
+        for T, side, c in cells:
+            acc, parts = c.result()
+            vals = np.concatenate(parts)
+            mean, se = acc.mean, acc.stderr
+            oracle = _drift_oracle(base, change, derived, side, theta_fixed, T)
+            rows.append(DriftRow(
+                horizon=T, side=side, mean_log_density=mean, stderr=se,
+                drift=mean / T, drift_stderr=se / T, drift_oracle=oracle,
+                q10=float(np.quantile(vals, 0.1)), q50=float(np.quantile(vals, 0.5)),
+                q90=float(np.quantile(vals, 0.9)),
+                frac_below=float(np.mean(vals < -5.0)),
+                frac_above=float(np.mean(vals > 5.0)),
+            ))
+        return rows
+
+    return Plan([c for _, _, c in cells], finish)
+
+
 def singularity_probe(derived: DerivedModel, *,
                       horizons: Sequence[float], n: int, seed: int,
                       theta_fixed: Optional[float] = None) -> List[DriftRow]:
@@ -571,29 +769,5 @@ def singularity_probe(derived: DerivedModel, *,
     finite-horizon table can only exhibit the trend, never certify the
     limit statement.
     """
-    base, change = derived.base, derived.change
-    include_xi = theta_fixed is None
-    rows = []
-    for T in horizons:
-        for side in ("p", "q"):
-            if theta_fixed is None:
-                tag = BASE_P if side == "p" else DERIVED_Q
-            else:
-                tag = conditional_p(theta_fixed) if side == "p" else conditional_q(theta_fixed)
-            fam = FAM_SING_P if side == "p" else FAM_SING_Q
-            acc, parts = Moments(), []
-            for b in _simulate_chunked(base, derived, tag, T, seed, n, fam):
-                parts.append(log_density_batch(b, T, change, include_xi=include_xi))
-                acc.add(parts[-1])
-            vals = np.concatenate(parts)  # for the quantiles
-            mean, se = acc.mean, acc.stderr
-            oracle = _drift_oracle(base, change, derived, side, theta_fixed, T)
-            rows.append(DriftRow(
-                horizon=T, side=side, mean_log_density=mean, stderr=se,
-                drift=mean / T, drift_stderr=se / T, drift_oracle=oracle,
-                q10=float(np.quantile(vals, 0.1)), q50=float(np.quantile(vals, 0.5)),
-                q90=float(np.quantile(vals, 0.9)),
-                frac_below=float(np.mean(vals < -5.0)),
-                frac_above=float(np.mean(vals > 5.0)),
-            ))
-    return rows
+    return _run(derived.base, derived, plan_singularity(
+        derived, horizons=horizons, n=n, seed=seed, theta_fixed=theta_fixed))

@@ -2,11 +2,15 @@
 
 A battery is evaluated on one pass over shared batches; it must give the
 same reports, bit for bit, as one call per functional.  A scenario run
-simulates each (measure, horizon, seed, family, n) stream of a job once,
-and validates and derives its model once.
+plans every job's stream requests first and simulates each distinct
+(measure, horizon, seed, family, n) stream once for all of its jobs; its
+rows equal the standalone entry points', and an error stays in its job.
+It validates and derives its model once.
 """
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +20,17 @@ import cmpplab.verify
 from cmpplab.dist import Exponential, Gamma
 from cmpplab.model import BaseModel, derive_q_model, measure_change, validate_change
 from cmpplab.scenario import run_scenario
-from cmpplab.sim import BASE_P, DERIVED_Q, simulate_batch
-from cmpplab.verify import (check_reweighting, f_aggregate, f_count, f_count_eq,
-                            f_one, mc_estimate)
+from cmpplab.expr import DomainError
+from cmpplab.scenario import BUILTIN_SCENARIOS, resolve_scenario
+from cmpplab.sim import BASE_P, DERIVED_Q, SimulationError, simulate_batch
+from cmpplab.verify import (FAM_DEFAULT, check_martingale, check_reweighting,
+                            degeneracy_test, f_aggregate, f_count, f_count_eq,
+                            f_one, mc_estimate, process_v, singularity_probe)
 
 SEED = 20190521
+WORKLOADS = Path(__file__).parent.parent / "benchmarks" / "workloads"
+SCENARIOS = sorted(BUILTIN_SCENARIOS) + [str(WORKLOADS / f"{w}.scn")
+                                         for w in ("long-horizon", "tilted-mixture")]
 
 
 @pytest.fixture(scope="module")
@@ -101,9 +111,9 @@ def test_run_simulates_each_stream_once(tmp_path, monkeypatch):
     counted(cmpplab.scenario, "validate_change")
     out = tmp_path / "r62.csv"
     assert run_scenario("example-6.2", {"paths": 1000, "output": str(out)}) in (0, 1)
-    # simulate 2, verify-reweighting 2, verify-martingale 2 (pilot + paths,
-    # the latter repeating simulate's Q stream), degeneracy 1
-    assert calls == {"simulate_batch": 7, "derive_q_model": 1, "validate_change": 1}
+    # simulate 2, verify-reweighting 2, verify-martingale 1 (its pilot; its
+    # paths are simulate's Q stream, simulated once for both), degeneracy 1
+    assert calls == {"simulate_batch": 6, "derive_q_model": 1, "validate_change": 1}
 
 
 def test_run_computes_premium_quote_once(tmp_path, monkeypatch):
@@ -123,3 +133,112 @@ def test_run_computes_premium_quote_once(tmp_path, monkeypatch):
     assert run_scenario(str(scn), {"output": str(tmp_path / "q.csv")}) in (0, 1)
     # the premium and simulate jobs share the run's quote
     assert len(calls) == 1
+
+
+def record_batches(monkeypatch):
+    """Every simulate_batch call of the verify layer, as (under, horizon, seed,
+    n, family, start_index)."""
+    seen = []
+    orig = cmpplab.verify.simulate_batch
+
+    def wrapper(base, derived, under, horizon, seed, n, start_index=0, family=0):
+        seen.append((under, horizon, seed, n, family, start_index))
+        return orig(base, derived, under, horizon, seed, n, start_index, family)
+
+    monkeypatch.setattr(cmpplab.verify, "simulate_batch", wrapper)
+    return seen
+
+
+def run_rows(tmp_path, scenario, name="r.csv"):
+    out = tmp_path / name
+    assert run_scenario(scenario, {"paths": 1000, "output": str(out)}) in (0, 1)
+    with open(out, newline="") as fh:
+        return [(r["job"], r["quantity"], r) for r in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_no_stream_is_simulated_twice(tmp_path, monkeypatch, scenario):
+    seen = record_batches(monkeypatch)
+    run_rows(tmp_path, scenario)
+    assert seen and len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize("name", ["example-6.2", "example-6.1b"])
+def test_run_rows_match_standalone_entry_points(tmp_path, monkeypatch, name):
+    # 1000 paths in chunks of 300: every planned stream has 4 chunks
+    monkeypatch.setattr(cmpplab.verify, "CHUNK", 300)
+    seen = record_batches(monkeypatch)
+    listed = run_rows(tmp_path, name)
+    rows = {(job, q): r for job, q, r in listed}
+    chunks = {}
+    for under, horizon, seed, n, family, start in seen:
+        chunks[(under, horizon, family)] = chunks.get((under, horizon, family), 0) + 1
+    assert min(c for (_, _, fam), c in chunks.items() if fam != cmpplab.verify.FAM_PILOT) >= 3
+
+    scn = resolve_scenario(name)
+    base, n, t = scn.base, 1000, scn.horizon
+    derived = derive_q_model(validate_change(base, scn.change, scn.level))
+    got = lambda job, q: (float(rows[(job, q)]["estimate"]), float(rows[(job, q)]["stderr"]))
+
+    p_reps = mc_estimate([f_aggregate(), f_count()], base, derived, BASE_P, t, n, SEED)
+    q_rep = mc_estimate(f_aggregate(), base, derived, DERIVED_Q, t, n, SEED)
+    for q, rep in zip(("E_P[S_2]", "E_P[N_2]", "E_Q[S_2]"), p_reps + [q_rep]):
+        assert got("simulate", q) == (rep.estimate, rep.stderr)
+
+    battery = [f_one(), f_count(), f_aggregate(), f_count_eq(0)]
+    for f, res in zip(battery, check_reweighting(battery, derived, t=t / 2, n=n, seed=SEED)):
+        assert got("verify-reweighting", f"gap[{f.name}]@t=1") == \
+            (res.difference, res.pooled_stderr)
+
+    table = check_martingale(process_v(derived), base, derived, DERIVED_Q,
+                             [(t / 4, t / 2), (t / 2, t)], n=n, seed=SEED)
+    cells = [(r["estimate"], r["stderr"]) for job, q, r in listed
+             if job == "verify-martingale" and q.startswith("V[")]
+    assert [(float(e), float(se)) for e, se in cells] == \
+        [(c.estimate, c.stderr) for c in table.cells]
+
+    if "degeneracy" in scn.jobs:
+        res = degeneracy_test(derived, n=n, seed=SEED)
+        assert got("degeneracy", "centered-aggregate martingale dichotomy") == \
+            (res.witness_estimate, res.witness_stderr)
+    if "singularity" in scn.jobs:
+        theta = float(base.mixing_law.quantile(0.5))
+        for r in singularity_probe(derived, horizons=[5 * t, 25 * t], n=n, seed=SEED,
+                                   theta_fixed=theta):
+            assert got("singularity", f"log-density drift T={r.horizon:g} under {r.side}") \
+                == (r.drift, r.drift_stderr)
+
+
+def test_consumer_error_is_its_jobs_error_row(tmp_path, monkeypatch):
+    clean = run_rows(tmp_path, "example-6.2", "clean.csv")
+
+    def boom(*args, **kwargs):
+        raise DomainError("boom")
+
+    # the martingale cells fail on their first chunk; simulate's E_Q[S_T]
+    # reads the same stream and must keep being fed
+    monkeypatch.setattr(cmpplab.verify, "_process_values", boom)
+    broken = run_rows(tmp_path, "example-6.2", "broken.csv")
+    errors = [(job, q, r["verdict"], r["detail"]) for job, q, r in broken
+              if job == "verify-martingale"]
+    assert errors == [("verify-martingale", "error", "fail", "DomainError: boom")]
+    assert [row for row in broken if row[0] != "verify-martingale"] == \
+        [row for row in clean if row[0] != "verify-martingale"]
+
+
+def test_stream_error_reaches_every_consumer(tmp_path, monkeypatch):
+    clean = run_rows(tmp_path, "example-6.2", "clean.csv")
+    orig = cmpplab.verify.simulate_batch
+
+    def failing(base, derived, under, horizon, seed, n, start_index=0, family=0):
+        if under == DERIVED_Q and family == FAM_DEFAULT and horizon == 2.0:
+            raise SimulationError("cap")
+        return orig(base, derived, under, horizon, seed, n, start_index, family)
+
+    monkeypatch.setattr(cmpplab.verify, "simulate_batch", failing)
+    broken = run_rows(tmp_path, "example-6.2", "broken.csv")
+    shared = ("simulate", "verify-martingale")
+    assert [(job, q, r["detail"]) for job, q, r in broken if job in shared] == \
+        [(job, "error", "SimulationError: cap") for job in shared]
+    assert [row for row in broken if row[0] not in shared] == \
+        [row for row in clean if row[0] not in shared]
