@@ -215,10 +215,13 @@ class PathBatch:
         return self._path_sums(np.where(upto, self.claims, 0.0), float)
 
     def _path_sums(self, vals: np.ndarray, dtype) -> np.ndarray:
-        """Per-path sums of the flat vals, as differences of one running sum."""
-        inc = np.zeros(vals.size + 1, dtype=dtype)
-        np.cumsum(vals, out=inc[1:])
-        return inc[self.offsets[1:]] - inc[self.offsets[:-1]]
+        """Per-path sums of the flat vals, each over its own path's segment
+        only, so a path's sum is the one it has alone (0 for no events)."""
+        out = np.zeros(len(self), dtype=dtype)
+        nonempty = self.counts > 0
+        if nonempty.any():
+            out[nonempty] = np.add.reduceat(vals, self.offsets[:-1][nonempty], dtype=dtype)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -83,13 +83,15 @@ def test_aggregate_nondecreasing(idx, t1, t2):
 # memoized path functionals
 
 def reference_functionals(batch, t):
-    """N_t and S_t of every path by the plain running sums of the flat arrays:
-    the rounding every report depends on."""
+    """N_t and S_t of every path, each summed by ``np.add.reduceat`` over a
+    copy of its own segment of the flat arrays (claims after t masked to 0):
+    the rounding every report depends on, and no other path's."""
     upto = batch.times <= t
-    n_inc = np.concatenate([[0], np.cumsum(upto)])
-    s_inc = np.concatenate([[0.0], np.cumsum(np.where(upto, batch.claims, 0.0))])
-    lo, hi = batch.offsets[:-1], batch.offsets[1:]
-    return n_inc[hi] - n_inc[lo], s_inc[hi] - s_inc[lo]
+    masked = np.where(upto, batch.claims, 0.0)
+    spans = list(zip(batch.offsets[:-1], batch.offsets[1:]))
+    return (np.array([upto[lo:hi].sum() for lo, hi in spans]),
+            np.array([np.add.reduceat(masked[lo:hi].copy(), [0])[0] if hi > lo else 0.0
+                      for lo, hi in spans]))
 
 
 def test_functionals_memoized_read_only_and_exact(base62, derived62):
@@ -367,8 +369,22 @@ def test_density_batch_matches_scalar(base62, change62):
     b = simulate_batch(base62, None, BASE_P, 2.0, seed=17, n=300)
     lb = log_density_batch(b, 1.3, change62)
     for i in range(0, 300, 29):
-        assert lb[i] == pytest.approx(
-            log_density_M(b.path(i), 1.3, change62), rel=1e-12, abs=1e-12)
+        assert lb[i] == log_density_M(b.path(i), 1.3, change62)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.7, 1.3, 2.0])
+def test_path_functionals_are_exact_scalar_views(base62, derived62, change62, t):
+    # a path's sums are taken over its own events only, so no rounding of
+    # the paths before it reaches them
+    b = simulate_batch(base62, derived62, DERIVED_Q, 2.0, seed=17, n=2000)
+    counts, aggs = b.counts_at(t), b.aggregates_at(t)
+    gammas = b.claim_prefix_apply(t, change62.gamma)
+    assert counts.dtype == np.int64 and (counts[b.counts == 0] == 0).all()
+    for i in range(len(b)):
+        one = b.path(i).as_batch()
+        assert counts[i] == one.counts_at(t)[0] == b.path(i).count_at(t)
+        assert aggs[i] == one.aggregates_at(t)[0] == b.path(i).aggregate_at(t)
+        assert gammas[i] == one.claim_prefix_apply(t, change62.gamma)[0]
 
 
 def test_density_additive_over_increments(base62, change62):
