@@ -125,6 +125,16 @@ def test_scalar_stream_matches_batch():
     assert np.array_equal(seq, batch)
 
 
+def test_scalar_stream_across_blocks_and_lanes():
+    # 150 draws per lane cross two block boundaries; the lanes interleave
+    s = RngStream(42, 3)
+    seq = [(s.next_uniform(LANE_ARRIVAL), s.next_uniform(LANE_CLAIM)) for _ in range(150)]
+    arrival, claim = (np.array(lane) for lane in zip(*seq))
+    assert np.array_equal(arrival, uniforms(42, 3, LANE_ARRIVAL, np.arange(150)))
+    assert np.array_equal(claim, uniforms(42, 3, LANE_CLAIM, np.arange(150)))
+    assert type(s.next_uniform()) is float
+
+
 def test_pure_function_of_coordinates():
     a = uniforms(7, np.arange(1000), LANE_CLAIM, 5)
     b = uniforms(7, np.arange(1000), LANE_CLAIM, 5)
