@@ -175,6 +175,36 @@ def test_gamma_quantile_matches_gammaincinv(shape):
         assert ((got == ref) | (np.abs(got - ref) <= 1e-13 * ref)).all()
 
 
+def exact_gamma_quantile(shape: float, u: float):
+    """The quantile at 50 digits: Newton in log x on log P(a, x), or on
+    log Q(a, x) for u > 1/2, started from gammaincinv."""
+    mp = pytest.importorskip("mpmath")
+    from scipy.special import gammaincinv
+    with mp.workdps(50):
+        a, u_mp = mp.mpf(shape), mp.mpf(u)
+        upper = u_mp > 0.5
+        log_target = mp.log(1 - u_mp if upper else u_mp)
+        y = mp.log(mp.mpf(float(gammaincinv(shape, u))))
+        for _ in range(60):
+            x = mp.exp(y)
+            tail = (mp.gammainc(a, x, mp.inf, regularized=True) if upper
+                    else mp.gammainc(a, 0, x, regularized=True))
+            slope = mp.exp(a * y - x - mp.loggamma(a)) / tail  # d log P / d log x
+            step = (mp.log(tail) - log_target) / (-slope if upper else slope)
+            y -= step
+            if abs(step) < mp.mpf(10) ** -45:
+                return mp.exp(y)
+    raise AssertionError(f"no convergence at shape {shape}, u {u}")
+
+
+@pytest.mark.parametrize("shape", [0.05, 0.5, 2.0, 3.0, 300.0, 1e4])
+def test_gamma_quantile_matches_exact_quantiles(shape):
+    for u in (1e-12, 1e-3, 0.25, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 2.0**-40):
+        exact = exact_gamma_quantile(shape, u)
+        got = Gamma(1.0, shape).quantile(u)
+        assert abs(got - exact) <= 1e-13 * exact, (shape, u, got, exact)
+
+
 def test_gamma_quantile_edges():
     for d in (Gamma(1.0, 0.05), Gamma(2.0, 2.0), Gamma(0.5, 300.0)):
         assert d.quantile(0.0) == 0.0
