@@ -657,9 +657,12 @@ def run_scenario(name_or_path: str, overrides: Optional[dict] = None,
             # cached, so each job that needs the quote reports it
             return premium_density(scn.base, derived)
 
+        def fail_row(job: str, quantity: str, detail: str) -> Row:
+            return Row(scenario=scn.name, job=job, seed=scn.seed, quantity=quantity,
+                       verdict="fail", detail=detail)
+
         def error_row(job: str, e: Exception) -> Row:
-            return Row(scenario=scn.name, job=job, seed=scn.seed, quantity="error",
-                       verdict="fail", detail=f"{type(e).__name__}: {e}")
+            return fail_row(job, "error", f"{type(e).__name__}: {e}")
 
         # plan every job, then simulate each distinct stream once for all of
         # them, then build the rows in job order; an error turns only its own
@@ -668,15 +671,12 @@ def run_scenario(name_or_path: str, overrides: Optional[dict] = None,
         for job in scn.jobs:
             if job == "validate":
                 continue  # always ran first
-            if derived is None:
-                plans.append((job, _rows_now([Row(scenario=scn.name, job=job, seed=scn.seed,
-                                                  quantity="skipped", verdict="fail",
-                                                  detail=skipped)])))
-                continue
             try:
-                plans.append((job, _JOB_RUNNERS[job](scn, derived, quote)))
+                plan = (_JOB_RUNNERS[job](scn, derived, quote) if derived is not None
+                        else _rows_now([fail_row(job, "skipped", skipped)]))
             except JOB_ERRORS as e:
-                plans.append((job, _rows_now([error_row(job, e)])))
+                plan = _rows_now([error_row(job, e)])
+            plans.append((job, plan))
         run_streams(scn.base, derived, [c for _, plan in plans for c in plan.consumers])
         for job, plan in plans:
             try:
