@@ -13,21 +13,20 @@ Precedence is therefore ^ (right-assoc) > unary minus > * / > + -, so
 ``ln``, ``exp`` and ``sqrt``.  One free variable (``x`` or ``theta``) is
 allowed; every other identifier must be a declared parameter.
 
-Evaluation is pure IEEE double arithmetic: the same tree at the same
-point always returns the same bits.  A point is a float (``RealFn(x)``)
-or an array (``RealFn.eval_array``); both modes obey one set of domain
-rules.  Overflow saturates to inf.  These raise DomainError, in an array
-at any element: ln of a value <= 0, sqrt of a value < 0, division by 0,
-a^b with a < 0 and non-integer b or with a = 0 and b < 0, and a NaN
-result (e.g. inf - inf).
+Evaluation is pure IEEE double arithmetic through numpy: the same tree
+at the same point always returns the same bits.  ``RealFn.eval_array``
+evaluates an array of points, and a call ``RealFn(x)`` is entry 0 of
+``eval_array([x])``, bit for bit.  Overflow saturates to inf.  These
+raise DomainError, at any element of the array: ln of a value <= 0, sqrt
+of a value < 0, division by 0, a^b with a < 0 and non-integer b or with
+a = 0 and b < 0, and a NaN result (e.g. inf - inf).
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Optional, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -265,38 +264,10 @@ def to_source(node: Node) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation: one walker; the mode lives in the ops table, the domain rules
-# are written once.  Scalars use ``math`` and arrays numpy ufuncs: the two
-# differ in the last bit for some exp/pow/log inputs, and each mode keeps
-# the bits it has always produced.
+# evaluation: one walker over numpy arrays.  A scalar call is entry 0 of a
+# one-point array, so a call and ``eval_array`` give the same bits.
 
-def _exp(v: float) -> float:
-    try:
-        return math.exp(v)
-    except OverflowError:
-        return math.inf
-
-
-def _pow(a: float, b: float) -> float:
-    try:
-        return math.pow(a, b)
-    except OverflowError:
-        return -math.inf if a < 0.0 and b % 2.0 == 1.0 else math.inf
-
-
-class _Ops(NamedTuple):
-    log: Callable
-    exp: Callable
-    sqrt: Callable
-    pow: Callable
-    any: Callable  # does a condition hold at some point?
-
-
-_SCALAR = _Ops(math.log, _exp, math.sqrt, _pow, bool)
-_ARRAY = _Ops(np.log, np.exp, np.sqrt, np.power, np.any)
-
-
-def _eval(node: Node, x, params: Mapping[str, float], ops: _Ops):
+def _eval(node: Node, x: np.ndarray, params: Mapping[str, float]):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -307,20 +278,20 @@ def _eval(node: Node, x, params: Mapping[str, float], ops: _Ops):
             raise UnboundParameter(f"parameter '{node.name}' has no value")
         return v
     if isinstance(node, Neg):
-        return -_eval(node.arg, x, params, ops)
+        return -_eval(node.arg, x, params)
     if isinstance(node, Call):
-        v = _eval(node.arg, x, params, ops)
+        v = _eval(node.arg, x, params)
         if node.fn == "ln":
-            if ops.any(v <= 0.0):
+            if np.any(v <= 0.0):
                 raise DomainError("ln of a non-positive value")
-            return ops.log(v)
+            return np.log(v)
         if node.fn == "exp":
-            return ops.exp(v)
-        if ops.any(v < 0.0):
+            return np.exp(v)
+        if np.any(v < 0.0):
             raise DomainError("sqrt of a negative value")
-        return ops.sqrt(v)
-    a = _eval(node.lhs, x, params, ops)
-    b = _eval(node.rhs, x, params, ops)
+        return np.sqrt(v)
+    a = _eval(node.lhs, x, params)
+    b = _eval(node.rhs, x, params)
     if node.op == "+":
         return a + b
     if node.op == "-":
@@ -328,19 +299,23 @@ def _eval(node: Node, x, params: Mapping[str, float], ops: _Ops):
     if node.op == "*":
         return a * b
     if node.op == "/":
-        if ops.any(b == 0.0):
+        if np.any(b == 0.0):
             raise DomainError("division by zero")
         return a / b
-    if ops.any(((a < 0.0) & (b % 1.0 != 0.0)) | ((a == 0.0) & (b < 0.0))):
+    if np.any(((a < 0.0) & (b % 1.0 != 0.0)) | ((a == 0.0) & (b < 0.0))):
         raise DomainError("invalid power: a negative base with a fractional "
                           "exponent, or zero with a negative one")
-    return ops.pow(a, b)
+    return np.power(a, b)
 
 
-def _value(node: Node, x, params: Mapping[str, float], ops: _Ops):
-    out = _eval(node, x, params, ops)
-    if ops.any(out != out):
+def _value(node: Node, xs: np.ndarray, params: Mapping[str, float]) -> np.ndarray:
+    """The tree at every point of ``xs``, as a float array of its shape."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.asarray(_eval(node, xs, params), dtype=float)
+    if np.any(out != out):
         raise DomainError("evaluation produced NaN")
+    if out.shape != xs.shape:
+        out = np.broadcast_to(out, xs.shape).copy()
     return out
 
 
@@ -356,16 +331,12 @@ class RealFn:
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __call__(self, point: float) -> float:
-        return _value(self.tree, float(point), self.params, _SCALAR)
+        """Entry 0 of ``eval_array`` at the one point, bit for bit."""
+        return float(self.eval_array([point])[0])
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation under the same domain rules as a call."""
-        xs = np.asarray(xs, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.asarray(_value(self.tree, xs, self.params, _ARRAY), dtype=float)
-        if out.shape != xs.shape:
-            out = np.broadcast_to(out, xs.shape).copy()
-        return out
+        """The function at every point of ``xs``."""
+        return _value(self.tree, np.asarray(xs, dtype=float), self.params)
 
     def bind(self, **params: float) -> "RealFn":
         merged = dict(self.params)
@@ -422,7 +393,7 @@ def const_value(node: Node, params: Mapping[str, float]) -> Optional[float]:
     if any(isinstance(n, Var) or (isinstance(n, Param) and params.get(n.name) is None)
            for n in walk(node)):
         return None
-    return _value(node, 0.0, params, _SCALAR)
+    return float(_value(node, np.zeros(1), params)[0])
 
 
 def constant(value: float) -> RealFn:

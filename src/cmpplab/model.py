@@ -72,11 +72,6 @@ class BaseModel:
         except Exception as e:
             raise ModelError(f"claim law must have a finite mean: {e}") from e
 
-    def rate_at(self, theta):
-        if isinstance(theta, np.ndarray):
-            return self.rate_fn.eval_array(theta)
-        return self.rate_fn(theta)
-
     def has_identity_rate(self) -> bool:
         t = self.rate_fn.tree
         return isinstance(t, Var)
@@ -148,11 +143,6 @@ class DerivedModel:
     q_mixing: Distribution
     base: BaseModel
     change: MeasureChange
-
-    def g_at(self, theta):
-        if isinstance(theta, np.ndarray):
-            return self.g.eval_array(theta)
-        return self.g(theta)
 
     @cached_property
     def claim_tilt_mean(self) -> float:

@@ -129,6 +129,8 @@ def esscher_change(c: float, base: BaseModel, xi: Optional[RealFn] = None) -> Me
 
 def expected_value_change(c: float, xi: Optional[RealFn] = None) -> MeasureChange:
     """Constant intensity multiplier: alpha = c, gamma = 0, loading e^c."""
+    if not math.isfinite(c):
+        raise ValueError(f"expected-value parameter must be finite, got {c!r}")
     return MeasureChange(alpha=parse("c", var="theta", params={"c": float(c)}),
                          gamma=parse("0", var="x"),
                          xi=xi if xi is not None else parse("1", var="theta"))

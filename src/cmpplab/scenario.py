@@ -44,7 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -101,8 +101,7 @@ class Row:
     detail: str = ""
 
 
-REPORT_COLUMNS = ("scenario", "job", "quantity", "estimate", "stderr",
-                  "oracle", "paper_value", "verdict", "seed", "detail")
+REPORT_COLUMNS = tuple(f.name for f in fields(Row))
 
 
 @dataclass(frozen=True)
@@ -239,6 +238,8 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
         level = int(level_text)
     except ValueError:
         raise ScenarioError(f"bad level {level_text!r}", source, ln) from None
+    if level not in (1, 2):
+        raise ScenarioError(f"level must be 1 or 2, got {level}", source, ln)
 
     jobs_text, ln = get("run", "jobs", "validate, derive-q, premium")
     jobs = tuple(j.strip() for j in jobs_text.split(",") if j.strip())
@@ -341,7 +342,13 @@ BUILTIN_SCENARIOS: Dict[str, Callable[[Dict[str, float]], Scenario]] = {
 def resolve_scenario(name_or_path: str, params: Optional[Dict[str, float]] = None) -> Scenario:
     params = params or {}
     if name_or_path in BUILTIN_SCENARIOS:
-        return BUILTIN_SCENARIOS[name_or_path](params)
+        try:
+            return BUILTIN_SCENARIOS[name_or_path](params)
+        except (ValueError, ArithmeticError) as e:
+            # a parameter value the builtin's construction cannot take
+            shown = ", ".join(f"{k}={v!r}" for k, v in sorted(params.items()))
+            raise ScenarioError(f"cannot build the builtin with {shown or 'its defaults'}: "
+                                f"{type(e).__name__}: {e}", name_or_path) from e
     if os.path.exists(name_or_path):
         return load_scenario_file(name_or_path)
     raise ScenarioError(
@@ -499,7 +506,7 @@ def _job_degeneracy(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Pla
     def rows() -> List[Row]:
         res = plan.finish()
         grid = scn.base.mixing_law.interior_grid(16)
-        gvals = np.array([derived.g(t) for t in grid])
+        gvals = derived.g.eval_array(grid)
         predicted_degenerate = bool(np.allclose(gvals, gvals[0], rtol=1e-12, atol=0.0))
         agrees = res.is_martingale == predicted_degenerate
         return [_annotate(scn, Row(
@@ -556,10 +563,13 @@ _JOB_RUNNERS = {
 # ---------------------------------------------------------------------------
 # report writing
 
-def _format_float(x: Optional[float]) -> str:
-    if x is None:
+def _format_cell(v) -> str:
+    """A CSV cell: floats at 17 significant digits, None empty."""
+    if v is None:
         return ""
-    return f"{x:.17g}"
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return str(v)
 
 
 def report_write(rows: List[Row], out_format: str, destination: str) -> None:
@@ -576,20 +586,10 @@ def report_write(rows: List[Row], out_format: str, destination: str) -> None:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(REPORT_COLUMNS)
                 for r in rows:
-                    writer.writerow([
-                        r.scenario, r.job, r.quantity,
-                        _format_float(r.estimate), _format_float(r.stderr),
-                        _format_float(r.oracle), _format_float(r.paper_value),
-                        r.verdict, "" if r.seed is None else str(r.seed), r.detail,
-                    ])
+                    writer.writerow([_format_cell(getattr(r, c)) for c in REPORT_COLUMNS])
             elif out_format == "json-lines":
                 for r in rows:
-                    record = {
-                        "scenario": r.scenario, "job": r.job, "quantity": r.quantity,
-                        "estimate": r.estimate, "stderr": r.stderr,
-                        "oracle": r.oracle, "paper_value": r.paper_value,
-                        "verdict": r.verdict, "seed": r.seed, "detail": r.detail,
-                    }
+                    record = {c: getattr(r, c) for c in REPORT_COLUMNS}
                     fh.write(json.dumps(record) + "\n")
             else:
                 raise ScenarioError(f"unknown output format {out_format!r}")

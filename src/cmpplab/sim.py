@@ -147,14 +147,6 @@ class Path:
         return float(self.as_batch().aggregates_at(t)[0])
 
 
-def count_at(path: Path, t: float) -> int:
-    return path.count_at(t)
-
-
-def aggregate_at(path: Path, t: float) -> float:
-    return path.aggregate_at(t)
-
-
 @dataclass
 class PathBatch:
     """Column-oriented batch of paths (flat ragged arrays).
@@ -234,11 +226,8 @@ def _resolve_theta_and_rate(base, derived, under, seed, keys):
         u = uniforms(seed, keys, LANE_MISC, 0)
         law = derived.q_mixing if under.is_q_side else base.mixing_law
         thetas = np.asarray(law.quantile(u), dtype=float)
-    if under.is_q_side:
-        rates = np.asarray(derived.g_at(thetas), dtype=float)
-    else:
-        rates = np.asarray(base.rate_at(thetas), dtype=float)
-    return thetas, rates
+    rate_fn = derived.g if under.is_q_side else base.rate_fn
+    return thetas, rate_fn.eval_array(thetas)
 
 
 def simulate_batch(base: BaseModel, derived: Optional[DerivedModel],
@@ -378,7 +367,8 @@ def surplus_y(path: Path, t: float, base: BaseModel) -> float:
 
 
 def surplus_v_batch(batch: PathBatch, t: float, derived: DerivedModel) -> np.ndarray:
-    return batch.aggregates_at(t) - t * derived.g_at(batch.thetas) * derived.claim_tilt_mean
+    rates = derived.g.eval_array(batch.thetas)
+    return batch.aggregates_at(t) - t * rates * derived.claim_tilt_mean
 
 
 def surplus_y_batch(batch: PathBatch, t: float, base: BaseModel) -> np.ndarray:

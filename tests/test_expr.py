@@ -157,7 +157,7 @@ GRID = [-2.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 3.7, 10.0]
 @settings(max_examples=300, deadline=None)
 @given(trees())
 def test_scalar_and_array_agree(src):
-    """Both modes raise DomainError at a point, or they agree to rel 1e-9."""
+    """Both modes raise DomainError at a point, or they agree bit for bit."""
     import numpy as np
     fn = parse(src, var="x", params=PARAMS)
     for point in GRID:
@@ -171,4 +171,4 @@ def test_scalar_and_array_agree(src):
             array = None
         assert (scalar is None) == (array is None), (src, point)
         if scalar is not None:
-            assert np.isclose(scalar, array, rtol=1e-9, atol=0.0), (src, point)
+            assert scalar == array, (src, point)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cmpplab.cli import main
-from cmpplab.scenario import (BUILTIN_SCENARIOS, Row, ScenarioError,
+from cmpplab.scenario import (BUILTIN_SCENARIOS, REPORT_COLUMNS, Row, ScenarioError,
                               load_scenario_file, parse_scenario_text, report_write,
                               resolve_scenario, run_scenario)
 
@@ -122,6 +122,7 @@ def test_jsonl_roundtrip(tmp_path):
     assert records[0]["estimate"] == 1.0 / 3.0
     assert records[1]["estimate"] is None
     assert records[1]["detail"] == "theta^2"
+    assert all(tuple(rec) == REPORT_COLUMNS for rec in records)
 
 
 def test_oracle_and_estimate_both_render(tmp_path):
@@ -368,6 +369,30 @@ def test_bad_horizon_override_exit_2(tmp_path, capsys, no_simulation, horizon):
     assert main(["run", "example-6.1a", f"--horizon={horizon}",
                  "--output", str(out)]) == 2
     assert "--horizon: mc.horizon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+BAD_VALUE_RUNS = [
+    (["example-6.1a", "--param", "c=-1"], "example-6.1a: cannot build the builtin with c=-1.0"),
+    (["example-6.1a", "--param", "c=100"], "OutsideConvergenceStrip"),
+    (["example-6.3", "--param", "c=-1"], "DistError"),
+    (["example-6.1b", "--param", "c=nan"], "example-6.1b: cannot build the builtin with c=nan"),
+    (["{tmp}/level3.scn"], "level3.scn:6: level must be 1 or 2, got 3"),
+]
+
+
+@pytest.mark.parametrize("args,message", BAD_VALUE_RUNS,
+                         ids=["6.1a-c-negative", "6.1a-c-outside-strip", "6.3-c-negative",
+                              "6.1b-c-nan", "file-level-3"])
+def test_bad_scenario_value_exit_2(tmp_path, capsys, no_simulation, args, message):
+    (tmp_path / "level3.scn").write_text(
+        "[base]\nclaim = exp(rate=0.2)\nmixing = gamma(rate=2,shape=2)\n\n"
+        "[change]\nlevel = 3\n")
+    out = tmp_path / "r.csv"
+    args = [a.format(tmp=tmp_path) for a in args]
+    assert main(["run", *args, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -308,7 +308,7 @@ def test_accumulation_matches_reference_short_paths(base62):
     # paths that stop inside the first sub-block, in the second, and later
     assert (counts < 4).any() and ((counts >= 4) & (counts < 16)).any() \
         and (counts >= 16).any()
-    assert_times_match_reference(batch, base62.rate_at(batch.thetas), SEED)
+    assert_times_match_reference(batch, base62.rate_fn.eval_array(batch.thetas), SEED)
 
 
 def test_accumulation_matches_reference_q_side_chunked(base62, derived62):
@@ -319,8 +319,8 @@ def test_accumulation_matches_reference_q_side_chunked(base62, derived62):
     second = simulate_batch(*args, seed=SEED, n=10, start_index=990, family=3)
     assert whole.times.tobytes() == np.concatenate([first.times, second.times]).tobytes()
     assert whole.claims.tobytes() == np.concatenate([first.claims, second.claims]).tobytes()
-    assert_times_match_reference(whole, derived62.g_at(whole.thetas), SEED, family=3)
-    assert_times_match_reference(second, derived62.g_at(second.thetas), SEED,
+    assert_times_match_reference(whole, derived62.g.eval_array(whole.thetas), SEED, family=3)
+    assert_times_match_reference(second, derived62.g.eval_array(second.thetas), SEED,
                                  start_index=990, family=3)
     member = simulate_batch(*args, seed=SEED, n=1000).path(995)
     solo = simulate_path(*args, RngStream(SEED, 995))
