@@ -15,11 +15,11 @@ All densities, cdfs and quantiles accept scalars or numpy arrays.  Every
 sampler is a quantile transform of counter-based uniforms, so a draw is a
 pure function of (seed, path index, lane, draw index); every quantile maps
 each point on its own, whatever the batch around it.  Gamma and Tilted laws
-invert from lazily built per-instance tables: a Gamma draw starts from a
-cubic table of log x against logit u and takes one Halley step on the exact
-cdf (within 1e-13 relative of gammaincinv, tested for shapes 0.05 to 1e4;
-smaller shapes invert by gammaincinv alone); a Tilted draw solves its CDF
-table's cubic.
+invert from lazily built per-instance tables: a Gamma draw evaluates a
+quintic Hermite table of log x against logit u, with no cdf call (within
+1e-13 relative of gammaincinv and of 50-digit quantiles, tested for shapes
+0.05 to 1e5; smaller shapes invert by gammaincinv alone); a Tilted draw
+solves its CDF table's cubic.
 """
 
 from __future__ import annotations
@@ -45,14 +45,14 @@ NORMALIZATION_TOL = 1e-8
 _TAIL_EPS = 5e-13  # tabulation covers all but ~1e-12 of base mass
 _INVERT_BLOCK = 1 << 14  # quantile points per block (bounds peak memory)
 _INVERT_MAX_ITER = 100  # hard cap per point; ulp convergence takes 3-4 Newton steps
-_GAMMA_SEGMENTS = 512  # cubic segments of the Gamma quantile table
+_GAMMA_SEGMENTS = 2048  # quintic segments of the Gamma quantile table
 _GAMMA_Z_HI = 37.0  # table's top logit; the largest double below 1 has logit 36.74
-# Gamma quantiles below this go to gammaincinv: there a double's relative
-# accuracy is limited to about |log x| ulps (the rounding of log u, times 1/shape)
-_GAMMA_X_MIN = 1e-60
+# Gamma quantiles below this go to gammaincinv: x = exp(log x) carries about
+# |log x| ulps of relative error (69 at 1e-30), and no cdf step corrects it
+_GAMMA_X_MIN = 1e-30
 # Gamma laws of smaller shape invert by gammaincinv alone: as the shape falls,
-# P(a, 1.1) -> 1, so the Halley step's f = P(a, x) - u loses relative accuracy
-# (2.7e-13 at shape 0.01), and below about 1e-12 the table's nodes underflow
+# most of the mass lies below _GAMMA_X_MIN (P(0.01, 1e-30) = 0.5), and the
+# table's lower tail, where d log x / d logit u -> 1/shape, loses accuracy
 _GAMMA_SHAPE_MIN = 0.05
 
 
@@ -230,45 +230,65 @@ class _Hermite(NamedTuple):
 
 
 class _GammaTable(NamedTuple):
-    """Standard gamma quantile of one shape: log x as a cubic of z = logit u
-    on equal segments, t = (z - z_lo) inv_h - j."""
+    """Standard gamma quantile of one shape: log x as a quintic of z = logit u
+    on equal segments, in the centred t = (z - z_lo) inv_h - j - 1/2."""
 
     u_lo: float        # smallest tabled u, P(a, _GAMMA_X_MIN) or 2^-54; 1: no table
     z_lo: float        # logit u_lo
     inv_h: float       # segments per unit of z
-    cubic: _Hermite
-    u_split: float     # P(a, max(1.1, a)): above it the step uses gammaincc
+    coef: np.ndarray   # (6, segments): power coefficients in t, constant first
+
+    def log_x(self, z):
+        """log x at logits z in [z_lo, 37]."""
+        t = z - self.z_lo
+        t *= self.inv_h
+        j = np.floor(t)
+        np.clip(j, 0, _GAMMA_SEGMENTS - 1, out=j)
+        t -= j
+        t -= 0.5
+        c = self.coef.take(j.astype(np.intp), axis=1)
+        y = c[5]
+        for k in range(4, -1, -1):
+            y *= t
+            y += c[k]
+        return y
 
 
 def _gamma_table(a: float) -> _GammaTable:
-    """Cubic Hermite table of log x against z = logit u over [z_lo, 37].
+    """Quintic Hermite table of y = log x against z = logit u over [z_lo, 37].
 
-    Nodes are equally spaced in z; their x come from gammaincinv (u <= 1/2)
-    or gammainccinv (u > 1/2), and their slopes are exact:
-    d log x / dz = u (1 - u) / (x pdf(x)).
+    Nodes are z_lo + j h with h = (37 - z_lo)/N; their x come from
+    gammaincinv (u <= 1/2) or gammainccinv (u > 1/2), and their derivatives
+    are exact: y' = u (1 - u) / (x pdf(x)) and y'' = y' (1 - 2u) + y'^2 (x - a).
     """
     if a < _GAMMA_SHAPE_MIN:
-        return _GammaTable(u_lo=1.0, z_lo=math.inf, inv_h=0.0,
-                           cubic=_Hermite(*[np.empty(0)] * 5), u_split=1.0)
+        return _GammaTable(u_lo=1.0, z_lo=math.inf, inv_h=0.0, coef=np.empty((6, 0)))
     u_lo = max(2.0**-54, float(sp.gammainc(a, _GAMMA_X_MIN)))
     z_lo = math.log(u_lo / (1.0 - u_lo))
-    z = np.linspace(z_lo, _GAMMA_Z_HI, _GAMMA_SEGMENTS + 1)
+    h = (_GAMMA_Z_HI - z_lo) / _GAMMA_SEGMENTS
+    z = z_lo + h * np.arange(_GAMMA_SEGMENTS + 1)
     u, q = sp.expit(z), sp.expit(-z)
     low = z <= 0.0
     x = np.empty_like(z)
     x[low] = sp.gammaincinv(a, u[low])
     x[~low] = sp.gammainccinv(a, q[~low])
-    log_x = np.log(x)
-    h = z[1] - z[0]
-    m = h * u * q * np.exp(math.lgamma(a) + x - a * log_x)  # slope per segment width
-    return _GammaTable(u_lo=u_lo, z_lo=z_lo, inv_h=1.0 / h,
-                       cubic=_Hermite.through(z, log_x, m[:-1], m[1:]),
-                       u_split=float(sp.gammainc(a, max(1.1, a))))
+    y = np.log(x)
+    d1 = h * u * q * np.exp(math.lgamma(a) + x - a * y)  # dy/dt
+    d2 = h * d1 * (q - u) + d1 * d1 * (x - a)           # d2y/dt2
+    # a segment's quintic in t from the half sums and half differences of its
+    # end values (t = -1/2, +1/2): the even part from ys, dd, es, the odd from yd, ds, ed
+    ys, yd = (y[1:] + y[:-1]) / 2, (y[1:] - y[:-1]) / 2
+    ds, dd = (d1[1:] + d1[:-1]) / 2, (d1[1:] - d1[:-1]) / 2
+    es, ed = (d2[1:] + d2[:-1]) / 2, (d2[1:] - d2[:-1]) / 2
+    c2, c4 = 1.5 * dd - es / 4, es / 2 - dd
+    c3, c5 = 5 * ds - 10 * yd - ed / 2, ed - 6 * ds + 12 * yd
+    coef = np.stack([ys - c2 / 4 - c4 / 16, 2 * yd - c3 / 4 - c5 / 16, c2, c3, c4, c5])
+    return _GammaTable(u_lo=u_lo, z_lo=z_lo, inv_h=1.0 / h, coef=coef)
 
 
 @dataclass(frozen=True, repr=False)
 class Gamma(Distribution):
-    """Gamma law; quantile starts from a lazily built per-instance table
+    """Gamma law; quantile evaluates a lazily built per-instance table
     (_GammaTable), which takes no part in equality, hashing or literal()."""
 
     rate: float
@@ -306,54 +326,23 @@ class Gamma(Distribution):
         return _blockwise(self._invert, p)
 
     def _invert(self, u):
-        """Table start, then one Halley step on the exact cdf, per point.
+        """log x from the quintic table at z = logit u, per point; no cdf call.
 
-        f(x) = P(a, x) - u is evaluated as gammainc(a, x) - u up to
-        u_split and as (1 - u) - gammaincc(a, x) above it, so the upper tail
-        keeps its relative accuracy; the step uses f' = pdf and
-        f''/f' = (a - 1)/x - 1.  Points in [0, 1] outside the table (below
-        u_lo, or 1) go to gammaincinv, so 0 -> 0 and 1 -> inf; NaN and points
-        outside [0, 1] give NaN.
+        Points in [0, 1] outside the table (below u_lo, or 1) go to
+        gammaincinv, so 0 -> 0 and 1 -> inf; NaN and points outside [0, 1]
+        give NaN.
         """
         if self._table is None:
             object.__setattr__(self, "_table", _gamma_table(self.shape))
-        tab, a = self._table, self.shape
+        tab = self._table
         inside = (u >= tab.u_lo) & (u < 1.0)
         if not inside.all():
             out = np.full_like(u, np.nan)
             out[inside] = self._invert(u[inside])
             rest = ~inside & (u >= 0.0) & (u <= 1.0)
-            out[rest] = sp.gammaincinv(a, u[rest]) / self.rate
+            out[rest] = sp.gammaincinv(self.shape, u[rest]) / self.rate
             return out
-        # segment j and local coordinate t in [0, 1] of z = logit u
-        t = np.log(u / (1.0 - u))
-        t -= tab.z_lo
-        t *= tab.inv_h
-        j = np.floor(t)
-        np.clip(j, 0, _GAMMA_SEGMENTS - 1, out=j)
-        t -= j
-        log_x = tab.cubic.at(j.astype(np.intp), t)
-        x = np.exp(log_x)
-
-        f = np.empty_like(u)
-        lower = np.flatnonzero(u <= tab.u_split)
-        f[lower] = sp.gammainc(a, x[lower]) - u[lower]
-        upper = np.flatnonzero(u > tab.u_split)
-        f[upper] = (1.0 - u[upper]) - sp.gammaincc(a, x[upper])
-
-        # relative Newton step e = f / (x pdf(x)); Halley divides it by
-        # 1 - (e x / 2) f''/f' = 1 + e (1 - a + x) / 2
-        e = x + math.lgamma(a)
-        e -= a * log_x
-        np.exp(e, out=e)
-        e *= f
-        d = x + (1.0 - a)
-        d *= e
-        d *= 0.5
-        d += 1.0
-        e /= d
-        e *= x
-        x -= e
+        x = np.exp(tab.log_x(np.log(u / (1.0 - u))))
         x /= self.rate
         return x
 

@@ -158,9 +158,9 @@ def test_gamma_sampling_ks():
 
 
 # ---------------------------------------------------------------------------
-# Gamma quantile: table start and one Halley step
+# Gamma quantile: quintic table of log x against logit u
 
-GAMMA_SHAPES = [0.05, 0.5, 1.0, 2.0, 4.0, 30.0, 300.0, 1e4]
+GAMMA_SHAPES = [0.05, 0.5, 1.0, 2.0, 4.0, 30.0, 300.0, 1e4, 1e5]
 GAMMA_GRID = np.concatenate([
     [2.0**-54, 1e-15, 1e-12, 1e-9], np.geomspace(1e-8, 0.5, 200),
     1.0 - np.geomspace(0.5, 1e-11, 200)[1:], [1.0 - 1e-12, 1.0 - 2.0**-53]])
@@ -197,12 +197,42 @@ def exact_gamma_quantile(shape: float, u: float):
     raise AssertionError(f"no convergence at shape {shape}, u {u}")
 
 
-@pytest.mark.parametrize("shape", [0.05, 0.5, 2.0, 3.0, 300.0, 1e4])
+@pytest.mark.parametrize("shape", [0.05, 0.5, 2.0, 3.0, 300.0, 1e4, 1e5])
 def test_gamma_quantile_matches_exact_quantiles(shape):
     for u in (1e-12, 1e-3, 0.25, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 2.0**-40):
         exact = exact_gamma_quantile(shape, u)
         got = Gamma(1.0, shape).quantile(u)
         assert abs(got - exact) <= 1e-13 * exact, (shape, u, got, exact)
+
+
+@pytest.mark.parametrize("shape", [0.05, 0.3, 2.0, 30.0, 1e4, 1e5])
+def test_gamma_table_draw_calls_no_scipy(shape, monkeypatch):
+    from cmpplab import dist
+    d = Gamma(2.0, shape)
+    p = GAMMA_GRID[GAMMA_GRID >= d.cdf(1e-30)]  # in the table: above its floor, below 1
+    want = d.quantile(p)
+
+    def boom(*args):
+        raise AssertionError("scipy called per draw")
+    for name in ("gammainc", "gammaincc", "gammaincinv", "gammainccinv"):
+        monkeypatch.setattr(dist.sp, name, boom)
+    assert d.quantile(p).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [0.05, 0.3, 2.0, 30.0, 300.0, 1e4, 1e5])
+def test_gamma_table_last_segments(shape):
+    # node j sits at z_lo + j (37 - z_lo)/N; a width rounded from two nodes
+    # would drift the local coordinate by ~1e-11 of a segment near z = 37
+    from scipy.special import expit, gammainccinv
+    d = Gamma(1.0, shape)
+    d.quantile(0.5)
+    tab = d._table
+    n = tab.coef.shape[1]
+    j = np.arange(n - 16, n + 1)
+    z = tab.z_lo + j * ((37.0 - tab.z_lo) / n)
+    assert np.abs((z - tab.z_lo) * tab.inv_h - j).max() < 1e-12
+    got, ref = np.exp(tab.log_x(z)), gammainccinv(shape, expit(-z))
+    assert (np.abs(got - ref) <= 1e-14 * ref).all()
 
 
 def test_gamma_quantile_edges():
