@@ -149,8 +149,9 @@ def _parse_params(value: str, source: str, lineno: int) -> Dict[str, float]:
         try:
             out[name] = float(num.strip())
         except ValueError:
-            raise ScenarioError(f"bad parameter value {num.strip()!r}",
-                                source, lineno) from None
+            out[name] = math.nan
+        if not math.isfinite(out[name]):
+            raise ScenarioError(f"bad parameter value {num.strip()!r}", source, lineno)
     return out
 
 

@@ -378,16 +378,19 @@ BAD_VALUE_RUNS = [
     (["example-6.3", "--param", "c=-1"], "DistError"),
     (["example-6.1b", "--param", "c=nan"], "example-6.1b: cannot build the builtin with c=nan"),
     (["{tmp}/level3.scn"], "level3.scn:6: level must be 1 or 2, got 3"),
+    (["{tmp}/nan.scn"], "nan.scn:6: bad parameter value 'nan'"),
+    (["{tmp}/inf.scn"], "inf.scn:6: bad parameter value '-inf'"),
 ]
 
 
 @pytest.mark.parametrize("args,message", BAD_VALUE_RUNS,
                          ids=["6.1a-c-negative", "6.1a-c-outside-strip", "6.3-c-negative",
-                              "6.1b-c-nan", "file-level-3"])
+                              "6.1b-c-nan", "file-level-3", "file-c-nan", "file-c-inf"])
 def test_bad_scenario_value_exit_2(tmp_path, capsys, no_simulation, args, message):
-    (tmp_path / "level3.scn").write_text(
-        "[base]\nclaim = exp(rate=0.2)\nmixing = gamma(rate=2,shape=2)\n\n"
-        "[change]\nlevel = 3\n")
+    base = "[base]\nclaim = exp(rate=0.2)\nmixing = gamma(rate=2,shape=2)\n\n[change]\n"
+    (tmp_path / "level3.scn").write_text(base + "level = 3\n")
+    for name, value in (("nan", "nan"), ("inf", "-inf")):
+        (tmp_path / f"{name}.scn").write_text(base + f'params = c = {value}\nalpha = "c"\n')
     out = tmp_path / "r.csv"
     args = [a.format(tmp=tmp_path) for a in args]
     assert main(["run", *args, "--output", str(out)]) == 2
