@@ -215,18 +215,15 @@ class _Hermite(NamedTuple):
         d = np.diff(y)
         return cls(x, y[:-1], m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d)
 
-    def at(self, j, t):
-        """Segment j's cubic at its local coordinate t."""
+    def __call__(self, v):
+        """The interpolant at points v in [x_0, x_n]."""
+        j = np.clip(np.searchsorted(self.x, v, side="right") - 1, 0, self.x.size - 2)
+        t = (v - self.x[j]) / (self.x[j + 1] - self.x[j])
         y = self.c3.take(j)
         for c in (self.c2, self.c1, self.c0):
             y *= t
             y += c.take(j)
         return y
-
-    def __call__(self, v):
-        """The interpolant at points v in [x_0, x_n]."""
-        j = np.clip(np.searchsorted(self.x, v, side="right") - 1, 0, self.x.size - 2)
-        return self.at(j, (v - self.x[j]) / (self.x[j + 1] - self.x[j]))
 
 
 class _GammaTable(NamedTuple):
@@ -659,8 +656,8 @@ class Tilted(Distribution):
     integral to 1e-8 by quadrature and refuses otherwise (a negative
     weight at a quadrature node raises DistError).  cdf, quantile and
     sampling run off a lazily built CDF table covering all but ~1e-12 of
-    the base mass: the cubic Hermite interpolant (_Hermite, the same code
-    as the Gamma quantile table) of the cdf, with the density as slopes.
+    the base mass: the cubic Hermite interpolant (_Hermite) of the cdf,
+    with the density as slopes.
     quantile solves that cubic on each point's table segment, to an ulp
     of x, so a draw is a function of its own uniform alone.
     """
