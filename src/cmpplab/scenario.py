@@ -147,11 +147,12 @@ def _parse_params(value: str, source: str, lineno: int) -> Dict[str, float]:
         if not name.isidentifier():
             raise ScenarioError(f"bad parameter name {name!r}", source, lineno)
         try:
-            out[name] = float(num.strip())
+            value = float(num.strip())
         except ValueError:
-            out[name] = math.nan
-        if not math.isfinite(out[name]):
+            value = math.nan
+        if not math.isfinite(value):
             raise ScenarioError(f"bad parameter value {num.strip()!r}", source, lineno)
+        out[name] = value
     return out
 
 
