@@ -15,13 +15,12 @@ import cmpplab as lab
 base = lab.BaseModel(lab.Exponential(0.2), lab.Gamma(2.0, 2.0))
 
 print("One path, fully reproducible from (seed, path index):")
-path = lab.simulate_path(base, None, lab.BASE_P, horizon=2.0,
-                         stream=lab.RngStream(seed=42, path_index=0))
-print(f"  theta = {path.theta:.4f}")
-print(f"  event times = {np.round(path.event_times, 3)}")
+path = lab.simulate_batch(base, None, lab.BASE_P, horizon=2.0, seed=42, n=1, start_index=0)
+print(f"  theta = {path.thetas[0]:.4f}")
+print(f"  event times = {np.round(path.times, 3)}")
 print(f"  claims      = {np.round(path.claims, 2)}")
-print(f"  N_1 = {path.count_at(1.0)}, S_1 = {path.aggregate_at(1.0):.3f}, "
-      f"S_2 = {path.aggregate_at(2.0):.3f}")
+print(f"  N_1 = {path.counts_at(1.0)[0]}, S_1 = {path.aggregates_at(1.0)[0]:.3f}, "
+      f"S_2 = {path.aggregates_at(2.0)[0]:.3f}")
 
 print("\nA 200k-path batch (same construction, vectorized):")
 batch = lab.simulate_batch(base, None, lab.BASE_P, horizon=1.0, seed=42, n=200_000)

@@ -23,14 +23,13 @@ from .premium import (AssumptionViolated, BadInterval, PremiumQuote,
                       j_integral_by_quadrature, premium_density,
                       premium_schedule)
 from .quadrature import DivergentIntegral
-from .rng import RngStream, uniforms
+from .rng import uniforms
 from .scenario import (BUILTIN_SCENARIOS, Row, Scenario, ScenarioError,
                        load_scenario_file, parse_scenario_text, report_write,
                        resolve_scenario, run_scenario)
-from .sim import (BASE_P, DERIVED_Q, MeasureTag, OutOfHorizon, Path,
-                  PathBatch, SimulationError, conditional_p, conditional_q,
-                  dump_paths, log_density_M, log_density_batch, simulate_batch,
-                  simulate_path, surplus_v, surplus_y)
+from .sim import (BASE_P, DERIVED_Q, MeasureTag, OutOfHorizon, PathBatch,
+                  SimulationError, conditional_p, conditional_q, dump_paths,
+                  log_density_batch, simulate_batch)
 from .verify import (DegeneracyResult, DriftRow, EventSpec, MartingaleTable,
                      MCReport, PathFunctional, ReweightingResult,
                      aggregate_at_most, check_martingale, check_reweighting,

@@ -18,7 +18,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .scenario import BUILTIN_SCENARIOS, run_scenario
+from .scenario import BUILTIN_SCENARIOS, OUTPUT_FORMATS, run_scenario
 
 
 def _parse_param(text: str) -> tuple[str, float]:
@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--paths", type=int, default=None, help="override mc.paths")
     run.add_argument("--horizon", type=float, default=None, help="override mc.horizon")
     run.add_argument("--output", default=None, help="override the report path")
-    run.add_argument("--format", default=None, choices=("csv", "json-lines"),
+    run.add_argument("--format", default=None, choices=OUTPUT_FORMATS,
                      help="override the report format")
     run.add_argument("--param", action="append", type=_parse_param, default=[],
                      metavar="NAME=VALUE",

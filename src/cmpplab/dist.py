@@ -35,7 +35,7 @@ from scipy import special as sp
 from .expr import RealFn, format_number
 from .quadrature import (DivergentIntegral, evaluate, gauss_kronrod, integrate_finite,
                          integrate_semi_infinite)
-from .rng import LANE_MISC, RngStream, uniforms
+from .rng import LANE_MISC, uniforms
 
 ArrayLike = Union[float, np.ndarray]
 # an array callable (float array in, same-shape array out) or a RealFn
@@ -108,10 +108,6 @@ class Distribution:
     def variance(self) -> float:
         m1 = self.moment(1)
         return self.moment(2) - m1 * m1
-
-    def sample(self, stream: RngStream, lane: int = LANE_MISC) -> float:
-        """One draw via the quantile transform of the stream's next uniform."""
-        return float(self.quantile(stream.next_uniform(lane)))
 
     def interior_grid(self, n: int, p_lo: float = 1e-6, p_hi: float = None) -> np.ndarray:
         """n interior points spread by probability mass (quantile grid)."""

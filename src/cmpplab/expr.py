@@ -396,9 +396,5 @@ def const_value(node: Node, params: Mapping[str, float]) -> Optional[float]:
     return float(_value(node, np.zeros(1), params)[0])
 
 
-def constant(value: float) -> RealFn:
-    return RealFn(Num(float(value)))
-
-
 def identity(var: str) -> RealFn:
     return RealFn(Var(var), var)

@@ -46,7 +46,6 @@ LANE_CLAIM = 2      # claim-size uniforms
 _LANE_SHIFT = np.uint64(32)
 _CACHE_BLOCK = 1 << 16  # uint64 values mixed per block (512 KiB per buffer)
 _BELOW_ONE = np.nextafter(1.0, 0.0)
-_STREAM_BLOCK = 64  # draws an RngStream fetches per lane at a time
 
 
 def _mix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -145,33 +144,3 @@ def _bits_to_unit(bits: np.ndarray, out=None) -> np.ndarray:
     u = np.add(bits, 0.5, out=np.empty(bits.shape) if out is None else out)
     u *= 2.0**-53
     return np.minimum(u, _BELOW_ONE, out=u)
-
-
-class RngStream:
-    """Sequential view of one path's random stream.
-
-    Owned by exactly one consumer at a time; ``next_uniform`` advances a
-    per-lane cursor.  Values are identical to what the vectorized
-    ``uniforms`` call produces for the same indices: each lane fetches its
-    draws from ``uniforms`` in blocks of ``_STREAM_BLOCK`` and serves them
-    one at a time.
-    """
-
-    __slots__ = ("seed", "path_index", "_cursors", "_blocks")
-
-    def __init__(self, seed: int, path_index: int = 0):
-        self.seed = int(seed)
-        self.path_index = int(path_index)
-        self._cursors = {}
-        self._blocks = {}
-
-    def next_uniform(self, lane: int = LANE_MISC) -> float:
-        k = self._cursors.get(lane, 0)
-        self._cursors[lane] = k + 1
-        if k % _STREAM_BLOCK == 0:  # the lane's next block of draws
-            self._blocks[lane] = uniforms(self.seed, self.path_index, lane,
-                                          np.arange(k, k + _STREAM_BLOCK)).tolist()
-        return self._blocks[lane][k % _STREAM_BLOCK]
-
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, path_index={self.path_index})"

@@ -70,6 +70,7 @@ _SCENARIO_KEYS = {"scenario": ("name",), "base": ("claim", "mixing", "h"),
                   "mc": ("paths", "seed", "horizon"), "output": ("format", "path")}
 
 OUTPUT_DIR_ENV = "CMPPLAB_OUTPUT_DIR"
+OUTPUT_FORMATS = ("csv", "json-lines")
 
 # what the library raises on an input it cannot handle; inside a job these
 # become one ``fail`` row instead of a traceback
@@ -267,7 +268,7 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
         raise ScenarioError("mc.paths must be at least 100", source)
 
     out_format, ln = get("output", "format", "csv")
-    if out_format not in ("csv", "json-lines"):
+    if out_format not in OUTPUT_FORMATS:
         raise ScenarioError(f"unknown output format {out_format!r}", source, ln)
     out_path, _ = get("output", "path", None)
 
@@ -580,6 +581,8 @@ def report_write(rows: List[Row], out_format: str, destination: str) -> None:
     import csv
     import json
 
+    if out_format not in OUTPUT_FORMATS:  # before the destination is touched
+        raise ScenarioError(f"unknown output format {out_format!r}")
     parent = os.path.dirname(os.path.abspath(destination))
     try:
         os.makedirs(parent, exist_ok=True)
@@ -589,18 +592,29 @@ def report_write(rows: List[Row], out_format: str, destination: str) -> None:
                 writer.writerow(REPORT_COLUMNS)
                 for r in rows:
                     writer.writerow([_format_cell(getattr(r, c)) for c in REPORT_COLUMNS])
-            elif out_format == "json-lines":
+            else:
                 for r in rows:
                     record = {c: getattr(r, c) for c in REPORT_COLUMNS}
                     fh.write(json.dumps(record) + "\n")
-            else:
-                raise ScenarioError(f"unknown output format {out_format!r}")
     except OSError as e:
         raise ScenarioError(f"cannot write report to {destination!r}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
 # the scenario runner
+
+def _override_number(value, conv, key: str):
+    """An mc.<key> override as conv (int or float), text parsed as in a
+    scenario file; an int keeps a number's value (seed 1.5 is not seed 1)."""
+    try:
+        number = conv(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (conv is int and not isinstance(value, str) and number != value):
+        kind = "an integer" if conv is int else "a number"
+        raise ScenarioError(f"mc.{key} must be {kind}, got {value!r}", f"--{key}")
+    return number
+
 
 def run_scenario(name_or_path: str, overrides: Optional[dict] = None,
                  stderr=None) -> int:
@@ -617,14 +631,14 @@ def run_scenario(name_or_path: str, overrides: Optional[dict] = None,
     try:
         scn = resolve_scenario(name_or_path, params)
         for key in ("seed", "paths"):
-            if key in overrides and overrides[key] is not None:
-                scn = replace(scn, **{key: int(overrides[key])})
+            if overrides.get(key) is not None:
+                scn = replace(scn, **{key: _override_number(overrides[key], int, key)})
         if overrides.get("horizon") is not None:
-            scn = replace(scn, horizon=_check_horizon(float(overrides["horizon"]),
-                                                      "--horizon"))
+            horizon = _override_number(overrides["horizon"], float, "horizon")
+            scn = replace(scn, horizon=_check_horizon(horizon, "--horizon"))
         if overrides.get("format") is not None:
             fmt = overrides["format"]
-            if fmt not in ("csv", "json-lines"):
+            if fmt not in OUTPUT_FORMATS:
                 raise ScenarioError(f"unknown output format {fmt!r}")
             scn = replace(scn, out_format=fmt)
         if overrides.get("output") is not None:

@@ -19,9 +19,9 @@ partial sum carried across, so a short path draws few uniforms and every
 rounding still depends on (seed, path index) alone.  The batch engine
 performs the construction vectorized, and every quantile transform (the
 Gamma and Tilted laws' table-started inversions included) maps each
-uniform on its own, so ``simulate_path`` with stream (seed, i) and path i
-of a batch under the same seed are bit-identical, whatever the batch's
-size or start index.
+uniform on its own, so path i of a batch equals the one-path batch
+``simulate_batch(..., n=1, start_index=i)`` under the same seed bit for
+bit, whatever the batch's size or start index.
 
 A hard cap of 10^7 events per path turns a runaway intensity into a
 diagnostic instead of an endless loop.
@@ -36,7 +36,7 @@ import numpy as np
 
 from .expr import DomainError, RealFn
 from .model import BaseModel, DerivedModel, MeasureChange
-from .rng import LANE_ARRIVAL, LANE_CLAIM, LANE_MISC, PathKeys, RngStream, uniforms
+from .rng import LANE_ARRIVAL, LANE_CLAIM, LANE_MISC, PathKeys, uniforms
 
 EVENT_CAP = 10_000_000
 _FAMILY_STRIDE = 1 << 40  # disjoint path-index families for independent batches
@@ -100,61 +100,14 @@ def conditional_q(theta: float) -> MeasureTag:
 # ---------------------------------------------------------------------------
 # paths
 
-@dataclass(frozen=True)
-class Path:
-    """One trajectory: realized theta, event times, claim sizes, horizon."""
-
-    theta: float
-    event_times: np.ndarray
-    claims: np.ndarray
-    horizon: float
-
-    def __post_init__(self):
-        times = np.asarray(self.event_times, dtype=float)
-        claims = np.asarray(self.claims, dtype=float)
-        object.__setattr__(self, "event_times", times)
-        object.__setattr__(self, "claims", claims)
-        if times.shape != claims.shape:
-            raise ValueError("event_times and claims must have equal length")
-        if times.size and not (np.diff(times) > 0.0).all():
-            raise ValueError("event times must be strictly increasing")
-        if times.size and not (times > 0.0).all():
-            raise ValueError("event times must be positive")
-        if times.size and times[-1] > self.horizon:
-            raise ValueError("event times must not exceed the horizon")
-        if claims.size and not (claims > 0.0).all():
-            raise ValueError("claims must be positive")
-
-    def __len__(self) -> int:
-        return int(self.event_times.size)
-
-    def as_batch(self) -> "PathBatch":
-        """This path as a one-path PathBatch; the scalar path functions are
-        entry [0] of the matching batch functions."""
-        n = len(self)
-        return PathBatch(thetas=np.array([float(self.theta)]),
-                         counts=np.array([n], dtype=np.int64),
-                         offsets=np.array([0, n], dtype=np.int64),
-                         times=self.event_times, claims=self.claims,
-                         horizon=self.horizon)
-
-    def count_at(self, t: float) -> int:
-        """N_t: number of events up to and including t."""
-        return int(self.as_batch().counts_at(t)[0])
-
-    def aggregate_at(self, t: float) -> float:
-        """S_t: sum of the first N_t claims."""
-        return float(self.as_batch().aggregates_at(t)[0])
-
-
 @dataclass
 class PathBatch:
-    """Column-oriented batch of paths (flat ragged arrays).
+    """Column-oriented batch of paths (flat ragged arrays); a one-path
+    batch is a single path.
 
-    Fields are read-only by convention; verify-side estimators consume
-    batches directly instead of materializing per-path objects.
-    ``counts_at`` and ``aggregates_at`` compute each t once per batch and
-    return read-only arrays.
+    Fields are read-only by convention.  ``counts_at`` and
+    ``aggregates_at`` compute each t once per batch and return read-only
+    arrays.
     """
 
     thetas: np.ndarray     # (n,)
@@ -167,11 +120,6 @@ class PathBatch:
 
     def __len__(self) -> int:
         return int(self.thetas.size)
-
-    def path(self, i: int) -> Path:
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        return Path(float(self.thetas[i]), self.times[lo:hi].copy(),
-                    self.claims[lo:hi].copy(), self.horizon)
 
     def counts_at(self, t: float) -> np.ndarray:
         """N_t of every path."""
@@ -314,32 +262,18 @@ def _groupwise_arange(counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
 
 
-def simulate_path(base: BaseModel, derived: Optional[DerivedModel],
-                  under: MeasureTag, horizon: float, stream: RngStream) -> Path:
-    """One path; identical to the batch engine's path at the same index."""
-    batch = simulate_batch(base, derived, under, horizon,
-                           seed=stream.seed, n=1, start_index=stream.path_index)
-    return batch.path(0)
-
-
 # ---------------------------------------------------------------------------
 # likelihood-ratio density along a path
 
-def log_density_M(path: Path, t: float, change: MeasureChange,
-                  include_xi: bool = True) -> float:
-    """log of the likelihood-ratio martingale at time t on this path.
+def log_density_batch(batch: PathBatch, t: float, change: MeasureChange,
+                      include_xi: bool = True) -> np.ndarray:
+    """log of the likelihood-ratio martingale at time t on every path.
 
     With include_xi the unconditional density ln M_t = ln xi(theta)
     + N_t alpha(theta) + sum_{k<=N_t} gamma(X_k)
     - t theta (e^{alpha(theta)} - 1); without it, the conditional
-    density ln M~_t (no xi term).
+    density ln M~_t (no xi term).  DomainError where xi <= 0.
     """
-    return float(log_density_batch(path.as_batch(), t, change, include_xi)[0])
-
-
-def log_density_batch(batch: PathBatch, t: float, change: MeasureChange,
-                      include_xi: bool = True) -> np.ndarray:
-    """log_density_M for every path of the batch; DomainError where xi <= 0."""
     alphas = change.alpha.eval_array(batch.thetas)
     counts = batch.counts_at(t)
     out = counts * alphas - t * batch.thetas * np.expm1(alphas)
@@ -355,23 +289,15 @@ def log_density_batch(batch: PathBatch, t: float, change: MeasureChange,
 # ---------------------------------------------------------------------------
 # surplus processes
 
-def surplus_v(path: Path, t: float, derived: DerivedModel) -> float:
+def surplus_v_batch(batch: PathBatch, t: float, derived: DerivedModel) -> np.ndarray:
     """Centered aggregate under the derived measure:
     V_t = S_t - t g(theta) E[X e^{gamma(X)}]."""
-    return float(surplus_v_batch(path.as_batch(), t, derived)[0])
-
-
-def surplus_y(path: Path, t: float, base: BaseModel) -> float:
-    """Claim surplus under the base measure: Y_t = S_t - t theta E[X]."""
-    return float(surplus_y_batch(path.as_batch(), t, base)[0])
-
-
-def surplus_v_batch(batch: PathBatch, t: float, derived: DerivedModel) -> np.ndarray:
     rates = derived.g.eval_array(batch.thetas)
     return batch.aggregates_at(t) - t * rates * derived.claim_tilt_mean
 
 
 def surplus_y_batch(batch: PathBatch, t: float, base: BaseModel) -> np.ndarray:
+    """Claim surplus under the base measure: Y_t = S_t - t theta E[X]."""
     return batch.aggregates_at(t) - t * batch.thetas * base.claim_law.moment(1)
 
 

@@ -131,7 +131,9 @@ class MCReport:
 # path functionals and conditioning events
 
 class PathFunctional:
-    """A time-indexed functional of one path, with a vectorized route."""
+    """A time-indexed path functional: ``batch_fn(batch, t)`` returns its
+    value on every path of the batch, e.g.
+    ``PathFunctional("S_t^2", lambda b, t: b.aggregates_at(t) ** 2)``."""
 
     def __init__(self, name: str, batch_fn: Callable[[PathBatch, float], np.ndarray]):
         self.name = name
@@ -164,15 +166,6 @@ def f_count_eq(k: int) -> PathFunctional:
 def f_aggregate_gt(q: float) -> PathFunctional:
     return PathFunctional(f"ind(S_t>{q:g})",
                           lambda b, t: (b.aggregates_at(t) > q).astype(float))
-
-
-def from_callable(name: str, fn: Callable[..., float]) -> PathFunctional:
-    """Wrap a scalar f(path, t); slower than the builtin vectorized ones."""
-
-    def batch_fn(batch: PathBatch, t: float) -> np.ndarray:
-        return np.array([fn(batch.path(i), t) for i in range(len(batch))])
-
-    return PathFunctional(name, batch_fn)
 
 
 @dataclass(frozen=True)
@@ -395,8 +388,9 @@ def _battery(f, oracle):
     fs, oracles = ([f], [oracle]) if single else (list(f), list(oracle or [None] * len(f)))
     if len(oracles) != len(fs):
         raise ValueError(f"{len(fs)} functionals but {len(oracles)} oracles")
-    fs = [g if isinstance(g, PathFunctional) else from_callable(getattr(g, "__name__", "f"), g)
-          for g in fs]
+    for g in fs:
+        if not isinstance(g, PathFunctional):
+            raise TypeError(f"expected a PathFunctional, got {type(g).__name__}")
     return fs, oracles, single
 
 

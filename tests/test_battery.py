@@ -23,9 +23,10 @@ from cmpplab.scenario import run_scenario
 from cmpplab.expr import DomainError
 from cmpplab.scenario import BUILTIN_SCENARIOS, resolve_scenario
 from cmpplab.sim import BASE_P, DERIVED_Q, SimulationError, simulate_batch
-from cmpplab.verify import (FAM_DEFAULT, check_martingale, check_reweighting,
-                            degeneracy_test, f_aggregate, f_count, f_count_eq,
-                            f_one, mc_estimate, process_v, singularity_probe)
+from cmpplab.verify import (FAM_DEFAULT, PathFunctional, check_martingale,
+                            check_reweighting, degeneracy_test, f_aggregate,
+                            f_count, f_count_eq, f_one, mc_estimate, process_v,
+                            singularity_probe)
 
 SEED = 20190521
 WORKLOADS = Path(__file__).parent.parent / "benchmarks" / "workloads"
@@ -68,7 +69,7 @@ def test_reweighting_battery_matches_single_calls(derived62, small_chunks, theta
 
 
 def test_mc_estimate_battery_matches_single_calls(base62, derived62, small_chunks):
-    battery = [f_aggregate(), f_count(), lambda p, t: float(p.theta)]
+    battery = [f_aggregate(), f_count(), PathFunctional("theta", lambda b, t: b.thetas)]
     oracles = [200.0 / 9.0, None, None]
     shared = mc_estimate(battery, base62, derived62, DERIVED_Q, 1.0, 4000, SEED,
                          oracle=oracles)

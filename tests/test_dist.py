@@ -30,7 +30,7 @@ def test_degenerate_moments():
     d = Degenerate(2.0)
     assert d.moment(3) == 8.0
     assert d.quantile(0.5) == 2.0
-    assert d.sample.__self__ is d  # bound method sanity
+    assert sample_array(d, seed=1, n=5).tolist() == [2.0] * 5
 
 
 def test_beta_and_gamma_means():

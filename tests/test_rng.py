@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cmpplab.rng import (LANE_ARRIVAL, LANE_CLAIM, LANE_MISC, PathKeys, RngStream,
-                         _bits_to_unit, uniforms)
+from cmpplab.rng import (LANE_ARRIVAL, LANE_CLAIM, LANE_MISC, PathKeys, _bits_to_unit,
+                         uniforms)
 
 # ---------------------------------------------------------------------------
 # the mixing contract of the rng module docstring, on Python ints
@@ -118,23 +118,6 @@ def test_uniforms_across_cache_blocks_match_reference():
     assert uniforms(13, np.arange(3)[:, None], LANE_MISC, np.arange(0)).shape == (3, 0)
 
 
-def test_scalar_stream_matches_batch():
-    s = RngStream(42, 3)
-    seq = np.array([s.next_uniform(LANE_ARRIVAL) for _ in range(8)])
-    batch = uniforms(42, 3, LANE_ARRIVAL, np.arange(8))
-    assert np.array_equal(seq, batch)
-
-
-def test_scalar_stream_across_blocks_and_lanes():
-    # 150 draws per lane cross two block boundaries; the lanes interleave
-    s = RngStream(42, 3)
-    seq = [(s.next_uniform(LANE_ARRIVAL), s.next_uniform(LANE_CLAIM)) for _ in range(150)]
-    arrival, claim = (np.array(lane) for lane in zip(*seq))
-    assert np.array_equal(arrival, uniforms(42, 3, LANE_ARRIVAL, np.arange(150)))
-    assert np.array_equal(claim, uniforms(42, 3, LANE_CLAIM, np.arange(150)))
-    assert type(s.next_uniform()) is float
-
-
 def test_pure_function_of_coordinates():
     a = uniforms(7, np.arange(1000), LANE_CLAIM, 5)
     b = uniforms(7, np.arange(1000), LANE_CLAIM, 5)
@@ -178,13 +161,3 @@ def test_lanes_seeds_and_draws_decorrelated():
 def test_different_paths_differ():
     u = uniforms(3, np.arange(10_000), LANE_MISC, 0)
     assert len(np.unique(u)) == len(u)
-
-
-def test_stream_cursor_per_lane():
-    s = RngStream(5, 0)
-    u1 = s.next_uniform(LANE_ARRIVAL)
-    u2 = s.next_uniform(LANE_CLAIM)
-    u3 = s.next_uniform(LANE_ARRIVAL)
-    assert u1 == float(uniforms(5, 0, LANE_ARRIVAL, 0))
-    assert u2 == float(uniforms(5, 0, LANE_CLAIM, 0))
-    assert u3 == float(uniforms(5, 0, LANE_ARRIVAL, 1))

@@ -125,6 +125,14 @@ def test_jsonl_roundtrip(tmp_path):
     assert all(tuple(rec) == REPORT_COLUMNS for rec in records)
 
 
+def test_unknown_format_leaves_existing_report(tmp_path):
+    path = tmp_path / "r.xml"
+    path.write_text("precious\n")
+    with pytest.raises(ScenarioError, match="unknown output format 'xml'"):
+        report_write(rows_sample(), "xml", str(path))
+    assert path.read_text() == "precious\n"
+
+
 def test_oracle_and_estimate_both_render(tmp_path):
     path = tmp_path / "r.csv"
     report_write(rows_sample(), "csv", str(path))
@@ -370,6 +378,36 @@ def test_bad_horizon_override_exit_2(tmp_path, capsys, no_simulation, horizon):
                  "--output", str(out)]) == 2
     assert "--horizon: mc.horizon" in capsys.readouterr().err
     assert not out.exists()
+
+
+BAD_API_OVERRIDES = [
+    ({"paths": "abc"}, "--paths: mc.paths must be an integer, got 'abc'"),
+    ({"paths": 150.7}, "--paths: mc.paths must be an integer, got 150.7"),
+    ({"seed": 1.5}, "--seed: mc.seed must be an integer, got 1.5"),
+    ({"seed": [1]}, "--seed: mc.seed must be an integer, got [1]"),
+    ({"horizon": "x"}, "--horizon: mc.horizon must be a number, got 'x'"),
+    ({"horizon": "nan"}, "--horizon: mc.horizon must be finite and > 0, got nan"),
+]
+
+
+@pytest.mark.parametrize("override,message", BAD_API_OVERRIDES,
+                         ids=["paths-text", "paths-fraction", "seed-fraction", "seed-list",
+                              "horizon-text", "horizon-nan-text"])
+def test_bad_api_override_exit_2(tmp_path, capsys, no_simulation, override, message):
+    out = tmp_path / "r.csv"
+    assert run_scenario("example-6.1a", {**override, "output": str(out)}) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_integral_api_overrides_run(tmp_path):
+    out = tmp_path / "r.csv"
+    run_scenario("example-6.1a", {"paths": 2000.0, "seed": "7", "horizon": "1.5",
+                                  "output": str(out)})
+    rows = list(csv.DictReader(open(out)))
+    assert all(r["seed"] == "7" for r in rows)
+    assert any(r["quantity"] == "E_P[S_1.5]" for r in rows)
 
 
 BAD_VALUE_RUNS = [

@@ -11,14 +11,35 @@ from cmpplab.dist import Degenerate, Exponential, Gamma, Tilted, expectation
 from cmpplab.expr import DomainError
 from cmpplab.model import (BaseModel, derive_q_model, identity_change,
                            measure_change, validate_change)
-from cmpplab.rng import LANE_ARRIVAL, RngStream, uniforms
-from cmpplab.sim import (_FAMILY_STRIDE, BASE_P, DERIVED_Q, OutOfHorizon, Path,
-                         SimulationError, conditional_p,
-                         conditional_q, dump_paths, log_density_M,
-                         log_density_batch, simulate_batch, simulate_path,
-                         surplus_v, surplus_v_batch, surplus_y, surplus_y_batch)
+from cmpplab.rng import LANE_ARRIVAL, uniforms
+from cmpplab.sim import (_FAMILY_STRIDE, BASE_P, DERIVED_Q, OutOfHorizon, PathBatch,
+                         SimulationError, conditional_p, conditional_q, dump_paths,
+                         log_density_batch, simulate_batch, surplus_v_batch,
+                         surplus_y_batch)
 
 SEED = 20190521
+
+
+def one_path(theta, times, claims, horizon):
+    """A hand-made path: a one-path batch."""
+    n = len(times)
+    return PathBatch(thetas=np.array([float(theta)]), counts=np.array([n], dtype=np.int64),
+                     offsets=np.array([0, n], dtype=np.int64),
+                     times=np.asarray(times, dtype=float),
+                     claims=np.asarray(claims, dtype=float), horizon=horizon)
+
+
+def member(batch, i):
+    """Path i of a batch, copied out as a one-path batch."""
+    lo, hi = batch.offsets[i], batch.offsets[i + 1]
+    return one_path(batch.thetas[i], batch.times[lo:hi].copy(),
+                    batch.claims[lo:hi].copy(), batch.horizon)
+
+
+def assert_same_paths(a, b):
+    for name in ("thetas", "counts", "offsets", "times", "claims"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.horizon == b.horizon
 
 
 @pytest.fixture(scope="module")
@@ -41,30 +62,20 @@ def derived62(base62, change62):
 # path values
 
 def test_zero_horizon_empty_path(base62):
-    p = simulate_path(base62, None, BASE_P, 0.0, RngStream(1, 0))
-    assert len(p) == 0
-    assert p.count_at(0.0) == 0
-    assert p.aggregate_at(0.0) == 0.0
+    p = simulate_batch(base62, None, BASE_P, 0.0, seed=1, n=1)
+    assert len(p) == 1 and p.counts[0] == 0 and p.times.size == 0
+    assert p.counts_at(0.0)[0] == 0
+    assert p.aggregates_at(0.0)[0] == 0.0
 
 
 def test_count_and_aggregate_by_hand():
-    p = Path(theta=1.0, event_times=np.array([0.3, 0.7]),
-             claims=np.array([2.0, 5.0]), horizon=1.0)
-    assert p.aggregate_at(0.5) == 2.0
-    assert p.aggregate_at(0.7) == 7.0     # event exactly at t counts
-    assert p.count_at(0.7) == 2
-    assert p.count_at(0.2) == 0
+    p = one_path(1.0, [0.3, 0.7], [2.0, 5.0], horizon=1.0)
+    assert p.aggregates_at(0.5)[0] == 2.0
+    assert p.aggregates_at(0.7)[0] == 7.0     # event exactly at t counts
+    assert p.counts_at(0.7)[0] == 2
+    assert p.counts_at(0.2)[0] == 0
     with pytest.raises(OutOfHorizon):
-        p.count_at(1.5)
-
-
-def test_path_invariants_enforced():
-    with pytest.raises(ValueError):
-        Path(1.0, np.array([0.5, 0.4]), np.array([1.0, 1.0]), 1.0)
-    with pytest.raises(ValueError):
-        Path(1.0, np.array([0.5]), np.array([-1.0]), 1.0)
-    with pytest.raises(ValueError):
-        Path(1.0, np.array([1.5]), np.array([1.0]), 1.0)
+        p.counts_at(1.5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -73,10 +84,10 @@ def test_path_invariants_enforced():
        st.floats(min_value=0.0, max_value=2.0))
 def test_aggregate_nondecreasing(idx, t1, t2):
     base = BaseModel(Exponential(0.2), Gamma(2.0, 2.0))
-    p = simulate_path(base, None, BASE_P, 2.0, RngStream(7, idx))
+    p = simulate_batch(base, None, BASE_P, 2.0, seed=7, n=1, start_index=idx)
     lo, hi = min(t1, t2), max(t1, t2)
-    assert p.aggregate_at(lo) <= p.aggregate_at(hi)
-    assert p.count_at(lo) <= p.count_at(hi)
+    assert p.aggregates_at(lo)[0] <= p.aggregates_at(hi)[0]
+    assert p.counts_at(lo)[0] <= p.counts_at(hi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -192,21 +203,17 @@ def test_wald_identity_all_tags(base62, derived62, t):
 # determinism
 
 def test_same_seed_same_path(base62):
-    a = simulate_path(base62, None, BASE_P, 2.0, RngStream(313, 5))
-    b = simulate_path(base62, None, BASE_P, 2.0, RngStream(313, 5))
-    assert a.theta == b.theta
-    assert np.array_equal(a.event_times, b.event_times)
-    assert np.array_equal(a.claims, b.claims)
+    a = simulate_batch(base62, None, BASE_P, 2.0, seed=313, n=1, start_index=5)
+    b = simulate_batch(base62, None, BASE_P, 2.0, seed=313, n=1, start_index=5)
+    assert_same_paths(a, b)
 
 
-def test_scalar_equals_batch_member(base62, derived62):
+def test_one_path_batch_equals_batch_member(base62, derived62):
+    assert isinstance(derived62.q_claim, Gamma) and isinstance(derived62.q_mixing, Gamma)
     batch = simulate_batch(base62, derived62, DERIVED_Q, 1.5, seed=271, n=600)
     for i in (0, 1, 77, 599):
-        solo = simulate_path(base62, derived62, DERIVED_Q, 1.5, RngStream(271, i))
-        member = batch.path(i)
-        assert solo.theta == member.theta
-        assert np.array_equal(solo.event_times, member.event_times)
-        assert np.array_equal(solo.claims, member.claims)
+        solo = simulate_batch(base62, derived62, DERIVED_Q, 1.5, seed=271, n=1, start_index=i)
+        assert_same_paths(solo, member(batch, i))
 
 
 @pytest.fixture(scope="module")
@@ -219,14 +226,12 @@ def derived_tilted(base62):
     return derived
 
 
-def test_scalar_equals_batch_member_tilted(base62, derived_tilted):
+def test_one_path_batch_equals_batch_member_tilted(base62, derived_tilted):
     batch = simulate_batch(base62, derived_tilted, DERIVED_Q, 2.0, seed=SEED, n=600)
     for i in (0, 1, 2, 77, 301, 599):
-        solo = simulate_path(base62, derived_tilted, DERIVED_Q, 2.0, RngStream(SEED, i))
-        member = batch.path(i)
-        assert solo.theta == member.theta
-        assert np.array_equal(solo.event_times, member.event_times)
-        assert np.array_equal(solo.claims, member.claims)
+        solo = simulate_batch(base62, derived_tilted, DERIVED_Q, 2.0, seed=SEED, n=1,
+                              start_index=i)
+        assert_same_paths(solo, member(batch, i))
 
 
 @pytest.mark.parametrize("split", [600, 990])
@@ -322,34 +327,33 @@ def test_accumulation_matches_reference_q_side_chunked(base62, derived62):
     assert_times_match_reference(whole, derived62.g.eval_array(whole.thetas), SEED, family=3)
     assert_times_match_reference(second, derived62.g.eval_array(second.thetas), SEED,
                                  start_index=990, family=3)
-    member = simulate_batch(*args, seed=SEED, n=1000).path(995)
-    solo = simulate_path(*args, RngStream(SEED, 995))
-    assert solo.theta == member.theta
-    assert solo.event_times.tobytes() == member.event_times.tobytes()
-    assert solo.claims.tobytes() == member.claims.tobytes()
+    # path 995, in the second chunk of the split, alone
+    solo = simulate_batch(*args, seed=SEED, n=1, start_index=995, family=3)
+    assert_same_paths(solo, member(whole, 995))
+    assert_same_paths(solo, member(second, 5))
 
 
 # ---------------------------------------------------------------------------
 # likelihood-ratio density
 
 def test_identity_change_density_is_zero(base62):
-    p = simulate_path(base62, None, BASE_P, 2.0, RngStream(8, 3))
+    p = simulate_batch(base62, None, BASE_P, 2.0, seed=8, n=1, start_index=3)
     for t in (0.0, 0.5, 1.7, 2.0):
-        assert log_density_M(p, t, identity_change()) == 0.0
+        assert log_density_batch(p, t, identity_change())[0] == 0.0
 
 
 def test_empty_path_hand_value():
-    p = Path(theta=2.0, event_times=np.array([]), claims=np.array([]), horizon=1.0)
+    p = one_path(2.0, [], [], horizon=1.0)
     change = measure_change(alpha="ln(2)", gamma="0", xi="1")
     # N_t = 0: 0*alpha + 0 - t*theta*(e^alpha - 1) = -1*2*(2-1)
-    assert log_density_M(p, 1.0, change) == pytest.approx(-2.0, abs=1e-14)
+    assert log_density_batch(p, 1.0, change)[0] == pytest.approx(-2.0, abs=1e-14)
 
 
 def test_density_rejects_nonpositive_xi(base62):
     change = measure_change(xi="theta-1")
-    p = Path(theta=0.5, event_times=np.array([0.2]), claims=np.array([3.0]), horizon=1.0)
+    p = one_path(0.5, [0.2], [3.0], horizon=1.0)
     with pytest.raises(DomainError):
-        log_density_M(p, 1.0, change)
+        log_density_batch(p, 1.0, change)
     b = simulate_batch(base62, None, BASE_P, 1.0, seed=5, n=200)
     assert (b.thetas < 1.0).any()
     with pytest.raises(DomainError):
@@ -369,7 +373,8 @@ def test_density_batch_matches_scalar(base62, change62):
     b = simulate_batch(base62, None, BASE_P, 2.0, seed=17, n=300)
     lb = log_density_batch(b, 1.3, change62)
     for i in range(0, 300, 29):
-        assert lb[i] == log_density_M(b.path(i), 1.3, change62)
+        solo = simulate_batch(base62, None, BASE_P, 2.0, seed=17, n=1, start_index=i)
+        assert lb[i] == log_density_batch(solo, 1.3, change62)[0]
 
 
 @pytest.mark.parametrize("t", [0.0, 0.7, 1.3, 2.0])
@@ -381,23 +386,24 @@ def test_path_functionals_are_exact_scalar_views(base62, derived62, change62, t)
     gammas = b.claim_prefix_apply(t, change62.gamma)
     assert counts.dtype == np.int64 and (counts[b.counts == 0] == 0).all()
     for i in range(len(b)):
-        one = b.path(i).as_batch()
-        assert counts[i] == one.counts_at(t)[0] == b.path(i).count_at(t)
-        assert aggs[i] == one.aggregates_at(t)[0] == b.path(i).aggregate_at(t)
+        one = member(b, i)
+        assert counts[i] == one.counts_at(t)[0]
+        assert aggs[i] == one.aggregates_at(t)[0]
         assert gammas[i] == one.claim_prefix_apply(t, change62.gamma)[0]
 
 
 def test_density_additive_over_increments(base62, change62):
     b = simulate_batch(base62, None, BASE_P, 2.0, seed=23, n=50)
     for i in (0, 13, 49):
-        p = b.path(i)
+        p = member(b, i)
+        theta = p.thetas[0]
         for s, t in ((0.0, 0.4), (0.4, 1.1), (1.1, 2.0)):
-            whole = log_density_M(p, t, change62, include_xi=False)
-            left = log_density_M(p, s, change62, include_xi=False)
-            n_s, n_t = p.count_at(s), p.count_at(t)
-            inc = ((n_t - n_s) * change62.alpha(p.theta)
+            whole = log_density_batch(p, t, change62, include_xi=False)[0]
+            left = log_density_batch(p, s, change62, include_xi=False)[0]
+            n_s, n_t = p.counts_at(s)[0], p.counts_at(t)[0]
+            inc = ((n_t - n_s) * change62.alpha(theta)
                    + sum(change62.gamma(x) for x in p.claims[n_s:n_t])
-                   - (t - s) * p.theta * math.expm1(change62.alpha(p.theta)))
+                   - (t - s) * theta * math.expm1(change62.alpha(theta)))
             assert whole == pytest.approx(left + inc, rel=1e-10, abs=1e-10)
 
 
@@ -410,9 +416,6 @@ def test_surplus_formulas_62(base62, derived62):
     v = surplus_v_batch(b, 1.0, derived62)
     expect = b.aggregates_at(1.0) - 10.0 * b.thetas**2
     assert np.max(np.abs(v - expect)) < 1e-9
-    p = b.path(7)
-    assert surplus_v(p, 1.0, derived62) == pytest.approx(
-        p.aggregate_at(1.0) - 10.0 * p.theta**2, rel=1e-9)
 
 
 def test_surplus_formulas_63():
@@ -423,10 +426,10 @@ def test_surplus_formulas_63():
                             params={"c": c})
     # xi = 1 works for the degenerate mixing; the V coefficient is E[X e^gamma] = 2
     derived = derive_q_model(validate_change(base, change, level=2))
-    p = simulate_path(base, None, BASE_P, 1.0, RngStream(9, 4))
-    th = p.theta
-    expect = p.aggregate_at(1.0) - 2.0 * (c + th) * (c + 1.0) ** 2 * th / (c + 1.0 + th) ** 2
-    assert surplus_v(p, 1.0, derived) == pytest.approx(expect, rel=1e-9)
+    p = simulate_batch(base, None, BASE_P, 1.0, seed=9, n=1, start_index=4)
+    th = p.thetas[0]
+    expect = p.aggregates_at(1.0)[0] - 2.0 * (c + th) * (c + 1.0) ** 2 * th / (c + 1.0 + th) ** 2
+    assert surplus_v_batch(p, 1.0, derived)[0] == pytest.approx(expect, rel=1e-9)
 
 
 def test_identity_change_v_equals_y(base62):
@@ -435,9 +438,6 @@ def test_identity_change_v_equals_y(base62):
     v = surplus_v_batch(b, 1.0, identity)
     y = surplus_y_batch(b, 1.0, base62)
     assert np.max(np.abs(v - y)) < 1e-9
-    p = b.path(0)
-    assert surplus_v(p, 0.7, identity) == pytest.approx(
-        surplus_y(p, 0.7, base62), rel=1e-12)
 
 
 def test_v_coefficient_recomputation_consistent(base62, change62, derived62):

@@ -9,12 +9,12 @@ from cmpplab.model import (BaseModel, NotValidated, derive_q_model, identity_cha
 from cmpplab.premium import esscher_change, expected_value_change
 from cmpplab.sim import (BASE_P, DERIVED_Q, PathBatch, conditional_p, log_density_batch,
                          simulate_batch)
-from cmpplab.verify import (Moments, check_martingale, check_reweighting,
-                            count_at_most, default_event_family,
-                            degeneracy_test, f_aggregate, f_count,
-                            f_count_eq, f_one, mc_estimate,
+from cmpplab.verify import (Moments, PathFunctional, check_martingale,
+                            check_reweighting, count_at_most,
+                            default_event_family, degeneracy_test, f_aggregate,
+                            f_count, f_count_eq, f_one, mc_estimate,
                             process_constant, process_density, process_raw,
-                            process_v, singularity_probe)
+                            process_v, process_y, singularity_probe)
 
 SEED = 20190521
 
@@ -105,10 +105,20 @@ def test_minimum_path_count(base62, derived62):
         mc_estimate(f_one(), base62, derived62, BASE_P, 1.0, 50, SEED)
 
 
-def test_custom_callable_functional(base62, derived62):
-    rep = mc_estimate(lambda p, t: float(p.theta), base62, derived62, BASE_P,
-                      1.0, 500, SEED, oracle=1.0)
+def test_custom_callable_functional(base62, derived62, monkeypatch):
+    theta = PathFunctional("theta", lambda b, t: b.thetas)
+    rep = mc_estimate(theta, base62, derived62, BASE_P, 1.0, 500, SEED, oracle=1.0)
     assert rep.verdict == "pass"
+    # a bare callable is refused when the estimate is planned, before any path
+    def refuse(*args, **kwargs):
+        raise AssertionError("a simulation started")
+
+    monkeypatch.setattr("cmpplab.verify.simulate_batch", refuse)
+    for f in (lambda b, t: b.thetas, [theta, "S_t"]):
+        with pytest.raises(TypeError, match="PathFunctional"):
+            mc_estimate(f, base62, derived62, BASE_P, 1.0, 500, SEED)
+        with pytest.raises(TypeError, match="PathFunctional"):
+            check_reweighting(f, derived62, t=1.0, n=500, seed=SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +180,13 @@ def test_constant_process_passes(base62, derived62):
 
 def test_v_is_martingale_under_q(base62, derived62):
     table = check_martingale(process_v(derived62), base62, derived62, DERIVED_Q,
+                             [(0.5, 1.0), (1.0, 2.0)], n=60_000, seed=SEED)
+    assert table.verdict == "pass"
+    assert len(table.cells) == 16
+
+
+def test_y_is_martingale_under_p(base62):
+    table = check_martingale(process_y(), base62, None, BASE_P,
                              [(0.5, 1.0), (1.0, 2.0)], n=60_000, seed=SEED)
     assert table.verdict == "pass"
     assert len(table.cells) == 16
