@@ -8,8 +8,8 @@ the derived measure.
 """
 
 from .dist import (Beta, Degenerate, DistError, Distribution, DivergentMoment,
-                   Exponential, Gamma, OutsideConvergenceStrip, Poisson,
-                   Tilted, Uniform, expectation, log_weighted_expectation,
+                   Exponential, Gamma, OutsideConvergenceStrip, Tilted,
+                   Uniform, expectation, log_weighted_expectation,
                    parse_distribution, sample_array)
 from .expr import (DomainError, ExprSyntaxError, RealFn, UnboundParameter,
                    UnknownIdentifier, parse)
@@ -34,7 +34,7 @@ from .verify import (DegeneracyResult, DriftRow, EventSpec, MartingaleTable,
                      MCReport, PathFunctional, ReweightingResult,
                      aggregate_at_most, check_martingale, check_reweighting,
                      count_at_most, degeneracy_test, default_event_family,
-                     f_aggregate, f_aggregate_gt, f_count, f_count_eq, f_one,
+                     f_aggregate, f_count, f_count_eq, f_one,
                      mc_estimate, process_density, process_raw, process_v,
                      process_y, singularity_probe, theta_in, whole_space)
 

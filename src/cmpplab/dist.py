@@ -6,8 +6,8 @@ Conventions
 * Exponential(rate): mean 1/rate.
 * Gamma(rate, shape): density rate^shape x^(shape-1) e^(-rate x)/Gamma(shape),
   mean shape/rate.  Rate comes first everywhere.
-* Beta(a, b) on (0,1); Uniform(lo, hi); Poisson(lam) on {0,1,...};
-  Degenerate(point) is the unit mass at a point.
+* Beta(a, b) on (0,1); Uniform(lo, hi); Degenerate(point) is the unit
+  mass at a point.
 * Tilted(base, weight) reweights a base law by a positive weight whose
   base-expectation must equal 1 (verified by quadrature at construction).
 
@@ -78,7 +78,6 @@ def _as_float_or_array(x, out):
 class Distribution:
     """Common surface of all catalog variants."""
 
-    is_discrete = False
     support: tuple[float, float] = (-math.inf, math.inf)
     # log density at support[1] - y as a function of y, for a law whose
     # density can be singular at a finite upper end; None otherwise
@@ -461,71 +460,8 @@ class Uniform(Distribution):
 
 
 @dataclass(frozen=True, repr=False)
-class Poisson(Distribution):
-    lam: float
-    is_discrete = True
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise DistError(f"lambda must be positive, got {self.lam}")
-
-    @property
-    def support(self):
-        return (0.0, math.inf)
-
-    def density(self, x):
-        """Mass function; zero off the integer lattice."""
-        x = np.asarray(x, dtype=float)
-        n = np.floor(x)
-        on_lattice = (x >= 0.0) & (x == n)
-        safe = np.where(on_lattice, n, 0.0)
-        logp = -self.lam + safe * math.log(self.lam) - sp.gammaln(safe + 1.0)
-        return _as_float_or_array(x, np.where(on_lattice, np.exp(logp), 0.0))
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        n = np.floor(np.maximum(x, -1.0))
-        out = np.where(x >= 0.0, sp.gammaincc(n + 1.0, self.lam), 0.0)
-        return _as_float_or_array(x, out)
-
-    def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        flat = np.atleast_1d(p)
-        nan = np.isnan(flat)
-        # tabulate the cdf once out to negligible tail mass, then bisect
-        n_max = 16
-        while sp.gammaincc(n_max + 1.0, self.lam) < flat[~nan].max(initial=0.0):
-            n_max *= 2
-            if n_max > 10_000_000:
-                raise DistError("poisson quantile search exceeded cap")
-        table = sp.gammaincc(np.arange(n_max + 1) + 1.0, self.lam)
-        out = np.searchsorted(table, flat, side="left").astype(float)
-        out[nan] = np.nan
-        return _as_float_or_array(p, out.reshape(np.shape(p)))
-
-    def moment(self, k):
-        _check_order(k)
-        # Touchard: E[N^k] = sum_j S2(k, j) lam^j
-        stirling = [[0] * (k + 1) for _ in range(k + 1)]
-        stirling[0][0] = 1
-        for n in range(1, k + 1):
-            for j in range(1, n + 1):
-                stirling[n][j] = j * stirling[n - 1][j] + stirling[n - 1][j - 1]
-        return float(sum(stirling[k][j] * self.lam**j for j in range(k + 1)))
-
-    def mgf(self, s):
-        if s == 0.0:
-            return 1.0
-        return math.exp(self.lam * math.expm1(s))
-
-    def literal(self):
-        return f"poisson(lambda={format_number(self.lam)})"
-
-
-@dataclass(frozen=True, repr=False)
 class Degenerate(Distribution):
     point: float
-    is_discrete = True
 
     def __post_init__(self):
         if not self.point > 0:
@@ -582,18 +518,10 @@ def expectation(d: Distribution, f: Integrand) -> float:
 
 
 def clipped_expectation(d: Distribution, f: Integrand, lo: float, hi: float) -> float:
-    """E[f(X) ind(lo <= X < hi)] under d; a point mass or a Poisson lattice
-    is summed directly."""
+    """E[f(X) ind(lo <= X < hi)] under d; a point mass is evaluated directly."""
     fn = f.eval_array if isinstance(f, RealFn) else f
     if isinstance(d, Degenerate):
         return float(evaluate(fn, np.array([d.point]))[0]) if lo <= d.point < hi else 0.0
-    if isinstance(d, Poisson):
-        ns = np.arange(int(d.quantile(1.0 - 1e-16)) + 61, dtype=float)
-        ns = ns[(lo <= ns) & (ns < hi)]
-        terms = evaluate(fn, ns) * d.density(ns)
-        if not np.isfinite(terms).all():
-            raise DivergentIntegral("poisson expectation not finite")
-        return math.fsum(terms.tolist())
 
     def integrand(x, log_pdf=None):
         return fn(x) * (d.density(x) if log_pdf is None else np.exp(log_pdf))
@@ -610,7 +538,7 @@ def log_weighted_expectation(d: Distribution, log_weight: Integrand,
     """
     lw = log_weight.eval_array if isinstance(log_weight, RealFn) else log_weight
     fn = (f.eval_array if isinstance(f, RealFn) else f) or (lambda x: 1.0)
-    if isinstance(d, (Degenerate, Poisson)):
+    if isinstance(d, Degenerate):
         return expectation(d, lambda x: fn(x) * np.exp(lw(x)))
 
     def integrand(x, log_pdf=None):
@@ -663,7 +591,7 @@ class Tilted(Distribution):
                  log_weight: Optional[RealFn] = None):
         if weight is None and log_weight is None:
             raise DistError("tilted law needs a weight or a log-weight")
-        if base.is_discrete:
+        if isinstance(base, Degenerate):
             raise DistError("tilting is only supported for continuous base laws")
         self.base = base
         self._weight = weight
@@ -888,7 +816,7 @@ def parse_distribution(text: str) -> Distribution:
     """Parse a distribution literal like ``gamma(rate=2,shape=2)``.
 
     Supported: exp(rate=), gamma(rate=,shape=), beta(a=,b=),
-    uniform(lo=,hi=), degenerate(point) and poisson(lambda=).
+    uniform(lo=,hi=) and degenerate(point).
     Arguments may be positional in the documented order.
     """
     text = text.strip()
@@ -903,7 +831,6 @@ def parse_distribution(text: str) -> Distribution:
         "beta": (Beta, ("a", "b")),
         "uniform": (Uniform, ("lo", "hi")),
         "degenerate": (Degenerate, ("point",)),
-        "poisson": (Poisson, ("lam",)),
     }.get(name)
     if spec is None:
         raise DistError(f"unknown distribution {name!r} in literal {text!r}")
@@ -914,8 +841,6 @@ def parse_distribution(text: str) -> Distribution:
         if "=" in part:
             key, _, val = part.partition("=")
             key = key.strip()
-            if key == "lambda":
-                key = "lam"
             if key not in names:
                 raise DistError(f"unknown argument {key!r} for {name} in {text!r}")
         else:

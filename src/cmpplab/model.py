@@ -15,9 +15,11 @@ E[xi(Theta) g(Theta)^l] < inf.  Its ``AdmissibilityReport`` carries the
 (base, change) pair it judged and is the token ``derive_q_model`` takes:
 a report whose verdict failed raises NotValidated, so admissibility
 belongs to the pair, not to the process.  ``derive_q_model`` produces the
-tilted claim and mixing laws, in catalog form when a closure rule
-recognizes the weight (exponential tilt of a gamma stays gamma, power
-weights shift gamma/beta parameters), as a generic Tilted law otherwise.
+tilted claim and mixing laws.  One closure rule gives the catalog form:
+when the log-weight (gamma, or ln xi) is c + k ln v + s v, an Exponential
+or Gamma base becomes Gamma(rate - s, shape + k), a Beta(a, b) becomes
+Beta(a + k, b) when s = 0, a Uniform stays itself when k = s = 0, and a
+Degenerate law is left unchanged.  Any other weight gives a Tilted law.
 
 The change-of-measure identities assume the identity intensity map
 (h(theta) = theta), which is the default; a custom h only affects the
@@ -81,8 +83,6 @@ def _check_positive_support(label: str, d: Distribution) -> None:
     lo, hi = d.support
     if lo < 0.0 or (lo == 0.0 and isinstance(d, Degenerate)):
         raise ModelError(f"{label} support must lie in (0, inf), got {d.literal()}")
-    if d.is_discrete and not isinstance(d, Degenerate):
-        raise ModelError(f"{label} must be continuous or degenerate, got {d.literal()}")
 
 
 @dataclass(frozen=True)
@@ -246,142 +246,56 @@ def derive_g(change: MeasureChange) -> RealFn:
 
 
 # ---------------------------------------------------------------------------
-# closure rules: recognize weights of the form C * v^k * e^{s v}
+# closure rules: one matcher for log-weights c + k ln v + s v
 
-def _combine(op, a, b):
-    if a is None or b is None:
-        return None
-    Ca, ka, sa = a
-    Cb, kb, sb = b
-    if op == "*":
-        return (Ca * Cb, ka + kb, sa + sb)
-    if Cb == 0.0:
-        return None
-    return (Ca / Cb, ka - kb, sa - sb)
-
-
-def _analyze_weight(node, params) -> Optional[Tuple[float, float, float]]:
-    """Match node = C * v^k * e^{s v}; return (C, k, s) or None."""
+def _log_linear(node, params, of_log: bool) -> Optional[Tuple[float, float, float]]:
+    """Match ``node`` (``ln(node)`` when ``of_log``) as c + k*ln(v) + s*v in
+    the free variable v; return (c, k, s) or None."""
     v = const_value(node, params)
     if v is not None:
-        return (v, 0.0, 0.0)
+        if not of_log:
+            return (v, 0.0, 0.0)
+        return (math.log(v), 0.0, 0.0) if v > 0.0 else None
     if isinstance(node, Var):
-        return (1.0, 1.0, 0.0)
+        return (0.0, 1.0, 0.0) if of_log else (0.0, 0.0, 1.0)
+    if isinstance(node, Call):
+        # ln(u) is u matched under the log, and under the log exp(u) is u itself
+        if node.fn == ("exp" if of_log else "ln"):
+            return _log_linear(node.arg, params, not of_log)
+        return None
     if isinstance(node, Neg):
-        inner = _analyze_weight(node.arg, params)
-        return None if inner is None else (-inner[0], inner[1], inner[2])
-    if isinstance(node, Bin) and node.op in "*/":
-        return _combine(node.op, _analyze_weight(node.lhs, params),
-                        _analyze_weight(node.rhs, params))
-    if isinstance(node, Bin) and node.op == "^":
-        e = const_value(node.rhs, params)
-        inner = _analyze_weight(node.lhs, params)
-        if e is None or inner is None:
-            return None
-        C, k, s = inner
-        if C <= 0.0:
-            return None
-        return (C**e, k * e, s * e)
-    if isinstance(node, Call) and node.fn == "exp":
-        lin = _analyze_affine(node.arg, params)
-        if lin is None:
-            return None
-        slope, interc = lin
-        return (math.exp(interc), 0.0, slope)
-    return None
-
-
-def _analyze_affine(node, params) -> Optional[Tuple[float, float]]:
-    """Match node = s*v + c; return (s, c) or None."""
-    v = const_value(node, params)
-    if v is not None:
-        return (0.0, v)
-    if isinstance(node, Var):
-        return (1.0, 0.0)
-    if isinstance(node, Neg):
-        inner = _analyze_affine(node.arg, params)
-        return None if inner is None else (-inner[0], -inner[1])
-    if isinstance(node, Bin) and node.op in "+-":
-        a = _analyze_affine(node.lhs, params)
-        b = _analyze_affine(node.rhs, params)
+        t = None if of_log else _log_linear(node.arg, params, False)
+        return None if t is None else (-t[0], -t[1], -t[2])
+    if not isinstance(node, Bin):  # an unbound parameter
+        return None
+    if node.op in ("*/" if of_log else "+-"):
+        a = _log_linear(node.lhs, params, of_log)
+        b = _log_linear(node.rhs, params, of_log)
         if a is None or b is None:
             return None
-        sign = 1.0 if node.op == "+" else -1.0
-        return (a[0] + sign * b[0], a[1] + sign * b[1])
-    if isinstance(node, Bin) and node.op == "*":
-        for lhs, rhs in ((node.lhs, node.rhs), (node.rhs, node.lhs)):
-            c = const_value(lhs, params)
-            if c is not None:
-                inner = _analyze_affine(rhs, params)
-                if inner is not None:
-                    return (c * inner[0], c * inner[1])
+        if node.op in "+*":
+            return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+        return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+    # scaling by a constant: u*c or c*u and u/c, or u^c under the log
+    if node.op not in ("^" if of_log else "*/"):
         return None
-    if isinstance(node, Bin) and node.op == "/":
-        c = const_value(node.rhs, params)
-        if c in (None, 0.0):
-            return None
-        inner = _analyze_affine(node.lhs, params)
-        return None if inner is None else (inner[0] / c, inner[1] / c)
-    return None
-
-
-def _analyze_log_weight(node, params) -> Optional[Tuple[float, float, float]]:
-    """Match node = s*v + k*ln(v) + c (as a log-weight); return (e^c, k, s)."""
-    terms = []
-    _flatten_sum(node, 1.0, terms)
-    s = k = c = 0.0
-    for sign, t in terms:
-        v = const_value(t, params)
-        if v is not None:
-            c += sign * v
-            continue
-        if isinstance(t, Call) and t.fn == "ln":
-            inner = _analyze_weight(t.arg, params)
-            if inner is None or inner[2] != 0.0 or inner[0] <= 0.0:
-                return None
-            C_in, k_in, _ = inner
-            c += sign * math.log(C_in)
-            k += sign * k_in
-            continue
-        if isinstance(t, Bin) and t.op == "*":
-            matched = False
-            for lhs, rhs in ((t.lhs, t.rhs), (t.rhs, t.lhs)):
-                cc = const_value(lhs, params)
-                if cc is not None and isinstance(rhs, Call) and rhs.fn == "ln":
-                    inner = _analyze_weight(rhs.arg, params)
-                    if inner is None or inner[2] != 0.0 or inner[0] <= 0.0:
-                        return None
-                    c += sign * cc * math.log(inner[0])
-                    k += sign * cc * inner[1]
-                    matched = True
-                    break
-            if matched:
-                continue
-        lin = _analyze_affine(t, params)
-        if lin is None:
-            return None
-        s += sign * lin[0]
-        c += sign * lin[1]
-    return (math.exp(c), k, s)
-
-
-def _flatten_sum(node, sign, out):
-    if isinstance(node, Bin) and node.op in "+-":
-        _flatten_sum(node.lhs, sign, out)
-        _flatten_sum(node.rhs, sign if node.op == "+" else -sign, out)
-    elif isinstance(node, Neg):
-        _flatten_sum(node.arg, -sign, out)
-    else:
-        out.append((sign, node))
+    arg, c = node.lhs, const_value(node.rhs, params)
+    if c is None and node.op == "*":
+        arg, c = node.rhs, const_value(node.lhs, params)
+    t = None if c is None else _log_linear(arg, params, of_log)
+    if t is None:
+        return None
+    if node.op == "/":
+        return None if c == 0.0 else (t[0] / c, t[1] / c, t[2] / c)
+    return (c * t[0], c * t[1], c * t[2])
 
 
 def _tilt_to_catalog(base: Distribution,
                      triple: Optional[Tuple[float, float, float]]) -> Optional[Distribution]:
+    """The catalog law of ``base`` reweighted by e^{c + k ln v + s v}, or None."""
     if triple is None:
         return None
-    C, k, s = triple
-    if C <= 0.0:
-        return None
+    _, k, s = triple
     if isinstance(base, Degenerate):
         return base
     if isinstance(base, Exponential):
@@ -423,13 +337,13 @@ def derive_q_model(report: AdmissibilityReport) -> DerivedModel:
     base, change = report.base, report.change
     g = derive_g(change)
 
-    claim_triple = _analyze_log_weight(change.gamma.tree, change.gamma.params)
-    q_claim = _tilt_to_catalog(base.claim_law, claim_triple)
+    q_claim = _tilt_to_catalog(base.claim_law,
+                               _log_linear(change.gamma.tree, change.gamma.params, False))
     if q_claim is None:
         q_claim = Tilted(base.claim_law, log_weight=change.gamma)
 
-    xi_triple = _analyze_weight(change.xi.tree, change.xi.params)
-    q_mixing = _tilt_to_catalog(base.mixing_law, xi_triple)
+    q_mixing = _tilt_to_catalog(base.mixing_law,
+                                _log_linear(change.xi.tree, change.xi.params, True))
     if q_mixing is None:
         q_mixing = Tilted(base.mixing_law, weight=change.xi)
 

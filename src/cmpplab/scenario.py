@@ -648,10 +648,11 @@ def run_scenario(name_or_path: str, overrides: Optional[dict] = None,
 
         # report rows are a pure function of (scenario, params, seed, paths,
         # horizon); where the report is written or how it is encoded is not
-        # part of its content, so only result-affecting overrides are recorded
+        # part of its content, so only result-affecting overrides are recorded,
+        # each as the value applied (paths 2000.0 runs and reads as 2000)
         rows: List[Row] = [
             Row(scenario=scn.name, job="meta", quantity=f"override:{k}",
-                seed=scn.seed, detail=str(v))
+                seed=scn.seed, detail=str(getattr(scn, k)))
             for k, v in sorted(overrides.items())
             if v is not None and k in ("seed", "paths", "horizon")
         ]

@@ -163,11 +163,6 @@ def f_count_eq(k: int) -> PathFunctional:
                           lambda b, t: (b.counts_at(t) == k).astype(float))
 
 
-def f_aggregate_gt(q: float) -> PathFunctional:
-    return PathFunctional(f"ind(S_t>{q:g})",
-                          lambda b, t: (b.aggregates_at(t) > q).astype(float))
-
-
 @dataclass(frozen=True)
 class EventSpec:
     """An event measurable from path data up to its anchor time s
@@ -502,7 +497,6 @@ class MartingaleCell:
     stderr: float
     z: float
     cell_pass: bool
-    oracle: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -523,9 +517,7 @@ def plan_martingale(process: ProcessSpec, base: BaseModel,
                     pairs: Sequence[Tuple[float, float]],
                     events: Optional[Sequence[EventSpec]] = None,
                     n: int = 100_000, seed: int = 0,
-                    family_level: float = 0.01,
-                    cell_oracle: Optional[Callable[[float, float, EventSpec], float]] = None,
-                    ) -> Plan:
+                    family_level: float = 0.01) -> Plan:
     """The plan of ``check_martingale``; the default events' pilot runs here."""
     for s, t in pairs:
         if not 0.0 <= s < t:
@@ -563,10 +555,8 @@ def plan_martingale(process: ProcessSpec, base: BaseModel,
                 est, se = acc.mean, acc.stderr
                 z = 0.0 if se == 0.0 else est / se
                 cell_pass = abs(est) <= 3.0 * se if se > 0.0 else est == 0.0
-                oracle = None if cell_oracle is None else cell_oracle(s, t, ev)
                 cells.append(MartingaleCell(s=s, t=t, event=ev.describe(), estimate=est,
-                                            stderr=se, z=z, cell_pass=cell_pass,
-                                            oracle=oracle))
+                                            stderr=se, z=z, cell_pass=cell_pass))
         z_crit = float(sp.ndtri(1.0 - (family_level / len(cells)) / 2.0))
         worst = max((abs(cell.z) for cell in cells), default=0.0)
         return MartingaleTable(process=process.describe(), under=str(under),
@@ -582,16 +572,14 @@ def check_martingale(process: ProcessSpec, base: BaseModel,
                      pairs: Sequence[Tuple[float, float]],
                      events: Optional[Sequence[EventSpec]] = None,
                      n: int = 100_000, seed: int = 0,
-                     family_level: float = 0.01,
-                     cell_oracle: Optional[Callable[[float, float, EventSpec], float]] = None,
-                     ) -> MartingaleTable:
+                     family_level: float = 0.01) -> MartingaleTable:
     """Integral-form martingale test: E[ind_A (Z_t - Z_s)] = 0 per cell.
 
     Each cell passes at 3 stderr; the table verdict applies a Bonferroni
     correction at the family level across all cells.
     """
     return _run(base, derived, plan_martingale(process, base, derived, under, pairs, events,
-                                               n, seed, family_level, cell_oracle))
+                                               n, seed, family_level))
 
 
 # ---------------------------------------------------------------------------

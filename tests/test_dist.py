@@ -6,7 +6,7 @@ from scipy import integrate as sci
 from scipy import stats
 
 from cmpplab.dist import (Beta, Degenerate, DistError, Exponential, Gamma,
-                          OutsideConvergenceStrip, Poisson, Tilted, Uniform,
+                          OutsideConvergenceStrip, Tilted, Uniform,
                           expectation, log_weighted_expectation,
                           parse_distribution, sample_array)
 from cmpplab import dist as dist_module
@@ -48,7 +48,7 @@ def test_gamma_mgf_matches_tilt_normalizers():
 
 
 def test_mgf_at_zero_and_simple_value():
-    for d in CATALOG + [Poisson(2.0), Degenerate(1.5)]:
+    for d in CATALOG + [Degenerate(1.5)]:
         assert d.mgf(0.0) == 1.0
     # quadrature cross-check of a closed form
     quad, _ = sci.quad(lambda x: math.exp(0.5 * x) * math.exp(-x), 0, 200)
@@ -75,28 +75,6 @@ def test_cdf_values():
     assert Exponential(0.2).cdf(5.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
     quad, _ = sci.quad(lambda x: 0.2 * math.exp(-0.2 * x), 0, 5)
     assert Exponential(0.2).cdf(5.0) == pytest.approx(quad, rel=1e-9)
-
-
-def test_poisson_mass_and_moments():
-    p = Poisson(2.0)
-    assert p.density(0) == pytest.approx(math.exp(-2.0), rel=1e-12)
-    assert p.density(0.5) == 0.0
-    assert p.moment(1) == pytest.approx(2.0, rel=1e-12)
-    assert p.moment(2) == pytest.approx(6.0, rel=1e-12)       # lam + lam^2
-    assert p.moment(3) == pytest.approx(2 + 3 * 4 + 8, rel=1e-12)
-    assert p.cdf(3) == pytest.approx(sum(p.density(n) for n in range(4)), rel=1e-12)
-    assert p.quantile(p.cdf(3) - 1e-9) == 3.0
-
-
-def test_poisson_quantile_nan():
-    p = Poisson(2.0)
-    assert math.isnan(p.quantile(math.nan))
-    q = p.quantile(np.array([0.5, math.nan]))
-    assert q[0] == 2.0 and math.isnan(q[1])
-    # a NaN does not stop the table from reaching the other points
-    big = Poisson(100.0)
-    q = big.quantile(np.array([0.5, math.nan]))
-    assert q[0] == big.quantile(0.5) == 100.0 and math.isnan(q[1])
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +110,7 @@ def test_quantile_cdf_roundtrip(d):
     assert np.max(np.abs(back - xs)) < 1e-8 * max(1.0, np.max(np.abs(xs)))
 
 
-@pytest.mark.parametrize("d", CATALOG + [Poisson(2.0), Degenerate(1.5)],
+@pytest.mark.parametrize("d", CATALOG + [Degenerate(1.5)],
                          ids=lambda d: d.literal())
 def test_sampling_moments(d):
     n = 100_000
@@ -403,7 +381,7 @@ def test_log_weighted_expectation_stability():
 
 @pytest.mark.parametrize("text", [
     "exp(rate=0.2)", "gamma(rate=2,shape=2)", "beta(a=2,b=1)",
-    "uniform(lo=0,hi=1)", "degenerate(2.0)", "poisson(lambda=2)",
+    "uniform(lo=0,hi=1)", "degenerate(2.0)",
 ])
 def test_literal_roundtrip(text):
     d = parse_distribution(text)
@@ -417,6 +395,12 @@ def test_literal_errors():
         parse_distribution("gamma(rate=2)")
     with pytest.raises(DistError):
         parse_distribution("exp(rate=zed)")
+
+
+def test_poisson_literal_is_unknown():
+    # the Poisson law is gone: its literal no longer round-trips
+    with pytest.raises(DistError, match="unknown distribution 'poisson'"):
+        parse_distribution("poisson(lambda=2)")
 
 
 def test_parameter_validation():

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cmpplab.dist import (Beta, Degenerate, Exponential, Gamma, Poisson,
-                          Tilted, Uniform)
-from cmpplab.expr import parse
+from cmpplab.dist import Beta, Degenerate, Exponential, Gamma, Tilted, Uniform
+from cmpplab.expr import Bin, Call, DomainError, Neg, Num, RealFn, Var, parse
 from cmpplab.model import (BaseModel, MeasureChange, ModelError, NotValidated,
-                           derive_g, derive_q_model, identity_change,
+                           _log_linear, derive_g, derive_q_model, identity_change,
                            measure_change, validate_change)
 
 
@@ -40,8 +41,6 @@ def change63():
 def test_base_model_rejects_bad_supports():
     with pytest.raises(ModelError):
         BaseModel(Uniform(-1.0, 1.0), Gamma(2.0, 2.0))
-    with pytest.raises(ModelError):
-        BaseModel(Exponential(1.0), Poisson(2.0))   # discrete mixing
 
 
 def test_base_model_rejects_nonpositive_rate():
@@ -231,3 +230,89 @@ def test_role_enforcement():
     with pytest.raises(ModelError):
         MeasureChange(alpha=parse("x", var="x"), gamma=parse("0", var="x"),
                       xi=parse("1", var="theta"))
+
+
+# ---------------------------------------------------------------------------
+# the closure matcher: gamma as c + k ln x + s x, ln xi as c + k ln theta + s theta
+
+MATCHER_CORPUS = [
+    # gamma (matched as is): builtins, workloads, premium presets, tests
+    ("x", "ln(x/5)", {}, (1.0, 0.0)),
+    ("x", "c*x - 2*ln(c+1)", {"c": 1.0}, (0.0, 1.0)),
+    ("x", "c*x - lnM", {"c": 0.05, "lnM": 0.3}, (0.0, 0.05)),
+    ("x", "0", {}, (0.0, 0.0)),
+    ("x", "x", {}, (0.0, 1.0)),
+    ("x", "(-2)*(-x)", {}, (0.0, 2.0)),
+    ("x", "ln(1+x) - ln(6)", {}, None),
+    ("x", "ln(x-1)", {}, None),
+    # newly matched: the same laws the parent left Tilted
+    ("x", "ln(x)/2", {}, (0.5, 0.0)),
+    ("x", "ln(exp(x))", {}, (0.0, 1.0)),
+    # xi (matched under the log)
+    ("theta", "(27/8)*theta^2*exp(-theta)", {}, (2.0, -1.0)),
+    ("theta", "1/(2*theta)", {}, (-1.0, 0.0)),
+    ("theta", "1", {}, (0.0, 0.0)),
+    ("theta", "theta^2", {}, (2.0, 0.0)),
+    ("theta", "n*theta*exp(-theta)", {"n": 0.3}, (1.0, -1.0)),
+    ("theta", "exp(ln(theta)/2)", {}, (0.5, 0.0)),
+    ("theta", "(1+theta)/2", {}, None),
+    ("theta", "2 - theta", {}, None),
+    ("theta", "theta-1", {}, None),
+    ("theta", "0.5 + theta*0.25", {}, None),
+    ("theta", "(theta/(1+theta))/n", {"n": 0.3}, None),
+    ("theta", "(1.0001 - 2*exp(-((theta-c)*10000)^2))/n", {"c": 1.0, "n": 0.3}, None),
+    # no longer matched: negative factors that cancel
+    ("theta", "(-2)*(-theta)", {}, None),
+]
+
+
+@pytest.mark.parametrize("var,src,params,expected", MATCHER_CORPUS,
+                         ids=[f"{v}:{s}" for v, s, _, _ in MATCHER_CORPUS])
+def test_log_linear_corpus(var, src, params, expected):
+    fn = parse(src, var=var, params=params)
+    got = _log_linear(fn.tree, fn.params, var == "theta")
+    assert (None if got is None else got[1:]) == expected
+
+
+def test_newly_matched_forms_derive_catalog_laws(base62):
+    # e^{ln(x)/2} x e^{-0.2x} needs normalizing by Gamma(1.5)/0.2^0.5
+    shift = math.lgamma(1.5) - 0.5 * math.log(0.2)
+    change = measure_change(gamma=f"ln(x)/2 - {shift!r}")
+    dm = derive_q_model(validate_change(base62, change))
+    assert dm.q_claim == Gamma(0.2, 1.5)
+
+
+def _trees(depth=3):
+    leaf = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]).map(Num),
+                     st.just(Var("v")))
+    if depth == 0:
+        return leaf
+    sub = _trees(depth - 1)
+    return st.one_of(
+        leaf,
+        sub.map(Neg),
+        st.tuples(st.sampled_from("+-*/^"), sub, sub).map(lambda t: Bin(*t)),
+        st.tuples(st.sampled_from(["ln", "exp", "sqrt"]), sub).map(lambda t: Call(*t)),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees(), st.booleans())
+def test_log_linear_matches_the_tree(tree, of_log):
+    """Where the matcher answers (c, k, s), the tree (its log with of_log)
+    equals c + k ln v + s v on a grid in (0.1, 10), to 1e-12 of the terms."""
+    vs = np.geomspace(0.11, 9.9, 17)
+    try:
+        value = RealFn(tree, "v").eval_array(vs)
+    except DomainError:
+        value = None
+    assume(value is not None and np.isfinite(value).all())
+    got = _log_linear(tree, {}, of_log)
+    assume(got is not None)
+    c, k, s = got
+    if of_log:
+        assert (value > 0.0).all()
+        value = np.log(value)
+    fit = c + k * np.log(vs) + s * vs
+    scale = 1.0 + abs(c) + np.abs(k * np.log(vs)) + np.abs(s * vs)
+    assert np.all(np.abs(value - fit) <= 1e-12 * scale)

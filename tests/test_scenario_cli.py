@@ -408,6 +408,14 @@ def test_integral_api_overrides_run(tmp_path):
     rows = list(csv.DictReader(open(out)))
     assert all(r["seed"] == "7" for r in rows)
     assert any(r["quantity"] == "E_P[S_1.5]" for r in rows)
+    # the meta rows record the values applied, not the values as passed
+    meta = {r["quantity"]: r["detail"] for r in rows if r["job"] == "meta"}
+    assert meta == {"override:paths": "2000", "override:seed": "7",
+                    "override:horizon": "1.5"}
+    ref = tmp_path / "ref.csv"
+    run_scenario("example-6.1a", {"paths": 2000, "seed": 7, "horizon": 1.5,
+                                  "output": str(ref)})
+    assert out.read_bytes() == ref.read_bytes()
 
 
 BAD_VALUE_RUNS = [
