@@ -42,7 +42,7 @@ print(f"  worst cell: {worst.event} on ({worst.s:g},{worst.t:g}], z = {worst.z:+
 print(f"  verdict: {table.verdict}")
 
 print("\nthe raw aggregate is NOT a martingale; its drift matches Wald:")
-raw = lab.check_martingale(lab.process_raw(), base, derived, lab.DERIVED_Q,
+raw = lab.check_martingale(lab.f_aggregate(), base, derived, lab.DERIVED_Q,
                            [(0.5, 1.0)], n=60_000, seed=SEED)
 ws = next(c for c in raw.cells if c.event == "whole_space")
 drift = 0.5 * lab.expectation(derived.q_mixing, derived.g) * derived.q_claim.moment(1)

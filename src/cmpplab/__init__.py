@@ -35,7 +35,7 @@ from .verify import (DegeneracyResult, DriftRow, EventSpec, MartingaleTable,
                      aggregate_at_most, check_martingale, check_reweighting,
                      count_at_most, degeneracy_test, default_event_family,
                      f_aggregate, f_count, f_count_eq, f_one,
-                     mc_estimate, process_density, process_raw, process_v,
-                     process_y, singularity_probe, theta_in, whole_space)
+                     mc_estimate, process_density, process_v, process_y,
+                     singularity_probe, theta_in, whole_space)
 
 __version__ = "0.1.0"

@@ -292,12 +292,13 @@ def _log_linear(node, params, of_log: bool) -> Optional[Tuple[float, float, floa
 
 def _tilt_to_catalog(base: Distribution,
                      triple: Optional[Tuple[float, float, float]]) -> Optional[Distribution]:
-    """The catalog law of ``base`` reweighted by e^{c + k ln v + s v}, or None."""
+    """The catalog law of ``base`` reweighted by e^{c + k ln v + s v}, or None;
+    a point mass is its own reweighting by any validated weight."""
+    if isinstance(base, Degenerate):
+        return base
     if triple is None:
         return None
     _, k, s = triple
-    if isinstance(base, Degenerate):
-        return base
     if isinstance(base, Exponential):
         rate, shape = base.rate - s, 1.0 + k
     elif isinstance(base, Gamma):

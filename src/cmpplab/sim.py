@@ -287,21 +287,6 @@ def log_density_batch(batch: PathBatch, t: float, change: MeasureChange,
 
 
 # ---------------------------------------------------------------------------
-# surplus processes
-
-def surplus_v_batch(batch: PathBatch, t: float, derived: DerivedModel) -> np.ndarray:
-    """Centered aggregate under the derived measure:
-    V_t = S_t - t g(theta) E[X e^{gamma(X)}]."""
-    rates = derived.g.eval_array(batch.thetas)
-    return batch.aggregates_at(t) - t * rates * derived.claim_tilt_mean
-
-
-def surplus_y_batch(batch: PathBatch, t: float, base: BaseModel) -> np.ndarray:
-    """Claim surplus under the base measure: Y_t = S_t - t theta E[X]."""
-    return batch.aggregates_at(t) - t * batch.thetas * base.claim_law.moment(1)
-
-
-# ---------------------------------------------------------------------------
 # path dump format: one line per path, full double precision
 
 def dump_paths(batch: PathBatch, fh) -> None:

@@ -38,8 +38,7 @@ from scipy import special as sp
 from .dist import clipped_expectation, expectation, log_weighted_expectation
 from .model import BaseModel, DerivedModel, MeasureChange
 from .sim import (BASE_P, DERIVED_Q, MeasureTag, PathBatch, conditional_p,
-                  conditional_q, log_density_batch, simulate_batch,
-                  surplus_v_batch, surplus_y_batch)
+                  conditional_q, log_density_batch, simulate_batch)
 
 CHUNK = 1 << 17
 
@@ -165,49 +164,33 @@ def f_count_eq(k: int) -> PathFunctional:
 
 @dataclass(frozen=True)
 class EventSpec:
-    """An event measurable from path data up to its anchor time s
-    together with theta (conditioning family of the martingale tests)."""
+    """An event measurable from path data up to its anchor time s together
+    with theta (conditioning family of the martingale tests);
+    ``indicator(batch)`` is its indicator on every path."""
 
-    kind: str                        # count_at_most | aggregate_at_most | theta_in | whole_space
-    s: float = 0.0
-    bound: float = 0.0
-    hi: float = math.inf
-
-    def indicator(self, batch: PathBatch) -> np.ndarray:
-        if self.kind == "whole_space":
-            return np.ones(len(batch), dtype=bool)
-        if self.kind == "count_at_most":
-            return batch.counts_at(self.s) <= self.bound
-        if self.kind == "aggregate_at_most":
-            return batch.aggregates_at(self.s) <= self.bound
-        if self.kind == "theta_in":
-            return (batch.thetas >= self.bound) & (batch.thetas < self.hi)
-        raise ValueError(f"unknown event kind {self.kind!r}")
-
-    def describe(self) -> str:
-        if self.kind == "whole_space":
-            return "whole_space"
-        if self.kind == "count_at_most":
-            return f"N_{self.s:g}<={self.bound:g}"
-        if self.kind == "aggregate_at_most":
-            return f"S_{self.s:g}<={self.bound:g}"
-        return f"theta_in[{self.bound:g},{self.hi:g})"
+    name: str
+    s: float
+    indicator: Callable[[PathBatch], np.ndarray]
 
 
 def whole_space() -> EventSpec:
-    return EventSpec("whole_space")
+    return EventSpec("whole_space", 0.0, lambda b: np.ones(len(b), dtype=bool))
 
 
 def count_at_most(s: float, k: int) -> EventSpec:
-    return EventSpec("count_at_most", s=s, bound=float(k))
+    k = float(k)
+    return EventSpec(f"N_{s:g}<={k:g}", s, lambda b: b.counts_at(s) <= k)
 
 
 def aggregate_at_most(s: float, q: float) -> EventSpec:
-    return EventSpec("aggregate_at_most", s=s, bound=float(q))
+    q = float(q)
+    return EventSpec(f"S_{s:g}<={q:g}", s, lambda b: b.aggregates_at(s) <= q)
 
 
 def theta_in(lo: float, hi: float) -> EventSpec:
-    return EventSpec("theta_in", bound=float(lo), hi=float(hi))
+    lo, hi = float(lo), float(hi)
+    return EventSpec(f"theta_in[{lo:g},{hi:g})", 0.0,
+                     lambda b: (b.thetas >= lo) & (b.thetas < hi))
 
 
 def default_event_family(s: float, base: BaseModel, derived: Optional[DerivedModel],
@@ -239,51 +222,28 @@ def default_event_family(s: float, base: BaseModel, derived: Optional[DerivedMod
 # ---------------------------------------------------------------------------
 # processes for the martingale tests
 
-@dataclass(frozen=True)
-class ProcessSpec:
-    kind: str                        # v_change | y_base | raw_aggregate | density | constant
-    change: Optional[MeasureChange] = None      # density
-    derived: Optional[DerivedModel] = None      # v_change
-    value: float = 0.0
+def process_v(derived: DerivedModel) -> PathFunctional:
+    """Centered aggregate under the derived measure:
+    V_t = S_t - t g(theta) E[X e^{gamma(X)}]."""
+    def values(b: PathBatch, t: float) -> np.ndarray:
+        rates = derived.g.eval_array(b.thetas)
+        return b.aggregates_at(t) - t * rates * derived.claim_tilt_mean
 
-    def describe(self) -> str:
-        return self.kind
-
-
-def process_v(derived: DerivedModel) -> ProcessSpec:
-    return ProcessSpec("v_change", derived=derived)
+    return PathFunctional("V_t", values)
 
 
-def process_y() -> ProcessSpec:
-    return ProcessSpec("y_base")
+def process_y(base: BaseModel) -> PathFunctional:
+    """Claim surplus under the base measure: Y_t = S_t - t theta E[X]."""
+    return PathFunctional(
+        "Y_t", lambda b, t: b.aggregates_at(t) - t * b.thetas * base.claim_law.moment(1))
 
 
-def process_raw() -> ProcessSpec:
-    return ProcessSpec("raw_aggregate")
-
-
-def process_density(change: MeasureChange) -> ProcessSpec:
-    return ProcessSpec("density", change=change)
-
-
-def process_constant(value: float) -> ProcessSpec:
-    return ProcessSpec("constant", value=value)
-
-
-def _process_values(spec: ProcessSpec, batch: PathBatch, t: float,
-                    base: BaseModel, under: MeasureTag) -> np.ndarray:
-    if spec.kind == "constant":
-        return np.full(len(batch), spec.value)
-    if spec.kind == "raw_aggregate":
-        return batch.aggregates_at(t)
-    if spec.kind == "y_base":
-        return surplus_y_batch(batch, t, base)
-    if spec.kind == "v_change":
-        return surplus_v_batch(batch, t, spec.derived)
-    if spec.kind == "density":
-        return np.exp(log_density_batch(batch, t, spec.change,
-                                        include_xi=not under.is_conditional))
-    raise ValueError(f"unknown process kind {spec.kind!r}")
+def process_density(change: MeasureChange, under: MeasureTag) -> PathFunctional:
+    """The likelihood-ratio density: conditional (no xi) when ``under`` fixes
+    theta, unconditional otherwise."""
+    include_xi = not under.is_conditional
+    return PathFunctional("M_t" if include_xi else "M~_t",
+                          lambda b, t: np.exp(log_density_batch(b, t, change, include_xi)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +259,12 @@ class Consumer:
     ``request`` names the stream, ``add(batch)`` takes its chunks in order,
     and ``result()`` returns ``state``, the accumulators ``add`` fills, or
     raises the error that stopped the consumer (its own or its stream's).
+    Every estimator reads at least 100 paths.
     """
 
     def __init__(self, request: Request, add: Callable[[PathBatch], None], state):
+        if request[3] < 100:
+            raise ValueError("n must be at least 100")
         self.request = request
         self.add = add
         self.state = state
@@ -406,8 +369,6 @@ def plan_mc_estimate(f, under: MeasureTag, t: float, n: int, seed: int,
                      horizon: Optional[float] = None, oracle=None,
                      family: int = FAM_DEFAULT) -> Plan:
     """The plan of ``mc_estimate``."""
-    if n < 100:
-        raise ValueError("n must be at least 100")
     horizon = t if horizon is None else horizon
     fs, oracles, single = _battery(f, oracle)
     c = _battery_consumer((under, horizon, seed, n, family), fs, t)
@@ -512,13 +473,16 @@ class MartingaleTable:
         return self.verdict == "pass"
 
 
-def plan_martingale(process: ProcessSpec, base: BaseModel,
+def plan_martingale(process: PathFunctional, base: BaseModel,
                     derived: Optional[DerivedModel], under: MeasureTag,
                     pairs: Sequence[Tuple[float, float]],
                     events: Optional[Sequence[EventSpec]] = None,
                     n: int = 100_000, seed: int = 0,
-                    family_level: float = 0.01) -> Plan:
-    """The plan of ``check_martingale``; the default events' pilot runs here."""
+                    family_level: float = 0.01, family: int = FAM_DEFAULT) -> Plan:
+    """The plan of ``check_martingale``, reading the stream ``family``; the
+    default events' pilot runs here."""
+    if not pairs:
+        raise ValueError("pairs is empty: a martingale table needs an (s, t) pair")
     for s, t in pairs:
         if not 0.0 <= s < t:
             raise ValueError(f"need 0 <= s < t, got ({s}, {t})")
@@ -526,11 +490,12 @@ def plan_martingale(process: ProcessSpec, base: BaseModel,
     s_min = min(s for s, _ in pairs)
     if events is None:
         events = default_event_family(s_min, base, derived, under, seed)
+    if not events:
+        raise ValueError("events is empty: a martingale table needs an event")
     for s, t in pairs:
         for ev in events:
-            if ev.kind in ("count_at_most", "aggregate_at_most") and ev.s > s:
-                raise ValueError(
-                    f"event {ev.describe()} anchored after the pair start s={s:g}")
+            if ev.s > s:
+                raise ValueError(f"event {ev.name} anchored after the pair start s={s:g}")
 
     times = {u for pair in pairs for u in pair}
     # one accumulator per (pair, event) position, so repeated events or
@@ -539,14 +504,14 @@ def plan_martingale(process: ProcessSpec, base: BaseModel,
 
     def add(b):
         # each process value once per distinct time, each indicator once
-        value = {u: _process_values(process, b, u, base, under) for u in times}
+        value = {u: process.eval_batch(b, u) for u in times}
         indicators = [ev.indicator(b) for ev in events]
         for (s, t), row in zip(pairs, accs):
             inc = value[t] - value[s]
             for acc, ind in zip(row, indicators):
                 acc.add(np.where(ind, inc, 0.0))
 
-    c = Consumer((under, horizon, seed, n, FAM_DEFAULT), add, accs)
+    c = Consumer((under, horizon, seed, n, family), add, accs)
 
     def finish() -> MartingaleTable:
         cells = []
@@ -555,11 +520,11 @@ def plan_martingale(process: ProcessSpec, base: BaseModel,
                 est, se = acc.mean, acc.stderr
                 z = 0.0 if se == 0.0 else est / se
                 cell_pass = abs(est) <= 3.0 * se if se > 0.0 else est == 0.0
-                cells.append(MartingaleCell(s=s, t=t, event=ev.describe(), estimate=est,
+                cells.append(MartingaleCell(s=s, t=t, event=ev.name, estimate=est,
                                             stderr=se, z=z, cell_pass=cell_pass))
         z_crit = float(sp.ndtri(1.0 - (family_level / len(cells)) / 2.0))
-        worst = max((abs(cell.z) for cell in cells), default=0.0)
-        return MartingaleTable(process=process.describe(), under=str(under),
+        worst = max(abs(cell.z) for cell in cells)
+        return MartingaleTable(process=process.name, under=str(under),
                                cells=tuple(cells), family_level=family_level,
                                z_threshold=z_crit,
                                verdict="pass" if worst <= z_crit else "fail")
@@ -567,7 +532,7 @@ def plan_martingale(process: ProcessSpec, base: BaseModel,
     return Plan([c], finish)
 
 
-def check_martingale(process: ProcessSpec, base: BaseModel,
+def check_martingale(process: PathFunctional, base: BaseModel,
                      derived: Optional[DerivedModel], under: MeasureTag,
                      pairs: Sequence[Tuple[float, float]],
                      events: Optional[Sequence[EventSpec]] = None,
@@ -606,40 +571,31 @@ class DegeneracyResult:
 
 def plan_degeneracy(derived: DerivedModel, *, n: int, seed: int,
                     s: float = 0.5, t: float = 1.0) -> Plan:
-    """The plan of ``degeneracy_test``."""
+    """The plan of ``degeneracy_test``: a two-cell martingale table of the
+    centered aggregate on the theta half-spaces; the cell of largest |z| is
+    the witness."""
     g = derived.g
     e_g = expectation(derived.q_mixing, g)
     e_x = derived.q_claim.moment(1)
     med = float(derived.q_mixing.quantile(0.5))
-    events = [theta_in(0.0, med), theta_in(med, math.inf)]
-    accs = [Moments() for _ in events]
-
-    def add(b):
-        v_s = b.aggregates_at(s) - s * e_g * e_x
-        v_t = b.aggregates_at(t) - t * e_g * e_x
-        inc = v_t - v_s
-        for ev, acc in zip(events, accs):
-            acc.add(np.where(ev.indicator(b), inc, 0.0))
-
-    c = Consumer((DERIVED_Q, t, seed, n, FAM_DEGENERACY), add, accs)
+    bounds = [(0.0, med), (med, math.inf)]
+    centered = PathFunctional("S_t - t E_Q[g] E_Q[X]",
+                              lambda b, u: b.aggregates_at(u) - u * e_g * e_x)
+    table = plan_martingale(centered, derived.base, derived, DERIVED_Q, [(s, t)],
+                            [theta_in(lo, hi) for lo, hi in bounds], n=n, seed=seed,
+                            family=FAM_DEGENERACY)
 
     def finish() -> DegeneracyResult:
-        best = None
-        for ev, acc in zip(events, c.result()):
-            est, se = acc.mean, acc.stderr
-            z = 0.0 if se == 0.0 else est / se
-            q_a = clipped_expectation(derived.q_mixing, lambda x: 1.0, ev.bound, ev.hi)
-            e_ga = clipped_expectation(derived.q_mixing, g, ev.bound, ev.hi)
-            oracle = (t - s) * e_x * (e_ga - q_a * e_g)
-            if best is None or abs(z) > abs(best[0]):
-                best = (z, ev, est, se, oracle)
-        z, ev, est, se, oracle = best
-        return DegeneracyResult(is_martingale=abs(z) <= 3.0,
-                                witness_event=ev.describe(), witness_estimate=est,
-                                witness_stderr=se, witness_z=z, witness_oracle=oracle,
+        cell, (lo, hi) = max(zip(table.finish().cells, bounds), key=lambda cb: abs(cb[0].z))
+        q_a = clipped_expectation(derived.q_mixing, lambda x: 1.0, lo, hi)
+        e_ga = clipped_expectation(derived.q_mixing, g, lo, hi)
+        return DegeneracyResult(is_martingale=abs(cell.z) <= 3.0,
+                                witness_event=cell.event, witness_estimate=cell.estimate,
+                                witness_stderr=cell.stderr, witness_z=cell.z,
+                                witness_oracle=(t - s) * e_x * (e_ga - q_a * e_g),
                                 s=s, t=t)
 
-    return Plan([c], finish)
+    return Plan(table.consumers, finish)
 
 
 def degeneracy_test(derived: DerivedModel, *, n: int, seed: int,

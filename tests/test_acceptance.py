@@ -24,7 +24,7 @@ from cmpplab.scenario import resolve_scenario, run_scenario
 from cmpplab.sim import (BASE_P, DERIVED_Q, conditional_p, conditional_q,
                          log_density_batch, simulate_batch)
 from cmpplab.verify import (FAM_DIRECT, FAM_WEIGHTED, check_martingale,
-                            degeneracy_test, process_density, process_raw,
+                            degeneracy_test, f_aggregate, process_density,
                             process_v, singularity_probe)
 
 SEED = 20190521
@@ -184,15 +184,16 @@ def test_criterion_6_martingale_suite(worked):
                                      DERIVED_Q, PAIRS, n=100_000, seed=SEED)
             assert table.passed(), (name, [c for c in table.cells if not c.cell_pass])
         base, change, derived = worked["example-6.2"]
-        raw = check_martingale(process_raw(), base, derived, DERIVED_Q,
+        raw = check_martingale(f_aggregate(), base, derived, DERIVED_Q,
                                [(0.5, 1.0)], n=100_000, seed=SEED)
         assert not raw.passed()
         ws = next(c for c in raw.cells if c.event == "whole_space")
         drift = 0.5 * expectation(derived.q_mixing, derived.g) \
             * derived.q_claim.moment(1)
         assert abs(ws.estimate - drift) <= 4.0 * ws.stderr
-        dens = check_martingale(process_density(change), base, derived,
-                                conditional_p(1.0), PAIRS, n=100_000, seed=SEED)
+        cond = conditional_p(1.0)
+        dens = check_martingale(process_density(change, cond), base, derived,
+                                cond, PAIRS, n=100_000, seed=SEED)
         assert dens.passed()
 
     _report(6, "centered aggregate is a derived-measure martingale "

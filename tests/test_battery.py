@@ -218,7 +218,8 @@ def test_consumer_error_is_its_jobs_error_row(tmp_path, monkeypatch):
 
     # the martingale cells fail on their first chunk; simulate's E_Q[S_T]
     # reads the same stream and must keep being fed
-    monkeypatch.setattr(cmpplab.verify, "_process_values", boom)
+    monkeypatch.setattr(cmpplab.scenario, "process_v",
+                        lambda derived: PathFunctional("V_t", boom))
     broken = run_rows(tmp_path, "example-6.2", "broken.csv")
     errors = [(job, q, r["verdict"], r["detail"]) for job, q, r in broken
               if job == "verify-martingale"]

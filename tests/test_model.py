@@ -204,6 +204,17 @@ def test_degenerate_mixing_reduces_to_plain_compound_poisson():
     assert dm.q_claim == Gamma(0.2, 2.0)
 
 
+@pytest.mark.parametrize("base,change", [
+    (BaseModel(Exponential(0.2), Degenerate(1.0)), measure_change(xi="(1+theta)/2")),
+    (BaseModel(Degenerate(2.0), Exponential(1.0)), measure_change(gamma="(x-2)^3")),
+])
+def test_degenerate_law_keeps_itself_under_any_validated_weight(base, change):
+    # neither weight is log-linear, and a validated weight is 1 at the point
+    dm = derive_q_model(validate_change(base, change, level=2))
+    assert dm.q_claim == base.claim_law
+    assert dm.q_mixing == base.mixing_law
+
+
 def test_identity_change_maps_base_to_itself(base62):
     dm = derive_q_model(validate_change(base62, identity_change(), level=2))
     assert dm.q_claim == base62.claim_law

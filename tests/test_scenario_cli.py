@@ -466,6 +466,17 @@ def run_text(tmp_path, text):
     return code, {(r["job"], r["quantity"]): r for r in csv.DictReader(open(out))}
 
 
+def test_degenerate_mixing_with_a_nonlinear_xi_runs_every_job(tmp_path):
+    # xi is not log-linear, and the point mass stays itself under it
+    jobs = ("validate", "derive-q", "premium", "simulate", "verify-reweighting",
+            "verify-martingale", "degeneracy", "singularity")
+    code, rows = run_text(tmp_path, LIBRARY_ERROR_BASE.replace(
+        "gamma(rate=2,shape=2)", "degenerate(1)")
+        + '[change]\nxi = "(1+theta)/2"\n[run]\njobs = ' + ", ".join(jobs) + "\n")
+    assert {job for job, _ in rows} == set(jobs)
+    assert not [key for key in rows if key[1] in ("skipped", "error")]
+
+
 def test_formula_undefined_on_support_fails_validation(tmp_path, capsys):
     # ln(x-1) is undefined for claims below 1
     code, rows = run_text(tmp_path, LIBRARY_ERROR_BASE + '[change]\ngamma = "ln(x-1)"\n')

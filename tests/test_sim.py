@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from cmpplab import sim
-from cmpplab.dist import Degenerate, Exponential, Gamma, Tilted, expectation
+from cmpplab.dist import Exponential, Gamma, Tilted, expectation
 from cmpplab.expr import DomainError
 from cmpplab.model import (BaseModel, derive_q_model, identity_change,
                            measure_change, validate_change)
 from cmpplab.rng import LANE_ARRIVAL, uniforms
 from cmpplab.sim import (_FAMILY_STRIDE, BASE_P, DERIVED_Q, OutOfHorizon, PathBatch,
                          SimulationError, conditional_p, conditional_q, dump_paths,
-                         log_density_batch, simulate_batch, surplus_v_batch,
-                         surplus_y_batch)
+                         log_density_batch, simulate_batch)
 
 SEED = 20190521
 
@@ -407,37 +406,7 @@ def test_density_additive_over_increments(base62, change62):
 
 
 # ---------------------------------------------------------------------------
-# surplus processes
-
-def test_surplus_formulas_62(base62, derived62):
-    assert derived62.claim_tilt_mean == pytest.approx(10.0, rel=1e-9)
-    b = simulate_batch(base62, derived62, DERIVED_Q, 1.0, seed=3, n=500)
-    v = surplus_v_batch(b, 1.0, derived62)
-    expect = b.aggregates_at(1.0) - 10.0 * b.thetas**2
-    assert np.max(np.abs(v - expect)) < 1e-9
-
-
-def test_surplus_formulas_63():
-    c = 1.0
-    base = BaseModel(Gamma(c + 1.0, 2.0), Degenerate(0.5))
-    change = measure_change(alpha="ln(c+theta) + 2*ln((c+1)/(c+1+theta))",
-                            gamma="c*x - 2*ln(c+1)", xi="1",
-                            params={"c": c})
-    # xi = 1 works for the degenerate mixing; the V coefficient is E[X e^gamma] = 2
-    derived = derive_q_model(validate_change(base, change, level=2))
-    p = simulate_batch(base, None, BASE_P, 1.0, seed=9, n=1, start_index=4)
-    th = p.thetas[0]
-    expect = p.aggregates_at(1.0)[0] - 2.0 * (c + th) * (c + 1.0) ** 2 * th / (c + 1.0 + th) ** 2
-    assert surplus_v_batch(p, 1.0, derived)[0] == pytest.approx(expect, rel=1e-9)
-
-
-def test_identity_change_v_equals_y(base62):
-    identity = derive_q_model(validate_change(base62, identity_change()))
-    b = simulate_batch(base62, None, BASE_P, 1.0, seed=12, n=200)
-    v = surplus_v_batch(b, 1.0, identity)
-    y = surplus_y_batch(b, 1.0, base62)
-    assert np.max(np.abs(v - y)) < 1e-9
-
+# the V coefficient
 
 def test_v_coefficient_recomputation_consistent(base62, change62, derived62):
     fresh = derive_q_model(validate_change(base62, change62, level=2))

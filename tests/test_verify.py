@@ -9,12 +9,12 @@ from cmpplab.model import (BaseModel, NotValidated, derive_q_model, identity_cha
 from cmpplab.premium import esscher_change, expected_value_change
 from cmpplab.sim import (BASE_P, DERIVED_Q, PathBatch, conditional_p, log_density_batch,
                          simulate_batch)
-from cmpplab.verify import (Moments, PathFunctional, check_martingale,
-                            check_reweighting, count_at_most,
+from cmpplab.verify import (Moments, PathFunctional, aggregate_at_most,
+                            check_martingale, check_reweighting, count_at_most,
                             default_event_family, degeneracy_test, f_aggregate,
                             f_count, f_count_eq, f_one, mc_estimate,
-                            process_constant, process_density, process_raw,
-                            process_v, process_y, singularity_probe)
+                            process_density, process_v, process_y, singularity_probe,
+                            theta_in, whole_space)
 
 SEED = 20190521
 
@@ -100,9 +100,27 @@ def test_aggregate_mean_oracle(base62, derived62):
     assert rep.verdict == "pass"
 
 
-def test_minimum_path_count(base62, derived62):
-    with pytest.raises(ValueError):
-        mc_estimate(f_one(), base62, derived62, BASE_P, 1.0, 50, SEED)
+@pytest.mark.parametrize("estimator", [
+    "mc_estimate", "check_reweighting", "check_martingale", "degeneracy_test",
+    "singularity_probe"])
+def test_minimum_path_count(base62, derived62, estimator, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a simulation started")
+
+    monkeypatch.setattr("cmpplab.verify.simulate_batch", refuse)
+    run = {
+        "mc_estimate": lambda: mc_estimate(f_one(), base62, derived62, BASE_P, 1.0, 50, SEED),
+        "check_reweighting": lambda: check_reweighting(f_one(), derived62, t=1.0, n=50,
+                                                       seed=SEED),
+        "check_martingale": lambda: check_martingale(
+            process_v(derived62), base62, derived62, DERIVED_Q, [(0.5, 1.0)],
+            events=[whole_space()], n=50, seed=SEED),
+        "degeneracy_test": lambda: degeneracy_test(derived62, n=50, seed=SEED),
+        "singularity_probe": lambda: singularity_probe(derived62, horizons=[1.0], n=50,
+                                                       seed=SEED),
+    }[estimator]
+    with pytest.raises(ValueError, match="at least 100"):
+        run()
 
 
 def test_custom_callable_functional(base62, derived62, monkeypatch):
@@ -172,7 +190,8 @@ def test_reweighting_symmetry(base62, change62, derived62):
 # martingale tables
 
 def test_constant_process_passes(base62, derived62):
-    table = check_martingale(process_constant(7.0), base62, derived62,
+    seven = PathFunctional("7", lambda b, t: np.full(len(b), 7.0))
+    table = check_martingale(seven, base62, derived62,
                              DERIVED_Q, [(0.5, 1.0)], n=1000, seed=SEED)
     assert table.verdict == "pass"
     assert all(c.estimate == 0.0 and c.stderr == 0.0 for c in table.cells)
@@ -186,7 +205,7 @@ def test_v_is_martingale_under_q(base62, derived62):
 
 
 def test_y_is_martingale_under_p(base62):
-    table = check_martingale(process_y(), base62, None, BASE_P,
+    table = check_martingale(process_y(base62), base62, None, BASE_P,
                              [(0.5, 1.0), (1.0, 2.0)], n=60_000, seed=SEED)
     assert table.verdict == "pass"
     assert len(table.cells) == 16
@@ -195,7 +214,7 @@ def test_y_is_martingale_under_p(base62):
 def test_raw_aggregate_fails_with_wald_drift(base62, change62, derived62):
     e_g = expectation(derived62.q_mixing, derived62.g)
     e_x = derived62.q_claim.moment(1)
-    table = check_martingale(process_raw(), base62, derived62, DERIVED_Q,
+    table = check_martingale(f_aggregate(), base62, derived62, DERIVED_Q,
                              [(0.5, 1.0)], n=60_000, seed=SEED)
     assert table.verdict == "fail"
     ws = next(c for c in table.cells if c.event == "whole_space")
@@ -205,8 +224,9 @@ def test_raw_aggregate_fails_with_wald_drift(base62, change62, derived62):
 
 
 def test_density_is_conditional_martingale(base62, change62, derived62):
-    table = check_martingale(process_density(change62), base62, derived62,
-                             conditional_p(1.0), [(0.5, 1.0), (1.0, 2.0)],
+    cond = conditional_p(1.0)
+    table = check_martingale(process_density(change62, cond), base62, derived62,
+                             cond, [(0.5, 1.0), (1.0, 2.0)],
                              n=60_000, seed=SEED)
     assert table.verdict == "pass"
 
@@ -229,7 +249,7 @@ def functional_log(monkeypatch):
 @pytest.mark.parametrize("process", ["v", "density"])
 def test_martingale_computes_each_functional_once_per_batch(
         base62, derived62, change62, functional_log, process):
-    spec = process_v(derived62) if process == "v" else process_density(change62)
+    spec = process_v(derived62) if process == "v" else process_density(change62, DERIVED_Q)
     table = check_martingale(spec, base62, derived62, DERIVED_Q,
                              [(0.5, 1.0), (1.0, 2.0)], n=3000, seed=SEED)
     assert len(table.cells) == 16  # the default 8 events, two pairs
@@ -266,10 +286,10 @@ def test_default_family_keeps_eight_cells_when_descriptions_repeat():
     base = BaseModel(Exponential(0.2), Gamma(200.0, 2.0))
     derived = derive_q_model(validate_change(base, identity_change()))
     events = default_event_family(0.5, base, derived, DERIVED_Q, SEED)
-    assert events[3].describe() == events[4].describe() == "S_0.5<=0"
+    assert events[3].name == events[4].name == "S_0.5<=0"
     table = check_martingale(process_v(derived), base, derived, DERIVED_Q,
                              [(0.5, 1.0)], n=2000, seed=SEED)
-    assert [c.event for c in table.cells] == [ev.describe() for ev in events]
+    assert [c.event for c in table.cells] == [ev.name for ev in events]
 
 
 def test_event_anchor_validation(base62, derived62):
@@ -277,6 +297,60 @@ def test_event_anchor_validation(base62, derived62):
         check_martingale(process_v(derived62), base62, derived62, DERIVED_Q,
                          [(0.5, 1.0)], events=[count_at_most(0.8, 1)],
                          n=1000, seed=SEED)
+
+
+@pytest.mark.parametrize("event,name", [
+    (count_at_most(0.5, 1), "N_0.5<=1"),
+    (aggregate_at_most(0.5, 8.522238), "S_0.5<=8.52224"),
+    (theta_in(0.0, 1.5), "theta_in[0,1.5)"),
+    (theta_in(1.5, math.inf), "theta_in[1.5,inf)"),
+    (whole_space(), "whole_space"),
+])
+def test_event_names(event, name):
+    # the names are report quantities: V[s->t]@<name>
+    assert event.name == name
+
+
+@pytest.mark.parametrize("empty", ["pairs", "events"])
+def test_empty_martingale_inputs_are_refused(base62, derived62, empty):
+    kw = dict(pairs=[(0.5, 1.0)], events=[whole_space()])
+    kw[empty] = []
+    with pytest.raises(ValueError, match=f"{empty} is empty"):
+        check_martingale(process_v(derived62), base62, derived62, DERIVED_Q,
+                         n=1000, seed=SEED, **kw)
+
+
+# ---------------------------------------------------------------------------
+# surplus processes
+
+def test_surplus_formulas_62(base62, derived62):
+    assert derived62.claim_tilt_mean == pytest.approx(10.0, rel=1e-9)
+    b = simulate_batch(base62, derived62, DERIVED_Q, 1.0, seed=3, n=500)
+    v = process_v(derived62).eval_batch(b, 1.0)
+    expect = b.aggregates_at(1.0) - 10.0 * b.thetas**2
+    assert np.max(np.abs(v - expect)) < 1e-9
+
+
+def test_surplus_formulas_63():
+    c = 1.0
+    base = BaseModel(Gamma(c + 1.0, 2.0), Degenerate(0.5))
+    change = measure_change(alpha="ln(c+theta) + 2*ln((c+1)/(c+1+theta))",
+                            gamma="c*x - 2*ln(c+1)", xi="1",
+                            params={"c": c})
+    # xi = 1 works for the degenerate mixing; the V coefficient is E[X e^gamma] = 2
+    derived = derive_q_model(validate_change(base, change, level=2))
+    p = simulate_batch(base, None, BASE_P, 1.0, seed=9, n=1, start_index=4)
+    th = p.thetas[0]
+    expect = p.aggregates_at(1.0)[0] - 2.0 * (c + th) * (c + 1.0) ** 2 * th / (c + 1.0 + th) ** 2
+    assert process_v(derived).eval_batch(p, 1.0)[0] == pytest.approx(expect, rel=1e-9)
+
+
+def test_identity_change_v_equals_y(base62):
+    identity = derive_q_model(validate_change(base62, identity_change()))
+    b = simulate_batch(base62, None, BASE_P, 1.0, seed=12, n=200)
+    v = process_v(identity).eval_batch(b, 1.0)
+    y = process_y(base62).eval_batch(b, 1.0)
+    assert np.max(np.abs(v - y)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
