@@ -49,6 +49,6 @@ print(f"  g = {lab.derive_g(ev)}; p(Q)/p(P) = {qv.p_derived / qv.p_base:.4f} "
 
 print("\nclosed forms always cross-checked against simulation:")
 rep = lab.mc_estimate(lab.f_aggregate(), base, derived, lab.DERIVED_Q, 1.0,
-                      100_000, seed=99, oracle=quote.p_derived)
+                      100_000, seed=99, oracle=quote.p_derived).run()
 print(f"  MC E_Q[S_1] = {rep.estimate:.4f} +- {rep.stderr:.4f} "
       f"vs closed form {quote.p_derived:.4f} -> {rep.verdict}")

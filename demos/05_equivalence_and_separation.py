@@ -21,7 +21,7 @@ print(f"  analytic drifts: ln2 - 1 = {math.log(2) - 1:+.5f} under the base law,"
 print(f"                   2ln2 - 1 = {2 * math.log(2) - 1:+.5f} under the derived law")
 print()
 rows = lab.singularity_probe(derived, horizons=[2.0, 10.0, 50.0],
-                             n=4000, seed=31, theta_fixed=1.0)
+                             n=4000, seed=31, theta_fixed=1.0).run()
 print(f"  {'T':>4} {'side':>4} {'drift':>9} {'stderr':>8} {'oracle':>9} "
       f"{'frac<-5':>8} {'frac>+5':>8}")
 for r in rows:
@@ -38,7 +38,7 @@ singular on the full path space even though no finite restriction is.
 
 print("the identity change, for contrast, has log M identically zero:")
 ident = lab.derive_q_model(lab.validate_change(base, lab.identity_change(), level=2))
-rows = lab.singularity_probe(ident, horizons=[10.0], n=1000, seed=31)
+rows = lab.singularity_probe(ident, horizons=[10.0], n=1000, seed=31).run()
 for r in rows:
     print(f"  T={r.horizon:g} {r.side}: mean log M = {r.mean_log_density:g}, "
           f"tails {r.frac_below:g}/{r.frac_above:g}")

@@ -850,7 +850,9 @@ def parse_distribution(text: str) -> Distribution:
         try:
             args[key] = float(val.strip())
         except ValueError:
-            raise DistError(f"bad numeric value {val.strip()!r} in {text!r}") from None
+            args[key] = math.nan
+        if not math.isfinite(args[key]):  # a law's parameters are finite numbers
+            raise DistError(f"bad numeric value {val.strip()!r} in {text!r}")
     if set(args) != set(names):
         raise DistError(f"{name} needs arguments {names}, got {sorted(args)} in {text!r}")
     return cls(**args)

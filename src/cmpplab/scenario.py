@@ -42,6 +42,7 @@ pass thresholds.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
@@ -57,9 +58,9 @@ from .premium import (PremiumQuote, esscher_change, expected_value_change,
                       premium_density)
 from .quadrature import DivergentIntegral
 from .sim import BASE_P, DERIVED_Q, SimulationError
-from .verify import (Plan, f_aggregate, f_count, f_count_eq, f_one, plan_degeneracy,
-                     plan_martingale, plan_mc_estimate, plan_reweighting,
-                     plan_singularity, process_v, run_streams)
+from .verify import (Plan, check_martingale, check_reweighting, degeneracy_test,
+                     f_aggregate, f_count, f_count_eq, f_one, mc_estimate, process_v,
+                     run_streams, singularity_probe)
 
 JOB_NAMES = ("simulate", "validate", "derive-q", "verify-reweighting",
              "verify-martingale", "degeneracy", "singularity", "premium")
@@ -298,22 +299,20 @@ def _base_62() -> BaseModel:
                      parse_distribution("gamma(rate=2,shape=2)"))
 
 
-def _builtin_61a(params: Dict[str, float]) -> Scenario:
-    c = params.get("c", 0.05)
+def _builtin_61a(c: float = 0.05) -> Scenario:
     base = _base_62()
     return Scenario(name="example-6.1a", base=base,
                     change=esscher_change(c, base), level=1,
                     jobs=_TEST_BASE_JOBS)
 
 
-def _builtin_61b(params: Dict[str, float]) -> Scenario:
-    c = params.get("c", math.log(2.0))
+def _builtin_61b(c: float = math.log(2.0)) -> Scenario:
     return Scenario(name="example-6.1b", base=_base_62(),
                     change=expected_value_change(c), level=1,
                     jobs=_TEST_BASE_JOBS + ("singularity",))
 
 
-def _builtin_62(params: Dict[str, float]) -> Scenario:
+def _builtin_62() -> Scenario:
     return Scenario(
         name="example-6.2", base=_base_62(),
         change=measure_change(alpha="ln(theta)", gamma="ln(x/5)",
@@ -323,8 +322,7 @@ def _builtin_62(params: Dict[str, float]) -> Scenario:
     )
 
 
-def _builtin_63(params: Dict[str, float]) -> Scenario:
-    c = params.get("c", 1.0)
+def _builtin_63(c: float = 1.0) -> Scenario:
     base = BaseModel(parse_distribution(f"gamma(rate={c + 1.0},shape=2)"),
                      parse_distribution("beta(a=2,b=1)"))
     change = measure_change(
@@ -334,7 +332,8 @@ def _builtin_63(params: Dict[str, float]) -> Scenario:
                     jobs=_TEST_BASE_JOBS)
 
 
-BUILTIN_SCENARIOS: Dict[str, Callable[[Dict[str, float]], Scenario]] = {
+# each builder takes its parameters as keywords with defaults
+BUILTIN_SCENARIOS: Dict[str, Callable[..., Scenario]] = {
     "example-6.1a": _builtin_61a,
     "example-6.1b": _builtin_61b,
     "example-6.2": _builtin_62,
@@ -345,14 +344,23 @@ BUILTIN_SCENARIOS: Dict[str, Callable[[Dict[str, float]], Scenario]] = {
 def resolve_scenario(name_or_path: str, params: Optional[Dict[str, float]] = None) -> Scenario:
     params = params or {}
     if name_or_path in BUILTIN_SCENARIOS:
+        builder = BUILTIN_SCENARIOS[name_or_path]
+        takes = inspect.signature(builder).parameters
+        unknown = sorted(set(params) - set(takes))
+        if unknown:
+            raise ScenarioError(f"unknown parameter {', '.join(map(repr, unknown))} (the "
+                                f"builtin takes {', '.join(takes) or 'none'})", name_or_path)
         try:
-            return BUILTIN_SCENARIOS[name_or_path](params)
+            return builder(**params)
         except (ValueError, ArithmeticError) as e:
             # a parameter value the builtin's construction cannot take
             shown = ", ".join(f"{k}={v!r}" for k, v in sorted(params.items()))
             raise ScenarioError(f"cannot build the builtin with {shown or 'its defaults'}: "
                                 f"{type(e).__name__}: {e}", name_or_path) from e
     if os.path.exists(name_or_path):
+        if params:
+            raise ScenarioError("--param sets a builtin's parameters; a scenario file binds "
+                                "its own on its params line", name_or_path)
         return load_scenario_file(name_or_path)
     raise ScenarioError(
         f"unknown scenario {name_or_path!r}: not a builtin "
@@ -367,14 +375,15 @@ def resolve_scenario(name_or_path: str, params: Optional[Dict[str, float]] = Non
 QuoteFn = Callable[[], PremiumQuote]
 
 
-def _annotate(scn: Scenario, row: Row) -> Row:
+def _row(scn: Scenario, job: str, **kw) -> Row:
+    """A row of the job, with the scenario's paper value of its quantity."""
+    row = Row(scenario=scn.name, job=job, seed=scn.seed, **kw)
     pv = scn.paper_values.get(row.quantity)
     return replace(row, paper_value=pv) if pv is not None else row
 
 
 def _job_validate(scn: Scenario, rep: AdmissibilityReport) -> List[Row]:
-    mk = lambda **kw: _annotate(scn, Row(scenario=scn.name, job="validate",
-                                         seed=scn.seed, **kw))
+    mk = functools.partial(_row, scn, "validate")
     rows = [
         mk(quantity="gamma_norm", estimate=rep.gamma_norm, oracle=1.0,
            verdict="pass" if abs(rep.gamma_norm - 1.0) <= NORM_TOL else "fail"),
@@ -399,8 +408,7 @@ def _rows_now(rows: List[Row]) -> Plan:
 
 
 def _job_derive_q(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Plan:
-    mk = lambda **kw: _annotate(scn, Row(scenario=scn.name, job="derive-q",
-                                         seed=scn.seed, **kw))
+    mk = functools.partial(_row, scn, "derive-q")
     return _rows_now([
         mk(quantity="g", detail=str(derived.g)),
         mk(quantity="q_claim", detail=derived.q_claim.literal()),
@@ -419,8 +427,7 @@ def _job_premium(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Plan:
     med = float(scn.base.mixing_law.quantile(0.5))
     p_p = quote.per_theta_base(med)
     p_q = quote.per_theta_derived(med)
-    mk = lambda **kw: _annotate(scn, Row(scenario=scn.name, job="premium",
-                                         seed=scn.seed, **kw))
+    mk = functools.partial(_row, scn, "premium")
     return _rows_now([
         mk(quantity="p(P)", estimate=quote.p_base),
         mk(quantity="p(Q)", estimate=quote.p_derived, oracle=pq_oracle,
@@ -443,12 +450,11 @@ def _job_simulate(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Plan:
     t = scn.horizon
     e_x = scn.base.claim_law.moment(1)
     e_rate = expectation(scn.base.mixing_law, scn.base.rate_fn)
-    mk = lambda **kw: _annotate(scn, Row(scenario=scn.name, job="simulate",
-                                         seed=scn.seed, **kw))
-    p = plan_mc_estimate([f_aggregate(), f_count()], BASE_P, t, scn.paths, scn.seed,
-                         oracle=[t * e_rate * e_x, t * e_rate])
+    mk = functools.partial(_row, scn, "simulate")
+    p = mc_estimate([f_aggregate(), f_count()], scn.base, derived, BASE_P, t, scn.paths,
+                    scn.seed, oracle=[t * e_rate * e_x, t * e_rate])
     # reads the verify-martingale job's stream when both run
-    q = plan_mc_estimate(f_aggregate(), DERIVED_Q, t, scn.paths, scn.seed)
+    q = mc_estimate(f_aggregate(), scn.base, derived, DERIVED_Q, t, scn.paths, scn.seed)
 
     def rows() -> List[Row]:
         reps = p.finish()
@@ -465,9 +471,8 @@ def _job_simulate(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Plan:
 def _job_reweighting(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Plan:
     t = scn.horizon / 2.0
     battery = [f_one(), f_count(), f_aggregate(), f_count_eq(0)]
-    mk = lambda **kw: _annotate(scn, Row(scenario=scn.name, job="verify-reweighting",
-                                         seed=scn.seed, **kw))
-    plan = plan_reweighting(battery, derived, t=t, n=scn.paths, seed=scn.seed, horizon=t)
+    mk = functools.partial(_row, scn, "verify-reweighting")
+    plan = check_reweighting(battery, derived, t=t, n=scn.paths, seed=scn.seed)
 
     def rows() -> List[Row]:
         return [mk(quantity=f"gap[{f.name}]@t={t:g}", estimate=res.difference,
@@ -482,10 +487,9 @@ def _job_reweighting(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Pl
 def _job_martingale(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Plan:
     h = scn.horizon
     pairs = [(h / 4.0, h / 2.0), (h / 2.0, h)]
-    plan = plan_martingale(process_v(derived), scn.base, derived, DERIVED_Q,
-                           pairs, n=scn.paths, seed=scn.seed)
-    mk = lambda **kw: _annotate(scn, Row(scenario=scn.name, job="verify-martingale",
-                                         seed=scn.seed, **kw))
+    plan = check_martingale(process_v(derived), scn.base, derived, DERIVED_Q,
+                            pairs, n=scn.paths, seed=scn.seed)
+    mk = functools.partial(_row, scn, "verify-martingale")
 
     def rows() -> List[Row]:
         table = plan.finish()
@@ -504,7 +508,7 @@ def _job_martingale(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Pla
 
 
 def _job_degeneracy(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Plan:
-    plan = plan_degeneracy(derived, n=scn.paths, seed=scn.seed)
+    plan = degeneracy_test(derived, n=scn.paths, seed=scn.seed)
 
     def rows() -> List[Row]:
         res = plan.finish()
@@ -512,13 +516,10 @@ def _job_degeneracy(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Pla
         gvals = derived.g.eval_array(grid)
         predicted_degenerate = bool(np.allclose(gvals, gvals[0], rtol=1e-12, atol=0.0))
         agrees = res.is_martingale == predicted_degenerate
-        return [_annotate(scn, Row(
-            scenario=scn.name, job="degeneracy", seed=scn.seed,
-            quantity="centered-aggregate martingale dichotomy",
-            estimate=res.witness_estimate, stderr=res.witness_stderr,
-            oracle=res.witness_oracle,
-            verdict="pass" if agrees else "fail",
-            detail=f"g(Theta) degenerate={predicted_degenerate}; {res.describe()}"))]
+        return [_row(scn, "degeneracy", quantity="centered-aggregate martingale dichotomy",
+                     estimate=res.witness_estimate, stderr=res.witness_stderr,
+                     oracle=res.witness_oracle, verdict="pass" if agrees else "fail",
+                     detail=f"g(Theta) degenerate={predicted_degenerate}; {res.describe()}")]
 
     return Plan(plan.consumers, rows)
 
@@ -527,10 +528,9 @@ def _job_singularity(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Pl
     horizons = [scn.horizon * 5, scn.horizon * 25]
     theta = float(scn.base.mixing_law.quantile(0.5))
     n = max(1000, scn.paths // 25)
-    plan = plan_singularity(derived, horizons=horizons, n=n, seed=scn.seed,
-                            theta_fixed=theta)
-    mk = lambda **kw: _annotate(scn, Row(scenario=scn.name, job="singularity",
-                                         seed=scn.seed, **kw))
+    plan = singularity_probe(derived, horizons=horizons, n=n, seed=scn.seed,
+                             theta_fixed=theta)
+    mk = functools.partial(_row, scn, "singularity")
 
     def rows() -> List[Row]:
         rows_out = []

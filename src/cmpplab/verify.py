@@ -17,20 +17,20 @@ independent.
 Every estimator streams its samples through one ``Moments`` accumulator per
 cell; standard errors come from the sample variance (n - 1 denominator).
 
-Each estimator has a ``plan_*`` form: the ``Consumer`` of every stream it
+Each estimator returns its ``Plan``: the ``Consumer`` of every stream it
 reads (a request ``(measure, horizon, seed, n, family)``, an ``add`` per
 chunk and a ``result``) and a ``finish`` that builds the estimate.
 ``run_streams`` simulates each distinct request once and feeds every
-consumer of it, so estimators that read one stream share one pass.  The
-entry points (``mc_estimate``, ``check_reweighting``, ...) plan, run the
-streams and finish; a scenario run plans all of its jobs first.
+consumer of it, so estimators that read one stream share one pass.
+``plan.run()`` runs one plan alone; a scenario run plans all of its jobs
+first.  A consumer is fed once, so a plan runs once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import special as sp
@@ -41,6 +41,9 @@ from .sim import (BASE_P, DERIVED_Q, MeasureTag, PathBatch, conditional_p,
                   conditional_q, log_density_batch, simulate_batch)
 
 CHUNK = 1 << 17
+
+# Bonferroni family level of a martingale table
+FAMILY_LEVEL = 0.01
 
 # stream families (disjoint path-index blocks per concern)
 FAM_DEFAULT = 0
@@ -258,7 +261,8 @@ class Consumer:
 
     ``request`` names the stream, ``add(batch)`` takes its chunks in order,
     and ``result()`` returns ``state``, the accumulators ``add`` fills, or
-    raises the error that stopped the consumer (its own or its stream's).
+    raises the error that stopped the consumer (its own or its stream's)
+    or a ``ValueError`` if it was never fed.
     Every estimator reads at least 100 paths.
     """
 
@@ -269,8 +273,11 @@ class Consumer:
         self.add = add
         self.state = state
         self.error: Optional[Exception] = None
+        self.fed = False
 
     def result(self):
+        if not self.fed:
+            raise ValueError("the consumer was never fed: run its plan first")
         if self.error is not None:
             raise self.error
         return self.state
@@ -279,10 +286,17 @@ class Consumer:
 @dataclass(frozen=True)
 class Plan:
     """A planned estimator: the consumers to feed, and ``finish``, which
-    builds the estimate from their results once ``run_streams`` fed them."""
+    builds the estimate from their results once ``run_streams`` fed them.
+    ``run()`` feeds them from the plan's models and finishes, once."""
 
     consumers: List[Consumer]
     finish: Callable[[], Any]
+    base: Optional[BaseModel] = None
+    derived: Optional[DerivedModel] = None
+
+    def run(self):
+        run_streams(self.base, self.derived, self.consumers)
+        return self.finish()
 
 
 def _simulate_chunked(base, derived, under, horizon, seed, n, family=FAM_DEFAULT):
@@ -302,7 +316,13 @@ def run_streams(base: BaseModel, derived: Optional[DerivedModel],
     No chunk outlives its turn.  A consumer whose ``add`` raises keeps the
     error and is fed no more; an error of the simulation goes to every
     consumer of that stream still being fed.  Either way ``result`` raises it.
+    A consumer is fed once: one fed before, or listed twice, is refused
+    before any path is simulated.
     """
+    if any(c.fed for c in consumers) or len({id(c) for c in consumers}) < len(consumers):
+        raise ValueError("a consumer is fed once; a plan runs once")
+    for c in consumers:
+        c.fed = True
     streams: Dict[Request, List[Consumer]] = {}
     for c in consumers:
         streams.setdefault(c.request, []).append(c)
@@ -329,11 +349,6 @@ def _kept(e: Exception) -> Exception:
     import traceback
     traceback.clear_frames(e.__traceback__)
     return e
-
-
-def _run(base: BaseModel, derived: Optional[DerivedModel], plan: Plan):
-    run_streams(base, derived, plan.consumers)
-    return plan.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -365,28 +380,20 @@ def _battery_consumer(request: Request, fs, t, change=None, include_xi=True) -> 
     return Consumer(request, add, accs)
 
 
-def plan_mc_estimate(f, under: MeasureTag, t: float, n: int, seed: int,
-                     horizon: Optional[float] = None, oracle=None,
-                     family: int = FAM_DEFAULT) -> Plan:
-    """The plan of ``mc_estimate``."""
-    horizon = t if horizon is None else horizon
+def mc_estimate(f, base: BaseModel, derived: Optional[DerivedModel], under: MeasureTag,
+                t: float, n: int, seed: int, oracle=None) -> Plan:
+    """Sample mean and stderr of a path functional at time t over n paths:
+    ``run()`` returns an ``MCReport``.  A battery (list or tuple, ``oracle``
+    a sequence or None) shares one simulation and returns a list of them."""
     fs, oracles, single = _battery(f, oracle)
-    c = _battery_consumer((under, horizon, seed, n, family), fs, t)
+    c = _battery_consumer((under, t, seed, n, FAM_DEFAULT), fs, t)
 
     def finish():
         reps = [MCReport.from_moments(g.name, acc, o)
                 for g, acc, o in zip(fs, c.result(), oracles)]
         return reps[0] if single else reps
 
-    return Plan([c], finish)
-
-
-def mc_estimate(f, base: BaseModel, derived: Optional[DerivedModel], under: MeasureTag,
-                t: float, n: int, seed: int, horizon: Optional[float] = None,
-                oracle=None, family: int = FAM_DEFAULT) -> Union[MCReport, List[MCReport]]:
-    """Sample mean and stderr of a path functional at time t over n paths; a
-    battery (list or tuple, ``oracle`` a sequence or None) shares one simulation."""
-    return _run(base, derived, plan_mc_estimate(f, under, t, n, seed, horizon, oracle, family))
+    return Plan([c], finish, base, derived)
 
 
 @dataclass(frozen=True)
@@ -401,17 +408,24 @@ class ReweightingResult:
         return self.verdict == "pass"
 
 
-def plan_reweighting(f, derived: DerivedModel, *, t: float, n: int, seed: int,
-                     under_conditional: Optional[float] = None,
-                     horizon: Optional[float] = None, oracle=None) -> Plan:
-    """The plan of ``check_reweighting``: one consumer per side."""
-    horizon = t if horizon is None else horizon
+def check_reweighting(f, derived: DerivedModel, *, t: float, n: int, seed: int,
+                      under_conditional: Optional[float] = None, oracle=None) -> Plan:
+    """Both routes to E_Q[f] at time t: direct simulation under the derived
+    measure versus base-measure simulation weighted by the likelihood ratio.
+    ``run()`` returns a ``ReweightingResult``.
+
+    A battery ``f`` (list or tuple, ``oracle`` a sequence or None)
+    simulates each side once and returns a list of results.  With
+    ``under_conditional`` set, the conditional form is tested at that theta
+    (weights then exclude xi).  The sides run in disjoint stream families;
+    the verdict is pass iff they agree within 3 pooled standard errors.
+    """
     theta = under_conditional
     tag_q = DERIVED_Q if theta is None else conditional_q(theta)
     tag_p = BASE_P if theta is None else conditional_p(theta)
     fs, oracles, single = _battery(f, oracle)
-    direct = _battery_consumer((tag_q, horizon, seed, n, FAM_DIRECT), fs, t)
-    weighted = _battery_consumer((tag_p, horizon, seed, n, FAM_WEIGHTED), fs, t,
+    direct = _battery_consumer((tag_q, t, seed, n, FAM_DIRECT), fs, t)
+    weighted = _battery_consumer((tag_p, t, seed, n, FAM_WEIGHTED), fs, t,
                                  derived.change, include_xi=theta is None)
 
     def finish():
@@ -426,24 +440,7 @@ def plan_reweighting(f, derived: DerivedModel, *, t: float, n: int, seed: int,
                                              pooled_stderr=pooled, verdict=verdict))
         return results[0] if single else results
 
-    return Plan([direct, weighted], finish)
-
-
-def check_reweighting(f, derived: DerivedModel, *, t: float, n: int, seed: int,
-                      under_conditional: Optional[float] = None, horizon: Optional[float] = None,
-                      oracle=None) -> Union[ReweightingResult, List[ReweightingResult]]:
-    """Both routes to E_Q[f]: direct simulation under the derived measure
-    versus base-measure simulation weighted by the likelihood ratio.
-
-    A battery ``f`` (list or tuple, ``oracle`` a sequence or None)
-    simulates each side once.  With
-    ``under_conditional`` set, the conditional form is tested at that theta
-    (weights then exclude xi).  The sides run in disjoint stream families;
-    the verdict is pass iff they agree within 3 pooled standard errors.
-    """
-    return _run(derived.base, derived, plan_reweighting(
-        f, derived, t=t, n=n, seed=seed, under_conditional=under_conditional,
-        horizon=horizon, oracle=oracle))
+    return Plan([direct, weighted], finish, derived.base, derived)
 
 
 # ---------------------------------------------------------------------------
@@ -465,22 +462,28 @@ class MartingaleTable:
     process: str
     under: str
     cells: Tuple[MartingaleCell, ...]
-    family_level: float
     z_threshold: float
     verdict: str
+    family_level = FAMILY_LEVEL  # not a field: every table's Bonferroni level
 
     def passed(self) -> bool:
         return self.verdict == "pass"
 
 
-def plan_martingale(process: PathFunctional, base: BaseModel,
-                    derived: Optional[DerivedModel], under: MeasureTag,
-                    pairs: Sequence[Tuple[float, float]],
-                    events: Optional[Sequence[EventSpec]] = None,
-                    n: int = 100_000, seed: int = 0,
-                    family_level: float = 0.01, family: int = FAM_DEFAULT) -> Plan:
-    """The plan of ``check_martingale``, reading the stream ``family``; the
-    default events' pilot runs here."""
+def check_martingale(process: PathFunctional, base: BaseModel,
+                     derived: Optional[DerivedModel], under: MeasureTag,
+                     pairs: Sequence[Tuple[float, float]],
+                     events: Optional[Sequence[EventSpec]] = None,
+                     n: int = 100_000, seed: int = 0, family: int = FAM_DEFAULT) -> Plan:
+    """Integral-form martingale test: E[ind_A (Z_t - Z_s)] = 0 per cell, on
+    the paths of the stream ``family``; ``run()`` returns a ``MartingaleTable``.
+
+    Each cell passes at 3 stderr; the table verdict applies a Bonferroni
+    correction at ``FAMILY_LEVEL`` across all cells.  The default events'
+    pilot runs here, when the plan is built.
+    """
+    if not isinstance(process, PathFunctional):
+        raise TypeError(f"expected a PathFunctional, got {type(process).__name__}")
     if not pairs:
         raise ValueError("pairs is empty: a martingale table needs an (s, t) pair")
     for s, t in pairs:
@@ -522,29 +525,13 @@ def plan_martingale(process: PathFunctional, base: BaseModel,
                 cell_pass = abs(est) <= 3.0 * se if se > 0.0 else est == 0.0
                 cells.append(MartingaleCell(s=s, t=t, event=ev.name, estimate=est,
                                             stderr=se, z=z, cell_pass=cell_pass))
-        z_crit = float(sp.ndtri(1.0 - (family_level / len(cells)) / 2.0))
+        z_crit = float(sp.ndtri(1.0 - (FAMILY_LEVEL / len(cells)) / 2.0))
         worst = max(abs(cell.z) for cell in cells)
         return MartingaleTable(process=process.name, under=str(under),
-                               cells=tuple(cells), family_level=family_level,
-                               z_threshold=z_crit,
+                               cells=tuple(cells), z_threshold=z_crit,
                                verdict="pass" if worst <= z_crit else "fail")
 
-    return Plan([c], finish)
-
-
-def check_martingale(process: PathFunctional, base: BaseModel,
-                     derived: Optional[DerivedModel], under: MeasureTag,
-                     pairs: Sequence[Tuple[float, float]],
-                     events: Optional[Sequence[EventSpec]] = None,
-                     n: int = 100_000, seed: int = 0,
-                     family_level: float = 0.01) -> MartingaleTable:
-    """Integral-form martingale test: E[ind_A (Z_t - Z_s)] = 0 per cell.
-
-    Each cell passes at 3 stderr; the table verdict applies a Bonferroni
-    correction at the family level across all cells.
-    """
-    return _run(base, derived, plan_martingale(process, base, derived, under, pairs, events,
-                                               n, seed, family_level))
+    return Plan([c], finish, base, derived)
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +556,18 @@ class DegeneracyResult:
                 f"z={self.witness_z:.1f})")
 
 
-def plan_degeneracy(derived: DerivedModel, *, n: int, seed: int,
-                    s: float = 0.5, t: float = 1.0) -> Plan:
-    """The plan of ``degeneracy_test``: a two-cell martingale table of the
-    centered aggregate on the theta half-spaces; the cell of largest |z| is
-    the witness."""
+def degeneracy_test(derived: DerivedModel, *, n: int, seed: int) -> Plan:
+    """Probe whether the unconditionally centered aggregate is a martingale
+    under the derived measure from s = 0.5 to t = 1; ``run()`` returns a
+    ``DegeneracyResult``.
+
+    It is one exactly when g(Theta) is degenerate; otherwise the two
+    theta half-space events expose a drift whose size is predicted by
+    the quadrature covariance oracle
+    (t-s) E_Q[X] (E_Q[ind_A g(Theta)] - Q(A) E_Q[g(Theta)]).  The probe is a
+    two-cell martingale table; its cell of largest |z| is the witness.
+    """
+    s, t = 0.5, 1.0
     g = derived.g
     e_g = expectation(derived.q_mixing, g)
     e_x = derived.q_claim.moment(1)
@@ -581,9 +575,9 @@ def plan_degeneracy(derived: DerivedModel, *, n: int, seed: int,
     bounds = [(0.0, med), (med, math.inf)]
     centered = PathFunctional("S_t - t E_Q[g] E_Q[X]",
                               lambda b, u: b.aggregates_at(u) - u * e_g * e_x)
-    table = plan_martingale(centered, derived.base, derived, DERIVED_Q, [(s, t)],
-                            [theta_in(lo, hi) for lo, hi in bounds], n=n, seed=seed,
-                            family=FAM_DEGENERACY)
+    table = check_martingale(centered, derived.base, derived, DERIVED_Q, [(s, t)],
+                             [theta_in(lo, hi) for lo, hi in bounds], n=n, seed=seed,
+                             family=FAM_DEGENERACY)
 
     def finish() -> DegeneracyResult:
         cell, (lo, hi) = max(zip(table.finish().cells, bounds), key=lambda cb: abs(cb[0].z))
@@ -595,20 +589,7 @@ def plan_degeneracy(derived: DerivedModel, *, n: int, seed: int,
                                 witness_oracle=(t - s) * e_x * (e_ga - q_a * e_g),
                                 s=s, t=t)
 
-    return Plan(table.consumers, finish)
-
-
-def degeneracy_test(derived: DerivedModel, *, n: int, seed: int,
-                    s: float = 0.5, t: float = 1.0) -> DegeneracyResult:
-    """Probe whether the unconditionally centered aggregate is a martingale
-    under the derived measure.
-
-    It is one exactly when g(Theta) is degenerate; otherwise the two
-    theta half-space events expose a drift whose size is predicted by
-    the quadrature covariance oracle
-    (t-s) E_Q[X] (E_Q[ind_A g(Theta)] - Q(A) E_Q[g(Theta)]).
-    """
-    return _run(derived.base, derived, plan_degeneracy(derived, n=n, seed=seed, s=s, t=t))
+    return Plan(table.consumers, finish, derived.base, derived)
 
 
 # ---------------------------------------------------------------------------
@@ -654,19 +635,25 @@ def _drift_oracle(base: BaseModel, change: MeasureChange, derived: DerivedModel,
     return drift + log_xi_mean / horizon
 
 
-def plan_singularity(derived: DerivedModel, *, horizons: Sequence[float], n: int,
-                     seed: int, theta_fixed: Optional[float] = None) -> Plan:
-    """The plan of ``singularity_probe``: one consumer per (horizon, side)."""
+def singularity_probe(derived: DerivedModel, *, horizons: Sequence[float], n: int,
+                      seed: int, theta_fixed: Optional[float] = None) -> Plan:
+    """Log likelihood-ratio drift table under both measures, one stream per
+    (horizon, side); ``run()`` returns a list of ``DriftRow``.
+
+    Progressive equivalence holds at every finite horizon while the
+    measures separate in the limit: under the base measure the drift is
+    nonpositive, under the derived one nonnegative, and the mass of
+    paths with |log density| beyond +-5 grows with the horizon.  A
+    finite-horizon table can only exhibit the trend, never certify the
+    limit statement.
+    """
     base, change = derived.base, derived.change
     include_xi = theta_fixed is None
+    sides = (("p", BASE_P if include_xi else conditional_p(theta_fixed), FAM_SING_P),
+             ("q", DERIVED_Q if include_xi else conditional_q(theta_fixed), FAM_SING_Q))
     cells = []
     for T in horizons:
-        for side in ("p", "q"):
-            if theta_fixed is None:
-                tag = BASE_P if side == "p" else DERIVED_Q
-            else:
-                tag = conditional_p(theta_fixed) if side == "p" else conditional_q(theta_fixed)
-            fam = FAM_SING_P if side == "p" else FAM_SING_Q
+        for side, tag, fam in sides:
             acc, parts = Moments(), []  # the parts for the quantiles
 
             def add(b, T=T, acc=acc, parts=parts):
@@ -692,20 +679,4 @@ def plan_singularity(derived: DerivedModel, *, horizons: Sequence[float], n: int
             ))
         return rows
 
-    return Plan([c for _, _, c in cells], finish)
-
-
-def singularity_probe(derived: DerivedModel, *,
-                      horizons: Sequence[float], n: int, seed: int,
-                      theta_fixed: Optional[float] = None) -> List[DriftRow]:
-    """Log likelihood-ratio drift table under both measures.
-
-    Progressive equivalence holds at every finite horizon while the
-    measures separate in the limit: under the base measure the drift is
-    nonpositive, under the derived one nonnegative, and the mass of
-    paths with |log density| beyond +-5 grows with the horizon.  A
-    finite-horizon table can only exhibit the trend, never certify the
-    limit statement.
-    """
-    return _run(derived.base, derived, plan_singularity(
-        derived, horizons=horizons, n=n, seed=seed, theta_fixed=theta_fixed))
+    return Plan([c for _, _, c in cells], finish, base, derived)

@@ -181,11 +181,11 @@ def test_criterion_6_martingale_suite(worked):
         for name in ("example-6.2", "example-6.3"):
             base, change, derived = worked[name]
             table = check_martingale(process_v(derived), base, derived,
-                                     DERIVED_Q, PAIRS, n=100_000, seed=SEED)
+                                     DERIVED_Q, PAIRS, n=100_000, seed=SEED).run()
             assert table.passed(), (name, [c for c in table.cells if not c.cell_pass])
         base, change, derived = worked["example-6.2"]
         raw = check_martingale(f_aggregate(), base, derived, DERIVED_Q,
-                               [(0.5, 1.0)], n=100_000, seed=SEED)
+                               [(0.5, 1.0)], n=100_000, seed=SEED).run()
         assert not raw.passed()
         ws = next(c for c in raw.cells if c.event == "whole_space")
         drift = 0.5 * expectation(derived.q_mixing, derived.g) \
@@ -193,7 +193,7 @@ def test_criterion_6_martingale_suite(worked):
         assert abs(ws.estimate - drift) <= 4.0 * ws.stderr
         cond = conditional_p(1.0)
         dens = check_martingale(process_density(change, cond), base, derived,
-                                cond, PAIRS, n=100_000, seed=SEED)
+                                cond, PAIRS, n=100_000, seed=SEED).run()
         assert dens.passed()
 
     _report(6, "centered aggregate is a derived-measure martingale "
@@ -206,11 +206,11 @@ def test_criterion_7_degeneracy_dichotomy(worked):
         base_deg = BaseModel(Exponential(0.2), Degenerate(1.0))
         change_deg = measure_change(alpha="ln(theta)", gamma="ln(x/5)", xi="1")
         derived_deg = derive_q_model(validate_change(base_deg, change_deg, level=2))
-        res = degeneracy_test(derived_deg, n=200_000, seed=SEED)
+        res = degeneracy_test(derived_deg, n=200_000, seed=SEED).run()
         assert res.is_martingale, res.describe()
 
         _, _, derived = worked["example-6.2"]
-        res = degeneracy_test(derived, n=1_000_000, seed=SEED)
+        res = degeneracy_test(derived, n=1_000_000, seed=SEED).run()
         assert not res.is_martingale
         assert abs(res.witness_z) >= 5.0, res.witness_z
         assert abs(res.witness_estimate - res.witness_oracle) \
@@ -251,7 +251,7 @@ def test_criterion_9_singularity_trend(worked):
     def body():
         _, _, derived = worked["example-6.1b"]
         rows = singularity_probe(derived, horizons=[10.0, 50.0], n=4000,
-                                 seed=SEED, theta_fixed=1.0)
+                                 seed=SEED, theta_fixed=1.0).run()
         by = {(r.horizon, r.side): r for r in rows}
         for T in (10.0, 50.0):
             p_row, q_row = by[(T, "p")], by[(T, "q")]

@@ -61,9 +61,9 @@ def test_reweighting_battery_matches_single_calls(derived62, small_chunks, theta
     battery = [f_one(), f_count(), f_aggregate(), f_count_eq(0)]
     oracles = [1.0, None, 200.0 / 9.0, None]
     shared = check_reweighting(battery, derived62, t=1.0, n=4000, seed=SEED,
-                               under_conditional=theta, oracle=oracles)
+                               under_conditional=theta, oracle=oracles).run()
     single = [check_reweighting(f, derived62, t=1.0, n=4000, seed=SEED,
-                                under_conditional=theta, oracle=o)
+                                under_conditional=theta, oracle=o).run()
               for f, o in zip(battery, oracles)]
     assert shared == single
 
@@ -72,8 +72,8 @@ def test_mc_estimate_battery_matches_single_calls(base62, derived62, small_chunk
     battery = [f_aggregate(), f_count(), PathFunctional("theta", lambda b, t: b.thetas)]
     oracles = [200.0 / 9.0, None, None]
     shared = mc_estimate(battery, base62, derived62, DERIVED_Q, 1.0, 4000, SEED,
-                         oracle=oracles)
-    single = [mc_estimate(f, base62, derived62, DERIVED_Q, 1.0, 4000, SEED, oracle=o)
+                         oracle=oracles).run()
+    single = [mc_estimate(f, base62, derived62, DERIVED_Q, 1.0, 4000, SEED, oracle=o).run()
               for f, o in zip(battery, oracles)]
     assert shared == single
 
@@ -81,13 +81,13 @@ def test_mc_estimate_battery_matches_single_calls(base62, derived62, small_chunk
 def test_battery_oracles_must_match(base62, derived62):
     with pytest.raises(ValueError):
         mc_estimate([f_one(), f_count()], base62, derived62, BASE_P, 1.0, 1000, SEED,
-                    oracle=[1.0])
+                    oracle=[1.0]).run()
 
 
 def test_chunked_estimate_matches_concatenated_samples(base62, derived62, small_chunks):
     # 4000 paths in chunks of 1500: the merged moments agree with numpy on
     # the whole sample, which does not depend on the chunking
-    rep = mc_estimate(f_aggregate(), base62, derived62, DERIVED_Q, 1.0, 4000, SEED)
+    rep = mc_estimate(f_aggregate(), base62, derived62, DERIVED_Q, 1.0, 4000, SEED).run()
     x = simulate_batch(base62, derived62, DERIVED_Q, 1.0, SEED, n=4000).aggregates_at(1.0)
     assert rep.n == 4000
     assert rep.estimate == pytest.approx(np.mean(x), rel=1e-12, abs=0.0)
@@ -181,31 +181,32 @@ def test_run_rows_match_standalone_entry_points(tmp_path, monkeypatch, name):
     derived = derive_q_model(validate_change(base, scn.change, scn.level))
     got = lambda job, q: (float(rows[(job, q)]["estimate"]), float(rows[(job, q)]["stderr"]))
 
-    p_reps = mc_estimate([f_aggregate(), f_count()], base, derived, BASE_P, t, n, SEED)
-    q_rep = mc_estimate(f_aggregate(), base, derived, DERIVED_Q, t, n, SEED)
+    p_reps = mc_estimate([f_aggregate(), f_count()], base, derived, BASE_P, t, n, SEED).run()
+    q_rep = mc_estimate(f_aggregate(), base, derived, DERIVED_Q, t, n, SEED).run()
     for q, rep in zip(("E_P[S_2]", "E_P[N_2]", "E_Q[S_2]"), p_reps + [q_rep]):
         assert got("simulate", q) == (rep.estimate, rep.stderr)
 
     battery = [f_one(), f_count(), f_aggregate(), f_count_eq(0)]
-    for f, res in zip(battery, check_reweighting(battery, derived, t=t / 2, n=n, seed=SEED)):
+    reweighting = check_reweighting(battery, derived, t=t / 2, n=n, seed=SEED).run()
+    for f, res in zip(battery, reweighting):
         assert got("verify-reweighting", f"gap[{f.name}]@t=1") == \
             (res.difference, res.pooled_stderr)
 
     table = check_martingale(process_v(derived), base, derived, DERIVED_Q,
-                             [(t / 4, t / 2), (t / 2, t)], n=n, seed=SEED)
+                             [(t / 4, t / 2), (t / 2, t)], n=n, seed=SEED).run()
     cells = [(r["estimate"], r["stderr"]) for job, q, r in listed
              if job == "verify-martingale" and q.startswith("V[")]
     assert [(float(e), float(se)) for e, se in cells] == \
         [(c.estimate, c.stderr) for c in table.cells]
 
     if "degeneracy" in scn.jobs:
-        res = degeneracy_test(derived, n=n, seed=SEED)
+        res = degeneracy_test(derived, n=n, seed=SEED).run()
         assert got("degeneracy", "centered-aggregate martingale dichotomy") == \
             (res.witness_estimate, res.witness_stderr)
     if "singularity" in scn.jobs:
         theta = float(base.mixing_law.quantile(0.5))
         for r in singularity_probe(derived, horizons=[5 * t, 25 * t], n=n, seed=SEED,
-                                   theta_fixed=theta):
+                                   theta_fixed=theta).run():
             assert got("singularity", f"log-density drift T={r.horizon:g} under {r.side}") \
                 == (r.drift, r.drift_stderr)
 

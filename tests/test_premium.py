@@ -234,5 +234,5 @@ def test_closed_form_premium_matches_monte_carlo_all_builtins():
         derived = derive_q_model(validate_change(scn.base, scn.change, scn.level))
         quote = premium_density(scn.base, derived)
         rep = mc_estimate(f_aggregate(), scn.base, derived, DERIVED_Q, 1.0,
-                          100_000, SEED, oracle=quote.p_derived)
+                          100_000, SEED, oracle=quote.p_derived).run()
         assert abs(rep.estimate - quote.p_derived) <= 4.0 * rep.stderr, name

@@ -349,15 +349,6 @@ def test_repeated_run_leaves_no_process_state(tmp_path):
 BAD_HORIZONS = ["-1", "0", "nan", "inf"]
 
 
-@pytest.fixture
-def no_simulation(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a simulation started")
-
-    monkeypatch.setattr("cmpplab.verify.simulate_batch", refuse)
-    monkeypatch.setattr("cmpplab.sim.simulate_batch", refuse)
-
-
 @pytest.mark.parametrize("horizon", BAD_HORIZONS)
 def test_bad_horizon_in_file_exit_2(tmp_path, capsys, no_simulation, horizon):
     text = GOOD_SCENARIO.replace("jobs = validate, derive-q, premium", "jobs = simulate")
@@ -426,14 +417,23 @@ BAD_VALUE_RUNS = [
     (["{tmp}/level3.scn"], "level3.scn:6: level must be 1 or 2, got 3"),
     (["{tmp}/nan.scn"], "nan.scn:6: bad parameter value 'nan'"),
     (["{tmp}/inf.scn"], "inf.scn:6: bad parameter value '-inf'"),
+    # a parameter the scenario never reads is refused, not recorded
+    (["example-6.2", "--param", "c=3"],
+     "example-6.2: unknown parameter 'c' (the builtin takes none)"),
+    (["example-6.3", "--param", "k=3"],
+     "example-6.3: unknown parameter 'k' (the builtin takes c)"),
+    (["{tmp}/good.scn", "--param", "c=3"],
+     "good.scn: --param sets a builtin's parameters; a scenario file binds its own"),
 ]
 
 
 @pytest.mark.parametrize("args,message", BAD_VALUE_RUNS,
                          ids=["6.1a-c-negative", "6.1a-c-outside-strip", "6.3-c-negative",
-                              "6.1b-c-nan", "file-level-3", "file-c-nan", "file-c-inf"])
+                              "6.1b-c-nan", "file-level-3", "file-c-nan", "file-c-inf",
+                              "6.2-unknown-param", "6.3-unknown-param", "file-param"])
 def test_bad_scenario_value_exit_2(tmp_path, capsys, no_simulation, args, message):
     base = "[base]\nclaim = exp(rate=0.2)\nmixing = gamma(rate=2,shape=2)\n\n[change]\n"
+    (tmp_path / "good.scn").write_text(GOOD_SCENARIO)
     (tmp_path / "level3.scn").write_text(base + "level = 3\n")
     for name, value in (("nan", "nan"), ("inf", "-inf")):
         (tmp_path / f"{name}.scn").write_text(base + f'params = c = {value}\nalpha = "c"\n')
@@ -442,6 +442,21 @@ def test_bad_scenario_value_exit_2(tmp_path, capsys, no_simulation, args, messag
     assert main(["run", *args, "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mixing", ["uniform(lo=0,hi=inf)", "degenerate(inf)",
+                                    "beta(a=inf,b=1)", "exp(rate=inf)",
+                                    "gamma(rate=2,shape=inf)"])
+def test_non_finite_law_parameter_exit_2(tmp_path, capsys, no_simulation, mixing):
+    text = GOOD_SCENARIO.replace("mixing = gamma(rate=2, shape=2)", f"mixing = {mixing}")
+    scn_path = tmp_path / "inf_law.scn"
+    scn_path.write_text(text)
+    line = text.splitlines().index(f"mixing = {mixing}") + 1
+    out = tmp_path / "r.csv"
+    assert main(["run", str(scn_path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{scn_path}:{line}: bad mixing law: bad numeric value 'inf'" in err
     assert not out.exists()
 
 

@@ -13,8 +13,8 @@ from cmpplab.verify import (Moments, PathFunctional, aggregate_at_most,
                             check_martingale, check_reweighting, count_at_most,
                             default_event_family, degeneracy_test, f_aggregate,
                             f_count, f_count_eq, f_one, mc_estimate,
-                            process_density, process_v, process_y, singularity_probe,
-                            theta_in, whole_space)
+                            process_density, process_v, process_y, run_streams,
+                            singularity_probe, theta_in, whole_space)
 
 SEED = 20190521
 
@@ -79,7 +79,7 @@ def test_moments_do_not_cancel_on_a_large_offset():
 # mc_estimate
 
 def test_constant_functional(base62, derived62):
-    rep = mc_estimate(f_one(), base62, derived62, BASE_P, 1.0, 1000, SEED, oracle=1.0)
+    rep = mc_estimate(f_one(), base62, derived62, BASE_P, 1.0, 1000, SEED, oracle=1.0).run()
     assert rep.estimate == 1.0
     assert rep.stderr == 0.0
     assert rep.verdict == "pass"
@@ -89,26 +89,23 @@ def test_constant_functional(base62, derived62):
 def test_count_mean_oracle(base62, derived62):
     oracle = expectation(base62.mixing_law, lambda th: th)
     rep = mc_estimate(f_count(), base62, derived62, BASE_P, 1.0, 100_000, SEED,
-                      oracle=oracle)
+                      oracle=oracle).run()
     assert rep.verdict == "pass"
     assert oracle == pytest.approx(1.0, rel=1e-10)
 
 
 def test_aggregate_mean_oracle(base62, derived62):
     rep = mc_estimate(f_aggregate(), base62, derived62, BASE_P, 1.0, 100_000,
-                      SEED, oracle=5.0)
+                      SEED, oracle=5.0).run()
     assert rep.verdict == "pass"
 
 
 @pytest.mark.parametrize("estimator", [
     "mc_estimate", "check_reweighting", "check_martingale", "degeneracy_test",
     "singularity_probe"])
-def test_minimum_path_count(base62, derived62, estimator, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a simulation started")
-
-    monkeypatch.setattr("cmpplab.verify.simulate_batch", refuse)
-    run = {
+def test_minimum_path_count(base62, derived62, estimator, no_simulation):
+    # building the plan is refused, before any path
+    plan = {
         "mc_estimate": lambda: mc_estimate(f_one(), base62, derived62, BASE_P, 1.0, 50, SEED),
         "check_reweighting": lambda: check_reweighting(f_one(), derived62, t=1.0, n=50,
                                                        seed=SEED),
@@ -120,30 +117,48 @@ def test_minimum_path_count(base62, derived62, estimator, monkeypatch):
                                                        seed=SEED),
     }[estimator]
     with pytest.raises(ValueError, match="at least 100"):
-        run()
+        plan()
 
 
-def test_custom_callable_functional(base62, derived62, monkeypatch):
+def test_custom_callable_functional(base62, derived62):
     theta = PathFunctional("theta", lambda b, t: b.thetas)
-    rep = mc_estimate(theta, base62, derived62, BASE_P, 1.0, 500, SEED, oracle=1.0)
+    rep = mc_estimate(theta, base62, derived62, BASE_P, 1.0, 500, SEED, oracle=1.0).run()
     assert rep.verdict == "pass"
-    # a bare callable is refused when the estimate is planned, before any path
-    def refuse(*args, **kwargs):
-        raise AssertionError("a simulation started")
 
-    monkeypatch.setattr("cmpplab.verify.simulate_batch", refuse)
+
+def test_bare_callable_is_refused_when_planned(base62, derived62, no_simulation):
+    theta = PathFunctional("theta", lambda b, t: b.thetas)
     for f in (lambda b, t: b.thetas, [theta, "S_t"]):
         with pytest.raises(TypeError, match="PathFunctional"):
             mc_estimate(f, base62, derived62, BASE_P, 1.0, 500, SEED)
         with pytest.raises(TypeError, match="PathFunctional"):
             check_reweighting(f, derived62, t=1.0, n=500, seed=SEED)
+    # before the default events' pilot, too
+    with pytest.raises(TypeError, match="expected a PathFunctional, got function"):
+        check_martingale(lambda b, t: b.aggregates_at(t), base62, derived62, DERIVED_Q,
+                         [(0.5, 1.0)], n=200_000, seed=1)
+
+
+def test_a_plan_runs_once(base62, derived62, request):
+    plan = mc_estimate(f_count(), base62, derived62, BASE_P, 1.0, 1000, SEED)
+    rep = plan.run()
+    assert rep.n == 1000
+    request.getfixturevalue("no_simulation")
+    with pytest.raises(ValueError, match="fed once"):
+        plan.run()
+    assert plan.finish() == rep  # the second run added nothing
+    fresh = mc_estimate(f_count(), base62, derived62, BASE_P, 1.0, 1000, SEED)
+    with pytest.raises(ValueError, match="never fed"):
+        fresh.finish()  # not an empty estimate
+    with pytest.raises(ValueError, match="fed once"):
+        run_streams(base62, derived62, fresh.consumers * 2)
 
 
 # ---------------------------------------------------------------------------
 # reweighting
 
 def test_reweighting_trivial_functional(derived62):
-    res = check_reweighting(f_one(), derived62, t=1.0, n=5000, seed=SEED)
+    res = check_reweighting(f_one(), derived62, t=1.0, n=5000, seed=SEED).run()
     assert res.direct.estimate == 1.0
     assert res.verdict == "pass"
 
@@ -151,7 +166,7 @@ def test_reweighting_trivial_functional(derived62):
 def test_reweighting_vacuous_probability(derived62):
     oracle = expectation(Gamma(3.0, 4.0), lambda th: np.exp(-th * th))
     res = check_reweighting(f_count_eq(0), derived62, t=1.0, n=100_000,
-                            seed=SEED, oracle=oracle)
+                            seed=SEED, oracle=oracle).run()
     assert res.verdict == "pass"
     assert abs(res.direct.estimate - oracle) <= 3.0 * res.direct.stderr
     assert abs(res.weighted.estimate - oracle) <= 3.0 * res.weighted.stderr
@@ -159,7 +174,7 @@ def test_reweighting_vacuous_probability(derived62):
 
 def test_reweighting_aggregate_with_oracle(derived62):
     res = check_reweighting(f_aggregate(), derived62, t=1.0, n=100_000,
-                            seed=SEED, oracle=200.0 / 9.0)
+                            seed=SEED, oracle=200.0 / 9.0).run()
     assert res.verdict == "pass"
     assert abs(res.direct.estimate - 200.0 / 9.0) <= 3.0 * res.direct.stderr
 
@@ -168,7 +183,7 @@ def test_reweighting_aggregate_with_oracle(derived62):
 def test_reweighting_conditional(derived62, theta):
     res = check_reweighting(f_aggregate(), derived62, t=1.0, n=60_000,
                             seed=SEED, under_conditional=theta,
-                            oracle=theta**2 * 10.0)
+                            oracle=theta**2 * 10.0).run()
     assert res.verdict == "pass"
     assert abs(res.direct.estimate - theta**2 * 10.0) <= 3.0 * res.direct.stderr
 
@@ -192,21 +207,21 @@ def test_reweighting_symmetry(base62, change62, derived62):
 def test_constant_process_passes(base62, derived62):
     seven = PathFunctional("7", lambda b, t: np.full(len(b), 7.0))
     table = check_martingale(seven, base62, derived62,
-                             DERIVED_Q, [(0.5, 1.0)], n=1000, seed=SEED)
+                             DERIVED_Q, [(0.5, 1.0)], n=1000, seed=SEED).run()
     assert table.verdict == "pass"
     assert all(c.estimate == 0.0 and c.stderr == 0.0 for c in table.cells)
 
 
 def test_v_is_martingale_under_q(base62, derived62):
     table = check_martingale(process_v(derived62), base62, derived62, DERIVED_Q,
-                             [(0.5, 1.0), (1.0, 2.0)], n=60_000, seed=SEED)
+                             [(0.5, 1.0), (1.0, 2.0)], n=60_000, seed=SEED).run()
     assert table.verdict == "pass"
     assert len(table.cells) == 16
 
 
 def test_y_is_martingale_under_p(base62):
     table = check_martingale(process_y(base62), base62, None, BASE_P,
-                             [(0.5, 1.0), (1.0, 2.0)], n=60_000, seed=SEED)
+                             [(0.5, 1.0), (1.0, 2.0)], n=60_000, seed=SEED).run()
     assert table.verdict == "pass"
     assert len(table.cells) == 16
 
@@ -215,7 +230,7 @@ def test_raw_aggregate_fails_with_wald_drift(base62, change62, derived62):
     e_g = expectation(derived62.q_mixing, derived62.g)
     e_x = derived62.q_claim.moment(1)
     table = check_martingale(f_aggregate(), base62, derived62, DERIVED_Q,
-                             [(0.5, 1.0)], n=60_000, seed=SEED)
+                             [(0.5, 1.0)], n=60_000, seed=SEED).run()
     assert table.verdict == "fail"
     ws = next(c for c in table.cells if c.event == "whole_space")
     oracle = 0.5 * e_g * e_x
@@ -227,7 +242,7 @@ def test_density_is_conditional_martingale(base62, change62, derived62):
     cond = conditional_p(1.0)
     table = check_martingale(process_density(change62, cond), base62, derived62,
                              cond, [(0.5, 1.0), (1.0, 2.0)],
-                             n=60_000, seed=SEED)
+                             n=60_000, seed=SEED).run()
     assert table.verdict == "pass"
 
 
@@ -251,7 +266,7 @@ def test_martingale_computes_each_functional_once_per_batch(
         base62, derived62, change62, functional_log, process):
     spec = process_v(derived62) if process == "v" else process_density(change62, DERIVED_Q)
     table = check_martingale(spec, base62, derived62, DERIVED_Q,
-                             [(0.5, 1.0), (1.0, 2.0)], n=3000, seed=SEED)
+                             [(0.5, 1.0), (1.0, 2.0)], n=3000, seed=SEED).run()
     assert len(table.cells) == 16  # the default 8 events, two pairs
     assert len(functional_log) == len(set(functional_log))
     by_batch = {}
@@ -271,9 +286,9 @@ def test_repeated_events_are_separate_cells(base62, derived62):
     ev = count_at_most(0.5, 1)
     kw = dict(n=4000, seed=3)
     once = check_martingale(process_v(derived62), base62, derived62, DERIVED_Q,
-                            [(0.5, 1.0)], events=[ev], **kw)
+                            [(0.5, 1.0)], events=[ev], **kw).run()
     twice = check_martingale(process_v(derived62), base62, derived62, DERIVED_Q,
-                             [(0.5, 1.0)], events=[ev, ev], **kw)
+                             [(0.5, 1.0)], events=[ev, ev], **kw).run()
     assert len(twice.cells) == 2
     assert twice.cells[0] == twice.cells[1] == once.cells[0]
     # a second cell tightens the Bonferroni threshold, nothing else
@@ -288,7 +303,7 @@ def test_default_family_keeps_eight_cells_when_descriptions_repeat():
     events = default_event_family(0.5, base, derived, DERIVED_Q, SEED)
     assert events[3].name == events[4].name == "S_0.5<=0"
     table = check_martingale(process_v(derived), base, derived, DERIVED_Q,
-                             [(0.5, 1.0)], n=2000, seed=SEED)
+                             [(0.5, 1.0)], n=2000, seed=SEED).run()
     assert [c.event for c in table.cells] == [ev.name for ev in events]
 
 
@@ -360,12 +375,12 @@ def test_degenerate_mixing_centered_aggregate_is_martingale():
     base = BaseModel(Exponential(0.2), Degenerate(1.0))
     change = measure_change(alpha="ln(theta)", gamma="ln(x/5)", xi="1")
     res = degeneracy_test(derive_q_model(validate_change(base, change, level=2)),
-                          n=200_000, seed=SEED)
+                          n=200_000, seed=SEED).run()
     assert res.is_martingale
 
 
 def test_nondegenerate_mixing_violation_with_oracle(derived62):
-    res = degeneracy_test(derived62, n=400_000, seed=SEED)
+    res = degeneracy_test(derived62, n=400_000, seed=SEED).run()
     assert not res.is_martingale
     assert abs(res.witness_z) >= 5.0
     # estimate agrees with the quadrature covariance oracle
@@ -389,7 +404,7 @@ def test_degeneracy_whole_space_centered(base62, change62, derived62):
 
 def test_identity_change_probe_is_zero(base62):
     derived = derive_q_model(validate_change(base62, identity_change(), level=2))
-    rows = singularity_probe(derived, horizons=[2.0, 5.0], n=500, seed=SEED)
+    rows = singularity_probe(derived, horizons=[2.0, 5.0], n=500, seed=SEED).run()
     assert all(r.mean_log_density == 0.0 for r in rows)
     assert all(r.frac_below == 0.0 and r.frac_above == 0.0 for r in rows)
 
@@ -399,7 +414,7 @@ def test_expected_value_drifts(base62):
     change = expected_value_change(c)
     derived = derive_q_model(validate_change(base62, change, level=2))
     rows = singularity_probe(derived, horizons=[10.0, 50.0], n=4000,
-                             seed=SEED, theta_fixed=1.0)
+                             seed=SEED, theta_fixed=1.0).run()
     by = {(r.horizon, r.side): r for r in rows}
     for T in (10.0, 50.0):
         p_row, q_row = by[(T, "p")], by[(T, "q")]
