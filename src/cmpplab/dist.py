@@ -14,12 +14,14 @@ Conventions
 All densities, cdfs and quantiles accept scalars or numpy arrays.  Every
 sampler is a quantile transform of counter-based uniforms, so a draw is a
 pure function of (seed, path index, lane, draw index); every quantile maps
-each point on its own, whatever the batch around it.  Gamma and Tilted laws
-invert from lazily built per-instance tables: a Gamma draw evaluates a
-quintic Hermite table of log x against logit u, with no cdf call (within
-1e-13 relative of gammaincinv and of 50-digit quantiles, tested for shapes
-0.05 to 1e5; smaller shapes invert by gammaincinv alone); a Tilted draw
-solves its CDF table's cubic.
+each point on its own, whatever the batch around it.  Gamma, Beta and
+Tilted laws invert from lazily built per-instance tables: a Gamma or Beta
+draw evaluates a quintic Hermite table of log x (Gamma) or logit x (Beta)
+against logit u, with no cdf call (within 1e-13 relative of 50-digit
+quantiles, tested for Gamma shapes 0.05 to 1e6 and Beta parameters 0.05 to
+1000); smaller shapes invert by special.gammaincinv or betaincinv alone; a
+Tilted draw solves its CDF table's cubic.  The incomplete gamma and beta
+functions come from special, which uses numpy and math only.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
-from scipy import special as sp
 
+from . import special
 from .expr import RealFn, format_number
 from .quadrature import (DivergentIntegral, evaluate, gauss_kronrod, integrate_finite,
                          integrate_semi_infinite)
@@ -45,15 +47,16 @@ NORMALIZATION_TOL = 1e-8
 _TAIL_EPS = 5e-13  # tabulation covers all but ~1e-12 of base mass
 _INVERT_BLOCK = 1 << 14  # quantile points per block (bounds peak memory)
 _INVERT_MAX_ITER = 100  # hard cap per point; ulp convergence takes 3-4 Newton steps
-_GAMMA_SEGMENTS = 2048  # quintic segments of the Gamma quantile table
-_GAMMA_Z_HI = 37.0  # table's top logit; the largest double below 1 has logit 36.74
-# Gamma quantiles below this go to gammaincinv: x = exp(log x) carries about
-# |log x| ulps of relative error (69 at 1e-30), and no cdf step corrects it
-_GAMMA_X_MIN = 1e-30
-# Gamma laws of smaller shape invert by gammaincinv alone: as the shape falls,
-# most of the mass lies below _GAMMA_X_MIN (P(0.01, 1e-30) = 0.5), and the
-# table's lower tail, where d log x / d logit u -> 1/shape, loses accuracy
-_GAMMA_SHAPE_MIN = 0.05
+_SEGMENTS = 2048  # quintic segments of a Gamma or Beta quantile table
+_Z_HI = 37.0  # table's top logit; the largest double below 1 has logit 36.74
+# quantiles below this invert directly (special.gammaincinv, betaincinv):
+# x = exp(log x) carries about |log x| ulps of relative error (69 at 1e-30),
+# and no cdf step corrects it
+_X_MIN = 1e-30
+# laws of smaller shape (Gamma) or smaller a or b (Beta) invert directly: as
+# the shape falls, most of the mass lies below _X_MIN (P(0.01, 1e-30) = 0.5),
+# and the table's lower tail, where d log x / d logit u -> 1/shape, loses accuracy
+_SHAPE_MIN = 0.05
 
 
 class DistError(ValueError):
@@ -221,21 +224,50 @@ class _Hermite(NamedTuple):
         return y
 
 
-class _GammaTable(NamedTuple):
-    """Standard gamma quantile of one shape: log x as a quintic of z = logit u
+class _LogitTable(NamedTuple):
+    """A law's y = log x (Gamma) or logit x (Beta) as a quintic of z = logit u
     on equal segments, in the centred t = (z - z_lo) inv_h - j - 1/2."""
 
-    u_lo: float        # smallest tabled u, P(a, _GAMMA_X_MIN) or 2^-54; 1: no table
+    u_lo: float        # smallest tabled u, cdf(_X_MIN) or 2^-54; 1: no table
     z_lo: float        # logit u_lo
     inv_h: float       # segments per unit of z
     coef: np.ndarray   # (6, segments): power coefficients in t, constant first
 
-    def log_x(self, z):
-        """log x at logits z in [z_lo, 37]."""
+    @classmethod
+    def build(cls, u_lo: float, invert, log_density) -> "_LogitTable":
+        """Table over [logit u_lo, 37]; u_lo = 1 gives no table.
+
+        Nodes are z_lo + j h with h = (37 - z_lo)/N; invert(u, q) gives
+        their y (q = 1 - u), and log_density(y) the log density ln rho of Y
+        and its slope.  Their derivatives are exact: y' = u (1 - u) / rho(y)
+        and y'' = y' (1 - 2u) - y'^2 d ln rho/dy.
+        """
+        if u_lo >= 1.0:
+            return cls(u_lo=1.0, z_lo=math.inf, inv_h=0.0, coef=np.empty((6, 0)))
+        z_lo = math.log(u_lo / (1.0 - u_lo))
+        h = (_Z_HI - z_lo) / _SEGMENTS
+        z = z_lo + h * np.arange(_SEGMENTS + 1)
+        u, q = 1.0 / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z))
+        y = invert(u, q)
+        log_rho, slope = log_density(y)
+        d1 = h * u * q * np.exp(-log_rho)         # dy/dt
+        d2 = h * d1 * (q - u) - d1 * d1 * slope  # d2y/dt2
+        # a segment's quintic in t from the half sums and half differences of its
+        # end values (t = -1/2, +1/2): the even part from ys, dd, es, the odd from yd, ds, ed
+        ys, yd = (y[1:] + y[:-1]) / 2, (y[1:] - y[:-1]) / 2
+        ds, dd = (d1[1:] + d1[:-1]) / 2, (d1[1:] - d1[:-1]) / 2
+        es, ed = (d2[1:] + d2[:-1]) / 2, (d2[1:] - d2[:-1]) / 2
+        c2, c4 = 1.5 * dd - es / 4, es / 2 - dd
+        c3, c5 = 5 * ds - 10 * yd - ed / 2, ed - 6 * ds + 12 * yd
+        coef = np.stack([ys - c2 / 4 - c4 / 16, 2 * yd - c3 / 4 - c5 / 16, c2, c3, c4, c5])
+        return cls(u_lo=u_lo, z_lo=z_lo, inv_h=1.0 / h, coef=coef)
+
+    def __call__(self, z):
+        """y at logits z in [z_lo, 37]."""
         t = z - self.z_lo
         t *= self.inv_h
         j = np.floor(t)
-        np.clip(j, 0, _GAMMA_SEGMENTS - 1, out=j)
+        np.clip(j, 0, _SEGMENTS - 1, out=j)
         t -= j
         t -= 0.5
         c = self.coef.take(j.astype(np.intp), axis=1)
@@ -246,47 +278,44 @@ class _GammaTable(NamedTuple):
         return y
 
 
-def _gamma_table(a: float) -> _GammaTable:
-    """Quintic Hermite table of y = log x against z = logit u over [z_lo, 37].
+@dataclass(frozen=True, repr=False)
+class _TabledLaw(Distribution):
+    """A law whose quantile evaluates a lazily built per-instance _LogitTable,
+    which takes no part in equality, hashing or literal().  Subclasses give
+    _build_table(), _from_y(y) (x from the table's y) and _direct(u), the
+    inverse for points outside the table."""
 
-    Nodes are z_lo + j h with h = (37 - z_lo)/N; their x come from
-    gammaincinv (u <= 1/2) or gammainccinv (u > 1/2), and their derivatives
-    are exact: y' = u (1 - u) / (x pdf(x)) and y'' = y' (1 - 2u) + y'^2 (x - a).
-    """
-    if a < _GAMMA_SHAPE_MIN:
-        return _GammaTable(u_lo=1.0, z_lo=math.inf, inv_h=0.0, coef=np.empty((6, 0)))
-    u_lo = max(2.0**-54, float(sp.gammainc(a, _GAMMA_X_MIN)))
-    z_lo = math.log(u_lo / (1.0 - u_lo))
-    h = (_GAMMA_Z_HI - z_lo) / _GAMMA_SEGMENTS
-    z = z_lo + h * np.arange(_GAMMA_SEGMENTS + 1)
-    u, q = sp.expit(z), sp.expit(-z)
-    low = z <= 0.0
-    x = np.empty_like(z)
-    x[low] = sp.gammaincinv(a, u[low])
-    x[~low] = sp.gammainccinv(a, q[~low])
-    y = np.log(x)
-    d1 = h * u * q * np.exp(math.lgamma(a) + x - a * y)  # dy/dt
-    d2 = h * d1 * (q - u) + d1 * d1 * (x - a)           # d2y/dt2
-    # a segment's quintic in t from the half sums and half differences of its
-    # end values (t = -1/2, +1/2): the even part from ys, dd, es, the odd from yd, ds, ed
-    ys, yd = (y[1:] + y[:-1]) / 2, (y[1:] - y[:-1]) / 2
-    ds, dd = (d1[1:] + d1[:-1]) / 2, (d1[1:] - d1[:-1]) / 2
-    es, ed = (d2[1:] + d2[:-1]) / 2, (d2[1:] - d2[:-1]) / 2
-    c2, c4 = 1.5 * dd - es / 4, es / 2 - dd
-    c3, c5 = 5 * ds - 10 * yd - ed / 2, ed - 6 * ds + 12 * yd
-    coef = np.stack([ys - c2 / 4 - c4 / 16, 2 * yd - c3 / 4 - c5 / 16, c2, c3, c4, c5])
-    return _GammaTable(u_lo=u_lo, z_lo=z_lo, inv_h=1.0 / h, coef=coef)
+    _table: Optional[_LogitTable] = field(default=None, init=False, repr=False,
+                                          compare=False)
+
+    def quantile(self, p):
+        return _blockwise(self._invert, p)
+
+    def _invert(self, u):
+        """x from the quintic table at z = logit u, per point; no cdf call.
+
+        Points in [0, 1] outside the table (below u_lo, or 1) go to
+        _direct; NaN and points outside [0, 1] give NaN.
+        """
+        if self._table is None:
+            object.__setattr__(self, "_table", self._build_table())
+        tab = self._table
+        inside = (u >= tab.u_lo) & (u < 1.0)
+        if not inside.all():
+            out = np.full_like(u, np.nan)
+            out[inside] = self._invert(u[inside])
+            rest = ~inside & (u >= 0.0) & (u <= 1.0)
+            out[rest] = self._direct(u[rest])
+            return out
+        return self._from_y(tab(np.log(u / (1.0 - u))))
 
 
 @dataclass(frozen=True, repr=False)
-class Gamma(Distribution):
-    """Gamma law; quantile evaluates a lazily built per-instance table
-    (_GammaTable), which takes no part in equality, hashing or literal()."""
+class Gamma(_TabledLaw):
+    """Gamma law; its table holds log x of the standard (rate 1) law."""
 
     rate: float
     shape: float
-    _table: Optional[_GammaTable] = field(default=None, init=False, repr=False,
-                                          compare=False)
 
     def __post_init__(self):
         if not (self.rate > 0 and self.shape > 0):
@@ -311,32 +340,22 @@ class Gamma(Distribution):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = sp.gammainc(self.shape, self.rate * np.maximum(x, 0.0))
+        out = special.gammainc(self.shape, self.rate * np.maximum(x, 0.0))
         return _as_float_or_array(x, np.where(x > 0.0, out, 0.0))
 
-    def quantile(self, p):
-        return _blockwise(self._invert, p)
+    def _build_table(self):
+        a = self.shape
+        u_lo = 1.0 if a < _SHAPE_MIN else max(2.0**-54, special.gammainc(a, _X_MIN))
+        return _LogitTable.build(u_lo, lambda u, q: special.gamma_log_x(a, u, q),
+                                 lambda y: special.gamma_log_density(a, y))
 
-    def _invert(self, u):
-        """log x from the quintic table at z = logit u, per point; no cdf call.
-
-        Points in [0, 1] outside the table (below u_lo, or 1) go to
-        gammaincinv, so 0 -> 0 and 1 -> inf; NaN and points outside [0, 1]
-        give NaN.
-        """
-        if self._table is None:
-            object.__setattr__(self, "_table", _gamma_table(self.shape))
-        tab = self._table
-        inside = (u >= tab.u_lo) & (u < 1.0)
-        if not inside.all():
-            out = np.full_like(u, np.nan)
-            out[inside] = self._invert(u[inside])
-            rest = ~inside & (u >= 0.0) & (u <= 1.0)
-            out[rest] = sp.gammaincinv(self.shape, u[rest]) / self.rate
-            return out
-        x = np.exp(tab.log_x(np.log(u / (1.0 - u))))
+    def _from_y(self, y):
+        x = np.exp(y)
         x /= self.rate
         return x
+
+    def _direct(self, u):
+        return special.gammaincinv(self.shape, u) / self.rate
 
     def moment(self, k):
         _check_order(k)
@@ -358,7 +377,9 @@ class Gamma(Distribution):
 
 
 @dataclass(frozen=True, repr=False)
-class Beta(Distribution):
+class Beta(_TabledLaw):
+    """Beta law; its table holds logit x."""
+
     a: float
     b: float
 
@@ -374,13 +395,13 @@ class Beta(Distribution):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             lp = ((self.a - 1.0) * np.log(x) + (self.b - 1.0) * np.log1p(-x)
-                  - sp.betaln(self.a, self.b))
+                  - special.lnbeta(self.a, self.b))
         return _as_float_or_array(x, np.where((x > 0.0) & (x < 1.0), lp, -math.inf))
 
     def logpdf_below_top(self, y):
         with np.errstate(divide="ignore", invalid="ignore"):
             lp = ((self.a - 1.0) * np.log1p(-y) + (self.b - 1.0) * np.log(y)
-                  - sp.betaln(self.a, self.b))
+                  - special.lnbeta(self.a, self.b))
         return np.where((y > 0.0) & (y < 1.0), lp, -math.inf)
 
     def density(self, x):
@@ -390,12 +411,20 @@ class Beta(Distribution):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = sp.betainc(self.a, self.b, np.clip(x, 0.0, 1.0))
+        out = special.betainc(self.a, self.b, np.clip(x, 0.0, 1.0))
         return _as_float_or_array(x, out)
 
-    def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        return _as_float_or_array(p, sp.betaincinv(self.a, self.b, p))
+    def _build_table(self):
+        a, b = self.a, self.b
+        u_lo = 1.0 if min(a, b) < _SHAPE_MIN else max(2.0**-54, special.betainc(a, b, _X_MIN))
+        return _LogitTable.build(u_lo, lambda u, q: special.beta_logit_x(a, b, u, q),
+                                 lambda y: special.beta_log_density(a, b, y))
+
+    def _from_y(self, y):
+        return 1.0 / (1.0 + np.exp(-y))
+
+    def _direct(self, u):
+        return special.betaincinv(self.a, self.b, u)
 
     def moment(self, k):
         _check_order(k)
@@ -405,9 +434,16 @@ class Beta(Distribution):
         return value
 
     def mgf(self, s):
-        if s == 0.0:
-            return 1.0
-        return float(sp.hyp1f1(self.a, self.a + self.b, s))
+        """Kummer's M(a, a + b, s) by its series, as e^s M(b, a + b, -s) for s < 0
+        so that no terms cancel (within 1e-14 for |s| <= 50)."""
+        p, scale, s = (self.b, math.exp(s), -s) if s < 0.0 else (self.a, 1.0, s)
+        term = total = 1.0
+        n = 0
+        while term > total * 1e-17:
+            term *= (p + n) / (self.a + self.b + n) * s / (n + 1)
+            total += term
+            n += 1
+        return scale * total
 
     def literal(self):
         return f"beta(a={format_number(self.a)}, b={format_number(self.b)})"

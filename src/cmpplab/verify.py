@@ -33,12 +33,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import special as sp
 
 from .dist import clipped_expectation, expectation, log_weighted_expectation
 from .model import BaseModel, DerivedModel, MeasureChange
 from .sim import (BASE_P, DERIVED_Q, MeasureTag, PathBatch, conditional_p,
                   conditional_q, log_density_batch, simulate_batch)
+from .special import norm_isf
 
 CHUNK = 1 << 17
 
@@ -525,7 +525,7 @@ def check_martingale(process: PathFunctional, base: BaseModel,
                 cell_pass = abs(est) <= 3.0 * se if se > 0.0 else est == 0.0
                 cells.append(MartingaleCell(s=s, t=t, event=ev.name, estimate=est,
                                             stderr=se, z=z, cell_pass=cell_pass))
-        z_crit = float(sp.ndtri(1.0 - (FAMILY_LEVEL / len(cells)) / 2.0))
+        z_crit = norm_isf(FAMILY_LEVEL / len(cells) / 2.0)
         worst = max(abs(cell.z) for cell in cells)
         return MartingaleTable(process=process.name, under=str(under),
                                cells=tuple(cells), z_threshold=z_crit,
