@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.unique and np.quantile load it on first call (14 ms)
 
 from . import special
 from .expr import RealFn, format_number

@@ -41,8 +41,10 @@ pass thresholds.
 
 from __future__ import annotations
 
+import csv
 import functools
 import inspect
+import json
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
@@ -578,9 +580,6 @@ def _format_cell(v) -> str:
 def report_write(rows: List[Row], out_format: str, destination: str) -> None:
     """Write rows as CSV (fixed header) or JSON lines, floats at 17
     significant digits so a reader recovers them bit-exactly."""
-    import csv
-    import json
-
     if out_format not in OUTPUT_FORMATS:  # before the destination is touched
         raise ScenarioError(f"unknown output format {out_format!r}")
     parent = os.path.dirname(os.path.abspath(destination))

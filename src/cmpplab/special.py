@@ -8,10 +8,11 @@ tests/test_dist.py); a probability v's bound scales with 1 + |ln v|.
   for P and Q, a in 0.05..1e5, both tails down to 1e-300.
 * gamma_log_x, gammaincinv: Halley steps in ln x on ln P (u <= 1/2) or ln Q
   from a Wilson-Hilferty or lower-tail start (DiDonato and Morris, ACM TOMS
-  12, 1986); 1e-13 for shapes 0.05..1e6, max(1e-13, 2e-15/a) below.
+  12, 1986); 1e-13 for shapes 0.05..1e6, and below that too except for
+  u <= 1/2, where an ulp of ln P is 1/a ulps of x: max(1e-13, 2e-15/a).
 * betainc, beta_logit_x, betaincinv: I_x(a, b) by its continued fraction, on
   I_{1-x}(b, a) where x > (a+1)/(a+b+2) (TOMS 708), 1e-14 (1 + |ln v|); the
-  inverse by Halley steps in logit x, 1e-13; a, b in 0.05..300.
+  inverse by Halley steps in logit x, 1e-13; a, b in 0.05..1000.
 * norm_isf: the upper normal quantile, within 2 ulps for p >= 2e-5.
 """
 
@@ -128,6 +129,14 @@ def _log1mexp(lv):
 
 def _sum_series(x, ratio, first):
     total = np.array(first, dtype=float) + np.zeros_like(x)
+    if x.size == 1:  # one point, in floats: the same terms without array overhead
+        v, total, term = float(x[0]), float(total[0]), float(total[0])
+        for n in range(1, _MAX_TERMS):
+            term *= ratio(n, v)
+            total += term
+            if n % 4 == 0 and not abs(term) > abs(total) * 1e-17:
+                break
+        return np.array([total])
     term = total.copy()
     for n in range(1, _MAX_TERMS):
         term *= ratio(n, x)
@@ -144,6 +153,8 @@ def _lentz(x, coeffs, guard=True):
     check (every 4th term) where a term moved it by under an ulp."""
     def nonzero(v):
         return np.where(np.abs(v) < _TINY, _TINY, v) if guard else v
+    if x.size == 1:  # one point, in floats: the same terms without array overhead
+        return np.array([_lentz_float(float(x[0]), coeffs, guard)])
     h = nonzero(coeffs(0, x)[1] + np.zeros_like(x))
     out, c, d, done = h.copy(), h.copy(), np.zeros_like(x), np.zeros(x.shape, dtype=bool)
     for m in range(1, _MAX_TERMS):
@@ -159,6 +170,22 @@ def _lentz(x, coeffs, guard=True):
             if done.all():
                 break
     return out
+
+
+def _lentz_float(x, coeffs, guard):
+    """_lentz at one point, in floats."""
+    def nonzero(v):
+        return _TINY if guard and abs(v) < _TINY else v
+    h = c = nonzero(float(coeffs(0, x)[1]))
+    d = 0.0
+    for m in range(1, _MAX_TERMS):
+        am, bm = coeffs(m, x)
+        d = 1.0 / nonzero(bm + am * d)
+        c = nonzero(bm + am / c)
+        h *= c * d
+        if m % 4 == 0 and not abs(c * d - 1.0) > 2.3e-16:
+            break
+    return h
 
 
 def _halley(tails, y, lu, lq, y_max):

@@ -234,21 +234,23 @@ def test_gamma_quantile_edges():
 def test_gamma_quantile_below_table_shapes(shape):
     # below the table's smallest shape every point is special.gammaincinv's
     # own.  In the lower tail log x = (log u + ln Gamma(1+a))/a + ..., so an
-    # ulp of log P is 1/a ulps of x: the bound is 1e-13, or 2e-15/a where
-    # that is larger.  Quantiles below 1e-300 are subnormal or 0 (at shape
-    # 1e-6 scipy itself is 5e-11 off at 3.5e-308)
+    # ulp of log P is 1/a ulps of x: there the bound is 1e-13, or 2e-15/a
+    # where that is larger; for u > 1/2 it is 1e-13.  Against scipy it is
+    # 2.5 times that, as scipy's own error reaches 1.9e-13 (shape 0.01, lower
+    # tail) and 1.2e-13 (shape 1e-12, upper tail).  Quantiles below 1e-300
+    # are subnormal or 0 (at shape 1e-6 scipy itself is 5e-11 off at 3.5e-308)
     from scipy.special import gammaincinv
     p = np.concatenate([GAMMA_GRID, [0.5, 0.999]])
     got = Gamma(2.0, shape).quantile(p)
     scaled = got * 2.0
     normal = scaled > 1e-300
-    bound = max(1e-13, 2e-15 / shape)
+    bound = np.where(p <= 0.5, max(1e-13, 2e-15 / shape), 1e-13)
     ref = gammaincinv(shape, p)
-    assert (np.abs(scaled - ref) <= 1.5 * bound * ref)[normal].all()
+    assert (np.abs(scaled - ref) <= 2.5 * bound * ref)[normal].all()
     assert (ref[~normal] <= 1e-300).all()
-    for u, x in zip(p[normal][::7], scaled[normal][::7]):
+    for u, x, b in zip(p[normal][::5], scaled[normal][::5], bound[normal][::5]):
         exact = exact_gamma_quantile(shape, float(u))
-        assert abs(x - exact) <= bound * exact, (shape, u, x, exact)
+        assert abs(x - exact) <= b * exact, (shape, u, x, exact)
     q = Gamma(1.0, shape).quantile(np.array([0.0, 1.0, math.nan, -1.0]))
     assert q[0] == 0.0 and q[1] == math.inf and np.isnan(q[2:]).all()
 

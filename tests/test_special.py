@@ -21,7 +21,7 @@ GAMMA_SHAPES = [0.05, 0.2, 0.5, 1.0, 2.0, 3.0, 7.5, 19.0, 20.0, 30.0, 199.0, 200
                 1e3, 1e4, 1e5]
 BETA_PARAMS = [(0.2, 0.2), (0.5, 0.2), (2.0, 0.2), (0.2, 3.0), (1.0, 1.0), (2.0, 1.0),
                (2.0, 3.0), (3.0, 2.0), (5.0, 30.0), (30.0, 5.0), (0.05, 1.0), (1.0, 0.05),
-               (100.0, 0.5), (200.0, 300.0)]
+               (100.0, 0.5), (200.0, 300.0), (0.05, 1000.0)]
 
 
 def _gamma_points(a):
@@ -125,3 +125,16 @@ def test_gamma_quantile_continuous_across_table_floor():
     u_lo = d._table.u_lo
     below, at = d.quantile(np.array([np.nextafter(u_lo, 0.0), u_lo]))
     assert abs(at - below) <= 1e-13 * at
+
+
+def test_one_point_matches_array():
+    # a single point runs the series and fractions in floats; its bits are
+    # the array code's, so a value never depends on the batch around it
+    for a in (0.3, 2.0, 30.0):
+        x = np.array([1e-3, 0.3, 2.0, a + 1.0, 8.0, 64.0, 500.0])
+        one = [special.gammainc(a, float(v)) for v in x]
+        assert special.gammainc(a, x).tolist() == one
+    for a, b in ((2.0, 1.0), (0.2, 3.0)):
+        x = np.array([1e-3, 0.3, 0.7, 0.99])
+        one = [special.betainc(a, b, float(v)) for v in x]
+        assert special.betainc(a, b, x).tolist() == one
