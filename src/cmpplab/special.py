@@ -65,14 +65,13 @@ def _pointwise(hi, at_lo, at_hi):
             *params, v = args
             arr = np.asarray(v, dtype=float)
             flat = arr.ravel()
-            if flat.size == 1 and 0.0 < flat[0] < hi:
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    out = fn(*params, flat)
-                return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-            out = np.where(flat == 0.0, at_lo, np.where(flat == hi, at_hi, math.nan))
             inside = (flat > 0.0) & (flat < hi)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                out[inside] = fn(*params, flat[inside])
+                if inside.all():
+                    out = fn(*params, flat)
+                else:
+                    out = np.where(flat == 0.0, at_lo, np.where(flat == hi, at_hi, math.nan))
+                    out[inside] = fn(*params, flat[inside])
             return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
         return wrapped
     return wrap
@@ -128,6 +127,9 @@ def _log1mexp(lv):
 
 
 def _sum_series(x, ratio, first):
+    """first + sum of t_n = t_{n-1} ratio(n, x), per point, until every term is
+    below 1e-17 of its sum; |ratio| < 1 for n >= 1, so a point's later terms
+    leave its sum unchanged whatever the batch around it."""
     total = np.array(first, dtype=float) + np.zeros_like(x)
     if x.size == 1:  # one point, in floats: the same terms without array overhead
         v, total, term = float(x[0]), float(total[0]), float(total[0])
