@@ -284,14 +284,12 @@ class _LogitTable(NamedTuple):
 class _TabledLaw(Distribution):
     """A law whose quantile evaluates a lazily built per-instance _LogitTable,
     which takes no part in equality, hashing or literal().  Subclasses give
+    quantile (their own, as the benchmark's tracer wraps each law's),
     _build_table(), _from_y(y) (x from the table's y) and _direct(u), the
     inverse for points outside the table."""
 
     _table: Optional[_LogitTable] = field(default=None, init=False, repr=False,
                                           compare=False)
-
-    def quantile(self, p):
-        return _blockwise(self._invert, p)
 
     def _invert(self, u):
         """x from the quintic table at z = logit u, per point; no cdf call.
@@ -344,6 +342,9 @@ class Gamma(_TabledLaw):
         x = np.asarray(x, dtype=float)
         out = special.gammainc(self.shape, self.rate * np.maximum(x, 0.0))
         return _as_float_or_array(x, np.where(x > 0.0, out, 0.0))
+
+    def quantile(self, p):
+        return _blockwise(self._invert, p)
 
     def _build_table(self):
         a = self.shape
@@ -415,6 +416,9 @@ class Beta(_TabledLaw):
         x = np.asarray(x, dtype=float)
         out = special.betainc(self.a, self.b, np.clip(x, 0.0, 1.0))
         return _as_float_or_array(x, out)
+
+    def quantile(self, p):
+        return _blockwise(self._invert, p)
 
     def _build_table(self):
         a, b = self.a, self.b
