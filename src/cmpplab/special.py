@@ -66,12 +66,9 @@ def _pointwise(hi, at_lo, at_hi):
             arr = np.asarray(v, dtype=float)
             flat = arr.ravel()
             inside = (flat > 0.0) & (flat < hi)
+            out = np.where(flat == 0.0, at_lo, np.where(flat == hi, at_hi, math.nan))
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                if inside.all():
-                    out = fn(*params, flat)
-                else:
-                    out = np.where(flat == 0.0, at_lo, np.where(flat == hi, at_hi, math.nan))
-                    out[inside] = fn(*params, flat[inside])
+                out[inside] = fn(*params, flat[inside])
             return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
         return wrapped
     return wrap
@@ -131,14 +128,6 @@ def _sum_series(x, ratio, first):
     below 1e-17 of its sum; |ratio| < 1 for n >= 1, so a point's later terms
     leave its sum unchanged whatever the batch around it."""
     total = np.array(first, dtype=float) + np.zeros_like(x)
-    if x.size == 1:  # one point, in floats: the same terms without array overhead
-        v, total, term = float(x[0]), float(total[0]), float(total[0])
-        for n in range(1, _MAX_TERMS):
-            term *= ratio(n, v)
-            total += term
-            if n % 4 == 0 and not abs(term) > abs(total) * 1e-17:
-                break
-        return np.array([total])
     term = total.copy()
     for n in range(1, _MAX_TERMS):
         term *= ratio(n, x)
@@ -155,8 +144,6 @@ def _lentz(x, coeffs, guard=True):
     check (every 4th term) where a term moved it by under an ulp."""
     def nonzero(v):
         return np.where(np.abs(v) < _TINY, _TINY, v) if guard else v
-    if x.size == 1:  # one point, in floats: the same terms without array overhead
-        return np.array([_lentz_float(float(x[0]), coeffs, guard)])
     h = nonzero(coeffs(0, x)[1] + np.zeros_like(x))
     out, c, d, done = h.copy(), h.copy(), np.zeros_like(x), np.zeros(x.shape, dtype=bool)
     for m in range(1, _MAX_TERMS):
@@ -172,22 +159,6 @@ def _lentz(x, coeffs, guard=True):
             if done.all():
                 break
     return out
-
-
-def _lentz_float(x, coeffs, guard):
-    """_lentz at one point, in floats."""
-    def nonzero(v):
-        return _TINY if guard and abs(v) < _TINY else v
-    h = c = nonzero(float(coeffs(0, x)[1]))
-    d = 0.0
-    for m in range(1, _MAX_TERMS):
-        am, bm = coeffs(m, x)
-        d = 1.0 / nonzero(bm + am * d)
-        c = nonzero(bm + am / c)
-        h *= c * d
-        if m % 4 == 0 and not abs(c * d - 1.0) > 2.3e-16:
-            break
-    return h
 
 
 def _halley(tails, y, lu, lq, y_max):

@@ -128,8 +128,8 @@ def test_gamma_quantile_continuous_across_table_floor():
 
 
 def test_one_point_matches_array():
-    # a single point runs the series and fractions in floats; its bits are
-    # the array code's, so a value never depends on the batch around it
+    # each point stops its series or fraction on its own terms, so a value
+    # never depends on the batch around it
     for a in (0.3, 2.0, 30.0):
         x = np.array([1e-3, 0.3, 2.0, a + 1.0, 8.0, 64.0, 500.0])
         one = [special.gammainc(a, float(v)) for v in x]
