@@ -26,7 +26,6 @@ functions come from special, which uses numpy and math only.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -283,11 +282,11 @@ class _LogitTable(NamedTuple):
 
 @dataclass(frozen=True, repr=False)
 class _TabledLaw(Distribution):
-    """A law whose quantile evaluates a _LogitTable, fetched on first use
-    from a cache that equal laws share; the table takes no part in equality,
-    hashing or literal().  Subclasses give quantile (their own, as the
-    benchmark's tracer wraps each law's), _build_table(), _from_y(y) (x from
-    the table's y) and _direct(u), the inverse for points outside the table."""
+    """A law whose quantile evaluates a lazily built per-instance _LogitTable,
+    which takes no part in equality, hashing or literal().  Subclasses give
+    quantile (their own, as the benchmark's tracer wraps each law's),
+    _build_table(), _from_y(y) (x from the table's y) and _direct(u), the
+    inverse for points outside the table."""
 
     _table: Optional[_LogitTable] = field(default=None, init=False, repr=False,
                                           compare=False)
@@ -348,7 +347,10 @@ class Gamma(_TabledLaw):
         return _blockwise(self._invert, p)
 
     def _build_table(self):
-        return _gamma_table(self.shape)
+        a = self.shape
+        u_lo = 1.0 if a < _SHAPE_MIN else max(2.0**-54, special.gammainc(a, _X_MIN))
+        return _LogitTable.build(u_lo, lambda u, q: special.gamma_log_x(a, u, q),
+                                 lambda y: special.gamma_log_density(a, y))
 
     def _from_y(self, y):
         x = np.exp(y)
@@ -375,14 +377,6 @@ class Gamma(_TabledLaw):
 
     def literal(self):
         return f"gamma(rate={format_number(self.rate)}, shape={format_number(self.shape)})"
-
-
-@functools.lru_cache(maxsize=64)
-def _gamma_table(a: float) -> _LogitTable:
-    """The table of the standard Gamma law of shape a, shared by every rate."""
-    u_lo = 1.0 if a < _SHAPE_MIN else max(2.0**-54, special.gammainc(a, _X_MIN))
-    return _LogitTable.build(u_lo, lambda u, q: special.gamma_log_x(a, u, q),
-                             lambda y: special.gamma_log_density(a, y))
 
 
 @dataclass(frozen=True, repr=False)
@@ -426,7 +420,6 @@ class Beta(_TabledLaw):
     def quantile(self, p):
         return _blockwise(self._invert, p)
 
-    @functools.lru_cache(maxsize=64)  # equal laws share a table
     def _build_table(self):
         a, b = self.a, self.b
         u_lo = 1.0 if min(a, b) < _SHAPE_MIN else max(2.0**-54, special.betainc(a, b, _X_MIN))
@@ -596,13 +589,6 @@ def log_weighted_expectation(d: Distribution, log_weight: Integrand,
     return _integrate_support(d, integrand)
 
 
-@functools.lru_cache(maxsize=256)
-def _tail_mass(d: Distribution, t: float) -> float:
-    """d.survival(t), remembered: a run's integrals over one law test the
-    same truncation points, and each test is a special-function call."""
-    return float(d.survival(t))
-
-
 def _integrate_support(d: Distribution, integrand, lo=-math.inf, hi=math.inf) -> float:
     """integrand(x) over d's support clipped to [lo, hi), guarded if unbounded.
 
@@ -615,7 +601,7 @@ def _integrate_support(d: Distribution, integrand, lo=-math.inf, hi=math.inf) ->
     if a >= b:
         return 0.0
     if math.isinf(b):
-        return integrate_semi_infinite(integrand, a, tail_mass=functools.partial(_tail_mass, d))
+        return integrate_semi_infinite(integrand, a, tail_mass=d.survival)
     below_top = d.logpdf_below_top
     if below_top is None or b < d.support[1]:
         return integrate_finite(integrand, a, b)
@@ -745,8 +731,8 @@ class Tilted(Distribution):
                 xs = np.unique(np.concatenate([extra, xs]))
         for _ in range(12):
             if math.isinf(hi):
-                right_tail = integrate_semi_infinite(
-                    self.density, xs[-1], tail_mass=functools.partial(_tail_mass, base))
+                right_tail = integrate_semi_infinite(self.density, xs[-1],
+                                                     tail_mass=base.survival)
                 if right_tail < 1e-12:
                     break
                 extra = np.linspace(xs[-1], 2.0 * xs[-1] - xs[0], 129)[1:]

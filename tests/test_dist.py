@@ -285,17 +285,6 @@ def test_gamma_table_is_outside_identity():
     assert repr(a) == repr(b)
 
 
-def test_equal_tables_are_built_once():
-    # a Gamma table holds the standard law, so every rate of one shape shares
-    # it; a Beta table is shared by equal laws
-    a, b = Gamma(2.0, 7.0), Gamma(0.25, 7.0)
-    a.quantile(0.5), b.quantile(0.5)
-    assert a._table is b._table
-    c, d = Beta(2.0, 0.7), Beta(2.0, 0.7)
-    c.quantile(0.5), d.quantile(0.5)
-    assert c._table is d._table
-
-
 # ---------------------------------------------------------------------------
 # tilted laws
 
