@@ -10,8 +10,12 @@ the horizon is never stored.
 
 Draw layout per path (see rng): lane 0 draw 0 is theta, lane 1 holds
 interarrival uniforms, lane 2 claim uniforms.  A batch computes each
-path's key (``rng.PathKeys``) once and draws all three lanes from it; the
-draws are those of the rng contract, unchanged.  Interarrivals accumulate
+path's key (``rng.PathKeys``) once and draws every lane from it; the
+draws are those of the rng contract, unchanged.  Theta and the arrival
+lane are drawn by ``simulate_batch``; the claim lane is drawn, and the
+accepted arrivals are scattered into ``times``, on a batch's first read
+of ``claims`` or ``times``, so a consumer that reads neither (a density
+with gamma = 0 at the horizon) pays for neither.  Interarrivals accumulate
 in blocks of 16 draws, event k of a block at (time of the last full block) +
 (the block's k-th partial sum); the first block is filled in two
 sub-blocks, 4 draws and then 12 for paths that accepted all 4, with the
@@ -29,12 +33,13 @@ diagnostic instead of an endless loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .expr import DomainError, RealFn
+from .expr import DomainError, RealFn, const_value
 from .model import BaseModel, DerivedModel, MeasureChange
 from .rng import LANE_ARRIVAL, LANE_CLAIM, LANE_MISC, PathKeys, uniforms
 
@@ -44,6 +49,7 @@ _FAMILY_STRIDE = 1 << 40  # disjoint path-index families for independent batches
 # block (see the module docstring)
 _BLOCK = 16
 _HEAD = 4
+_CLAIM_BLOCK = 1 << 16  # claims drawn at a time (see _draw_claims)
 
 
 class SimulationError(RuntimeError):
@@ -100,23 +106,33 @@ def conditional_q(theta: float) -> MeasureTag:
 # ---------------------------------------------------------------------------
 # paths
 
-@dataclass
 class PathBatch:
     """Column-oriented batch of paths (flat ragged arrays); a one-path
     batch is a single path.
 
-    Fields are read-only by convention.  ``counts_at`` and
-    ``aggregates_at`` compute each t once per batch and return read-only
-    arrays.
+    Fields are read-only by convention.  ``times`` and ``claims`` are
+    given as arrays or as deferred draws (functions of no argument): a
+    draw runs on the field's first read and its array is kept, while a
+    draw that raises is kept as it was and raises again on the next read.
+    ``counts_at`` and ``aggregates_at`` compute each t once per batch and
+    return read-only arrays.
     """
 
-    thetas: np.ndarray     # (n,)
-    counts: np.ndarray     # (n,) event counts
-    offsets: np.ndarray    # (n+1,) prefix offsets into times/claims
-    times: np.ndarray      # flat event times
-    claims: np.ndarray     # flat claim sizes
-    horizon: float
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, thetas, counts, offsets, times, claims, horizon):
+        self.thetas = thetas      # (n,)
+        self.counts = counts      # (n,) event counts
+        self.offsets = offsets    # (n+1,) prefix offsets into times/claims
+        self.horizon = horizon
+        self._flat = {"times": times, "claims": claims}
+        self._memo: dict = {}
+
+    times = property(lambda self: self._read("times"), doc="flat event times")
+    claims = property(lambda self: self._read("claims"), doc="flat claim sizes")
+
+    def _read(self, name: str) -> np.ndarray:
+        if callable(self._flat[name]):
+            self._flat[name] = self._flat[name]()
+        return self._flat[name]
 
     def __len__(self) -> int:
         return int(self.thetas.size)
@@ -130,14 +146,23 @@ class PathBatch:
         return self._at("S", t)
 
     def claim_prefix_apply(self, t: float, fn: RealFn) -> np.ndarray:
-        """Per-path sums of fn over claims with event time <= t."""
-        vals = np.where(self.times <= t, fn.eval_array(self.claims), 0.0) \
-            if self.claims.size else np.zeros(0)
+        """Per-path sums of fn over claims with event time <= t.  The
+        constant +0 reads no claim: its per-claim sums are +0 bit for bit."""
+        self._check(t)
+        zero = const_value(fn.tree, fn.params)
+        if zero == 0.0 and not np.signbit(zero):
+            return np.zeros(len(self))
+        vals = fn.eval_array(self.claims)
+        if t < self.horizon:  # at the horizon every event counts
+            vals = np.where(self.times <= t, vals, 0.0)
         return self._path_sums(vals, float)
 
-    def _at(self, kind: str, t: float) -> np.ndarray:
-        if t < 0.0 or t > self.horizon:
+    def _check(self, t: float) -> None:
+        if not 0.0 <= t <= self.horizon:  # NaN included
             raise OutOfHorizon(f"t={t!r} outside [0, {self.horizon!r}]")
+
+    def _at(self, kind: str, t: float) -> np.ndarray:
+        self._check(t)
         key = (kind, t)
         if key not in self._memo:
             out = self._functional(kind, t)
@@ -237,29 +262,35 @@ def simulate_batch(base: BaseModel, derived: Optional[DerivedModel],
 
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
+    claim_law = derived.q_claim if under.is_q_side else base.claim_law
+    return PathBatch(thetas=thetas, counts=counts, offsets=offsets,
+                     times=partial(_scatter, chunks, offsets),
+                     claims=partial(_draw_claims, seed, keys, counts, offsets, claim_law),
+                     horizon=float(horizon))
+
+
+def _scatter(chunks, offsets):
+    """The accepted arrival times of every chunk, placed path by path."""
     times = np.empty(int(offsets[-1]))
     for rows, before, ok, accepted in chunks:
         dest = offsets[rows, None] + np.arange(before, before + ok.shape[1])
         times[dest[ok]] = accepted
-
-    total = int(offsets[-1])
-    if total:
-        u = uniforms(seed, keys.repeat(counts), LANE_CLAIM, _groupwise_arange(counts))
-        claim_law = derived.q_claim if under.is_q_side else base.claim_law
-        claims = np.asarray(claim_law.quantile(u), dtype=float)
-    else:
-        claims = np.zeros(0)
-    return PathBatch(thetas=thetas, counts=counts, offsets=offsets,
-                     times=times, claims=claims, horizon=float(horizon))
+    return times
 
 
-def _groupwise_arange(counts: np.ndarray) -> np.ndarray:
-    """[0..c0), [0..c1), ... flattened."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    return np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
+def _draw_claims(seed, keys, counts, offsets, law):
+    """Claim k of a path is law.quantile of its claim-lane draw k, drawn for
+    runs of paths of about _CLAIM_BLOCK claims (no temporary spans the batch;
+    each uniform maps on its own, so the runs change no bit)."""
+    n, claims = len(counts), np.empty(int(offsets[-1]))
+    step = max(1, _CLAIM_BLOCK * n // max(1, claims.size))
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        lo, hi = offsets[a], offsets[b]
+        draws = np.arange(hi - lo) - np.repeat(offsets[a:b] - lo, counts[a:b])
+        u = uniforms(seed, keys[a:b].repeat(counts[a:b]), LANE_CLAIM, draws)
+        claims[lo:hi] = law.quantile(u)
+    return claims
 
 
 # ---------------------------------------------------------------------------

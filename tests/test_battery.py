@@ -9,7 +9,9 @@ It validates and derives its model once.
 """
 
 import csv
+import gc
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,16 +19,16 @@ import pytest
 
 import cmpplab.scenario
 import cmpplab.verify
-from cmpplab.dist import Exponential, Gamma
+from cmpplab.dist import DistError, Exponential, Gamma
 from cmpplab.model import BaseModel, derive_q_model, measure_change, validate_change
 from cmpplab.scenario import run_scenario
 from cmpplab.expr import DomainError
 from cmpplab.scenario import BUILTIN_SCENARIOS, resolve_scenario
 from cmpplab.sim import BASE_P, DERIVED_Q, SimulationError, simulate_batch
-from cmpplab.verify import (FAM_DEFAULT, PathFunctional, check_martingale,
+from cmpplab.verify import (FAM_DEFAULT, Consumer, PathFunctional, check_martingale,
                             check_reweighting, degeneracy_test, f_aggregate,
                             f_count, f_count_eq, f_one, mc_estimate, process_v,
-                            singularity_probe)
+                            run_streams, singularity_probe)
 
 SEED = 20190521
 WORKLOADS = Path(__file__).parent.parent / "benchmarks" / "workloads"
@@ -245,3 +247,46 @@ def test_stream_error_reaches_every_consumer(tmp_path, monkeypatch):
         [(job, "error", "SimulationError: cap") for job in shared]
     assert [row for row in broken if row[0] not in shared] == \
         [row for row in clean if row[0] not in shared]
+
+
+def refuse_claims(self, p):
+    raise DistError("no claims")
+
+
+def test_claim_draw_error_reaches_only_claim_readers(tmp_path, monkeypatch):
+    # example-6.1b draws its claims, and only its claims, from exp(rate=0.2);
+    # claims are drawn on a batch's first read of them, so the gamma = 0
+    # singularity job, which reads N at the horizon only, is not touched
+    clean = run_rows(tmp_path, "example-6.1b", "clean.csv")
+    monkeypatch.setattr(Exponential, "quantile", refuse_claims)
+    broken = run_rows(tmp_path, "example-6.1b", "broken.csv")
+    readers = ("simulate", "verify-reweighting", "verify-martingale")
+    assert [(job, q, r["detail"]) for job, q, r in broken if job in readers] == \
+        [(job, "error", "DistError: no claims") for job in readers]
+    assert any(job == "singularity" for job, _, _ in broken)
+    assert [row for row in broken if row[0] not in readers] == \
+        [row for row in clean if row[0] not in readers]
+
+
+def test_kept_claim_draw_error_pins_no_batch(base62, derived62, small_chunks, monkeypatch):
+    monkeypatch.setattr(Exponential, "quantile", refuse_claims)
+    batches = []
+    orig = cmpplab.verify.simulate_batch
+
+    def recorded(*args, **kwargs):
+        batch = orig(*args, **kwargs)
+        batches.append(weakref.ref(batch))
+        return batch
+
+    monkeypatch.setattr(cmpplab.verify, "simulate_batch", recorded)
+    request = (BASE_P, 1.0, SEED, 4000, FAM_DEFAULT)
+    readers = [Consumer(request, lambda b: b.aggregates_at(0.5), None) for _ in range(2)]
+    counter = Consumer(request, lambda b: b.counts_at(1.0), None)
+    run_streams(base62, derived62, readers + [counter])
+    for c in readers:  # each reader drew, and failed, on its own
+        with pytest.raises(DistError, match="no claims"):
+            c.result()
+    assert readers[0].error is not readers[1].error
+    assert counter.result() is None and len(batches) == 3  # fed every chunk
+    gc.collect()
+    assert all(ref() is None for ref in batches)

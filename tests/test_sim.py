@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -6,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import cmpplab.verify
 from cmpplab import sim
-from cmpplab.dist import Exponential, Gamma, Tilted, expectation
-from cmpplab.expr import DomainError
+from cmpplab.dist import Beta, DistError, Exponential, Gamma, Tilted, expectation
+from cmpplab.expr import DomainError, parse
 from cmpplab.model import (BaseModel, derive_q_model, identity_change,
                            measure_change, validate_change)
-from cmpplab.rng import LANE_ARRIVAL, uniforms
+from cmpplab.rng import LANE_ARRIVAL, LANE_CLAIM, uniforms
+from cmpplab.verify import Consumer, run_streams, singularity_probe
 from cmpplab.sim import (_FAMILY_STRIDE, BASE_P, DERIVED_Q, OutOfHorizon, PathBatch,
                          SimulationError, conditional_p, conditional_q, dump_paths,
                          log_density_batch, simulate_batch)
@@ -127,6 +130,18 @@ def test_functionals_memoized_read_only_and_exact(base62, derived62):
     assert b.counts.flags.writeable
     with pytest.raises(OutOfHorizon):
         b.aggregates_at(2.5)
+
+
+@pytest.mark.parametrize("t", [math.nan, -0.25, -math.inf, 2.5, math.inf])
+def test_every_functional_refuses_a_time_outside_the_horizon(base62, change62, t):
+    # NaN compares false both ways, so it must be refused, not read as "inside"
+    b = simulate_batch(base62, None, BASE_P, 2.0, seed=SEED, n=300)
+    reads = (b.counts_at, b.aggregates_at, lambda t: b.claim_prefix_apply(t, change62.gamma),
+             lambda t: b.claim_prefix_apply(t, parse("0", "x")))
+    for read in reads:
+        with pytest.raises(OutOfHorizon):
+            read(t)
+    assert not b._memo
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +264,167 @@ def test_batch_independent_of_chunking(base62):
     second = simulate_batch(base62, None, BASE_P, 1.0, seed=5, n=400, start_index=600)
     assert np.array_equal(whole.times, np.concatenate([first.times, second.times]))
     assert np.array_equal(whole.thetas, np.concatenate([first.thetas, second.thetas]))
+
+
+# ---------------------------------------------------------------------------
+# claims and times on demand
+
+def eager_paths(base, derived, tag, horizon, seed, n, start_index=0, family=0):
+    """(times, claims) of simulate_batch's paths built eagerly from the rng
+    contract: the fixed-block arrival loop, and the claim law's quantile
+    of every event's claim-lane draw, indexed by path index."""
+    batch = simulate_batch(base, derived, tag, horizon, seed, n, start_index, family)
+    rate_fn = derived.g if tag.is_q_side else base.rate_fn
+    times = fixed_block_times(batch, rate_fn.eval_array(batch.thetas), seed,
+                              start_index, family)
+    indices = np.arange(start_index, start_index + n, dtype=np.uint64) \
+        + np.uint64(family * _FAMILY_STRIDE)
+    counts = np.array([len(ts) for ts in times])
+    draws = np.concatenate([np.arange(c) for c in counts]).astype(np.int64)
+    law = derived.q_claim if tag.is_q_side else base.claim_law
+    claims = law.quantile(uniforms(seed, np.repeat(indices, counts), LANE_CLAIM, draws))
+    return (np.array([x for ts in times for x in ts], dtype=float),
+            np.asarray(claims, dtype=float))
+
+
+def dumped(batch):
+    fh = io.StringIO()
+    dump_paths(batch, fh)
+    return fh.getvalue()
+
+
+@pytest.fixture(scope="module")
+def beta_claims():
+    base = BaseModel(Beta(2.0, 3.0), Gamma(2.0, 2.0))
+    assert isinstance(base.claim_law, Beta)
+    return base
+
+
+@pytest.mark.parametrize("claim_block", [1 << 16, 25, 1])
+@pytest.mark.parametrize("law", ["Exponential", "Gamma", "Beta", "Tilted"])
+def test_deferred_claims_and_times_equal_eager(base62, derived62, derived_tilted,
+                                               beta_claims, monkeypatch, law, claim_block):
+    # claims are drawn in runs of paths of about sim._CLAIM_BLOCK claims: one
+    # run, short runs, or a path a run
+    base, derived, tag = {"Exponential": (base62, None, BASE_P),
+                          "Gamma": (base62, derived62, DERIVED_Q),
+                          "Beta": (beta_claims, None, BASE_P),
+                          "Tilted": (base62, derived_tilted, DERIVED_Q)}[law]
+    monkeypatch.setattr(sim, "_CLAIM_BLOCK", claim_block)
+    args = (base, derived, tag, 2.0, SEED)
+    times, claims = eager_paths(*args, n=600, family=2)
+    assert claims.size > 600
+    assert type(derived.q_claim if tag.is_q_side else base.claim_law).__name__ == law
+
+    # the whole batch, reading claims before times and the other way round
+    claims_first = simulate_batch(*args, n=600, family=2)
+    assert claims_first.claims.tobytes() == claims.tobytes()
+    assert claims_first.times.tobytes() == times.tobytes()
+    times_first = simulate_batch(*args, n=600, family=2)
+    assert times_first.times.tobytes() == times.tobytes()
+    assert times_first.claims.tobytes() == claims.tobytes()
+    assert claims_first.claims is claims_first.claims  # memoized
+
+    # one-path batches
+    for i in (0, 1, 77, 599):
+        solo = simulate_batch(*args, n=1, start_index=i, family=2)
+        lo, hi = claims_first.offsets[i], claims_first.offsets[i + 1]
+        assert solo.times.tobytes() == times[lo:hi].tobytes()
+        assert solo.claims.tobytes() == claims[lo:hi].tobytes()
+
+    # the dump of a deferred batch and of one built from the eager arrays
+    eager = PathBatch(thetas=times_first.thetas, counts=times_first.counts,
+                      offsets=times_first.offsets, times=times, claims=claims,
+                      horizon=times_first.horizon)
+    assert dumped(simulate_batch(*args, n=600, family=2)) == dumped(eager)
+
+
+def test_deferred_draws_equal_eager_across_chunk_boundaries(base62, derived62, monkeypatch):
+    # a stream fed in 250-path chunks, each chunk deferring its own draws
+    times, claims = eager_paths(base62, derived62, DERIVED_Q, 2.0, SEED, n=600)
+    monkeypatch.setattr(cmpplab.verify, "CHUNK", 250)
+    seen = []
+    consumer = Consumer((DERIVED_Q, 2.0, SEED, 600, 0),
+                        lambda b: seen.append((len(b), b.claims, b.times)), None)
+    run_streams(base62, derived62, [consumer])
+    assert consumer.result() is None and [m for m, _, _ in seen] == [250, 250, 100]
+    assert np.concatenate([c for _, c, _ in seen]).tobytes() == claims.tobytes()
+    assert np.concatenate([t for _, _, t in seen]).tobytes() == times.tobytes()
+
+
+def per_claim_sums(batch, t, fn):
+    """sum of fn over each path's claims up to t, by ``np.add.reduceat`` over
+    its own segment."""
+    vals = np.where(batch.times <= t, fn.eval_array(batch.claims), 0.0)
+    return np.array([np.add.reduceat(vals[lo:hi].copy(), [0])[0] if hi > lo else 0.0
+                     for lo, hi in zip(batch.offsets[:-1], batch.offsets[1:])])
+
+
+@pytest.fixture
+def lanes_drawn(monkeypatch):
+    """The lanes of every sim.uniforms call, in order."""
+    lanes = []
+
+    def counted(seed, paths, lane, draw):
+        lanes.append(lane)
+        return uniforms(seed, paths, lane, draw)
+
+    monkeypatch.setattr(sim, "uniforms", counted)
+    return lanes
+
+
+def test_zero_gamma_singularity_draws_no_claim(lanes_drawn):
+    # long-horizon's change: alpha = ln 2, gamma = 0, xi = 1
+    base = BaseModel(Exponential(0.2), Gamma(2.0, 2.0))
+    derived = derive_q_model(validate_change(base, measure_change(alpha="ln(2)"), level=1))
+    for theta in (None, 0.84):
+        rows = singularity_probe(derived, horizons=[20.0, 100.0], n=300, seed=SEED,
+                                 theta_fixed=theta).run()
+        assert len(rows) == 4
+    assert LANE_ARRIVAL in lanes_drawn and LANE_CLAIM not in lanes_drawn
+
+
+@pytest.mark.parametrize("t", [0.0, 0.9, 2.0])
+def test_constant_zero_gamma_reads_no_claim(base62, lanes_drawn, t):
+    b = simulate_batch(base62, None, BASE_P, 2.0, seed=SEED, n=400)
+    zeros = b.claim_prefix_apply(t, parse("0", "x"))
+    assert LANE_CLAIM not in lanes_drawn
+    assert zeros.tobytes() == per_claim_sums(b, t, parse("0", "x")).tobytes()
+    assert LANE_CLAIM in lanes_drawn
+    # every other constant keeps the per-claim sum and its rounding (-0 its sign)
+    for src in ("0.5", "0.1", "-0"):
+        fn = parse(src, "x")
+        assert b.claim_prefix_apply(t, fn).tobytes() == per_claim_sums(b, t, fn).tobytes()
+    if t > 0.0:
+        assert (b.claim_prefix_apply(t, parse("0.1", "x")) != 0.1 * b.counts_at(t)).any()
+        assert np.signbit(b.claim_prefix_apply(t, parse("-0", "x"))).any()
+
+
+@pytest.mark.parametrize("fails", [1, 1000])
+def test_a_failed_claim_draw_is_not_kept(base62, fails):
+    calls = []
+
+    class Refusing(Exponential):
+        def quantile(self, p):  # raises on its first `fails` calls
+            calls.append(np.size(p))
+            if len(calls) <= fails:
+                raise DistError("no claim today")
+            return super().quantile(p)
+
+    refusing = BaseModel(Refusing(0.2), base62.mixing_law)
+    b = simulate_batch(refusing, None, BASE_P, 2.0, seed=SEED, n=300)
+    assert b.counts_at(2.0).sum() > 0 and b.times.size and not calls
+    with pytest.raises(DistError, match="no claim today"):
+        b.aggregates_at(1.0)
+    if fails > 1:  # the draw runs again on every read, and raises again
+        for read in (lambda: b.claims, lambda: b.aggregates_at(1.0)):
+            with pytest.raises(DistError, match="no claim today"):
+                read()
+        assert len(calls) == 3 and ('S', 1.0) not in b._memo
+    else:  # no half-built array was kept: the next read draws every claim
+        want = simulate_batch(base62, None, BASE_P, 2.0, seed=SEED, n=300)
+        assert b.aggregates_at(1.0).tobytes() == want.aggregates_at(1.0).tobytes()
+        assert b.claims.tobytes() == want.claims.tobytes() and len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
