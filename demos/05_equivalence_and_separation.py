@@ -23,10 +23,11 @@ print()
 rows = lab.singularity_probe(derived, horizons=[2.0, 10.0, 50.0],
                              n=4000, seed=31, theta_fixed=1.0).run()
 print(f"  {'T':>4} {'side':>4} {'drift':>9} {'stderr':>8} {'oracle':>9} "
-      f"{'frac<-5':>8} {'frac>+5':>8}")
+      f"{'frac<-5':>8} {'frac>+5':>8} {'verdict':>7}")
 for r in rows:
-    print(f"  {r.horizon:4g} {r.side:>4} {r.drift:9.4f} {r.drift_stderr:8.4f} "
-          f"{r.drift_oracle:9.4f} {r.frac_below:8.3f} {r.frac_above:8.3f}")
+    print(f"  {r.horizon:4g} {r.side:>4} {r.drift.estimate:9.4f} {r.drift.stderr:8.4f} "
+          f"{r.drift.oracle:9.4f} {r.frac_below:8.3f} {r.frac_above:8.3f} "
+          f"{r.drift.verdict:>7}")
 
 print("""
 Reading the table: E[M_T] = 1 at every T (equivalence), but typical

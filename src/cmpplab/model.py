@@ -1,7 +1,7 @@
 """Base models, measure changes, and derivation of the tilted model.
 
-A base model is (claim law, mixing law, intensity map h).  A measure
-change is the triple (alpha, gamma, xi):
+A base model is (claim law, mixing law); given theta, events arrive at
+rate theta.  A measure change is the triple (alpha, gamma, xi):
 
 * alpha(theta) retunes the conditional event intensity, g(theta) =
   theta * e^{alpha(theta)};
@@ -20,16 +20,12 @@ when the log-weight (gamma, or ln xi) is c + k ln v + s v, an Exponential
 or Gamma base becomes Gamma(rate - s, shape + k), a Beta(a, b) becomes
 Beta(a + k, b) when s = 0, a Uniform stays itself when k = s = 0, and a
 Degenerate law is left unchanged.  Any other weight gives a Tilted law.
-
-The change-of-measure identities assume the identity intensity map
-(h(theta) = theta), which is the default; a custom h only affects the
-base-side simulation rate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -54,29 +50,19 @@ class NotValidated(ModelError):
 
 @dataclass(frozen=True)
 class BaseModel:
-    """Claim law, mixing law and intensity map of the original model."""
+    """Claim law and mixing law of the original model."""
 
     claim_law: Distribution
     mixing_law: Distribution
-    rate_fn: RealFn = field(default_factory=lambda: identity("theta"))
+    rate_fn = identity("theta")  # not a field: the event rate given theta is theta
 
     def __post_init__(self):
         _check_positive_support("claim law", self.claim_law)
         _check_positive_support("mixing law", self.mixing_law)
-        if self.rate_fn.var not in (None, "theta"):
-            raise ModelError("intensity map must be a function of theta")
-        grid = self.mixing_law.interior_grid(64)
-        rates = self.rate_fn.eval_array(grid)
-        if not (rates > 0.0).all():
-            raise ModelError("intensity map must be positive on the mixing support")
         try:
             self.claim_law.moment(1)
         except Exception as e:
             raise ModelError(f"claim law must have a finite mean: {e}") from e
-
-    def has_identity_rate(self) -> bool:
-        t = self.rate_fn.tree
-        return isinstance(t, Var)
 
 
 def _check_positive_support(label: str, d: Distribution) -> None:

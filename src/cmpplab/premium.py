@@ -1,6 +1,6 @@
 """Premium densities and classical loading principles.
 
-The premium density per unit time is E[S_1] = E[rate(Theta)] * E[X];
+The premium density per unit time is E[S_1] = E[Theta] * E[X];
 under the derived measure that is E_Q[g(Theta)] * E_Q[X].  A derived
 measure prices the risk sensibly when it strictly loads the base premium
 (condition ``p(P) < p(Q) < inf``, checked at t = 1 since both sides are
@@ -55,11 +55,7 @@ def premium_density(base: BaseModel, derived: Optional[DerivedModel] = None) -> 
     divergent derived-side expectation marks the quote infinite.
     """
     e_x_base = base.claim_law.moment(1)
-    if base.has_identity_rate():
-        e_rate = base.mixing_law.moment(1)
-    else:
-        e_rate = expectation(base.mixing_law, base.rate_fn)
-    p_base = e_rate * e_x_base
+    p_base = base.mixing_law.moment(1) * e_x_base
     per_theta_base = _scaled(e_x_base, base.rate_fn)
 
     if derived is None:

@@ -11,7 +11,6 @@ The sections and keys below are the only ones; any other is an error.
     [base]
     claim = exp(rate=0.2)
     mixing = gamma(rate=2, shape=2)
-    h = "theta"                       # optional intensity map
 
     [change]
     alpha = "ln(theta)"
@@ -60,7 +59,7 @@ from .premium import (PremiumQuote, esscher_change, expected_value_change,
                       premium_density)
 from .quadrature import DivergentIntegral
 from .sim import BASE_P, DERIVED_Q, SimulationError
-from .verify import (Plan, check_martingale, check_reweighting, degeneracy_test,
+from .verify import (MCReport, Plan, check_martingale, check_reweighting, degeneracy_test,
                      f_aggregate, f_count, f_count_eq, f_one, mc_estimate, process_v,
                      run_streams, singularity_probe)
 
@@ -68,7 +67,7 @@ JOB_NAMES = ("simulate", "validate", "derive-q", "verify-reweighting",
              "verify-martingale", "degeneracy", "singularity", "premium")
 
 # every section and key the parser reads; anything else is a typo
-_SCENARIO_KEYS = {"scenario": ("name",), "base": ("claim", "mixing", "h"),
+_SCENARIO_KEYS = {"scenario": ("name",), "base": ("claim", "mixing"),
                   "change": ("alpha", "gamma", "xi", "level", "params"), "run": ("jobs",),
                   "mc": ("paths", "seed", "horizon"), "output": ("format", "path")}
 
@@ -228,9 +227,8 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
         except Exception as e:
             raise ScenarioError(f"bad {key!r} expression: {e}", source, ln) from e
 
-    rate_fn = parse_fn("base", "h", "theta", "theta")
     try:
-        base = BaseModel(claim_law=claim, mixing_law=mixing, rate_fn=rate_fn)
+        base = BaseModel(claim_law=claim, mixing_law=mixing)
     except Exception as e:
         raise ScenarioError(f"invalid base model: {e}", source) from e
     change = MeasureChange(
@@ -404,6 +402,12 @@ def _job_validate(scn: Scenario, rep: AdmissibilityReport) -> List[Row]:
     return rows
 
 
+def _mc_row(mk: Callable[..., Row], quantity: str, rep: MCReport, detail: str = "") -> Row:
+    """The row of one Monte Carlo comparison, with the report's verdict."""
+    return mk(quantity=quantity, estimate=rep.estimate, stderr=rep.stderr,
+              oracle=rep.oracle, verdict=rep.verdict, detail=detail)
+
+
 def _rows_now(rows: List[Row]) -> Plan:
     """The plan of a job that reads no stream."""
     return Plan([], lambda: rows)
@@ -462,8 +466,7 @@ def _job_simulate(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Plan:
         reps = p.finish()
         oracle = t * quote().p_derived
         reps.append(q.finish().against(oracle))
-        return [mk(quantity=name, estimate=rep.estimate, stderr=rep.stderr,
-                   oracle=rep.oracle, verdict=rep.verdict)
+        return [_mc_row(mk, name, rep)
                 for name, rep in zip((f"E_P[S_{t:g}]", f"E_P[N_{t:g}]", f"E_Q[S_{t:g}]"),
                                      reps)]
 
@@ -477,10 +480,9 @@ def _job_reweighting(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Pl
     plan = check_reweighting(battery, derived, t=t, n=scn.paths, seed=scn.seed)
 
     def rows() -> List[Row]:
-        return [mk(quantity=f"gap[{f.name}]@t={t:g}", estimate=res.difference,
-                   stderr=res.pooled_stderr, oracle=0.0, verdict=res.verdict,
-                   detail=(f"direct={res.direct.estimate:.6g}+-{res.direct.stderr:.3g}, "
-                           f"weighted={res.weighted.estimate:.6g}+-{res.weighted.stderr:.3g}"))
+        return [_mc_row(mk, f"gap[{f.name}]@t={t:g}", res.gap,
+                        f"direct={res.direct.estimate:.6g}+-{res.direct.stderr:.3g}, "
+                        f"weighted={res.weighted.estimate:.6g}+-{res.weighted.stderr:.3g}")
                 for f, res in zip(battery, plan.finish())]
 
     return Plan(plan.consumers, rows)
@@ -495,12 +497,11 @@ def _job_martingale(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Pla
 
     def rows() -> List[Row]:
         table = plan.finish()
-        out = [mk(quantity=f"V[{c.s:g}->{c.t:g}]@{c.event}", estimate=c.estimate,
-                  stderr=c.stderr, oracle=0.0,
-                  verdict="pass" if c.cell_pass else "fail", detail=f"z={c.z:.2f}")
+        out = [_mc_row(mk, f"V[{c.s:g}->{c.t:g}]@{c.report.quantity}", c.report,
+                       f"z={c.report.z:.2f}")
                for c in table.cells]
         out.append(mk(quantity="V martingale (family verdict)",
-                      estimate=max(abs(c.z) for c in table.cells),
+                      estimate=max(abs(c.report.z) for c in table.cells),
                       oracle=table.z_threshold, verdict=table.verdict,
                       detail=f"{len(table.cells)} cells, Bonferroni level "
                              f"{table.family_level:g}"))
@@ -519,7 +520,7 @@ def _job_degeneracy(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Pla
         predicted_degenerate = bool(np.allclose(gvals, gvals[0], rtol=1e-12, atol=0.0))
         agrees = res.is_martingale == predicted_degenerate
         return [_row(scn, "degeneracy", quantity="centered-aggregate martingale dichotomy",
-                     estimate=res.witness_estimate, stderr=res.witness_stderr,
+                     estimate=res.witness.estimate, stderr=res.witness.stderr,
                      oracle=res.witness_oracle, verdict="pass" if agrees else "fail",
                      detail=f"g(Theta) degenerate={predicted_degenerate}; {res.describe()}")]
 
@@ -535,20 +536,11 @@ def _job_singularity(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Pl
     mk = functools.partial(_row, scn, "singularity")
 
     def rows() -> List[Row]:
-        rows_out = []
-        for r in plan.finish():
-            verdict = "info"
-            if r.drift_oracle is not None:
-                verdict = "pass" if abs(r.drift - r.drift_oracle) <= 3.0 * r.drift_stderr \
-                    else "fail"
-            rows_out.append(mk(
-                quantity=f"log-density drift T={r.horizon:g} under {r.side}",
-                estimate=r.drift, stderr=r.drift_stderr, oracle=r.drift_oracle,
-                verdict=verdict,
-                detail=(f"theta={theta:.6g}, q10={r.q10:.4g}, q50={r.q50:.4g}, "
+        return [_mc_row(mk, r.drift.quantity, r.drift,
+                        f"theta={theta:.6g}, q10={r.q10:.4g}, q50={r.q50:.4g}, "
                         f"q90={r.q90:.4g}, frac<-5={r.frac_below:.4f}, "
-                        f"frac>+5={r.frac_above:.4f}")))
-        return rows_out
+                        f"frac>+5={r.frac_above:.4f}")
+                for r in plan.finish()]
 
     return Plan(plan.consumers, rows)
 

@@ -2,7 +2,7 @@
 
 The construction is two-stage: draw the mixing parameter theta (or fix
 it, for the conditional measures), then run a compound Poisson process
-at rate h(theta) on the base side or g(theta) on the derived side,
+at rate theta on the base side or g(theta) on the derived side,
 accumulating exponential interarrivals until the next arrival would
 exceed the horizon.  Events landing exactly on a query time t count
 (the counting path is right-continuous); the partial interarrival past
@@ -49,7 +49,7 @@ _FAMILY_STRIDE = 1 << 40  # disjoint path-index families for independent batches
 # block (see the module docstring)
 _BLOCK = 16
 _HEAD = 4
-_CLAIM_BLOCK = 1 << 16  # claims drawn at a time (see _draw_claims)
+_CLAIM_BLOCK = 1 << 16  # events a run of paths draws or sums at a time (see _runs)
 
 
 class SimulationError(RuntimeError):
@@ -152,10 +152,7 @@ class PathBatch:
         zero = const_value(fn.tree, fn.params)
         if zero == 0.0 and not np.signbit(zero):
             return np.zeros(len(self))
-        vals = fn.eval_array(self.claims)
-        if t < self.horizon:  # at the horizon every event counts
-            vals = np.where(self.times <= t, vals, 0.0)
-        return self._path_sums(vals, float)
+        return self._claim_sums(t, fn.eval_array)
 
     def _check(self, t: float) -> None:
         if not 0.0 <= t <= self.horizon:  # NaN included
@@ -172,20 +169,39 @@ class PathBatch:
 
     def _functional(self, kind: str, t: float) -> np.ndarray:
         """N_t ("N") or S_t ("S") of every path, computed afresh."""
+        if kind == "S":
+            return self._claim_sums(t, lambda x: x)
         if t == self.horizon:  # every event counts
-            return self.counts.view() if kind == "N" else self._path_sums(self.claims, float)
-        upto = self.times <= t
-        if kind == "N":
-            return self._path_sums(upto, np.int64)
-        return self._path_sums(np.where(upto, self.claims, 0.0), float)
+            return self.counts.view()
+        return self._path_sums(lambda b, lo, hi: b.times[lo:hi] <= t, np.int64)
 
-    def _path_sums(self, vals: np.ndarray, dtype) -> np.ndarray:
-        """Per-path sums of the flat vals, each over its own path's segment
-        only, so a path's sum is the one it has alone (0 for no events)."""
+    def _claim_sums(self, t: float, fn) -> np.ndarray:
+        """Per-path sums of fn(claims) over the events at times <= t."""
+        def vals(b, lo, hi):
+            if t == b.horizon:  # every event counts
+                return fn(b.claims[lo:hi])
+            # times before claims: the scatter frees the arrival chunks
+            # before the claim lane is drawn, which sets the peak memory
+            upto = b.times[lo:hi] <= t
+            return np.where(upto, fn(b.claims[lo:hi]), 0.0)
+
+        return self._path_sums(vals, float)
+
+    def _path_sums(self, vals, dtype) -> np.ndarray:
+        """Per-path sums of ``vals(batch, lo, hi)``, the values of flat events
+        lo to hi, taken for runs of paths (no temporary spans the batch).
+        Each sum is over its own path's segment only, so a path's sum is the
+        one it has alone (0 for no events), whatever the runs.  ``vals`` is
+        given the batch rather than closing over it: a kept error's
+        traceback keeps its frames' functions, and so their closures."""
         out = np.zeros(len(self), dtype=dtype)
-        nonempty = self.counts > 0
-        if nonempty.any():
-            out[nonempty] = np.add.reduceat(vals, self.offsets[:-1][nonempty], dtype=dtype)
+        for a, b in _runs(self.offsets):
+            nonempty = self.counts[a:b] > 0
+            if nonempty.any():
+                lo = self.offsets[a]
+                out[a:b][nonempty] = np.add.reduceat(
+                    vals(self, lo, self.offsets[b]), self.offsets[a:b][nonempty] - lo,
+                    dtype=dtype)
         return out
 
 
@@ -278,14 +294,20 @@ def _scatter(chunks, offsets):
     return times
 
 
+def _runs(offsets):
+    """(first, end) path ranges of about _CLAIM_BLOCK events each, in order,
+    covering every path of the flat layout ``offsets``."""
+    n = offsets.size - 1
+    step = max(1, _CLAIM_BLOCK * n // max(1, int(offsets[-1])))
+    return [(a, min(a + step, n)) for a in range(0, n, step)]
+
+
 def _draw_claims(seed, keys, counts, offsets, law):
     """Claim k of a path is law.quantile of its claim-lane draw k, drawn for
-    runs of paths of about _CLAIM_BLOCK claims (no temporary spans the batch;
-    each uniform maps on its own, so the runs change no bit)."""
-    n, claims = len(counts), np.empty(int(offsets[-1]))
-    step = max(1, _CLAIM_BLOCK * n // max(1, claims.size))
-    for a in range(0, n, step):
-        b = min(a + step, n)
+    runs of paths (no temporary spans the batch; each uniform maps on its
+    own, so the runs change no bit)."""
+    claims = np.empty(int(offsets[-1]))
+    for a, b in _runs(offsets):
         lo, hi = offsets[a], offsets[b]
         draws = np.arange(hi - lo) - np.repeat(offsets[a:b] - lo, counts[a:b])
         u = uniforms(seed, keys[a:b].repeat(counts[a:b]), LANE_CLAIM, draws)

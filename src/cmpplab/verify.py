@@ -29,7 +29,7 @@ first.  A consumer is fed once, so a plan runs once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -97,36 +97,39 @@ class Moments:
 
 @dataclass(frozen=True)
 class MCReport:
+    """A Monte Carlo estimate, its standard error over n samples, and the
+    oracle it is judged against.  ``verdict`` is the one 3-sigma rule of
+    every Monte Carlo comparison; ``z`` is its standardized distance."""
+
     quantity: str
     estimate: float
     stderr: float
     n: int
-    ci_low: float
-    ci_high: float
-    verdict: str                     # pass | fail | inconclusive
     oracle: Optional[float] = None
 
     @staticmethod
     def from_moments(quantity: str, acc: Moments,
                      oracle: Optional[float] = None) -> "MCReport":
-        return MCReport._judged(quantity, acc.mean, acc.stderr, acc.n, oracle)
+        return MCReport(quantity, acc.mean, acc.stderr, acc.n, oracle)
 
     def against(self, oracle: float) -> "MCReport":
         """The same estimate, judged against ``oracle``."""
-        return MCReport._judged(self.quantity, self.estimate, self.stderr, self.n, oracle)
+        return replace(self, oracle=oracle)
 
-    @staticmethod
-    def _judged(quantity: str, est: float, se: float, n: int,
-                oracle: Optional[float]) -> "MCReport":
-        if oracle is None:
-            verdict = "inconclusive"
-        elif abs(est - oracle) <= 3.0 * se:
-            verdict = "pass"
-        else:
-            verdict = "fail"
-        return MCReport(quantity=quantity, estimate=est, stderr=se, n=n,
-                        ci_low=est - 3.0 * se, ci_high=est + 3.0 * se,
-                        verdict=verdict, oracle=oracle)
+    @property
+    def z(self) -> float:
+        """(estimate - oracle) / stderr; 0 without a stderr or an oracle."""
+        if self.oracle is None or self.stderr == 0.0:
+            return 0.0
+        return (self.estimate - self.oracle) / self.stderr
+
+    @property
+    def verdict(self) -> str:
+        """pass | fail within three standard errors of the oracle, and
+        inconclusive without one."""
+        if self.oracle is None:
+            return "inconclusive"
+        return "pass" if abs(self.estimate - self.oracle) <= 3.0 * self.stderr else "fail"
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +401,12 @@ def mc_estimate(f, base: BaseModel, derived: Optional[DerivedModel], under: Meas
 
 @dataclass(frozen=True)
 class ReweightingResult:
+    """Both routes to E_Q[f], and their difference with the pooled stderr
+    over both sides' samples, judged against 0."""
+
     direct: MCReport
     weighted: MCReport
-    difference: float
-    pooled_stderr: float
-    verdict: str
-
-    def passed(self) -> bool:
-        return self.verdict == "pass"
+    gap: MCReport
 
 
 def check_reweighting(f, derived: DerivedModel, *, t: float, n: int, seed: int,
@@ -417,8 +418,8 @@ def check_reweighting(f, derived: DerivedModel, *, t: float, n: int, seed: int,
     A battery ``f`` (list or tuple, ``oracle`` a sequence or None)
     simulates each side once and returns a list of results.  With
     ``under_conditional`` set, the conditional form is tested at that theta
-    (weights then exclude xi).  The sides run in disjoint stream families;
-    the verdict is pass iff they agree within 3 pooled standard errors.
+    (weights then exclude xi).  The sides run in disjoint stream families,
+    so the gap's stderr pools theirs.
     """
     theta = under_conditional
     tag_q = DERIVED_Q if theta is None else conditional_q(theta)
@@ -433,11 +434,9 @@ def check_reweighting(f, derived: DerivedModel, *, t: float, n: int, seed: int,
         for g, o, d_acc, w_acc in zip(fs, oracles, direct.result(), weighted.result()):
             d = MCReport.from_moments(f"{g.name} direct@{tag_q}", d_acc, o)
             w = MCReport.from_moments(f"{g.name} weighted@{tag_p}", w_acc, o)
-            diff = d.estimate - w.estimate
-            pooled = math.hypot(d.stderr, w.stderr)
-            verdict = "pass" if abs(diff) <= 3.0 * pooled else "fail"
-            results.append(ReweightingResult(direct=d, weighted=w, difference=diff,
-                                             pooled_stderr=pooled, verdict=verdict))
+            gap = MCReport(f"{g.name} gap", d.estimate - w.estimate,
+                           math.hypot(d.stderr, w.stderr), d.n + w.n, 0.0)
+            results.append(ReweightingResult(direct=d, weighted=w, gap=gap))
         return results[0] if single else results
 
     return Plan([direct, weighted], finish, derived.base, derived)
@@ -448,13 +447,12 @@ def check_reweighting(f, derived: DerivedModel, *, t: float, n: int, seed: int,
 
 @dataclass(frozen=True)
 class MartingaleCell:
+    """E[ind_A (Z_t - Z_s)] on one event A (the report's quantity), judged
+    against 0."""
+
     s: float
     t: float
-    event: str
-    estimate: float
-    stderr: float
-    z: float
-    cell_pass: bool
+    report: MCReport
 
 
 @dataclass(frozen=True)
@@ -465,9 +463,6 @@ class MartingaleTable:
     z_threshold: float
     verdict: str
     family_level = FAMILY_LEVEL  # not a field: every table's Bonferroni level
-
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
 
 def check_martingale(process: PathFunctional, base: BaseModel,
@@ -520,13 +515,9 @@ def check_martingale(process: PathFunctional, base: BaseModel,
         cells = []
         for (s, t), row in zip(pairs, c.result()):
             for ev, acc in zip(events, row):
-                est, se = acc.mean, acc.stderr
-                z = 0.0 if se == 0.0 else est / se
-                cell_pass = abs(est) <= 3.0 * se if se > 0.0 else est == 0.0
-                cells.append(MartingaleCell(s=s, t=t, event=ev.name, estimate=est,
-                                            stderr=se, z=z, cell_pass=cell_pass))
+                cells.append(MartingaleCell(s, t, MCReport.from_moments(ev.name, acc, 0.0)))
         z_crit = norm_isf(FAMILY_LEVEL / len(cells) / 2.0)
-        worst = max(abs(cell.z) for cell in cells)
+        worst = max(abs(cell.report.z) for cell in cells)
         return MartingaleTable(process=process.name, under=str(under),
                                cells=tuple(cells), z_threshold=z_crit,
                                verdict="pass" if worst <= z_crit else "fail")
@@ -539,21 +530,24 @@ def check_martingale(process: PathFunctional, base: BaseModel,
 
 @dataclass(frozen=True)
 class DegeneracyResult:
-    is_martingale: bool
-    witness_event: str
-    witness_estimate: float
-    witness_stderr: float
-    witness_z: float
+    """The witness cell's report (judged against 0, its quantity the event)
+    and the drift the covariance oracle predicts for it."""
+
+    witness: MCReport
     witness_oracle: float
     s: float
     t: float
 
+    @property
+    def is_martingale(self) -> bool:
+        return self.witness.verdict == "pass"
+
     def describe(self) -> str:
         if self.is_martingale:
             return "unconditionally centered aggregate is a martingale"
-        return (f"violation on {self.witness_event}: estimate "
-                f"{self.witness_estimate:.6g} (oracle {self.witness_oracle:.6g}, "
-                f"z={self.witness_z:.1f})")
+        return (f"violation on {self.witness.quantity}: estimate "
+                f"{self.witness.estimate:.6g} (oracle {self.witness_oracle:.6g}, "
+                f"z={self.witness.z:.1f})")
 
 
 def degeneracy_test(derived: DerivedModel, *, n: int, seed: int) -> Plan:
@@ -580,12 +574,11 @@ def degeneracy_test(derived: DerivedModel, *, n: int, seed: int) -> Plan:
                              family=FAM_DEGENERACY)
 
     def finish() -> DegeneracyResult:
-        cell, (lo, hi) = max(zip(table.finish().cells, bounds), key=lambda cb: abs(cb[0].z))
+        cell, (lo, hi) = max(zip(table.finish().cells, bounds),
+                             key=lambda cb: abs(cb[0].report.z))
         q_a = clipped_expectation(derived.q_mixing, lambda x: 1.0, lo, hi)
         e_ga = clipped_expectation(derived.q_mixing, g, lo, hi)
-        return DegeneracyResult(is_martingale=abs(cell.z) <= 3.0,
-                                witness_event=cell.event, witness_estimate=cell.estimate,
-                                witness_stderr=cell.stderr, witness_z=cell.z,
+        return DegeneracyResult(witness=cell.report,
                                 witness_oracle=(t - s) * e_x * (e_ga - q_a * e_g),
                                 s=s, t=t)
 
@@ -600,10 +593,7 @@ class DriftRow:
     horizon: float
     side: str                        # p | q
     mean_log_density: float
-    stderr: float
-    drift: float                     # mean / horizon
-    drift_stderr: float
-    drift_oracle: Optional[float]
+    drift: MCReport                  # mean / horizon, against the analytic drift
     q10: float
     q50: float
     q90: float
@@ -612,7 +602,7 @@ class DriftRow:
 
 
 def _drift_oracle(base: BaseModel, change: MeasureChange, derived: DerivedModel,
-                  side: str, theta: Optional[float], horizon: float) -> Optional[float]:
+                  side: str, theta: Optional[float], horizon: float) -> float:
     """Analytic per-unit-time drift of the log likelihood ratio."""
     alpha, gamma, xi = change.alpha, change.gamma, change.xi
     # mean of gamma(X): plain under P, e^gamma-weighted under Q
@@ -667,11 +657,11 @@ def singularity_probe(derived: DerivedModel, *, horizons: Sequence[float], n: in
         for T, side, c in cells:
             acc, parts = c.result()
             vals = np.concatenate(parts)
-            mean, se = acc.mean, acc.stderr
             oracle = _drift_oracle(base, change, derived, side, theta_fixed, T)
+            drift = MCReport(f"log-density drift T={T:g} under {side}", acc.mean / T,
+                             acc.stderr / T, acc.n, oracle)
             rows.append(DriftRow(
-                horizon=T, side=side, mean_log_density=mean, stderr=se,
-                drift=mean / T, drift_stderr=se / T, drift_oracle=oracle,
+                horizon=T, side=side, mean_log_density=acc.mean, drift=drift,
                 q10=float(np.quantile(vals, 0.1)), q50=float(np.quantile(vals, 0.5)),
                 q90=float(np.quantile(vals, 0.9)),
                 frac_below=float(np.mean(vals < -5.0)),

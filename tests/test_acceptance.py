@@ -182,19 +182,20 @@ def test_criterion_6_martingale_suite(worked):
             base, change, derived = worked[name]
             table = check_martingale(process_v(derived), base, derived,
                                      DERIVED_Q, PAIRS, n=100_000, seed=SEED).run()
-            assert table.passed(), (name, [c for c in table.cells if not c.cell_pass])
+            assert table.verdict == "pass", \
+                (name, [c for c in table.cells if c.report.verdict != "pass"])
         base, change, derived = worked["example-6.2"]
         raw = check_martingale(f_aggregate(), base, derived, DERIVED_Q,
                                [(0.5, 1.0)], n=100_000, seed=SEED).run()
-        assert not raw.passed()
-        ws = next(c for c in raw.cells if c.event == "whole_space")
+        assert raw.verdict == "fail"
+        ws = next(c.report for c in raw.cells if c.report.quantity == "whole_space")
         drift = 0.5 * expectation(derived.q_mixing, derived.g) \
             * derived.q_claim.moment(1)
         assert abs(ws.estimate - drift) <= 4.0 * ws.stderr
         cond = conditional_p(1.0)
         dens = check_martingale(process_density(change, cond), base, derived,
                                 cond, PAIRS, n=100_000, seed=SEED).run()
-        assert dens.passed()
+        assert dens.verdict == "pass"
 
     _report(6, "centered aggregate is a derived-measure martingale "
                "(Bonferroni 0.01); raw aggregate drifts as predicted; "
@@ -212,9 +213,9 @@ def test_criterion_7_degeneracy_dichotomy(worked):
         _, _, derived = worked["example-6.2"]
         res = degeneracy_test(derived, n=1_000_000, seed=SEED).run()
         assert not res.is_martingale
-        assert abs(res.witness_z) >= 5.0, res.witness_z
-        assert abs(res.witness_estimate - res.witness_oracle) \
-            <= 4.0 * res.witness_stderr
+        assert abs(res.witness.z) >= 5.0, res.witness.z
+        assert abs(res.witness.estimate - res.witness_oracle) \
+            <= 4.0 * res.witness.stderr
 
     _report(7, "degeneracy dichotomy: degenerate mixing passes, "
                "gamma mixing violates at >= 5 sigma vs covariance oracle "
@@ -255,10 +256,10 @@ def test_criterion_9_singularity_trend(worked):
         by = {(r.horizon, r.side): r for r in rows}
         for T in (10.0, 50.0):
             p_row, q_row = by[(T, "p")], by[(T, "q")]
-            assert abs(p_row.drift - (math.log(2.0) - 1.0)) \
-                <= 3.0 * p_row.drift_stderr, (T, p_row.drift)
-            assert abs(q_row.drift - (2.0 * math.log(2.0) - 1.0)) \
-                <= 3.0 * q_row.drift_stderr, (T, q_row.drift)
+            p_drift = p_row.drift.against(math.log(2.0) - 1.0)
+            q_drift = q_row.drift.against(2.0 * math.log(2.0) - 1.0)
+            assert p_drift.verdict == "pass", (T, p_drift)
+            assert q_drift.verdict == "pass", (T, q_drift)
         assert by[(50.0, "p")].frac_below > by[(10.0, "p")].frac_below
 
     _report(9, "log-density drifts match ln2-1 (base) and 2ln2-1 (derived) "

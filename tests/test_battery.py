@@ -192,25 +192,25 @@ def test_run_rows_match_standalone_entry_points(tmp_path, monkeypatch, name):
     reweighting = check_reweighting(battery, derived, t=t / 2, n=n, seed=SEED).run()
     for f, res in zip(battery, reweighting):
         assert got("verify-reweighting", f"gap[{f.name}]@t=1") == \
-            (res.difference, res.pooled_stderr)
+            (res.gap.estimate, res.gap.stderr)
 
     table = check_martingale(process_v(derived), base, derived, DERIVED_Q,
                              [(t / 4, t / 2), (t / 2, t)], n=n, seed=SEED).run()
     cells = [(r["estimate"], r["stderr"]) for job, q, r in listed
              if job == "verify-martingale" and q.startswith("V[")]
     assert [(float(e), float(se)) for e, se in cells] == \
-        [(c.estimate, c.stderr) for c in table.cells]
+        [(c.report.estimate, c.report.stderr) for c in table.cells]
 
     if "degeneracy" in scn.jobs:
         res = degeneracy_test(derived, n=n, seed=SEED).run()
         assert got("degeneracy", "centered-aggregate martingale dichotomy") == \
-            (res.witness_estimate, res.witness_stderr)
+            (res.witness.estimate, res.witness.stderr)
     if "singularity" in scn.jobs:
         theta = float(base.mixing_law.quantile(0.5))
         for r in singularity_probe(derived, horizons=[5 * t, 25 * t], n=n, seed=SEED,
                                    theta_fixed=theta).run():
             assert got("singularity", f"log-density drift T={r.horizon:g} under {r.side}") \
-                == (r.drift, r.drift_stderr)
+                == (r.drift.estimate, r.drift.stderr)
 
 
 def test_consumer_error_is_its_jobs_error_row(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ change meant to move them regenerates the files with the commands above and
 says why in CHANGES.md.
 """
 
+import csv
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,18 @@ def run_and_compare(name, scenario, tmp_path):
     out = tmp_path / f"{name}.csv"
     assert main(["run", scenario, "--paths", "2000", "--output", str(out)]) in (0, 1)
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN.glob("*.csv")), ids=lambda p: p.stem)
+def test_golden_rows_pass_within_three_stderr(golden):
+    # a row with a stderr and an oracle is a Monte Carlo comparison: it
+    # passes exactly when its estimate is within 3 stderr of the oracle
+    with golden.open(newline="") as fh:
+        judged = [r for r in csv.DictReader(fh) if r["stderr"] and r["oracle"]]
+    assert judged
+    for r in judged:
+        est, se, oracle = (float(r[k]) for k in ("estimate", "stderr", "oracle"))
+        assert (r["verdict"] == "pass") == (abs(est - oracle) <= 3.0 * se), r["quantity"]
 
 
 @pytest.mark.parametrize("builtin", sorted(BUILTIN_SCENARIOS))

@@ -43,12 +43,6 @@ def test_base_model_rejects_bad_supports():
         BaseModel(Uniform(-1.0, 1.0), Gamma(2.0, 2.0))
 
 
-def test_base_model_rejects_nonpositive_rate():
-    with pytest.raises(ModelError):
-        BaseModel(Exponential(1.0), Gamma(2.0, 2.0),
-                  rate_fn=parse("theta - 5", var="theta"))
-
-
 # ---------------------------------------------------------------------------
 # validation
 

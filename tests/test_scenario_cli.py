@@ -539,6 +539,7 @@ TILTED_MIXTURE = Path(__file__).parent.parent / "benchmarks" / "workloads" / "ti
     ("horizon = 2", "horizn = 20", "unknown key 'horizn' in [mc]"),
     ("seed = 20190521", "seed = 20190521\nbogus = 3", "unknown key 'bogus' in [mc]"),
     ("level = 2", "levle = 2", "unknown key 'levle' in [change]"),
+    ("shape=2)\n", 'shape=2)\nh = "theta"\n', "unknown key 'h' in [base]"),
 ])
 def test_unknown_section_or_key_exit_2(tmp_path, capsys, no_simulation, old, new, message):
     text = TILTED_MIXTURE.read_text()
@@ -556,7 +557,7 @@ def test_unknown_section_or_key_exit_2(tmp_path, capsys, no_simulation, old, new
 def test_known_keys_all_parse():
     # every key the parser reads, in one file
     scn = parse_scenario_text(GOOD_SCENARIO.replace(
-        "[change]", '[base]\nh = "theta"\n[change]\nparams = c = 1').replace(
+        "[change]", "[change]\nparams = c = 1").replace(
         "format = csv", "format = csv\npath = out.csv"))
     assert scn.out_path == "out.csv"
     for workload in ("long-horizon", "tilted-mixture"):

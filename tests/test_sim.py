@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -564,6 +565,57 @@ def test_path_functionals_are_exact_scalar_views(base62, derived62, change62, t)
         assert counts[i] == one.counts_at(t)[0]
         assert aggs[i] == one.aggregates_at(t)[0]
         assert gammas[i] == one.claim_prefix_apply(t, change62.gamma)[0]
+
+
+@pytest.mark.parametrize("run_events", [25, 1])
+def test_path_sums_in_runs_equal_one_run(base62, derived62, change62, monkeypatch,
+                                         run_events):
+    # N_t, S_t and claim sums are taken for runs of paths of about
+    # sim._CLAIM_BLOCK events; each path's sum is its own, whatever the runs
+    def sums():
+        b = simulate_batch(base62, derived62, DERIVED_Q, 2.0, seed=17, n=2000)
+        assert 2000 < b.offsets[-1] < 1 << 16  # one run at the default size
+        return [f.tobytes() for t in (0.0, 0.7, 2.0)
+                for f in (b.counts_at(t), b.aggregates_at(t),
+                          b.claim_prefix_apply(t, change62.gamma))]
+
+    one_run = sums()
+    monkeypatch.setattr(sim, "_CLAIM_BLOCK", run_events)
+    assert sums() == one_run
+
+
+def test_path_sums_allocate_no_batch_long_temporary(base62):
+    # beyond its result, a path sum takes memory for one run of paths, far
+    # less than one flat array of the batch
+    b = simulate_batch(base62, None, BASE_P, 20.0, seed=SEED, n=1 << 16)
+    assert b.times.size  # both deferred draws run before the measurement
+    flat = b.claims.nbytes
+    assert flat > 8 << 20
+    reads = (lambda: b.counts_at(7.5), lambda: b.aggregates_at(7.5),
+             lambda: b.aggregates_at(20.0),
+             lambda: b.claim_prefix_apply(7.5, parse("ln(1+x)", "x")))
+    for read in reads:
+        tracemalloc.start()
+        try:
+            out = read()
+            extra = tracemalloc.get_traced_memory()[1] - out.nbytes
+        finally:
+            tracemalloc.stop()
+        assert extra < flat / 4, extra
+
+
+def test_first_sum_before_t_scatters_times_before_drawing_claims(base62, monkeypatch):
+    # the scatter frees the arrival chunks, so it runs first: the chunks and
+    # the claim lane are never held at once
+    order = []
+    for name in ("_scatter", "_draw_claims"):
+        monkeypatch.setattr(sim, name, lambda *a, f=getattr(sim, name), name=name:
+                            order.append(name) or f(*a))
+    for read in (lambda b: b.aggregates_at(1.0),
+                 lambda b: b.claim_prefix_apply(1.0, parse("0.5", "x"))):
+        order.clear()
+        read(simulate_batch(base62, None, BASE_P, 2.0, seed=SEED, n=300))
+        assert order == ["_scatter", "_draw_claims"]
 
 
 def test_density_additive_over_increments(base62, change62):

@@ -9,10 +9,10 @@ from cmpplab.model import (BaseModel, NotValidated, derive_q_model, identity_cha
 from cmpplab.premium import esscher_change, expected_value_change
 from cmpplab.sim import (BASE_P, DERIVED_Q, PathBatch, conditional_p, log_density_batch,
                          simulate_batch)
-from cmpplab.verify import (Moments, PathFunctional, aggregate_at_most,
-                            check_martingale, check_reweighting, count_at_most,
-                            default_event_family, degeneracy_test, f_aggregate,
-                            f_count, f_count_eq, f_one, mc_estimate,
+from cmpplab.verify import (DegeneracyResult, MCReport, Moments, PathFunctional,
+                            aggregate_at_most, check_martingale, check_reweighting,
+                            count_at_most, default_event_family, degeneracy_test,
+                            f_aggregate, f_count, f_count_eq, f_one, mc_estimate,
                             process_density, process_v, process_y, run_streams,
                             singularity_probe, theta_in, whole_space)
 
@@ -82,8 +82,23 @@ def test_constant_functional(base62, derived62):
     rep = mc_estimate(f_one(), base62, derived62, BASE_P, 1.0, 1000, SEED, oracle=1.0).run()
     assert rep.estimate == 1.0
     assert rep.stderr == 0.0
-    assert rep.verdict == "pass"
-    assert rep.ci_low <= rep.estimate <= rep.ci_high
+    assert rep.verdict == "pass" and rep.z == 0.0
+
+
+@pytest.mark.parametrize("estimate,stderr,oracle,z,verdict", [
+    (1.0, 0.5, 2.0, -2.0, "pass"),
+    (1.0, 0.5, 2.5, -3.0, "pass"),
+    (1.0, 0.5, 2.6, -3.2, "fail"),
+    (1.0, 0.5, None, 0.0, "inconclusive"),
+    (0.0, 0.0, 0.0, 0.0, "pass"),
+    (0.25, 0.0, 0.0, 0.0, "fail"),
+    (math.nan, 0.5, 0.0, math.nan, "fail"),
+])
+def test_mc_report_judged_at_three_stderr(estimate, stderr, oracle, z, verdict):
+    rep = MCReport("q", estimate, stderr, 10, oracle)
+    assert rep.verdict == verdict
+    assert rep.z == pytest.approx(z, rel=1e-12, nan_ok=True)
+    assert MCReport("q", estimate, stderr, 10).against(oracle) == rep
 
 
 def test_count_mean_oracle(base62, derived62):
@@ -160,14 +175,14 @@ def test_a_plan_runs_once(base62, derived62, request):
 def test_reweighting_trivial_functional(derived62):
     res = check_reweighting(f_one(), derived62, t=1.0, n=5000, seed=SEED).run()
     assert res.direct.estimate == 1.0
-    assert res.verdict == "pass"
+    assert res.gap.verdict == "pass"
 
 
 def test_reweighting_vacuous_probability(derived62):
     oracle = expectation(Gamma(3.0, 4.0), lambda th: np.exp(-th * th))
     res = check_reweighting(f_count_eq(0), derived62, t=1.0, n=100_000,
                             seed=SEED, oracle=oracle).run()
-    assert res.verdict == "pass"
+    assert res.gap.verdict == "pass"
     assert abs(res.direct.estimate - oracle) <= 3.0 * res.direct.stderr
     assert abs(res.weighted.estimate - oracle) <= 3.0 * res.weighted.stderr
 
@@ -175,7 +190,7 @@ def test_reweighting_vacuous_probability(derived62):
 def test_reweighting_aggregate_with_oracle(derived62):
     res = check_reweighting(f_aggregate(), derived62, t=1.0, n=100_000,
                             seed=SEED, oracle=200.0 / 9.0).run()
-    assert res.verdict == "pass"
+    assert res.gap.verdict == "pass"
     assert abs(res.direct.estimate - 200.0 / 9.0) <= 3.0 * res.direct.stderr
 
 
@@ -184,7 +199,7 @@ def test_reweighting_conditional(derived62, theta):
     res = check_reweighting(f_aggregate(), derived62, t=1.0, n=60_000,
                             seed=SEED, under_conditional=theta,
                             oracle=theta**2 * 10.0).run()
-    assert res.verdict == "pass"
+    assert res.gap.verdict == "pass"
     assert abs(res.direct.estimate - theta**2 * 10.0) <= 3.0 * res.direct.stderr
 
 
@@ -209,7 +224,7 @@ def test_constant_process_passes(base62, derived62):
     table = check_martingale(seven, base62, derived62,
                              DERIVED_Q, [(0.5, 1.0)], n=1000, seed=SEED).run()
     assert table.verdict == "pass"
-    assert all(c.estimate == 0.0 and c.stderr == 0.0 for c in table.cells)
+    assert all(c.report.estimate == 0.0 and c.report.stderr == 0.0 for c in table.cells)
 
 
 def test_v_is_martingale_under_q(base62, derived62):
@@ -232,10 +247,10 @@ def test_raw_aggregate_fails_with_wald_drift(base62, change62, derived62):
     table = check_martingale(f_aggregate(), base62, derived62, DERIVED_Q,
                              [(0.5, 1.0)], n=60_000, seed=SEED).run()
     assert table.verdict == "fail"
-    ws = next(c for c in table.cells if c.event == "whole_space")
+    ws = next(c.report for c in table.cells if c.report.quantity == "whole_space")
     oracle = 0.5 * e_g * e_x
     assert abs(ws.estimate - oracle) <= 4.0 * ws.stderr
-    assert not ws.cell_pass
+    assert ws.verdict == "fail"
 
 
 def test_density_is_conditional_martingale(base62, change62, derived62):
@@ -304,7 +319,7 @@ def test_default_family_keeps_eight_cells_when_descriptions_repeat():
     assert events[3].name == events[4].name == "S_0.5<=0"
     table = check_martingale(process_v(derived), base, derived, DERIVED_Q,
                              [(0.5, 1.0)], n=2000, seed=SEED).run()
-    assert [c.event for c in table.cells] == [ev.name for ev in events]
+    assert [c.report.quantity for c in table.cells] == [ev.name for ev in events]
 
 
 def test_event_anchor_validation(base62, derived62):
@@ -382,10 +397,21 @@ def test_degenerate_mixing_centered_aggregate_is_martingale():
 def test_nondegenerate_mixing_violation_with_oracle(derived62):
     res = degeneracy_test(derived62, n=400_000, seed=SEED).run()
     assert not res.is_martingale
-    assert abs(res.witness_z) >= 5.0
+    assert abs(res.witness.z) >= 5.0
     # estimate agrees with the quadrature covariance oracle
-    assert abs(res.witness_estimate - res.witness_oracle) <= 4.0 * res.witness_stderr
+    assert abs(res.witness.estimate - res.witness_oracle) <= 4.0 * res.witness.stderr
     assert res.witness_oracle != 0.0
+
+
+def test_zero_stderr_witness_off_zero_is_no_martingale():
+    # a witness cell with no spread and a nonzero mean fails its own cell,
+    # so the increment is no martingale (its z reads 0: there is no stderr)
+    res = DegeneracyResult(MCReport("theta_in[0,1)", 0.25, 0.0, 1000, 0.0),
+                           witness_oracle=0.25, s=0.5, t=1.0)
+    assert res.witness.z == 0.0 and res.witness.verdict == "fail"
+    assert not res.is_martingale
+    assert res.describe().startswith("violation on theta_in[0,1): estimate 0.25")
+    assert DegeneracyResult(MCReport("A", 0.0, 0.0, 1000, 0.0), 0.25, 0.5, 1.0).is_martingale
 
 
 def test_degeneracy_whole_space_centered(base62, change62, derived62):
@@ -418,10 +444,9 @@ def test_expected_value_drifts(base62):
     by = {(r.horizon, r.side): r for r in rows}
     for T in (10.0, 50.0):
         p_row, q_row = by[(T, "p")], by[(T, "q")]
-        assert p_row.drift_oracle == pytest.approx(math.log(2.0) - 1.0, rel=1e-9)
-        assert q_row.drift_oracle == pytest.approx(2.0 * math.log(2.0) - 1.0, rel=1e-9)
-        assert abs(p_row.drift - p_row.drift_oracle) <= 3.0 * p_row.drift_stderr
-        assert abs(q_row.drift - q_row.drift_oracle) <= 3.0 * q_row.drift_stderr
+        assert p_row.drift.oracle == pytest.approx(math.log(2.0) - 1.0, rel=1e-9)
+        assert q_row.drift.oracle == pytest.approx(2.0 * math.log(2.0) - 1.0, rel=1e-9)
+        assert p_row.drift.verdict == "pass" and q_row.drift.verdict == "pass"
     # divergence trend: mass below -5 grows with the horizon on the base side
     assert by[(50.0, "p")].frac_below > by[(10.0, "p")].frac_below
 
