@@ -20,8 +20,10 @@ draw evaluates a quintic Hermite table of log x (Gamma) or logit x (Beta)
 against logit u, with no cdf call (within 1e-13 relative of 50-digit
 quantiles, tested for Gamma shapes 0.05 to 1e6 and Beta parameters 0.05 to
 1000); smaller shapes invert by special.gammaincinv or betaincinv alone; a
-Tilted draw solves its CDF table's cubic.  The incomplete gamma and beta
-functions come from special, which uses numpy and math only.
+Tilted draw evaluates a cubic Hermite table of ln(x - lo) (less ln(hi - x)
+on a finite support) against logit u, built from its CDF table's knots.
+The incomplete gamma and beta functions come from special, which uses
+numpy and math only.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ Integrand = Union[Callable[[np.ndarray], ArrayLike], RealFn]
 NORMALIZATION_TOL = 1e-8
 _TAIL_EPS = 5e-13  # tabulation covers all but ~1e-12 of base mass
 _INVERT_BLOCK = 1 << 14  # quantile points per block (bounds peak memory)
-_INVERT_MAX_ITER = 100  # hard cap per point; ulp convergence takes 3-4 Newton steps
 _SEGMENTS = 2048  # quintic segments of a Gamma or Beta quantile table
 _Z_HI = 37.0  # table's top logit; the largest double below 1 has logit 36.74
 # quantiles below this invert directly (special.gammaincinv, betaincinv):
@@ -617,22 +618,27 @@ def _integrate_support(d: Distribution, integrand, lo=-math.inf, hi=math.inf) ->
 class Tilted(Distribution):
     """Base law reweighted by a positive weight with unit base-expectation.
 
-    The weight can be given directly, in log form, or both; log form is
-    preferred numerically.  Construction verifies the normalization
+    The weight is given either directly or in log form (preferred
+    numerically), not both.  Construction verifies the normalization
     integral to 1e-8 by quadrature and refuses otherwise (a negative
-    weight at a quadrature node raises DistError).  cdf, quantile and
-    sampling run off a lazily built CDF table covering all but ~1e-12 of
-    the base mass: the cubic Hermite interpolant (_Hermite) of the cdf,
-    with the density as slopes.
-    quantile solves that cubic on each point's table segment, to an ulp
-    of x, so a draw is a function of its own uniform alone.
+    weight at a quadrature node raises DistError).  cdf and quantile run
+    off lazily built tables covering all but ~1e-12 of the base mass: the
+    cdf is the cubic Hermite interpolant (_Hermite) of its knot values,
+    with the density as slopes; the quantile is a second cubic Hermite
+    interpolant, of y = ln(x - lo) (less ln(hi - x) on a finite support)
+    against z = logit u, through the same knots with their exact slopes.
+    A draw is one table evaluation of its own uniform alone, within 1e-6
+    relative of 50-digit quantiles for u in [1e-12, 1 - 1e-9] and within
+    1e-7 for u in [1e-3, 1 - 1e-3] (tested on four tilts with closed-form
+    laws).  p below or above the table's u span gives the table's end; NaN
+    and p outside [0, 1] give NaN.
     """
 
     def __init__(self, base: Distribution,
                  weight: Optional[RealFn] = None,
                  log_weight: Optional[RealFn] = None):
-        if weight is None and log_weight is None:
-            raise DistError("tilted law needs a weight or a log-weight")
+        if (weight is None) == (log_weight is None):
+            raise DistError("tilted law needs exactly one of a weight and a log-weight")
         if isinstance(base, Degenerate):
             raise DistError("tilting is only supported for continuous base laws")
         self.base = base
@@ -762,7 +768,24 @@ class Tilted(Distribution):
             raise DistError("tilt weight is negative or not finite at a CDF table node")
         cdf = left_tail + np.concatenate([[0.0], np.cumsum(masses)])
         h = np.diff(xs)
-        self._table = (xs, cdf, _Hermite.through(xs, cdf, slope[:-1] * h, slope[1:] * h))
+        cubic = _Hermite.through(xs, cdf, slope[:-1] * h, slope[1:] * h)
+
+        # the inverse: y = ln(x - lo), less ln(hi - x) on a finite support,
+        # against z = logit u through the knots where the cdf strictly rises
+        # inside (0, 1), with the exact slopes dy/dz = u (1 - u) y'(x) / density
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.log(cdf / (1.0 - cdf))
+            if math.isinf(hi):
+                y, dy_dx = np.log(xs - lo), 1.0 / (xs - lo)
+            else:
+                y = np.log(xs - lo) - np.log(hi - xs)
+                dy_dx = (hi - lo) / ((xs - lo) * (hi - xs))
+            keep = np.isfinite(z) & np.isfinite(y) & (slope > 0.0)
+            keep[1:] &= np.diff(z) > 0.0
+        z, y = z[keep], y[keep]
+        dy_dz = cdf[keep] * (1.0 - cdf[keep]) * dy_dx[keep] / slope[keep]
+        dz = np.diff(z)
+        self._table = (cubic, _Hermite.through(z, y, dy_dz[:-1] * dz, dy_dz[1:] * dz))
 
     def _ensure_table(self):
         if self._table is None:
@@ -771,7 +794,8 @@ class Tilted(Distribution):
 
     def cdf(self, x):
         xs_in = np.asarray(x, dtype=float)
-        xs, cdf, cubic = self._ensure_table()
+        cubic, _ = self._ensure_table()
+        xs = cubic.x
         out = np.clip(cubic(np.clip(xs_in, xs[0], xs[-1])), 0.0, 1.0)
         out = np.where(xs_in <= xs[0], 0.0, np.where(xs_in >= xs[-1], 1.0, out))
         return _as_float_or_array(x, out)
@@ -780,69 +804,16 @@ class Tilted(Distribution):
         return _blockwise(self._invert, p)
 
     def _invert(self, p):
-        """Root of the table's own cubic on each point's segment.
-
-        Safeguarded Newton in the segment coordinate t from linear
-        interpolation, bracket [0, 1]; a step that leaves the bracket is
-        replaced by bisection.  Each point stops on its own once its step
-        is below an ulp of x, so a result depends on that point's p alone.
-        NaN maps to NaN.
-        """
-        xs, cdf, cubic = self._ensure_table()
-        u = np.clip(p, cdf[0] + 1e-15, cdf[-1] - 1e-15)
-        out = np.full(p.shape, np.nan)
-        live = np.flatnonzero(~np.isnan(u))
-        j = np.clip(np.searchsorted(cdf, u[live], side="right") - 1, 0, len(xs) - 2)
-        # one buffer per block holds each live point's state, compacted in
-        # place as points finish: f(t) = ((c3 t + c2) t + c1) t + d with
-        # d = c0 - u, f'(t) = (c3x3 t + c2x2) t + c1, the segment [x0, x1] of
-        # width h, the iterate t and its bracket [a, b]; then three work rows
-        d = cubic.c0[j] - u[live]
-        buf = np.empty((15, live.size))
-        for row, v in zip(buf, (cubic.c3[j], cubic.c2[j], cubic.c1[j], d, 3.0 * cubic.c3[j],
-                                2.0 * cubic.c2[j], xs[j], xs[j + 1], xs[j + 1] - xs[j],
-                                d / (cubic.c0[j] - cdf[j + 1]), 0.0, 1.0)):
-            row[:] = v
-        state, n = buf[:12], live.size
+        """x from the inverse table at z = logit p, clipped to the table's z
+        span; NaN and points outside [0, 1] give NaN."""
+        _, inverse = self._ensure_table()
         with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(_INVERT_MAX_ITER):
-                if n == 0:
-                    break
-                c3, c2, c1, d, c3x3, c2x2, x0, x1, h, t, a, b, f, g, e = buf[:, :n]
-                for acc, coefs in ((f, (c3, c2, c1, d)), (g, (c3x3, c2x2, c1))):
-                    np.multiply(coefs[0], t, out=acc)
-                    for c in coefs[1:-1]:
-                        acc += c
-                        acc *= t
-                    acc += coefs[-1]
-                np.copyto(a, t, where=f < 0.0)
-                np.copyto(b, t, where=f > 0.0)
-                np.divide(f, g, out=g)
-                np.subtract(t, g, out=g)  # the Newton iterate, kept if inside [a, b]
-                np.add(a, b, out=e)
-                e *= 0.5
-                np.copyto(g, e, where=~((g >= a) & (g <= b)))
-                np.copyto(g, t, where=f == 0.0)
-                np.subtract(g, t, out=t)  # the step in x, |g - t| h
-                np.abs(t, out=t)
-                t *= h
-                np.multiply(g, h, out=f)  # x = min(x0 + g h, x1)
-                f += x0
-                np.minimum(f, x1, out=f)
-                np.abs(f, out=e)
-                done = t <= np.spacing(e, out=e)
-                t[:] = g
-                if done.any():
-                    keep = ~done
-                    out[live[done]] = f[done]
-                    live = live[keep]
-                    for row in state:
-                        row[:live.size] = row[:n][keep]
-                    n = live.size
-        # points still live at the cap keep their last iterate
-        x0, x1, h, t = (row[:n] for row in state[6:10])
-        out[live] = np.minimum(x0 + t * h, x1)
-        return out
+            z = np.log(p / (1.0 - p))  # -inf at 0, inf at 1, NaN outside [0, 1]
+        y = inverse(np.clip(z, inverse.x[0], inverse.x[-1]))
+        lo, hi = self.support
+        if math.isinf(hi):
+            return lo + np.exp(y)
+        return lo + (hi - lo) / (1.0 + np.exp(-y))
 
     def literal(self):
         w = self._log_weight if self._weight is None else self._weight

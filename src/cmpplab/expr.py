@@ -16,7 +16,8 @@ allowed; every other identifier must be a declared parameter.
 Evaluation is pure IEEE double arithmetic through numpy: the same tree
 at the same point always returns the same bits.  ``RealFn.eval_array``
 evaluates an array of points, and a call ``RealFn(x)`` is entry 0 of
-``eval_array([x])``, bit for bit.  Overflow saturates to inf.  These
+``eval_array([x])``, bit for bit.  Overflow saturates to inf, but a
+number literal too large for a double is an ExprSyntaxError.  These
 raise DomainError, at any element of the array: ln of a value <= 0, sqrt
 of a value < 0, division by 0, a^b with a < 0 and non-integer b or with
 a = 0 and b < 0, and a NaN result (e.g. inf - inf).
@@ -24,6 +25,7 @@ a = 0 and b < 0, and a NaN result (e.g. inf - inf).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
@@ -181,7 +183,10 @@ class _Parser:
         if kind is None:
             raise ExprSyntaxError("unexpected end of input", at)
         if kind == "num":
-            return Num(float(text))
+            value = float(text)
+            if math.isinf(value):
+                raise ExprSyntaxError(f"number {text!r} overflows", at)
+            return Num(value)
         if kind == "ident":
             nkind, ntext, _ = self.peek()
             if nkind == "op" and ntext == "(":

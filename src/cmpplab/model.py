@@ -181,12 +181,14 @@ def validate_change(base: BaseModel, change: MeasureChange, level: int = 1) -> A
     if not xi_positive:
         failures.append(f"xi_positive: {why or 'xi is not positive on the support grid'}")
 
-    g = derive_g(change)
+    def mixing_moment(ell):
+        g = derive_g(change)  # a constant alpha undefined as a number raises DomainError
+        return expectation(base.mixing_law,
+                           lambda t: change.xi.eval_array(t) * g.eval_array(t) ** ell)
+
     gates = {ell: (attempt(lambda: log_weighted_expectation(
                        base.claim_law, lambda x: change.gamma.eval_array(x) + ell * np.log(x))),
-                   attempt(lambda: expectation(
-                       base.mixing_law,
-                       lambda t: change.xi.eval_array(t) * g.eval_array(t) ** ell)))
+                   attempt(lambda: mixing_moment(ell)))
              for ell in (1, 2)}
 
     level_achieved = max((ell for ell in (1, 2)

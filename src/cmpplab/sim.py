@@ -22,7 +22,7 @@ sub-blocks, 4 draws and then 12 for paths that accepted all 4, with the
 partial sum carried across, so a short path draws few uniforms and every
 rounding still depends on (seed, path index) alone.  The batch engine
 performs the construction vectorized, and every quantile transform (the
-Gamma and Tilted laws' table-started inversions included) maps each
+Gamma, Beta and Tilted laws' table evaluations included) maps each
 uniform on its own, so path i of a batch equals the one-path batch
 ``simulate_batch(..., n=1, start_index=i)`` under the same seed bit for
 bit, whatever the batch's size or start index.

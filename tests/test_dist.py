@@ -9,7 +9,6 @@ from cmpplab.dist import (Beta, Degenerate, DistError, Exponential, Gamma,
                           OutsideConvergenceStrip, Tilted, Uniform,
                           expectation, log_weighted_expectation,
                           parse_distribution, sample_array)
-from cmpplab import dist as dist_module
 from cmpplab.expr import parse
 
 CATALOG = [Exponential(0.2), Exponential(1.0), Gamma(2.0, 2.0), Gamma(3.0, 4.0),
@@ -293,6 +292,15 @@ def test_tilted_requires_unit_normalization():
         Tilted(Gamma(2.0, 2.0), weight=parse("theta^2"))
 
 
+def test_tilted_takes_exactly_one_weight_form():
+    # with both, literal() would print the weight while sampling used the log-weight
+    with pytest.raises(DistError, match="exactly one"):
+        Tilted(Gamma(2.0, 2.0), weight=parse("(1+theta)/2"),
+               log_weight=parse("ln(1+theta) - ln(2)"))
+    with pytest.raises(DistError, match="exactly one"):
+        Tilted(Gamma(2.0, 2.0))
+
+
 def test_tilted_matches_catalog_reference():
     t = Tilted(Gamma(2.0, 2.0), weight=parse("(27/8)*theta^2*exp(-theta)"))
     ref = Gamma(3.0, 4.0)
@@ -323,10 +331,11 @@ def test_tilted_sampling_ks():
 
 
 def tilted_laws():
-    """The two Q laws of the tilted-mixture workload and a Beta tilt."""
+    """The two Q laws of the tilted-mixture workload, a Gamma tilt and a Beta tilt."""
     return {
         "q_claim": Tilted(Exponential(0.2), log_weight=parse("ln(1+x) - ln(6)", var="x")),
         "q_mixing": Tilted(Gamma(2.0, 2.0), weight=parse("(1+theta)/2")),
+        "gamma": Tilted(Gamma(2.0, 2.0), weight=parse("(27/8)*theta^2*exp(-theta)")),
         "beta": Tilted(Beta(2.0, 1.0), weight=parse("1/(2*theta)")),
     }
 
@@ -338,14 +347,40 @@ P_GRID = np.unique(np.concatenate([
     np.geomspace(1e-14, 1e-3, 500), 1.0 - np.geomspace(1e-14, 1e-3, 500)]))
 
 
+def tilted_closed_forms(mp):
+    """Each law of TILTED as its survival function and density in mpmath."""
+    def gamma_3_4(t):  # Gamma(rate 3, shape 4)
+        return mp.exp(-3 * t) * (1 + 3 * t + (3 * t) ** 2 / 2 + (3 * t) ** 3 / 6)
+    return {
+        "q_claim": (lambda x: mp.exp(-x / 5) * (1 + x / 6),
+                    lambda x: mp.exp(-x / 5) * (1 + x) / 30),
+        "q_mixing": (lambda t: mp.exp(-2 * t) * (1 + 2 * t + t * t),
+                     lambda t: 2 * t * (1 + t) * mp.exp(-2 * t)),
+        "gamma": (gamma_3_4, lambda t: 27 * t ** 3 * mp.exp(-3 * t) / 2),
+        "beta": (lambda x: 1 - x, lambda x: mp.mpf(1)),
+    }
+
+
 @pytest.mark.parametrize("name", sorted(TILTED))
-def test_tilted_quantile_inverts_its_table(name):
+def test_tilted_quantile_matches_closed_forms(name):
+    # 50-digit quantiles by Newton steps from the table's own value
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    survival, density = tilted_closed_forms(mp)[name]
     law = TILTED[name]
-    q = law.quantile(P_GRID)
-    xs, cdf, spline = law._ensure_table()
-    u = np.clip(P_GRID, cdf[0] + 1e-15, cdf[-1] - 1e-15)
-    assert np.max(np.abs(spline(q) - u)) <= 1e-15
-    assert (np.diff(q) >= 0.0).all()
+    u = np.unique(np.concatenate([np.geomspace(1e-12, 1e-3, 60), np.linspace(1e-3, 1 - 1e-3, 61),
+                                  1.0 - np.geomspace(1e-3, 1e-9, 40)]))
+    q = law.quantile(u)
+    rel = np.empty(u.size)
+    for i, (ui, qi) in enumerate(zip(u, q)):
+        x, target = mp.mpf(float(qi)), 1 - mp.mpf(float(ui))
+        for _ in range(8):
+            x += (survival(x) - target) / density(x)
+        assert abs(survival(x) - target) <= mp.mpf(10) ** -40 * target
+        rel[i] = float(abs(qi - x) / x)
+    assert rel.max() <= 1e-6
+    assert rel[(u >= 1e-3) & (u <= 1 - 1e-3)].max() <= 1e-7
+    assert (np.diff(law.quantile(P_GRID)) >= 0.0).all()
 
 
 @pytest.mark.parametrize("name", sorted(TILTED))
@@ -373,18 +408,11 @@ def test_tilted_quantile_shapes_and_nan():
     mixed = law.quantile(np.array([0.25, math.nan, 0.75]))
     assert math.isnan(mixed[1])
     assert mixed[0] == law.quantile(0.25) and mixed[2] == law.quantile(0.75)
-
-
-def test_tilted_quantile_iteration_cap(monkeypatch):
-    # a point still iterating at the cap keeps its last iterate, which lies
-    # in its own table segment
-    law = TILTED["q_claim"]
-    xs, cdf, _ = law._ensure_table()
-    monkeypatch.setattr(dist_module, "_INVERT_MAX_ITER", 1)
-    q = law.quantile(P_GRID)
-    u = np.clip(P_GRID, cdf[0] + 1e-15, cdf[-1] - 1e-15)
-    j = np.searchsorted(cdf, u, side="right") - 1
-    assert ((xs[j] <= q) & (q <= xs[j + 1])).all()
+    # p outside [0, 1] gives NaN, as for Gamma and Beta; 0 and 1 give the table's ends
+    outside = law.quantile(np.array([-0.1, 1.1, -math.inf, math.inf, -1e-300]))
+    assert np.isnan(outside).all()
+    ends = law.quantile(np.array([0.0, 1.0]))
+    assert np.isfinite(ends).all() and 0.0 < ends[0] < ends[1]
 
 
 def test_tilted_divergent_moment():

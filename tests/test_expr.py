@@ -26,6 +26,14 @@ def test_malformed_input_offset():
     assert exc.value.offset == 3
 
 
+@pytest.mark.parametrize("text,offset", [("1e400", 0), ("x + 1e309", 4), ("1/1e400*0", 2)])
+def test_overflowing_number_is_a_syntax_error(text, offset):
+    with pytest.raises(ExprSyntaxError, match="overflows") as exc:
+        parse(text)
+    assert exc.value.offset == offset
+    assert parse("1.7976931348623157e308")(0.0) == 1.7976931348623157e308
+
+
 def test_exponential_tilt_expression():
     g = parse("c*x - 2*ln(c+1)", var="x", params={"c": 1.0})
     assert g(0.0) == pytest.approx(-2.0 * math.log(2.0), rel=1e-12)

@@ -505,6 +505,23 @@ def test_formula_undefined_on_support_fails_validation(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha,reason", [
+    ("ln(0)", "ln of a non-positive value"),
+    ("1/0", "division by zero"),
+    ("sqrt(0-1)", "sqrt of a negative value"),
+    ("exp(1000)*0", "evaluation produced NaN"),
+])
+def test_undefined_constant_alpha_fails_validation(tmp_path, capsys, alpha, reason):
+    # a constant alpha with no value leaves g undefined, so the mixing gate fails
+    code, rows = run_text(tmp_path, LIBRARY_ERROR_BASE + f'[change]\nalpha = "{alpha}"\n')
+    assert code == 1
+    admissible = rows[("validate", "admissible")]
+    assert admissible["verdict"] == "fail"
+    assert (f"mixing_gate: E[xi(Theta) g(Theta)^1]: domain error ({reason})"
+            in admissible["detail"])
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("center,job,quantity,reason", [
     # the Tilted mixing law meets the dip at a CDF table node
     ("0.7", "verify-reweighting", "error",
@@ -551,6 +568,22 @@ def test_unknown_section_or_key_exit_2(tmp_path, capsys, no_simulation, old, new
     out = tmp_path / "r.csv"
     assert main(["run", str(scn_path), "--output", str(out)]) == 2
     assert f"{scn_path}:{line}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflowing_number_in_a_formula_exit_2(tmp_path, capsys, no_simulation):
+    old = 'gamma = "ln(1+x) - ln(6)"'
+    text = TILTED_MIXTURE.read_text()
+    assert text.count(old) == 1
+    text = text.replace(old, 'gamma = "ln(1+x) - ln(6) + 1/1e400"')
+    scn_path = tmp_path / "overflow.scn"
+    scn_path.write_text(text)
+    line = text.splitlines().index('gamma = "ln(1+x) - ln(6) + 1/1e400"') + 1
+    out = tmp_path / "r.csv"
+    assert main(["run", str(scn_path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (f"{scn_path}:{line}: bad 'gamma' expression: number '1e400' overflows at offset 20"
+            in err and "Traceback" not in err)
     assert not out.exists()
 
 
