@@ -710,7 +710,7 @@ class Tilted(Distribution):
         except DivergentIntegral as e:
             raise OutsideConvergenceStrip(f"mgf({s:g}) of tilted law diverges: {e}") from e
 
-    # -- CDF table -----------------------------------------------------
+    # -- CDF and inverse tables ----------------------------------------
 
     def _build_table(self):
         base = self.base
