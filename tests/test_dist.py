@@ -365,19 +365,19 @@ def tilted_closed_forms(mp):
 def test_tilted_quantile_matches_closed_forms(name):
     # 50-digit quantiles by Newton steps from the table's own value
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
     survival, density = tilted_closed_forms(mp)[name]
     law = TILTED[name]
     u = np.unique(np.concatenate([np.geomspace(1e-12, 1e-3, 60), np.linspace(1e-3, 1 - 1e-3, 61),
                                   1.0 - np.geomspace(1e-3, 1e-9, 40)]))
     q = law.quantile(u)
     rel = np.empty(u.size)
-    for i, (ui, qi) in enumerate(zip(u, q)):
-        x, target = mp.mpf(float(qi)), 1 - mp.mpf(float(ui))
-        for _ in range(8):
-            x += (survival(x) - target) / density(x)
-        assert abs(survival(x) - target) <= mp.mpf(10) ** -40 * target
-        rel[i] = float(abs(qi - x) / x)
+    with mp.workdps(50):
+        for i, (ui, qi) in enumerate(zip(u, q)):
+            x, target = mp.mpf(float(qi)), 1 - mp.mpf(float(ui))
+            for _ in range(8):
+                x += (survival(x) - target) / density(x)
+            assert abs(survival(x) - target) <= mp.mpf(10) ** -40 * target
+            rel[i] = float(abs(qi - x) / x)
     assert rel.max() <= 1e-6
     assert rel[(u >= 1e-3) & (u <= 1 - 1e-3)].max() <= 1e-7
     assert (np.diff(law.quantile(P_GRID)) >= 0.0).all()
