@@ -14,23 +14,21 @@ Conventions
 All densities, cdfs and quantiles accept scalars or numpy arrays.  Every
 sampler is a quantile transform of counter-based uniforms, so a draw is a
 pure function of (seed, path index, lane, draw index); every quantile maps
-each point on its own, whatever the batch around it.  Gamma, Beta and
-Tilted laws invert from lazily built per-instance tables: a Gamma or Beta
-draw evaluates a quintic Hermite table of log x (Gamma) or logit x (Beta)
-against logit u, with no cdf call (within 1e-13 relative of 50-digit
-quantiles, tested for Gamma shapes 0.05 to 1e6 and Beta parameters 0.05 to
-1000); smaller shapes invert by special.gammaincinv or betaincinv alone; a
-Tilted draw evaluates a cubic Hermite table of ln(x - lo) (less ln(hi - x)
-on a finite support) against logit u, built from its CDF table's knots.
-The incomplete gamma and beta functions come from special, which uses
-numpy and math only.
+each point on its own, whatever the batch around it.  A Gamma, Beta or
+Tilted draw evaluates a lazily built quintic table (_LogitTable) of log x,
+logit x or ln(x - lo) (less ln(hi - x) on a finite support) against
+logit u, with no cdf call; Gamma and Beta tables are within 1e-13 relative
+of 50-digit quantiles (Gamma shapes 0.05 to 1e6, Beta parameters 0.05 to
+1000), and smaller shapes invert by special.gammaincinv or betaincinv
+alone.  The incomplete gamma and beta functions come from special, which
+uses numpy and math only.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -50,8 +48,9 @@ Integrand = Union[Callable[[np.ndarray], ArrayLike], RealFn]
 NORMALIZATION_TOL = 1e-8
 _TAIL_EPS = 5e-13  # tabulation covers all but ~1e-12 of base mass
 _INVERT_BLOCK = 1 << 14  # quantile points per block (bounds peak memory)
-_SEGMENTS = 2048  # quintic segments of a Gamma or Beta quantile table
-_Z_HI = 37.0  # table's top logit; the largest double below 1 has logit 36.74
+_SEGMENTS = 2048  # quintic segments of a quantile table
+_Z_HI = 37.0  # Gamma and Beta tables' top logit; the largest double below 1 has logit 36.74
+_Z_TILTED = 28.0  # a Tilted table's span lies within +-28 (u within 7e-13 of 0 and 1)
 # quantiles below this invert directly (special.gammaincinv, betaincinv):
 # x = exp(log x) carries about |log x| ulps of relative error (69 at 1e-30),
 # and no cdf step corrects it
@@ -201,54 +200,47 @@ class Exponential(Distribution):
 
 
 class _Hermite(NamedTuple):
-    """Piecewise cubic Hermite interpolant on knots x: on segment j,
-    y = c0 + t (c1 + t (c2 + t c3)) with t = (v - x_j) / (x_{j+1} - x_j)."""
+    """A Tilted law's cdf: on knot segment j, the cubic
+    c0 + t (c1 + t (c2 + t c3)) with t = (v - x_j) / (x_{j+1} - x_j)."""
 
     x: np.ndarray
-    c0: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-    c3: np.ndarray
-
-    @classmethod
-    def through(cls, x, y, m0, m1) -> "_Hermite":
-        """Cubics through the knot values y with end slopes m0, m1 per unit t."""
-        d = np.diff(y)
-        return cls(x, y[:-1], m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d)
+    coef: np.ndarray   # (4, segments): c0 to c3
 
     def __call__(self, v):
         """The interpolant at points v in [x_0, x_n]."""
         j = np.clip(np.searchsorted(self.x, v, side="right") - 1, 0, self.x.size - 2)
         t = (v - self.x[j]) / (self.x[j + 1] - self.x[j])
-        y = self.c3.take(j)
-        for c in (self.c2, self.c1, self.c0):
+        c = self.coef.take(j, axis=1)
+        y = c[3]
+        for k in (2, 1, 0):
             y *= t
-            y += c.take(j)
+            y += c[k]
         return y
 
 
 class _LogitTable(NamedTuple):
-    """A law's y = log x (Gamma) or logit x (Beta) as a quintic of z = logit u
-    on equal segments, in the centred t = (z - z_lo) inv_h - j - 1/2."""
+    """A law's y = g(x) as a quintic of z = logit u on equal segments over
+    [z_lo, z_hi], in the centred t = (z - z_lo) inv_h - j - 1/2.  g is log x
+    (Gamma), logit x (Beta), or ln(x - lo), less ln(hi - x) on a finite
+    support (Tilted)."""
 
-    u_lo: float        # smallest tabled u, cdf(_X_MIN) or 2^-54; 1: no table
-    z_lo: float        # logit u_lo
+    z_lo: float        # the span's ends; z_lo = inf: no table
+    z_hi: float
     inv_h: float       # segments per unit of z
     coef: np.ndarray   # (6, segments): power coefficients in t, constant first
 
     @classmethod
-    def build(cls, u_lo: float, invert, log_density) -> "_LogitTable":
-        """Table over [logit u_lo, 37]; u_lo = 1 gives no table.
+    def build(cls, z_lo: float, z_hi: float, invert, log_density) -> "_LogitTable":
+        """Table over [z_lo, z_hi]; z_lo = inf gives no table.
 
-        Nodes are z_lo + j h with h = (37 - z_lo)/N; invert(u, q) gives
+        Nodes are z_lo + j h with h = (z_hi - z_lo)/N; invert(u, q) gives
         their y (q = 1 - u), and log_density(y) the log density ln rho of Y
         and its slope.  Their derivatives are exact: y' = u (1 - u) / rho(y)
         and y'' = y' (1 - 2u) - y'^2 d ln rho/dy.
         """
-        if u_lo >= 1.0:
-            return cls(u_lo=1.0, z_lo=math.inf, inv_h=0.0, coef=np.empty((6, 0)))
-        z_lo = math.log(u_lo / (1.0 - u_lo))
-        h = (_Z_HI - z_lo) / _SEGMENTS
+        if math.isinf(z_lo):
+            return cls(z_lo=math.inf, z_hi=-math.inf, inv_h=0.0, coef=np.empty((6, 0)))
+        h = (z_hi - z_lo) / _SEGMENTS
         z = z_lo + h * np.arange(_SEGMENTS + 1)
         u, q = 1.0 / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z))
         y = invert(u, q)
@@ -263,10 +255,15 @@ class _LogitTable(NamedTuple):
         c2, c4 = 1.5 * dd - es / 4, es / 2 - dd
         c3, c5 = 5 * ds - 10 * yd - ed / 2, ed - 6 * ds + 12 * yd
         coef = np.stack([ys - c2 / 4 - c4 / 16, 2 * yd - c3 / 4 - c5 / 16, c2, c3, c4, c5])
-        return cls(u_lo=u_lo, z_lo=z_lo, inv_h=1.0 / h, coef=coef)
+        # an end slope off the chord 2 yd by over a factor 2 (smooth laws: 2%) means the
+        # density vanishes near the segment, where a quintic can fall: use the chord
+        rough = ~((np.minimum(d1[1:], d1[:-1]) >= yd) & (np.maximum(d1[1:], d1[:-1]) <= 4 * yd))
+        coef[:, rough] = 0.0
+        coef[:2, rough] = ys[rough], 2 * yd[rough]
+        return cls(z_lo=z_lo, z_hi=z_hi, inv_h=1.0 / h, coef=coef)
 
     def __call__(self, z):
-        """y at logits z in [z_lo, 37]."""
+        """y at logits z in [z_lo, z_hi]."""
         t = z - self.z_lo
         t *= self.inv_h
         j = np.floor(t)
@@ -281,34 +278,35 @@ class _LogitTable(NamedTuple):
         return y
 
 
-@dataclass(frozen=True, repr=False)
 class _TabledLaw(Distribution):
     """A law whose quantile evaluates a lazily built per-instance _LogitTable,
-    which takes no part in equality, hashing or literal().  Subclasses give
-    quantile (their own, as the benchmark's tracer wraps each law's),
-    _build_table(), _from_y(y) (x from the table's y) and _direct(u), the
-    inverse for points outside the table."""
+    kept outside the law's fields, so it takes no part in equality, hashing
+    or literal().  Subclasses give quantile (their own, as the benchmark's
+    tracer wraps each law's), _build_table(), _from_y(y) (x from the table's
+    y) and _direct(u), the inverse for points in [0, 1] outside the span."""
 
-    _table: Optional[_LogitTable] = field(default=None, init=False, repr=False,
-                                          compare=False)
+    _table: Optional[_LogitTable] = None
+
+    def _tabled(self) -> _LogitTable:
+        if self._table is None:
+            object.__setattr__(self, "_table", self._build_table())
+        return self._table
 
     def _invert(self, u):
         """x from the quintic table at z = logit u, per point; no cdf call.
-
-        Points in [0, 1] outside the table (below u_lo, or 1) go to
-        _direct; NaN and points outside [0, 1] give NaN.
-        """
-        if self._table is None:
-            object.__setattr__(self, "_table", self._build_table())
-        tab = self._table
-        inside = (u >= tab.u_lo) & (u < 1.0)
-        if not inside.all():
-            out = np.full_like(u, np.nan)
-            out[inside] = self._invert(u[inside])
-            rest = ~inside & (u >= 0.0) & (u <= 1.0)
-            out[rest] = self._direct(u[rest])
-            return out
-        return self._from_y(tab(np.log(u / (1.0 - u))))
+        Points in [0, 1] outside the span go to _direct; NaN and points
+        outside [0, 1] give NaN."""
+        tab = self._tabled()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.log(u / (1.0 - u))  # -inf at 0, inf at 1, NaN outside [0, 1]
+        inside = (z >= tab.z_lo) & (z <= tab.z_hi)
+        if inside.all():
+            return self._from_y(tab(z))
+        out = np.full_like(u, np.nan)
+        out[inside] = self._from_y(tab(z[inside]))
+        rest = ~inside & (u >= 0.0) & (u <= 1.0)
+        out[rest] = self._direct(u[rest])
+        return out
 
 
 @dataclass(frozen=True, repr=False)
@@ -350,7 +348,8 @@ class Gamma(_TabledLaw):
     def _build_table(self):
         a = self.shape
         u_lo = 1.0 if a < _SHAPE_MIN else max(2.0**-54, special.gammainc(a, _X_MIN))
-        return _LogitTable.build(u_lo, lambda u, q: special.gamma_log_x(a, u, q),
+        z_lo = math.inf if u_lo == 1.0 else math.log(u_lo / (1.0 - u_lo))
+        return _LogitTable.build(z_lo, _Z_HI, lambda u, q: special.gamma_log_x(a, u, q),
                                  lambda y: special.gamma_log_density(a, y))
 
     def _from_y(self, y):
@@ -424,7 +423,8 @@ class Beta(_TabledLaw):
     def _build_table(self):
         a, b = self.a, self.b
         u_lo = 1.0 if min(a, b) < _SHAPE_MIN else max(2.0**-54, special.betainc(a, b, _X_MIN))
-        return _LogitTable.build(u_lo, lambda u, q: special.beta_logit_x(a, b, u, q),
+        z_lo = math.inf if u_lo == 1.0 else math.log(u_lo / (1.0 - u_lo))
+        return _LogitTable.build(z_lo, _Z_HI, lambda u, q: special.beta_logit_x(a, b, u, q),
                                  lambda y: special.beta_log_density(a, b, y))
 
     def _from_y(self, y):
@@ -615,23 +615,22 @@ def _integrate_support(d: Distribution, integrand, lo=-math.inf, hi=math.inf) ->
 # tilted laws
 
 
-class Tilted(Distribution):
+class Tilted(_TabledLaw):
     """Base law reweighted by a positive weight with unit base-expectation.
 
     The weight is given either directly or in log form (preferred
     numerically), not both.  Construction verifies the normalization
     integral to 1e-8 by quadrature and refuses otherwise (a negative
-    weight at a quadrature node raises DistError).  cdf and quantile run
-    off lazily built tables covering all but ~1e-12 of the base mass: the
-    cdf is the cubic Hermite interpolant (_Hermite) of its knot values,
-    with the density as slopes; the quantile is a second cubic Hermite
-    interpolant, of y = ln(x - lo) (less ln(hi - x) on a finite support)
-    against z = logit u, through the same knots with their exact slopes.
-    A draw is one table evaluation of its own uniform alone, within 1e-6
-    relative of 50-digit quantiles for u in [1e-12, 1 - 1e-9] and within
-    1e-7 for u in [1e-3, 1 - 1e-3] (tested on four tilts with closed-form
-    laws).  p below or above the table's u span gives the table's end; NaN
-    and p outside [0, 1] give NaN.
+    weight at a quadrature node raises DistError); equality is identity.
+    cdf and quantile run off a lazily built table covering all but ~1e-12
+    of the base mass: the cdf is the cubic Hermite interpolant (_Hermite)
+    of its knot values with the density as slopes, and the quantile a
+    _LogitTable over the cdf's logit range within +-_Z_TILTED.  A draw
+    evaluates it at its own uniform alone, within 1e-6 relative of 50-digit
+    quantiles for u in [1e-12, 1 - 1e-9] and within 1e-7 for u in
+    [1e-3, 1 - 1e-3] (tested on four tilts with closed-form laws), and within
+    20% next to an interior zero of the density.  p below or above the span
+    gives the table's end; NaN and p outside [0, 1] give NaN.
     """
 
     def __init__(self, base: Distribution,
@@ -644,7 +643,6 @@ class Tilted(Distribution):
         self.base = base
         self._weight = weight
         self._log_weight = log_weight
-        self._table = None
         norm = log_weighted_expectation(base, self._checked_log_weight)
         if not abs(norm - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
             raise DistError(
@@ -767,53 +765,55 @@ class Tilted(Distribution):
         if not (np.isfinite(masses).all() and np.isfinite(slope).all()):
             raise DistError("tilt weight is negative or not finite at a CDF table node")
         cdf = left_tail + np.concatenate([[0.0], np.cumsum(masses)])
-        h = np.diff(xs)
-        cubic = _Hermite.through(xs, cdf, slope[:-1] * h, slope[1:] * h)
+        d, m0, m1 = np.diff(cdf), slope[:-1] * np.diff(xs), slope[1:] * np.diff(xs)
+        self._cdf = _Hermite(xs, np.stack([cdf[:-1], m0, 3 * d - 2 * m0 - m1, m0 + m1 - 2 * d]))
 
-        # the inverse: y = ln(x - lo), less ln(hi - x) on a finite support,
-        # against z = logit u through the knots where the cdf strictly rises
-        # inside (0, 1), with the exact slopes dy/dz = u (1 - u) y'(x) / density
+        # the inverse over the cdf's logit range.  A node's x starts from the
+        # knots' y against z, linear between them, and takes one Newton step on
+        # the cdf, integrated from the knot below (the cubic between knots is
+        # 5e-5 off in x where the tilted density outruns them)
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.log(cdf / (1.0 - cdf))
-            if math.isinf(hi):
-                y, dy_dx = np.log(xs - lo), 1.0 / (xs - lo)
-            else:
-                y = np.log(xs - lo) - np.log(hi - xs)
-                dy_dx = (hi - lo) / ((xs - lo) * (hi - xs))
-            keep = np.isfinite(z) & np.isfinite(y) & (slope > 0.0)
-            keep[1:] &= np.diff(z) > 0.0
-        z, y = z[keep], y[keep]
-        dy_dz = cdf[keep] * (1.0 - cdf[keep]) * dy_dx[keep] / slope[keep]
-        dz = np.diff(z)
-        self._table = (cubic, _Hermite.through(z, y, dy_dz[:-1] * dz, dy_dz[1:] * dz))
+        known = np.isfinite(z)
 
-    def _ensure_table(self):
-        if self._table is None:
-            self._build_table()
-        return self._table
+        def node_y(u, q):
+            j = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, xs.size - 2)
+            x = self._from_y(np.interp(np.log(u / q), z[known], self._to_y(xs[known])))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x -= (cdf[j] + gauss_kronrod(self.density, xs[j], x)[0] - u) / self.density(x)
+            return self._to_y(np.clip(x, xs[j], xs[j + 1]))
+
+        def log_rho(y):  # of Y = _to_y(X); its slope by central differences
+            x = self._from_y(y)
+            dx_dy = x - lo if math.isinf(hi) else (x - lo) * (hi - x) / (hi - lo)
+            return self.logpdf(x) + np.log(dx_dy)
+
+        table = _LogitTable.build(
+            max(float(np.nanmin(z)), -_Z_TILTED), min(float(np.nanmax(z)), _Z_TILTED), node_y,
+            lambda y: (log_rho(y), (log_rho(y + 1e-5) - log_rho(y - 1e-5)) / 2e-5))
+        if not np.isfinite(table.coef).all():
+            raise DistError("tilt weight is negative or not finite at a quantile table node")
+        return table
+
+    def _to_y(self, x):
+        lo, hi = self.support
+        return np.log(x - lo) - (0.0 if math.isinf(hi) else np.log(hi - x))
+
+    def _from_y(self, y):
+        lo, hi = self.support
+        return lo + np.exp(y) if math.isinf(hi) else lo + (hi - lo) / (1.0 + np.exp(-y))
+
+    def _direct(self, u):  # the table's end: z_lo below its span, z_hi above
+        return self._from_y(self._table(np.where(u < 0.5, self._table.z_lo, self._table.z_hi)))
 
     def cdf(self, x):
-        xs_in = np.asarray(x, dtype=float)
-        cubic, _ = self._ensure_table()
-        xs = cubic.x
-        out = np.clip(cubic(np.clip(xs_in, xs[0], xs[-1])), 0.0, 1.0)
-        out = np.where(xs_in <= xs[0], 0.0, np.where(xs_in >= xs[-1], 1.0, out))
-        return _as_float_or_array(x, out)
+        self._tabled()
+        xs, lo, hi = np.asarray(x, dtype=float), self._cdf.x[0], self._cdf.x[-1]
+        out = np.clip(self._cdf(np.clip(xs, lo, hi)), 0.0, 1.0)
+        return _as_float_or_array(x, np.where(xs <= lo, 0.0, np.where(xs >= hi, 1.0, out)))
 
     def quantile(self, p):
         return _blockwise(self._invert, p)
-
-    def _invert(self, p):
-        """x from the inverse table at z = logit p, clipped to the table's z
-        span; NaN and points outside [0, 1] give NaN."""
-        _, inverse = self._ensure_table()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.log(p / (1.0 - p))  # -inf at 0, inf at 1, NaN outside [0, 1]
-        y = inverse(np.clip(z, inverse.x[0], inverse.x[-1]))
-        lo, hi = self.support
-        if math.isinf(hi):
-            return lo + np.exp(y)
-        return lo + (hi - lo) / (1.0 + np.exp(-y))
 
     def literal(self):
         w = self._log_weight if self._weight is None else self._weight

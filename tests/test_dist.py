@@ -395,6 +395,77 @@ def test_tilted_quantile_is_pointwise(name):
     assert np.array_equal(law.quantile(p[perm]), q[perm])
 
 
+@pytest.mark.parametrize("name", sorted(TILTED))
+def test_tilted_table_draw_calls_no_density(name, monkeypatch):
+    # once the table is built, a draw evaluates the quintic alone: no cdf
+    # cubic, no weight and no density, inside the span or past its ends
+    from cmpplab import dist
+    law = TILTED[name]
+    p = np.concatenate([P_GRID, [math.nan, -0.5, 1.5]])
+    want = law.quantile(p)
+
+    def boom(*args):
+        raise AssertionError("cdf, weight or density evaluated per draw")
+    for cls, attr in ((dist._Hermite, "__call__"), (Tilted, "log_weight_at"), (Tilted, "density")):
+        monkeypatch.setattr(cls, attr, boom)
+    assert law.quantile(p).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(TILTED))
+def test_tilted_table_span_and_ends(name):
+    # the span covers the tested u range and stays within about +-28; past
+    # it a draw is the table's end, and the quantile never falls
+    law = TILTED[name]
+    law.quantile(0.5)
+    tab = law._table
+    assert -29.0 <= tab.z_lo <= math.log(1e-12 / (1 - 1e-12))
+    assert math.log((1 - 1e-9) / 1e-9) <= tab.z_hi <= 29.0
+    below, above = 1.0 / (1.0 + np.exp(-np.array([tab.z_lo - 0.5, tab.z_hi + 0.5])))
+    assert 0.0 < below and above < 1.0
+    assert law.quantile(below) == law.quantile(0.0) and law.quantile(above) == law.quantile(1.0)
+    z = np.linspace(tab.z_lo - 4.0, tab.z_hi + 4.0, 200001)
+    q = law.quantile(1.0 / (1.0 + np.exp(-z)))
+    assert np.isfinite(q).all() and (np.diff(q) >= 0.0).all()
+
+
+@pytest.mark.parametrize("base,weight,zero,pdf", [
+    (Gamma(2.0, 2.0), "2*(theta-1)^2", 1.0, lambda t: 8 * t * (t - 1) ** 2 * np.exp(-2 * t)),
+    (Beta(2.0, 2.0), "(theta-0.5)^2/0.05", 0.5, lambda t: 120 * t * (1 - t) * (t - 0.5) ** 2),
+], ids=["gamma", "beta"])
+def test_tilted_quantile_across_an_interior_density_zero(base, weight, zero, pdf):
+    # the quantile has a vertical tangent at the zero, which no equal segment
+    # resolves: the table stays non-decreasing, within 20% in x next to it
+    # and within 1e-7 relative farther than 0.03 in u from it
+    from scipy import optimize
+    law = Tilted(base, weight=parse(weight))
+    z = np.linspace(-32.0, 32.0, 200001)
+    assert (np.diff(law.quantile(1.0 / (1.0 + np.exp(-z)))) >= 0.0).all()
+    hi = base.support[1] if math.isfinite(base.support[1]) else 40.0
+
+    def exact(u):
+        def cdf(x):
+            return sci.quad(pdf, 0.0, x, points=[zero] if x > zero else None,
+                            epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        return optimize.brentq(lambda x: cdf(x) - u, 1e-9, hi - 1e-12, xtol=1e-15, rtol=1e-14)
+    u_zero = sci.quad(pdf, 0.0, zero, epsabs=0.0, epsrel=1e-13)[0]
+    u = np.concatenate([np.linspace(0.01, 0.99, 50), u_zero + np.linspace(-0.015, 0.015, 31)])
+    rel = np.array([abs(q - exact(ui)) / exact(ui) for ui, q in zip(u, law.quantile(u))])
+    assert rel.max() <= 0.2
+    assert rel[abs(u - u_zero) > 0.03].max() <= 1e-7
+
+
+def test_tilted_equality_is_identity_and_outside_the_table():
+    a = Tilted(Gamma(2.0, 2.0), weight=parse("(1+theta)/2"))
+    b = Tilted(Gamma(2.0, 2.0), weight=parse("(27/8)*theta^2*exp(-theta)"))
+    twin = Tilted(Gamma(2.0, 2.0), weight=parse("(1+theta)/2"))
+    before = hash(a), a.literal()
+    assert a != b and a != twin and a == a
+    a.quantile(np.array([0.1, 0.9]))
+    assert a._table is not None and b._table is None
+    assert (hash(a), a.literal()) == before
+    assert a != b and a != twin and a == a and len({a, b, twin}) == 3
+
+
 def test_tilted_quantile_shapes_and_nan():
     law = TILTED["q_mixing"]
     assert isinstance(law.quantile(0.3), float)
