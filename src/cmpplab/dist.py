@@ -17,7 +17,8 @@ pure function of (seed, path index, lane, draw index); every quantile maps
 each point on its own, whatever the batch around it.  A Gamma, Beta or
 Tilted draw evaluates a lazily built quintic table (_LogitTable) of log x,
 logit x or ln(x - lo) (less ln(hi - x) on a finite support) against
-logit u, with no cdf call; Gamma and Beta tables are within 1e-13 relative
+logit u, with no cdf call (but next to a zero of a Tilted law's density,
+which its table leaves out); Gamma and Beta tables are within 1e-13 relative
 of 50-digit quantiles (Gamma shapes 0.05 to 1e6, Beta parameters 0.05 to
 1000), and smaller shapes invert by special.gammaincinv or betaincinv
 alone.  The incomplete gamma and beta functions come from special, which
@@ -200,34 +201,54 @@ class Exponential(Distribution):
 
 
 class _Hermite(NamedTuple):
-    """A Tilted law's cdf: on knot segment j, the cubic
-    c0 + t (c1 + t (c2 + t c3)) with t = (v - x_j) / (x_{j+1} - x_j)."""
+    """A Tilted law's cdf, piecewise cubic Hermite on knots x: on segment j,
+    y = c0 + t (c1 + t (c2 + t c3)) with t = (v - x_j) / (x_{j+1} - x_j)."""
 
     x: np.ndarray
-    coef: np.ndarray   # (4, segments): c0 to c3
+    c0: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    c3: np.ndarray
+
+    @classmethod
+    def through(cls, x, y, m0, m1) -> "_Hermite":
+        """Cubics through the knot values y with end slopes m0, m1 per unit t."""
+        d = np.diff(y)
+        return cls(x, y[:-1], m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d)
 
     def __call__(self, v):
         """The interpolant at points v in [x_0, x_n]."""
         j = np.clip(np.searchsorted(self.x, v, side="right") - 1, 0, self.x.size - 2)
         t = (v - self.x[j]) / (self.x[j + 1] - self.x[j])
-        c = self.coef.take(j, axis=1)
-        y = c[3]
-        for k in (2, 1, 0):
+        y = self.c3.take(j)
+        for c in (self.c2, self.c1, self.c0):
             y *= t
-            y += c[k]
+            y += c.take(j)
         return y
+
+    def solve(self, y):
+        """Points v where the rising interpolant reaches y: bisection in t, to
+        the last bit, on the segment whose knot values bracket y."""
+        j = np.clip(np.searchsorted(self.c0, y, side="right") - 1, 0, self.x.size - 2)
+        c0, c1, c2, c3 = (c.take(j) for c in self[1:])
+        t = np.zeros_like(y)
+        for k in range(1, 54):
+            s = t + 0.5**k
+            t = np.where(c0 + s * (c1 + s * (c2 + s * c3)) < y, s, t)
+        return self.x[j] + t * (self.x[j + 1] - self.x[j])
 
 
 class _LogitTable(NamedTuple):
     """A law's y = g(x) as a quintic of z = logit u on equal segments over
     [z_lo, z_hi], in the centred t = (z - z_lo) inv_h - j - 1/2.  g is log x
     (Gamma), logit x (Beta), or ln(x - lo), less ln(hi - x) on a finite
-    support (Tilted)."""
+    support (Tilted).  A segment the quintic cannot follow has NaN
+    coefficients, so the table is NaN there."""
 
     z_lo: float        # the span's ends; z_lo = inf: no table
     z_hi: float
     inv_h: float       # segments per unit of z
-    coef: np.ndarray   # (6, segments): power coefficients in t, constant first
+    coef: np.ndarray   # (6, segments): power coefficients in t, constant first; NaN: left out
 
     @classmethod
     def build(cls, z_lo: float, z_hi: float, invert, log_density) -> "_LogitTable":
@@ -255,11 +276,11 @@ class _LogitTable(NamedTuple):
         c2, c4 = 1.5 * dd - es / 4, es / 2 - dd
         c3, c5 = 5 * ds - 10 * yd - ed / 2, ed - 6 * ds + 12 * yd
         coef = np.stack([ys - c2 / 4 - c4 / 16, 2 * yd - c3 / 4 - c5 / 16, c2, c3, c4, c5])
-        # an end slope off the chord 2 yd by over a factor 2 (smooth laws: 2%) means the
-        # density vanishes near the segment, where a quintic can fall: use the chord
-        rough = ~((np.minimum(d1[1:], d1[:-1]) >= yd) & (np.maximum(d1[1:], d1[:-1]) <= 4 * yd))
-        coef[:, rough] = 0.0
-        coef[:2, rough] = ys[rough], 2 * yd[rough]
+        # the chord's slope is 2 yd.  Next to a zero of the density an end slope is off
+        # it by over a factor 2 (smooth laws: 2%) and the quintic can fall: leave out
+        # that segment and two either side.  NaN compares false, so it is left out too
+        smooth = (np.minimum(d1[1:], d1[:-1]) >= yd) & (np.maximum(d1[1:], d1[:-1]) <= 4 * yd)
+        coef[:, np.convolve(~smooth, np.ones(5), mode="same") > 0] = np.nan
         return cls(z_lo=z_lo, z_hi=z_hi, inv_h=1.0 / h, coef=coef)
 
     def __call__(self, z):
@@ -278,12 +299,17 @@ class _LogitTable(NamedTuple):
         return y
 
 
+def _logit(u: float) -> float:  # inf at u = 1: a table floor that leaves no table
+    return math.inf if u == 1.0 else math.log(u / (1.0 - u))
+
+
 class _TabledLaw(Distribution):
     """A law whose quantile evaluates a lazily built per-instance _LogitTable,
     kept outside the law's fields, so it takes no part in equality, hashing
     or literal().  Subclasses give quantile (their own, as the benchmark's
     tracer wraps each law's), _build_table(), _from_y(y) (x from the table's
-    y) and _direct(u), the inverse for points in [0, 1] outside the span."""
+    y) and _direct(u), the inverse for points in [0, 1] outside the span or
+    on a segment it leaves out."""
 
     _table: Optional[_LogitTable] = None
 
@@ -294,19 +320,22 @@ class _TabledLaw(Distribution):
 
     def _invert(self, u):
         """x from the quintic table at z = logit u, per point; no cdf call.
-        Points in [0, 1] outside the span go to _direct; NaN and points
-        outside [0, 1] give NaN."""
+        Points in [0, 1] outside the span or on a segment the table leaves
+        out go to _direct; NaN and points outside [0, 1] give NaN."""
         tab = self._tabled()
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.log(u / (1.0 - u))  # -inf at 0, inf at 1, NaN outside [0, 1]
         inside = (z >= tab.z_lo) & (z <= tab.z_hi)
         if inside.all():
-            return self._from_y(tab(z))
-        out = np.full_like(u, np.nan)
-        out[inside] = self._from_y(tab(z[inside]))
-        rest = ~inside & (u >= 0.0) & (u <= 1.0)
-        out[rest] = self._direct(u[rest])
-        return out
+            x = self._from_y(tab(z))
+        else:
+            x = np.full_like(u, np.nan)
+            x[inside] = self._from_y(tab(z[inside]))
+        rest = np.isnan(x)
+        if rest.any():
+            rest &= (u >= 0.0) & (u <= 1.0)
+            x[rest] = self._direct(u[rest])
+        return x
 
 
 @dataclass(frozen=True, repr=False)
@@ -348,8 +377,8 @@ class Gamma(_TabledLaw):
     def _build_table(self):
         a = self.shape
         u_lo = 1.0 if a < _SHAPE_MIN else max(2.0**-54, special.gammainc(a, _X_MIN))
-        z_lo = math.inf if u_lo == 1.0 else math.log(u_lo / (1.0 - u_lo))
-        return _LogitTable.build(z_lo, _Z_HI, lambda u, q: special.gamma_log_x(a, u, q),
+        return _LogitTable.build(_logit(u_lo), _Z_HI,
+                                 lambda u, q: special.gamma_log_x(a, u, q),
                                  lambda y: special.gamma_log_density(a, y))
 
     def _from_y(self, y):
@@ -423,8 +452,8 @@ class Beta(_TabledLaw):
     def _build_table(self):
         a, b = self.a, self.b
         u_lo = 1.0 if min(a, b) < _SHAPE_MIN else max(2.0**-54, special.betainc(a, b, _X_MIN))
-        z_lo = math.inf if u_lo == 1.0 else math.log(u_lo / (1.0 - u_lo))
-        return _LogitTable.build(z_lo, _Z_HI, lambda u, q: special.beta_logit_x(a, b, u, q),
+        return _LogitTable.build(_logit(u_lo), _Z_HI,
+                                 lambda u, q: special.beta_logit_x(a, b, u, q),
                                  lambda y: special.beta_log_density(a, b, y))
 
     def _from_y(self, y):
@@ -628,9 +657,13 @@ class Tilted(_TabledLaw):
     _LogitTable over the cdf's logit range within +-_Z_TILTED.  A draw
     evaluates it at its own uniform alone, within 1e-6 relative of 50-digit
     quantiles for u in [1e-12, 1 - 1e-9] and within 1e-7 for u in
-    [1e-3, 1 - 1e-3] (tested on four tilts with closed-form laws), and within
-    20% next to an interior zero of the density.  p below or above the span
-    gives the table's end; NaN and p outside [0, 1] give NaN.
+    [1e-3, 1 - 1e-3] (tested on four tilts with closed-form laws).  Next to
+    a zero or deep dip of the density the quantile's tangent is near
+    vertical: the table leaves those few segments out, and a draw there
+    bisects the cdf cubic, within 3e-4 relative of the quantile at the zero
+    and 1e-7 beyond the left-out segments (tested on Gamma, Exponential and
+    Beta tilts).  p below or above the span gives the table's end; NaN and p
+    outside [0, 1] give NaN.
     """
 
     def __init__(self, base: Distribution,
@@ -765,8 +798,8 @@ class Tilted(_TabledLaw):
         if not (np.isfinite(masses).all() and np.isfinite(slope).all()):
             raise DistError("tilt weight is negative or not finite at a CDF table node")
         cdf = left_tail + np.concatenate([[0.0], np.cumsum(masses)])
-        d, m0, m1 = np.diff(cdf), slope[:-1] * np.diff(xs), slope[1:] * np.diff(xs)
-        self._cdf = _Hermite(xs, np.stack([cdf[:-1], m0, 3 * d - 2 * m0 - m1, m0 + m1 - 2 * d]))
+        h = np.diff(xs)
+        self._cdf = _Hermite.through(xs, cdf, slope[:-1] * h, slope[1:] * h)
 
         # the inverse over the cdf's logit range.  A node's x starts from the
         # knots' y against z, linear between them, and takes one Newton step on
@@ -788,12 +821,9 @@ class Tilted(_TabledLaw):
             dx_dy = x - lo if math.isinf(hi) else (x - lo) * (hi - x) / (hi - lo)
             return self.logpdf(x) + np.log(dx_dy)
 
-        table = _LogitTable.build(
+        return _LogitTable.build(
             max(float(np.nanmin(z)), -_Z_TILTED), min(float(np.nanmax(z)), _Z_TILTED), node_y,
             lambda y: (log_rho(y), (log_rho(y + 1e-5) - log_rho(y - 1e-5)) / 2e-5))
-        if not np.isfinite(table.coef).all():
-            raise DistError("tilt weight is negative or not finite at a quantile table node")
-        return table
 
     def _to_y(self, x):
         lo, hi = self.support
@@ -803,8 +833,16 @@ class Tilted(_TabledLaw):
         lo, hi = self.support
         return lo + np.exp(y) if math.isinf(hi) else lo + (hi - lo) / (1.0 + np.exp(-y))
 
-    def _direct(self, u):  # the table's end: z_lo below its span, z_hi above
-        return self._from_y(self._table(np.where(u < 0.5, self._table.z_lo, self._table.z_hi)))
+    def _direct(self, u):
+        """Past the span, the table's end; on a segment the table leaves out
+        (next to a zero of the density), the cdf cubic's inverse."""
+        tab = self._table
+        with np.errstate(divide="ignore"):
+            z = np.clip(np.log(u / (1.0 - u)), tab.z_lo, tab.z_hi)
+        x = self._from_y(tab(z))
+        gap = np.isnan(x)
+        x[gap] = self._cdf.solve(1.0 / (1.0 + np.exp(-z[gap])))
+        return x
 
     def cdf(self, x):
         self._tabled()

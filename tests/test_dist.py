@@ -398,11 +398,13 @@ def test_tilted_quantile_is_pointwise(name):
 @pytest.mark.parametrize("name", sorted(TILTED))
 def test_tilted_table_draw_calls_no_density(name, monkeypatch):
     # once the table is built, a draw evaluates the quintic alone: no cdf
-    # cubic, no weight and no density, inside the span or past its ends
+    # cubic, no weight and no density, inside the span or past its ends (the
+    # table leaves no segment out)
     from cmpplab import dist
     law = TILTED[name]
     p = np.concatenate([P_GRID, [math.nan, -0.5, 1.5]])
     want = law.quantile(p)
+    assert np.isfinite(law._table.coef).all()
 
     def boom(*args):
         raise AssertionError("cdf, weight or density evaluated per draw")
@@ -428,18 +430,25 @@ def test_tilted_table_span_and_ends(name):
     assert np.isfinite(q).all() and (np.diff(q) >= 0.0).all()
 
 
-@pytest.mark.parametrize("base,weight,zero,pdf", [
-    (Gamma(2.0, 2.0), "2*(theta-1)^2", 1.0, lambda t: 8 * t * (t - 1) ** 2 * np.exp(-2 * t)),
-    (Beta(2.0, 2.0), "(theta-0.5)^2/0.05", 0.5, lambda t: 120 * t * (1 - t) * (t - 0.5) ** 2),
-], ids=["gamma", "beta"])
-def test_tilted_quantile_across_an_interior_density_zero(base, weight, zero, pdf):
-    # the quantile has a vertical tangent at the zero, which no equal segment
-    # resolves: the table stays non-decreasing, within 20% in x next to it
-    # and within 1e-7 relative farther than 0.03 in u from it
+@pytest.mark.parametrize("base,weight,zero,pdf,bound", [
+    (Gamma(2.0, 2.0), "2*(theta-1)^2", 1.0, lambda t: 8 * t * (t - 1) ** 2 * np.exp(-2 * t), 1e-4),
+    (Gamma(2.0, 2.0), "1e-6 + 1.999998*(theta-1)^2", 1.0,
+     lambda t: 4 * t * (1e-6 + 1.999998 * (t - 1) ** 2) * np.exp(-2 * t), 1e-6),
+    (Exponential(1.0), "(theta-3)^2/5", 3.0, lambda t: (t - 3) ** 2 / 5 * np.exp(-t), 3e-4),
+    (Beta(2.0, 2.0), "(theta-0.5)^2/0.05", 0.5,
+     lambda t: 120 * t * (1 - t) * (t - 0.5) ** 2, 1e-6),
+], ids=["gamma", "gamma-dip", "exp", "beta"])
+def test_tilted_quantile_across_an_interior_density_zero(base, weight, zero, pdf, bound):
+    # the quantile has a (near) vertical tangent at a zero or deep dip of the
+    # density, which no equal segment follows: the table leaves those segments
+    # out and a draw there bisects the cdf cubic.  Non-decreasing, within
+    # bound in x next to the zero (its cube-root tangent amplifies the cdf's
+    # error) and within 1e-7 farther than 0.03 in u
     from scipy import optimize
     law = Tilted(base, weight=parse(weight))
     z = np.linspace(-32.0, 32.0, 200001)
     assert (np.diff(law.quantile(1.0 / (1.0 + np.exp(-z)))) >= 0.0).all()
+    assert 0 < np.isnan(law._table.coef[0]).sum() <= 6
     hi = base.support[1] if math.isfinite(base.support[1]) else 40.0
 
     def exact(u):
@@ -448,10 +457,11 @@ def test_tilted_quantile_across_an_interior_density_zero(base, weight, zero, pdf
                             epsabs=0.0, epsrel=1e-13, limit=200)[0]
         return optimize.brentq(lambda x: cdf(x) - u, 1e-9, hi - 1e-12, xtol=1e-15, rtol=1e-14)
     u_zero = sci.quad(pdf, 0.0, zero, epsabs=0.0, epsrel=1e-13)[0]
-    u = np.concatenate([np.linspace(0.01, 0.99, 50), u_zero + np.linspace(-0.015, 0.015, 31)])
+    u = np.concatenate([np.linspace(0.01, 0.99, 50), u_zero + np.linspace(-0.03, 0.03, 61)])
+    u = u[u < 0.999]
     ref = np.array([exact(ui) for ui in u])
     rel = np.abs(law.quantile(u) - ref) / ref
-    assert rel.max() <= 0.2
+    assert rel.max() <= bound
     assert rel[abs(u - u_zero) > 0.03].max() <= 1e-7
 
 

@@ -119,12 +119,34 @@ def test_normal_threshold_within_two_ulps():
 
 
 def test_gamma_quantile_continuous_across_table_floor():
-    # the table's first node and the direct inverse below it agree
+    # the largest u whose logit falls below the table's floor goes to the
+    # direct inverse and its upper neighbour to the table, and the two agree
+    # (about 40 doubles in u share one logit there, so u is found by stepping)
     d = Gamma(1.0, 0.5)
     d.quantile(0.5)
-    u_lo = 1.0 / (1.0 + math.exp(-d._table.z_lo))
-    below, at = d.quantile(np.array([np.nextafter(u_lo, 0.0), u_lo]))
+    z_lo = d._table.z_lo
+
+    def logit(u):
+        return np.log(u / (1.0 - u))
+    u = np.array([1.0 / (1.0 + math.exp(-z_lo))])
+    while logit(u)[0] >= z_lo:
+        u = np.nextafter(u, 0.0)
+    while logit(np.nextafter(u, 1.0))[0] < z_lo:
+        u = np.nextafter(u, 1.0)
+    pair = np.concatenate([u, np.nextafter(u, 1.0)])
+    z = logit(pair)
+    assert z[0] < z_lo <= z[1]
+    below, at = d.quantile(pair)
+    assert below == d._direct(pair[:1])[0] and at == d._from_y(d._table(z[1:]))[0]
     assert abs(at - below) <= 1e-13 * at
+
+
+def test_gamma_and_beta_tables_leave_no_segment_out():
+    # a left-out segment (NaN coefficients) would send its draws to
+    # gammaincinv or betaincinv: none is, on either grid
+    for d in [Gamma(1.0, a) for a in GAMMA_SHAPES] + [Beta(a, b) for a, b in BETA_PARAMS]:
+        d.quantile(0.5)
+        assert d._table.coef.shape[1] == 2048 and np.isfinite(d._table.coef).all(), d
 
 
 def test_one_point_matches_array():
