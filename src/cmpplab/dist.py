@@ -331,9 +331,8 @@ class _TabledLaw(Distribution):
         else:
             x = np.full_like(u, np.nan)
             x[inside] = self._from_y(tab(z[inside]))
-        rest = np.isnan(x)
-        if rest.any():
-            rest &= (u >= 0.0) & (u <= 1.0)
+        if np.isnan(x.sum()):  # some point is NaN (x is finite elsewhere): no mask per block
+            rest = np.isnan(x) & (u >= 0.0) & (u <= 1.0)
             x[rest] = self._direct(u[rest])
         return x
 
