@@ -278,7 +278,8 @@ class _LogitTable(NamedTuple):
         coef = np.stack([ys - c2 / 4 - c4 / 16, 2 * yd - c3 / 4 - c5 / 16, c2, c3, c4, c5])
         # the chord's slope is 2 yd.  Next to a zero of the density an end slope is off
         # it by over a factor 2 (smooth laws: 2%) and the quintic can fall: leave out
-        # that segment and two either side.  NaN compares false, so it is left out too
+        # that segment and two either side.  A NaN end value or slope compares false,
+        # so its segment is left out too
         smooth = (np.minimum(d1[1:], d1[:-1]) >= yd) & (np.maximum(d1[1:], d1[:-1]) <= 4 * yd)
         coef[:, np.convolve(~smooth, np.ones(5), mode="same") > 0] = np.nan
         return cls(z_lo=z_lo, z_hi=z_hi, inv_h=1.0 / h, coef=coef)
