@@ -12,12 +12,12 @@ Draw layout per path (see rng): lane 0 draw 0 is theta, lane 1 holds
 interarrival uniforms, lane 2 claim uniforms.  A batch computes each
 path's key (``rng.PathKeys``) once and draws every lane from it; the
 draws are those of the rng contract, unchanged.  Theta and the arrival
-lane are drawn by ``simulate_batch``; the claim lane is drawn, and the
-accepted arrivals are scattered into ``times``, on a batch's first read
-of ``claims`` or ``times``, so a consumer that reads neither (a density
-with gamma = 0 at the horizon) pays for neither.  Interarrivals accumulate
-in blocks of 16 draws, event k of a block at (time of the last full block) +
-(the block's k-th partial sum); the first block is filled in two
+lane are drawn by ``simulate_batch``, which stores no arrival time but
+counts N_t at each t the caller will read; ``claims`` are drawn on their
+first read, and ``times`` by running the arrival loop again, so a consumer
+reading no claim (a density with gamma = 0) draws none.  Interarrivals
+accumulate in blocks of 16 draws, event k of a block at (time of the last
+full block) + (the block's k-th partial sum); the first block is filled in two
 sub-blocks, 4 draws and then 12 for paths that accepted all 4, with the
 partial sum carried across, so a short path draws few uniforms and every
 rounding still depends on (seed, path index) alone.  The batch engine
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -115,16 +115,16 @@ class PathBatch:
     draw runs on the field's first read and its array is kept, while a
     draw that raises is kept as it was and raises again on the next read.
     ``counts_at`` and ``aggregates_at`` compute each t once per batch and
-    return read-only arrays.
+    return read-only arrays; N_t at a t not in ``counted`` reads ``times``.
     """
 
-    def __init__(self, thetas, counts, offsets, times, claims, horizon):
+    def __init__(self, thetas, counts, offsets, times, claims, horizon, counted=None):
         self.thetas = thetas      # (n,)
         self.counts = counts      # (n,) event counts
         self.offsets = offsets    # (n+1,) prefix offsets into times/claims
         self.horizon = horizon
         self._flat = {"times": times, "claims": claims}
-        self._memo: dict = {}
+        self._memo: dict = {("N", t): n_t for t, n_t in (counted or {}).items()}
 
     times = property(lambda self: self._read("times"), doc="flat event times")
     claims = property(lambda self: self._read("claims"), doc="flat claim sizes")
@@ -162,9 +162,8 @@ class PathBatch:
         self._check(t)
         key = (kind, t)
         if key not in self._memo:
-            out = self._functional(kind, t)
-            out.flags.writeable = False
-            self._memo[key] = out
+            self._memo[key] = self._functional(kind, t)
+        self._memo[key].flags.writeable = False
         return self._memo[key]
 
     def _functional(self, kind: str, t: float) -> np.ndarray:
@@ -173,23 +172,24 @@ class PathBatch:
             return self._claim_sums(t, lambda x: x)
         if t == self.horizon:  # every event counts
             return self.counts.view()
-        return self._path_sums(lambda b, lo, hi: b.times[lo:hi] <= t, np.int64)
+        return self._path_sums(lambda b, a, z: b.times[b.offsets[a]:b.offsets[z]] <= t, np.int64)
 
     def _claim_sums(self, t: float, fn) -> np.ndarray:
-        """Per-path sums of fn(claims) over the events at times <= t."""
-        def vals(b, lo, hi):
+        """Per-path sums of fn(claims) over the events at times <= t, which
+        are a path's first N_t events: its times never decrease."""
+        def vals(b, a, z):
             if t == b.horizon:  # every event counts
-                return fn(b.claims[lo:hi])
-            # times before claims: the scatter frees the arrival chunks
-            # before the claim lane is drawn, which sets the peak memory
-            upto = b.times[lo:hi] <= t
-            return np.where(upto, fn(b.claims[lo:hi]), 0.0)
+                return fn(b.claims[b.offsets[a]:b.offsets[z]])
+            n_t = b.counts_at(t)[a:z]
+            upto = np.repeat(np.tile((True, False), z - a),
+                             np.column_stack((n_t, b.counts[a:z] - n_t)).ravel())
+            return np.where(upto, fn(b.claims[b.offsets[a]:b.offsets[z]]), 0.0)
 
         return self._path_sums(vals, float)
 
     def _path_sums(self, vals, dtype) -> np.ndarray:
-        """Per-path sums of ``vals(batch, lo, hi)``, the values of flat events
-        lo to hi, taken for runs of paths (no temporary spans the batch).
+        """Per-path sums of ``vals(batch, a, z)``, the values of the events of
+        paths a to z, taken for runs of paths (no temporary spans the batch).
         Each sum is over its own path's segment only, so a path's sum is the
         one it has alone (0 for no events), whatever the runs.  ``vals`` is
         given the batch rather than closing over it: a kept error's
@@ -198,9 +198,8 @@ class PathBatch:
         for a, b in _runs(self.offsets):
             nonempty = self.counts[a:b] > 0
             if nonempty.any():
-                lo = self.offsets[a]
                 out[a:b][nonempty] = np.add.reduceat(
-                    vals(self, lo, self.offsets[b]), self.offsets[a:b][nonempty] - lo,
+                    vals(self, a, b), self.offsets[a:b][nonempty] - self.offsets[a],
                     dtype=dtype)
         return out
 
@@ -221,12 +220,14 @@ def _resolve_theta_and_rate(base, derived, under, seed, keys):
 
 def simulate_batch(base: BaseModel, derived: Optional[DerivedModel],
                    under: MeasureTag, horizon: float, seed: int,
-                   n: int, start_index: int = 0, family: int = 0) -> PathBatch:
+                   n: int, start_index: int = 0, family: int = 0,
+                   reads: Iterable[float] = ()) -> PathBatch:
     """Simulate n paths with per-path counter streams.
 
     ``family`` selects a disjoint block of path indices so that two
     batches under the same seed (e.g. the two sides of a reweighting
-    check) are independent.
+    check) are independent.  N_t at each t of ``reads`` is counted with
+    the paths, so N_t and S_t there read no event time.
     """
     if under.is_q_side and derived is None:
         raise ValueError(f"measure {under} requires a derived model")
@@ -236,9 +237,22 @@ def simulate_batch(base: BaseModel, derived: Optional[DerivedModel],
         + np.uint64(family * _FAMILY_STRIDE)
     keys = PathKeys.of(seed, indices)  # every lane below reuses them
     thetas, rates = _resolve_theta_and_rate(base, derived, under, seed, keys)
+    counts, counted = _arrivals(seed, keys, rates, horizon, reads)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    claim_law = derived.q_claim if under.is_q_side else base.claim_law
+    return PathBatch(thetas=thetas, counts=counts, offsets=offsets,
+                     times=partial(_draw_times, seed, keys, rates, horizon, offsets),
+                     claims=partial(_draw_claims, seed, keys, counts, offsets, claim_law),
+                     horizon=float(horizon), counted=counted)
 
+
+def _arrivals(seed, keys, rates, horizon, reads=(), times=None, offsets=None):
+    """Every path's event count and its N_t at each t of ``reads`` in
+    [0, horizon); given ``times``, each accepted time goes to its flat slot."""
+    n = rates.size
     counts = np.zeros(n, dtype=np.int64)
-    chunks: list[tuple[np.ndarray, int, np.ndarray, np.ndarray]] = []
+    counted = {float(t): np.zeros(n, dtype=np.int64) for t in reads if 0.0 <= t < horizon}
     # the still-running paths, compacted: row, path key, negated rate, time of
     # the last completed block, and the in-block partial sum carried into the
     # second sub-block (None at a block's start)
@@ -247,9 +261,12 @@ def simulate_batch(base: BaseModel, derived: Optional[DerivedModel],
     neg_rate = -rates[:, None]
     last = np.zeros((n, 1))
     carry = None
+    pending = sorted(counted)  # the t that some running path has not passed
     drawn = 0  # every running path has drawn the same number of uniforms
     while horizon > 0.0 and rows.size:
         width = _HEAD if drawn == 0 else _BLOCK - drawn % _BLOCK
+        start = last[:, 0] if carry is None else carry  # the time before the block
+        pending = [t for t in pending if t >= start.min()]
         # interarrivals -ln(u) / rate, in place (negation is exact), then
         # their running sums from the last block's time
         csum = uniforms(seed, key, LANE_ARRIVAL, drawn + np.arange(width))
@@ -260,11 +277,17 @@ def simulate_batch(base: BaseModel, derived: Optional[DerivedModel],
         np.cumsum(csum, axis=1, out=csum)
         csum += last
         ok = csum <= horizon
-        n_ok = ok.sum(axis=1)
-        # accepted times row-major (by path, in time order), after the
-        # `drawn` events every running path has had so far
-        chunks.append((rows, drawn, ok, csum[ok]))
+        # times never decrease: ok is a leading run of True, ended by argmin
+        n_ok = np.where(ok[:, -1], width, ok.argmin(axis=1))
         counts[rows] += n_ok
+        # N_t is settled in the block that passes t (a path's last block
+        # passes the horizon): `drawn`, plus its leading run of times <= t
+        for t in pending:
+            passing = (start <= t) & (csum[:, -1] > t)
+            upto = np.compress(passing, csum, axis=0) <= t
+            counted[t][rows[passing]] = drawn + upto.argmin(axis=1)
+        if times is not None:  # after the `drawn` events of every running path
+            times[(offsets[rows, None] + np.arange(drawn, drawn + width))[ok]] = csum[ok]
         if drawn + n_ok.max() > EVENT_CAP:
             raise SimulationError(
                 f"a path exceeded the {EVENT_CAP} event cap before the horizon")
@@ -275,22 +298,13 @@ def simulate_batch(base: BaseModel, derived: Optional[DerivedModel],
             carry, last = csum[full, -1], last[full]
         else:
             carry, last = None, csum[full, -1:]
-
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    claim_law = derived.q_claim if under.is_q_side else base.claim_law
-    return PathBatch(thetas=thetas, counts=counts, offsets=offsets,
-                     times=partial(_scatter, chunks, offsets),
-                     claims=partial(_draw_claims, seed, keys, counts, offsets, claim_law),
-                     horizon=float(horizon))
+    return counts, counted
 
 
-def _scatter(chunks, offsets):
-    """The accepted arrival times of every chunk, placed path by path."""
+def _draw_times(seed, keys, rates, horizon, offsets):
+    """The accepted arrival times, path by path: the batch's loop run again."""
     times = np.empty(int(offsets[-1]))
-    for rows, before, ok, accepted in chunks:
-        dest = offsets[rows, None] + np.arange(before, before + ok.shape[1])
-        times[dest[ok]] = accepted
+    _arrivals(seed, keys, rates, horizon, times=times, offsets=offsets)
     return times
 
 

@@ -19,18 +19,18 @@ cell; standard errors come from the sample variance (n - 1 denominator).
 
 Each estimator returns its ``Plan``: the ``Consumer`` of every stream it
 reads (a request ``(measure, horizon, seed, n, family)``, an ``add`` per
-chunk and a ``result``) and a ``finish`` that builds the estimate.
-``run_streams`` simulates each distinct request once and feeds every
-consumer of it, so estimators that read one stream share one pass.
-``plan.run()`` runs one plan alone; a scenario run plans all of its jobs
-first.  A consumer is fed once, so a plan runs once.
+chunk, the times it reads and a ``result``) and a ``finish`` that builds
+the estimate.  ``run_streams`` simulates each distinct request once and
+feeds every consumer of it, so estimators that read one stream share one
+pass.  ``plan.run()`` runs one plan alone; a scenario run plans all of its
+jobs first.  A consumer is fed once, so a plan runs once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -262,27 +262,32 @@ Request = Tuple[MeasureTag, float, int, int, int]
 class Consumer:
     """One estimator's reader of one stream.
 
-    ``request`` names the stream, ``add(batch)`` takes its chunks in order,
-    and ``result()`` returns ``state``, the accumulators ``add`` fills, or
-    raises the error that stopped the consumer (its own or its stream's)
-    or a ``ValueError`` if it was never fed.
+    ``request`` names the stream, ``add(batch)`` takes its chunks in order
+    and reads N or S at the times ``reads`` only (or draws event times), and
+    ``result()`` returns ``state``, the accumulators ``add`` fills, or raises
+    the error that stopped it (its own, its stream's or a plan-mate's) or a
+    ``ValueError`` if it was never fed.
     Every estimator reads at least 100 paths.
     """
 
-    def __init__(self, request: Request, add: Callable[[PathBatch], None], state):
+    def __init__(self, request: Request, add: Callable[[PathBatch], None], state,
+                 reads: Iterable[float] = ()):
         if request[3] < 100:
             raise ValueError("n must be at least 100")
         self.request = request
         self.add = add
         self.state = state
+        self.reads = frozenset(reads)
         self.error: Optional[Exception] = None
         self.fed = False
+        self.mates = [self]  # its plan's consumers, once a Plan links them
 
     def result(self):
         if not self.fed:
             raise ValueError("the consumer was never fed: run its plan first")
-        if self.error is not None:
-            raise self.error
+        for c in [self, *self.mates]:  # its own error first
+            if c.error is not None:
+                raise c.error
         return self.state
 
 
@@ -290,37 +295,37 @@ class Consumer:
 class Plan:
     """A planned estimator: the consumers to feed, and ``finish``, which
     builds the estimate from their results once ``run_streams`` fed them.
-    ``run()`` feeds them from the plan's models and finishes, once."""
+    ``run()`` feeds them from the plan's models and finishes, once.  Its
+    consumers, with their mates from earlier plans, become mates."""
 
     consumers: List[Consumer]
     finish: Callable[[], Any]
     base: Optional[BaseModel] = None
     derived: Optional[DerivedModel] = None
 
+    def __post_init__(self):
+        mates = list({id(m): m for c in self.consumers for m in c.mates}.values())
+        for m in mates:
+            m.mates = mates
+
     def run(self):
         run_streams(self.base, self.derived, self.consumers)
         return self.finish()
 
 
-def _simulate_chunked(base, derived, under, horizon, seed, n, family=FAM_DEFAULT):
-    done = 0
-    while done < n:
-        m = min(CHUNK, n - done)
-        yield simulate_batch(base, derived, under, horizon, seed,
-                             n=m, start_index=done, family=family)
-        done += m
-
-
 def run_streams(base: BaseModel, derived: Optional[DerivedModel],
                 consumers: Sequence[Consumer]) -> None:
-    """Simulate each distinct request of the consumers once, in first-request
-    order, and give every chunk to each consumer of its stream.
+    """Simulate each distinct request of the consumers once, counting N at
+    the times they read, and give every chunk to each consumer of its
+    stream.  Streams with more consumers (an error there stops the most
+    plans) run first, ties in first-request order.
 
     No chunk outlives its turn.  A consumer whose ``add`` raises keeps the
     error and is fed no more; an error of the simulation goes to every
-    consumer of that stream still being fed.  Either way ``result`` raises it.
-    A consumer is fed once: one fed before, or listed twice, is refused
-    before any path is simulated.
+    consumer of that stream still being fed, and one whose plan-mate holds
+    an error is fed no more.  Either way ``result`` raises the error.  A
+    consumer is fed once: one fed before, or listed twice, is refused before
+    any path is simulated.
     """
     if any(c.fed for c in consumers) or len({id(c) for c in consumers}) < len(consumers):
         raise ValueError("a consumer is fed once; a plan runs once")
@@ -329,18 +334,23 @@ def run_streams(base: BaseModel, derived: Optional[DerivedModel],
     streams: Dict[Request, List[Consumer]] = {}
     for c in consumers:
         streams.setdefault(c.request, []).append(c)
-    for (under, horizon, seed, n, family), live in streams.items():
+    for (under, horizon, seed, n, family), live in sorted(streams.items(),
+                                                          key=lambda kv: -len(kv[1])):
+        done = 0
         try:
-            for b in _simulate_chunked(base, derived, under, horizon, seed, n, family):
+            # a consumer whose plan-mate (or itself) failed is fed no more
+            while (live := [c for c in live if all(m.error is None for m in c.mates)]) and done < n:
+                m = min(CHUNK, n - done)
+                b = simulate_batch(base, derived, under, horizon, seed, n=m,
+                                   start_index=done, family=family,
+                                   reads=sorted(set().union(*(c.reads for c in live))))
+                done += m
                 for c in live:
                     try:
                         c.add(b)
                     except Exception as e:  # raised again by c.result()
                         c.error = _kept(e)
-                live = [c for c in live if c.error is None]
                 del b
-                if not live:
-                    break
         except Exception as e:
             for c in live:
                 c.error = _kept(e)
@@ -380,7 +390,7 @@ def _battery_consumer(request: Request, fs, t, change=None, include_xi=True) -> 
         for acc, g in zip(accs, fs):
             acc.add(g.eval_batch(b, t) * w)
 
-    return Consumer(request, add, accs)
+    return Consumer(request, add, accs, reads={t})
 
 
 def mc_estimate(f, base: BaseModel, derived: Optional[DerivedModel], under: MeasureTag,
@@ -509,7 +519,7 @@ def check_martingale(process: PathFunctional, base: BaseModel,
             for acc, ind in zip(row, indicators):
                 acc.add(np.where(ind, inc, 0.0))
 
-    c = Consumer((under, horizon, seed, n, family), add, accs)
+    c = Consumer((under, horizon, seed, n, family), add, accs, times | {ev.s for ev in events})
 
     def finish() -> MartingaleTable:
         cells = []
@@ -650,7 +660,7 @@ def singularity_probe(derived: DerivedModel, *, horizons: Sequence[float], n: in
                 parts.append(log_density_batch(b, T, change, include_xi=include_xi))
                 acc.add(parts[-1])
 
-            cells.append((T, side, Consumer((tag, T, seed, n, fam), add, (acc, parts))))
+            cells.append((T, side, Consumer((tag, T, seed, n, fam), add, (acc, parts), {T})))
 
     def finish() -> List[DriftRow]:
         rows = []

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import cmpplab.scenario
+import cmpplab.sim
 import cmpplab.verify
 from cmpplab.dist import DistError, Exponential, Gamma
 from cmpplab.model import BaseModel, derive_q_model, measure_change, validate_change
@@ -140,13 +141,13 @@ def test_run_computes_premium_quote_once(tmp_path, monkeypatch):
 
 def record_batches(monkeypatch):
     """Every simulate_batch call of the verify layer, as (under, horizon, seed,
-    n, family, start_index)."""
+    n, family, start_index); the times it counts N at are passed on."""
     seen = []
     orig = cmpplab.verify.simulate_batch
 
-    def wrapper(base, derived, under, horizon, seed, n, start_index=0, family=0):
+    def wrapper(base, derived, under, horizon, seed, n, start_index=0, family=0, reads=()):
         seen.append((under, horizon, seed, n, family, start_index))
-        return orig(base, derived, under, horizon, seed, n, start_index, family)
+        return orig(base, derived, under, horizon, seed, n, start_index, family, reads)
 
     monkeypatch.setattr(cmpplab.verify, "simulate_batch", wrapper)
     return seen
@@ -164,6 +165,18 @@ def test_no_stream_is_simulated_twice(tmp_path, monkeypatch, scenario):
     seen = record_batches(monkeypatch)
     run_rows(tmp_path, scenario)
     assert seen and len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_runs_draw_no_event_time(tmp_path, monkeypatch, scenario):
+    # every consumer declares the times it reads, so N there is counted with
+    # the paths and no batch draws its event times again
+    def refuse(*args):
+        raise AssertionError("event times drawn again")
+
+    monkeypatch.setattr(cmpplab.sim, "_draw_times", refuse)
+    rows = run_rows(tmp_path, scenario)
+    assert rows and not [r["detail"] for job, q, r in rows if q == "error"]
 
 
 @pytest.mark.parametrize("name", ["example-6.2", "example-6.1b"])
@@ -234,11 +247,13 @@ def test_consumer_error_is_its_jobs_error_row(tmp_path, monkeypatch):
 def test_stream_error_reaches_every_consumer(tmp_path, monkeypatch):
     clean = run_rows(tmp_path, "example-6.2", "clean.csv")
     orig = cmpplab.verify.simulate_batch
+    requested = []
 
-    def failing(base, derived, under, horizon, seed, n, start_index=0, family=0):
+    def failing(base, derived, under, horizon, seed, n, start_index=0, family=0, reads=()):
+        requested.append((under, horizon, family))
         if under == DERIVED_Q and family == FAM_DEFAULT and horizon == 2.0:
             raise SimulationError("cap")
-        return orig(base, derived, under, horizon, seed, n, start_index, family)
+        return orig(base, derived, under, horizon, seed, n, start_index, family, reads)
 
     monkeypatch.setattr(cmpplab.verify, "simulate_batch", failing)
     broken = run_rows(tmp_path, "example-6.2", "broken.csv")
@@ -247,6 +262,10 @@ def test_stream_error_reaches_every_consumer(tmp_path, monkeypatch):
         [(job, "error", "SimulationError: cap") for job in shared]
     assert [row for row in broken if row[0] not in shared] == \
         [row for row in clean if row[0] not in shared]
+    # the shared Q stream runs first; the simulate job's base-P consumer then
+    # takes its mate's error, and the base-P stream is not simulated
+    assert (DERIVED_Q, 2.0, FAM_DEFAULT) in requested
+    assert (BASE_P, 2.0, FAM_DEFAULT) not in requested
 
 
 def refuse_claims(self, p):

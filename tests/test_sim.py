@@ -133,6 +133,56 @@ def test_functionals_memoized_read_only_and_exact(base62, derived62):
         b.aggregates_at(2.5)
 
 
+# ---------------------------------------------------------------------------
+# N counted at declared times
+
+@pytest.fixture(params=["short", "long"])
+def declared_case(request, base62, derived62):
+    """(simulate_batch arguments, its times drawn afresh, declared times):
+    paths of a few events, most inside their first block, or of about 80
+    events over several blocks.  The declared times include 0, an event
+    time, the doubles either side of it and the horizon."""
+    tag = DERIVED_Q if request.param == "short" else conditional_p(40.0)
+    args = (base62, derived62, tag, 2.0, SEED)
+    times = simulate_batch(*args, n=3000).times
+    hit = float(times[times.size // 2])
+    return args, times, [0.0, hit, np.nextafter(hit, 0.0), np.nextafter(hit, 3.0), 0.37,
+                         1.0, 2.0]
+
+
+def test_counts_at_declared_times_equal_the_drawn_times(declared_case):
+    args, times, ts = declared_case
+    b = simulate_batch(*args, n=3000, reads=ts)
+    # counted with the paths: nothing read yet, no time drawn
+    assert {t for _, t in b._memo} == set(ts) - {2.0} and callable(b._flat["times"])
+    spans = list(zip(b.offsets[:-1], b.offsets[1:]))
+    for t in ts:
+        upto = times <= t
+        want = np.array([upto[lo:hi].sum() for lo, hi in spans], dtype=np.int64)
+        assert b.counts_at(t).tobytes() == want.tobytes(), t
+    assert callable(b._flat["times"])
+    hit, below, above = ts[1:4]
+    # the event at hit counts at hit and above, and not one double below
+    assert (b.counts_at(hit) - b.counts_at(below)).sum() >= 1
+    assert np.array_equal(b.counts_at(hit), b.counts_at(above))
+    assert not b.counts_at(0.0).any()
+    for i in (0, 1, 77, 1500, 2999):
+        solo = simulate_batch(*args, n=1, start_index=i, reads=ts)
+        assert [solo.counts_at(t)[0] for t in ts] == [b.counts_at(t)[i] for t in ts]
+
+
+def test_sums_at_declared_times_equal_eager_reference(declared_case, change62):
+    args, _, ts = declared_case
+    b = simulate_batch(*args, n=3000, reads=ts)
+    ref = simulate_batch(*args, n=3000)  # eager arrays, from its times drawn again
+    for t in ts:
+        aggs = reference_functionals(ref, t)[1]
+        assert b.aggregates_at(t).tobytes() == aggs.tobytes(), t
+        gammas = per_claim_sums(ref, t, change62.gamma)
+        assert b.claim_prefix_apply(t, change62.gamma).tobytes() == gammas.tobytes(), t
+    assert callable(b._flat["times"])
+
+
 @pytest.mark.parametrize("t", [math.nan, -0.25, -math.inf, 2.5, math.inf])
 def test_every_functional_refuses_a_time_outside_the_horizon(base62, change62, t):
     # NaN compares false both ways, so it must be refused, not read as "inside"
@@ -604,18 +654,22 @@ def test_path_sums_allocate_no_batch_long_temporary(base62):
         assert extra < flat / 4, extra
 
 
-def test_first_sum_before_t_scatters_times_before_drawing_claims(base62, monkeypatch):
-    # the scatter frees the arrival chunks, so it runs first: the chunks and
-    # the claim lane are never held at once
-    order = []
-    for name in ("_scatter", "_draw_claims"):
-        monkeypatch.setattr(sim, name, lambda *a, f=getattr(sim, name), name=name:
-                            order.append(name) or f(*a))
-    for read in (lambda b: b.aggregates_at(1.0),
-                 lambda b: b.claim_prefix_apply(1.0, parse("0.5", "x"))):
-        order.clear()
-        read(simulate_batch(base62, None, BASE_P, 2.0, seed=SEED, n=300))
-        assert order == ["_scatter", "_draw_claims"]
+def test_a_batch_holds_no_arrival_time():
+    # long-horizon's largest singularity batch: conditional Q at T = 500, 4000
+    # paths, about 3.4M events.  Until a read, the batch holds arrays of the
+    # path count only, where its event times would take 8 bytes per event
+    base = BaseModel(Exponential(0.2), Gamma(2.0, 2.0))
+    derived = derive_q_model(validate_change(base, measure_change(alpha="ln(2)"), level=1))
+    tag = conditional_q(float(base.mixing_law.quantile(0.5)))
+    tracemalloc.start()
+    try:
+        b = simulate_batch(base, derived, tag, 500.0, seed=SEED, n=4000,
+                           family=cmpplab.verify.FAM_SING_Q)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert b.offsets[-1] > 3_000_000
+    assert held < 100 * len(b), held
 
 
 def test_density_additive_over_increments(base62, change62):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import cmpplab.verify
 from cmpplab.dist import Degenerate, Exponential, Gamma, expectation
 from cmpplab.model import (BaseModel, NotValidated, derive_q_model, identity_change,
                            measure_change, validate_change)
@@ -278,11 +279,23 @@ def functional_log(monkeypatch):
 
 @pytest.mark.parametrize("process", ["v", "density"])
 def test_martingale_computes_each_functional_once_per_batch(
-        base62, derived62, change62, functional_log, process):
+        base62, derived62, change62, functional_log, monkeypatch, process):
+    declared = []
+    orig = cmpplab.verify.simulate_batch
+
+    def recorded(*args, reads=(), **kwargs):
+        declared.append(tuple(reads))
+        return orig(*args, reads=reads, **kwargs)
+
+    monkeypatch.setattr(cmpplab.verify, "simulate_batch", recorded)
     spec = process_v(derived62) if process == "v" else process_density(change62, DERIVED_Q)
     table = check_martingale(spec, base62, derived62, DERIVED_Q,
                              [(0.5, 1.0), (1.0, 2.0)], n=3000, seed=SEED).run()
     assert len(table.cells) == 16  # the default 8 events, two pairs
+    # the pilot reads S at its own horizon and declares nothing; the one
+    # 3000-path batch counts N at the pair times and at the events' anchors,
+    # 0.5 and 0 (the theta events and the whole space)
+    assert declared == [(), (0.0, 0.5, 1.0, 2.0)]
     assert len(functional_log) == len(set(functional_log))
     by_batch = {}
     for batch, kind, t in functional_log:
@@ -291,9 +304,10 @@ def test_martingale_computes_each_functional_once_per_batch(
     pilot, main = by_batch.values()
     assert pilot == {("S", 0.5)}
     # the events need N and S at s = 0.5; the process needs V_t (from S_t)
-    # or the density (from N_t) at each distinct time 0.5, 1 and 2
+    # or the density (from N_t) at each distinct time 0.5, 1 and 2.  N before
+    # the horizon was counted with the paths, so only N_2 is computed here
     kind = "S" if process == "v" else "N"
-    expected = {("N", 0.5), ("S", 0.5), (kind, 1.0), (kind, 2.0)}
+    expected = {("S", 0.5), (kind, 1.0), (kind, 2.0)} - {("N", 1.0)}
     assert main == expected
 
 
