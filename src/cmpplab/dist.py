@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
-# np.unique and np.quantile load numpy.ma on first call (14 ms): at import, not in a run
+# np.unique loads numpy.ma on first call (14 ms): at import, not in a run
 import numpy.ma  # noqa: F401
 
 from . import special

@@ -537,8 +537,7 @@ def _job_singularity(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Pl
 
     def rows() -> List[Row]:
         return [_mc_row(mk, r.drift.quantity, r.drift,
-                        f"theta={theta:.6g}, q10={r.q10:.4g}, q50={r.q50:.4g}, "
-                        f"q90={r.q90:.4g}, frac<-5={r.frac_below:.4f}, "
+                        f"theta={theta:.6g}, sd={r.sd:.4g}, frac<-5={r.frac_below:.4f}, "
                         f"frac>+5={r.frac_above:.4f}")
                 for r in plan.finish()]
 

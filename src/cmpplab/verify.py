@@ -22,8 +22,9 @@ reads (a request ``(measure, horizon, seed, n, family)``, an ``add`` per
 chunk, the times it reads and a ``result``) and a ``finish`` that builds
 the estimate.  ``run_streams`` simulates each distinct request once and
 feeds every consumer of it, so estimators that read one stream share one
-pass.  ``plan.run()`` runs one plan alone; a scenario run plans all of its
-jobs first.  A consumer is fed once, so a plan runs once.
+pass, and nothing else simulates.  ``plan.run()`` runs one plan alone; a
+scenario run plans all of its jobs first.  A consumer is fed once, so a
+plan runs once.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from .dist import clipped_expectation, expectation, log_weighted_expectation
+from .dist import Degenerate, clipped_expectation, expectation, log_weighted_expectation
 from .model import BaseModel, DerivedModel, MeasureChange
 from .sim import (BASE_P, DERIVED_Q, MeasureTag, PathBatch, conditional_p,
                   conditional_q, log_density_batch, simulate_batch)
@@ -49,8 +50,7 @@ FAMILY_LEVEL = 0.01
 FAM_DEFAULT = 0
 FAM_DIRECT = 1
 FAM_WEIGHTED = 2
-FAM_PILOT = 3
-FAM_DEGENERACY = 4
+FAM_DEGENERACY = 4  # 3 is free: a family keeps its number, so its paths
 FAM_SING_P = 5
 FAM_SING_Q = 6
 
@@ -63,8 +63,8 @@ class Moments:
 
     Each chunk's mean and M2 are taken from the chunk itself, and chunks
     merge by the pairwise update of Chan, Golub & LeVeque (1983), which does
-    not cancel the way raw sums of x and x^2 do.  On one chunk the mean and
-    ``stderr`` are bit for bit ``np.mean`` and ``np.std(ddof=1) / sqrt(n)``.
+    not cancel the way raw sums of x and x^2 do.  On one chunk ``mean``,
+    ``sd`` and ``stderr`` equal numpy's bit for bit (``ddof=1``, / sqrt(n)).
     """
 
     def __init__(self):
@@ -90,9 +90,14 @@ class Moments:
         self.n = n
 
     @property
+    def sd(self) -> float:
+        """Sample standard deviation (n - 1 denominator)."""
+        return math.sqrt(self.m2 / (self.n - 1)) if self.n > 1 else 0.0
+
+    @property
     def stderr(self) -> float:
         """Standard error of the mean, from the sample variance."""
-        return math.sqrt(self.m2 / (self.n - 1)) / math.sqrt(self.n) if self.n > 1 else 0.0
+        return self.sd / math.sqrt(self.n) if self.n > 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -200,26 +205,22 @@ def theta_in(lo: float, hi: float) -> EventSpec:
 
 
 def default_event_family(s: float, base: BaseModel, derived: Optional[DerivedModel],
-                         under: MeasureTag, seed: int) -> List[EventSpec]:
+                         under: MeasureTag) -> List[EventSpec]:
     """The 8-event default family anchored at time s.
 
-    Aggregate thresholds (median, 90th percentile of S_s) come from a
-    pilot run in its own stream family; the theta split uses the exact
-    median of the tag's mixing law.
+    All of it comes from the tag's law (theta's point mass if it fixes one):
+    S_s at most E[S_s] = s E[rate] E[X] and 2 E[S_s], and theta below or
+    above its median.
     """
-    pilot = simulate_batch(base, derived, under, horizon=s if s > 0 else 1.0,
-                           seed=seed, n=2000, family=FAM_PILOT)
-    agg = pilot.aggregates_at(s if s > 0 else pilot.horizon)
-    q50, q90 = float(np.quantile(agg, 0.5)), float(np.quantile(agg, 0.9))
-    if under.is_conditional:
-        theta_med = under.theta
-    elif under.is_q_side:
-        theta_med = float(derived.q_mixing.quantile(0.5))
-    else:
-        theta_med = float(base.mixing_law.quantile(0.5))
+    q_side = under.is_q_side
+    law = Degenerate(under.theta) if under.is_conditional else \
+        derived.q_mixing if q_side else base.mixing_law
+    theta_med = float(law.quantile(0.5))
+    mean_x = derived.claim_tilt_mean if q_side else base.claim_law.moment(1)
+    mean_s = s * expectation(law, derived.g if q_side else base.rate_fn) * mean_x
     return [
         count_at_most(s, 0), count_at_most(s, 1), count_at_most(s, 3),
-        aggregate_at_most(s, q50), aggregate_at_most(s, q90),
+        aggregate_at_most(s, mean_s), aggregate_at_most(s, 2.0 * mean_s),
         theta_in(0.0, theta_med), theta_in(theta_med, math.inf),
         whole_space(),
     ]
@@ -484,8 +485,8 @@ def check_martingale(process: PathFunctional, base: BaseModel,
     the paths of the stream ``family``; ``run()`` returns a ``MartingaleTable``.
 
     Each cell passes at 3 stderr; the table verdict applies a Bonferroni
-    correction at ``FAMILY_LEVEL`` across all cells.  The default events'
-    pilot runs here, when the plan is built.
+    correction at ``FAMILY_LEVEL`` across all cells.  The default events
+    come from the law, so building the plan simulates nothing.
     """
     if not isinstance(process, PathFunctional):
         raise TypeError(f"expected a PathFunctional, got {type(process).__name__}")
@@ -497,7 +498,7 @@ def check_martingale(process: PathFunctional, base: BaseModel,
     horizon = max(t for _, t in pairs)
     s_min = min(s for s, _ in pairs)
     if events is None:
-        events = default_event_family(s_min, base, derived, under, seed)
+        events = default_event_family(s_min, base, derived, under)
     if not events:
         raise ValueError("events is empty: a martingale table needs an event")
     for s, t in pairs:
@@ -604,9 +605,7 @@ class DriftRow:
     side: str                        # p | q
     mean_log_density: float
     drift: MCReport                  # mean / horizon, against the analytic drift
-    q10: float
-    q50: float
-    q90: float
+    sd: float                        # sample standard deviation of the log density
     frac_below: float                # log density < -5
     frac_above: float                # log density > +5
 
@@ -654,29 +653,25 @@ def singularity_probe(derived: DerivedModel, *, horizons: Sequence[float], n: in
     cells = []
     for T in horizons:
         for side, tag, fam in sides:
-            acc, parts = Moments(), []  # the parts for the quantiles
+            accs = (Moments(), Moments(), Moments())  # ln M, 1{ln M < -5}, 1{ln M > 5}
 
-            def add(b, T=T, acc=acc, parts=parts):
-                parts.append(log_density_batch(b, T, change, include_xi=include_xi))
-                acc.add(parts[-1])
+            def add(b, T=T, accs=accs):
+                log_m = log_density_batch(b, T, change, include_xi=include_xi)
+                for acc, x in zip(accs, (log_m, log_m < -5.0, log_m > 5.0)):
+                    acc.add(x.astype(float, copy=False))
 
-            cells.append((T, side, Consumer((tag, T, seed, n, fam), add, (acc, parts), {T})))
+            cells.append((T, side, Consumer((tag, T, seed, n, fam), add, accs, {T})))
 
     def finish() -> List[DriftRow]:
         rows = []
         for T, side, c in cells:
-            acc, parts = c.result()
-            vals = np.concatenate(parts)
+            acc, below, above = c.result()
             oracle = _drift_oracle(base, change, derived, side, theta_fixed, T)
             drift = MCReport(f"log-density drift T={T:g} under {side}", acc.mean / T,
                              acc.stderr / T, acc.n, oracle)
             rows.append(DriftRow(
                 horizon=T, side=side, mean_log_density=acc.mean, drift=drift,
-                q10=float(np.quantile(vals, 0.1)), q50=float(np.quantile(vals, 0.5)),
-                q90=float(np.quantile(vals, 0.9)),
-                frac_below=float(np.mean(vals < -5.0)),
-                frac_above=float(np.mean(vals > 5.0)),
-            ))
+                sd=acc.sd, frac_below=below.mean, frac_above=above.mean))
         return rows
 
     return Plan([c for _, _, c in cells], finish, base, derived)

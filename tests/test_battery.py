@@ -22,6 +22,7 @@ import cmpplab.sim
 import cmpplab.verify
 from cmpplab.dist import DistError, Exponential, Gamma
 from cmpplab.model import BaseModel, derive_q_model, measure_change, validate_change
+from cmpplab.premium import premium_density
 from cmpplab.scenario import run_scenario
 from cmpplab.expr import DomainError
 from cmpplab.scenario import BUILTIN_SCENARIOS, resolve_scenario
@@ -115,9 +116,9 @@ def test_run_simulates_each_stream_once(tmp_path, monkeypatch):
     counted(cmpplab.scenario, "validate_change")
     out = tmp_path / "r62.csv"
     assert run_scenario("example-6.2", {"paths": 1000, "output": str(out)}) in (0, 1)
-    # simulate 2, verify-reweighting 2, verify-martingale 1 (its pilot; its
-    # paths are simulate's Q stream, simulated once for both), degeneracy 1
-    assert calls == {"simulate_batch": 6, "derive_q_model": 1, "validate_change": 1}
+    # simulate 2, verify-reweighting 2, degeneracy 1; verify-martingale reads
+    # simulate's Q stream, simulated once for both
+    assert calls == {"simulate_batch": 5, "derive_q_model": 1, "validate_change": 1}
 
 
 def test_run_computes_premium_quote_once(tmp_path, monkeypatch):
@@ -137,6 +138,18 @@ def test_run_computes_premium_quote_once(tmp_path, monkeypatch):
     assert run_scenario(str(scn), {"output": str(tmp_path / "q.csv")}) in (0, 1)
     # the premium and simulate jobs share the run's quote
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_planning_simulates_nothing(scenario, no_simulation):
+    # every job plans its consumers without a path: only run_streams
+    # simulates, so every simulation is deduplicated and fed in chunks
+    scn = resolve_scenario(scenario)
+    derived = derive_q_model(validate_change(scn.base, scn.change, scn.level))
+    quote = lambda: premium_density(scn.base, derived)
+    planned = [cmpplab.scenario._JOB_RUNNERS[job](scn, derived, quote)
+               for job in scn.jobs if job != "validate"]
+    assert sum(len(plan.consumers) for plan in planned) >= 2
 
 
 def record_batches(monkeypatch):
@@ -189,7 +202,7 @@ def test_run_rows_match_standalone_entry_points(tmp_path, monkeypatch, name):
     chunks = {}
     for under, horizon, seed, n, family, start in seen:
         chunks[(under, horizon, family)] = chunks.get((under, horizon, family), 0) + 1
-    assert min(c for (_, _, fam), c in chunks.items() if fam != cmpplab.verify.FAM_PILOT) >= 3
+    assert min(chunks.values()) >= 3
 
     scn = resolve_scenario(name)
     base, n, t = scn.base, 1000, scn.horizon

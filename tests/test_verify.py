@@ -8,8 +8,9 @@ from cmpplab.dist import Degenerate, Exponential, Gamma, expectation
 from cmpplab.model import (BaseModel, NotValidated, derive_q_model, identity_change,
                            measure_change, validate_change)
 from cmpplab.premium import esscher_change, expected_value_change
-from cmpplab.sim import (BASE_P, DERIVED_Q, PathBatch, conditional_p, log_density_batch,
-                         simulate_batch)
+from cmpplab.scenario import resolve_scenario
+from cmpplab.sim import (BASE_P, DERIVED_Q, PathBatch, conditional_p, conditional_q,
+                         log_density_batch, simulate_batch)
 from cmpplab.verify import (DegeneracyResult, MCReport, Moments, PathFunctional,
                             aggregate_at_most, check_martingale, check_reweighting,
                             count_at_most, default_event_family, degeneracy_test,
@@ -149,7 +150,7 @@ def test_bare_callable_is_refused_when_planned(base62, derived62, no_simulation)
             mc_estimate(f, base62, derived62, BASE_P, 1.0, 500, SEED)
         with pytest.raises(TypeError, match="PathFunctional"):
             check_reweighting(f, derived62, t=1.0, n=500, seed=SEED)
-    # before the default events' pilot, too
+    # before the default events are built, too
     with pytest.raises(TypeError, match="expected a PathFunctional, got function"):
         check_martingale(lambda b, t: b.aggregates_at(t), base62, derived62, DERIVED_Q,
                          [(0.5, 1.0)], n=200_000, seed=1)
@@ -292,17 +293,14 @@ def test_martingale_computes_each_functional_once_per_batch(
     table = check_martingale(spec, base62, derived62, DERIVED_Q,
                              [(0.5, 1.0), (1.0, 2.0)], n=3000, seed=SEED).run()
     assert len(table.cells) == 16  # the default 8 events, two pairs
-    # the pilot reads S at its own horizon and declares nothing; the one
-    # 3000-path batch counts N at the pair times and at the events' anchors,
-    # 0.5 and 0 (the theta events and the whole space)
-    assert declared == [(), (0.0, 0.5, 1.0, 2.0)]
+    # the one 3000-path batch counts N at the pair times and at the events'
+    # anchors, 0.5 and 0 (the theta events and the whole space)
+    assert declared == [(0.0, 0.5, 1.0, 2.0)]
     assert len(functional_log) == len(set(functional_log))
     by_batch = {}
     for batch, kind, t in functional_log:
         by_batch.setdefault(batch, set()).add((kind, t))
-    # the pilot batch of the event family, then the one 3000-path batch
-    pilot, main = by_batch.values()
-    assert pilot == {("S", 0.5)}
+    main, = by_batch.values()
     # the events need N and S at s = 0.5; the process needs V_t (from S_t)
     # or the density (from N_t) at each distinct time 0.5, 1 and 2.  N before
     # the horizon was counted with the paths, so only N_2 is computed here
@@ -324,16 +322,56 @@ def test_repeated_events_are_separate_cells(base62, derived62):
     assert twice.z_threshold > once.z_threshold
 
 
-def test_default_family_keeps_eight_cells_when_descriptions_repeat():
-    # at this low intensity S_0.5 is 0 on most paths, so both aggregate
-    # events read S_0.5<=0
-    base = BaseModel(Exponential(0.2), Gamma(200.0, 2.0))
-    derived = derive_q_model(validate_change(base, identity_change()))
-    events = default_event_family(0.5, base, derived, DERIVED_Q, SEED)
-    assert events[3].name == events[4].name == "S_0.5<=0"
+def _family_case(name):
+    """(base, derived, s, horizon) of a default martingale table: a
+    low-intensity mixing whose S_0.5 is 0 on most paths, or a builtin's
+    first pair."""
+    if name.startswith("low-intensity"):
+        claim = Exponential(0.2) if name.endswith("exp") else Gamma(1.0, 0.5)
+        base = BaseModel(claim, Gamma(200.0, 2.0))
+        return base, derive_q_model(validate_change(base, identity_change())), 0.5, 1.0
+    scn = resolve_scenario(name)
+    derived = derive_q_model(validate_change(scn.base, scn.change, scn.level))
+    return scn.base, derived, scn.horizon / 4.0, scn.horizon
+
+
+@pytest.mark.parametrize("name", ["low-intensity-exp", "low-intensity-gamma",
+                                  "example-6.1a", "example-6.3"])
+def test_default_family_has_eight_distinct_events(name):
+    # the aggregate thresholds E[S_s] and 2 E[S_s] come from the law: with
+    # positive claims neither event is N_s<=0, which a sample median of 0
+    # made them
+    base, derived, s, horizon = _family_case(name)
+    events = default_event_family(s, base, derived, DERIVED_Q)
+    assert len({ev.name for ev in events}) == 8
     table = check_martingale(process_v(derived), base, derived, DERIVED_Q,
-                             [(0.5, 1.0)], n=2000, seed=SEED).run()
+                             [(s, 2.0 * s)], n=2000, seed=SEED).run()
     assert [c.report.quantity for c in table.cells] == [ev.name for ev in events]
+    # about 15 of 2000 paths have a claim by 0.5 at low intensity, and an
+    # exp(rate=0.2) claim is below 2 E[S_0.5] = 0.05 with probability 1%:
+    # the difference needs 20000 paths there
+    n = 20_000 if name == "low-intensity-exp" else 2000
+    b = simulate_batch(base, derived, DERIVED_Q, horizon, SEED, n=n)
+    no_claim = events[0].indicator(b)
+    for ev in events[3:5]:
+        assert ev.name.startswith(f"S_{s:g}<=")
+        assert (ev.indicator(b) != no_claim).any(), ev.name
+
+
+@pytest.mark.parametrize("tag", [BASE_P, DERIVED_Q, conditional_p(1.5), conditional_q(1.5)])
+def test_default_family_thresholds_come_from_the_law(base62, derived62, tag, no_simulation):
+    # E[S_s] = s E[rate] E[X] under the tag: the base or derived rate and
+    # claim mean, the mixing law integrated or theta fixed
+    rate, e_x = ((derived62.g, derived62.claim_tilt_mean) if tag.is_q_side
+                 else (base62.rate_fn, base62.claim_law.moment(1)))
+    law = derived62.q_mixing if tag.is_q_side else base62.mixing_law
+    e_rate = (rate.eval_array(np.array([tag.theta]))[0] if tag.is_conditional
+              else expectation(law, rate))
+    events = default_event_family(0.5, base62, derived62, tag)
+    assert [ev.name for ev in events[3:5]] == \
+        [aggregate_at_most(0.5, c * 0.5 * e_rate * e_x).name for c in (1.0, 2.0)]
+    theta_med = tag.theta if tag.is_conditional else law.quantile(0.5)
+    assert events[5].name == theta_in(0.0, theta_med).name
 
 
 def test_event_anchor_validation(base62, derived62):
@@ -463,6 +501,25 @@ def test_expected_value_drifts(base62):
         assert p_row.drift.verdict == "pass" and q_row.drift.verdict == "pass"
     # divergence trend: mass below -5 grows with the horizon on the base side
     assert by[(50.0, "p")].frac_below > by[(10.0, "p")].frac_below
+
+
+def test_singularity_consumer_holds_only_moments(base62):
+    # ln M and the shares beyond -+5 stream through Moments; on one chunk
+    # they are numpy's values bit for bit
+    derived = derive_q_model(validate_change(base62, expected_value_change(math.log(2.0)),
+                                             level=2))
+    plan = singularity_probe(derived, horizons=[50.0], n=1000, seed=SEED, theta_fixed=1.0)
+    rows = plan.run()
+    assert all(isinstance(acc, Moments) for c in plan.consumers for acc in c.state)
+    for row, tag, fam in zip(rows, (conditional_p(1.0), conditional_q(1.0)),
+                             (cmpplab.verify.FAM_SING_P, cmpplab.verify.FAM_SING_Q)):
+        b = simulate_batch(base62, derived, tag, 50.0, SEED, n=1000, family=fam)
+        log_m = log_density_batch(b, 50.0, derived.change, include_xi=False)
+        assert row.mean_log_density == np.mean(log_m)
+        assert row.sd == np.std(log_m, ddof=1)
+        assert row.frac_below == np.mean(log_m < -5.0)
+        assert row.frac_above == np.mean(log_m > 5.0)
+    assert rows[0].frac_below > 0.0 and rows[1].frac_above > 0.0
 
 
 def test_drift_sign_battery(base62):
