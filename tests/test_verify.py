@@ -323,25 +323,23 @@ def test_repeated_events_are_separate_cells(base62, derived62):
 
 
 def _family_case(name):
-    """(base, derived, s, horizon) of a default martingale table: a
-    low-intensity mixing whose S_0.5 is 0 on most paths, or a builtin's
-    first pair."""
+    """(base, derived, s) of a default martingale table: a low-intensity
+    mixing whose S_0.5 is 0 on most paths, or a builtin's first pair start."""
     if name.startswith("low-intensity"):
         claim = Exponential(0.2) if name.endswith("exp") else Gamma(1.0, 0.5)
         base = BaseModel(claim, Gamma(200.0, 2.0))
-        return base, derive_q_model(validate_change(base, identity_change())), 0.5, 1.0
+        return base, derive_q_model(validate_change(base, identity_change())), 0.5
     scn = resolve_scenario(name)
     derived = derive_q_model(validate_change(scn.base, scn.change, scn.level))
-    return scn.base, derived, scn.horizon / 4.0, scn.horizon
+    return scn.base, derived, scn.horizon / 4.0
 
 
 @pytest.mark.parametrize("name", ["low-intensity-exp", "low-intensity-gamma",
                                   "example-6.1a", "example-6.3"])
 def test_default_family_has_eight_distinct_events(name):
-    # the aggregate thresholds E[S_s] and 2 E[S_s] come from the law: with
-    # positive claims neither event is N_s<=0, which a sample median of 0
-    # made them
-    base, derived, s, horizon = _family_case(name)
+    # the aggregate thresholds E[S_s] and 2 E[S_s] are positive, so with
+    # positive claims neither event is N_s<=0
+    base, derived, s = _family_case(name)
     events = default_event_family(s, base, derived, DERIVED_Q)
     assert len({ev.name for ev in events}) == 8
     table = check_martingale(process_v(derived), base, derived, DERIVED_Q,
@@ -351,7 +349,7 @@ def test_default_family_has_eight_distinct_events(name):
     # exp(rate=0.2) claim is below 2 E[S_0.5] = 0.05 with probability 1%:
     # the difference needs 20000 paths there
     n = 20_000 if name == "low-intensity-exp" else 2000
-    b = simulate_batch(base, derived, DERIVED_Q, horizon, SEED, n=n)
+    b = simulate_batch(base, derived, DERIVED_Q, 2.0 * s, SEED, n=n)
     no_claim = events[0].indicator(b)
     for ev in events[3:5]:
         assert ev.name.startswith(f"S_{s:g}<=")
