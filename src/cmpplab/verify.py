@@ -18,13 +18,13 @@ Every estimator streams its samples through one ``Moments`` accumulator per
 cell; standard errors come from the sample variance (n - 1 denominator).
 
 Each estimator returns its ``Plan``: the ``Consumer`` of every stream it
-reads (a request ``(measure, horizon, seed, n, family)``, an ``add`` per
-chunk, the times it reads and a ``result``) and a ``finish`` that builds
-the estimate.  ``run_streams`` simulates each distinct request once and
-feeds every consumer of it, so estimators that read one stream share one
-pass, and nothing else simulates.  ``plan.run()`` runs one plan alone; a
-scenario run plans all of its jobs first.  A consumer is fed once, so a
-plan runs once.
+reads (a request ``(measure, seed, n, family)``, an ``add`` per chunk,
+the times it reads and a ``result``) and a ``finish`` that builds the
+estimate.  ``run_streams`` simulates each distinct request once, to the
+latest time its consumers read, and feeds every consumer of it, so
+estimators that read one stream share one pass, and nothing else
+simulates.  ``plan.run()`` runs one plan alone; a scenario run plans all
+of its jobs first.  A consumer is fed once, so a plan runs once.
 """
 
 from __future__ import annotations
@@ -206,24 +206,22 @@ def theta_in(lo: float, hi: float) -> EventSpec:
 
 def default_event_family(s: float, base: BaseModel, derived: Optional[DerivedModel],
                          under: MeasureTag) -> List[EventSpec]:
-    """The 8-event default family anchored at time s.
-
-    All of it comes from the tag's law (theta's point mass if it fixes one):
-    S_s at most E[S_s] = s E[rate] E[X] and 2 E[S_s], and theta below or
-    above its median.
-    """
+    """The default family anchored at time s: N_s at most 0, 1 and 3, S_s at
+    most E[S_s] = s E[rate] E[X] and 2 E[S_s], theta below or above its
+    median, and the whole space; at s = 0, where N_0 = S_0 = 0, only the
+    last three.  All of it comes from the tag's law (theta's point mass if
+    it fixes one)."""
     q_side = under.is_q_side
     law = Degenerate(under.theta) if under.is_conditional else \
         derived.q_mixing if q_side else base.mixing_law
     theta_med = float(law.quantile(0.5))
-    mean_x = derived.claim_tilt_mean if q_side else base.claim_law.moment(1)
-    mean_s = s * expectation(law, derived.g if q_side else base.rate_fn) * mean_x
-    return [
-        count_at_most(s, 0), count_at_most(s, 1), count_at_most(s, 3),
-        aggregate_at_most(s, mean_s), aggregate_at_most(s, 2.0 * mean_s),
-        theta_in(0.0, theta_med), theta_in(theta_med, math.inf),
-        whole_space(),
-    ]
+    events = [theta_in(0.0, theta_med), theta_in(theta_med, math.inf), whole_space()]
+    if s > 0.0:
+        mean_x = derived.claim_tilt_mean if q_side else base.claim_law.moment(1)
+        mean_s = s * expectation(law, derived.g if q_side else base.rate_fn) * mean_x
+        events[:0] = [count_at_most(s, 0), count_at_most(s, 1), count_at_most(s, 3),
+                      aggregate_at_most(s, mean_s), aggregate_at_most(s, 2.0 * mean_s)]
+    return events
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +254,8 @@ def process_density(change: MeasureChange, under: MeasureTag) -> PathFunctional:
 # ---------------------------------------------------------------------------
 # streams and their consumers
 
-# (measure, horizon, seed, n, family): one stream of paths, simulated in chunks
-Request = Tuple[MeasureTag, float, int, int, int]
+# (measure, seed, n, family): one stream of paths, simulated in chunks
+Request = Tuple[MeasureTag, int, int, int]
 
 
 class Consumer:
@@ -268,17 +266,19 @@ class Consumer:
     ``result()`` returns ``state``, the accumulators ``add`` fills, or raises
     the error that stopped it (its own, its stream's or a plan-mate's) or a
     ``ValueError`` if it was never fed.
-    Every estimator reads at least 100 paths.
+    Every estimator reads at least 100 paths, at one time or more.
     """
 
     def __init__(self, request: Request, add: Callable[[PathBatch], None], state,
-                 reads: Iterable[float] = ()):
-        if request[3] < 100:
+                 reads: Iterable[float]):
+        if request[2] < 100:
             raise ValueError("n must be at least 100")
+        self.reads = frozenset(reads)
+        if not self.reads or not all(math.isfinite(t) and t >= 0.0 for t in self.reads):
+            raise ValueError(f"reads must be finite times >= 0, one at least: {sorted(self.reads)}")
         self.request = request
         self.add = add
         self.state = state
-        self.reads = frozenset(reads)
         self.error: Optional[Exception] = None
         self.fed = False
         self.mates = [self]  # its plan's consumers, once a Plan links them
@@ -316,10 +316,14 @@ class Plan:
 
 def run_streams(base: BaseModel, derived: Optional[DerivedModel],
                 consumers: Sequence[Consumer]) -> None:
-    """Simulate each distinct request of the consumers once, counting N at
-    the times they read, and give every chunk to each consumer of its
-    stream.  Streams with more consumers (an error there stops the most
-    plans) run first, ties in first-request order.
+    """Simulate each distinct request of the consumers once, to the latest
+    time any of its consumers reads (failed ones too), counting N at those
+    times, and give every chunk to each consumer of its stream.  Streams
+    with more consumers (an error there stops the most plans) run first,
+    ties in first-request order.  Below the horizon S_t sums a path's first
+    N_t claims and zeros by pairwise ``np.add.reduceat``, so plans reading
+    one request's claims at different horizons may see S_t differ in its
+    last bit from a run of each alone.
 
     No chunk outlives its turn.  A consumer whose ``add`` raises keeps the
     error and is fed no more; an error of the simulation goes to every
@@ -330,21 +334,19 @@ def run_streams(base: BaseModel, derived: Optional[DerivedModel],
     """
     if any(c.fed for c in consumers) or len({id(c) for c in consumers}) < len(consumers):
         raise ValueError("a consumer is fed once; a plan runs once")
-    for c in consumers:
-        c.fed = True
     streams: Dict[Request, List[Consumer]] = {}
     for c in consumers:
+        c.fed = True
         streams.setdefault(c.request, []).append(c)
-    for (under, horizon, seed, n, family), live in sorted(streams.items(),
-                                                          key=lambda kv: -len(kv[1])):
+    for (under, seed, n, family), live in sorted(streams.items(), key=lambda kv: -len(kv[1])):
+        reads = sorted(set().union(*(c.reads for c in live)))
         done = 0
         try:
             # a consumer whose plan-mate (or itself) failed is fed no more
             while (live := [c for c in live if all(m.error is None for m in c.mates)]) and done < n:
                 m = min(CHUNK, n - done)
-                b = simulate_batch(base, derived, under, horizon, seed, n=m,
-                                   start_index=done, family=family,
-                                   reads=sorted(set().union(*(c.reads for c in live))))
+                b = simulate_batch(base, derived, under, reads[-1], seed, n=m,
+                                   start_index=done, family=family, reads=reads)
                 done += m
                 for c in live:
                     try:
@@ -400,7 +402,7 @@ def mc_estimate(f, base: BaseModel, derived: Optional[DerivedModel], under: Meas
     ``run()`` returns an ``MCReport``.  A battery (list or tuple, ``oracle``
     a sequence or None) shares one simulation and returns a list of them."""
     fs, oracles, single = _battery(f, oracle)
-    c = _battery_consumer((under, t, seed, n, FAM_DEFAULT), fs, t)
+    c = _battery_consumer((under, seed, n, FAM_DEFAULT), fs, t)
 
     def finish():
         reps = [MCReport.from_moments(g.name, acc, o)
@@ -436,8 +438,8 @@ def check_reweighting(f, derived: DerivedModel, *, t: float, n: int, seed: int,
     tag_q = DERIVED_Q if theta is None else conditional_q(theta)
     tag_p = BASE_P if theta is None else conditional_p(theta)
     fs, oracles, single = _battery(f, oracle)
-    direct = _battery_consumer((tag_q, t, seed, n, FAM_DIRECT), fs, t)
-    weighted = _battery_consumer((tag_p, t, seed, n, FAM_WEIGHTED), fs, t,
+    direct = _battery_consumer((tag_q, seed, n, FAM_DIRECT), fs, t)
+    weighted = _battery_consumer((tag_p, seed, n, FAM_WEIGHTED), fs, t,
                                  derived.change, include_xi=theta is None)
 
     def finish():
@@ -495,16 +497,14 @@ def check_martingale(process: PathFunctional, base: BaseModel,
     for s, t in pairs:
         if not 0.0 <= s < t:
             raise ValueError(f"need 0 <= s < t, got ({s}, {t})")
-    horizon = max(t for _, t in pairs)
     s_min = min(s for s, _ in pairs)
     if events is None:
         events = default_event_family(s_min, base, derived, under)
     if not events:
         raise ValueError("events is empty: a martingale table needs an event")
-    for s, t in pairs:
-        for ev in events:
-            if ev.s > s:
-                raise ValueError(f"event {ev.name} anchored after the pair start s={s:g}")
+    for ev in events:
+        if ev.s > s_min:
+            raise ValueError(f"event {ev.name} anchored after the pair start s={s_min:g}")
 
     times = {u for pair in pairs for u in pair}
     # one accumulator per (pair, event) position, so repeated events or
@@ -520,7 +520,7 @@ def check_martingale(process: PathFunctional, base: BaseModel,
             for acc, ind in zip(row, indicators):
                 acc.add(np.where(ind, inc, 0.0))
 
-    c = Consumer((under, horizon, seed, n, family), add, accs, times | {ev.s for ev in events})
+    c = Consumer((under, seed, n, family), add, accs, times | {ev.s for ev in events})
 
     def finish() -> MartingaleTable:
         cells = []
@@ -637,7 +637,7 @@ def _drift_oracle(base: BaseModel, change: MeasureChange, derived: DerivedModel,
 def singularity_probe(derived: DerivedModel, *, horizons: Sequence[float], n: int,
                       seed: int, theta_fixed: Optional[float] = None) -> Plan:
     """Log likelihood-ratio drift table under both measures, one stream per
-    (horizon, side); ``run()`` returns a list of ``DriftRow``.
+    side read at every horizon; ``run()`` returns a list of ``DriftRow``.
 
     Progressive equivalence holds at every finite horizon while the
     measures separate in the limit: under the base measure the drift is
@@ -650,28 +650,29 @@ def singularity_probe(derived: DerivedModel, *, horizons: Sequence[float], n: in
     include_xi = theta_fixed is None
     sides = (("p", BASE_P if include_xi else conditional_p(theta_fixed), FAM_SING_P),
              ("q", DERIVED_Q if include_xi else conditional_q(theta_fixed), FAM_SING_Q))
-    cells = []
-    for T in horizons:
-        for side, tag, fam in sides:
-            accs = (Moments(), Moments(), Moments())  # ln M, 1{ln M < -5}, 1{ln M > 5}
+    consumers = []
+    for _, tag, fam in sides:
+        accs = [(Moments(), Moments(), Moments()) for _ in horizons]
 
-            def add(b, T=T, accs=accs):
+        def add(b, accs=accs):
+            for T, triple in zip(horizons, accs):
                 log_m = log_density_batch(b, T, change, include_xi=include_xi)
-                for acc, x in zip(accs, (log_m, log_m < -5.0, log_m > 5.0)):
+                for acc, x in zip(triple, (log_m, log_m < -5.0, log_m > 5.0)):
                     acc.add(x.astype(float, copy=False))
 
-            cells.append((T, side, Consumer((tag, T, seed, n, fam), add, accs, {T})))
+        consumers.append(Consumer((tag, seed, n, fam), add, accs, horizons))
 
     def finish() -> List[DriftRow]:
         rows = []
-        for T, side, c in cells:
-            acc, below, above = c.result()
-            oracle = _drift_oracle(base, change, derived, side, theta_fixed, T)
-            drift = MCReport(f"log-density drift T={T:g} under {side}", acc.mean / T,
-                             acc.stderr / T, acc.n, oracle)
-            rows.append(DriftRow(
-                horizon=T, side=side, mean_log_density=acc.mean, drift=drift,
-                sd=acc.sd, frac_below=below.mean, frac_above=above.mean))
+        for i, T in enumerate(horizons):
+            for (side, _, _), c in zip(sides, consumers):
+                acc, below, above = c.result()[i]
+                oracle = _drift_oracle(base, change, derived, side, theta_fixed, T)
+                drift = MCReport(f"log-density drift T={T:g} under {side}", acc.mean / T,
+                                 acc.stderr / T, acc.n, oracle)
+                rows.append(DriftRow(
+                    horizon=T, side=side, mean_log_density=acc.mean, drift=drift,
+                    sd=acc.sd, frac_below=below.mean, frac_above=above.mean))
         return rows
 
-    return Plan([c for _, _, c in cells], finish, base, derived)
+    return Plan(consumers, finish, base, derived)

@@ -3,8 +3,9 @@
 A battery is evaluated on one pass over shared batches; it must give the
 same reports, bit for bit, as one call per functional.  A scenario run
 plans every job's stream requests first and simulates each distinct
-(measure, horizon, seed, family, n) stream once for all of its jobs; its
-rows equal the standalone entry points', and an error stays in its job.
+(measure, seed, n, family) stream once for all of its jobs, to the latest
+time they read; its rows equal the standalone entry points', and an error
+stays in its job.
 It validates and derives its model once.
 """
 
@@ -26,11 +27,12 @@ from cmpplab.premium import premium_density
 from cmpplab.scenario import run_scenario
 from cmpplab.expr import DomainError
 from cmpplab.scenario import BUILTIN_SCENARIOS, resolve_scenario
-from cmpplab.sim import BASE_P, DERIVED_Q, SimulationError, simulate_batch
-from cmpplab.verify import (FAM_DEFAULT, Consumer, PathFunctional, check_martingale,
-                            check_reweighting, degeneracy_test, f_aggregate,
-                            f_count, f_count_eq, f_one, mc_estimate, process_v,
-                            run_streams, singularity_probe)
+from cmpplab.sim import (BASE_P, DERIVED_Q, SimulationError, conditional_p, conditional_q,
+                         log_density_batch, simulate_batch)
+from cmpplab.verify import (FAM_DEFAULT, FAM_SING_P, FAM_SING_Q, Consumer, Moments,
+                            PathFunctional, check_martingale, check_reweighting,
+                            degeneracy_test, f_aggregate, f_count, f_count_eq, f_one,
+                            mc_estimate, process_v, run_streams, singularity_probe)
 
 SEED = 20190521
 WORKLOADS = Path(__file__).parent.parent / "benchmarks" / "workloads"
@@ -99,7 +101,15 @@ def test_chunked_estimate_matches_concatenated_samples(base62, derived62, small_
     assert rep.stderr == pytest.approx(se, rel=1e-12, abs=0.0)
 
 
-def test_run_simulates_each_stream_once(tmp_path, monkeypatch):
+# the streams of each scenario's jobs: simulate 2, verify-reweighting 2,
+# degeneracy 1, singularity 2 (one per side, for both horizons) and
+# verify-martingale 1, or none beside simulate, whose Q stream it reads
+STREAMS = {"example-6.1a": 4, "example-6.1b": 6, "example-6.2": 5, "example-6.3": 4,
+           "long-horizon": 3, "tilted-mixture": 5}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_run_simulates_each_stream_once(tmp_path, monkeypatch, scenario):
     calls = {"simulate_batch": 0, "derive_q_model": 0, "validate_change": 0}
 
     def counted(module, name):
@@ -114,11 +124,10 @@ def test_run_simulates_each_stream_once(tmp_path, monkeypatch):
     counted(cmpplab.verify, "simulate_batch")
     counted(cmpplab.scenario, "derive_q_model")
     counted(cmpplab.scenario, "validate_change")
-    out = tmp_path / "r62.csv"
-    assert run_scenario("example-6.2", {"paths": 1000, "output": str(out)}) in (0, 1)
-    # simulate 2, verify-reweighting 2, degeneracy 1; verify-martingale reads
-    # simulate's Q stream, simulated once for both
-    assert calls == {"simulate_batch": 5, "derive_q_model": 1, "validate_change": 1}
+    out = tmp_path / "r.csv"
+    assert run_scenario(scenario, {"paths": 1000, "output": str(out)}) in (0, 1)
+    streams = STREAMS[Path(scenario).name.removesuffix(".scn")]  # one chunk each
+    assert calls == {"simulate_batch": streams, "derive_q_model": 1, "validate_change": 1}
 
 
 def test_run_computes_premium_quote_once(tmp_path, monkeypatch):
@@ -153,13 +162,14 @@ def test_planning_simulates_nothing(scenario, no_simulation):
 
 
 def record_batches(monkeypatch):
-    """Every simulate_batch call of the verify layer, as (under, horizon, seed,
-    n, family, start_index); the times it counts N at are passed on."""
+    """Every simulate_batch call of the verify layer, as (under, seed, n,
+    family, start_index), whatever horizon it simulates to; the horizon and
+    the times it counts N at are passed on."""
     seen = []
     orig = cmpplab.verify.simulate_batch
 
     def wrapper(base, derived, under, horizon, seed, n, start_index=0, family=0, reads=()):
-        seen.append((under, horizon, seed, n, family, start_index))
+        seen.append((under, seed, n, family, start_index))
         return orig(base, derived, under, horizon, seed, n, start_index, family, reads)
 
     monkeypatch.setattr(cmpplab.verify, "simulate_batch", wrapper)
@@ -200,8 +210,8 @@ def test_run_rows_match_standalone_entry_points(tmp_path, monkeypatch, name):
     listed = run_rows(tmp_path, name)
     rows = {(job, q): r for job, q, r in listed}
     chunks = {}
-    for under, horizon, seed, n, family, start in seen:
-        chunks[(under, horizon, family)] = chunks.get((under, horizon, family), 0) + 1
+    for under, seed, n, family, start in seen:
+        chunks[(under, family)] = chunks.get((under, family), 0) + 1
     assert min(chunks.values()) >= 3
 
     scn = resolve_scenario(name)
@@ -237,6 +247,31 @@ def test_run_rows_match_standalone_entry_points(tmp_path, monkeypatch, name):
                                    theta_fixed=theta).run():
             assert got("singularity", f"log-density drift T={r.horizon:g} under {r.side}") \
                 == (r.drift.estimate, r.drift.stderr)
+
+
+@pytest.mark.parametrize("scenario", ["example-6.1b", str(WORKLOADS / "long-horizon.scn")])
+def test_merged_singularity_sides_equal_separate_horizons(monkeypatch, scenario):
+    # both changes have gamma = 0, so ln M~_T reads only N_T and theta: one
+    # stream per side, simulated to 25T, gives the 5T rows of a stream that
+    # ends at 5T bit for bit, chunk by chunk
+    monkeypatch.setattr(cmpplab.verify, "CHUNK", 300)
+    scn = resolve_scenario(scenario)
+    derived = derive_q_model(validate_change(scn.base, scn.change, scn.level))
+    theta, n = float(scn.base.mixing_law.quantile(0.5)), 1000
+    seen = record_batches(monkeypatch)
+    rows = singularity_probe(derived, horizons=[5 * scn.horizon, 25 * scn.horizon], n=n,
+                             seed=scn.seed, theta_fixed=theta).run()
+    assert len(seen) == len(set(seen)) == 2 * 4  # two streams of four chunks
+    for r in rows:
+        tag, fam = ((conditional_p(theta), FAM_SING_P) if r.side == "p"
+                    else (conditional_q(theta), FAM_SING_Q))
+        acc = Moments()
+        for start in range(0, n, 300):
+            b = simulate_batch(scn.base, derived, tag, r.horizon, scn.seed,
+                               n=min(300, n - start), start_index=start, family=fam)
+            acc.add(log_density_batch(b, r.horizon, derived.change, include_xi=False))
+        assert (r.mean_log_density, r.sd, r.drift.estimate, r.drift.stderr) == \
+            (acc.mean, acc.sd, acc.mean / r.horizon, acc.stderr / r.horizon)
 
 
 def test_consumer_error_is_its_jobs_error_row(tmp_path, monkeypatch):
@@ -311,9 +346,9 @@ def test_kept_claim_draw_error_pins_no_batch(base62, derived62, small_chunks, mo
         return batch
 
     monkeypatch.setattr(cmpplab.verify, "simulate_batch", recorded)
-    request = (BASE_P, 1.0, SEED, 4000, FAM_DEFAULT)
-    readers = [Consumer(request, lambda b: b.aggregates_at(0.5), None) for _ in range(2)]
-    counter = Consumer(request, lambda b: b.counts_at(1.0), None)
+    request = (BASE_P, SEED, 4000, FAM_DEFAULT)
+    readers = [Consumer(request, lambda b: b.aggregates_at(0.5), None, {0.5}) for _ in range(2)]
+    counter = Consumer(request, lambda b: b.counts_at(1.0), None, {1.0})
     run_streams(base62, derived62, readers + [counter])
     for c in readers:  # each reader drew, and failed, on its own
         with pytest.raises(DistError, match="no claims"):

@@ -395,8 +395,8 @@ def test_deferred_draws_equal_eager_across_chunk_boundaries(base62, derived62, m
     times, claims = eager_paths(base62, derived62, DERIVED_Q, 2.0, SEED, n=600)
     monkeypatch.setattr(cmpplab.verify, "CHUNK", 250)
     seen = []
-    consumer = Consumer((DERIVED_Q, 2.0, SEED, 600, 0),
-                        lambda b: seen.append((len(b), b.claims, b.times)), None)
+    consumer = Consumer((DERIVED_Q, SEED, 600, 0),
+                        lambda b: seen.append((len(b), b.claims, b.times)), None, {2.0})
     run_streams(base62, derived62, [consumer])
     assert consumer.result() is None and [m for m, _, _ in seen] == [250, 250, 100]
     assert np.concatenate([c for _, c, _ in seen]).tobytes() == claims.tobytes()

@@ -11,7 +11,7 @@ from cmpplab.premium import esscher_change, expected_value_change
 from cmpplab.scenario import resolve_scenario
 from cmpplab.sim import (BASE_P, DERIVED_Q, PathBatch, conditional_p, conditional_q,
                          log_density_batch, simulate_batch)
-from cmpplab.verify import (DegeneracyResult, MCReport, Moments, PathFunctional,
+from cmpplab.verify import (Consumer, DegeneracyResult, MCReport, Moments, PathFunctional,
                             aggregate_at_most, check_martingale, check_reweighting,
                             count_at_most, default_event_family, degeneracy_test,
                             f_aggregate, f_count, f_count_eq, f_one, mc_estimate,
@@ -372,6 +372,22 @@ def test_default_family_thresholds_come_from_the_law(base62, derived62, tag, no_
     assert events[5].name == theta_in(0.0, theta_med).name
 
 
+@pytest.mark.parametrize("tag", [BASE_P, DERIVED_Q, conditional_p(1.5), conditional_q(1.5)])
+def test_default_family_at_zero_has_three_events(base62, derived62, tag, no_simulation):
+    # N_0 = S_0 = 0, so every count and aggregate event at 0 is the whole space
+    events = default_event_family(0.0, base62, derived62, tag)
+    names = [ev.name for ev in events]
+    assert len(set(names)) == len(names) == 3
+    assert names[2] == "whole_space" and names[0].startswith("theta_in[0,")
+
+
+@pytest.mark.parametrize("reads", [(), [math.nan], [math.inf], [-1.0], [0.5, -math.inf]])
+def test_consumer_refuses_reads_that_give_no_horizon(reads):
+    # a stream is simulated to its consumers' latest read
+    with pytest.raises(ValueError, match="reads must be finite times >= 0, one at least"):
+        Consumer((BASE_P, SEED, 1000, 0), lambda b: None, None, reads)
+
+
 def test_event_anchor_validation(base62, derived62):
     with pytest.raises(ValueError):
         check_martingale(process_v(derived62), base62, derived62, DERIVED_Q,
@@ -502,22 +518,29 @@ def test_expected_value_drifts(base62):
 
 
 def test_singularity_consumer_holds_only_moments(base62):
-    # ln M and the shares beyond -+5 stream through Moments; on one chunk
+    # one consumer per side reads every horizon; its ln M and shares beyond
+    # -+5 stream through one Moments triple per horizon, and on one chunk
     # they are numpy's values bit for bit
     derived = derive_q_model(validate_change(base62, expected_value_change(math.log(2.0)),
                                              level=2))
-    plan = singularity_probe(derived, horizons=[50.0], n=1000, seed=SEED, theta_fixed=1.0)
+    plan = singularity_probe(derived, horizons=[10.0, 50.0], n=1000, seed=SEED,
+                             theta_fixed=1.0)
     rows = plan.run()
-    assert all(isinstance(acc, Moments) for c in plan.consumers for acc in c.state)
-    for row, tag, fam in zip(rows, (conditional_p(1.0), conditional_q(1.0)),
-                             (cmpplab.verify.FAM_SING_P, cmpplab.verify.FAM_SING_Q)):
-        b = simulate_batch(base62, derived, tag, 50.0, SEED, n=1000, family=fam)
-        log_m = log_density_batch(b, 50.0, derived.change, include_xi=False)
+    assert len(plan.consumers) == 2
+    assert all(len(c.state) == 2 and isinstance(acc, Moments)
+               for c in plan.consumers for triple in c.state for acc in triple)
+    sides = [(conditional_p(1.0), cmpplab.verify.FAM_SING_P),
+             (conditional_q(1.0), cmpplab.verify.FAM_SING_Q)]
+    for row, (tag, fam) in zip(rows, sides * 2):
+        b = simulate_batch(base62, derived, tag, row.horizon, SEED, n=1000, family=fam)
+        log_m = log_density_batch(b, row.horizon, derived.change, include_xi=False)
         assert row.mean_log_density == np.mean(log_m)
         assert row.sd == np.std(log_m, ddof=1)
         assert row.frac_below == np.mean(log_m < -5.0)
         assert row.frac_above == np.mean(log_m > 5.0)
-    assert rows[0].frac_below > 0.0 and rows[1].frac_above > 0.0
+    assert [(r.horizon, r.side) for r in rows] == [(10.0, "p"), (10.0, "q"),
+                                                   (50.0, "p"), (50.0, "q")]
+    assert rows[2].frac_below > 0.0 and rows[3].frac_above > 0.0
 
 
 def test_drift_sign_battery(base62):
