@@ -6,10 +6,13 @@
     cmpplab list
 
 Exit codes: 0 all verdicts pass, 1 some verdict failed, 2 usage or
-scenario parse error.  ``--param`` values parameterize builtin scenarios
-(e.g. ``--param c=1`` for example-6.3); file scenarios bind their own
-parameters.  The default report location is the current directory, or
-the directory named by the CMPPLAB_OUTPUT_DIR environment variable.
+scenario parse error.  The setting flags pass their text on unconverted;
+``scenario`` reads it by the rules of a scenario file's [mc] and [output]
+keys, and a refusal names the flag.  ``--param`` values parameterize
+builtin scenarios (e.g. ``--param c=1`` for example-6.3); file scenarios
+bind their own parameters.  The default report location is the current
+directory, or the directory named by the CMPPLAB_OUTPUT_DIR environment
+variable.
 """
 
 from __future__ import annotations
@@ -42,12 +45,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a scenario file or builtin scenario")
     run.add_argument("scenario", help="path to a scenario file or a builtin name")
-    run.add_argument("--seed", type=int, default=None, help="override mc.seed")
-    run.add_argument("--paths", type=int, default=None, help="override mc.paths")
-    run.add_argument("--horizon", type=float, default=None, help="override mc.horizon")
-    run.add_argument("--output", default=None, help="override the report path")
-    run.add_argument("--format", default=None, choices=OUTPUT_FORMATS,
-                     help="override the report format")
+    run.add_argument("--seed", help="override mc.seed")
+    run.add_argument("--paths", help="override mc.paths")
+    run.add_argument("--horizon", help="override mc.horizon")
+    run.add_argument("--output", help="override the report path")
+    run.add_argument("--format", help=f"override the report format "
+                                      f"({' | '.join(OUTPUT_FORMATS)})")
     run.add_argument("--param", action="append", type=_parse_param, default=[],
                      metavar="NAME=VALUE",
                      help="builtin scenario parameter (repeatable)")

@@ -114,10 +114,9 @@ class Distribution:
         m1 = self.moment(1)
         return self.moment(2) - m1 * m1
 
-    def interior_grid(self, n: int, p_lo: float = 1e-6, p_hi: float = None) -> np.ndarray:
+    def interior_grid(self, n: int, p_lo: float = 1e-6) -> np.ndarray:
         """n interior points spread by probability mass (quantile grid)."""
-        p_hi = 1.0 - p_lo if p_hi is None else p_hi
-        return np.asarray(self.quantile(np.linspace(p_lo, p_hi, n)), dtype=float)
+        return np.asarray(self.quantile(np.linspace(p_lo, 1.0 - p_lo, n)), dtype=float)
 
     def survival(self, x: float) -> float:
         return 1.0 - float(self.cdf(x))
@@ -140,10 +139,9 @@ def _blockwise(invert: Callable[[np.ndarray], np.ndarray], p: ArrayLike) -> Arra
     return _as_float_or_array(p, out.reshape(ps.shape))
 
 
-def sample_array(d: Distribution, seed: int, n: int,
-                 lane: int = LANE_MISC, draw: int = 0) -> np.ndarray:
+def sample_array(d: Distribution, seed: int, n: int) -> np.ndarray:
     """n draws, one per path index, for seeded vectorized sampling."""
-    return np.asarray(d.quantile(uniforms(seed, np.arange(n), lane, draw)), dtype=float)
+    return np.asarray(d.quantile(uniforms(seed, np.arange(n), LANE_MISC, 0)), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +561,7 @@ class Degenerate(Distribution):
     def mgf(self, s):
         return math.exp(s * self.point)
 
-    def interior_grid(self, n, p_lo=1e-6, p_hi=None):
+    def interior_grid(self, n, p_lo=1e-6):
         return np.full(n, self.point)
 
     def literal(self):

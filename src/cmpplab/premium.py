@@ -108,7 +108,7 @@ def check_condition_14(theta: float, derived: DerivedModel) -> bool:
     return math.isfinite(p_q) and p_p < p_q
 
 
-def esscher_change(c: float, base: BaseModel, xi: Optional[RealFn] = None) -> MeasureChange:
+def esscher_change(c: float, base: BaseModel) -> MeasureChange:
     """Exponential claim tilt gamma(x) = c x - ln E[e^{cX}], alpha = 0.
 
     The normalizer is evaluated once and injected as the numeric
@@ -120,16 +120,15 @@ def esscher_change(c: float, base: BaseModel, xi: Optional[RealFn] = None) -> Me
     ln_m = math.log(base.claim_law.mgf(c))
     gamma = parse("c*x - lnM", var="x", params={"c": float(c), "lnM": ln_m})
     return MeasureChange(alpha=parse("0", var="theta"), gamma=gamma,
-                         xi=xi if xi is not None else parse("1", var="theta"))
+                         xi=parse("1", var="theta"))
 
 
-def expected_value_change(c: float, xi: Optional[RealFn] = None) -> MeasureChange:
+def expected_value_change(c: float) -> MeasureChange:
     """Constant intensity multiplier: alpha = c, gamma = 0, loading e^c."""
     if not math.isfinite(c):
         raise ValueError(f"expected-value parameter must be finite, got {c!r}")
     return MeasureChange(alpha=parse("c", var="theta", params={"c": float(c)}),
-                         gamma=parse("0", var="x"),
-                         xi=xi if xi is not None else parse("1", var="theta"))
+                         gamma=parse("0", var="x"), xi=parse("1", var="theta"))
 
 
 def j_integral(c: float) -> float:

@@ -16,7 +16,7 @@ no extrapolation: a singularity at a nonzero end is resolved only down to
 the spacing of doubles there (dist integrates a beta law next to 1 in the
 distance to 1 for that reason).
 
-``integrate_semi_infinite`` truncates at [a, T] and doubles T.  Given a
+``integrate_semi_infinite`` truncates at [a, T] and doubles T.  With a
 reference tail-mass function (1 - cdf of the base law when the integrand
 is weight * density), the guard declares divergence when a doubling still
 grows the value by more than 1% although the reference tail mass beyond T
@@ -28,7 +28,7 @@ DivergentIntegral instead of a plausible-looking number.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -116,12 +116,8 @@ def integrate_finite(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) 
     return math.fsum(value.tolist())
 
 
-def integrate_semi_infinite(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    tail_mass: Optional[Callable[[float], float]] = None,
-    start: float = 1.0,
-) -> float:
+def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray], a: float,
+                            tail_mass: Callable[[float], float]) -> float:
     """Integrate f over [a, inf) under the truncation-doubling guard.
 
     ``tail_mass(T)`` returns the reference measure's mass beyond T.  A
@@ -132,7 +128,7 @@ def integrate_semi_infinite(
     the growth rate is not shrinking.  Slow divergence (e.g. logarithmic)
     is caught by the doubling budget instead.
     """
-    T = max(start, a + 1.0)
+    T = max(1.0, a + 1.0)
     prev = integrate_finite(f, a, T)
     calm_streak = 0
     last_growth = math.inf
@@ -142,7 +138,7 @@ def integrate_semi_infinite(
         if not math.isfinite(cur):
             raise DivergentIntegral(f"integral not finite beyond T={T / 2.0:g}")
         growth = abs(cur - prev) / max(abs(prev), ABS_TOL)
-        in_tail = tail_mass is not None and tail_mass(T / 2.0) < TAIL_MASS
+        in_tail = tail_mass(T / 2.0) < TAIL_MASS
         if in_tail:
             if growth > GROWTH_LIMIT and growth >= last_growth:
                 raise DivergentIntegral(
@@ -152,7 +148,7 @@ def integrate_semi_infinite(
                 )
             last_growth = growth
         calm_streak = calm_streak + 1 if growth < REL_TOL else 0
-        if calm_streak >= 2 and (in_tail or tail_mass is None):
+        if calm_streak >= 2 and in_tail:
             return cur
         prev = cur
     raise DivergentIntegral("no stabilization within the doubling budget")

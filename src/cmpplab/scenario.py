@@ -31,6 +31,11 @@ The sections and keys below are the only ones; any other is an error.
     format = csv                      # csv | json-lines
     path = reports/out.csv
 
+The ``[mc]`` and ``[output]`` keys, and the CLI flags and ``run_scenario``
+overrides that set the same run settings, share one reader, ``_setting``:
+a bad value is refused, naming its file:line or flag, before any path is
+simulated, and a setting no file sets keeps its ``Scenario`` default.
+
 Four builtin scenarios ship with the package (example-6.1a, example-6.1b,
 example-6.2, example-6.3): classical premium-principle constructions on a
 common test model.  Their ``paper_value`` annotations record the values
@@ -159,10 +164,40 @@ def _parse_params(value: str, source: str, lineno: int) -> Dict[str, float]:
     return out
 
 
-def _check_horizon(horizon: float, source: str, line: int = 0) -> float:
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ScenarioError(f"mc.horizon must be finite and > 0, got {horizon!r}", source, line)
-    return horizon
+# the run settings: Scenario field -> (section, key, the CLI flag and
+# run_scenario override that also set it)
+_RUN_SETTINGS = {"paths": ("mc", "paths", "paths"), "seed": ("mc", "seed", "seed"),
+                 "horizon": ("mc", "horizon", "horizon"),
+                 "out_format": ("output", "format", "format"),
+                 "out_path": ("output", "path", "output")}
+
+
+def _setting(field: str, value, source: str, line: int = 0):
+    """The run setting ``field`` as set by a file key's text, a flag's text
+    or an API override, converted and checked; an int keeps a number's
+    value (seed 1.5 is not seed 1).  Refusals name source:line or the flag."""
+    section, key, _ = _RUN_SETTINGS[field]
+    name = f"{section}.{key}"
+    if field == "out_path":
+        return str(value)
+    if field == "out_format":
+        if value not in OUTPUT_FORMATS:
+            raise ScenarioError(f"{name} must be one of {', '.join(OUTPUT_FORMATS)}, "
+                                f"got {value!r}", source, line)
+        return value
+    conv = float if field == "horizon" else int
+    try:
+        number = conv(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (conv is int and not isinstance(value, str) and number != value):
+        kind = "an integer" if conv is int else "a number"
+        raise ScenarioError(f"{name} must be {kind}, got {value!r}", source, line)
+    if field == "horizon" and not (math.isfinite(number) and number > 0.0):
+        raise ScenarioError(f"{name} must be finite and > 0, got {number!r}", source, line)
+    if field == "paths" and number < 100:
+        raise ScenarioError(f"{name} must be at least 100, got {number!r}", source, line)
+    return number
 
 
 def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
@@ -237,45 +272,31 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
         xi=parse_fn("change", "xi", "theta", "1"),
     )
 
-    level_text, ln = get("change", "level", "1")
-    try:
-        level = int(level_text)
-    except ValueError:
-        raise ScenarioError(f"bad level {level_text!r}", source, ln) from None
-    if level not in (1, 2):
-        raise ScenarioError(f"level must be 1 or 2, got {level}", source, ln)
-
-    jobs_text, ln = get("run", "jobs", "validate, derive-q, premium")
-    jobs = tuple(j.strip() for j in jobs_text.split(",") if j.strip())
-    for j in jobs:
-        if j not in JOB_NAMES:
-            raise ScenarioError(f"unknown job {j!r} (known: {', '.join(JOB_NAMES)})",
-                                source, ln)
-
-    def get_number(section, key, default, conv, what):
-        value, ln2 = get(section, key, None)
-        if value is None:
-            return default
+    # only the keys the file sets; Scenario's defaults fill the rest
+    settings = {}
+    level_text, ln = get("change", "level")
+    if level_text is not None:
         try:
-            return conv(value)
+            settings["level"] = int(level_text)
         except ValueError:
-            raise ScenarioError(f"bad {what} {value!r}", source, ln2) from None
+            raise ScenarioError(f"bad level {level_text!r}", source, ln) from None
+        if settings["level"] not in (1, 2):
+            raise ScenarioError(f"level must be 1 or 2, got {settings['level']}", source, ln)
 
-    paths = get_number("mc", "paths", 100_000, int, "path count")
-    seed = get_number("mc", "seed", 20190521, int, "seed")
-    horizon = _check_horizon(get_number("mc", "horizon", 2.0, float, "horizon"),
-                             source, get("mc", "horizon")[1])
-    if paths < 100:
-        raise ScenarioError("mc.paths must be at least 100", source)
+    jobs_text, ln = get("run", "jobs")
+    if jobs_text is not None:
+        settings["jobs"] = tuple(j.strip() for j in jobs_text.split(",") if j.strip())
+        for j in settings["jobs"]:
+            if j not in JOB_NAMES:
+                raise ScenarioError(f"unknown job {j!r} (known: {', '.join(JOB_NAMES)})",
+                                    source, ln)
 
-    out_format, ln = get("output", "format", "csv")
-    if out_format not in OUTPUT_FORMATS:
-        raise ScenarioError(f"unknown output format {out_format!r}", source, ln)
-    out_path, _ = get("output", "path", None)
+    for fld, (section, key, _) in _RUN_SETTINGS.items():
+        value, ln = get(section, key)
+        if value is not None:
+            settings[fld] = _setting(fld, value, source, ln)
 
-    return Scenario(name=name, base=base, change=change, level=level, jobs=jobs,
-                    paths=paths, seed=seed, horizon=horizon,
-                    out_format=out_format, out_path=out_path)
+    return Scenario(name=name, base=base, change=change, **settings)
 
 
 def load_scenario_file(path: str) -> Scenario:
@@ -586,25 +607,12 @@ def report_write(rows: List[Row], out_format: str, destination: str) -> None:
                 for r in rows:
                     record = {c: getattr(r, c) for c in REPORT_COLUMNS}
                     fh.write(json.dumps(record) + "\n")
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
         raise ScenarioError(f"cannot write report to {destination!r}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
 # the scenario runner
-
-def _override_number(value, conv, key: str):
-    """An mc.<key> override as conv (int or float), text parsed as in a
-    scenario file; an int keeps a number's value (seed 1.5 is not seed 1)."""
-    try:
-        number = conv(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or (conv is int and not isinstance(value, str) and number != value):
-        kind = "an integer" if conv is int else "a number"
-        raise ScenarioError(f"mc.{key} must be {kind}, got {value!r}", f"--{key}")
-    return number
-
 
 def run_scenario(name_or_path: str, overrides: Optional[dict] = None,
                  stderr=None) -> int:
@@ -620,21 +628,9 @@ def run_scenario(name_or_path: str, overrides: Optional[dict] = None,
     params = dict(overrides.pop("params", {}) or {})
     try:
         scn = resolve_scenario(name_or_path, params)
-        for key in ("seed", "paths"):
-            if overrides.get(key) is not None:
-                scn = replace(scn, **{key: _override_number(overrides[key], int, key)})
-        if overrides.get("horizon") is not None:
-            horizon = _override_number(overrides["horizon"], float, "horizon")
-            scn = replace(scn, horizon=_check_horizon(horizon, "--horizon"))
-        if overrides.get("format") is not None:
-            fmt = overrides["format"]
-            if fmt not in OUTPUT_FORMATS:
-                raise ScenarioError(f"unknown output format {fmt!r}")
-            scn = replace(scn, out_format=fmt)
-        if overrides.get("output") is not None:
-            scn = replace(scn, out_path=str(overrides["output"]))
-        if scn.paths < 100:
-            raise ScenarioError("mc.paths must be at least 100")
+        for fld, (_, _, flag) in _RUN_SETTINGS.items():
+            if overrides.get(flag) is not None:
+                scn = replace(scn, **{fld: _setting(fld, overrides[flag], f"--{flag}")})
 
         # report rows are a pure function of (scenario, params, seed, paths,
         # horizon); where the report is written or how it is encoded is not

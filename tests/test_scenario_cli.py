@@ -2,15 +2,16 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cmpplab.cli import main
-from cmpplab.scenario import (BUILTIN_SCENARIOS, REPORT_COLUMNS, Row, ScenarioError,
-                              load_scenario_file, parse_scenario_text, report_write,
-                              resolve_scenario, run_scenario)
+from cmpplab.scenario import (BUILTIN_SCENARIOS, REPORT_COLUMNS, Row, Scenario,
+                              ScenarioError, load_scenario_file, parse_scenario_text,
+                              report_write, resolve_scenario, run_scenario)
 
 GOOD_SCENARIO = """
 # a small self-contained scenario
@@ -131,6 +132,12 @@ def test_unknown_format_leaves_existing_report(tmp_path):
     with pytest.raises(ScenarioError, match="unknown output format 'xml'"):
         report_write(rows_sample(), "xml", str(path))
     assert path.read_text() == "precious\n"
+
+
+@pytest.mark.parametrize("name", ["a\0b.csv", "a\0b/r.csv"], ids=["file", "directory"])
+def test_nul_byte_in_report_path_is_a_scenario_error(tmp_path, name):
+    with pytest.raises(ScenarioError, match="cannot write report to .*embedded null byte"):
+        report_write(rows_sample(), "csv", str(tmp_path / name))
 
 
 def test_oracle_and_estimate_both_render(tmp_path):
@@ -375,24 +382,97 @@ def test_bad_horizon_override_exit_2(tmp_path, capsys, no_simulation, horizon):
 
 
 BAD_API_OVERRIDES = [
-    ({"paths": "abc"}, "--paths: mc.paths must be an integer, got 'abc'"),
-    ({"paths": 150.7}, "--paths: mc.paths must be an integer, got 150.7"),
-    ({"seed": 1.5}, "--seed: mc.seed must be an integer, got 1.5"),
-    ({"seed": [1]}, "--seed: mc.seed must be an integer, got [1]"),
-    ({"horizon": "x"}, "--horizon: mc.horizon must be a number, got 'x'"),
-    ({"horizon": "nan"}, "--horizon: mc.horizon must be finite and > 0, got nan"),
+    pytest.param({"paths": "abc"}, "--paths: mc.paths must be an integer, got 'abc'",
+                 id="paths-text"),
+    pytest.param({"paths": 150.7}, "--paths: mc.paths must be an integer, got 150.7",
+                 id="paths-fraction"),
+    pytest.param({"seed": 1.5}, "--seed: mc.seed must be an integer, got 1.5",
+                 id="seed-fraction"),
+    pytest.param({"seed": [1]}, "--seed: mc.seed must be an integer, got [1]", id="seed-list"),
+    pytest.param({"horizon": "x"}, "--horizon: mc.horizon must be a number, got 'x'",
+                 id="horizon-text"),
+    pytest.param({"horizon": "nan"}, "--horizon: mc.horizon must be finite and > 0, got nan",
+                 id="horizon-nan-text"),
+    pytest.param({"paths": "50"}, "--paths: mc.paths must be at least 100, got 50",
+                 id="paths-below-100-text"),
+    pytest.param({"paths": "150.7"}, "--paths: mc.paths must be an integer, got '150.7'",
+                 id="paths-fraction-text"),
+    pytest.param({"seed": "1.5"}, "--seed: mc.seed must be an integer, got '1.5'",
+                 id="seed-fraction-text"),
+    pytest.param({"horizon": "inf"}, "--horizon: mc.horizon must be finite and > 0, got inf",
+                 id="horizon-inf-text"),
+    pytest.param({"horizon": "0"}, "--horizon: mc.horizon must be finite and > 0, got 0.0",
+                 id="horizon-zero-text"),
+    pytest.param({"horizon": "-1"}, "--horizon: mc.horizon must be finite and > 0, got -1.0",
+                 id="horizon-negative-text"),
+    pytest.param({"format": "xml"},
+                 "--format: output.format must be one of csv, json-lines, got 'xml'",
+                 id="format-text"),
+    pytest.param({"format": 1}, "--format: output.format must be one of csv, json-lines, got 1",
+                 id="format-number"),
 ]
 
 
-@pytest.mark.parametrize("override,message", BAD_API_OVERRIDES,
-                         ids=["paths-text", "paths-fraction", "seed-fraction", "seed-list",
-                              "horizon-text", "horizon-nan-text"])
+@pytest.mark.parametrize("override,message", BAD_API_OVERRIDES)
 def test_bad_api_override_exit_2(tmp_path, capsys, no_simulation, override, message):
     out = tmp_path / "r.csv"
     assert run_scenario("example-6.1a", {**override, "output": str(out)}) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+# the overrides given as text, which a scenario file key and a CLI flag can also set
+TEXT_SETTINGS = [case for case in BAD_API_OVERRIDES
+                 if all(isinstance(v, str) for v in case.values[0].values())]
+
+
+@pytest.mark.parametrize("override,message", TEXT_SETTINGS)
+@pytest.mark.parametrize("route", ["file", "flag", "api"])
+def test_bad_setting_is_refused_alike_on_every_route(tmp_path, capsys, no_simulation,
+                                                      override, message, route):
+    # one reader converts and checks a setting: the same refusal, naming the
+    # file's line or the flag, before any path is simulated
+    (key, text), = override.items()
+    flag, rule = message.split(": ", 1)
+    out = tmp_path / "r.csv"
+    if route == "file":
+        old = next(line for line in GOOD_SCENARIO.splitlines() if line.startswith(f"{key} ="))
+        scn_path = tmp_path / "s.scn"
+        scn_path.write_text(GOOD_SCENARIO.replace(old, f"{key} = {text}"))
+        line = GOOD_SCENARIO.splitlines().index(old) + 1
+        code, source = main(["run", str(scn_path), "--output", str(out)]), f"{scn_path}:{line}"
+    elif route == "flag":
+        code, source = main(["run", "example-6.1a", f"--{key}={text}", "--output", str(out)]), flag
+    else:
+        code, source = run_scenario("example-6.1a", {key: text, "output": str(out)}), flag
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {source}: {rule}\n"
+    assert not out.exists()
+
+
+def test_file_without_settings_takes_scenario_defaults():
+    scn = parse_scenario_text("[base]\nclaim = exp(rate=0.2)\nmixing = gamma(rate=2, shape=2)\n")
+    for f in fields(Scenario):
+        if f.default is not MISSING:
+            assert getattr(scn, f.name) == f.default, f.name
+
+
+@pytest.mark.parametrize("old,new,args", [
+    ("name = smoke", "name = a\0b", []),
+    ("format = csv", "format = csv\npath = {tmp}/r\0.csv", []),
+    ("", "", ["--output", "{tmp}/r\0.csv"]),
+], ids=["name", "file-path", "output-flag"])
+def test_nul_byte_in_report_path_exit_2(tmp_path, capsys, monkeypatch, old, new, args):
+    # the whole run happens, then the report path is refused
+    monkeypatch.setenv("CMPPLAB_OUTPUT_DIR", str(tmp_path))
+    scn_path = tmp_path / "s.scn"
+    scn_path.write_text(GOOD_SCENARIO.replace(old, new.format(tmp=tmp_path)))
+    assert main(["run", str(scn_path), *(a.format(tmp=tmp_path) for a in args)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write report to" in err and "embedded null byte" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [scn_path]
 
 
 def test_integral_api_overrides_run(tmp_path):
