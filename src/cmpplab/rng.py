@@ -98,12 +98,13 @@ class PathKeys:
         return PathKeys(self.seed, np.repeat(self.state, counts))
 
 
-def uniforms(seed: int, path_index, lane: int, draw_index) -> np.ndarray:
+def uniforms(seed: int, path_index, lane: int, draw_index, out=None) -> np.ndarray:
     """Uniform(0,1) values for (seed, path, lane, draw) tuples.
 
     ``path_index`` (path indices, or the ``PathKeys`` of seed ``seed``)
     and ``draw_index`` broadcast against each other, so a single call can
-    fill a whole batch.
+    fill a whole batch.  ``out``, a float64 array of the broadcast shape,
+    receives the values if given.
     """
     if isinstance(path_index, PathKeys):
         if path_index.seed != int(seed) & _MASK:
@@ -112,7 +113,7 @@ def uniforms(seed: int, path_index, lane: int, draw_index) -> np.ndarray:
     else:
         base = _base_state(seed, path_index)
     base, draw = np.broadcast_arrays(base, np.asarray(draw_index))
-    out = np.empty(base.shape)
+    out = np.empty(base.shape) if out is None else out
     base, draw, rows = np.atleast_1d(base, draw, out)  # rows: a view of out
     # mix block by block along the first axis, so that the state and its
     # scratch stay in cache through the chain's passes

@@ -13,9 +13,18 @@ interarrival uniforms, lane 2 claim uniforms.  A batch computes each
 path's key (``rng.PathKeys``) once and draws every lane from it; the
 draws are those of the rng contract, unchanged.  Theta and the arrival
 lane are drawn by ``simulate_batch``, which stores no arrival time but
-counts N_t at each t the caller will read; ``claims`` are drawn on their
-first read, and ``times`` by running the arrival loop again, so a consumer
-reading no claim (a density with gamma = 0) draws none.  Interarrivals
+counts N_t at each t the caller will read; its arrival loop runs over
+blocks of ``_ROW_BLOCK`` paths, so its temporaries span one block.  The
+caller also declares the claim sums it will read (S_t, and the sums of
+gamma(X) in a density): the first read of one fills them all in one pass
+over runs of about ``_CLAIM_BLOCK`` events, which draws a run's claims,
+adds them into every declared sum and drops them.  So a batch holds
+arrays of its path count, plus one row block of arrival temporaries while
+it is simulated and one run of claims while its sums are filled.  An
+undeclared sum and a read of ``claims`` or ``times`` (``dump_paths``, the
+demos) draw the batch's full array: ``claims`` on their first read, and
+``times`` by running the arrival loop again.  A consumer reading no claim
+(a density with gamma = 0) draws none.  Interarrivals
 accumulate in blocks of 16 draws, event k of a block at (time of the last
 full block) + (the block's k-th partial sum); the first block is filled in two
 sub-blocks, 4 draws and then 12 for paths that accepted all 4, with the
@@ -35,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -50,6 +59,7 @@ _FAMILY_STRIDE = 1 << 40  # disjoint path-index families for independent batches
 _BLOCK = 16
 _HEAD = 4
 _CLAIM_BLOCK = 1 << 16  # events a run of paths draws or sums at a time (see _runs)
+_ROW_BLOCK = 1 << 14  # paths the arrival loop runs at a time (see _arrivals)
 
 
 class SimulationError(RuntimeError):
@@ -116,15 +126,31 @@ class PathBatch:
     draw that raises is kept as it was and raises again on the next read.
     ``counts_at`` and ``aggregates_at`` compute each t once per batch and
     return read-only arrays; N_t at a t not in ``counted`` reads ``times``.
+
+    A claim sum (t, fn) is every path's sum of fn(X_k) over its claims at
+    times <= t: ``claim_prefix_apply(t, fn)``, and S_t for fn None.  The
+    ``sums`` are declared: the first read of one fills them all in one pass
+    over runs of paths, where ``draw(a, z, m)`` gives the first m[i] claims
+    of each path a..z-1 (up to the latest declared time), which are added
+    into every declared sum and dropped.  The filled sums are read-only and
+    kept; a pass that raises keeps nothing.  A sum not declared reads
+    ``claims``.
     """
 
-    def __init__(self, thetas, counts, offsets, times, claims, horizon, counted=None):
+    def __init__(self, thetas, counts, offsets, times, claims, horizon, counted=None,
+                 sums=(), draw=None):
         self.thetas = thetas      # (n,)
         self.counts = counts      # (n,) event counts
         self.offsets = offsets    # (n+1,) prefix offsets into times/claims
         self.horizon = horizon
         self._flat = {"times": times, "claims": claims}
         self._memo: dict = {("N", t): n_t for t, n_t in (counted or {}).items()}
+        # the declared sums that read a claim, their claim draw, and their
+        # values once a pass filled them
+        self._sums = [(t, fn) for t, fn in sums
+                      if 0.0 <= t <= horizon and not _reads_no_claim(fn)]
+        self._draw = draw
+        self._filled: Optional[list] = None
 
     times = property(lambda self: self._read("times"), doc="flat event times")
     claims = property(lambda self: self._read("claims"), doc="flat claim sizes")
@@ -149,10 +175,9 @@ class PathBatch:
         """Per-path sums of fn over claims with event time <= t.  The
         constant +0 reads no claim: its per-claim sums are +0 bit for bit."""
         self._check(t)
-        zero = const_value(fn.tree, fn.params)
-        if zero == 0.0 and not np.signbit(zero):
+        if _reads_no_claim(fn):
             return np.zeros(len(self))
-        return self._claim_sums(t, fn.eval_array)
+        return self._claim_sum(t, fn)
 
     def _check(self, t: float) -> None:
         if not 0.0 <= t <= self.horizon:  # NaN included
@@ -169,23 +194,55 @@ class PathBatch:
     def _functional(self, kind: str, t: float) -> np.ndarray:
         """N_t ("N") or S_t ("S") of every path, computed afresh."""
         if kind == "S":
-            return self._claim_sums(t, lambda x: x)
+            return self._claim_sum(t, None)
         if t == self.horizon:  # every event counts
             return self.counts.view()
         return self._path_sums(lambda b, a, z: b.times[b.offsets[a]:b.offsets[z]] <= t, np.int64)
 
-    def _claim_sums(self, t: float, fn) -> np.ndarray:
-        """Per-path sums of fn(claims) over the events at times <= t, which
-        are a path's first N_t events: its times never decrease."""
-        def vals(b, a, z):
-            if t == b.horizon:  # every event counts
-                return fn(b.claims[b.offsets[a]:b.offsets[z]])
-            n_t = b.counts_at(t)[a:z]
-            upto = np.repeat(np.tile((True, False), z - a),
-                             np.column_stack((n_t, b.counts[a:z] - n_t)).ravel())
-            return np.where(upto, fn(b.claims[b.offsets[a]:b.offsets[z]]), 0.0)
+    def _claim_sum(self, t: float, fn: Optional[RealFn]) -> np.ndarray:
+        """The claim sum (t, fn): declared, from the pass that fills them
+        all; otherwise from ``claims``."""
+        for i, (u, g) in enumerate(self._sums):
+            if u == t and g == fn:
+                if self._filled is None:
+                    filled = self._sum_runs(self._sums, self._draw, max(u for u, _ in self._sums))
+                    for out in filled:
+                        out.flags.writeable = False
+                    self._filled = filled
+                return self._filled[i]
+        return self._sum_runs([(t, fn)], self._flat_claims, self.horizon)[0]
 
-        return self._path_sums(vals, float)
+    def _flat_claims(self, a: int, z: int, m: np.ndarray) -> np.ndarray:
+        """The claims of paths a..z-1, read from ``claims`` (m: their counts)."""
+        return self.claims[self.offsets[a]:self.offsets[z]]
+
+    def _sum_runs(self, sums, draw, last: float) -> list:
+        """The claim sums ``sums``, at times <= ``last``, in one pass over runs
+        of paths (no temporary spans the batch): ``draw(a, z, m)`` gives the
+        first m[i] claims of each path a..z-1, its N_last, which are added
+        into every sum and dropped.  Each sum is over its own path's segment
+        only, its claims after N_t (and events after ``last``) as zeros, so a
+        path's sum is the one it has alone, whatever the runs or ``last``."""
+        upto = [self.counts if t == self.horizon else self.counts_at(t) for t, _ in sums]
+        drawn = self.counts if last == self.horizon else self.counts_at(last)
+        outs = [np.zeros(len(self)) for _ in sums]
+        for a, z in _runs(self.offsets):
+            m, counts = drawn[a:z], self.counts[a:z]
+            if not m.any():  # no claim by `last`: every sum stays +0
+                continue
+            claims = draw(a, z, m)
+            nonempty = counts > 0
+            starts = self.offsets[a:z][nonempty] - self.offsets[a]
+            for (t, fn), n_t, out in zip(sums, upto, outs):
+                vals = claims if fn is None else fn.eval_array(claims)
+                if t < last:
+                    vals = np.where(_leading(n_t[a:z], m), vals, 0.0)
+                if last < self.horizon:
+                    full = np.zeros(int(self.offsets[z] - self.offsets[a]))
+                    full[_leading(m, counts)] = vals
+                    vals = full
+                out[a:z][nonempty] = np.add.reduceat(vals, starts, dtype=float)
+        return outs
 
     def _path_sums(self, vals, dtype) -> np.ndarray:
         """Per-path sums of ``vals(batch, a, z)``, the values of the events of
@@ -202,6 +259,19 @@ class PathBatch:
                     vals(self, a, b), self.offsets[a:b][nonempty] - self.offsets[a],
                     dtype=dtype)
         return out
+
+
+def _reads_no_claim(fn: Optional[RealFn]) -> bool:
+    """Whether fn is the constant +0, whose claim sums are +0 bit for bit."""
+    zero = None if fn is None else const_value(fn.tree, fn.params)
+    return zero == 0.0 and not np.signbit(zero)
+
+
+def _leading(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """For the events of paths with ``counts`` events, flat: whether an
+    event is among the first ``first`` of its path."""
+    return np.repeat(np.tile((True, False), first.size),
+                     np.column_stack((first, counts - first)).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +291,16 @@ def _resolve_theta_and_rate(base, derived, under, seed, keys):
 def simulate_batch(base: BaseModel, derived: Optional[DerivedModel],
                    under: MeasureTag, horizon: float, seed: int,
                    n: int, start_index: int = 0, family: int = 0,
-                   reads: Iterable[float] = ()) -> PathBatch:
+                   reads: Iterable[float] = (),
+                   sums: Iterable[Tuple[float, Optional[RealFn]]] = ()) -> PathBatch:
     """Simulate n paths with per-path counter streams.
 
     ``family`` selects a disjoint block of path indices so that two
     batches under the same seed (e.g. the two sides of a reweighting
-    check) are independent.  N_t at each t of ``reads`` is counted with
-    the paths, so N_t and S_t there read no event time.
+    check) are independent.  N_t at each t of ``reads`` and of ``sums`` is
+    counted with the paths, so N_t and S_t there read no event time.  Each
+    (t, fn) of ``sums`` declares a claim sum (see ``PathBatch``), so the
+    batch reads it with no claim array.
     """
     if under.is_q_side and derived is None:
         raise ValueError(f"measure {under} requires a derived model")
@@ -237,39 +310,56 @@ def simulate_batch(base: BaseModel, derived: Optional[DerivedModel],
         + np.uint64(family * _FAMILY_STRIDE)
     keys = PathKeys.of(seed, indices)  # every lane below reuses them
     thetas, rates = _resolve_theta_and_rate(base, derived, under, seed, keys)
-    counts, counted = _arrivals(seed, keys, rates, horizon, reads)
+    sums = list(sums)
+    counts, counted = _arrivals(seed, keys, rates, horizon, [*reads, *(t for t, _ in sums)])
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    claim_law = derived.q_claim if under.is_q_side else base.claim_law
+    draw = partial(_claim_run, seed, keys, derived.q_claim if under.is_q_side else base.claim_law)
     return PathBatch(thetas=thetas, counts=counts, offsets=offsets,
                      times=partial(_draw_times, seed, keys, rates, horizon, offsets),
-                     claims=partial(_draw_claims, seed, keys, counts, offsets, claim_law),
-                     horizon=float(horizon), counted=counted)
+                     claims=partial(_draw_claims, draw, counts, offsets),
+                     horizon=float(horizon), counted=counted, sums=sums, draw=draw)
 
 
 def _arrivals(seed, keys, rates, horizon, reads=(), times=None, offsets=None):
     """Every path's event count and its N_t at each t of ``reads`` in
-    [0, horizon); given ``times``, each accepted time goes to its flat slot."""
+    [0, horizon); given ``times``, each accepted time goes to its flat slot.
+    The loop runs over blocks of _ROW_BLOCK paths, so its temporaries span
+    one block: a path's draws and roundings depend on its own draws only,
+    so the blocks change no bit."""
     n = rates.size
     counts = np.zeros(n, dtype=np.int64)
     counted = {float(t): np.zeros(n, dtype=np.int64) for t in reads if 0.0 <= t < horizon}
+    if horizon > 0.0:
+        for lo in range(0, n, _ROW_BLOCK):
+            rows = np.arange(lo, min(lo + _ROW_BLOCK, n))
+            _arrive(seed, keys, rates, horizon, rows, counts, counted, times, offsets)
+    return counts, counted
+
+
+def _arrive(seed, keys, rates, horizon, rows, counts, counted, times, offsets):
+    """The arrival loop of the paths ``rows`` (see ``_arrivals``): their
+    counts and N_t go to ``counts`` and ``counted``, their times to ``times``."""
     # the still-running paths, compacted: row, path key, negated rate, time of
     # the last completed block, and the in-block partial sum carried into the
     # second sub-block (None at a block's start)
-    rows = np.arange(n)
-    key = keys[:, None]
-    neg_rate = -rates[:, None]
-    last = np.zeros((n, 1))
+    key = keys[rows][:, None]
+    neg_rate = -rates[rows][:, None]
+    last = np.zeros((rows.size, 1))
     carry = None
+    # one buffer holds each step's uniforms and partial sums: a fresh array a
+    # step is often fresh pages, which the kernel must map and zero again
+    buf = np.empty(rows.size * _BLOCK)
     pending = sorted(counted)  # the t that some running path has not passed
     drawn = 0  # every running path has drawn the same number of uniforms
-    while horizon > 0.0 and rows.size:
+    while rows.size:
         width = _HEAD if drawn == 0 else _BLOCK - drawn % _BLOCK
         start = last[:, 0] if carry is None else carry  # the time before the block
         pending = [t for t in pending if t >= start.min()]
         # interarrivals -ln(u) / rate, in place (negation is exact), then
         # their running sums from the last block's time
-        csum = uniforms(seed, key, LANE_ARRIVAL, drawn + np.arange(width))
+        csum = uniforms(seed, key, LANE_ARRIVAL, drawn + np.arange(width),
+                        out=buf[:rows.size * width].reshape(rows.size, width))
         np.log(csum, out=csum)
         csum /= neg_rate
         if carry is not None:
@@ -298,7 +388,6 @@ def _arrivals(seed, keys, rates, horizon, reads=(), times=None, offsets=None):
             carry, last = csum[full, -1], last[full]
         else:
             carry, last = None, csum[full, -1:]
-    return counts, counted
 
 
 def _draw_times(seed, keys, rates, horizon, offsets):
@@ -316,16 +405,20 @@ def _runs(offsets):
     return [(a, min(a + step, n)) for a in range(0, n, step)]
 
 
-def _draw_claims(seed, keys, counts, offsets, law):
-    """Claim k of a path is law.quantile of its claim-lane draw k, drawn for
-    runs of paths (no temporary spans the batch; each uniform maps on its
-    own, so the runs change no bit)."""
+def _claim_run(seed, keys, law, a, z, m):
+    """The first m[i] claims of each path a..z-1, flat: claim k of a path is
+    law.quantile of its claim-lane draw k.  Each uniform maps on its own, so
+    no run or count changes a bit."""
+    draws = np.arange(int(m.sum())) - np.repeat(np.cumsum(m) - m, m)
+    return law.quantile(uniforms(seed, keys[a:z].repeat(m), LANE_CLAIM, draws))
+
+
+def _draw_claims(draw, counts, offsets):
+    """Every claim of the batch, drawn by ``draw`` for runs of paths (no
+    temporary but the result spans the batch)."""
     claims = np.empty(int(offsets[-1]))
     for a, b in _runs(offsets):
-        lo, hi = offsets[a], offsets[b]
-        draws = np.arange(hi - lo) - np.repeat(offsets[a:b] - lo, counts[a:b])
-        u = uniforms(seed, keys[a:b].repeat(counts[a:b]), LANE_CLAIM, draws)
-        claims[lo:hi] = law.quantile(u)
+        claims[offsets[a]:offsets[b]] = draw(a, b, counts[a:b])
     return claims
 
 

@@ -19,12 +19,14 @@ cell; standard errors come from the sample variance (n - 1 denominator).
 
 Each estimator returns its ``Plan``: the ``Consumer`` of every stream it
 reads (a request ``(measure, seed, n, family)``, an ``add`` per chunk,
-the times it reads and a ``result``) and a ``finish`` that builds the
-estimate.  ``run_streams`` simulates each distinct request once, to the
-latest time its consumers read, and feeds every consumer of it, so
+the times and claim sums it reads and a ``result``) and a ``finish`` that
+builds the estimate.  ``run_streams`` simulates each distinct request once,
+to the latest time its consumers read, and feeds every consumer of it, so
 estimators that read one stream share one pass, and nothing else
-simulates.  ``plan.run()`` runs one plan alone; a scenario run plans all
-of its jobs first.  A consumer is fed once, so a plan runs once.
+simulates.  A chunk holds arrays of its path count: the claim sums its
+consumers declare are filled run by run, and no claim array is drawn.
+``plan.run()`` runs one plan alone; a scenario run plans all of its jobs
+first.  A consumer is fed once, so a plan runs once.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from .dist import Degenerate, clipped_expectation, expectation, log_weighted_expectation
+from .expr import RealFn
 from .model import BaseModel, DerivedModel, MeasureChange
 from .sim import (BASE_P, DERIVED_Q, MeasureTag, PathBatch, conditional_p,
                   conditional_q, log_density_batch, simulate_batch)
@@ -143,11 +146,17 @@ class MCReport:
 class PathFunctional:
     """A time-indexed path functional: ``batch_fn(batch, t)`` returns its
     value on every path of the batch, e.g.
-    ``PathFunctional("S_t^2", lambda b, t: b.aggregates_at(t) ** 2)``."""
+    ``PathFunctional("S_t^2", lambda b, t: b.aggregates_at(t) ** 2, sums=[None])``.
 
-    def __init__(self, name: str, batch_fn: Callable[[PathBatch, float], np.ndarray]):
+    ``sums`` declares the claim functions whose sums up to t it reads (see
+    ``PathBatch``): None for S_t, or the fn of ``claim_prefix_apply``.  A
+    sum it reads undeclared draws the batch's full claim array."""
+
+    def __init__(self, name: str, batch_fn: Callable[[PathBatch, float], np.ndarray],
+                 sums: Iterable[Optional[RealFn]] = ()):
         self.name = name
         self._batch_fn = batch_fn
+        self.sums = tuple(sums)
 
     def eval_batch(self, batch: PathBatch, t: float) -> np.ndarray:
         return np.asarray(self._batch_fn(batch, t), dtype=float)
@@ -165,7 +174,7 @@ def f_count() -> PathFunctional:
 
 
 def f_aggregate() -> PathFunctional:
-    return PathFunctional("S_t", lambda b, t: b.aggregates_at(t))
+    return PathFunctional("S_t", lambda b, t: b.aggregates_at(t), sums=[None])
 
 
 def f_count_eq(k: int) -> PathFunctional:
@@ -177,11 +186,13 @@ def f_count_eq(k: int) -> PathFunctional:
 class EventSpec:
     """An event measurable from path data up to its anchor time s together
     with theta (conditioning family of the martingale tests);
-    ``indicator(batch)`` is its indicator on every path."""
+    ``indicator(batch)`` is its indicator on every path, and ``sums`` the
+    claim functions whose sums up to s it reads (as a ``PathFunctional``'s)."""
 
     name: str
     s: float
     indicator: Callable[[PathBatch], np.ndarray]
+    sums: Tuple[Optional[RealFn], ...] = ()
 
 
 def whole_space() -> EventSpec:
@@ -195,7 +206,7 @@ def count_at_most(s: float, k: int) -> EventSpec:
 
 def aggregate_at_most(s: float, q: float) -> EventSpec:
     q = float(q)
-    return EventSpec(f"S_{s:g}<={q:g}", s, lambda b: b.aggregates_at(s) <= q)
+    return EventSpec(f"S_{s:g}<={q:g}", s, lambda b: b.aggregates_at(s) <= q, (None,))
 
 
 def theta_in(lo: float, hi: float) -> EventSpec:
@@ -234,13 +245,14 @@ def process_v(derived: DerivedModel) -> PathFunctional:
         rates = derived.g.eval_array(b.thetas)
         return b.aggregates_at(t) - t * rates * derived.claim_tilt_mean
 
-    return PathFunctional("V_t", values)
+    return PathFunctional("V_t", values, sums=[None])
 
 
 def process_y(base: BaseModel) -> PathFunctional:
     """Claim surplus under the base measure: Y_t = S_t - t theta E[X]."""
     return PathFunctional(
-        "Y_t", lambda b, t: b.aggregates_at(t) - t * b.thetas * base.claim_law.moment(1))
+        "Y_t", lambda b, t: b.aggregates_at(t) - t * b.thetas * base.claim_law.moment(1),
+        sums=[None])
 
 
 def process_density(change: MeasureChange, under: MeasureTag) -> PathFunctional:
@@ -248,7 +260,8 @@ def process_density(change: MeasureChange, under: MeasureTag) -> PathFunctional:
     theta, unconditional otherwise."""
     include_xi = not under.is_conditional
     return PathFunctional("M_t" if include_xi else "M~_t",
-                          lambda b, t: np.exp(log_density_batch(b, t, change, include_xi)))
+                          lambda b, t: np.exp(log_density_batch(b, t, change, include_xi)),
+                          sums=[change.gamma])
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +269,8 @@ def process_density(change: MeasureChange, under: MeasureTag) -> PathFunctional:
 
 # (measure, seed, n, family): one stream of paths, simulated in chunks
 Request = Tuple[MeasureTag, int, int, int]
+# (t, fn): a claim sum a consumer reads, S_t for fn None (see sim.PathBatch)
+ClaimSum = Tuple[float, Optional[RealFn]]
 
 
 class Consumer:
@@ -267,15 +282,21 @@ class Consumer:
     the error that stopped it (its own, its stream's or a plan-mate's) or a
     ``ValueError`` if it was never fed.
     Every estimator reads at least 100 paths, at one time or more.
+    ``sums`` declares the claim sums ``add`` reads, each at a time of
+    ``reads``; a chunk fills them without a claim array, and a claim sum
+    ``add`` reads undeclared draws the chunk's claim array.
     """
 
     def __init__(self, request: Request, add: Callable[[PathBatch], None], state,
-                 reads: Iterable[float]):
+                 reads: Iterable[float], sums: Iterable[ClaimSum] = ()):
         if request[2] < 100:
             raise ValueError("n must be at least 100")
         self.reads = frozenset(reads)
         if not self.reads or not all(math.isfinite(t) and t >= 0.0 for t in self.reads):
             raise ValueError(f"reads must be finite times >= 0, one at least: {sorted(self.reads)}")
+        self.sums = list(sums)
+        if any(t not in self.reads for t, _ in self.sums):
+            raise ValueError(f"claim sums must be read at times of reads: {self.sums}")
         self.request = request
         self.add = add
         self.state = state
@@ -340,13 +361,14 @@ def run_streams(base: BaseModel, derived: Optional[DerivedModel],
         streams.setdefault(c.request, []).append(c)
     for (under, seed, n, family), live in sorted(streams.items(), key=lambda kv: -len(kv[1])):
         reads = sorted(set().union(*(c.reads for c in live)))
+        sums = _distinct(s for c in live for s in c.sums)
         done = 0
         try:
             # a consumer whose plan-mate (or itself) failed is fed no more
             while (live := [c for c in live if all(m.error is None for m in c.mates)]) and done < n:
                 m = min(CHUNK, n - done)
                 b = simulate_batch(base, derived, under, reads[-1], seed, n=m,
-                                   start_index=done, family=family, reads=reads)
+                                   start_index=done, family=family, reads=reads, sums=sums)
                 done += m
                 for c in live:
                     try:
@@ -357,6 +379,11 @@ def run_streams(base: BaseModel, derived: Optional[DerivedModel],
         except Exception as e:
             for c in live:
                 c.error = _kept(e)
+
+
+def _distinct(sums: Iterable[ClaimSum]) -> List[ClaimSum]:
+    """The claim sums, each (time, function object) once, in order."""
+    return list({(t, id(fn)): (t, fn) for t, fn in sums}.values())
 
 
 def _kept(e: Exception) -> Exception:
@@ -393,7 +420,8 @@ def _battery_consumer(request: Request, fs, t, change=None, include_xi=True) -> 
         for acc, g in zip(accs, fs):
             acc.add(g.eval_batch(b, t) * w)
 
-    return Consumer(request, add, accs, reads={t})
+    sums = [fn for g in fs for fn in g.sums] + ([] if change is None else [change.gamma])
+    return Consumer(request, add, accs, reads={t}, sums=[(t, fn) for fn in sums])
 
 
 def mc_estimate(f, base: BaseModel, derived: Optional[DerivedModel], under: MeasureTag,
@@ -520,7 +548,9 @@ def check_martingale(process: PathFunctional, base: BaseModel,
             for acc, ind in zip(row, indicators):
                 acc.add(np.where(ind, inc, 0.0))
 
-    c = Consumer((under, seed, n, family), add, accs, times | {ev.s for ev in events})
+    sums = [(u, fn) for u in times for fn in process.sums] + \
+        [(ev.s, fn) for ev in events for fn in ev.sums]
+    c = Consumer((under, seed, n, family), add, accs, times | {ev.s for ev in events}, sums)
 
     def finish() -> MartingaleTable:
         cells = []
@@ -579,7 +609,7 @@ def degeneracy_test(derived: DerivedModel, *, n: int, seed: int) -> Plan:
     med = float(derived.q_mixing.quantile(0.5))
     bounds = [(0.0, med), (med, math.inf)]
     centered = PathFunctional("S_t - t E_Q[g] E_Q[X]",
-                              lambda b, u: b.aggregates_at(u) - u * e_g * e_x)
+                              lambda b, u: b.aggregates_at(u) - u * e_g * e_x, sums=[None])
     table = check_martingale(centered, derived.base, derived, DERIVED_Q, [(s, t)],
                              [theta_in(lo, hi) for lo, hi in bounds], n=n, seed=seed,
                              family=FAM_DEGENERACY)
@@ -660,7 +690,8 @@ def singularity_probe(derived: DerivedModel, *, horizons: Sequence[float], n: in
                 for acc, x in zip(triple, (log_m, log_m < -5.0, log_m > 5.0)):
                     acc.add(x.astype(float, copy=False))
 
-        consumers.append(Consumer((tag, seed, n, fam), add, accs, horizons))
+        consumers.append(Consumer((tag, seed, n, fam), add, accs, horizons,
+                                  [(T, change.gamma) for T in horizons]))
 
     def finish() -> List[DriftRow]:
         rows = []

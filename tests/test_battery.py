@@ -24,6 +24,7 @@ import cmpplab.verify
 from cmpplab.dist import DistError, Exponential, Gamma
 from cmpplab.model import BaseModel, derive_q_model, measure_change, validate_change
 from cmpplab.premium import premium_density
+from cmpplab.rng import LANE_CLAIM
 from cmpplab.scenario import run_scenario
 from cmpplab.expr import DomainError
 from cmpplab.scenario import BUILTIN_SCENARIOS, resolve_scenario
@@ -163,14 +164,15 @@ def test_planning_simulates_nothing(scenario, no_simulation):
 
 def record_batches(monkeypatch):
     """Every simulate_batch call of the verify layer, as (under, seed, n,
-    family, start_index), whatever horizon it simulates to; the horizon and
-    the times it counts N at are passed on."""
+    family, start_index), whatever horizon it simulates to; the horizon, the
+    times it counts N at and the claim sums it declares are passed on."""
     seen = []
     orig = cmpplab.verify.simulate_batch
 
-    def wrapper(base, derived, under, horizon, seed, n, start_index=0, family=0, reads=()):
+    def wrapper(base, derived, under, horizon, seed, n, start_index=0, family=0, reads=(),
+                sums=()):
         seen.append((under, seed, n, family, start_index))
-        return orig(base, derived, under, horizon, seed, n, start_index, family, reads)
+        return orig(base, derived, under, horizon, seed, n, start_index, family, reads, sums)
 
     monkeypatch.setattr(cmpplab.verify, "simulate_batch", wrapper)
     return seen
@@ -192,14 +194,43 @@ def test_no_stream_is_simulated_twice(tmp_path, monkeypatch, scenario):
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_runs_draw_no_event_time(tmp_path, monkeypatch, scenario):
-    # every consumer declares the times it reads, so N there is counted with
-    # the paths and no batch draws its event times again
+    # every consumer declares the times and the claim sums it reads, so N
+    # there is counted with the paths, the sums are filled run by run, and no
+    # batch draws its event times again or its claim array
     def refuse(*args):
-        raise AssertionError("event times drawn again")
+        raise AssertionError("event times or the claim array drawn")
 
     monkeypatch.setattr(cmpplab.sim, "_draw_times", refuse)
+    monkeypatch.setattr(cmpplab.sim, "_draw_claims", refuse)
     rows = run_rows(tmp_path, scenario)
     assert rows and not [r["detail"] for job, q, r in rows if q == "error"]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_runs_draw_each_claim_once(tmp_path, monkeypatch, scenario):
+    # the claim-lane uniforms a batch draws while its consumers read it are
+    # its events up to its latest declared claim sum: each claim once, and
+    # none for a batch whose consumers read no claim (gamma = 0)
+    batches, drawn = [], []
+    simulate, draw = cmpplab.verify.simulate_batch, cmpplab.sim.uniforms
+
+    def recorded(*args, **kwargs):
+        batches.append(simulate(*args, **kwargs))
+        drawn.append(0)
+        return batches[-1]
+
+    def counted(seed, keys, lane, index, **kwargs):
+        u = draw(seed, keys, lane, index, **kwargs)
+        if lane == LANE_CLAIM:
+            drawn[-1] += u.size
+        return u
+
+    monkeypatch.setattr(cmpplab.verify, "simulate_batch", recorded)
+    monkeypatch.setattr(cmpplab.sim, "uniforms", counted)
+    run_rows(tmp_path, scenario)
+    want = [int(b.counts_at(max(t for t, _ in b._sums)).sum()) if b._sums else 0
+            for b in batches]
+    assert drawn == want and any(want)
 
 
 @pytest.mark.parametrize("name", ["example-6.2", "example-6.1b"])
@@ -297,11 +328,12 @@ def test_stream_error_reaches_every_consumer(tmp_path, monkeypatch):
     orig = cmpplab.verify.simulate_batch
     requested = []
 
-    def failing(base, derived, under, horizon, seed, n, start_index=0, family=0, reads=()):
+    def failing(base, derived, under, horizon, seed, n, start_index=0, family=0, reads=(),
+                sums=()):
         requested.append((under, horizon, family))
         if under == DERIVED_Q and family == FAM_DEFAULT and horizon == 2.0:
             raise SimulationError("cap")
-        return orig(base, derived, under, horizon, seed, n, start_index, family, reads)
+        return orig(base, derived, under, horizon, seed, n, start_index, family, reads, sums)
 
     monkeypatch.setattr(cmpplab.verify, "simulate_batch", failing)
     broken = run_rows(tmp_path, "example-6.2", "broken.csv")

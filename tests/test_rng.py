@@ -118,6 +118,16 @@ def test_uniforms_across_cache_blocks_match_reference():
     assert uniforms(13, np.arange(3)[:, None], LANE_MISC, np.arange(0)).shape == (3, 0)
 
 
+def test_uniforms_fill_a_given_output_array():
+    # a (rows, width) view of a reused buffer, across mixing blocks
+    buf = np.full(5000 * 16, np.nan)
+    out = buf[:5000 * 4].reshape(5000, 4)
+    got = uniforms(13, np.arange(5000)[:, None], LANE_ARRIVAL, np.arange(4), out=out)
+    assert got is out and np.isnan(buf[5000 * 4:]).all()
+    assert got.tobytes() == uniforms(13, np.arange(5000)[:, None], LANE_ARRIVAL,
+                                     np.arange(4)).tobytes()
+
+
 def test_pure_function_of_coordinates():
     a = uniforms(7, np.arange(1000), LANE_CLAIM, 5)
     b = uniforms(7, np.arange(1000), LANE_CLAIM, 5)

@@ -183,6 +183,57 @@ def test_sums_at_declared_times_equal_eager_reference(declared_case, change62):
     assert callable(b._flat["times"])
 
 
+@pytest.mark.parametrize("claim_block", [1 << 16, 25, 1])
+@pytest.mark.parametrize("last", ["horizon", "inside"])
+def test_declared_sums_equal_eager_claim_sums(declared_case, change62, monkeypatch,
+                                             claim_block, last):
+    # declared sums are filled run by run, runs of about sim._CLAIM_BLOCK
+    # claims, each drawn up to the latest declared time: before the horizon
+    # ("inside") a path's later claims are never drawn
+    args, _, ts = declared_case
+    ref = simulate_batch(*args, n=3000)  # eager arrays, drawn before counting
+    assert ref.times.size and ref.claims.size
+    monkeypatch.setattr(sim, "_CLAIM_BLOCK", claim_block)
+    drawn = []
+
+    def counted(seed, keys, lane, draw, **kwargs):
+        u = uniforms(seed, keys, lane, draw, **kwargs)
+        if lane == LANE_CLAIM:
+            drawn.append(u.size)
+        return u
+
+    monkeypatch.setattr(sim, "uniforms", counted)
+    read = ts if last == "horizon" else [t for t in ts if t <= 1.0]
+    gamma = change62.gamma
+    b = simulate_batch(*args, n=3000, reads=ts, sums=[(t, f) for t in read for f in (None, gamma)])
+    for t in read:
+        assert b.aggregates_at(t).tobytes() == reference_functionals(ref, t)[1].tobytes(), t
+        assert b.claim_prefix_apply(t, gamma).tobytes() == \
+            per_claim_sums(ref, t, gamma).tobytes(), t
+    # each claim up to the latest declared time drawn once; no flat array
+    want = b.counts_at(max(read)).sum()
+    assert sum(drawn) == want and (want < ref.claims.size) == (last == "inside")
+    assert callable(b._flat["claims"]) and callable(b._flat["times"])
+    assert b.claim_prefix_apply(read[1], gamma) is b.claim_prefix_apply(read[1], gamma)
+    assert not b.claim_prefix_apply(read[1], gamma).flags.writeable
+
+
+@pytest.mark.parametrize("row_block", [1, 3, 7])
+def test_row_blocks_change_no_bit(declared_case, monkeypatch, row_block):
+    # the arrival loop runs over blocks of sim._ROW_BLOCK paths; a path's
+    # draws depend on its own draw count only, so no block changes a bit
+    args, _, ts = declared_case
+
+    def paths():
+        b = simulate_batch(*args, n=3000, reads=ts)
+        return [b.counts.tobytes(), *(b.counts_at(t).tobytes() for t in ts), b.times.tobytes()]
+
+    monkeypatch.setattr(sim, "_ROW_BLOCK", 1 << 20)
+    one_block = paths()
+    monkeypatch.setattr(sim, "_ROW_BLOCK", row_block)
+    assert paths() == one_block
+
+
 @pytest.mark.parametrize("t", [math.nan, -0.25, -math.inf, 2.5, math.inf])
 def test_every_functional_refuses_a_time_outside_the_horizon(base62, change62, t):
     # NaN compares false both ways, so it must be refused, not read as "inside"
@@ -416,9 +467,9 @@ def lanes_drawn(monkeypatch):
     """The lanes of every sim.uniforms call, in order."""
     lanes = []
 
-    def counted(seed, paths, lane, draw):
+    def counted(seed, paths, lane, draw, **kwargs):
         lanes.append(lane)
-        return uniforms(seed, paths, lane, draw)
+        return uniforms(seed, paths, lane, draw, **kwargs)
 
     monkeypatch.setattr(sim, "uniforms", counted)
     return lanes
@@ -532,6 +583,16 @@ def test_event_cap_stops_a_runaway_path(base62, monkeypatch):
         simulate_batch(base62, None, conditional_p(40.0), 2.0, seed=SEED, n=300)
 
 
+def test_event_cap_stops_a_runaway_path_in_a_later_row_block(base62, monkeypatch):
+    batch = simulate_batch(base62, None, conditional_p(40.0), 2.0, seed=SEED, n=300)
+    most = int(batch.counts.max())
+    monkeypatch.setattr(sim, "_ROW_BLOCK", 7)
+    assert (batch.counts[:7] < most).all()  # the runaway paths run in later blocks
+    monkeypatch.setattr(sim, "EVENT_CAP", most - 1)
+    with pytest.raises(SimulationError, match="event cap"):
+        simulate_batch(base62, None, conditional_p(40.0), 2.0, seed=SEED, n=300)
+
+
 def test_accumulation_matches_reference_short_paths(base62):
     batch = simulate_batch(base62, None, BASE_P, 5.0, seed=SEED, n=2000)
     counts = batch.counts
@@ -635,8 +696,8 @@ def test_path_sums_in_runs_equal_one_run(base62, derived62, change62, monkeypatc
 
 
 def test_path_sums_allocate_no_batch_long_temporary(base62):
-    # beyond its result, a path sum takes memory for one run of paths, far
-    # less than one flat array of the batch
+    # beyond its result, an undeclared path sum (read from the flat arrays)
+    # takes memory for one run of paths, far less than one flat array
     b = simulate_batch(base62, None, BASE_P, 20.0, seed=SEED, n=1 << 16)
     assert b.times.size  # both deferred draws run before the measurement
     flat = b.claims.nbytes
@@ -652,6 +713,44 @@ def test_path_sums_allocate_no_batch_long_temporary(base62):
         finally:
             tracemalloc.stop()
         assert extra < flat / 4, extra
+
+
+def test_a_stream_and_its_martingale_reads_hold_bounded_memory(monkeypatch):
+    # long-horizon's Q stream (alpha = ln 2, exp claims) read by its V table,
+    # at horizons T and 4T, small blocks, and neither flat array drawn.  The
+    # tracemalloc peak is bounded by 200 bytes a path (the chunk's arrays of
+    # its path count, and the consumer's values, indicators and increments:
+    # about 150 measured), 384 bytes a path of a row block (the arrival
+    # loop's (rows, 16) float64 and bool temporaries) and 96 bytes an event
+    # of a run (the run's uniforms, claims and masks)
+    base = BaseModel(Exponential(0.2), Gamma(2.0, 2.0))
+    derived = derive_q_model(validate_change(base, measure_change(alpha="ln(2)"), level=1))
+
+    def refuse(*args):
+        raise AssertionError("a flat array drawn")
+
+    monkeypatch.setattr(sim, "_draw_times", refuse)
+    monkeypatch.setattr(sim, "_draw_claims", refuse)
+    monkeypatch.setattr(sim, "_ROW_BLOCK", 1 << 10)
+    monkeypatch.setattr(sim, "_CLAIM_BLOCK", 1 << 13)
+    n = 1 << 14
+    bound = 200 * n + 384 * sim._ROW_BLOCK + 96 * sim._CLAIM_BLOCK
+
+    def peak(horizon):
+        plan = cmpplab.verify.check_martingale(
+            cmpplab.verify.process_v(derived), base, derived, DERIVED_Q,
+            [(horizon / 4, horizon / 2), (horizon / 2, horizon)], n=n, seed=SEED)
+        tracemalloc.start()
+        try:
+            assert plan.run().verdict in ("pass", "fail")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(20.0), peak(80.0)
+    # 160 events a path at 4T: its claim array alone would be 1280 bytes a path
+    assert short < bound and long < bound, (short, long, bound)
+    assert long < 1.1 * short, (short, long)
 
 
 def test_a_batch_holds_no_arrival_time():

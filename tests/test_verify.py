@@ -388,6 +388,24 @@ def test_consumer_refuses_reads_that_give_no_horizon(reads):
         Consumer((BASE_P, SEED, 1000, 0), lambda b: None, None, reads)
 
 
+def test_consumer_refuses_a_claim_sum_at_a_time_it_does_not_read():
+    with pytest.raises(ValueError, match="claim sums must be read at times of reads"):
+        Consumer((BASE_P, SEED, 1000, 0), lambda b: None, None, {1.0}, sums=[(2.0, None)])
+
+
+@pytest.mark.parametrize("tag", [BASE_P, DERIVED_Q])
+def test_undeclared_claim_sums_equal_declared(base62, derived62, change62, tag):
+    # a functional that reads S_t or a density's gamma sum without declaring
+    # it reads the batch's claim array, and gets the same bits
+    density = process_density(change62, tag)
+    declared = [f_aggregate(), density]
+    undeclared = [PathFunctional(f.name, f.eval_batch) for f in declared]
+    assert not any(f.sums for f in undeclared)
+    reps = [mc_estimate(fs, base62, derived62, tag, 1.0, 2000, SEED).run()
+            for fs in (declared, undeclared)]
+    assert reps[0] == reps[1]
+
+
 def test_event_anchor_validation(base62, derived62):
     with pytest.raises(ValueError):
         check_martingale(process_v(derived62), base62, derived62, DERIVED_Q,
