@@ -18,21 +18,28 @@ blocks of ``_ROW_BLOCK`` paths, so its temporaries span one block.  The
 caller also declares the claim sums it will read (S_t, and the sums of
 gamma(X) in a density): the first read of one fills them all in one pass
 over runs of about ``_CLAIM_BLOCK`` events, which draws a run's claims,
-adds them into every declared sum and drops them.  So a batch holds
-arrays of its path count, plus one row block of arrival temporaries while
-it is simulated and one run of claims while its sums are filled.  An
-undeclared sum and a read of ``claims`` or ``times`` (``dump_paths``, the
-demos) draw the batch's full array: ``claims`` on their first read, and
-``times`` by running the arrival loop again.  A consumer reading no claim
-(a density with gamma = 0) draws none.  Interarrivals
-accumulate in blocks of 16 draws, event k of a block at (time of the last
-full block) + (the block's k-th partial sum); the first block is filled in two
-sub-blocks, 4 draws and then 12 for paths that accepted all 4, with the
-partial sum carried across, so a short path draws few uniforms and every
-rounding still depends on (seed, path index) alone.  The batch engine
-performs the construction vectorized, and every quantile transform (the
-Gamma, Beta and Tilted laws' table evaluations included) maps each
-uniform on its own, so path i of a batch equals the one-path batch
+adds them into every declared sum and drops them.  Row blocks and claim
+runs run on W threads (``_spread``), the calling thread among them: one per
+CPU the process may run on and no more than there are blocks or runs; each
+writes its own paths' values only, so the thread count changes no bit.  So
+a batch holds arrays of its path count, plus at most W row blocks of
+arrival temporaries while it is simulated and W runs of claims while its
+sums are filled.  An undeclared sum and a read of ``claims`` or ``times``
+(``dump_paths``, the demos) draw the batch's full array: ``claims`` on
+their first read, and ``times`` by running the arrival loop again.  A
+consumer reading no claim (a density with gamma = 0) draws none.
+
+Interarrivals accumulate in blocks of 16 draws, event k of a block at
+(time of the last full block) + (the block's k-th partial sum); the first
+block is filled in two sub-blocks, 4 draws and then 12 for paths that
+accepted all 4, with the partial sum carried across, so a short path
+draws few uniforms and every rounding still depends on (seed, path index)
+alone.  A step's draws are laid out draw-major, one row per draw index
+across the running paths, so its partial sums are whole-row adds, in the
+order ``np.cumsum`` adds along a path.  The batch engine performs the
+construction vectorized, and every quantile transform (the Gamma, Beta
+and Tilted laws' table evaluations included) maps each uniform on its
+own, so path i of a batch equals the one-path batch
 ``simulate_batch(..., n=1, start_index=i)`` under the same seed bit for
 bit, whatever the batch's size or start index.
 
@@ -42,6 +49,8 @@ diagnostic instead of an endless loop.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Optional, Tuple
@@ -218,30 +227,17 @@ class PathBatch:
 
     def _sum_runs(self, sums, draw, last: float) -> list:
         """The claim sums ``sums``, at times <= ``last``, in one pass over runs
-        of paths (no temporary spans the batch): ``draw(a, z, m)`` gives the
-        first m[i] claims of each path a..z-1, its N_last, which are added
-        into every sum and dropped.  Each sum is over its own path's segment
-        only, its claims after N_t (and events after ``last``) as zeros, so a
-        path's sum is the one it has alone, whatever the runs or ``last``."""
+        of paths (no temporary spans the batch), spread over threads
+        (``_spread``): ``draw(a, z, m)`` gives the first m[i] claims of each
+        path a..z-1, its N_last, which are added into every sum and dropped
+        (see ``_sum_run``)."""
         upto = [self.counts if t == self.horizon else self.counts_at(t) for t, _ in sums]
         drawn = self.counts if last == self.horizon else self.counts_at(last)
         outs = [np.zeros(len(self)) for _ in sums]
-        for a, z in _runs(self.offsets):
-            m, counts = drawn[a:z], self.counts[a:z]
-            if not m.any():  # no claim by `last`: every sum stays +0
-                continue
-            claims = draw(a, z, m)
-            nonempty = counts > 0
-            starts = self.offsets[a:z][nonempty] - self.offsets[a]
-            for (t, fn), n_t, out in zip(sums, upto, outs):
-                vals = claims if fn is None else fn.eval_array(claims)
-                if t < last:
-                    vals = np.where(_leading(n_t[a:z], m), vals, 0.0)
-                if last < self.horizon:
-                    full = np.zeros(int(self.offsets[z] - self.offsets[a]))
-                    full[_leading(m, counts)] = vals
-                    vals = full
-                out[a:z][nonempty] = np.add.reduceat(vals, starts, dtype=float)
+        runs = [(a, z) for a, z in _runs(self.offsets) if drawn[a:z].any()]  # others stay +0
+        fill = partial(_sum_run, sums, upto, outs, drawn, self.counts, self.offsets, draw,
+                       last, self.horizon)
+        _spread(fill, runs, first_here=True)
         return outs
 
     def _path_sums(self, vals, dtype) -> np.ndarray:
@@ -259,6 +255,27 @@ class PathBatch:
                     vals(self, a, b), self.offsets[a:b][nonempty] - self.offsets[a],
                     dtype=dtype)
         return out
+
+
+def _sum_run(sums, upto, outs, drawn, counts, offsets, draw, last, horizon, a, z):
+    """Add the claims of paths a..z-1 at times <= ``last`` into each sum of
+    ``sums`` (its N_t in ``upto``, its values in ``outs``); ``drawn`` holds
+    N_last.  Each sum is over its own path's segment only, its claims after
+    N_t (and events after ``last``) as zeros, so a path's sum is the one it
+    has alone, whatever the runs or ``last``."""
+    m, counts = drawn[a:z], counts[a:z]
+    claims = draw(a, z, m)
+    nonempty = counts > 0
+    starts = offsets[a:z][nonempty] - offsets[a]
+    for (t, fn), n_t, out in zip(sums, upto, outs):
+        vals = claims if fn is None else fn.eval_array(claims)
+        if t < last:
+            vals = np.where(_leading(n_t[a:z], m), vals, 0.0)
+        if last < horizon:
+            full = np.zeros(int(offsets[z] - offsets[a]))
+            full[_leading(m, counts)] = vals
+            vals = full
+        out[a:z][nonempty] = np.add.reduceat(vals, starts, dtype=float)
 
 
 def _reads_no_claim(fn: Optional[RealFn]) -> bool:
@@ -324,28 +341,30 @@ def simulate_batch(base: BaseModel, derived: Optional[DerivedModel],
 def _arrivals(seed, keys, rates, horizon, reads=(), times=None, offsets=None):
     """Every path's event count and its N_t at each t of ``reads`` in
     [0, horizon); given ``times``, each accepted time goes to its flat slot.
-    The loop runs over blocks of _ROW_BLOCK paths, so its temporaries span
-    one block: a path's draws and roundings depend on its own draws only,
-    so the blocks change no bit."""
+    The loop runs over blocks of _ROW_BLOCK paths, spread over threads
+    (``_spread``), so its temporaries span one block a thread: a
+    path's draws and roundings depend on its own draws only, and a block
+    writes its own rows only, so the blocks change no bit."""
     n = rates.size
     counts = np.zeros(n, dtype=np.int64)
     counted = {float(t): np.zeros(n, dtype=np.int64) for t in reads if 0.0 <= t < horizon}
     if horizon > 0.0:
-        for lo in range(0, n, _ROW_BLOCK):
-            rows = np.arange(lo, min(lo + _ROW_BLOCK, n))
-            _arrive(seed, keys, rates, horizon, rows, counts, counted, times, offsets)
+        _spread(_arrive, [(seed, keys, rates, horizon, np.arange(lo, min(lo + _ROW_BLOCK, n)),
+                           counts, counted, times, offsets) for lo in range(0, n, _ROW_BLOCK)])
     return counts, counted
 
 
 def _arrive(seed, keys, rates, horizon, rows, counts, counted, times, offsets):
     """The arrival loop of the paths ``rows`` (see ``_arrivals``): their
-    counts and N_t go to ``counts`` and ``counted``, their times to ``times``."""
+    counts and N_t go to ``counts`` and ``counted``, their times to ``times``.
+    A step's draws are laid out draw-major, (width, running paths), so its
+    running sums are whole-row adds (see the module docstring)."""
     # the still-running paths, compacted: row, path key, negated rate, time of
     # the last completed block, and the in-block partial sum carried into the
     # second sub-block (None at a block's start)
-    key = keys[rows][:, None]
-    neg_rate = -rates[rows][:, None]
-    last = np.zeros((rows.size, 1))
+    key = keys[rows]
+    neg_rate = -rates[rows]
+    last = np.zeros(rows.size)
     carry = None
     # one buffer holds each step's uniforms and partial sums: a fresh array a
     # step is often fresh pages, which the kernel must map and zero again
@@ -354,30 +373,30 @@ def _arrive(seed, keys, rates, horizon, rows, counts, counted, times, offsets):
     drawn = 0  # every running path has drawn the same number of uniforms
     while rows.size:
         width = _HEAD if drawn == 0 else _BLOCK - drawn % _BLOCK
-        start = last[:, 0] if carry is None else carry  # the time before the block
+        start = last if carry is None else carry  # the time before the block
         pending = [t for t in pending if t >= start.min()]
         # interarrivals -ln(u) / rate, in place (negation is exact), then
         # their running sums from the last block's time
-        csum = uniforms(seed, key, LANE_ARRIVAL, drawn + np.arange(width),
-                        out=buf[:rows.size * width].reshape(rows.size, width))
+        csum = uniforms(seed, key[None, :], LANE_ARRIVAL, (drawn + np.arange(width))[:, None],
+                        out=buf[:rows.size * width].reshape(width, rows.size))
         np.log(csum, out=csum)
         csum /= neg_rate
         if carry is not None:
-            csum[:, 0] += carry
-        np.cumsum(csum, axis=1, out=csum)
+            csum[0] += carry
+        for k in range(1, width):
+            csum[k] += csum[k - 1]
         csum += last
         ok = csum <= horizon
-        # times never decrease: ok is a leading run of True, ended by argmin
-        n_ok = np.where(ok[:, -1], width, ok.argmin(axis=1))
+        # times never decrease: ok is a leading run of True down each column
+        n_ok = ok.sum(axis=0)
         counts[rows] += n_ok
         # N_t is settled in the block that passes t (a path's last block
         # passes the horizon): `drawn`, plus its leading run of times <= t
         for t in pending:
-            passing = (start <= t) & (csum[:, -1] > t)
-            upto = np.compress(passing, csum, axis=0) <= t
-            counted[t][rows[passing]] = drawn + upto.argmin(axis=1)
+            passing = (start <= t) & (csum[-1] > t)
+            counted[t][rows[passing]] = drawn + (csum[:, passing] <= t).sum(axis=0)
         if times is not None:  # after the `drawn` events of every running path
-            times[(offsets[rows, None] + np.arange(drawn, drawn + width))[ok]] = csum[ok]
+            times[(offsets[rows] + np.arange(drawn, drawn + width)[:, None])[ok]] = csum[ok]
         if drawn + n_ok.max() > EVENT_CAP:
             raise SimulationError(
                 f"a path exceeded the {EVENT_CAP} event cap before the horizon")
@@ -385,9 +404,9 @@ def _arrive(seed, keys, rates, horizon, rows, counts, counted, times, offsets):
         full = n_ok == width
         rows, key, neg_rate = rows[full], key[full], neg_rate[full]
         if drawn % _BLOCK:  # inside the first block, where last is 0: carry csum
-            carry, last = csum[full, -1], last[full]
+            carry, last = csum[-1, full], last[full]
         else:
-            carry, last = None, csum[full, -1:]
+            carry, last = None, csum[-1, full]
 
 
 def _draw_times(seed, keys, rates, horizon, offsets):
@@ -405,6 +424,69 @@ def _runs(offsets):
     return [(a, min(a + step, n)) for a in range(0, n, step)]
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: the most threads a call uses."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _spread(fn, items, first_here=False) -> None:
+    """fn(*item) for each item, on up to ``_cpus()`` threads, the calling
+    thread one of them (numpy releases the GIL in its kernels).  One item
+    runs on the calling thread alone, as does the first with ``first_here``,
+    so that a lazily built law table is built once, before any other
+    thread starts.  Each item must write its own rows only, so the threads change
+    no bit.  The first failing item's error, in order, is raised, as the
+    serial loop would raise it; no item starts after one failed, and no
+    thread outlives the call.  ``fn`` and ``items`` must not close over the
+    batch (see ``PathBatch._path_sums``)."""
+    if first_here and items:
+        fn(*items[0])
+        items = items[1:]
+    workers = min(len(items), _cpus())
+    if workers <= 1:
+        for item in items:
+            fn(*item)
+        return
+    work = _Work(fn, items)
+    threads = [threading.Thread(target=work.run) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work.run()
+    finally:
+        for thread in threads:
+            thread.join()
+    if work.failed:
+        raise work.failed[min(work.failed)]
+
+
+class _Work:
+    """The items of one ``_spread`` call, taken in order by its threads."""
+
+    def __init__(self, fn, items):
+        self.fn, self.items = fn, items
+        self.lock = threading.Lock()
+        self.taken = 0
+        self.failed: dict = {}  # item index -> its error
+
+    def run(self) -> None:
+        """Run the next item until none is left or one has failed."""
+        while True:
+            with self.lock:
+                if self.taken == len(self.items) or self.failed:
+                    return
+                i = self.taken
+                self.taken += 1
+            try:
+                self.fn(*self.items[i])
+            except BaseException as e:  # raised again by _spread, the first in item order
+                with self.lock:
+                    self.failed[i] = e
+                return
+
+
 def _claim_run(seed, keys, law, a, z, m):
     """The first m[i] claims of each path a..z-1, flat: claim k of a path is
     law.quantile of its claim-lane draw k.  Each uniform maps on its own, so
@@ -414,12 +496,16 @@ def _claim_run(seed, keys, law, a, z, m):
 
 
 def _draw_claims(draw, counts, offsets):
-    """Every claim of the batch, drawn by ``draw`` for runs of paths (no
-    temporary but the result spans the batch)."""
+    """Every claim of the batch, drawn by ``draw`` for runs of paths spread
+    over threads (no temporary but the result spans the batch)."""
     claims = np.empty(int(offsets[-1]))
-    for a, b in _runs(offsets):
-        claims[offsets[a]:offsets[b]] = draw(a, b, counts[a:b])
+    _spread(partial(_claim_fill, draw, counts, offsets, claims), _runs(offsets), first_here=True)
     return claims
+
+
+def _claim_fill(draw, counts, offsets, claims, a, z):
+    """Draw the claims of paths a..z-1 into their slots of ``claims``."""
+    claims[offsets[a]:offsets[z]] = draw(a, z, counts[a:z])
 
 
 # ---------------------------------------------------------------------------

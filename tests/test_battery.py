@@ -12,6 +12,7 @@ It validates and derives its model once.
 import csv
 import gc
 import math
+import threading
 import weakref
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from cmpplab.model import BaseModel, derive_q_model, measure_change, validate_ch
 from cmpplab.premium import premium_density
 from cmpplab.rng import LANE_CLAIM
 from cmpplab.scenario import run_scenario
-from cmpplab.expr import DomainError
+from cmpplab.expr import DomainError, parse
 from cmpplab.scenario import BUILTIN_SCENARIOS, resolve_scenario
 from cmpplab.sim import (BASE_P, DERIVED_Q, SimulationError, conditional_p, conditional_q,
                          log_density_batch, simulate_batch)
@@ -389,3 +390,73 @@ def test_kept_claim_draw_error_pins_no_batch(base62, derived62, small_chunks, mo
     assert counter.result() is None and len(batches) == 3  # fed every chunk
     gc.collect()
     assert all(ref() is None for ref in batches)
+
+
+def test_a_worker_error_reaches_its_consumer_as_the_serial_error(base62, monkeypatch):
+    # row blocks and claim runs run on worker threads (the first claim run on
+    # the calling thread).  An event-cap error in a row block, a gamma
+    # DomainError and a claim draw error in later claim runs reach
+    # Consumer.result() with the type and message of the serial loop's error
+    # (the first failing run's, of several that fail), no thread outlives
+    # run_streams, and a kept error pins no batch
+    monkeypatch.setattr(cmpplab.sim, "_ROW_BLOCK", 64)
+    monkeypatch.setattr(cmpplab.sim, "_CLAIM_BLOCK", 256)
+    fast = conditional_p(40.0)
+    most = int(simulate_batch(base62, None, fast, 1.0, SEED, n=3000).counts.max())
+    ref = simulate_batch(base62, None, BASE_P, 2.0, SEED, n=3000)
+    runs = [ref.claims[ref.offsets[a]:ref.offsets[z]]
+            for a, z in cmpplab.sim._runs(ref.offsets) if ref.counts[a:z].any()]
+    edge = np.nextafter(runs[0].max(), np.inf)  # the first run holds no claim past it
+    failing = [run.size for run in runs if run.max() > edge]
+    assert len(set(failing)) > 1
+    gamma = parse("ln(c - x)", "x", params={"c": float(edge)})
+
+    class Picky(Exponential):
+        def quantile(self, p):  # refuses a run holding a claim past the edge
+            x = super().quantile(p)
+            if x.max() > edge:
+                raise DistError(f"a run of {x.size} claims")
+            return x
+
+    picky = BaseModel(Picky(0.2), base62.mixing_law)
+    batches = []
+    orig = cmpplab.verify.simulate_batch
+
+    def recorded(*args, **kwargs):
+        batch = orig(*args, **kwargs)
+        batches.append(weakref.ref(batch))
+        return batch
+
+    monkeypatch.setattr(cmpplab.verify, "simulate_batch", recorded)
+    monkeypatch.setattr(cmpplab.sim, "EVENT_CAP", most - 1)
+
+    def failures(workers):
+        monkeypatch.setattr(cmpplab.sim, "_cpus", lambda: workers)
+        consumers = [
+            Consumer((fast, SEED, 3000, FAM_DEFAULT), lambda b: b.counts_at(1.0), None, {1.0}),
+            Consumer((BASE_P, SEED, 3000, FAM_DEFAULT), lambda b: b.claim_prefix_apply(2.0, gamma),
+                     None, {2.0}, sums=[(2.0, gamma)]),
+            Consumer((BASE_P, SEED, 3000, FAM_DEFAULT), lambda b: b.aggregates_at(2.0), None,
+                     {2.0}, sums=[(2.0, None)])]
+        threads = threading.active_count()
+        run_streams(base62, None, consumers[:2])
+        run_streams(picky, None, consumers[2:])
+        assert threading.active_count() == threads
+        for c in consumers:
+            with pytest.raises(Exception):
+                c.result()
+        return [(type(c.error), str(c.error)) for c in consumers], consumers
+
+    serial, _ = failures(1)
+    assert serial[0][0] is SimulationError and serial[1][0] is DomainError
+    assert serial[2] == (DistError, f"a run of {failing[0]} claims")
+    batches.clear()
+    spread, kept = failures(2)  # the consumers keep their errors
+    assert spread == serial
+    gc.collect()
+    assert len(batches) == 2 and all(ref() is None for ref in batches)
+    monkeypatch.setattr(cmpplab.sim, "EVENT_CAP", most)
+    threads = threading.active_count()  # and on a run that raises nothing
+    counter = Consumer((fast, SEED, 3000, FAM_DEFAULT), lambda b: b.counts_at(1.0), None, {1.0})
+    run_streams(base62, None, [counter])
+    assert counter.result() is None and threading.active_count() == threads

@@ -1,6 +1,11 @@
 import io
 import math
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from scipy import stats
 
 import cmpplab.verify
 from cmpplab import sim
+from cmpplab.cli import main
 from cmpplab.dist import Beta, DistError, Exponential, Gamma, Tilted, expectation
 from cmpplab.expr import DomainError, parse
 from cmpplab.model import (BaseModel, derive_q_model, identity_change,
@@ -232,6 +238,79 @@ def test_row_blocks_change_no_bit(declared_case, monkeypatch, row_block):
     one_block = paths()
     monkeypatch.setattr(sim, "_ROW_BLOCK", row_block)
     assert paths() == one_block
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_worker_count_changes_no_bit(declared_case, change62, monkeypatch, workers):
+    # row blocks and claim runs run on up to sim._cpus() worker threads; each
+    # writes its own rows only, so the thread count, more threads than CPUs
+    # included, changes no bit
+    args, _, ts = declared_case
+    gamma, undeclared = change62.gamma, parse("ln(1+x)", "x")
+    monkeypatch.setattr(sim, "_ROW_BLOCK", 256)
+    monkeypatch.setattr(sim, "_CLAIM_BLOCK", 1000)
+
+    def paths():
+        b = simulate_batch(*args, n=3000, reads=ts, sums=[(t, f) for t in ts for f in (None, gamma)])
+        assert len(sim._runs(b.offsets)) > 2
+        return [a.tobytes() for a in (
+            b.counts, *(b.counts_at(t) for t in ts), *(b.aggregates_at(t) for t in ts),
+            *(b.claim_prefix_apply(t, gamma) for t in ts), log_density_batch(b, 1.0, change62),
+            b.claim_prefix_apply(0.37, undeclared), b.times, b.claims)]
+
+    monkeypatch.setattr(sim, "_cpus", lambda: 1)
+    serial = paths()
+    monkeypatch.setattr(sim, "_cpus", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads interleave as often as they can
+    try:
+        assert paths() == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_spread_raises_the_first_failing_item_in_order(monkeypatch, workers):
+    # items 0 and 1 fail, item 1 first when threads run them together: the
+    # error raised is item 0's, as the serial loop raises it, and no item
+    # starts once one failed
+    monkeypatch.setattr(sim, "_cpus", lambda: workers)
+    ran = []
+
+    def item(i, delay):
+        time.sleep(delay)
+        ran.append(i)
+        if i < 2:
+            raise ValueError(i)
+
+    with pytest.raises(ValueError) as info:
+        sim._spread(item, [(0, 0.1), (1, 0.0), (2, 0.05), (3, 0.0)])
+    assert info.value.args == (0,)
+    assert 0 in ran and 3 not in ran
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_a_run_on_one_cpu_writes_the_golden_report(tmp_path, monkeypatch):
+    # example-6.2 in a child pinned to one CPU (one worker), and here (a
+    # worker a CPU), both in small row blocks and claim runs, write the golden
+    golden = (Path(__file__).parent / "golden" / "example-6.2.csv").read_bytes()
+    code = ("import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from cmpplab import sim\n"
+            "from cmpplab.cli import main\n"
+            "sim._ROW_BLOCK, sim._CLAIM_BLOCK = 1 << 8, 1 << 10\n"
+            "assert sim._cpus() == 1\n"
+            "sys.exit(main(['run', 'example-6.2', '--paths', '2000', '--output', sys.argv[1]]))\n")
+    out = tmp_path / "one-cpu.csv"
+    proc = subprocess.run([sys.executable, "-c", code, str(out)], capture_output=True, text=True)
+    assert proc.returncode in (0, 1) and proc.stderr == "", proc.stderr
+    assert out.read_bytes() == golden
+    here = tmp_path / "here.csv"
+    monkeypatch.setattr(sim, "_ROW_BLOCK", 1 << 8)
+    monkeypatch.setattr(sim, "_CLAIM_BLOCK", 1 << 10)
+    assert main(["run", "example-6.2", "--paths", "2000", "--output", str(here)]) == \
+        proc.returncode
+    assert here.read_bytes() == golden
 
 
 @pytest.mark.parametrize("t", [math.nan, -0.25, -math.inf, 2.5, math.inf])
@@ -721,8 +800,10 @@ def test_a_stream_and_its_martingale_reads_hold_bounded_memory(monkeypatch):
     # tracemalloc peak is bounded by 200 bytes a path (the chunk's arrays of
     # its path count, and the consumer's values, indicators and increments:
     # about 150 measured), 384 bytes a path of a row block (the arrival
-    # loop's (rows, 16) float64 and bool temporaries) and 96 bytes an event
-    # of a run (the run's uniforms, claims and masks)
+    # loop's (16, rows) float64 and bool temporaries) and 96 bytes an event
+    # of a run (the run's uniforms, claims and masks), a block and a run for
+    # each worker thread.  Two workers' peaks may or may not overlap, so the
+    # growth with the horizon is checked on one worker
     base = BaseModel(Exponential(0.2), Gamma(2.0, 2.0))
     derived = derive_q_model(validate_change(base, measure_change(alpha="ln(2)"), level=1))
 
@@ -734,7 +815,10 @@ def test_a_stream_and_its_martingale_reads_hold_bounded_memory(monkeypatch):
     monkeypatch.setattr(sim, "_ROW_BLOCK", 1 << 10)
     monkeypatch.setattr(sim, "_CLAIM_BLOCK", 1 << 13)
     n = 1 << 14
-    bound = 200 * n + 384 * sim._ROW_BLOCK + 96 * sim._CLAIM_BLOCK
+    workers = sim._cpus()
+
+    def bound(workers):
+        return 200 * n + workers * (384 * sim._ROW_BLOCK + 96 * sim._CLAIM_BLOCK)
 
     def peak(horizon):
         plan = cmpplab.verify.check_martingale(
@@ -747,9 +831,12 @@ def test_a_stream_and_its_martingale_reads_hold_bounded_memory(monkeypatch):
         finally:
             tracemalloc.stop()
 
+    spread = peak(80.0)
+    assert spread < bound(workers), (spread, workers, bound(workers))
+    monkeypatch.setattr(sim, "_cpus", lambda: 1)
     short, long = peak(20.0), peak(80.0)
     # 160 events a path at 4T: its claim array alone would be 1280 bytes a path
-    assert short < bound and long < bound, (short, long, bound)
+    assert short < bound(1) and long < bound(1), (short, long, bound(1))
     assert long < 1.1 * short, (short, long)
 
 
