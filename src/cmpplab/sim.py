@@ -18,13 +18,13 @@ blocks of ``_ROW_BLOCK`` paths, so its temporaries span one block.  The
 caller also declares the claim sums it will read (S_t, and the sums of
 gamma(X) in a density): the first read of one fills them all in one pass
 over runs of about ``_CLAIM_BLOCK`` events, which draws a run's claims,
-adds them into every declared sum and drops them.  Row blocks and claim
-runs run on W threads (``_spread``), the calling thread among them: one per
-CPU the process may run on and no more than there are blocks or runs; each
-writes its own paths' values only, so the thread count changes no bit.  So
-a batch holds arrays of its path count, plus at most W row blocks of
-arrival temporaries while it is simulated and W runs of claims while its
-sums are filled.  An undeclared sum and a read of ``claims`` or ``times``
+adds them into every declared sum and drops them.  Row blocks run on W
+threads (``_spread``), the calling thread among them: one per CPU the
+process may run on and no more than there are blocks; each writes its own
+paths' values only, so the thread count changes no bit.  Claim runs run on
+the calling thread.  So a batch holds arrays of its path count, plus at
+most W row blocks of arrival temporaries while it is simulated and one run
+of claims while its sums are filled.  An undeclared sum and a read of ``claims`` or ``times``
 (``dump_paths``, the demos) draw the batch's full array: ``claims`` on
 their first read, and ``times`` by running the arrival loop again.  A
 consumer reading no claim (a density with gamma = 0) draws none.
@@ -227,17 +227,30 @@ class PathBatch:
 
     def _sum_runs(self, sums, draw, last: float) -> list:
         """The claim sums ``sums``, at times <= ``last``, in one pass over runs
-        of paths (no temporary spans the batch), spread over threads
-        (``_spread``): ``draw(a, z, m)`` gives the first m[i] claims of each
-        path a..z-1, its N_last, which are added into every sum and dropped
-        (see ``_sum_run``)."""
+        of paths (no temporary spans the batch): ``draw(a, z, m)`` gives the
+        first m[i] claims of each path a..z-1, its N_last, which are added
+        into every sum and dropped.  Each sum is over its own path's segment
+        only, its claims after N_t (and events after ``last``) as zeros, so a
+        path's sum is the one it has alone, whatever the runs or ``last``."""
         upto = [self.counts if t == self.horizon else self.counts_at(t) for t, _ in sums]
         drawn = self.counts if last == self.horizon else self.counts_at(last)
         outs = [np.zeros(len(self)) for _ in sums]
-        runs = [(a, z) for a, z in _runs(self.offsets) if drawn[a:z].any()]  # others stay +0
-        fill = partial(_sum_run, sums, upto, outs, drawn, self.counts, self.offsets, draw,
-                       last, self.horizon)
-        _spread(fill, runs, first_here=True)
+        for a, z in _runs(self.offsets):
+            m, counts = drawn[a:z], self.counts[a:z]
+            if not m.any():  # no claim by `last`: every sum stays +0
+                continue
+            claims = draw(a, z, m)
+            nonempty = counts > 0
+            starts = self.offsets[a:z][nonempty] - self.offsets[a]
+            for (t, fn), n_t, out in zip(sums, upto, outs):
+                vals = claims if fn is None else fn.eval_array(claims)
+                if t < last:
+                    vals = np.where(_leading(n_t[a:z], m), vals, 0.0)
+                if last < self.horizon:
+                    full = np.zeros(int(self.offsets[z] - self.offsets[a]))
+                    full[_leading(m, counts)] = vals
+                    vals = full
+                out[a:z][nonempty] = np.add.reduceat(vals, starts, dtype=float)
         return outs
 
     def _path_sums(self, vals, dtype) -> np.ndarray:
@@ -255,27 +268,6 @@ class PathBatch:
                     vals(self, a, b), self.offsets[a:b][nonempty] - self.offsets[a],
                     dtype=dtype)
         return out
-
-
-def _sum_run(sums, upto, outs, drawn, counts, offsets, draw, last, horizon, a, z):
-    """Add the claims of paths a..z-1 at times <= ``last`` into each sum of
-    ``sums`` (its N_t in ``upto``, its values in ``outs``); ``drawn`` holds
-    N_last.  Each sum is over its own path's segment only, its claims after
-    N_t (and events after ``last``) as zeros, so a path's sum is the one it
-    has alone, whatever the runs or ``last``."""
-    m, counts = drawn[a:z], counts[a:z]
-    claims = draw(a, z, m)
-    nonempty = counts > 0
-    starts = offsets[a:z][nonempty] - offsets[a]
-    for (t, fn), n_t, out in zip(sums, upto, outs):
-        vals = claims if fn is None else fn.eval_array(claims)
-        if t < last:
-            vals = np.where(_leading(n_t[a:z], m), vals, 0.0)
-        if last < horizon:
-            full = np.zeros(int(offsets[z] - offsets[a]))
-            full[_leading(m, counts)] = vals
-            vals = full
-        out[a:z][nonempty] = np.add.reduceat(vals, starts, dtype=float)
 
 
 def _reads_no_claim(fn: Optional[RealFn]) -> bool:
@@ -431,19 +423,14 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _spread(fn, items, first_here=False) -> None:
+def _spread(fn, items) -> None:
     """fn(*item) for each item, on up to ``_cpus()`` threads, the calling
-    thread one of them (numpy releases the GIL in its kernels).  One item
-    runs on the calling thread alone, as does the first with ``first_here``,
-    so that a lazily built law table is built once, before any other
-    thread starts.  Each item must write its own rows only, so the threads change
-    no bit.  The first failing item's error, in order, is raised, as the
-    serial loop would raise it; no item starts after one failed, and no
-    thread outlives the call.  ``fn`` and ``items`` must not close over the
-    batch (see ``PathBatch._path_sums``)."""
-    if first_here and items:
-        fn(*items[0])
-        items = items[1:]
+    thread one of them (numpy releases the GIL in its kernels); one item
+    runs on the calling thread alone.  Each item must write its own rows
+    only, so the threads change no bit.  The first failing item's error, in
+    order, is raised, as the serial loop would raise it; no item starts
+    after one failed, and no thread outlives the call.  ``fn`` and
+    ``items`` must not close over the batch (see ``PathBatch._path_sums``)."""
     workers = min(len(items), _cpus())
     if workers <= 1:
         for item in items:
@@ -496,16 +483,12 @@ def _claim_run(seed, keys, law, a, z, m):
 
 
 def _draw_claims(draw, counts, offsets):
-    """Every claim of the batch, drawn by ``draw`` for runs of paths spread
-    over threads (no temporary but the result spans the batch)."""
+    """Every claim of the batch, drawn by ``draw`` for runs of paths (no
+    temporary but the result spans the batch)."""
     claims = np.empty(int(offsets[-1]))
-    _spread(partial(_claim_fill, draw, counts, offsets, claims), _runs(offsets), first_here=True)
+    for a, b in _runs(offsets):
+        claims[offsets[a]:offsets[b]] = draw(a, b, counts[a:b])
     return claims
-
-
-def _claim_fill(draw, counts, offsets, claims, a, z):
-    """Draw the claims of paths a..z-1 into their slots of ``claims``."""
-    claims[offsets[a]:offsets[z]] = draw(a, z, counts[a:z])
 
 
 # ---------------------------------------------------------------------------

@@ -393,12 +393,12 @@ def test_kept_claim_draw_error_pins_no_batch(base62, derived62, small_chunks, mo
 
 
 def test_a_worker_error_reaches_its_consumer_as_the_serial_error(base62, monkeypatch):
-    # row blocks and claim runs run on worker threads (the first claim run on
-    # the calling thread).  An event-cap error in a row block, a gamma
-    # DomainError and a claim draw error in later claim runs reach
-    # Consumer.result() with the type and message of the serial loop's error
-    # (the first failing run's, of several that fail), no thread outlives
-    # run_streams, and a kept error pins no batch
+    # row blocks run on worker threads, claim runs on the calling thread.  An
+    # event-cap error in a row block, and a gamma DomainError and a claim
+    # draw error in later claim runs, reach Consumer.result() with the type
+    # and message of the one-thread run's error (the first failing run's, of
+    # several that fail), no thread outlives run_streams, and a kept error
+    # pins no batch
     monkeypatch.setattr(cmpplab.sim, "_ROW_BLOCK", 64)
     monkeypatch.setattr(cmpplab.sim, "_CLAIM_BLOCK", 256)
     fast = conditional_p(40.0)

@@ -242,9 +242,9 @@ def test_row_blocks_change_no_bit(declared_case, monkeypatch, row_block):
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_worker_count_changes_no_bit(declared_case, change62, monkeypatch, workers):
-    # row blocks and claim runs run on up to sim._cpus() worker threads; each
-    # writes its own rows only, so the thread count, more threads than CPUs
-    # included, changes no bit
+    # row blocks run on up to sim._cpus() worker threads; each writes its own
+    # rows only, so the thread count, more threads than CPUs included,
+    # changes no bit
     args, _, ts = declared_case
     gamma, undeclared = change62.gamma, parse("ln(1+x)", "x")
     monkeypatch.setattr(sim, "_ROW_BLOCK", 256)
@@ -800,9 +800,9 @@ def test_a_stream_and_its_martingale_reads_hold_bounded_memory(monkeypatch):
     # tracemalloc peak is bounded by 200 bytes a path (the chunk's arrays of
     # its path count, and the consumer's values, indicators and increments:
     # about 150 measured), 384 bytes a path of a row block (the arrival
-    # loop's (16, rows) float64 and bool temporaries) and 96 bytes an event
-    # of a run (the run's uniforms, claims and masks), a block and a run for
-    # each worker thread.  Two workers' peaks may or may not overlap, so the
+    # loop's (16, rows) float64 and bool temporaries), a block for each
+    # worker thread, and 96 bytes an event of a run (the run's uniforms,
+    # claims and masks).  Two workers' peaks may or may not overlap, so the
     # growth with the horizon is checked on one worker
     base = BaseModel(Exponential(0.2), Gamma(2.0, 2.0))
     derived = derive_q_model(validate_change(base, measure_change(alpha="ln(2)"), level=1))
@@ -818,7 +818,7 @@ def test_a_stream_and_its_martingale_reads_hold_bounded_memory(monkeypatch):
     workers = sim._cpus()
 
     def bound(workers):
-        return 200 * n + workers * (384 * sim._ROW_BLOCK + 96 * sim._CLAIM_BLOCK)
+        return 200 * n + workers * 384 * sim._ROW_BLOCK + 96 * sim._CLAIM_BLOCK
 
     def peak(horizon):
         plan = cmpplab.verify.check_martingale(
