@@ -589,6 +589,12 @@ def _format_cell(v) -> str:
     return str(v)
 
 
+def _json_value(v):
+    """A JSON-lines value: a float that is not finite as its CSV cell's
+    text ("inf", "-inf", "nan"), which JSON has no number for."""
+    return _format_cell(v) if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def report_write(rows: List[Row], out_format: str, destination: str) -> None:
     """Write rows as CSV (fixed header) or JSON lines, floats at 17
     significant digits so a reader recovers them bit-exactly."""
@@ -605,8 +611,8 @@ def report_write(rows: List[Row], out_format: str, destination: str) -> None:
                     writer.writerow([_format_cell(getattr(r, c)) for c in REPORT_COLUMNS])
             else:
                 for r in rows:
-                    record = {c: getattr(r, c) for c in REPORT_COLUMNS}
-                    fh.write(json.dumps(record) + "\n")
+                    record = {c: _json_value(getattr(r, c)) for c in REPORT_COLUMNS}
+                    fh.write(json.dumps(record, allow_nan=False) + "\n")
     except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
         raise ScenarioError(f"cannot write report to {destination!r}: {e}") from e
 

@@ -17,17 +17,18 @@ counts N_t at each t the caller will read; its arrival loop runs over
 blocks of ``_ROW_BLOCK`` paths, so its temporaries span one block.  The
 caller also declares the claim sums it will read (S_t, and the sums of
 gamma(X) in a density): the first read of one fills them all in one pass
-over runs of about ``_CLAIM_BLOCK`` events, which draws a run's claims,
-adds them into every declared sum and drops them.  Row blocks run on W
-threads (``_spread``), the calling thread among them: one per CPU the
-process may run on and no more than there are blocks; each writes its own
-paths' values only, so the thread count changes no bit.  Claim runs run on
-the calling thread.  So a batch holds arrays of its path count, plus at
-most W row blocks of arrival temporaries while it is simulated and one run
-of claims while its sums are filled.  An undeclared sum and a read of ``claims`` or ``times``
-(``dump_paths``, the demos) draw the batch's full array: ``claims`` on
-their first read, and ``times`` by running the arrival loop again.  A
-consumer reading no claim (a density with gamma = 0) draws none.
+over runs of about ``_CLAIM_BLOCK`` events, which draws a run's claims to
+the horizon, adds them into every declared sum and drops them; a sum not
+declared takes such a pass of its own.  Row blocks run on W threads
+(``_spread``), the calling thread among them: one per CPU the process may
+run on and no more than there are blocks; each writes its own paths'
+values only, so the thread count changes no bit.  Claim runs run on the
+calling thread.  So a batch holds arrays of its path count, plus at most W
+row blocks of arrival temporaries while it is simulated and one run of
+claims while a sum is taken.  A read of ``claims`` or ``times``
+(``dump_paths``, the demos) draws the batch's full array: ``claims`` on its
+first read, and ``times`` by running the arrival loop again.  A consumer
+reading no claim (a density with gamma = 0) draws none.
 
 Interarrivals accumulate in blocks of 16 draws, event k of a block at
 (time of the last full block) + (the block's k-th partial sum); the first
@@ -129,45 +130,53 @@ class PathBatch:
     """Column-oriented batch of paths (flat ragged arrays); a one-path
     batch is a single path.
 
-    Fields are read-only by convention.  ``times`` and ``claims`` are
-    given as arrays or as deferred draws (functions of no argument): a
-    draw runs on the field's first read and its array is kept, while a
-    draw that raises is kept as it was and raises again on the next read.
+    Fields are read-only by convention.  ``times`` is given as an array or
+    as a deferred draw (a function of no argument), and ``claims`` as an
+    array or as the run draw ``claims(a, z, m)``, which gives the first
+    m[i] claims of each path a..z-1.  A deferred field is drawn on its first
+    read and its array kept (``claims`` by ``_draw_claims``), while a draw
+    that raises is kept as it was and raises again on the next read.
     ``counts_at`` and ``aggregates_at`` compute each t once per batch and
     return read-only arrays; N_t at a t not in ``counted`` reads ``times``.
 
     A claim sum (t, fn) is every path's sum of fn(X_k) over its claims at
-    times <= t: ``claim_prefix_apply(t, fn)``, and S_t for fn None.  The
-    ``sums`` are declared: the first read of one fills them all in one pass
-    over runs of paths, where ``draw(a, z, m)`` gives the first m[i] claims
-    of each path a..z-1 (up to the latest declared time), which are added
-    into every declared sum and dropped.  The filled sums are read-only and
-    kept; a pass that raises keeps nothing.  A sum not declared reads
-    ``claims``.
+    times <= t: ``claim_prefix_apply(t, fn)``, and S_t for fn None.  Sums
+    are taken in one pass over runs of paths, which draws each run's claims
+    to the horizon (or reads them from ``claims`` once drawn), adds them
+    into every sum of the pass and drops them.  The declared ``sums``, each
+    once by equality, share the pass of the first read of one; they are
+    kept read-only, and a pass that raises keeps nothing.  A sum not
+    declared takes a pass of its own.
     """
 
-    def __init__(self, thetas, counts, offsets, times, claims, horizon, counted=None,
-                 sums=(), draw=None):
+    def __init__(self, thetas, counts, offsets, times, claims, horizon, counted=None, sums=()):
         self.thetas = thetas      # (n,)
         self.counts = counts      # (n,) event counts
         self.offsets = offsets    # (n+1,) prefix offsets into times/claims
         self.horizon = horizon
-        self._flat = {"times": times, "claims": claims}
+        self._times, self._claims = times, claims
         self._memo: dict = {("N", t): n_t for t, n_t in (counted or {}).items()}
-        # the declared sums that read a claim, their claim draw, and their
-        # values once a pass filled them
-        self._sums = [(t, fn) for t, fn in sums
-                      if 0.0 <= t <= horizon and not _reads_no_claim(fn)]
-        self._draw = draw
+        # the declared sums that read a claim, and their values once a pass
+        # filled them
+        self._sums: list = []
+        for t, fn in sums:
+            if 0.0 <= t <= horizon and not _reads_no_claim(fn) and (t, fn) not in self._sums:
+                self._sums.append((t, fn))
         self._filled: Optional[list] = None
 
-    times = property(lambda self: self._read("times"), doc="flat event times")
-    claims = property(lambda self: self._read("claims"), doc="flat claim sizes")
+    @property
+    def times(self) -> np.ndarray:
+        """Flat event times."""
+        if callable(self._times):
+            self._times = self._times()
+        return self._times
 
-    def _read(self, name: str) -> np.ndarray:
-        if callable(self._flat[name]):
-            self._flat[name] = self._flat[name]()
-        return self._flat[name]
+    @property
+    def claims(self) -> np.ndarray:
+        """Flat claim sizes."""
+        if callable(self._claims):
+            self._claims = _draw_claims(self._claims, self.counts, self.offsets)
+        return self._claims
 
     def __len__(self) -> int:
         return int(self.thetas.size)
@@ -206,68 +215,55 @@ class PathBatch:
             return self._claim_sum(t, None)
         if t == self.horizon:  # every event counts
             return self.counts.view()
-        return self._path_sums(lambda b, a, z: b.times[b.offsets[a]:b.offsets[z]] <= t, np.int64)
+        return self._path_sums(lambda b, a, z: [b.times[b.offsets[a]:b.offsets[z]] <= t],
+                               [np.int64])[0]
 
     def _claim_sum(self, t: float, fn: Optional[RealFn]) -> np.ndarray:
         """The claim sum (t, fn): declared, from the pass that fills them
-        all; otherwise from ``claims``."""
-        for i, (u, g) in enumerate(self._sums):
-            if u == t and g == fn:
-                if self._filled is None:
-                    filled = self._sum_runs(self._sums, self._draw, max(u for u, _ in self._sums))
-                    for out in filled:
-                        out.flags.writeable = False
-                    self._filled = filled
-                return self._filled[i]
-        return self._sum_runs([(t, fn)], self._flat_claims, self.horizon)[0]
+        all; otherwise from a pass of its own."""
+        if (t, fn) not in self._sums:
+            return self._sum_runs([(t, fn)])[0]
+        if self._filled is None:
+            filled = self._sum_runs(self._sums)
+            for out in filled:
+                out.flags.writeable = False
+            self._filled = filled
+        return self._filled[self._sums.index((t, fn))]
 
-    def _flat_claims(self, a: int, z: int, m: np.ndarray) -> np.ndarray:
-        """The claims of paths a..z-1, read from ``claims`` (m: their counts)."""
-        return self.claims[self.offsets[a]:self.offsets[z]]
-
-    def _sum_runs(self, sums, draw, last: float) -> list:
-        """The claim sums ``sums``, at times <= ``last``, in one pass over runs
-        of paths (no temporary spans the batch): ``draw(a, z, m)`` gives the
-        first m[i] claims of each path a..z-1, its N_last, which are added
-        into every sum and dropped.  Each sum is over its own path's segment
-        only, its claims after N_t (and events after ``last``) as zeros, so a
-        path's sum is the one it has alone, whatever the runs or ``last``."""
+    def _sum_runs(self, sums) -> list:
+        """The claim sums ``sums``, in one pass over runs of paths (see
+        ``_path_sums``): a run's claims are added into every sum, those
+        after a path's N_t as zeros, and dropped."""
         upto = [self.counts if t == self.horizon else self.counts_at(t) for t, _ in sums]
-        drawn = self.counts if last == self.horizon else self.counts_at(last)
-        outs = [np.zeros(len(self)) for _ in sums]
-        for a, z in _runs(self.offsets):
-            m, counts = drawn[a:z], self.counts[a:z]
-            if not m.any():  # no claim by `last`: every sum stays +0
-                continue
-            claims = draw(a, z, m)
-            nonempty = counts > 0
-            starts = self.offsets[a:z][nonempty] - self.offsets[a]
-            for (t, fn), n_t, out in zip(sums, upto, outs):
-                vals = claims if fn is None else fn.eval_array(claims)
-                if t < last:
-                    vals = np.where(_leading(n_t[a:z], m), vals, 0.0)
-                if last < self.horizon:
-                    full = np.zeros(int(self.offsets[z] - self.offsets[a]))
-                    full[_leading(m, counts)] = vals
-                    vals = full
-                out[a:z][nonempty] = np.add.reduceat(vals, starts, dtype=float)
-        return outs
+        return self._path_sums(partial(_run_claim_values, sums, upto), [float] * len(sums))
 
-    def _path_sums(self, vals, dtype) -> np.ndarray:
-        """Per-path sums of ``vals(batch, a, z)``, the values of the events of
-        paths a to z, taken for runs of paths (no temporary spans the batch).
-        Each sum is over its own path's segment only, so a path's sum is the
-        one it has alone (0 for no events), whatever the runs.  ``vals`` is
+    def _path_sums(self, vals, dtypes) -> list:
+        """Per-path sums, one array of each dtype, of the arrays of values
+        ``vals(batch, a, z)`` gives (one a dtype) for the events of paths a
+        to z, taken for runs of paths (no temporary spans the batch).  Each
+        sum is over its own path's segment only, so a path's sum is the one
+        it has alone (0 for no events), whatever the runs.  ``vals`` is
         given the batch rather than closing over it: a kept error's
         traceback keeps its frames' functions, and so their closures."""
-        out = np.zeros(len(self), dtype=dtype)
-        for a, b in _runs(self.offsets):
-            nonempty = self.counts[a:b] > 0
+        outs = [np.zeros(len(self), dtype=dtype) for dtype in dtypes]
+        for a, z in _runs(self.offsets):
+            nonempty = self.counts[a:z] > 0
             if nonempty.any():
-                out[a:b][nonempty] = np.add.reduceat(
-                    vals(self, a, b), self.offsets[a:b][nonempty] - self.offsets[a],
-                    dtype=dtype)
-        return out
+                starts = self.offsets[a:z][nonempty] - self.offsets[a]
+                for out, v in zip(outs, vals(self, a, z)):
+                    out[a:z][nonempty] = np.add.reduceat(v, starts, dtype=out.dtype)
+        return outs
+
+
+def _run_claim_values(sums, upto, b: PathBatch, a: int, z: int):
+    """For each claim sum (t, fn) of ``sums``, fn of every claim of paths
+    a..z-1 of ``b``, those after N_t (``upto``) as zeros."""
+    counts = b.counts[a:z]
+    src = b._claims
+    claims = src(a, z, counts) if callable(src) else src[b.offsets[a]:b.offsets[z]]
+    for (t, fn), n_t in zip(sums, upto):
+        vals = claims if fn is None else fn.eval_array(claims)
+        yield vals if t == b.horizon else np.where(_leading(n_t[a:z], counts), vals, 0.0)
 
 
 def _reads_no_claim(fn: Optional[RealFn]) -> bool:
@@ -323,11 +319,11 @@ def simulate_batch(base: BaseModel, derived: Optional[DerivedModel],
     counts, counted = _arrivals(seed, keys, rates, horizon, [*reads, *(t for t, _ in sums)])
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    draw = partial(_claim_run, seed, keys, derived.q_claim if under.is_q_side else base.claim_law)
+    law = derived.q_claim if under.is_q_side else base.claim_law
     return PathBatch(thetas=thetas, counts=counts, offsets=offsets,
                      times=partial(_draw_times, seed, keys, rates, horizon, offsets),
-                     claims=partial(_draw_claims, draw, counts, offsets),
-                     horizon=float(horizon), counted=counted, sums=sums, draw=draw)
+                     claims=partial(_claim_run, seed, keys, law),
+                     horizon=float(horizon), counted=counted, sums=sums)
 
 
 def _arrivals(seed, keys, rates, horizon, reads=(), times=None, offsets=None):
@@ -425,53 +421,43 @@ def _cpus() -> int:
 
 def _spread(fn, items) -> None:
     """fn(*item) for each item, on up to ``_cpus()`` threads, the calling
-    thread one of them (numpy releases the GIL in its kernels); one item
-    runs on the calling thread alone.  Each item must write its own rows
-    only, so the threads change no bit.  The first failing item's error, in
-    order, is raised, as the serial loop would raise it; no item starts
-    after one failed, and no thread outlives the call.  ``fn`` and
-    ``items`` must not close over the batch (see ``PathBatch._path_sums``)."""
-    workers = min(len(items), _cpus())
-    if workers <= 1:
-        for item in items:
-            fn(*item)
-        return
-    work = _Work(fn, items)
-    threads = [threading.Thread(target=work.run) for _ in range(workers - 1)]
+    thread one of them (numpy releases the GIL in its kernels); with one
+    worker the calling thread runs them all, in order, and starts no thread.
+    Each item must write its own rows only, so the threads change no bit.
+    The first failing item's error, in order, is raised, as the serial loop
+    would raise it; no item starts after one failed, and no thread outlives
+    the call.  ``fn`` and ``items`` must not close over the batch (see
+    ``PathBatch._path_sums``)."""
+    failed: dict = {}  # item index -> its error
+    work = (fn, items, iter(range(len(items))), failed, threading.Lock())
+    threads = [threading.Thread(target=_take, args=work)
+               for _ in range(min(len(items), _cpus()) - 1)]
     for thread in threads:
         thread.start()
     try:
-        work.run()
+        _take(*work)
     finally:
         for thread in threads:
             thread.join()
-    if work.failed:
-        raise work.failed[min(work.failed)]
+    if failed:
+        raise failed[min(failed)]
 
 
-class _Work:
-    """The items of one ``_spread`` call, taken in order by its threads."""
-
-    def __init__(self, fn, items):
-        self.fn, self.items = fn, items
-        self.lock = threading.Lock()
-        self.taken = 0
-        self.failed: dict = {}  # item index -> its error
-
-    def run(self) -> None:
-        """Run the next item until none is left or one has failed."""
-        while True:
-            with self.lock:
-                if self.taken == len(self.items) or self.failed:
-                    return
-                i = self.taken
-                self.taken += 1
-            try:
-                self.fn(*self.items[i])
-            except BaseException as e:  # raised again by _spread, the first in item order
-                with self.lock:
-                    self.failed[i] = e
-                return
+def _take(fn, items, order, failed, lock) -> None:
+    """A ``_spread`` worker: run the next item of ``order`` until none is
+    left or one has failed.  It is no closure, so a kept error's traceback,
+    which keeps its frames' functions, holds no item."""
+    while True:
+        with lock:
+            i = None if failed else next(order, None)
+        if i is None:
+            return
+        try:
+            fn(*items[i])
+        except BaseException as e:  # raised by _spread, the first in item order
+            with lock:
+                failed[i] = e
+            return
 
 
 def _claim_run(seed, keys, law, a, z, m):

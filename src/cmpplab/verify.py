@@ -150,7 +150,7 @@ class PathFunctional:
 
     ``sums`` declares the claim functions whose sums up to t it reads (see
     ``PathBatch``): None for S_t, or the fn of ``claim_prefix_apply``.  A
-    sum it reads undeclared draws the batch's full claim array."""
+    sum it reads undeclared takes a pass over the batch's claims of its own."""
 
     def __init__(self, name: str, batch_fn: Callable[[PathBatch, float], np.ndarray],
                  sums: Iterable[Optional[RealFn]] = ()):
@@ -283,8 +283,8 @@ class Consumer:
     ``ValueError`` if it was never fed.
     Every estimator reads at least 100 paths, at one time or more.
     ``sums`` declares the claim sums ``add`` reads, each at a time of
-    ``reads``; a chunk fills them without a claim array, and a claim sum
-    ``add`` reads undeclared draws the chunk's claim array.
+    ``reads``; a chunk fills them in one pass without a claim array, and a
+    claim sum ``add`` reads undeclared takes a pass of its own.
     """
 
     def __init__(self, request: Request, add: Callable[[PathBatch], None], state,
@@ -361,7 +361,7 @@ def run_streams(base: BaseModel, derived: Optional[DerivedModel],
         streams.setdefault(c.request, []).append(c)
     for (under, seed, n, family), live in sorted(streams.items(), key=lambda kv: -len(kv[1])):
         reads = sorted(set().union(*(c.reads for c in live)))
-        sums = _distinct(s for c in live for s in c.sums)
+        sums = [s for c in live for s in c.sums]
         done = 0
         try:
             # a consumer whose plan-mate (or itself) failed is fed no more
@@ -379,11 +379,6 @@ def run_streams(base: BaseModel, derived: Optional[DerivedModel],
         except Exception as e:
             for c in live:
                 c.error = _kept(e)
-
-
-def _distinct(sums: Iterable[ClaimSum]) -> List[ClaimSum]:
-    """The claim sums, each (time, function object) once, in order."""
-    return list({(t, id(fn)): (t, fn) for t, fn in sums}.values())
 
 
 def _kept(e: Exception) -> Exception:

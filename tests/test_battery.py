@@ -210,8 +210,8 @@ def test_runs_draw_no_event_time(tmp_path, monkeypatch, scenario):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_runs_draw_each_claim_once(tmp_path, monkeypatch, scenario):
     # the claim-lane uniforms a batch draws while its consumers read it are
-    # its events up to its latest declared claim sum: each claim once, and
-    # none for a batch whose consumers read no claim (gamma = 0)
+    # its events, its latest declared claim sum being at its horizon: each
+    # claim once, and none for a batch whose consumers read no claim (gamma = 0)
     batches, drawn = [], []
     simulate, draw = cmpplab.verify.simulate_batch, cmpplab.sim.uniforms
 
@@ -229,8 +229,8 @@ def test_runs_draw_each_claim_once(tmp_path, monkeypatch, scenario):
     monkeypatch.setattr(cmpplab.verify, "simulate_batch", recorded)
     monkeypatch.setattr(cmpplab.sim, "uniforms", counted)
     run_rows(tmp_path, scenario)
-    want = [int(b.counts_at(max(t for t, _ in b._sums)).sum()) if b._sums else 0
-            for b in batches]
+    assert all(max(t for t, _ in b._sums) == b.horizon for b in batches if b._sums)
+    want = [int(b.counts.sum()) if b._sums else 0 for b in batches]
     assert drawn == want and any(want)
 
 

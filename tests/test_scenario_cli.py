@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from dataclasses import MISSING, fields
@@ -124,6 +125,27 @@ def test_jsonl_roundtrip(tmp_path):
     assert records[1]["estimate"] is None
     assert records[1]["detail"] == "theta^2"
     assert all(tuple(rec) == REPORT_COLUMNS for rec in records)
+
+
+def test_jsonl_writes_non_finite_floats_as_text(tmp_path):
+    # JSON has no number for inf or nan: such a float is written as its CSV
+    # cell's text, so a strict parser reads every line and float() recovers it
+    path = tmp_path / "r.jsonl"
+    vals = [math.inf, -math.inf, math.nan, 0.1]
+    rows = [Row(scenario="s", job="j", quantity=f"v{i}", estimate=v, stderr=v, oracle=v)
+            for i, v in enumerate(vals)]
+    report_write(rows, "json-lines", str(path))
+
+    def strict(name):
+        raise ValueError(f"not JSON: {name}")
+
+    records = [json.loads(line, parse_constant=strict)
+               for line in path.read_text().splitlines()]
+    assert [r["estimate"] for r in records] == ["inf", "-inf", "nan", 0.1]
+    for rec, v in zip(records, vals):
+        for key in ("estimate", "stderr", "oracle"):
+            got = float(rec[key])
+            assert got == v or (math.isnan(got) and math.isnan(v))
 
 
 def test_unknown_format_leaves_existing_report(tmp_path):

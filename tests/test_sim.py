@@ -3,8 +3,10 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -160,13 +162,13 @@ def test_counts_at_declared_times_equal_the_drawn_times(declared_case):
     args, times, ts = declared_case
     b = simulate_batch(*args, n=3000, reads=ts)
     # counted with the paths: nothing read yet, no time drawn
-    assert {t for _, t in b._memo} == set(ts) - {2.0} and callable(b._flat["times"])
+    assert {t for _, t in b._memo} == set(ts) - {2.0} and callable(b._times)
     spans = list(zip(b.offsets[:-1], b.offsets[1:]))
     for t in ts:
         upto = times <= t
         want = np.array([upto[lo:hi].sum() for lo, hi in spans], dtype=np.int64)
         assert b.counts_at(t).tobytes() == want.tobytes(), t
-    assert callable(b._flat["times"])
+    assert callable(b._times)
     hit, below, above = ts[1:4]
     # the event at hit counts at hit and above, and not one double below
     assert (b.counts_at(hit) - b.counts_at(below)).sum() >= 1
@@ -186,7 +188,7 @@ def test_sums_at_declared_times_equal_eager_reference(declared_case, change62):
         assert b.aggregates_at(t).tobytes() == aggs.tobytes(), t
         gammas = per_claim_sums(ref, t, change62.gamma)
         assert b.claim_prefix_apply(t, change62.gamma).tobytes() == gammas.tobytes(), t
-    assert callable(b._flat["times"])
+    assert callable(b._times)
 
 
 @pytest.mark.parametrize("claim_block", [1 << 16, 25, 1])
@@ -194,8 +196,8 @@ def test_sums_at_declared_times_equal_eager_reference(declared_case, change62):
 def test_declared_sums_equal_eager_claim_sums(declared_case, change62, monkeypatch,
                                              claim_block, last):
     # declared sums are filled run by run, runs of about sim._CLAIM_BLOCK
-    # claims, each drawn up to the latest declared time: before the horizon
-    # ("inside") a path's later claims are never drawn
+    # claims, each drawn to the horizon, whether the latest declared time is
+    # the horizon or inside it
     args, _, ts = declared_case
     ref = simulate_batch(*args, n=3000)  # eager arrays, drawn before counting
     assert ref.times.size and ref.claims.size
@@ -216,12 +218,37 @@ def test_declared_sums_equal_eager_claim_sums(declared_case, change62, monkeypat
         assert b.aggregates_at(t).tobytes() == reference_functionals(ref, t)[1].tobytes(), t
         assert b.claim_prefix_apply(t, gamma).tobytes() == \
             per_claim_sums(ref, t, gamma).tobytes(), t
-    # each claim up to the latest declared time drawn once; no flat array
-    want = b.counts_at(max(read)).sum()
-    assert sum(drawn) == want and (want < ref.claims.size) == (last == "inside")
-    assert callable(b._flat["claims"]) and callable(b._flat["times"])
+    # each claim drawn once; no flat array
+    assert sum(drawn) == b.counts.sum() == ref.claims.size
+    assert callable(b._claims) and callable(b._times)
     assert b.claim_prefix_apply(read[1], gamma) is b.claim_prefix_apply(read[1], gamma)
     assert not b.claim_prefix_apply(read[1], gamma).flags.writeable
+
+
+@pytest.mark.parametrize("claim_block", [25, 1000])
+def test_undeclared_sums_draw_no_claim_array(declared_case, change62, monkeypatch,
+                                             claim_block):
+    # a sum not declared takes a pass of its own over runs of claims, drawn
+    # to the horizon and dropped: byte for byte the declared sum.  Equal
+    # declared sums, here two equal gamma objects, are taken once
+    args, _, ts = declared_case
+    gamma = change62.gamma
+    declared = simulate_batch(*args, n=3000, reads=ts,
+                              sums=[(t, f) for t in ts for f in (None, gamma, replace(gamma))])
+    assert declared._sums == [(t, f) for t in ts for f in (None, gamma)]
+    want = [(declared.aggregates_at(t).tobytes(), declared.claim_prefix_apply(t, gamma).tobytes())
+            for t in ts]
+
+    def refuse(*args):
+        raise AssertionError("the claim array drawn")
+
+    monkeypatch.setattr(sim, "_draw_claims", refuse)
+    monkeypatch.setattr(sim, "_CLAIM_BLOCK", claim_block)
+    b = simulate_batch(*args, n=3000, reads=ts)
+    assert len(sim._runs(b.offsets)) > 2
+    assert [(b.aggregates_at(t).tobytes(), b.claim_prefix_apply(t, gamma).tobytes())
+            for t in ts] == want
+    assert callable(b._claims)
 
 
 @pytest.mark.parametrize("row_block", [1, 3, 7])
@@ -287,6 +314,26 @@ def test_spread_raises_the_first_failing_item_in_order(monkeypatch, workers):
         sim._spread(item, [(0, 0.1), (1, 0.0), (2, 0.05), (3, 0.0)])
     assert info.value.args == (0,)
     assert 0 in ran and 3 not in ran
+
+
+@pytest.mark.parametrize("workers, items, made", [(1, 4, 0), (3, 1, 0), (3, 0, 0), (2, 4, 1)])
+def test_spread_runs_inline_with_one_worker(monkeypatch, workers, items, made):
+    # one worker, one item or none: the calling thread runs the items in
+    # order and no thread is made
+    monkeypatch.setattr(sim, "_cpus", lambda: workers)
+    threads = []
+
+    class Recorded(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            threads.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    ran = []
+    sim._spread(lambda i: ran.append(i), [(i,) for i in range(items)])
+    assert len(threads) == made and sorted(ran) == list(range(items))
+    if not made:
+        assert ran == list(range(items))
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
@@ -605,7 +652,8 @@ def test_a_failed_claim_draw_is_not_kept(base62, fails):
     else:  # no half-built array was kept: the next read draws every claim
         want = simulate_batch(base62, None, BASE_P, 2.0, seed=SEED, n=300)
         assert b.aggregates_at(1.0).tobytes() == want.aggregates_at(1.0).tobytes()
-        assert b.claims.tobytes() == want.claims.tobytes() and len(calls) == 2
+        # the undeclared sum drew its runs and kept none; `claims` draws them again
+        assert b.claims.tobytes() == want.claims.tobytes() and len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
