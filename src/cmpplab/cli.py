@@ -9,8 +9,8 @@ Exit codes: 0 all verdicts pass, 1 some verdict failed, 2 usage or
 scenario parse error.  The setting flags pass their text on unconverted;
 ``scenario`` reads it by the rules of a scenario file's [mc] and [output]
 keys, and a refusal names the flag.  ``--param`` values parameterize
-builtin scenarios (e.g. ``--param c=1`` for example-6.3); file scenarios
-bind their own parameters.  The default report location is the current
+builtin scenarios (e.g. ``--param c=1`` for example-6.3), each name at
+most once; file scenarios bind their own parameters.  The default report location is the current
 directory, or the directory named by the CMPPLAB_OUTPUT_DIR environment
 variable.
 """
@@ -72,13 +72,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(name)
         return 0
 
+    params = {}
+    for name, value in args.param:
+        if name in params:
+            print(f"error: --param: parameter {name!r} given twice", file=sys.stderr)
+            return 2
+        params[name] = value
     overrides = {
         "seed": args.seed,
         "paths": args.paths,
         "horizon": args.horizon,
         "output": args.output,
         "format": args.format,
-        "params": dict(args.param),
+        "params": params,
     }
     return run_scenario(args.scenario, overrides)
 

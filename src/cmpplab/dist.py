@@ -11,7 +11,8 @@ Conventions
 * Tilted(base, weight) reweights a base law by a positive weight whose
   base-expectation must equal 1 (verified by quadrature at construction).
 
-All densities, cdfs and quantiles accept scalars or numpy arrays.  Every
+All densities, cdfs and quantiles accept scalars or numpy arrays; Gamma,
+Beta and Tilted densities are exp(logpdf) on the open support.  Every
 sampler is a quantile transform of counter-based uniforms, so a draw is a
 pure function of (seed, path index, lane, draw index); every quantile maps
 each point on its own, whatever the batch around it.  A Gamma, Beta or
@@ -33,8 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
-# np.unique loads numpy.ma on first call (14 ms): at import, not in a run
-import numpy.ma  # noqa: F401
 
 from . import special
 from .expr import RealFn, format_number
@@ -89,11 +88,20 @@ class Distribution:
     # density can be singular at a finite upper end; None otherwise
     logpdf_below_top: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    # -- subclasses provide: density, logpdf (continuous), cdf, quantile,
-    #    moment, mgf; the base class supplies derived conveniences.
+    # -- subclasses provide: logpdf (continuous), cdf, quantile, moment,
+    #    mgf, and density where it has a closed form (the others take
+    #    exp(logpdf) from here); the base class supplies derived conveniences.
 
     def density(self, x: ArrayLike) -> ArrayLike:
-        raise NotImplementedError
+        """exp(logpdf) on the open support, 0 outside it; logpdf is
+        evaluated only inside."""
+        xs = np.asarray(x, dtype=float)
+        lo, hi = self.support
+        inside = (xs > lo) & (xs < hi)
+        out = np.zeros(xs.shape)
+        with np.errstate(over="ignore"):
+            out[inside] = np.exp(self.logpdf(xs[inside]))
+        return _as_float_or_array(x, out)
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
         raise NotImplementedError
@@ -137,6 +145,13 @@ def _blockwise(invert: Callable[[np.ndarray], np.ndarray], p: ArrayLike) -> Arra
     for start in range(0, flat.size, _INVERT_BLOCK):
         out[start:start + _INVERT_BLOCK] = invert(flat[start:start + _INVERT_BLOCK])
     return _as_float_or_array(p, out.reshape(ps.shape))
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """x's values sorted, repeats dropped: np.unique's for finite floats,
+    without the numpy.ma import np.unique makes on its first call."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
 def sample_array(d: Distribution, seed: int, n: int) -> np.ndarray:
@@ -196,44 +211,6 @@ class Exponential(Distribution):
 
     def literal(self):
         return f"exp(rate={format_number(self.rate)})"
-
-
-class _Hermite(NamedTuple):
-    """A Tilted law's cdf, piecewise cubic Hermite on knots x: on segment j,
-    y = c0 + t (c1 + t (c2 + t c3)) with t = (v - x_j) / (x_{j+1} - x_j)."""
-
-    x: np.ndarray
-    c0: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-    c3: np.ndarray
-
-    @classmethod
-    def through(cls, x, y, m0, m1) -> "_Hermite":
-        """Cubics through the knot values y with end slopes m0, m1 per unit t."""
-        d = np.diff(y)
-        return cls(x, y[:-1], m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d)
-
-    def __call__(self, v):
-        """The interpolant at points v in [x_0, x_n]."""
-        j = np.clip(np.searchsorted(self.x, v, side="right") - 1, 0, self.x.size - 2)
-        t = (v - self.x[j]) / (self.x[j + 1] - self.x[j])
-        y = self.c3.take(j)
-        for c in (self.c2, self.c1, self.c0):
-            y *= t
-            y += c.take(j)
-        return y
-
-    def solve(self, y):
-        """Points v where the rising interpolant reaches y: bisection in t, to
-        the last bit, on the segment whose knot values bracket y."""
-        j = np.clip(np.searchsorted(self.c0, y, side="right") - 1, 0, self.x.size - 2)
-        c0, c1, c2, c3 = (c.take(j) for c in self[1:])
-        t = np.zeros_like(y)
-        for k in range(1, 54):
-            s = t + 0.5**k
-            t = np.where(c0 + s * (c1 + s * (c2 + s * c3)) < y, s, t)
-        return self.x[j] + t * (self.x[j + 1] - self.x[j])
 
 
 class _LogitTable(NamedTuple):
@@ -358,12 +335,6 @@ class Gamma(_TabledLaw):
                   - self.rate * x - math.lgamma(self.shape))
         return _as_float_or_array(x, np.where(x > 0.0, lp, -math.inf))
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            out = np.where(x > 0.0, np.exp(self.logpdf(x)), 0.0)
-        return _as_float_or_array(x, out)
-
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         out = special.gammainc(self.shape, self.rate * np.maximum(x, 0.0))
@@ -433,11 +404,6 @@ class Beta(_TabledLaw):
             lp = ((self.a - 1.0) * np.log1p(-y) + (self.b - 1.0) * np.log(y)
                   - special.lnbeta(self.a, self.b))
         return np.where((y > 0.0) & (y < 1.0), lp, -math.inf)
-
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where((x > 0.0) & (x < 1.0), np.exp(self.logpdf(x)), 0.0)
-        return _as_float_or_array(x, out)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -650,18 +616,20 @@ class Tilted(_TabledLaw):
     integral to 1e-8 by quadrature and refuses otherwise (a negative
     weight at a quadrature node raises DistError); equality is identity.
     cdf and quantile run off a lazily built table covering all but ~1e-12
-    of the base mass: the cdf is the cubic Hermite interpolant (_Hermite)
-    of its knot values with the density as slopes, and the quantile a
+    of the base mass: knots with the mass below each, so the cdf is a
+    knot's mass plus one Gauss-Kronrod rule from it (_cdf_from, within
+    1e-13 absolute of four closed-form tilts), and the quantile a
     _LogitTable over the cdf's logit range within +-_Z_TILTED.  A draw
     evaluates it at its own uniform alone, within 1e-6 relative of 50-digit
     quantiles for u in [1e-12, 1 - 1e-9] and within 1e-7 for u in
     [1e-3, 1 - 1e-3] (tested on four tilts with closed-form laws).  Next to
     a zero or deep dip of the density the quantile's tangent is near
     vertical: the table leaves those few segments out, and a draw there
-    bisects the cdf cubic, within 3e-4 relative of the quantile at the zero
-    and 1e-7 beyond the left-out segments (tested on Gamma, Exponential and
-    Beta tilts).  p below or above the span gives the table's end; NaN and p
-    outside [0, 1] give NaN.
+    bisects the cdf on its knot segment, within 1e-4 relative of the
+    quantile at the zero (1e-6 on Gamma and Beta tilts) and 1e-7 beyond the
+    left-out segments (tested on Gamma, Exponential and Beta tilts).  p
+    below or above the span gives the table's end; NaN and p outside
+    [0, 1] give NaN.
     """
 
     def __init__(self, base: Distribution,
@@ -710,15 +678,6 @@ class Tilted(_TabledLaw):
             return None
         return lambda y: self.log_weight_at(top - y) + below_top(y)
 
-    def density(self, x):
-        xs = np.asarray(x, dtype=float)
-        lo, hi = self.support
-        inside = (xs > lo) & (xs < hi)
-        out = np.zeros(xs.shape)
-        with np.errstate(over="ignore"):
-            out[inside] = np.exp(self.logpdf(xs[inside]))
-        return _as_float_or_array(x, out)
-
     def moment(self, k):
         _check_order(k)
         if k == 0:
@@ -750,8 +709,8 @@ class Tilted(_TabledLaw):
         left = np.geomspace(_TAIL_EPS, 1e-3, 256, endpoint=False)
         mid = np.linspace(1e-3, 1.0 - 1e-3, 1537)
         right = 1.0 - np.geomspace(1e-3, _TAIL_EPS, 256, endpoint=True)[1:]
-        p = np.unique(np.concatenate([left, mid, right, [1.0 - _TAIL_EPS]]))
-        xs = np.unique(np.asarray(base.quantile(p), dtype=float))
+        p = _distinct(np.concatenate([left, mid, right, [1.0 - _TAIL_EPS]]))
+        xs = _distinct(np.asarray(base.quantile(p), dtype=float))
 
         # the base-quantile span can miss tilted mass: a weight singular at
         # the lower edge piles mass below xs[0], an outward tilt shifts mass
@@ -763,7 +722,7 @@ class Tilted(_TabledLaw):
                 if left_tail < 1e-12:
                     break
                 extra = lo + (xs[0] - lo) * np.geomspace(1e-4, 1.0, 65)[:-1]
-                xs = np.unique(np.concatenate([extra, xs]))
+                xs = _distinct(np.concatenate([extra, xs]))
         for _ in range(12):
             if math.isinf(hi):
                 right_tail = integrate_semi_infinite(self.density, xs[-1],
@@ -776,10 +735,11 @@ class Tilted(_TabledLaw):
                 if right_tail < 1e-12:
                     break
                 extra = hi - (hi - xs[-1]) * np.geomspace(1e-4, 1.0, 65)[:-1]
-            xs = np.unique(np.concatenate([xs, extra]))
+            xs = _distinct(np.concatenate([xs, extra]))
 
         # cap the x-gap: probability-uniform placement spreads out wherever
-        # the density is small, and interpolation error grows like gap^4
+        # the density is small, and a cdf value is one Gauss-Kronrod rule over
+        # part of a segment, exact only while the segment is short
         cap = (xs[-1] - xs[0]) / 1024.0
         gaps = np.diff(xs)
         if (gaps > cap).any():
@@ -787,22 +747,19 @@ class Tilted(_TabledLaw):
             for k in np.nonzero(gaps > cap)[0]:
                 m = int(np.ceil(gaps[k] / cap))
                 filler.append(np.linspace(xs[k], xs[k + 1], m + 1)[1:-1])
-            xs = np.unique(np.concatenate(filler))
+            xs = _distinct(np.concatenate(filler))
 
         # one Gauss-Kronrod rule per segment, all evaluations batched; a NaN
         # density is a negative weight, inf an infinite one
         masses, _ = gauss_kronrod(self.density, xs[:-1], xs[1:])
-        slope = self.density(xs)
-        if not (np.isfinite(masses).all() and np.isfinite(slope).all()):
+        if not (np.isfinite(masses).all() and np.isfinite(self.density(xs)).all()):
             raise DistError("tilt weight is negative or not finite at a CDF table node")
         cdf = left_tail + np.concatenate([[0.0], np.cumsum(masses)])
-        h = np.diff(xs)
-        self._cdf = _Hermite.through(xs, cdf, slope[:-1] * h, slope[1:] * h)
+        self._knots = (xs, cdf)
 
         # the inverse over the cdf's logit range.  A node's x starts from the
         # knots' y against z, linear between them, and takes one Newton step on
-        # the cdf, integrated from the knot below (the cubic between knots is
-        # 5e-5 off in x where the tilted density outruns them)
+        # the cdf from the knot below
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.log(cdf / (1.0 - cdf))
         known = np.isfinite(z)
@@ -811,7 +768,7 @@ class Tilted(_TabledLaw):
             j = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, xs.size - 2)
             x = self._from_y(np.interp(np.log(u / q), z[known], self._to_y(xs[known])))
             with np.errstate(divide="ignore", invalid="ignore"):
-                x -= (cdf[j] + gauss_kronrod(self.density, xs[j], x)[0] - u) / self.density(x)
+                x -= (self._cdf_from(j, x) - u) / self.density(x)
             return self._to_y(np.clip(x, xs[j], xs[j + 1]))
 
         def log_rho(y):  # of Y = _to_y(X); its slope by central differences
@@ -831,22 +788,42 @@ class Tilted(_TabledLaw):
         lo, hi = self.support
         return lo + np.exp(y) if math.isinf(hi) else lo + (hi - lo) / (1.0 + np.exp(-y))
 
+    def _cdf_from(self, j, x):
+        """The cdf at points x of knot segments j: the knot's mass plus one
+        Gauss-Kronrod rule over [xs[j], x]."""
+        xs, cdf = self._knots
+        return cdf[j] + gauss_kronrod(self.density, xs[j], x)[0]
+
     def _direct(self, u):
         """Past the span, the table's end; on a segment the table leaves out
-        (next to a zero of the density), the cdf cubic's inverse."""
+        (next to a zero of the density), the point where the cdf reaches u, by
+        bisection to the last bit on u's knot segment."""
         tab = self._table
         with np.errstate(divide="ignore"):
             z = np.clip(np.log(u / (1.0 - u)), tab.z_lo, tab.z_hi)
         x = self._from_y(tab(z))
         gap = np.isnan(x)
-        x[gap] = self._cdf.solve(1.0 / (1.0 + np.exp(-z[gap])))
+        if gap.any():
+            xs, cdf = self._knots
+            v = 1.0 / (1.0 + np.exp(-z[gap]))
+            j = np.clip(np.searchsorted(cdf, v, side="right") - 1, 0, xs.size - 2)
+            lo, h = xs[j], xs[j + 1] - xs[j]
+            t = np.zeros_like(v)
+            for k in range(1, 54):
+                s = t + 0.5**k
+                t = np.where(self._cdf_from(j, lo + s * h) < v, s, t)
+            x[gap] = lo + t * h
         return x
 
     def cdf(self, x):
         self._tabled()
-        xs, lo, hi = np.asarray(x, dtype=float), self._cdf.x[0], self._cdf.x[-1]
-        out = np.clip(self._cdf(np.clip(xs, lo, hi)), 0.0, 1.0)
-        return _as_float_or_array(x, np.where(xs <= lo, 0.0, np.where(xs >= hi, 1.0, out)))
+        xs = self._knots[0]
+        v = np.asarray(x, dtype=float)
+        out = np.where(v >= xs[-1], 1.0, 0.0)
+        inside = (v > xs[0]) & (v < xs[-1])
+        j = np.searchsorted(xs, v[inside], side="right") - 1
+        out[inside] = np.clip(self._cdf_from(j, v[inside]), 0.0, 1.0)
+        return _as_float_or_array(x, out)
 
     def quantile(self, p):
         return _blockwise(self._invert, p)
@@ -896,6 +873,8 @@ def parse_distribution(text: str) -> Distribution:
             if i >= len(names):
                 raise DistError(f"too many arguments in {text!r}")
             key, val = names[i], part
+        if key in args:
+            raise DistError(f"argument {key!r} given twice in {text!r}")
         try:
             args[key] = float(val.strip())
         except ValueError:

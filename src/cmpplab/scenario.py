@@ -3,7 +3,8 @@
 A scenario file is line-oriented text: ``[section]`` headers and
 ``key = value`` pairs, with ``#`` comments.  Expression values are
 quoted strings; distribution values use the catalog literal syntax.
-The sections and keys below are the only ones; any other is an error.
+The sections and keys below are the only ones; any other is an error, as
+is a key, law argument or parameter given twice.
 
     [scenario]
     name = my-model
@@ -154,6 +155,8 @@ def _parse_params(value: str, source: str, lineno: int) -> Dict[str, float]:
         name = name.strip()
         if not name.isidentifier():
             raise ScenarioError(f"bad parameter name {name!r}", source, lineno)
+        if name in out:
+            raise ScenarioError(f"parameter {name!r} given twice", source, lineno)
         try:
             value = float(num.strip())
         except ValueError:
@@ -223,6 +226,9 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
         if key not in _SCENARIO_KEYS[current]:
             raise ScenarioError(f"unknown key {key!r} in [{current}] (known: "
                                 f"{', '.join(_SCENARIO_KEYS[current])})", source, lineno)
+        if key in sections[current]:
+            raise ScenarioError(f"key {key!r} in [{current}] is already set on line "
+                                f"{sections[current][key][1]}", source, lineno)
         sections[current][key] = (value, lineno)
 
     def get(section: str, key: str, default=None):

@@ -347,6 +347,22 @@ def test_run_never_imports_scipy_stats(tmp_path):
     assert all(out.exists() for out in outs)
 
 
+def test_run_never_imports_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma (16-18 ms) on its first call; a run of a
+    # builtin and of the Tilted workload, whose table builds merge knots,
+    # loads it nowhere
+    code = ("import sys\n"
+            "from cmpplab.cli import main\n"
+            "codes = [main(['run', scenario, '--paths', '500', '--output', out])\n"
+            "         for scenario, out in zip(sys.argv[1::2], sys.argv[2::2])]\n"
+            "print(*codes, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, "example-6.3", str(tmp_path / "a.csv"),
+                           str(TILTED_MIXTURE), str(tmp_path / "b.csv")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "False"]
+
+
 def test_repeated_run_leaves_no_process_state(tmp_path):
     # two runs in one fresh interpreter: the same report bytes, and no mutable
     # module-level container of any cmpplab module changed (a run's
@@ -671,6 +687,33 @@ def test_unknown_section_or_key_exit_2(tmp_path, capsys, no_simulation, old, new
     assert main(["run", str(scn_path), "--output", str(out)]) == 2
     assert f"{scn_path}:{line}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("old,new,args,message", [
+    ("claim = exp(rate=0.2)", "claim = exp(rate=0.2, rate=2)", [],
+     "{scn}:{line}: bad claim law: argument 'rate' given twice in 'exp(rate=0.2, rate=2)'"),
+    ("mixing = gamma(rate=2, shape=2)", "mixing = gamma(rate=2, shape=2)\nmixing = exp(rate=1)",
+     [], "{scn}:{line}: key 'mixing' in [base] is already set on line {first}"),
+    ("level = 2", "level = 2\nparams = c = 1, c = 2", [],
+     "{scn}:{line}: parameter 'c' given twice"),
+    (None, None, ["example-6.3", "--param", "c=1", "--param", "c=2"],
+     "error: --param: parameter 'c' given twice"),
+], ids=["law-argument", "file-key", "params-line", "param-flag"])
+def test_a_name_given_twice_exit_2(tmp_path, capsys, no_simulation, old, new, args, message):
+    # a repeated name is refused at its second place, never bound to its last value
+    scn_path = tmp_path / "twice.scn"
+    line = 0
+    if old is not None:
+        assert GOOD_SCENARIO.count(old) == 1
+        text = GOOD_SCENARIO.replace(old, new)
+        scn_path.write_text(text)
+        line = text.splitlines().index(new.splitlines()[-1]) + 1
+        args = [str(scn_path)]
+    out = tmp_path / "r.csv"
+    assert main(["run", *args, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message.format(scn=scn_path, line=line, first=line - 1) in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_overflowing_number_in_a_formula_exit_2(tmp_path, capsys, no_simulation):
