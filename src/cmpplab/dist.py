@@ -11,26 +11,30 @@ Conventions
 * Tilted(base, weight) reweights a base law by a positive weight whose
   base-expectation must equal 1 (verified by quadrature at construction).
 
-All densities, cdfs and quantiles accept scalars or numpy arrays; Gamma,
-Beta and Tilted densities are exp(logpdf) on the open support.  Every
-sampler is a quantile transform of counter-based uniforms, so a draw is a
-pure function of (seed, path index, lane, draw index); every quantile maps
-each point on its own, whatever the batch around it.  A Gamma, Beta or
-Tilted draw evaluates a lazily built quintic table (_LogitTable) of log x,
-logit x or ln(x - lo) (less ln(hi - x) on a finite support) against
-logit u, with no cdf call (but next to a zero of a Tilted law's density,
-which its table leaves out); Gamma and Beta tables are within 1e-13 relative
-of 50-digit quantiles (Gamma shapes 0.05 to 1e6, Beta parameters 0.05 to
-1000), and smaller shapes invert by special.gammaincinv or betaincinv
-alone.  The incomplete gamma and beta functions come from special, which
-uses numpy and math only.
+A float (or a 0-d array) in gives a float out, and an array keeps its
+shape.  Distribution's density, logpdf and cdf hold that convention once:
+each converts its input to a float array and calls the law's array method,
+_density, _logpdf or _cdf.  A law writes only that array math (Gamma, Beta
+and Tilted densities are exp(_logpdf) on the open support) and its own
+quantile, which keeps the convention itself.  Every sampler is a quantile
+transform of counter-based uniforms, so a draw is a pure function of
+(seed, path index, lane, draw index); every quantile maps each point on its
+own, whatever the batch around it.  A Gamma, Beta or Tilted draw
+evaluates a lazily built quintic table (_LogitTable) of log x, logit x or
+ln(x - lo) (less ln(hi - x) on a finite support) against logit u, with no
+cdf call (but next to a zero of a Tilted law's density, which its table
+leaves out); Gamma and Beta tables are within 1e-13 relative of 50-digit
+quantiles (Gamma shapes 0.05 to 1e6, Beta parameters 0.05 to 1000), and
+smaller shapes invert by special.gammaincinv or betaincinv alone.  The
+incomplete gamma and beta functions come from special, which uses numpy and
+math only.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -88,23 +92,31 @@ class Distribution:
     # density can be singular at a finite upper end; None otherwise
     logpdf_below_top: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    # -- subclasses provide: logpdf (continuous), cdf, quantile, moment,
-    #    mgf, and density where it has a closed form (the others take
-    #    exp(logpdf) from here); the base class supplies derived conveniences.
+    # -- density, logpdf and cdf are the float-or-array entry points: each
+    #    converts once and calls an array method, which maps a float array to
+    #    an array of its shape.  Subclasses provide those array methods,
+    #    _logpdf (continuous laws), _cdf and, where it has a closed form,
+    #    _density (the others take exp(_logpdf) from here); and quantile,
+    #    moment, mgf and literal.
 
     def density(self, x: ArrayLike) -> ArrayLike:
-        """exp(logpdf) on the open support, 0 outside it; logpdf is
-        evaluated only inside."""
-        xs = np.asarray(x, dtype=float)
-        lo, hi = self.support
-        inside = (xs > lo) & (xs < hi)
-        out = np.zeros(xs.shape)
-        with np.errstate(over="ignore"):
-            out[inside] = np.exp(self.logpdf(xs[inside]))
-        return _as_float_or_array(x, out)
+        return _as_float_or_array(x, self._density(np.asarray(x, dtype=float)))
+
+    def logpdf(self, x: ArrayLike) -> ArrayLike:
+        return _as_float_or_array(x, self._logpdf(np.asarray(x, dtype=float)))
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
-        raise NotImplementedError
+        return _as_float_or_array(x, self._cdf(np.asarray(x, dtype=float)))
+
+    def _density(self, x: np.ndarray) -> np.ndarray:
+        """exp(_logpdf) on the open support, 0 outside it; _logpdf is
+        evaluated only inside."""
+        lo, hi = self.support
+        inside = (x > lo) & (x < hi)
+        out = np.zeros(x.shape)
+        with np.errstate(over="ignore"):
+            out[inside] = np.exp(self._logpdf(x[inside]))
+        return out
 
     def quantile(self, p: ArrayLike) -> ArrayLike:
         raise NotImplementedError
@@ -115,16 +127,9 @@ class Distribution:
     def mgf(self, s: float) -> float:
         raise NotImplementedError
 
-    def mean(self) -> float:
-        return self.moment(1)
-
-    def variance(self) -> float:
-        m1 = self.moment(1)
-        return self.moment(2) - m1 * m1
-
     def interior_grid(self, n: int, p_lo: float = 1e-6) -> np.ndarray:
         """n interior points spread by probability mass (quantile grid)."""
-        return np.asarray(self.quantile(np.linspace(p_lo, 1.0 - p_lo, n)), dtype=float)
+        return self.quantile(np.linspace(p_lo, 1.0 - p_lo, n))
 
     def survival(self, x: float) -> float:
         return 1.0 - float(self.cdf(x))
@@ -156,7 +161,7 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 
 def sample_array(d: Distribution, seed: int, n: int) -> np.ndarray:
     """n draws, one per path index, for seeded vectorized sampling."""
-    return np.asarray(d.quantile(uniforms(seed, np.arange(n), LANE_MISC, 0)), dtype=float)
+    return d.quantile(uniforms(seed, np.arange(n), LANE_MISC, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -175,20 +180,14 @@ class Exponential(Distribution):
     def support(self):
         return (0.0, math.inf)
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x > 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)), 0.0)
-        return _as_float_or_array(x, out)
+    def _density(self, x):
+        return np.where(x > 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)), 0.0)
 
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x > 0.0, math.log(self.rate) - self.rate * x, -math.inf)
-        return _as_float_or_array(x, out)
+    def _logpdf(self, x):
+        return np.where(x > 0.0, math.log(self.rate) - self.rate * x, -math.inf)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x > 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
-        return _as_float_or_array(x, out)
+    def _cdf(self, x):
+        return np.where(x > 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
@@ -280,12 +279,14 @@ def _logit(u: float) -> float:  # inf at u = 1: a table floor that leaves no tab
 
 
 class _TabledLaw(Distribution):
-    """A law whose quantile evaluates a lazily built per-instance _LogitTable,
-    kept outside the law's fields, so it takes no part in equality, hashing
-    or literal().  Subclasses give quantile (their own, as the benchmark's
-    tracer wraps each law's), _build_table(), _from_y(y) (x from the table's
-    y) and _direct(u), the inverse for points in [0, 1] outside the span or
-    on a segment it leaves out."""
+    """A law whose quantile, _blockwise(self._invert, p), evaluates a
+    _LogitTable built on first use.  The table is kept on the instance
+    outside the law's fields, so it takes no part in equality, hashing or
+    literal().  Besides a law's array methods, a subclass gives quantile as
+    that one line in its own class (the benchmark's tracer wraps each law's
+    own quantile), _build_table(), _from_y(y) (x from the table's y) and
+    _direct(u), x for points of [0, 1] outside the table's span or on a
+    segment it leaves out."""
 
     _table: Optional[_LogitTable] = None
 
@@ -328,17 +329,14 @@ class Gamma(_TabledLaw):
     def support(self):
         return (0.0, math.inf)
 
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _logpdf(self, x):
         with np.errstate(divide="ignore", invalid="ignore"):
             lp = (self.shape * math.log(self.rate) + (self.shape - 1.0) * np.log(x)
                   - self.rate * x - math.lgamma(self.shape))
-        return _as_float_or_array(x, np.where(x > 0.0, lp, -math.inf))
+        return np.where(x > 0.0, lp, -math.inf)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = special.gammainc(self.shape, self.rate * np.maximum(x, 0.0))
-        return _as_float_or_array(x, np.where(x > 0.0, out, 0.0))
+    def _cdf(self, x):
+        return np.where(x > 0.0, special.gammainc(self.shape, self.rate * np.maximum(x, 0.0)), 0.0)
 
     def quantile(self, p):
         return _blockwise(self._invert, p)
@@ -392,12 +390,11 @@ class Beta(_TabledLaw):
     def support(self):
         return (0.0, 1.0)
 
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _logpdf(self, x):
         with np.errstate(divide="ignore", invalid="ignore"):
             lp = ((self.a - 1.0) * np.log(x) + (self.b - 1.0) * np.log1p(-x)
                   - special.lnbeta(self.a, self.b))
-        return _as_float_or_array(x, np.where((x > 0.0) & (x < 1.0), lp, -math.inf))
+        return np.where((x > 0.0) & (x < 1.0), lp, -math.inf)
 
     def logpdf_below_top(self, y):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -405,10 +402,8 @@ class Beta(_TabledLaw):
                   - special.lnbeta(self.a, self.b))
         return np.where((y > 0.0) & (y < 1.0), lp, -math.inf)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = special.betainc(self.a, self.b, np.clip(x, 0.0, 1.0))
-        return _as_float_or_array(x, out)
+    def _cdf(self, x):
+        return special.betainc(self.a, self.b, np.clip(x, 0.0, 1.0))
 
     def quantile(self, p):
         return _blockwise(self._invert, p)
@@ -462,20 +457,14 @@ class Uniform(Distribution):
     def support(self):
         return (self.lo, self.hi)
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = (x > self.lo) & (x < self.hi)
-        return _as_float_or_array(x, np.where(inside, 1.0 / (self.hi - self.lo), 0.0))
+    def _density(self, x):
+        return np.where((x > self.lo) & (x < self.hi), 1.0 / (self.hi - self.lo), 0.0)
 
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = (x > self.lo) & (x < self.hi)
-        return _as_float_or_array(x, np.where(inside, -math.log(self.hi - self.lo), -math.inf))
+    def _logpdf(self, x):
+        return np.where((x > self.lo) & (x < self.hi), -math.log(self.hi - self.lo), -math.inf)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        return _as_float_or_array(x, out)
+    def _cdf(self, x):
+        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
@@ -507,14 +496,12 @@ class Degenerate(Distribution):
     def support(self):
         return (self.point, self.point)
 
-    def density(self, x):
+    def _density(self, x):
         """Mass function of the unit point mass."""
-        x = np.asarray(x, dtype=float)
-        return _as_float_or_array(x, np.where(x == self.point, 1.0, 0.0))
+        return np.where(x == self.point, 1.0, 0.0)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return _as_float_or_array(x, np.where(x >= self.point, 1.0, 0.0))
+    def _cdf(self, x):
+        return np.where(x >= self.point, 1.0, 0.0)
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
@@ -526,9 +513,6 @@ class Degenerate(Distribution):
 
     def mgf(self, s):
         return math.exp(s * self.point)
-
-    def interior_grid(self, n, p_lo=1e-6):
-        return np.full(n, self.point)
 
     def literal(self):
         return f"degenerate({format_number(self.point)})"
@@ -667,9 +651,9 @@ class Tilted(_TabledLaw):
             raise DistError(f"tilt weight is negative at {float(x[negative][0])!r}")
         return lw
 
-    def logpdf(self, x):
+    def _logpdf(self, x):
         with np.errstate(invalid="ignore"):
-            return self.log_weight_at(x) + self.base.logpdf(x)
+            return self.log_weight_at(x) + self.base._logpdf(x)
 
     @property
     def logpdf_below_top(self):
@@ -710,7 +694,7 @@ class Tilted(_TabledLaw):
         mid = np.linspace(1e-3, 1.0 - 1e-3, 1537)
         right = 1.0 - np.geomspace(1e-3, _TAIL_EPS, 256, endpoint=True)[1:]
         p = _distinct(np.concatenate([left, mid, right, [1.0 - _TAIL_EPS]]))
-        xs = _distinct(np.asarray(base.quantile(p), dtype=float))
+        xs = _distinct(base.quantile(p))
 
         # the base-quantile span can miss tilted mass: a weight singular at
         # the lower edge piles mass below xs[0], an outward tilt shifts mass
@@ -759,7 +743,9 @@ class Tilted(_TabledLaw):
 
         # the inverse over the cdf's logit range.  A node's x starts from the
         # knots' y against z, linear between them, and takes one Newton step on
-        # the cdf from the knot below
+        # the cdf from the knot below; a step that is not finite (0/0 where the
+        # start x is a zero of the density) is not taken.  A knot on a finite
+        # edge of the support has y = +-inf, and the table leaves its segment out
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.log(cdf / (1.0 - cdf))
         known = np.isfinite(z)
@@ -767,18 +753,19 @@ class Tilted(_TabledLaw):
         def node_y(u, q):
             j = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, xs.size - 2)
             x = self._from_y(np.interp(np.log(u / q), z[known], self._to_y(xs[known])))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x -= (self._cdf_from(j, x) - u) / self.density(x)
+            step = (self._cdf_from(j, x) - u) / self.density(x)
+            x -= np.where(np.isfinite(step), step, 0.0)
             return self._to_y(np.clip(x, xs[j], xs[j + 1]))
 
         def log_rho(y):  # of Y = _to_y(X); its slope by central differences
             x = self._from_y(y)
             dx_dy = x - lo if math.isinf(hi) else (x - lo) * (hi - x) / (hi - lo)
-            return self.logpdf(x) + np.log(dx_dy)
+            return self._logpdf(x) + np.log(dx_dy)
 
-        return _LogitTable.build(
-            max(float(np.nanmin(z)), -_Z_TILTED), min(float(np.nanmax(z)), _Z_TILTED), node_y,
-            lambda y: (log_rho(y), (log_rho(y + 1e-5) - log_rho(y - 1e-5)) / 2e-5))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _LogitTable.build(
+                max(float(np.nanmin(z)), -_Z_TILTED), min(float(np.nanmax(z)), _Z_TILTED), node_y,
+                lambda y: (log_rho(y), (log_rho(y + 1e-5) - log_rho(y - 1e-5)) / 2e-5))
 
     def _to_y(self, x):
         lo, hi = self.support
@@ -815,15 +802,14 @@ class Tilted(_TabledLaw):
             x[gap] = lo + t * h
         return x
 
-    def cdf(self, x):
+    def _cdf(self, x):
         self._tabled()
         xs = self._knots[0]
-        v = np.asarray(x, dtype=float)
-        out = np.where(v >= xs[-1], 1.0, 0.0)
-        inside = (v > xs[0]) & (v < xs[-1])
-        j = np.searchsorted(xs, v[inside], side="right") - 1
-        out[inside] = np.clip(self._cdf_from(j, v[inside]), 0.0, 1.0)
-        return _as_float_or_array(x, out)
+        out = np.where(x >= xs[-1], 1.0, 0.0)
+        inside = (x > xs[0]) & (x < xs[-1])
+        j = np.searchsorted(xs, x[inside], side="right") - 1
+        out[inside] = np.clip(self._cdf_from(j, x[inside]), 0.0, 1.0)
+        return out
 
     def quantile(self, p):
         return _blockwise(self._invert, p)
@@ -842,25 +828,20 @@ def parse_distribution(text: str) -> Distribution:
     """Parse a distribution literal like ``gamma(rate=2,shape=2)``.
 
     Supported: exp(rate=), gamma(rate=,shape=), beta(a=,b=),
-    uniform(lo=,hi=) and degenerate(point).
-    Arguments may be positional in the documented order.
+    uniform(lo=,hi=) and degenerate(point).  Arguments may be positional:
+    a law's argument names, in their positional order, are its class's
+    dataclass fields.
     """
     text = text.strip()
     m = re.match(r"^([a-z_]+)\s*\((.*)\)$", text)
     if m is None:
         raise DistError(f"malformed distribution literal: {text!r}")
     name, argtext = m.group(1), m.group(2)
-    spec = {
-        "exp": (Exponential, ("rate",)),
-        "exponential": (Exponential, ("rate",)),
-        "gamma": (Gamma, ("rate", "shape")),
-        "beta": (Beta, ("a", "b")),
-        "uniform": (Uniform, ("lo", "hi")),
-        "degenerate": (Degenerate, ("point",)),
-    }.get(name)
-    if spec is None:
+    cls = {"exp": Exponential, "exponential": Exponential, "gamma": Gamma, "beta": Beta,
+           "uniform": Uniform, "degenerate": Degenerate}.get(name)
+    if cls is None:
         raise DistError(f"unknown distribution {name!r} in literal {text!r}")
-    cls, names = spec
+    names = tuple(f.name for f in fields(cls))
     args: dict[str, float] = {}
     parts = [p.strip() for p in argtext.split(",") if p.strip()]
     for i, part in enumerate(parts):

@@ -31,13 +31,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dist import (Beta, Degenerate, Distribution, Exponential, Gamma, Tilted,
-                   Uniform, expectation, log_weighted_expectation)
+from .dist import (NORMALIZATION_TOL, Beta, Degenerate, Distribution, Exponential, Gamma,
+                   Tilted, Uniform, expectation, log_weighted_expectation)
 from .expr import (Bin, Call, DomainError, Neg, Num, RealFn, Var, const_value,
                    identity, parse)
 from .quadrature import DivergentIntegral
-
-NORM_TOL = 1e-8
 
 
 class ModelError(ValueError):
@@ -163,14 +161,14 @@ def validate_change(base: BaseModel, change: MeasureChange, level: int = 1) -> A
     gamma_norm, why = attempt(lambda: log_weighted_expectation(base.claim_law, change.gamma))
     if why:
         failures.append(f"gamma_norm: {why}")
-    elif not abs(gamma_norm - 1.0) <= NORM_TOL:  # NaN fails too
-        failures.append(f"gamma_norm: {gamma_norm!r} differs from 1 beyond {NORM_TOL:g}")
+    elif not abs(gamma_norm - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
+        failures.append(f"gamma_norm: {gamma_norm!r} differs from 1 beyond {NORMALIZATION_TOL:g}")
 
     xi_norm, why = attempt(lambda: expectation(base.mixing_law, change.xi))
     if why:
         failures.append(f"xi_norm: {why}")
-    elif not abs(xi_norm - 1.0) <= NORM_TOL:  # NaN fails too
-        failures.append(f"xi_norm: {xi_norm!r} differs from 1 beyond {NORM_TOL:g}")
+    elif not abs(xi_norm - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
+        failures.append(f"xi_norm: {xi_norm!r} differs from 1 beyond {NORMALIZATION_TOL:g}")
 
     # positivity proxy: a 511-point quantile grid (nodes, then midpoints);
     # the almost-sure statement cannot be checked exhaustively

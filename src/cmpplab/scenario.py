@@ -57,9 +57,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .dist import DistError, expectation, parse_distribution
+from .dist import NORMALIZATION_TOL, DistError, expectation, parse_distribution
 from .expr import DomainError, RealFn, parse
-from .model import (NORM_TOL, AdmissibilityReport, BaseModel, DerivedModel,
+from .model import (AdmissibilityReport, BaseModel, DerivedModel,
                     MeasureChange, derive_q_model, measure_change, validate_change)
 from .premium import (PremiumQuote, esscher_change, expected_value_change,
                       premium_density)
@@ -413,9 +413,9 @@ def _job_validate(scn: Scenario, rep: AdmissibilityReport) -> List[Row]:
     mk = functools.partial(_row, scn, "validate")
     rows = [
         mk(quantity="gamma_norm", estimate=rep.gamma_norm, oracle=1.0,
-           verdict="pass" if abs(rep.gamma_norm - 1.0) <= NORM_TOL else "fail"),
+           verdict="pass" if abs(rep.gamma_norm - 1.0) <= NORMALIZATION_TOL else "fail"),
         mk(quantity="xi_norm", estimate=rep.xi_norm, oracle=1.0,
-           verdict="pass" if abs(rep.xi_norm - 1.0) <= NORM_TOL else "fail"),
+           verdict="pass" if abs(rep.xi_norm - 1.0) <= NORMALIZATION_TOL else "fail"),
         mk(quantity="xi_positive", estimate=float(rep.xi_positive),
            verdict="pass" if rep.xi_positive else "fail"),
         mk(quantity=f"claim_gate_l{scn.level}", estimate=rep.claim_gate,
