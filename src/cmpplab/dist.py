@@ -173,8 +173,8 @@ class Exponential(Distribution):
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise DistError(f"rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise DistError(f"rate must be positive and finite, got {self.rate}")
 
     @property
     def support(self):
@@ -322,8 +322,9 @@ class Gamma(_TabledLaw):
     shape: float
 
     def __post_init__(self):
-        if not (self.rate > 0 and self.shape > 0):
-            raise DistError(f"rate and shape must be positive, got {self.rate}, {self.shape}")
+        if not (0 < self.rate < math.inf and 0 < self.shape < math.inf):
+            raise DistError(
+                f"rate and shape must be positive and finite, got {self.rate}, {self.shape}")
 
     @property
     def support(self):
@@ -383,8 +384,8 @@ class Beta(_TabledLaw):
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise DistError(f"a and b must be positive, got {self.a}, {self.b}")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise DistError(f"a and b must be positive and finite, got {self.a}, {self.b}")
 
     @property
     def support(self):
@@ -450,8 +451,8 @@ class Uniform(Distribution):
     hi: float
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise DistError(f"need lo < hi, got {self.lo}, {self.hi}")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise DistError(f"need finite lo < hi, got {self.lo}, {self.hi}")
 
     @property
     def support(self):
@@ -478,7 +479,8 @@ class Uniform(Distribution):
     def mgf(self, s):
         if s == 0.0:
             return 1.0
-        return (math.exp(s * self.hi) - math.exp(s * self.lo)) / (s * (self.hi - self.lo))
+        w = s * (self.hi - self.lo)  # expm1 keeps small s from cancelling
+        return math.exp(s * self.lo) * math.expm1(w) / w
 
     def literal(self):
         return f"uniform(lo={format_number(self.lo)}, hi={format_number(self.hi)})"
@@ -489,8 +491,8 @@ class Degenerate(Distribution):
     point: float
 
     def __post_init__(self):
-        if not self.point > 0:
-            raise DistError(f"point must be positive, got {self.point}")
+        if not 0 < self.point < math.inf:
+            raise DistError(f"point must be positive and finite, got {self.point}")
 
     @property
     def support(self):

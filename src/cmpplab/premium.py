@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
-from .dist import DivergentMoment, Tilted, expectation
+from .dist import Distribution, DivergentMoment, Tilted, expectation
 from .expr import Bin, Num, RealFn, Var, parse
 from .model import BaseModel, DerivedModel, MeasureChange
 from .quadrature import DivergentIntegral, integrate_finite
+from .sim import BASE_P, DERIVED_Q, stream_law
 
 
 class BadInterval(ValueError):
@@ -47,6 +48,21 @@ def _scaled(coef: float, fn: RealFn) -> RealFn:
     return RealFn(Bin("*", Num(coef), fn.tree), fn.var, fn.params)
 
 
+def _stream_premium(mixing: Distribution, rate: RealFn,
+                    claim: Distribution) -> Tuple[float, RealFn]:
+    """(E[rate(Theta)] E[X], theta -> rate(theta) E[X]) of a stream's
+    (mixing law, rate, claim law); a divergent expectation gives inf."""
+    try:
+        e_x = claim.moment(1)
+    except (DivergentIntegral, DivergentMoment):
+        e_x = math.inf
+    try:
+        e_rate = mixing.moment(1) if isinstance(rate.tree, Var) else expectation(mixing, rate)
+    except (DivergentIntegral, DivergentMoment):
+        e_rate = math.inf
+    return e_rate * e_x, _scaled(e_x, rate)
+
+
 def premium_density(base: BaseModel, derived: Optional[DerivedModel] = None) -> PremiumQuote:
     """Premium densities of the base and (optionally) derived model.
 
@@ -54,37 +70,16 @@ def premium_density(base: BaseModel, derived: Optional[DerivedModel] = None) -> 
     coincide and the strict-loading condition is vacuously false.  A
     divergent derived-side expectation marks the quote infinite.
     """
-    e_x_base = base.claim_law.moment(1)
-    p_base = base.mixing_law.moment(1) * e_x_base
-    per_theta_base = _scaled(e_x_base, base.rate_fn)
-
-    if derived is None:
-        return PremiumQuote(p_base=p_base, p_derived=p_base,
-                            per_theta_base=per_theta_base,
-                            per_theta_derived=per_theta_base,
-                            cond13=False, cond13_margin=0.0, method="closed-form")
-
-    method = "quadrature" if isinstance(derived.q_claim, Tilted) \
-        or isinstance(derived.q_mixing, Tilted) else "closed-form"
-    try:
-        e_x_q = derived.q_claim.moment(1)
-    except (DivergentIntegral, DivergentMoment):
-        e_x_q = math.inf
-    try:
-        if isinstance(derived.g.tree, Var):
-            e_g = derived.q_mixing.moment(1)
-        else:
-            e_g = expectation(derived.q_mixing, derived.g)
-    except (DivergentIntegral, DivergentMoment):
-        e_g = math.inf
-    p_derived = e_g * e_x_q
-    per_theta_derived = _scaled(e_x_q, derived.g)
-    cond13 = math.isfinite(p_derived) and p_base < p_derived
-    margin = p_derived - p_base
+    p_base, per_theta_base = _stream_premium(*stream_law(BASE_P, base, derived))
+    p_derived, per_theta_derived, method = p_base, per_theta_base, "closed-form"
+    if derived is not None:
+        p_derived, per_theta_derived = _stream_premium(*stream_law(DERIVED_Q, base, derived))
+        if isinstance(derived.q_claim, Tilted) or isinstance(derived.q_mixing, Tilted):
+            method = "quadrature"
     return PremiumQuote(p_base=p_base, p_derived=p_derived,
-                        per_theta_base=per_theta_base,
-                        per_theta_derived=per_theta_derived,
-                        cond13=cond13, cond13_margin=margin, method=method)
+                        per_theta_base=per_theta_base, per_theta_derived=per_theta_derived,
+                        cond13=math.isfinite(p_derived) and p_base < p_derived,
+                        cond13_margin=p_derived - p_base, method=method)
 
 
 def premium_schedule(quote: PremiumQuote, t: float, T: float) -> float:

@@ -1,14 +1,15 @@
 """Path simulation for compound mixed Poisson processes.
 
-The construction is two-stage: draw the mixing parameter theta (or fix
-it, for the conditional measures), then run a compound Poisson process
-at rate theta on the base side or g(theta) on the derived side,
-accumulating exponential interarrivals until the next arrival would
-exceed the horizon.  Events landing exactly on a query time t count
-(the counting path is right-continuous); the partial interarrival past
-the horizon is never stored.
+The construction is two-stage: draw the mixing parameter theta, then run
+a compound Poisson process at rate theta on the base side or g(theta) on
+the derived side, accumulating exponential interarrivals until the next
+arrival would exceed the horizon; ``stream_law`` gives a measure tag's
+mixing law, rate function and claim law.  Events landing exactly on a
+query time t count (the counting path is right-continuous); the partial
+interarrival past the horizon is never stored.
 
-Draw layout per path (see rng): lane 0 draw 0 is theta, lane 1 holds
+Draw layout per path (see rng): lane 0 draw 0 is theta under every tag
+(a conditional tag's mixing law is theta's point mass), lane 1 holds
 interarrival uniforms, lane 2 claim uniforms.  A batch computes each
 path's key (``rng.PathKeys``) once and draws every lane from it; the
 draws are those of the rng contract, unchanged.  Theta and the arrival
@@ -58,6 +59,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
+from .dist import Degenerate, Distribution
 from .expr import DomainError, RealFn, const_value
 from .model import BaseModel, DerivedModel, MeasureChange
 from .rng import LANE_ARRIVAL, LANE_CLAIM, LANE_MISC, PathKeys, uniforms
@@ -92,8 +94,8 @@ class MeasureTag:
 
     def __post_init__(self):
         if self.kind in ("conditional_p", "conditional_q"):
-            if self.theta is None or not self.theta > 0:
-                raise ValueError("conditional tags need a positive theta")
+            if self.theta is None or not 0 < self.theta < np.inf:
+                raise ValueError("conditional tags need a positive finite theta")
         elif self.theta is not None:
             raise ValueError(f"{self.kind} does not carry a theta")
 
@@ -282,15 +284,17 @@ def _leading(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # simulation
 
-def _resolve_theta_and_rate(base, derived, under, seed, keys):
-    if under.is_conditional:
-        thetas = np.full(keys.state.size, under.theta)
-    else:
-        u = uniforms(seed, keys, LANE_MISC, 0)
-        law = derived.q_mixing if under.is_q_side else base.mixing_law
-        thetas = np.asarray(law.quantile(u), dtype=float)
-    rate_fn = derived.g if under.is_q_side else base.rate_fn
-    return thetas, rate_fn.eval_array(thetas)
+def stream_law(under: MeasureTag, base: BaseModel, derived: Optional[DerivedModel]
+               ) -> Tuple[Distribution, RealFn, Distribution]:
+    """(mixing law, rate function, claim law) of the paths under ``under``:
+    (P_Theta, theta, P_X) on the base side, (Q_Theta, g, Q_X) on the
+    derived side, with the mixing law theta's point mass for a conditional
+    tag."""
+    if under.is_q_side and derived is None:
+        raise ValueError(f"measure {under} requires a derived model")
+    mixing, rate, claim = (derived.q_mixing, derived.g, derived.q_claim) if under.is_q_side \
+        else (base.mixing_law, base.rate_fn, base.claim_law)
+    return (Degenerate(under.theta) if under.is_conditional else mixing), rate, claim
 
 
 def simulate_batch(base: BaseModel, derived: Optional[DerivedModel],
@@ -307,22 +311,21 @@ def simulate_batch(base: BaseModel, derived: Optional[DerivedModel],
     (t, fn) of ``sums`` declares a claim sum (see ``PathBatch``), so the
     batch reads it with no claim array.
     """
-    if under.is_q_side and derived is None:
-        raise ValueError(f"measure {under} requires a derived model")
+    mixing, rate_fn, claim_law = stream_law(under, base, derived)
     if horizon < 0.0:
         raise ValueError("horizon must be nonnegative")
     indices = np.arange(start_index, start_index + n, dtype=np.uint64) \
         + np.uint64(family * _FAMILY_STRIDE)
     keys = PathKeys.of(seed, indices)  # every lane below reuses them
-    thetas, rates = _resolve_theta_and_rate(base, derived, under, seed, keys)
+    thetas = np.asarray(mixing.quantile(uniforms(seed, keys, LANE_MISC, 0)), dtype=float)
+    rates = rate_fn.eval_array(thetas)
     sums = list(sums)
     counts, counted = _arrivals(seed, keys, rates, horizon, [*reads, *(t for t, _ in sums)])
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    law = derived.q_claim if under.is_q_side else base.claim_law
     return PathBatch(thetas=thetas, counts=counts, offsets=offsets,
                      times=partial(_draw_times, seed, keys, rates, horizon, offsets),
-                     claims=partial(_claim_run, seed, keys, law),
+                     claims=partial(_claim_run, seed, keys, claim_law),
                      horizon=float(horizon), counted=counted, sums=sums)
 
 

@@ -37,11 +37,11 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from .dist import Degenerate, clipped_expectation, expectation, log_weighted_expectation
+from .dist import Distribution, clipped_expectation, expectation, log_weighted_expectation
 from .expr import RealFn
 from .model import BaseModel, DerivedModel, MeasureChange
 from .sim import (BASE_P, DERIVED_Q, MeasureTag, PathBatch, conditional_p,
-                  conditional_q, log_density_batch, simulate_batch)
+                  conditional_q, log_density_batch, simulate_batch, stream_law)
 from .special import norm_isf
 
 CHUNK = 1 << 17
@@ -218,18 +218,16 @@ def theta_in(lo: float, hi: float) -> EventSpec:
 def default_event_family(s: float, base: BaseModel, derived: Optional[DerivedModel],
                          under: MeasureTag) -> List[EventSpec]:
     """The default family anchored at time s: N_s at most 0, 1 and 3, S_s at
-    most E[S_s] = s E[rate] E[X] and 2 E[S_s], theta below or above its
-    median, and the whole space; at s = 0, where N_0 = S_0 = 0, only the
-    last three.  All of it comes from the tag's law (theta's point mass if
-    it fixes one)."""
-    q_side = under.is_q_side
-    law = Degenerate(under.theta) if under.is_conditional else \
-        derived.q_mixing if q_side else base.mixing_law
-    theta_med = float(law.quantile(0.5))
+    most E[S_s] = s E[rate(Theta)] E[X] and 2 E[S_s], theta below or above
+    its median, and the whole space; at s = 0, where N_0 = S_0 = 0, only the
+    last three.  All of it comes from the tag's (mixing law, rate, claim
+    law), ``sim.stream_law`` (the mixing law is theta's point mass for a
+    conditional tag), so building it simulates nothing."""
+    mixing, rate, claim = stream_law(under, base, derived)
+    theta_med = float(mixing.quantile(0.5))
     events = [theta_in(0.0, theta_med), theta_in(theta_med, math.inf), whole_space()]
     if s > 0.0:
-        mean_x = derived.claim_tilt_mean if q_side else base.claim_law.moment(1)
-        mean_s = s * expectation(law, derived.g if q_side else base.rate_fn) * mean_x
+        mean_s = s * expectation(mixing, rate) * claim.moment(1)
         events[:0] = [count_at_most(s, 0), count_at_most(s, 1), count_at_most(s, 3),
                       aggregate_at_most(s, mean_s), aggregate_at_most(s, 2.0 * mean_s)]
     return events
@@ -635,28 +633,20 @@ class DriftRow:
     frac_above: float                # log density > +5
 
 
-def _drift_oracle(base: BaseModel, change: MeasureChange, derived: DerivedModel,
-                  side: str, theta: Optional[float], horizon: float) -> float:
-    """Analytic per-unit-time drift of the log likelihood ratio."""
-    alpha, gamma, xi = change.alpha, change.gamma, change.xi
-    # mean of gamma(X): plain under P, e^gamma-weighted under Q
-    eg_p = expectation(base.claim_law, gamma)
-    eg_q = log_weighted_expectation(base.claim_law, gamma, f=gamma)
-    g = derived.g
+def _drift_oracle(change: MeasureChange, mixing: Distribution, rate: RealFn, eg: float,
+                  include_xi: bool, horizon: float) -> float:
+    """Analytic per-unit-time drift of the log likelihood ratio on a stream
+    of law (mixing, rate) whose mean of gamma(X) is eg: E[r alpha + r eg -
+    Theta (e^alpha - 1)], r = rate(Theta), plus E[ln xi(Theta)] / horizon."""
 
     def per_theta(th: np.ndarray) -> np.ndarray:
-        a = alpha.eval_array(th)
-        if side == "p":
-            return th * a + th * eg_p - th * np.expm1(a)
-        g_th = g.eval_array(th)
-        return g_th * a + g_th * eg_q - th * np.expm1(a)
+        a, r = change.alpha.eval_array(th), rate.eval_array(th)
+        return r * a + r * eg - th * np.expm1(a)
 
-    if theta is not None:
-        return float(per_theta(np.array([theta]))[0])
-    mix = base.mixing_law if side == "p" else derived.q_mixing
-    drift = expectation(mix, per_theta)
-    log_xi_mean = expectation(mix, lambda th: np.log(xi.eval_array(th)))
-    return drift + log_xi_mean / horizon
+    drift = expectation(mixing, per_theta)
+    if not include_xi:
+        return drift
+    return drift + expectation(mixing, lambda th: np.log(change.xi.eval_array(th))) / horizon
 
 
 def singularity_probe(derived: DerivedModel, *, horizons: Sequence[float], n: int,
@@ -689,11 +679,16 @@ def singularity_probe(derived: DerivedModel, *, horizons: Sequence[float], n: in
                                   [(T, change.gamma) for T in horizons]))
 
     def finish() -> List[DriftRow]:
+        results = [c.result() for c in consumers]
+        # each side's mean of gamma(X) by the base claim law, e^gamma-weighted under Q
+        egs = (expectation(base.claim_law, change.gamma),
+               log_weighted_expectation(base.claim_law, change.gamma, f=change.gamma))
+        laws = [stream_law(tag, base, derived)[:2] for _, tag, _ in sides]
         rows = []
         for i, T in enumerate(horizons):
-            for (side, _, _), c in zip(sides, consumers):
-                acc, below, above = c.result()[i]
-                oracle = _drift_oracle(base, change, derived, side, theta_fixed, T)
+            for (side, _, _), result, (mixing, rate), eg in zip(sides, results, laws, egs):
+                acc, below, above = result[i]
+                oracle = _drift_oracle(change, mixing, rate, eg, include_xi, T)
                 drift = MCReport(f"log-density drift T={T:g} under {side}", acc.mean / T,
                                  acc.stderr / T, acc.n, oracle)
                 rows.append(DriftRow(

@@ -603,3 +603,27 @@ def test_parameter_validation():
         Uniform(2.0, 1.0)
     with pytest.raises(DistError):
         Degenerate(0.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("law", ["exp", "gamma-rate", "gamma-shape", "beta-a", "beta-b",
+                                 "uniform-lo", "uniform-hi", "degenerate"])
+def test_a_law_refuses_a_parameter_that_is_not_finite(law, value):
+    # built directly, not through the literal parser (which refuses inf itself):
+    # exp(inf) drew every claim as 0, and degenerate(inf) could not print
+    make = {"exp": lambda v: Exponential(v), "gamma-rate": lambda v: Gamma(v, 2.0),
+            "gamma-shape": lambda v: Gamma(2.0, v), "beta-a": lambda v: Beta(v, 2.0),
+            "beta-b": lambda v: Beta(2.0, v), "uniform-lo": lambda v: Uniform(v, 0.5),
+            "uniform-hi": lambda v: Uniform(0.5, v), "degenerate": lambda v: Degenerate(v)}
+    with pytest.raises(DistError, match="finite"):
+        make[law](value)
+
+
+@pytest.mark.parametrize("s", [1e-12, -1e-12, 1e-9, 1e-3, 1.0, 30.0, -30.0])
+def test_uniform_mgf_is_accurate_for_small_s(s):
+    # e^{s hi} - e^{s lo} cancelled for small s: 5e-5 relative off at s = 1e-12
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    lo, hi = mp.mpf(0.5), mp.mpf(2.5)
+    ref = (mp.exp(s * hi) - mp.exp(s * lo)) / (s * (hi - lo))
+    assert Uniform(0.5, 2.5).mgf(s) == pytest.approx(float(ref), rel=1e-15, abs=0)

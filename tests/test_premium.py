@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sci
 
-from cmpplab.dist import (Beta, Exponential, Gamma, OutsideConvergenceStrip,
+from cmpplab.dist import (Beta, Exponential, Gamma, OutsideConvergenceStrip, Uniform,
                           expectation, log_weighted_expectation)
 from cmpplab.model import (BaseModel, derive_g, derive_q_model,
                            identity_change, measure_change, validate_change)
@@ -71,6 +71,8 @@ def test_quote_without_derived_model(base62):
     quote = premium_density(base62)
     assert quote.p_base == quote.p_derived == pytest.approx(5.0, rel=1e-12)
     assert not quote.cond13
+    assert quote.cond13_margin == 0.0 and quote.method == "closed-form"
+    assert quote.per_theta_derived is quote.per_theta_base
 
 
 def test_worked_quote_63():
@@ -158,6 +160,16 @@ def test_esscher_change_normalized(base62):
     assert rep.verdict
     assert abs(rep.gamma_norm - 1.0) <= 1e-10
     assert str(derive_g(change)) == "theta"
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e-12])
+def test_esscher_change_at_a_tiny_parameter_is_normalized(c):
+    # ln E[e^{cX}] of a uniform claim law lost ~1e-5 relative to cancellation at
+    # c = 1e-12, so the change failed its own normalization gate
+    base = BaseModel(Uniform(0.5, 2.5), Gamma(2.0, 2.0))
+    rep = validate_change(base, esscher_change(c, base), level=1)
+    assert rep.verdict
+    assert abs(rep.gamma_norm - 1.0) <= 1e-12
 
 
 def test_esscher_outside_strip(base62):

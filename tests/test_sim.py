@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -18,7 +19,7 @@ from scipy import stats
 import cmpplab.verify
 from cmpplab import sim
 from cmpplab.cli import main
-from cmpplab.dist import Beta, DistError, Exponential, Gamma, Tilted, expectation
+from cmpplab.dist import Beta, Degenerate, DistError, Exponential, Gamma, Tilted, expectation
 from cmpplab.expr import DomainError, parse
 from cmpplab.model import (BaseModel, derive_q_model, identity_change,
                            measure_change, validate_change)
@@ -370,6 +371,64 @@ def test_every_functional_refuses_a_time_outside_the_horizon(base62, change62, t
         with pytest.raises(OutOfHorizon):
             read(t)
     assert not b._memo
+
+
+# ---------------------------------------------------------------------------
+# stream laws
+
+@pytest.mark.parametrize("tag", [BASE_P, DERIVED_Q, conditional_p(1.5), conditional_q(1.5)])
+def test_stream_law_resolves_each_tag(base62, derived62, tag):
+    base_side = (base62.mixing_law, base62.rate_fn, base62.claim_law)
+    q_side = (derived62.q_mixing, derived62.g, derived62.q_claim)
+    expected = {"base_p": base_side, "derived_q": q_side,
+                "conditional_p": base_side, "conditional_q": q_side}[tag.kind]
+    mixing, rate, claim = sim.stream_law(tag, base62, derived62)
+    assert rate is expected[1] and claim is expected[2]
+    if tag.kind.startswith("conditional"):
+        assert mixing == Degenerate(1.5)
+    else:
+        assert mixing is expected[0]
+
+
+@pytest.mark.parametrize("tag", [DERIVED_Q, conditional_q(1.5)])
+def test_a_q_tag_without_a_derived_model_is_refused(base62, tag):
+    message = re.escape(f"measure {tag} requires a derived model")
+    with pytest.raises(ValueError, match=message):
+        sim.stream_law(tag, base62, None)
+    with pytest.raises(ValueError, match=message):
+        simulate_batch(base62, None, tag, 1.0, seed=SEED, n=10)
+
+
+@pytest.mark.parametrize("theta", [0.0, -1.0, math.inf, math.nan, None])
+@pytest.mark.parametrize("kind", ["conditional_p", "conditional_q"])
+def test_a_conditional_tag_needs_a_positive_finite_theta(kind, theta):
+    # conditional_p(inf) was accepted and ran until a path hit the event cap
+    with pytest.raises(ValueError, match="positive finite theta"):
+        sim.MeasureTag(kind, theta)
+
+
+def assert_same_stream(a, b, reads=(0.7, 2.0)):
+    assert_same_paths(a, b)
+    for t in reads:
+        assert a.aggregates_at(t).tobytes() == b.aggregates_at(t).tobytes()
+
+
+@pytest.mark.parametrize("theta", [0.4, 1.5])
+def test_conditional_p_batch_equals_a_point_mass_mixing_batch(base62, theta):
+    point = BaseModel(base62.claim_law, Degenerate(theta))
+    args = (2.0, SEED, 700, 0, 3)
+    fixed = simulate_batch(base62, None, conditional_p(theta), *args)
+    assert (fixed.thetas == theta).all()
+    assert_same_stream(fixed, simulate_batch(point, None, BASE_P, *args))
+
+
+@pytest.mark.parametrize("theta", [0.4, 1.5])
+def test_conditional_q_batch_equals_a_point_mass_q_mixing_batch(base62, derived62, theta):
+    point = replace(derived62, q_mixing=Degenerate(theta))
+    args = (2.0, SEED, 700, 0, 3)
+    fixed = simulate_batch(base62, derived62, conditional_q(theta), *args)
+    assert (fixed.thetas == theta).all()
+    assert_same_stream(fixed, simulate_batch(base62, point, DERIVED_Q, *args))
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,13 @@ functionals.  A name it does not find there is only listed as missing, so
 a refactor that moved one of them (say quantile to the base class) would
 silently zero that layer's metrics.  This test reads the tracer with ast,
 without importing or installing it, and checks that every (class,
-attribute) it patches is in that class's own __dict__.
+attribute) it patches is in that class's own __dict__, and that the
+arguments and measure-tag attribute its simulate_batch key reads by name
+still exist.
 """
 
 import ast
+import inspect
 import pathlib
 
 from cmpplab import dist, expr, sim
@@ -76,3 +79,32 @@ def test_tracer_patch_targets_are_in_their_class_dicts():
     assert expected <= found
     for module, cls, attr in sorted(found):
         assert attr in vars(getattr(MODULES[module], cls)), f"{module}.{cls}.{attr}"
+
+
+def batch_key_reads():
+    """What the tracer's ``batch_attrs`` reads of a ``simulate_batch`` call:
+    the arguments it takes by name (``a["..."]``) and the attributes of the
+    measure tag (``under.<attr>``)."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    fn = next(node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "batch_attrs")
+    names, tag_attrs = set(), set()
+    for node in ast.walk(fn):
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "a" and isinstance(node.slice, ast.Constant)):
+            names.add(node.slice.value)
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "under"):
+            tag_attrs.add(node.attr)
+    return names, tag_attrs
+
+
+def test_tracer_batch_key_reads_simulate_batch_by_name():
+    # a renamed parameter or tag property would only count the tracer's attr
+    # errors, and sim.batches, sim.batches_distinct and sim.events would read wrong
+    names, tag_attrs = batch_key_reads()
+    assert {"base", "derived", "under", "horizon", "seed", "n", "start_index",
+            "family"} <= names
+    assert names <= set(inspect.signature(sim.simulate_batch).parameters)
+    assert "is_q_side" in tag_attrs
+    assert tag_attrs <= set(vars(sim.MeasureTag))
