@@ -191,7 +191,10 @@ class Exponential(Distribution):
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
-        return _as_float_or_array(p, -np.log1p(-p) / self.rate)
+        x = np.negative(p, out=np.empty_like(p))  # then in place: one array
+        np.log1p(x, out=x)
+        x /= -self.rate
+        return _as_float_or_array(p, x)
 
     def moment(self, k):
         _check_order(k)

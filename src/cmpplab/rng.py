@@ -77,8 +77,7 @@ class PathKeys:
 
     Pass it to ``uniforms`` in place of the path indices to draw any lane
     without repeating the per-path mix.  Indexing (``keys[rows]``,
-    ``keys[:, None]``) and ``repeat`` select keys like the index array
-    they came from.
+    ``keys[:, None]``) selects keys like the index array they came from.
     """
 
     __slots__ = ("seed", "state")
@@ -93,9 +92,6 @@ class PathKeys:
 
     def __getitem__(self, item) -> "PathKeys":
         return PathKeys(self.seed, self.state[item])
-
-    def repeat(self, counts) -> "PathKeys":
-        return PathKeys(self.seed, np.repeat(self.state, counts))
 
 
 def uniforms(seed: int, path_index, lane: int, draw_index, out=None) -> np.ndarray:

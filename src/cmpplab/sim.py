@@ -13,23 +13,25 @@ Draw layout per path (see rng): lane 0 draw 0 is theta under every tag
 interarrival uniforms, lane 2 claim uniforms.  A batch computes each
 path's key (``rng.PathKeys``) once and draws every lane from it; the
 draws are those of the rng contract, unchanged.  Theta and the arrival
-lane are drawn by ``simulate_batch``, which stores no arrival time but
-counts N_t at each t the caller will read; its arrival loop runs over
-blocks of ``_ROW_BLOCK`` paths, so its temporaries span one block.  The
-caller also declares the claim sums it will read (S_t, and the sums of
-gamma(X) in a density): the first read of one fills them all in one pass
-over runs of about ``_CLAIM_BLOCK`` events, which draws a run's claims to
-the horizon, adds them into every declared sum and drops them; a sum not
-declared takes such a pass of its own.  Row blocks run on W threads
-(``_spread``), the calling thread among them: one per CPU the process may
-run on and no more than there are blocks; each writes its own paths'
-values only, so the thread count changes no bit.  Claim runs run on the
-calling thread.  So a batch holds arrays of its path count, plus at most W
-row blocks of arrival temporaries while it is simulated and one run of
-claims while a sum is taken.  A read of ``claims`` or ``times``
-(``dump_paths``, the demos) draws the batch's full array: ``claims`` on its
-first read, and ``times`` by running the arrival loop again.  A consumer
-reading no claim (a density with gamma = 0) draws none.
+lane are drawn by ``simulate_batch``, which stores no arrival time and
+no claim: the caller declares the reads it will make, N_t at each t and
+the claim sums (S_t, and the sums of gamma(X) in a density), and the
+arrival loop fills them as it runs.  Each step draws its claims at (seed,
+path, claim lane, draw index), one a slot, in the layout of its arrival
+uniforms; the claim law maps those of accepted events, a sum's fn sees
+those only, and each sum takes one whole-row add per draw index, in event
+order from +0, a slot rejected or after the sum's t adding +0.  So a sum
+is the sequential sum of a path's first N_t values, whatever the horizon
+and the other reads.  Any other read (N_t or a claim sum not declared,
+``times`` or ``claims``, as ``dump_paths`` and the demos read) runs the
+loop again with that read declared.  A consumer reading no claim (a
+density with gamma = 0) draws none.  The loop runs over row blocks of at
+most ``_ROW_BLOCK`` paths, on W threads (``_spread``), the calling thread
+among them: one per CPU the process may run on and no more than there are
+blocks, and a batch of fewer than W * ``_ROW_BLOCK`` paths is split into W
+blocks.  Each writes its own paths' values only, so the thread count
+changes no bit, and a batch holds arrays of its path count plus at most W
+row blocks of temporaries while the loop runs.
 
 Interarrivals accumulate in blocks of 16 draws, event k of a block at
 (time of the last full block) + (the block's k-th partial sum); the first
@@ -70,7 +72,6 @@ _FAMILY_STRIDE = 1 << 40  # disjoint path-index families for independent batches
 # block (see the module docstring)
 _BLOCK = 16
 _HEAD = 4
-_CLAIM_BLOCK = 1 << 16  # events a run of paths draws or sums at a time (see _runs)
 _ROW_BLOCK = 1 << 14  # paths the arrival loop runs at a time (see _arrivals)
 
 
@@ -132,153 +133,134 @@ class PathBatch:
     """Column-oriented batch of paths (flat ragged arrays); a one-path
     batch is a single path.
 
-    Fields are read-only by convention.  ``times`` is given as an array or
-    as a deferred draw (a function of no argument), and ``claims`` as an
-    array or as the run draw ``claims(a, z, m)``, which gives the first
-    m[i] claims of each path a..z-1.  A deferred field is drawn on its first
-    read and its array kept (``claims`` by ``_draw_claims``), while a draw
-    that raises is kept as it was and raises again on the next read.
-    ``counts_at`` and ``aggregates_at`` compute each t once per batch and
-    return read-only arrays; N_t at a t not in ``counted`` reads ``times``.
-
-    A claim sum (t, fn) is every path's sum of fn(X_k) over its claims at
-    times <= t: ``claim_prefix_apply(t, fn)``, and S_t for fn None.  Sums
-    are taken in one pass over runs of paths, which draws each run's claims
-    to the horizon (or reads them from ``claims`` once drawn), adds them
-    into every sum of the pass and drops them.  The declared ``sums``, each
-    once by equality, share the pass of the first read of one; they are
-    kept read-only, and a pass that raises keeps nothing.  A sum not
-    declared takes a pass of its own.
+    Fields are read-only by convention.  A batch is simulated
+    (``simulate_batch``) or given by its flat ``times`` and ``claims``.
+    Its reads are N_t (``counts_at``), the claim sum (t, fn), every path's
+    sum of fn(X_k) over its claims at times <= t (``claim_prefix_apply``;
+    S_t for fn None, ``aggregates_at``), and the flat ``times`` and
+    ``claims``.  Each is computed once per batch and kept read-only.  A
+    simulated batch holds the reads its ``simulate_batch`` call declared,
+    filled by its arrival loop, and ``rerun`` runs that loop again for any
+    other read, with that read declared; a given batch takes its reads from
+    its arrays.  A read that raises keeps nothing and raises again on the
+    next read.  A sum is sequential: +0, then each of a path's first N_t
+    values in event order, whatever the horizon or the other reads.
     """
 
-    def __init__(self, thetas, counts, offsets, times, claims, horizon, counted=None, sums=()):
+    def __init__(self, thetas, counts, offsets, times, claims, horizon, rerun=None, kept=()):
         self.thetas = thetas      # (n,)
         self.counts = counts      # (n,) event counts
         self.offsets = offsets    # (n+1,) prefix offsets into times/claims
         self.horizon = horizon
-        self._times, self._claims = times, claims
-        self._memo: dict = {("N", t): n_t for t, n_t in (counted or {}).items()}
-        # the declared sums that read a claim, and their values once a pass
-        # filled them
-        self._sums: list = []
-        for t, fn in sums:
-            if 0.0 <= t <= horizon and not _reads_no_claim(fn) and (t, fn) not in self._sums:
-                self._sums.append((t, fn))
-        self._filled: Optional[list] = None
+        # the values of a list of reads (see _arrivals); (read, value) pairs
+        self._rerun = rerun or partial(_replay, times, claims, counts, offsets)
+        self._kept = [(("N", horizon), counts.view()), *kept]
+        for _, value in self._kept:
+            value.flags.writeable = False
 
     @property
     def times(self) -> np.ndarray:
         """Flat event times."""
-        if callable(self._times):
-            self._times = self._times()
-        return self._times
+        return self._read(("times",))
 
     @property
     def claims(self) -> np.ndarray:
         """Flat claim sizes."""
-        if callable(self._claims):
-            self._claims = _draw_claims(self._claims, self.counts, self.offsets)
-        return self._claims
+        return self._read(("claims",))
 
     def __len__(self) -> int:
         return int(self.thetas.size)
 
     def counts_at(self, t: float) -> np.ndarray:
         """N_t of every path."""
-        return self._at("N", t)
+        self._check(t)
+        return self._read(("N", t))
 
     def aggregates_at(self, t: float) -> np.ndarray:
         """S_t of every path."""
-        return self._at("S", t)
+        self._check(t)
+        return self._read(("S", t, None))
 
     def claim_prefix_apply(self, t: float, fn: RealFn) -> np.ndarray:
-        """Per-path sums of fn over claims with event time <= t.  The
-        constant +0 reads no claim: its per-claim sums are +0 bit for bit."""
+        """Per-path sums of fn over claims with event time <= t.  A constant
+        zero reads no claim: its per-claim sums, from +0, are +0."""
         self._check(t)
         if _reads_no_claim(fn):
             return np.zeros(len(self))
-        return self._claim_sum(t, fn)
+        return self._read(("S", t, fn))
 
     def _check(self, t: float) -> None:
         if not 0.0 <= t <= self.horizon:  # NaN included
             raise OutOfHorizon(f"t={t!r} outside [0, {self.horizon!r}]")
 
-    def _at(self, kind: str, t: float) -> np.ndarray:
-        self._check(t)
-        key = (kind, t)
-        if key not in self._memo:
-            self._memo[key] = self._functional(kind, t)
-        self._memo[key].flags.writeable = False
-        return self._memo[key]
-
-    def _functional(self, kind: str, t: float) -> np.ndarray:
-        """N_t ("N") or S_t ("S") of every path, computed afresh."""
-        if kind == "S":
-            return self._claim_sum(t, None)
-        if t == self.horizon:  # every event counts
-            return self.counts.view()
-        return self._path_sums(lambda b, a, z: [b.times[b.offsets[a]:b.offsets[z]] <= t],
-                               [np.int64])[0]
-
-    def _claim_sum(self, t: float, fn: Optional[RealFn]) -> np.ndarray:
-        """The claim sum (t, fn): declared, from the pass that fills them
-        all; otherwise from a pass of its own."""
-        if (t, fn) not in self._sums:
-            return self._sum_runs([(t, fn)])[0]
-        if self._filled is None:
-            filled = self._sum_runs(self._sums)
-            for out in filled:
-                out.flags.writeable = False
-            self._filled = filled
-        return self._filled[self._sums.index((t, fn))]
-
-    def _sum_runs(self, sums) -> list:
-        """The claim sums ``sums``, in one pass over runs of paths (see
-        ``_path_sums``): a run's claims are added into every sum, those
-        after a path's N_t as zeros, and dropped."""
-        upto = [self.counts if t == self.horizon else self.counts_at(t) for t, _ in sums]
-        return self._path_sums(partial(_run_claim_values, sums, upto), [float] * len(sums))
-
-    def _path_sums(self, vals, dtypes) -> list:
-        """Per-path sums, one array of each dtype, of the arrays of values
-        ``vals(batch, a, z)`` gives (one a dtype) for the events of paths a
-        to z, taken for runs of paths (no temporary spans the batch).  Each
-        sum is over its own path's segment only, so a path's sum is the one
-        it has alone (0 for no events), whatever the runs.  ``vals`` is
-        given the batch rather than closing over it: a kept error's
-        traceback keeps its frames' functions, and so their closures."""
-        outs = [np.zeros(len(self), dtype=dtype) for dtype in dtypes]
-        for a, z in _runs(self.offsets):
-            nonempty = self.counts[a:z] > 0
-            if nonempty.any():
-                starts = self.offsets[a:z][nonempty] - self.offsets[a]
-                for out, v in zip(outs, vals(self, a, z)):
-                    out[a:z][nonempty] = np.add.reduceat(v, starts, dtype=out.dtype)
-        return outs
-
-
-def _run_claim_values(sums, upto, b: PathBatch, a: int, z: int):
-    """For each claim sum (t, fn) of ``sums``, fn of every claim of paths
-    a..z-1 of ``b``, those after N_t (``upto``) as zeros."""
-    counts = b.counts[a:z]
-    src = b._claims
-    claims = src(a, z, counts) if callable(src) else src[b.offsets[a]:b.offsets[z]]
-    for (t, fn), n_t in zip(sums, upto):
-        vals = claims if fn is None else fn.eval_array(claims)
-        yield vals if t == b.horizon else np.where(_leading(n_t[a:z], counts), vals, 0.0)
+    def _read(self, read) -> np.ndarray:
+        """The value of ``read``: kept, or from a rerun and then kept."""
+        value = next((v for r, v in self._kept if r == read), None)
+        if value is None:
+            value, = self._rerun([read])
+            value.flags.writeable = False
+            self._kept.append((read, value))
+        return value
 
 
 def _reads_no_claim(fn: Optional[RealFn]) -> bool:
-    """Whether fn is the constant +0, whose claim sums are +0 bit for bit."""
-    zero = None if fn is None else const_value(fn.tree, fn.params)
-    return zero == 0.0 and not np.signbit(zero)
+    """Whether fn is a constant zero, whose claim sums read no claim."""
+    return fn is not None and const_value(fn.tree, fn.params) == 0.0
 
 
-def _leading(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """For the events of paths with ``counts`` events, flat: whether an
-    event is among the first ``first`` of its path."""
-    return np.repeat(np.tile((True, False), first.size),
-                     np.column_stack((first, counts - first)).ravel())
+def _replay(times, claims, counts, offsets, reads) -> list:
+    """The values of ``reads`` (see ``_arrivals``) of paths given by their
+    flat arrays, taken as the arrival loop takes them: one row per event
+    index across the paths, a path's slots past its count at +inf."""
+    k = np.arange(counts.max(initial=0))[:, None]
+    ok = k < counts
+    slots = np.where(ok, offsets[:-1] + k, 0)
+    at = np.where(ok, times[slots], np.inf)
+    fns = _distinct_fns(reads)
+    x = np.where(ok, claims[slots], 0.0)
+    running = _running(fns, [np.zeros(counts.size)] * len(fns), x, ok)
+    flat, paths, out = {"times": times, "claims": claims}, np.arange(counts.size), []
+    for r in reads:
+        n_t = None if len(r) == 1 else (at <= r[1]).sum(axis=0)
+        out.append(flat[r[0]].view() if n_t is None else n_t if r[0] == "N"
+                   else running[fns.index(r[2])][n_t, paths])
+    return out
+
+
+def _distinct_fns(reads) -> list:
+    """The distinct fns, by ==, of the claim sums ("S", t, fn) of ``reads``."""
+    fns: list = []
+    for r in reads:
+        if r[0] == "S" and r[2] not in fns:
+            fns.append(r[2])
+    return fns
+
+
+def _down(mask) -> np.ndarray:
+    """The count of True down each column of a (draws, paths) mask of at
+    most 255 draws, in uint8 adds (numpy's bool sum along a column is
+    many times slower)."""
+    return np.add.reduce(mask.view(np.uint8), axis=0, dtype=np.uint8).astype(np.int64)
+
+
+def _running(fns, acc, x, ok) -> list:
+    """For each fn of ``fns``, its sums ``acc`` and then those after each
+    draw of the (draws, paths) block of claims ``x`` in turn, (draws + 1,
+    paths): one whole-row add a draw.  fn sees the accepted claims (``ok``)
+    only, and every other slot adds +0, as x is there.  A sum to t is the
+    one after its last slot at or before t."""
+    out = []
+    for fn, a in zip(fns, acc):
+        values = x
+        if fn is not None:
+            values = np.zeros_like(x)
+            values[ok] = fn.eval_array(x[ok])
+        sums = np.empty((len(x) + 1,) + a.shape)
+        sums[0] = a
+        for k, row in enumerate(values):
+            np.add(sums[k], row, out=sums[k + 1])
+        out.append(sums)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -306,70 +288,91 @@ def simulate_batch(base: BaseModel, derived: Optional[DerivedModel],
 
     ``family`` selects a disjoint block of path indices so that two
     batches under the same seed (e.g. the two sides of a reweighting
-    check) are independent.  N_t at each t of ``reads`` and of ``sums`` is
-    counted with the paths, so N_t and S_t there read no event time.  Each
-    (t, fn) of ``sums`` declares a claim sum (see ``PathBatch``), so the
-    batch reads it with no claim array.
+    check) are independent.  N_t at each t of ``reads`` and of ``sums``, and
+    each claim sum (t, fn) of ``sums`` (see ``PathBatch``), are declared:
+    the arrival loop fills them, so the batch reads them with no rerun.
     """
     mixing, rate_fn, claim_law = stream_law(under, base, derived)
     if horizon < 0.0:
         raise ValueError("horizon must be nonnegative")
+    horizon = float(horizon)
     indices = np.arange(start_index, start_index + n, dtype=np.uint64) \
         + np.uint64(family * _FAMILY_STRIDE)
     keys = PathKeys.of(seed, indices)  # every lane below reuses them
     thetas = np.asarray(mixing.quantile(uniforms(seed, keys, LANE_MISC, 0)), dtype=float)
     rates = rate_fn.eval_array(thetas)
     sums = list(sums)
-    counts, counted = _arrivals(seed, keys, rates, horizon, [*reads, *(t for t, _ in sums)])
+    declared = [("N", horizon)]  # the event counts
+    for read in [*(("N", float(t)) for t in [*reads, *(t for t, _ in sums)]),
+                 *(("S", float(t), fn) for t, fn in sums if not _reads_no_claim(fn))]:
+        if 0.0 <= read[1] <= horizon and read not in declared:
+            declared.append(read)
+    counts, *values = _arrivals(seed, keys, rates, horizon, claim_law, declared)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    return PathBatch(thetas=thetas, counts=counts, offsets=offsets,
-                     times=partial(_draw_times, seed, keys, rates, horizon, offsets),
-                     claims=partial(_claim_run, seed, keys, claim_law),
-                     horizon=float(horizon), counted=counted, sums=sums)
+    return PathBatch(thetas=thetas, counts=counts, offsets=offsets, times=None, claims=None,
+                     horizon=horizon, kept=zip(declared[1:], values),
+                     rerun=partial(_arrivals, seed, keys, rates, horizon, claim_law,
+                                   offsets=offsets))
 
 
-def _arrivals(seed, keys, rates, horizon, reads=(), times=None, offsets=None):
-    """Every path's event count and its N_t at each t of ``reads`` in
-    [0, horizon); given ``times``, each accepted time goes to its flat slot.
-    The loop runs over blocks of _ROW_BLOCK paths, spread over threads
-    (``_spread``), so its temporaries span one block a thread: a
-    path's draws and roundings depend on its own draws only, and a block
-    writes its own rows only, so the blocks change no bit."""
+def _arrivals(seed, keys, rates, horizon, law, reads, offsets=None) -> list:
+    """The value of each read of ``reads`` on every path: N_t for ("N", t),
+    the claim sum (t, fn) for ("S", t, fn), and the flat arrays of the
+    layout ``offsets`` for ("times",) and ("claims",).  The loop runs over
+    row blocks of at most _ROW_BLOCK paths, at least one a CPU, spread over
+    threads (``_spread``), so its temporaries span one block a thread:
+    a path's draws and roundings depend on its own draws only, and a block
+    writes its own paths' values only, so the blocks change no bit."""
     n = rates.size
-    counts = np.zeros(n, dtype=np.int64)
-    counted = {float(t): np.zeros(n, dtype=np.int64) for t in reads if 0.0 <= t < horizon}
-    if horizon > 0.0:
-        _spread(_arrive, [(seed, keys, rates, horizon, np.arange(lo, min(lo + _ROW_BLOCK, n)),
-                           counts, counted, times, offsets) for lo in range(0, n, _ROW_BLOCK)])
-    return counts, counted
+    values = [np.empty(int(offsets[-1])) if len(r) == 1
+              else np.zeros(n, dtype=np.int64 if r[0] == "N" else float) for r in reads]
+    fns = _distinct_fns(reads)
+    at_t: dict = {}  # t -> (N_t's values or None, [(index of fn, sum's values)])
+    for r, v in zip(reads, values):
+        if len(r) > 1:
+            counted, sums = at_t.get(r[1], (None, []))
+            at_t[r[1]] = (v, sums) if r[0] == "N" else (counted, [*sums, (fns.index(r[2]), v)])
+    flat = [(r[0], v) for r, v in zip(reads, values) if len(r) == 1]
+    if horizon > 0.0 and n:
+        block = min(_ROW_BLOCK, -(-n // _cpus()))
+        law = law if fns or ("claims",) in reads else None  # None: no claim is drawn
+        _spread(_arrive, [(seed, keys, rates, horizon, law, fns, list(at_t.items()), flat,
+                           offsets, np.arange(lo, min(lo + block, n)))
+                          for lo in range(0, n, block)])
+    return values
 
 
-def _arrive(seed, keys, rates, horizon, rows, counts, counted, times, offsets):
-    """The arrival loop of the paths ``rows`` (see ``_arrivals``): their
-    counts and N_t go to ``counts`` and ``counted``, their times to ``times``.
-    A step's draws are laid out draw-major, (width, running paths), so its
-    running sums are whole-row adds (see the module docstring)."""
+def _arrive(seed, keys, rates, horizon, law, fns, pending, flat, offsets, rows):
+    """The arrival loop of the paths ``rows`` (see ``_arrivals``).  It
+    writes their entries of the values in ``pending``, (t, (N_t's values
+    or None, [(index into fns, the values of a sum at t)])) each, and of
+    the flat arrays in ``flat``, (name, array) each.  A step's draws are
+    laid out draw-major, (width, running paths), so its running sums are
+    whole-row adds (see the module docstring); unless ``law`` is None its
+    claim-lane draws take the same layout, one a slot, and the law maps
+    those of accepted events."""
     # the still-running paths, compacted: row, path key, negated rate, time of
-    # the last completed block, and the in-block partial sum carried into the
-    # second sub-block (None at a block's start)
+    # the last completed block, the in-block partial sum carried into the
+    # second sub-block (None at a block's start), and each fn's sum so far
     key = keys[rows]
     neg_rate = -rates[rows]
     last = np.zeros(rows.size)
     carry = None
-    # one buffer holds each step's uniforms and partial sums: a fresh array a
-    # step is often fresh pages, which the kernel must map and zero again
-    buf = np.empty(rows.size * _BLOCK)
-    pending = sorted(counted)  # the t that some running path has not passed
+    acc = [np.zeros(rows.size) for _ in fns]
+    # one buffer a lane holds each step's uniforms: a fresh array a step is
+    # often fresh pages, which the kernel must map and zero again
+    buf = np.empty((1 if law is None else 2, rows.size * _BLOCK))
     drawn = 0  # every running path has drawn the same number of uniforms
     while rows.size:
         width = _HEAD if drawn == 0 else _BLOCK - drawn % _BLOCK
         start = last if carry is None else carry  # the time before the block
-        pending = [t for t in pending if t >= start.min()]
+        pending = [(t, due) for t, due in pending if t >= start.min()]
+        draws = (drawn + np.arange(width))[:, None]
         # interarrivals -ln(u) / rate, in place (negation is exact), then
         # their running sums from the last block's time
-        csum = uniforms(seed, key[None, :], LANE_ARRIVAL, (drawn + np.arange(width))[:, None],
-                        out=buf[:rows.size * width].reshape(width, rows.size))
+        csum = uniforms(seed, key[None, :], LANE_ARRIVAL, draws,
+                        out=buf[0, :rows.size * width].reshape(width, rows.size))
         np.log(csum, out=csum)
         csum /= neg_rate
         if carry is not None:
@@ -379,40 +382,41 @@ def _arrive(seed, keys, rates, horizon, rows, counts, counted, times, offsets):
         csum += last
         ok = csum <= horizon
         # times never decrease: ok is a leading run of True down each column
-        n_ok = ok.sum(axis=0)
-        counts[rows] += n_ok
-        # N_t is settled in the block that passes t (a path's last block
-        # passes the horizon): `drawn`, plus its leading run of times <= t
-        for t in pending:
-            passing = (start <= t) & (csum[-1] > t)
-            counted[t][rows[passing]] = drawn + (csum[:, passing] <= t).sum(axis=0)
-        if times is not None:  # after the `drawn` events of every running path
-            times[(offsets[rows] + np.arange(drawn, drawn + width)[:, None])[ok]] = csum[ok]
+        n_ok = _down(ok)
         if drawn + n_ok.max() > EVENT_CAP:
             raise SimulationError(
                 f"a path exceeded the {EVENT_CAP} event cap before the horizon")
+        running = []  # each fn's sums through the step, from acc
+        if law is not None:  # claims at accepted slots, +0 at the others
+            x = uniforms(seed, key[None, :], LANE_CLAIM, draws,
+                         out=buf[1, :rows.size * width].reshape(width, rows.size))
+            x[ok] = law.quantile(x[ok])
+            np.copyto(x, 0.0, where=~ok)
+            running = _running(fns, acc, x, ok)
+        # N_t and the sums at t are settled in the block that passes t (a
+        # path's last block passes the horizon): with k the block's leading
+        # run of times <= t, N_t is `drawn` + k and a sum its fn's sum after k
+        for t, (counted, sums) in pending:
+            cols = np.flatnonzero((start <= t) & (csum[-1] > t))
+            if not cols.size:
+                continue
+            k = _down(csum <= t)[cols]
+            if counted is not None:
+                counted[rows[cols]] = drawn + k
+            for i, v in sums:
+                v[rows[cols]] = running[i][k, cols]
+        if flat:  # after the `drawn` events of every running path
+            slots = (offsets[rows] + draws)[ok]
+            for name, v in flat:
+                v[slots] = (csum if name == "times" else x)[ok]
         drawn += width
-        full = n_ok == width
+        full = np.flatnonzero(n_ok == width)
         rows, key, neg_rate = rows[full], key[full], neg_rate[full]
+        acc = [r[-1, full] for r in running]
         if drawn % _BLOCK:  # inside the first block, where last is 0: carry csum
             carry, last = csum[-1, full], last[full]
         else:
             carry, last = None, csum[-1, full]
-
-
-def _draw_times(seed, keys, rates, horizon, offsets):
-    """The accepted arrival times, path by path: the batch's loop run again."""
-    times = np.empty(int(offsets[-1]))
-    _arrivals(seed, keys, rates, horizon, times=times, offsets=offsets)
-    return times
-
-
-def _runs(offsets):
-    """(first, end) path ranges of about _CLAIM_BLOCK events each, in order,
-    covering every path of the flat layout ``offsets``."""
-    n = offsets.size - 1
-    step = max(1, _CLAIM_BLOCK * n // max(1, int(offsets[-1])))
-    return [(a, min(a + step, n)) for a in range(0, n, step)]
 
 
 def _cpus() -> int:
@@ -429,8 +433,8 @@ def _spread(fn, items) -> None:
     Each item must write its own rows only, so the threads change no bit.
     The first failing item's error, in order, is raised, as the serial loop
     would raise it; no item starts after one failed, and no thread outlives
-    the call.  ``fn`` and ``items`` must not close over the batch (see
-    ``PathBatch._path_sums``)."""
+    the call.  ``fn`` and ``items`` must not close over the batch: a kept
+    error's traceback keeps its frames' functions, and so their closures."""
     failed: dict = {}  # item index -> its error
     work = (fn, items, iter(range(len(items))), failed, threading.Lock())
     threads = [threading.Thread(target=_take, args=work)
@@ -461,23 +465,6 @@ def _take(fn, items, order, failed, lock) -> None:
             with lock:
                 failed[i] = e
             return
-
-
-def _claim_run(seed, keys, law, a, z, m):
-    """The first m[i] claims of each path a..z-1, flat: claim k of a path is
-    law.quantile of its claim-lane draw k.  Each uniform maps on its own, so
-    no run or count changes a bit."""
-    draws = np.arange(int(m.sum())) - np.repeat(np.cumsum(m) - m, m)
-    return law.quantile(uniforms(seed, keys[a:z].repeat(m), LANE_CLAIM, draws))
-
-
-def _draw_claims(draw, counts, offsets):
-    """Every claim of the batch, drawn by ``draw`` for runs of paths (no
-    temporary but the result spans the batch)."""
-    claims = np.empty(int(offsets[-1]))
-    for a, b in _runs(offsets):
-        claims[offsets[a]:offsets[b]] = draw(a, b, counts[a:b])
-    return claims
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ the times and claim sums it reads and a ``result``) and a ``finish`` that
 builds the estimate.  ``run_streams`` simulates each distinct request once,
 to the latest time its consumers read, and feeds every consumer of it, so
 estimators that read one stream share one pass, and nothing else
-simulates.  A chunk holds arrays of its path count: the claim sums its
-consumers declare are filled run by run, and no claim array is drawn.
+simulates.  A chunk holds arrays of its path count: its arrival loop fills
+the N_t and claim sums its consumers declare, and no claim array is drawn.
 ``plan.run()`` runs one plan alone; a scenario run plans all of its jobs
 first.  A consumer is fed once, so a plan runs once.
 """
@@ -150,7 +150,7 @@ class PathFunctional:
 
     ``sums`` declares the claim functions whose sums up to t it reads (see
     ``PathBatch``): None for S_t, or the fn of ``claim_prefix_apply``.  A
-    sum it reads undeclared takes a pass over the batch's claims of its own."""
+    sum it reads undeclared reruns the batch's arrival loop."""
 
     def __init__(self, name: str, batch_fn: Callable[[PathBatch, float], np.ndarray],
                  sums: Iterable[Optional[RealFn]] = ()):
@@ -281,8 +281,8 @@ class Consumer:
     ``ValueError`` if it was never fed.
     Every estimator reads at least 100 paths, at one time or more.
     ``sums`` declares the claim sums ``add`` reads, each at a time of
-    ``reads``; a chunk fills them in one pass without a claim array, and a
-    claim sum ``add`` reads undeclared takes a pass of its own.
+    ``reads``; a chunk's arrival loop fills them without a claim array, and
+    a claim sum ``add`` reads undeclared reruns the loop.
     """
 
     def __init__(self, request: Request, add: Callable[[PathBatch], None], state,
@@ -339,10 +339,9 @@ def run_streams(base: BaseModel, derived: Optional[DerivedModel],
     time any of its consumers reads (failed ones too), counting N at those
     times, and give every chunk to each consumer of its stream.  Streams
     with more consumers (an error there stops the most plans) run first,
-    ties in first-request order.  Below the horizon S_t sums a path's first
-    N_t claims and zeros by pairwise ``np.add.reduceat``, so plans reading
-    one request's claims at different horizons may see S_t differ in its
-    last bit from a run of each alone.
+    ties in first-request order.  A claim sum at t is the sequential sum of
+    a path's first N_t values, so the stream's horizon and the other
+    consumers' reads change none of its bits.
 
     No chunk outlives its turn.  A consumer whose ``add`` raises keeps the
     error and is fed no more; an error of the simulation goes to every

@@ -25,7 +25,7 @@ import cmpplab.verify
 from cmpplab.dist import DistError, Exponential, Gamma
 from cmpplab.model import BaseModel, derive_q_model, measure_change, validate_change
 from cmpplab.premium import premium_density
-from cmpplab.rng import LANE_CLAIM
+from cmpplab.rng import LANE_ARRIVAL, LANE_CLAIM
 from cmpplab.scenario import run_scenario
 from cmpplab.expr import DomainError, parse
 from cmpplab.scenario import BUILTIN_SCENARIOS, resolve_scenario
@@ -195,43 +195,47 @@ def test_no_stream_is_simulated_twice(tmp_path, monkeypatch, scenario):
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_runs_draw_no_event_time(tmp_path, monkeypatch, scenario):
-    # every consumer declares the times and the claim sums it reads, so N
-    # there is counted with the paths, the sums are filled run by run, and no
-    # batch draws its event times again or its claim array
-    def refuse(*args):
-        raise AssertionError("event times or the claim array drawn")
+    # every consumer declares the times and the claim sums it reads, so the
+    # arrival loop fills them, and no read reruns a batch's loop: no batch
+    # draws its event times, its claim array or a sum again
+    arrivals = cmpplab.sim._arrivals
 
-    monkeypatch.setattr(cmpplab.sim, "_draw_times", refuse)
-    monkeypatch.setattr(cmpplab.sim, "_draw_claims", refuse)
+    def no_rerun(*args, offsets=None):
+        assert offsets is None, "a read reran the arrival loop"
+        return arrivals(*args)
+
+    monkeypatch.setattr(cmpplab.sim, "_arrivals", no_rerun)
     rows = run_rows(tmp_path, scenario)
     assert rows and not [r["detail"] for job, q, r in rows if q == "error"]
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_runs_draw_each_claim_once(tmp_path, monkeypatch, scenario):
-    # the claim-lane uniforms a batch draws while its consumers read it are
-    # its events, its latest declared claim sum being at its horizon: each
-    # claim once, and none for a batch whose consumers read no claim (gamma = 0)
+    # a batch whose consumers declared a claim sum draws one claim-lane
+    # uniform a slot of its arrival loop, as many as arrival-lane ones, and
+    # no more while they read it; a batch whose consumers read no claim
+    # (gamma = 0) draws none
     batches, drawn = [], []
     simulate, draw = cmpplab.verify.simulate_batch, cmpplab.sim.uniforms
 
     def recorded(*args, **kwargs):
+        drawn.append({LANE_ARRIVAL: [], LANE_CLAIM: []})
         batches.append(simulate(*args, **kwargs))
-        drawn.append(0)
         return batches[-1]
 
     def counted(seed, keys, lane, index, **kwargs):
         u = draw(seed, keys, lane, index, **kwargs)
-        if lane == LANE_CLAIM:
-            drawn[-1] += u.size
+        if lane in drawn[-1]:
+            drawn[-1][lane].append(u.size)  # one list append: safe on any thread
         return u
 
     monkeypatch.setattr(cmpplab.verify, "simulate_batch", recorded)
     monkeypatch.setattr(cmpplab.sim, "uniforms", counted)
     run_rows(tmp_path, scenario)
-    assert all(max(t for t, _ in b._sums) == b.horizon for b in batches if b._sums)
-    want = [int(b.counts.sum()) if b._sums else 0 for b in batches]
-    assert drawn == want and any(want)
+    summed = [any(read[0] == "S" for read, _ in b._kept) for b in batches]
+    assert [sum(d[LANE_CLAIM]) for d in drawn] == \
+        [sum(d[LANE_ARRIVAL]) if s else 0 for d, s in zip(drawn, summed)]
+    assert any(summed)
 
 
 @pytest.mark.parametrize("name", ["example-6.2", "example-6.1b"])
@@ -393,32 +397,36 @@ def test_kept_claim_draw_error_pins_no_batch(base62, derived62, small_chunks, mo
 
 
 def test_a_worker_error_reaches_its_consumer_as_the_serial_error(base62, monkeypatch):
-    # row blocks run on worker threads, claim runs on the calling thread.  An
-    # event-cap error in a row block, and a gamma DomainError and a claim
-    # draw error in later claim runs, reach Consumer.result() with the type
-    # and message of the one-thread run's error (the first failing run's, of
-    # several that fail), no thread outlives run_streams, and a kept error
-    # pins no batch
+    # row blocks, their claims and sums with them, run on worker threads.
+    # An event-cap error, a gamma DomainError and a claim draw error, each in
+    # a row block, reach Consumer.result() with the type and message of the
+    # one-thread run's error (the first failing block's, of several that
+    # fail), no thread outlives run_streams, and a kept error pins no batch
     monkeypatch.setattr(cmpplab.sim, "_ROW_BLOCK", 64)
-    monkeypatch.setattr(cmpplab.sim, "_CLAIM_BLOCK", 256)
     fast = conditional_p(40.0)
     most = int(simulate_batch(base62, None, fast, 1.0, SEED, n=3000).counts.max())
     ref = simulate_batch(base62, None, BASE_P, 2.0, SEED, n=3000)
-    runs = [ref.claims[ref.offsets[a]:ref.offsets[z]]
-            for a, z in cmpplab.sim._runs(ref.offsets) if ref.counts[a:z].any()]
-    edge = np.nextafter(runs[0].max(), np.inf)  # the first run holds no claim past it
-    failing = [run.size for run in runs if run.max() > edge]
-    assert len(set(failing)) > 1
+    edge = np.nextafter(ref.claims[:ref.offsets[64]].max(), np.inf)  # past block 0's claims
     gamma = parse("ln(c - x)", "x", params={"c": float(edge)})
 
     class Picky(Exponential):
-        def quantile(self, p):  # refuses a run holding a claim past the edge
+        def quantile(self, p):  # refuses a block's step holding a claim past the edge
             x = super().quantile(p)
-            if x.max() > edge:
-                raise DistError(f"a run of {x.size} claims")
+            if (x > edge).any():
+                raise DistError(f"a step of {x.size} claims")
             return x
 
     picky = BaseModel(Picky(0.2), base62.mixing_law)
+
+    def alone(a):  # the error of the row block of paths a..a+63, run alone
+        try:
+            simulate_batch(picky, None, BASE_P, 2.0, SEED, n=64, start_index=a, sums=[(2.0, None)])
+        except DistError as e:
+            return str(e)
+
+    monkeypatch.setattr(cmpplab.sim, "_cpus", lambda: 1)
+    failing = [e for e in map(alone, range(0, 3000, 64)) if e]
+    assert alone(0) is None and len(set(failing)) > 1
     batches = []
     orig = cmpplab.verify.simulate_batch
 
@@ -449,12 +457,12 @@ def test_a_worker_error_reaches_its_consumer_as_the_serial_error(base62, monkeyp
 
     serial, _ = failures(1)
     assert serial[0][0] is SimulationError and serial[1][0] is DomainError
-    assert serial[2] == (DistError, f"a run of {failing[0]} claims")
+    assert serial[2] == (DistError, failing[0])
     batches.clear()
     spread, kept = failures(2)  # the consumers keep their errors
     assert spread == serial
-    gc.collect()
-    assert len(batches) == 2 and all(ref() is None for ref in batches)
+    # each error is raised inside its stream's simulate_batch: no batch is made
+    assert not batches
     monkeypatch.setattr(cmpplab.sim, "EVENT_CAP", most)
     threads = threading.active_count()  # and on a run that raises nothing
     counter = Consumer((fast, SEED, 3000, FAM_DEFAULT), lambda b: b.counts_at(1.0), None, {1.0})

@@ -73,12 +73,12 @@ def test_path_keys_reused_across_lanes_match_reference(seed):
         assert uniforms(seed, keys[:, None], lane, np.array(DRAWS)).tobytes() \
             == expected.tobytes()
         assert uniforms(seed, keys, lane, DRAWS[1]).tobytes() == expected[:, 1].tobytes()
-    # a ragged lane: path j draws 0..counts[j]-1, as sim draws claims
+    # a ragged lane: path j draws 0..counts[j]-1
     counts = np.array([2, 0, 3, 1, 0, 0, 4, 1, 2])
     draws = np.concatenate([np.arange(c) for c in counts])
     expected = [ref_uniform(seed, i, LANE_CLAIM, k)
                 for i, c in zip(PATHS, counts) for k in range(c)]
-    got = uniforms(seed, keys.repeat(counts), LANE_CLAIM, draws)
+    got = uniforms(seed, keys[np.repeat(np.arange(counts.size), counts)], LANE_CLAIM, draws)
     assert got.tobytes() == np.array(expected).tobytes()
     # selecting keys selects the same paths
     rows = np.array([8, 2, 2, 0])

@@ -20,10 +20,10 @@ import cmpplab.verify
 from cmpplab import sim
 from cmpplab.cli import main
 from cmpplab.dist import Beta, Degenerate, DistError, Exponential, Gamma, Tilted, expectation
-from cmpplab.expr import DomainError, parse
+from cmpplab.expr import DomainError, RealFn, parse
 from cmpplab.model import (BaseModel, derive_q_model, identity_change,
                            measure_change, validate_change)
-from cmpplab.rng import LANE_ARRIVAL, LANE_CLAIM, uniforms
+from cmpplab.rng import LANE_ARRIVAL, LANE_CLAIM, LANE_MISC, uniforms
 from cmpplab.verify import Consumer, run_streams, singularity_probe
 from cmpplab.sim import (_FAMILY_STRIDE, BASE_P, DERIVED_Q, OutOfHorizon, PathBatch,
                          SimulationError, conditional_p, conditional_q, dump_paths,
@@ -105,16 +105,25 @@ def test_aggregate_nondecreasing(idx, t1, t2):
 # ---------------------------------------------------------------------------
 # memoized path functionals
 
+def sequential_sum(values):
+    """+0, then each value added left to right: the last entry of
+    ``np.cumsum`` from +0."""
+    return np.cumsum(np.concatenate([[0.0], values]))[-1]
+
+
 def reference_functionals(batch, t):
-    """N_t and S_t of every path, each summed by ``np.add.reduceat`` over a
-    copy of its own segment of the flat arrays (claims after t masked to 0):
-    the rounding every report depends on, and no other path's."""
+    """N_t and S_t of every path from its own segment of the flat arrays,
+    S_t the sequential sum of its first N_t claims: the rounding every
+    report depends on, and no other path's."""
     upto = batch.times <= t
-    masked = np.where(upto, batch.claims, 0.0)
     spans = list(zip(batch.offsets[:-1], batch.offsets[1:]))
     return (np.array([upto[lo:hi].sum() for lo, hi in spans]),
-            np.array([np.add.reduceat(masked[lo:hi].copy(), [0])[0] if hi > lo else 0.0
-                      for lo, hi in spans]))
+            np.array([sequential_sum(batch.claims[lo:hi][upto[lo:hi]]) for lo, hi in spans]))
+
+
+def kept(batch):
+    """The reads a batch holds a value of (see sim.PathBatch)."""
+    return [read for read, _ in batch._kept]
 
 
 def test_functionals_memoized_read_only_and_exact(base62, derived62):
@@ -159,17 +168,28 @@ def declared_case(request, base62, derived62):
                          1.0, 2.0]
 
 
+@pytest.fixture
+def span(declared_case):
+    """simulate_batch keywords for 600 paths of the declared case, around
+    the path whose event is the declared time ``hit``: few enough to run a
+    path a row block."""
+    args, times, _ = declared_case
+    offsets = simulate_batch(*args, n=3000).offsets
+    path = int(np.searchsorted(offsets, times.size // 2, side="right")) - 1
+    return {"n": 600, "start_index": min(max(path - 300, 0), 2400)}
+
+
 def test_counts_at_declared_times_equal_the_drawn_times(declared_case):
     args, times, ts = declared_case
     b = simulate_batch(*args, n=3000, reads=ts)
     # counted with the paths: nothing read yet, no time drawn
-    assert {t for _, t in b._memo} == set(ts) - {2.0} and callable(b._times)
+    assert kept(b) == [("N", t) for t in [2.0, *ts[:-1]]]
     spans = list(zip(b.offsets[:-1], b.offsets[1:]))
     for t in ts:
         upto = times <= t
         want = np.array([upto[lo:hi].sum() for lo, hi in spans], dtype=np.int64)
         assert b.counts_at(t).tobytes() == want.tobytes(), t
-    assert callable(b._times)
+    assert ("times",) not in kept(b)
     hit, below, above = ts[1:4]
     # the event at hit counts at hit and above, and not one double below
     assert (b.counts_at(hit) - b.counts_at(below)).sum() >= 1
@@ -189,81 +209,122 @@ def test_sums_at_declared_times_equal_eager_reference(declared_case, change62):
         assert b.aggregates_at(t).tobytes() == aggs.tobytes(), t
         gammas = per_claim_sums(ref, t, change62.gamma)
         assert b.claim_prefix_apply(t, change62.gamma).tobytes() == gammas.tobytes(), t
-    assert callable(b._times)
+    assert ("times",) not in kept(b)
 
 
-@pytest.mark.parametrize("claim_block", [1 << 16, 25, 1])
-@pytest.mark.parametrize("last", ["horizon", "inside"])
-def test_declared_sums_equal_eager_claim_sums(declared_case, change62, monkeypatch,
-                                             claim_block, last):
-    # declared sums are filled run by run, runs of about sim._CLAIM_BLOCK
-    # claims, each drawn to the horizon, whether the latest declared time is
-    # the horizon or inside it
-    args, _, ts = declared_case
-    ref = simulate_batch(*args, n=3000)  # eager arrays, drawn before counting
-    assert ref.times.size and ref.claims.size
-    monkeypatch.setattr(sim, "_CLAIM_BLOCK", claim_block)
-    drawn = []
+def evaluated(monkeypatch, fn):
+    """The sizes of the arrays fn, or a function equal to it, is evaluated on."""
+    sizes, evaluate = [], RealFn.eval_array
+
+    def recorded(self, xs):
+        if self == fn:
+            sizes.append(np.size(xs))
+        return evaluate(self, xs)
+
+    monkeypatch.setattr(RealFn, "eval_array", recorded)
+    return sizes
+
+
+@pytest.fixture
+def lane_draws(monkeypatch):
+    """lane -> the sizes of the sim.uniforms calls on that lane."""
+    sizes = {LANE_ARRIVAL: [], LANE_CLAIM: [], LANE_MISC: []}
 
     def counted(seed, keys, lane, draw, **kwargs):
         u = uniforms(seed, keys, lane, draw, **kwargs)
-        if lane == LANE_CLAIM:
-            drawn.append(u.size)
+        sizes[lane].append(u.size)
         return u
 
     monkeypatch.setattr(sim, "uniforms", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("row_block", [1 << 16, 25, 1])
+@pytest.mark.parametrize("last", ["horizon", "inside"])
+def test_declared_sums_equal_eager_claim_sums(declared_case, span, change62, monkeypatch,
+                                             lane_draws, row_block, last):
+    # declared sums are filled by the arrival loop, row block by row block,
+    # whether the latest declared time is the horizon or inside it: each the
+    # sequential sum of a path's values to t.  The loop draws one claim-lane
+    # uniform a slot of the arrival lane, and fn sees each claim once
+    args, _, ts = declared_case
+    ref = simulate_batch(*args, **span)  # eager arrays, each drawn by a rerun
+    assert ref.times.size and ref.claims.size
     read = ts if last == "horizon" else [t for t in ts if t <= 1.0]
     gamma = change62.gamma
-    b = simulate_batch(*args, n=3000, reads=ts, sums=[(t, f) for t in read for f in (None, gamma)])
-    for t in read:
-        assert b.aggregates_at(t).tobytes() == reference_functionals(ref, t)[1].tobytes(), t
-        assert b.claim_prefix_apply(t, gamma).tobytes() == \
-            per_claim_sums(ref, t, gamma).tobytes(), t
-    # each claim drawn once; no flat array
-    assert sum(drawn) == b.counts.sum() == ref.claims.size
-    assert callable(b._claims) and callable(b._times)
+    want = [(reference_functionals(ref, t)[1].tobytes(), per_claim_sums(ref, t, gamma).tobytes())
+            for t in read]
+    monkeypatch.setattr(sim, "_ROW_BLOCK", row_block)
+    seen = evaluated(monkeypatch, gamma)
+    for lane in lane_draws.values():
+        lane.clear()
+    b = simulate_batch(*args, **span, reads=ts, sums=[(t, f) for t in read for f in (None, gamma)])
+    assert sum(seen) == b.counts.sum() == ref.claims.size
+    assert sum(lane_draws[LANE_CLAIM]) == sum(lane_draws[LANE_ARRIVAL]) > b.counts.sum()
+    assert [(b.aggregates_at(t).tobytes(), b.claim_prefix_apply(t, gamma).tobytes())
+            for t in read] == want
+    # no rerun, and no flat array
+    assert sum(seen) == b.counts.sum() and ("times",) not in kept(b) and ("claims",) not in kept(b)
     assert b.claim_prefix_apply(read[1], gamma) is b.claim_prefix_apply(read[1], gamma)
     assert not b.claim_prefix_apply(read[1], gamma).flags.writeable
 
 
-@pytest.mark.parametrize("claim_block", [25, 1000])
-def test_undeclared_sums_draw_no_claim_array(declared_case, change62, monkeypatch,
-                                             claim_block):
-    # a sum not declared takes a pass of its own over runs of claims, drawn
-    # to the horizon and dropped: byte for byte the declared sum.  Equal
-    # declared sums, here two equal gamma objects, are taken once
+@pytest.mark.parametrize("row_block", [25, 1000])
+def test_undeclared_sums_draw_no_claim_array(declared_case, span, change62, monkeypatch,
+                                             row_block):
+    # a sum not declared reruns the arrival loop with that sum declared, and
+    # draws no claim array: byte for byte the declared sum.  Equal declared
+    # sums, here two equal gamma objects, are kept once
     args, _, ts = declared_case
     gamma = change62.gamma
-    declared = simulate_batch(*args, n=3000, reads=ts,
+    declared = simulate_batch(*args, **span, reads=ts,
                               sums=[(t, f) for t in ts for f in (None, gamma, replace(gamma))])
-    assert declared._sums == [(t, f) for t in ts for f in (None, gamma)]
+    assert [r for r in kept(declared) if r[0] == "S"] == \
+        [("S", t, f) for t in ts for f in (None, gamma)]
     want = [(declared.aggregates_at(t).tobytes(), declared.claim_prefix_apply(t, gamma).tobytes())
             for t in ts]
-
-    def refuse(*args):
-        raise AssertionError("the claim array drawn")
-
-    monkeypatch.setattr(sim, "_draw_claims", refuse)
-    monkeypatch.setattr(sim, "_CLAIM_BLOCK", claim_block)
-    b = simulate_batch(*args, n=3000, reads=ts)
-    assert len(sim._runs(b.offsets)) > 2
+    monkeypatch.setattr(sim, "_ROW_BLOCK", row_block)
+    b = simulate_batch(*args, **span, reads=ts)
     assert [(b.aggregates_at(t).tobytes(), b.claim_prefix_apply(t, gamma).tobytes())
             for t in ts] == want
-    assert callable(b._claims)
+    assert ("claims",) not in kept(b)
+
+
+@pytest.mark.parametrize("tag", [BASE_P, DERIVED_Q])
+def test_sums_at_t_do_not_depend_on_the_horizon(base62, derived62, change62, tag):
+    # S_t and a gamma sum at t are the sequential sums of a path's first N_t
+    # values: bit for bit the same on a stream to t, 5t or 25t, with or
+    # without other declared sums, declared or read undeclared
+    t, gamma, other = 0.8, change62.gamma, parse("ln(1+x)", "x")
+
+    def sums(horizon, extra=(), declared=True):
+        b = simulate_batch(base62, derived62, tag, horizon, SEED, n=2000, reads=[t],
+                           sums=[(t, None), (t, gamma), *extra] if declared else ())
+        return [a.tobytes() for a in (b.counts_at(t), b.aggregates_at(t),
+                                      b.claim_prefix_apply(t, gamma))]
+
+    alone = sums(t)
+    for horizon in (t, 5 * t, 25 * t):
+        assert sums(horizon) == alone, horizon
+        assert sums(horizon, [(horizon, None), (horizon / 2, other), (horizon, gamma)]) == alone
+        assert sums(horizon, declared=False) == alone, horizon
 
 
 @pytest.mark.parametrize("row_block", [1, 3, 7])
-def test_row_blocks_change_no_bit(declared_case, monkeypatch, row_block):
+def test_row_blocks_change_no_bit(declared_case, span, monkeypatch, row_block):
     # the arrival loop runs over blocks of sim._ROW_BLOCK paths; a path's
     # draws depend on its own draw count only, so no block changes a bit
     args, _, ts = declared_case
 
     def paths():
-        b = simulate_batch(*args, n=3000, reads=ts)
+        b = simulate_batch(*args, **span, reads=ts)
         return [b.counts.tobytes(), *(b.counts_at(t).tobytes() for t in ts), b.times.tobytes()]
 
+    cpus = sim._cpus
+    monkeypatch.setattr(sim, "_cpus", lambda: 1)
     monkeypatch.setattr(sim, "_ROW_BLOCK", 1 << 20)
     one_block = paths()
+    monkeypatch.setattr(sim, "_cpus", cpus)
     monkeypatch.setattr(sim, "_ROW_BLOCK", row_block)
     assert paths() == one_block
 
@@ -276,11 +337,10 @@ def test_worker_count_changes_no_bit(declared_case, change62, monkeypatch, worke
     args, _, ts = declared_case
     gamma, undeclared = change62.gamma, parse("ln(1+x)", "x")
     monkeypatch.setattr(sim, "_ROW_BLOCK", 256)
-    monkeypatch.setattr(sim, "_CLAIM_BLOCK", 1000)
 
     def paths():
         b = simulate_batch(*args, n=3000, reads=ts, sums=[(t, f) for t in ts for f in (None, gamma)])
-        assert len(sim._runs(b.offsets)) > 2
+        assert len(b) > 2 * sim._ROW_BLOCK
         return [a.tobytes() for a in (
             b.counts, *(b.counts_at(t) for t in ts), *(b.aggregates_at(t) for t in ts),
             *(b.claim_prefix_apply(t, gamma) for t in ts), log_density_batch(b, 1.0, change62),
@@ -340,13 +400,13 @@ def test_spread_runs_inline_with_one_worker(monkeypatch, workers, items, made):
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
 def test_a_run_on_one_cpu_writes_the_golden_report(tmp_path, monkeypatch):
     # example-6.2 in a child pinned to one CPU (one worker), and here (a
-    # worker a CPU), both in small row blocks and claim runs, write the golden
+    # worker a CPU), both in small row blocks, write the golden
     golden = (Path(__file__).parent / "golden" / "example-6.2.csv").read_bytes()
     code = ("import os, sys\n"
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
             "from cmpplab import sim\n"
             "from cmpplab.cli import main\n"
-            "sim._ROW_BLOCK, sim._CLAIM_BLOCK = 1 << 8, 1 << 10\n"
+            "sim._ROW_BLOCK = 1 << 8\n"
             "assert sim._cpus() == 1\n"
             "sys.exit(main(['run', 'example-6.2', '--paths', '2000', '--output', sys.argv[1]]))\n")
     out = tmp_path / "one-cpu.csv"
@@ -355,7 +415,6 @@ def test_a_run_on_one_cpu_writes_the_golden_report(tmp_path, monkeypatch):
     assert out.read_bytes() == golden
     here = tmp_path / "here.csv"
     monkeypatch.setattr(sim, "_ROW_BLOCK", 1 << 8)
-    monkeypatch.setattr(sim, "_CLAIM_BLOCK", 1 << 10)
     assert main(["run", "example-6.2", "--paths", "2000", "--output", str(here)]) == \
         proc.returncode
     assert here.read_bytes() == golden
@@ -370,7 +429,7 @@ def test_every_functional_refuses_a_time_outside_the_horizon(base62, change62, t
     for read in reads:
         with pytest.raises(OutOfHorizon):
             read(t)
-    assert not b._memo
+    assert kept(b) == [("N", 2.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -587,17 +646,17 @@ def beta_claims():
     return base
 
 
-@pytest.mark.parametrize("claim_block", [1 << 16, 25, 1])
+@pytest.mark.parametrize("row_block", [1 << 16, 25, 1])
 @pytest.mark.parametrize("law", ["Exponential", "Gamma", "Beta", "Tilted"])
 def test_deferred_claims_and_times_equal_eager(base62, derived62, derived_tilted,
-                                               beta_claims, monkeypatch, law, claim_block):
-    # claims are drawn in runs of paths of about sim._CLAIM_BLOCK claims: one
-    # run, short runs, or a path a run
+                                               beta_claims, monkeypatch, law, row_block):
+    # times and claims are each a rerun of the arrival loop, over row blocks
+    # of sim._ROW_BLOCK paths: one a CPU, short blocks, or a path a block
     base, derived, tag = {"Exponential": (base62, None, BASE_P),
                           "Gamma": (base62, derived62, DERIVED_Q),
                           "Beta": (beta_claims, None, BASE_P),
                           "Tilted": (base62, derived_tilted, DERIVED_Q)}[law]
-    monkeypatch.setattr(sim, "_CLAIM_BLOCK", claim_block)
+    monkeypatch.setattr(sim, "_ROW_BLOCK", row_block)
     args = (base, derived, tag, 2.0, SEED)
     times, claims = eager_paths(*args, n=600, family=2)
     assert claims.size > 600
@@ -640,10 +699,9 @@ def test_deferred_draws_equal_eager_across_chunk_boundaries(base62, derived62, m
 
 
 def per_claim_sums(batch, t, fn):
-    """sum of fn over each path's claims up to t, by ``np.add.reduceat`` over
-    its own segment."""
-    vals = np.where(batch.times <= t, fn.eval_array(batch.claims), 0.0)
-    return np.array([np.add.reduceat(vals[lo:hi].copy(), [0])[0] if hi > lo else 0.0
+    """The sequential sum of fn over each path's claims up to t."""
+    upto, vals = batch.times <= t, fn.eval_array(batch.claims)
+    return np.array([sequential_sum(vals[lo:hi][upto[lo:hi]])
                      for lo, hi in zip(batch.offsets[:-1], batch.offsets[1:])])
 
 
@@ -678,17 +736,21 @@ def test_constant_zero_gamma_reads_no_claim(base62, lanes_drawn, t):
     assert LANE_CLAIM not in lanes_drawn
     assert zeros.tobytes() == per_claim_sums(b, t, parse("0", "x")).tobytes()
     assert LANE_CLAIM in lanes_drawn
-    # every other constant keeps the per-claim sum and its rounding (-0 its sign)
-    for src in ("0.5", "0.1", "-0"):
+    # a sum from +0 of -0 values is +0 too
+    del lanes_drawn[:]
+    assert b.claim_prefix_apply(t, parse("-0", "x")).tobytes() == zeros.tobytes()
+    assert LANE_CLAIM not in lanes_drawn
+    # every other constant keeps the per-claim sum and its rounding
+    for src in ("0.5", "0.1"):
         fn = parse(src, "x")
         assert b.claim_prefix_apply(t, fn).tobytes() == per_claim_sums(b, t, fn).tobytes()
     if t > 0.0:
         assert (b.claim_prefix_apply(t, parse("0.1", "x")) != 0.1 * b.counts_at(t)).any()
-        assert np.signbit(b.claim_prefix_apply(t, parse("-0", "x"))).any()
 
 
 @pytest.mark.parametrize("fails", [1, 1000])
-def test_a_failed_claim_draw_is_not_kept(base62, fails):
+def test_a_failed_claim_draw_is_not_kept(base62, monkeypatch, fails):
+    monkeypatch.setattr(sim, "_cpus", lambda: 1)  # one draw a rerun fails
     calls = []
 
     class Refusing(Exponential):
@@ -707,12 +769,13 @@ def test_a_failed_claim_draw_is_not_kept(base62, fails):
         for read in (lambda: b.claims, lambda: b.aggregates_at(1.0)):
             with pytest.raises(DistError, match="no claim today"):
                 read()
-        assert len(calls) == 3 and ('S', 1.0) not in b._memo
-    else:  # no half-built array was kept: the next read draws every claim
+        assert len(calls) == 3 and not {("S", 1.0, None), ("claims",)} & set(kept(b))
+    else:  # no half-built value was kept: the next read draws every claim
         want = simulate_batch(base62, None, BASE_P, 2.0, seed=SEED, n=300)
         assert b.aggregates_at(1.0).tobytes() == want.aggregates_at(1.0).tobytes()
-        # the undeclared sum drew its runs and kept none; `claims` draws them again
-        assert b.claims.tobytes() == want.claims.tobytes() and len(calls) == 3
+        # the undeclared sum's rerun kept no claim; `claims` reruns the loop
+        drawn = len(calls)
+        assert b.claims.tobytes() == want.claims.tobytes() and len(calls) == 2 * drawn - 1
 
 
 # ---------------------------------------------------------------------------
@@ -864,32 +927,38 @@ def test_path_functionals_are_exact_scalar_views(base62, derived62, change62, t)
         assert gammas[i] == one.claim_prefix_apply(t, change62.gamma)[0]
 
 
-@pytest.mark.parametrize("run_events", [25, 1])
-def test_path_sums_in_runs_equal_one_run(base62, derived62, change62, monkeypatch,
-                                         run_events):
-    # N_t, S_t and claim sums are taken for runs of paths of about
-    # sim._CLAIM_BLOCK events; each path's sum is its own, whatever the runs
-    def sums():
-        b = simulate_batch(base62, derived62, DERIVED_Q, 2.0, seed=17, n=2000)
-        assert 2000 < b.offsets[-1] < 1 << 16  # one run at the default size
-        return [f.tobytes() for t in (0.0, 0.7, 2.0)
-                for f in (b.counts_at(t), b.aggregates_at(t),
-                          b.claim_prefix_apply(t, change62.gamma))]
+@pytest.mark.parametrize("row_block", [25, 1])
+def test_path_sums_in_runs_equal_one_run(base62, derived62, change62, monkeypatch, row_block):
+    # N_t, S_t and claim sums are taken for runs of paths, the arrival loop's
+    # row blocks of sim._ROW_BLOCK paths; each path's sum is its own,
+    # whatever the blocks
+    ts, gamma = (0.0, 0.7, 2.0), change62.gamma
 
-    one_run = sums()
-    monkeypatch.setattr(sim, "_CLAIM_BLOCK", run_events)
+    def sums():
+        b = simulate_batch(base62, derived62, DERIVED_Q, 2.0, seed=17, n=2000, reads=ts,
+                           sums=[(t, f) for t in ts for f in (None, gamma)])
+        return [f.tobytes() for t in ts
+                for f in (b.counts_at(t), b.aggregates_at(t), b.claim_prefix_apply(t, gamma))]
+
+    cpus = sim._cpus
+    monkeypatch.setattr(sim, "_cpus", lambda: 1)
+    one_run = sums()  # 2000 paths: one block of the default size
+    monkeypatch.setattr(sim, "_cpus", cpus)
+    monkeypatch.setattr(sim, "_ROW_BLOCK", row_block)
     assert sums() == one_run
 
 
-def test_path_sums_allocate_no_batch_long_temporary(base62):
-    # beyond its result, an undeclared path sum (read from the flat arrays)
-    # takes memory for one run of paths, far less than one flat array
-    b = simulate_batch(base62, None, BASE_P, 20.0, seed=SEED, n=1 << 16)
-    assert b.times.size  # both deferred draws run before the measurement
-    flat = b.claims.nbytes
+def test_path_sums_allocate_no_batch_long_temporary(base62, monkeypatch):
+    # beyond its result, an undeclared read (a rerun of the arrival loop)
+    # takes memory for a row block of paths, 1-2 MB measured for these 2^10
+    # paths, far less than one flat array (80 events a path, 10 MB)
+    monkeypatch.setattr(sim, "_ROW_BLOCK", 1 << 10)
+    monkeypatch.setattr(sim, "_cpus", lambda: 1)
+    b = simulate_batch(base62, None, BASE_P, 80.0, seed=SEED, n=1 << 14)
+    flat = 8 * int(b.offsets[-1])
     assert flat > 8 << 20
     reads = (lambda: b.counts_at(7.5), lambda: b.aggregates_at(7.5),
-             lambda: b.aggregates_at(20.0),
+             lambda: b.aggregates_at(80.0),
              lambda: b.claim_prefix_apply(7.5, parse("ln(1+x)", "x")))
     for read in reads:
         tracemalloc.start()
@@ -903,29 +972,29 @@ def test_path_sums_allocate_no_batch_long_temporary(base62):
 
 def test_a_stream_and_its_martingale_reads_hold_bounded_memory(monkeypatch):
     # long-horizon's Q stream (alpha = ln 2, exp claims) read by its V table,
-    # at horizons T and 4T, small blocks, and neither flat array drawn.  The
+    # at horizons T and 4T, small blocks, and no read reruns the loop.  The
     # tracemalloc peak is bounded by 200 bytes a path (the chunk's arrays of
     # its path count, and the consumer's values, indicators and increments:
-    # about 150 measured), 384 bytes a path of a row block (the arrival
-    # loop's (16, rows) float64 and bool temporaries), a block for each
-    # worker thread, and 96 bytes an event of a run (the run's uniforms,
-    # claims and masks).  Two workers' peaks may or may not overlap, so the
-    # growth with the horizon is checked on one worker
+    # about 100 measured) and 1024 bytes a path of a row block, a block for
+    # each worker thread: the arrival loop's (16, rows) uniforms, claims,
+    # masks and the three S_t sums' values, and the claims of its accepted
+    # slots: 1024, about 750 measured.  Two workers' peaks may or may not
+    # overlap, so the growth with the horizon is checked on one worker
     base = BaseModel(Exponential(0.2), Gamma(2.0, 2.0))
     derived = derive_q_model(validate_change(base, measure_change(alpha="ln(2)"), level=1))
+    arrivals = sim._arrivals
 
-    def refuse(*args):
-        raise AssertionError("a flat array drawn")
+    def no_rerun(*args, offsets=None):
+        assert offsets is None, "a read reran the loop"
+        return arrivals(*args)
 
-    monkeypatch.setattr(sim, "_draw_times", refuse)
-    monkeypatch.setattr(sim, "_draw_claims", refuse)
+    monkeypatch.setattr(sim, "_arrivals", no_rerun)
     monkeypatch.setattr(sim, "_ROW_BLOCK", 1 << 10)
-    monkeypatch.setattr(sim, "_CLAIM_BLOCK", 1 << 13)
     n = 1 << 14
     workers = sim._cpus()
 
     def bound(workers):
-        return 200 * n + workers * 384 * sim._ROW_BLOCK + 96 * sim._CLAIM_BLOCK
+        return 200 * n + workers * 1024 * sim._ROW_BLOCK
 
     def peak(horizon):
         plan = cmpplab.verify.check_martingale(

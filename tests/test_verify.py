@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import cmpplab.sim
 import cmpplab.verify
 from cmpplab.dist import Degenerate, Exponential, Gamma, expectation
 from cmpplab.model import (BaseModel, NotValidated, derive_q_model, identity_change,
                            measure_change, validate_change)
 from cmpplab.premium import esscher_change, expected_value_change
 from cmpplab.scenario import resolve_scenario
-from cmpplab.sim import (BASE_P, DERIVED_Q, PathBatch, conditional_p, conditional_q,
+from cmpplab.sim import (BASE_P, DERIVED_Q, conditional_p, conditional_q,
                          log_density_batch, simulate_batch)
 from cmpplab.verify import (Consumer, DegeneracyResult, MCReport, Moments, PathFunctional,
                             aggregate_at_most, check_martingale, check_reweighting,
@@ -264,23 +265,22 @@ def test_density_is_conditional_martingale(base62, change62, derived62):
 
 
 @pytest.fixture
-def functional_log(monkeypatch):
-    """(batch id, kind, t) of every N_t or S_t a batch computes afresh."""
-    log, alive = [], []  # batches stay alive so that their ids stay unique
-    compute = PathBatch._functional
+def loop_log(monkeypatch):
+    """The reads of every run of the arrival loop, in order."""
+    log = []
+    arrivals = cmpplab.sim._arrivals
 
-    def counted(batch, kind, t):
-        alive.append(batch)
-        log.append((id(batch), kind, t))
-        return compute(batch, kind, t)
+    def logged(seed, keys, rates, horizon, law, reads, offsets=None):
+        log.append(list(reads))
+        return arrivals(seed, keys, rates, horizon, law, reads, offsets)
 
-    monkeypatch.setattr(PathBatch, "_functional", counted)
+    monkeypatch.setattr(cmpplab.sim, "_arrivals", logged)
     return log
 
 
 @pytest.mark.parametrize("process", ["v", "density"])
 def test_martingale_computes_each_functional_once_per_batch(
-        base62, derived62, change62, functional_log, monkeypatch, process):
+        base62, derived62, change62, loop_log, monkeypatch, process):
     declared = []
     orig = cmpplab.verify.simulate_batch
 
@@ -296,17 +296,14 @@ def test_martingale_computes_each_functional_once_per_batch(
     # the one 3000-path batch counts N at the pair times and at the events'
     # anchors, 0.5 and 0 (the theta events and the whole space)
     assert declared == [(0.0, 0.5, 1.0, 2.0)]
-    assert len(functional_log) == len(set(functional_log))
-    by_batch = {}
-    for batch, kind, t in functional_log:
-        by_batch.setdefault(batch, set()).add((kind, t))
-    main, = by_batch.values()
-    # the events need N and S at s = 0.5; the process needs V_t (from S_t)
-    # or the density (from N_t) at each distinct time 0.5, 1 and 2.  N before
-    # the horizon was counted with the paths, so only N_2 is computed here
-    kind = "S" if process == "v" else "N"
-    expected = {("S", 0.5), (kind, 1.0), (kind, 2.0)} - {("N", 1.0)}
-    assert main == expected
+    # its one arrival loop fills every read: the events need N and S at
+    # s = 0.5; the process needs V_t (from S_t) or the density (from N_t and
+    # the gamma sum) at each distinct time 0.5, 1 and 2.  No read reruns it
+    loop, = loop_log
+    fn = None if process == "v" else change62.gamma
+    want = [("N", t) for t in (2.0, 0.0, 0.5, 1.0)] + [("S", 0.5, None)] \
+        + [("S", t, fn) for t in (0.5, 1.0, 2.0) if (t, fn) != (0.5, None)]
+    assert len(loop) == len(want) and all(r in loop for r in want)
 
 
 def test_repeated_events_are_separate_cells(base62, derived62):
@@ -396,7 +393,7 @@ def test_consumer_refuses_a_claim_sum_at_a_time_it_does_not_read():
 @pytest.mark.parametrize("tag", [BASE_P, DERIVED_Q])
 def test_undeclared_claim_sums_equal_declared(base62, derived62, change62, tag):
     # a functional that reads S_t or a density's gamma sum without declaring
-    # it reads the batch's claim array, and gets the same bits
+    # it reruns the batch's arrival loop, and gets the same bits
     density = process_density(change62, tag)
     declared = [f_aggregate(), density]
     undeclared = [PathFunctional(f.name, f.eval_batch) for f in declared]
