@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -292,10 +293,15 @@ class _TabledLaw(Distribution):
     segment it leaves out."""
 
     _table: Optional[_LogitTable] = None
+    # the arrival loop's row-block threads may make a law's first draw
+    # together; a table build may draw from its base law's table
+    _building = threading.RLock()
 
     def _tabled(self) -> _LogitTable:
         if self._table is None:
-            object.__setattr__(self, "_table", self._build_table())
+            with self._building:
+                if self._table is None:
+                    object.__setattr__(self, "_table", self._build_table())
         return self._table
 
     def _invert(self, u):

@@ -210,30 +210,22 @@ def _reads_no_claim(fn: Optional[RealFn]) -> bool:
 
 def _replay(times, claims, counts, offsets, reads) -> list:
     """The values of ``reads`` (see ``_arrivals``) of paths given by their
-    flat arrays, taken as the arrival loop takes them: one row per event
-    index across the paths, a path's slots past its count at +inf."""
-    k = np.arange(counts.max(initial=0))[:, None]
-    ok = k < counts
-    slots = np.where(ok, offsets[:-1] + k, 0)
-    at = np.where(ok, times[slots], np.inf)
-    fns = _distinct_fns(reads)
-    x = np.where(ok, claims[slots], 0.0)
-    running = _running(fns, [np.zeros(counts.size)] * len(fns), x, ok)
-    flat, paths, out = {"times": times, "claims": claims}, np.arange(counts.size), []
-    for r in reads:
-        n_t = None if len(r) == 1 else (at <= r[1]).sum(axis=0)
-        out.append(flat[r[0]].view() if n_t is None else n_t if r[0] == "N"
-                   else running[fns.index(r[2])][n_t, paths])
+    flat arrays, taken as the arrival loop takes them: event k of every
+    path that has one, for k = 0, 1, ..., each sum from +0 and an event
+    after its t adding +0, chosen by selection."""
+    flat = {"times": times, "claims": claims}
+    out = [flat[r[0]].view() if len(r) == 1
+           else np.zeros(counts.size, dtype=np.int64 if r[0] == "N" else float) for r in reads]
+    rows = np.arange(counts.size)
+    for k in range(counts.max(initial=0)):
+        rows = rows[counts[rows] > k]
+        at, x = times[offsets[rows] + k], claims[offsets[rows] + k]
+        for r, v in zip(reads, out):
+            if r[0] == "N":
+                v[rows] += at <= r[1]
+            elif r[0] == "S":
+                v[rows] += np.where(at <= r[1], x if r[2] is None else r[2].eval_array(x), 0.0)
     return out
-
-
-def _distinct_fns(reads) -> list:
-    """The distinct fns, by ==, of the claim sums ("S", t, fn) of ``reads``."""
-    fns: list = []
-    for r in reads:
-        if r[0] == "S" and r[2] not in fns:
-            fns.append(r[2])
-    return fns
 
 
 def _down(mask) -> np.ndarray:
@@ -248,7 +240,7 @@ def _running(fns, acc, x, ok) -> list:
     draw of the (draws, paths) block of claims ``x`` in turn, (draws + 1,
     paths): one whole-row add a draw.  fn sees the accepted claims (``ok``)
     only, and every other slot adds +0, as x is there.  A sum to t is the
-    one after its last slot at or before t."""
+    one after its last slot at or before t, the later slots adding +0."""
     out = []
     for fn, a in zip(fns, acc):
         values = x
@@ -327,7 +319,10 @@ def _arrivals(seed, keys, rates, horizon, law, reads, offsets=None) -> list:
     n = rates.size
     values = [np.empty(int(offsets[-1])) if len(r) == 1
               else np.zeros(n, dtype=np.int64 if r[0] == "N" else float) for r in reads]
-    fns = _distinct_fns(reads)
+    fns: list = []  # the distinct fns of the claim sums, by ==
+    for r in reads:
+        if r[0] == "S" and r[2] not in fns:
+            fns.append(r[2])
     at_t: dict = {}  # t -> (N_t's values or None, [(index of fn, sum's values)])
     for r, v in zip(reads, values):
         if len(r) > 1:
@@ -400,7 +395,7 @@ def _arrive(seed, keys, rates, horizon, law, fns, pending, flat, offsets, rows):
             cols = np.flatnonzero((start <= t) & (csum[-1] > t))
             if not cols.size:
                 continue
-            k = _down(csum <= t)[cols]
+            k = (n_ok if t == horizon else _down(csum <= t))[cols]
             if counted is not None:
                 counted[rows[cols]] = drawn + k
             for i, v in sums:

@@ -357,6 +357,28 @@ def test_worker_count_changes_no_bit(declared_case, change62, monkeypatch, worke
         sys.setswitchinterval(interval)
 
 
+def test_a_claim_law_table_is_built_once_across_threads(base62, monkeypatch):
+    # the row-block threads make a fresh Gamma claim law's first draws
+    # together: its table is built once
+    law, builds, build = Gamma(0.2, 2.0), [], Gamma._build_table
+
+    def counted(self):
+        builds.append(self)
+        return build(self)
+
+    monkeypatch.setattr(Gamma, "_build_table", counted)
+    monkeypatch.setattr(sim, "_cpus", lambda: 3)
+    monkeypatch.setattr(sim, "_ROW_BLOCK", 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads interleave as often as they can
+    try:
+        simulate_batch(BaseModel(law, base62.mixing_law), None, BASE_P, 2.0, SEED, n=3000,
+                       sums=[(2.0, None)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert [b for b in builds if b is law] == [law]
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_spread_raises_the_first_failing_item_in_order(monkeypatch, workers):
     # items 0 and 1 fail, item 1 first when threads run them together: the
