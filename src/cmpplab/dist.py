@@ -192,7 +192,7 @@ class Exponential(Distribution):
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
-        x = np.negative(p, out=np.empty_like(p))  # then in place: one array
+        x = np.negative(p, out=np.empty_like(p))  # in place: one array of p's size
         np.log1p(x, out=x)
         x /= -self.rate
         return _as_float_or_array(p, x)

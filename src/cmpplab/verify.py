@@ -344,11 +344,11 @@ def run_streams(base: BaseModel, derived: Optional[DerivedModel],
     consumers' reads change none of its bits.
 
     No chunk outlives its turn.  A consumer whose ``add`` raises keeps the
-    error and is fed no more; an error of the simulation goes to every
-    consumer of that stream still being fed, and one whose plan-mate holds
-    an error is fed no more.  Either way ``result`` raises the error.  A
-    consumer is fed once: one fed before, or listed twice, is refused before
-    any path is simulated.
+    error and is fed no more; an error of the simulation, in a declared
+    claim sum too, goes to every consumer of that stream still being fed,
+    and one whose plan-mate holds an error is fed no more.  Either way
+    ``result`` raises the error.  A consumer is fed once: one fed before, or
+    listed twice, is refused before any path is simulated.
     """
     if any(c.fed for c in consumers) or len({id(c) for c in consumers}) < len(consumers):
         raise ValueError("a consumer is fed once; a plan runs once")

@@ -1000,7 +1000,7 @@ def test_a_stream_and_its_martingale_reads_hold_bounded_memory(monkeypatch):
     # about 100 measured) and 1024 bytes a path of a row block, a block for
     # each worker thread: the arrival loop's (16, rows) uniforms, claims,
     # masks and the three S_t sums' values, and the claims of its accepted
-    # slots: 1024, about 750 measured.  Two workers' peaks may or may not
+    # slots: 1024, about 520 measured.  Two workers' peaks may or may not
     # overlap, so the growth with the horizon is checked on one worker
     base = BaseModel(Exponential(0.2), Gamma(2.0, 2.0))
     derived = derive_q_model(validate_change(base, measure_change(alpha="ln(2)"), level=1))
