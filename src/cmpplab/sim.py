@@ -152,7 +152,8 @@ class PathBatch:
         self.counts = counts      # (n,) event counts
         self.offsets = offsets    # (n+1,) prefix offsets into times/claims
         self.horizon = horizon
-        # the values of a list of reads (see _arrivals); (read, value) pairs
+        # _rerun(reads) gives the values of a list of reads (see _arrivals),
+        # and _kept holds (read, value) pairs
         self._rerun = rerun or partial(_replay, times, claims, counts, offsets)
         self._kept = [(("N", horizon), counts.view()), *kept]
         for _, value in self._kept:

@@ -401,7 +401,7 @@ def test_a_worker_error_reaches_its_consumer_as_the_serial_error(base62, monkeyp
     # An event-cap error, a gamma DomainError and a claim draw error, each in
     # a row block, reach Consumer.result() with the type and message of the
     # one-thread run's error (the first failing block's, of several that
-    # fail), no thread outlives run_streams, and a kept error pins no batch
+    # fail), and no thread outlives run_streams
     monkeypatch.setattr(cmpplab.sim, "_ROW_BLOCK", 64)
     fast = conditional_p(40.0)
     most = int(simulate_batch(base62, None, fast, 1.0, SEED, n=3000).counts.max())
@@ -461,7 +461,8 @@ def test_a_worker_error_reaches_its_consumer_as_the_serial_error(base62, monkeyp
     batches.clear()
     spread, kept = failures(2)  # the consumers keep their errors
     assert spread == serial
-    # each error is raised inside its stream's simulate_batch: no batch is made
+    # each error is raised inside its stream's simulate_batch, so no batch is
+    # made for a kept error to pin
     assert not batches
     monkeypatch.setattr(cmpplab.sim, "EVENT_CAP", most)
     threads = threading.active_count()  # and on a run that raises nothing
