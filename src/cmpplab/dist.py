@@ -637,6 +637,7 @@ class Tilted(_TabledLaw):
         self.base = base
         self._weight = weight
         self._log_weight = log_weight
+        self._moments: dict = {}  # k -> moment(k), integrated once
         norm = log_weighted_expectation(base, self._checked_log_weight)
         if not abs(norm - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
             raise DistError(
@@ -677,12 +678,13 @@ class Tilted(_TabledLaw):
         _check_order(k)
         if k == 0:
             return 1.0
-
-        try:
-            return log_weighted_expectation(
-                self.base, lambda x: self._checked_log_weight(x) + k * np.log(x))
-        except DivergentIntegral as e:
-            raise DivergentMoment(f"moment {k} of tilted law diverges: {e}") from e
+        if k not in self._moments:
+            try:
+                self._moments[k] = log_weighted_expectation(
+                    self.base, lambda x: self._checked_log_weight(x) + k * np.log(x))
+            except DivergentIntegral as e:
+                raise DivergentMoment(f"moment {k} of tilted law diverges: {e}") from e
+        return self._moments[k]
 
     def mgf(self, s):
         if s == 0.0:

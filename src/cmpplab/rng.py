@@ -29,8 +29,6 @@ are the same either way.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -48,10 +46,10 @@ _CACHE_BLOCK = 1 << 16  # uint64 values mixed per block (512 KiB per buffer)
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
-def _mix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """mix() of the contract on a uint64 array, in place; ``scratch`` is a
-    uint64 array of z's shape whose contents are overwritten."""
-    z += _GOLDEN
+def _finalize(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer on a uint64 array, in place: mix(z) of the
+    contract is _finalize(z + G).  ``scratch`` is a uint64 array of z's
+    shape whose contents are overwritten."""
     z ^= np.right_shift(z, np.uint64(30), out=scratch)
     z *= _MIX1
     z ^= np.right_shift(z, np.uint64(27), out=scratch)
@@ -66,7 +64,8 @@ def _base_state(seed: int, path_index) -> np.ndarray:
     z = np.empty(i.size + 1, dtype=np.uint64)
     z[0] = int(seed) & _MASK
     np.multiply(i.reshape(-1), _GOLDEN, out=z[1:])
-    _mix64(z, np.empty_like(z))
+    z += _GOLDEN
+    _finalize(z, np.empty_like(z))
     state = z[1:]
     state ^= z[0]
     return state.reshape(i.shape)
@@ -99,35 +98,51 @@ def uniforms(seed: int, path_index, lane: int, draw_index, out=None) -> np.ndarr
 
     ``path_index`` (path indices, or the ``PathKeys`` of seed ``seed``)
     and ``draw_index`` broadcast against each other, so a single call can
-    fill a whole batch.  ``out``, a float64 array of the broadcast shape,
-    receives the values if given.
+    fill a whole batch.  ``path_index`` may instead be a list of rows of
+    path indices or keys, and ``draw_index`` one draw index a row: row j's
+    paths at draw index j, the rows one after another in a 1-D array.
+    ``out``, a float64 array of the result's shape, receives the values if
+    given.
     """
+    counter = np.array(draw_index, dtype=np.uint64)  # c * G + G, once a draw index
+    counter |= np.uint64(lane) << _LANE_SHIFT
+    counter *= _GOLDEN
+    counter += _GOLDEN
+    if isinstance(path_index, list):
+        rows = [_keys(seed, row) for row in path_index]
+        shape = (sum(row.size for row in rows),)
+    else:
+        rows = _keys(seed, path_index)
+        shape = np.broadcast_shapes(rows.shape, counter.shape)
+    out = np.empty(shape) if out is None else out
+    # the mix runs in place in out's bytes, block by block, so that a block
+    # and its scratch stay in cache through the chain's passes
+    dense = out if out.flags.c_contiguous else np.empty(shape)
+    z = dense.view(np.uint64).reshape(-1)
+    if isinstance(rows, list):
+        lo = 0
+        for row, c in zip(rows, counter):
+            np.add(row, c, out=z[lo:lo + row.size])
+            lo += row.size
+    else:
+        np.add(rows, counter, out=z.reshape(shape))
+    scratch = np.empty(min(z.size, _CACHE_BLOCK), dtype=np.uint64)
+    for lo in range(0, z.size, _CACHE_BLOCK):
+        block = z[lo:lo + _CACHE_BLOCK]
+        _finalize(block, scratch[:block.size])
+        _bits_to_unit(block, out=dense.reshape(-1)[lo:lo + _CACHE_BLOCK])
+    if dense is not out:
+        out[...] = dense
+    return out
+
+
+def _keys(seed: int, path_index) -> np.ndarray:
+    """base(seed, i) of path indices, or the state of their ``PathKeys``."""
     if isinstance(path_index, PathKeys):
         if path_index.seed != int(seed) & _MASK:
             raise ValueError("path keys were computed under another seed")
-        base = path_index.state
-    else:
-        base = _base_state(seed, path_index)
-    base, draw = np.broadcast_arrays(base, np.asarray(draw_index))
-    out = np.empty(base.shape) if out is None else out
-    base, draw, rows = np.atleast_1d(base, draw, out)  # rows: a view of out
-    # mix block by block along the first axis, so that the state and its
-    # scratch stay in cache through the chain's passes
-    n = len(rows)
-    step = max(1, _CACHE_BLOCK // max(1, math.prod(rows.shape[1:])))
-    state = np.empty((min(step, n),) + rows.shape[1:], dtype=np.uint64)
-    scratch = np.empty_like(state)
-    lane_bits = np.uint64(lane) << _LANE_SHIFT
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        z, tmp = state[:hi - lo], scratch[:hi - lo]
-        np.copyto(z, draw[lo:hi], casting="unsafe")  # the counter c of the contract
-        z |= lane_bits
-        z *= _GOLDEN
-        z += base[lo:hi]
-        _mix64(z, tmp)
-        _bits_to_unit(z, out=rows[lo:hi])
-    return out
+        return path_index.state
+    return _base_state(seed, path_index)
 
 
 def _bits_to_unit(bits: np.ndarray, out=None) -> np.ndarray:
@@ -138,6 +153,8 @@ def _bits_to_unit(bits: np.ndarray, out=None) -> np.ndarray:
     a float64 array of its shape, receives the result.
     """
     bits >>= np.uint64(11)
-    u = np.add(bits, 0.5, out=np.empty(bits.shape) if out is None else out)
+    u = np.empty(bits.shape) if out is None else out
+    np.copyto(u, bits.view(np.int64), casting="unsafe")  # exact: bits < 2^53
+    u += 0.5
     u *= 2.0**-53
     return np.minimum(u, _BELOW_ONE, out=u)

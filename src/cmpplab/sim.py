@@ -16,16 +16,17 @@ draws are those of the rng contract, unchanged.  Theta and the arrival
 lane are drawn by ``simulate_batch``, which stores no arrival time and
 no claim: the caller declares the reads it will make, N_t at each t and
 the claim sums (S_t, and the sums of gamma(X) in a density), and the
-arrival loop fills them as it runs.  Each step draws its claims at (seed,
-path, claim lane, draw index), one a slot, in the layout of its arrival
-uniforms; the claim law maps those of accepted events, a sum's fn sees
-those only, and each sum takes one whole-row add per draw index, in event
-order from +0, a slot rejected or after the sum's t adding +0.  So a sum
-is the sequential sum of a path's first N_t values, whatever the horizon
-and the other reads.  Any other read (N_t or a claim sum not declared,
-``times`` or ``claims``, as ``dump_paths`` and the demos read) runs the
-loop again with that read declared.  A consumer reading no claim (a
-density with gamma = 0) draws none.  The loop runs over row blocks of at
+arrival loop fills them as it runs.  Each step draws one claim an accepted
+event, at (seed, path, claim lane, draw index): with the step's paths
+ordered by accepted count, most first, draw k's accepted events lead that
+order, so the claims are drawn, mapped (by the claim law, then each sum's
+fn) and added packed, with no mask.  A sum adds its path's claims in event
+order from +0 and is read after the path's N_t adds: the sequential sum of
+its first N_t values, whatever the horizon and the other reads.  Any other
+read (N_t or a claim sum not declared, ``times`` or ``claims``, as
+``dump_paths`` and the demos read) runs the loop again with that read
+declared.  A consumer reading no claim (a density with gamma = 0) draws
+none.  The loop runs over row blocks of at
 most ``_ROW_BLOCK`` paths, on W threads (``_spread``), the calling thread
 among them: one per CPU the process may run on and no more than there are
 blocks, and a batch of fewer than W * ``_ROW_BLOCK`` paths is split into W
@@ -236,22 +237,22 @@ def _down(mask) -> np.ndarray:
     return np.add.reduce(mask.view(np.uint8), axis=0, dtype=np.uint8).astype(np.int64)
 
 
-def _running(fns, acc, x, ok) -> list:
-    """For each fn of ``fns``, its sums ``acc`` and then those after each
-    draw of the (draws, paths) block of claims ``x`` in turn, (draws + 1,
-    paths): one whole-row add a draw.  fn sees the accepted claims (``ok``)
-    only, and every other slot adds +0, as x is there.  A sum to t is the
-    one after its last slot at or before t, the later slots adding +0."""
+def _running(fns, acc, order, x, m) -> list:
+    """For each fn of ``fns``, its sums ``acc`` of the step's paths taken in
+    ``order`` and then those after each draw of the step, (len(m) + 1,
+    paths): draw k's accepted claims are the first m[k] of ``order``, packed
+    row after row in ``x``, and add to those paths' sums only.  A path's
+    sums after its k <= n accepted draws are read; the others are left
+    unset."""
     out = []
     for fn, a in zip(fns, acc):
-        values = x
-        if fn is not None:
-            values = np.zeros_like(x)
-            values[ok] = fn.eval_array(x[ok])
-        sums = np.empty((len(x) + 1,) + a.shape)
-        sums[0] = a
-        for k, row in enumerate(values):
-            np.add(sums[k], row, out=sums[k + 1])
+        values = x if fn is None else fn.eval_array(x)
+        sums = np.empty((len(m) + 1,) + a.shape)
+        np.take(a, order, out=sums[0])
+        lo = 0
+        for k, mk in enumerate(m):
+            np.add(sums[k, :mk], values[lo:lo + mk], out=sums[k + 1, :mk])
+            lo += mk
         out.append(sums)
     return out
 
@@ -345,9 +346,9 @@ def _arrive(seed, keys, rates, horizon, law, fns, pending, flat, offsets, rows):
     or None, [(index into fns, the values of a sum at t)])) each, and of
     the flat arrays in ``flat``, (name, array) each.  A step's draws are
     laid out draw-major, (width, running paths), so its running sums are
-    whole-row adds (see the module docstring); unless ``law`` is None its
-    claim-lane draws take the same layout, one a slot, and the law maps
-    those of accepted events."""
+    whole-row adds (see the module docstring); unless ``law`` is None it
+    draws one claim an accepted event, draw k's for the first m[k] paths
+    of the step's order, packed, and the law maps them."""
     # the still-running paths, compacted: row, path key, negated rate, time of
     # the last completed block, the in-block partial sum carried into the
     # second sub-block (None at a block's start), and each fn's sum so far
@@ -382,13 +383,21 @@ def _arrive(seed, keys, rates, horizon, law, fns, pending, flat, offsets, rows):
         if drawn + n_ok.max() > EVENT_CAP:
             raise SimulationError(
                 f"a path exceeded the {EVENT_CAP} event cap before the horizon")
-        running = []  # each fn's sums through the step, from acc
-        if law is not None:  # claims at accepted slots, +0 at the others
-            x = uniforms(seed, key[None, :], LANE_CLAIM, draws,
-                         out=buf[1, :rows.size * width].reshape(width, rows.size))
-            x[ok] = law.quantile(x[ok])
-            np.copyto(x, 0.0, where=~ok)
-            running = _running(fns, acc, x, ok)
+        running, order = [], slice(None)  # each fn's sums through the step, from acc
+        if law is not None:  # claims at accepted events only
+            # the paths by accepted count, most first: draw k's accepted
+            # slots are the first m[k] = #(n_ok > k) of that order
+            behind = (width - n_ok).astype(np.uint8)
+            order = np.argsort(behind, kind="stable")
+            m = np.cumsum(np.bincount(behind, minlength=width))[width - 1::-1]
+            m = m[m > 0].tolist()
+            key_order = key[order]
+            x = buf[1, :sum(m)]  # the claims replace their uniforms
+            x[...] = law.quantile(uniforms(seed, [key_order[:mk] for mk in m], LANE_CLAIM,
+                                           drawn + np.arange(len(m)), out=x))
+            running = _running(fns, acc, order, x, m)
+            at = np.empty_like(order)  # the inverse of order
+            at[order] = np.arange(order.size)
         # N_t and the sums at t are settled in the block that passes t (a
         # path's last block passes the horizon): with k the block's leading
         # run of times <= t, N_t is `drawn` + k and a sum its fn's sum after k
@@ -400,15 +409,16 @@ def _arrive(seed, keys, rates, horizon, law, fns, pending, flat, offsets, rows):
             if counted is not None:
                 counted[rows[cols]] = drawn + k
             for i, v in sums:
-                v[rows[cols]] = running[i][k, cols]
-        if flat:  # after the `drawn` events of every running path
-            slots = (offsets[rows] + draws)[ok]
+                v[rows[cols]] = running[i][k, at[cols]]
+        if flat:  # after the `drawn` events of every running path, in x's order
+            packed = ok[:, order]
+            slots = (offsets[rows[order]] + draws)[packed]
             for name, v in flat:
-                v[slots] = (csum if name == "times" else x)[ok]
+                v[slots] = csum[:, order][packed] if name == "times" else x
         drawn += width
         full = np.flatnonzero(n_ok == width)
         rows, key, neg_rate = rows[full], key[full], neg_rate[full]
-        acc = [r[-1, full] for r in running]
+        acc = [r[-1, :full.size].copy() for r in running]  # full leads order
         if drawn % _BLOCK:  # inside the first block, where last is 0: carry csum
             carry, last = csum[-1, full], last[full]
         else:

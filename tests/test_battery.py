@@ -212,7 +212,7 @@ def test_runs_draw_no_event_time(tmp_path, monkeypatch, scenario):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_runs_draw_each_claim_once(tmp_path, monkeypatch, scenario):
     # a batch whose consumers declared a claim sum draws one claim-lane
-    # uniform a slot of its arrival loop, as many as arrival-lane ones, and
+    # uniform an event of its arrival loop, fewer than arrival-lane ones, and
     # no more while they read it; a batch whose consumers read no claim
     # (gamma = 0) draws none
     batches, drawn = [], []
@@ -234,7 +234,8 @@ def test_runs_draw_each_claim_once(tmp_path, monkeypatch, scenario):
     run_rows(tmp_path, scenario)
     summed = [any(read[0] == "S" for read, _ in b._kept) for b in batches]
     assert [sum(d[LANE_CLAIM]) for d in drawn] == \
-        [sum(d[LANE_ARRIVAL]) if s else 0 for d, s in zip(drawn, summed)]
+        [b.counts.sum() if s else 0 for b, s in zip(batches, summed)]
+    assert all(sum(d[LANE_CLAIM]) < sum(d[LANE_ARRIVAL]) for d in drawn)
     assert any(summed)
 
 

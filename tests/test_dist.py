@@ -559,6 +559,25 @@ def test_tilted_divergent_moment():
         t.mgf(0.6)
 
 
+def test_tilted_moment_integrates_once(monkeypatch):
+    # a tilted law keeps each moment it integrated; equality stays identity
+    import cmpplab.dist as dist
+    t = Tilted(Exponential(1.0), log_weight=parse("0.5*x - ln(2)", var="x"))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return log_weighted_expectation(*args, **kwargs)
+
+    monkeypatch.setattr(dist, "log_weighted_expectation", counted)
+    first = t.moment(1)
+    assert len(calls) == 1
+    assert t.moment(1) == first and t.moment(0) == 1.0 and len(calls) == 1
+    assert t.moment(2) == pytest.approx(8.0, rel=1e-8) and len(calls) == 2
+    assert t.moment(2) == t.moment(2) and len(calls) == 2
+    assert t != Tilted(Exponential(1.0), log_weight=parse("0.5*x - ln(2)", var="x"))
+
+
 def test_log_weighted_expectation_stability():
     # intermediate e^{0.19x} overflows in double precision; the log-space
     # route must not

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cmpplab.rng import (LANE_ARRIVAL, LANE_CLAIM, LANE_MISC, PathKeys, _bits_to_unit,
-                         uniforms)
+from cmpplab.rng import (_CACHE_BLOCK, LANE_ARRIVAL, LANE_CLAIM, LANE_MISC, PathKeys,
+                         _bits_to_unit, uniforms)
 
 # ---------------------------------------------------------------------------
 # the mixing contract of the rng module docstring, on Python ints
@@ -116,6 +116,45 @@ def test_uniforms_across_cache_blocks_match_reference():
         assert wide[i, k] == ref_uniform(13, i, LANE_ARRIVAL, k)
     assert uniforms(13, np.arange(0), LANE_MISC, 0).shape == (0,)
     assert uniforms(13, np.arange(3)[:, None], LANE_MISC, np.arange(0)).shape == (3, 0)
+
+
+@pytest.mark.parametrize("lane", [LANE_MISC, LANE_ARRIVAL, LANE_CLAIM])
+def test_folded_counter_matches_reference_in_every_layout(lane):
+    """The counter term c * G + G, added to the key once, at the edge draw
+    indices, in each layout sim uses, across mixing-block boundaries."""
+    seed, ks = 20190521, np.array([0, 1, 1 << 31, (1 << 32) - 1])
+    cols = _CACHE_BLOCK // 2 + 3  # 4 rows of cols span two block boundaries
+    paths = np.arange(cols, dtype=np.uint64) + np.uint64(5 << 40)
+    keys = PathKeys.of(seed, paths)
+
+    def ref(j, k):
+        return ref_uniform(seed, int(paths[j]), lane, int(k))
+
+    # (width, 1) x (1, cols), with and without a given output array
+    wide = uniforms(seed, keys[None, :], lane, ks[:, None])
+    out = np.empty((ks.size, cols))
+    assert uniforms(seed, paths[None, :], lane, ks[:, None], out=out) is out
+    assert wide.shape == (ks.size, cols) and out.tobytes() == wide.tobytes()
+    strided = np.empty((cols, ks.size)).T  # not C-contiguous
+    assert uniforms(seed, keys[None, :], lane, ks[:, None], out=strided) is strided
+    assert np.array_equal(strided, wide)
+    for flat in (0, _CACHE_BLOCK - 1, _CACHE_BLOCK, 2 * _CACHE_BLOCK, wide.size - 1):
+        r, j = divmod(flat, cols)
+        assert wide[r, j] == ref(j, ks[r])
+    # 1-D: one draw of every path, and every draw of one path
+    for r, k in enumerate(ks):
+        assert uniforms(seed, keys, lane, k).tobytes() == wide[r].tobytes()
+    assert uniforms(seed, keys[7], lane, ks).tobytes() == wide[:, 7].tobytes()
+    # a scalar
+    got = uniforms(seed, int(paths[9]), lane, int(ks[3]))
+    assert got.shape == () and float(got) == ref(9, ks[3])
+    # packed rows: row r's leading lengths[r] paths at ks[r], one row after another
+    lengths = [cols, cols - 1, _CACHE_BLOCK // 2, 5]
+    packed = uniforms(seed, [keys[:m] for m in lengths], lane, ks)
+    assert packed.tobytes() == np.concatenate(
+        [wide[r, :m] for r, m in enumerate(lengths)]).tobytes()
+    assert uniforms(seed, [paths[:m] for m in lengths], lane, ks).tobytes() == packed.tobytes()
+    assert uniforms(seed, [], lane, ks[:0]).shape == (0,)
 
 
 def test_uniforms_fill_a_given_output_array():

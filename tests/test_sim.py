@@ -246,7 +246,8 @@ def test_declared_sums_equal_eager_claim_sums(declared_case, span, change62, mon
     # declared sums are filled by the arrival loop, row block by row block,
     # whether the latest declared time is the horizon or inside it: each the
     # sequential sum of a path's values to t.  The loop draws one claim-lane
-    # uniform a slot of the arrival lane, and fn sees each claim once
+    # uniform an event, fewer than the arrival lane's, and fn sees each claim
+    # once
     args, _, ts = declared_case
     ref = simulate_batch(*args, **span)  # eager arrays, each drawn by a rerun
     assert ref.times.size and ref.claims.size
@@ -260,7 +261,7 @@ def test_declared_sums_equal_eager_claim_sums(declared_case, span, change62, mon
         lane.clear()
     b = simulate_batch(*args, **span, reads=ts, sums=[(t, f) for t in read for f in (None, gamma)])
     assert sum(seen) == b.counts.sum() == ref.claims.size
-    assert sum(lane_draws[LANE_CLAIM]) == sum(lane_draws[LANE_ARRIVAL]) > b.counts.sum()
+    assert sum(lane_draws[LANE_CLAIM]) == b.counts.sum() < sum(lane_draws[LANE_ARRIVAL])
     assert [(b.aggregates_at(t).tobytes(), b.claim_prefix_apply(t, gamma).tobytes())
             for t in read] == want
     # no rerun, and no flat array
