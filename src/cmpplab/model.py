@@ -129,11 +129,12 @@ class DerivedModel:
     change: MeasureChange
 
     @cached_property
-    def claim_tilt_mean(self) -> float:
-        """E[X e^{gamma(X)}] under the base claim law (the mean claim under
-        the new measure), by quadrature once per model."""
-        return log_weighted_expectation(
-            self.base.claim_law, lambda x: self.change.gamma.eval_array(x) + np.log(x))
+    def mean_rate(self) -> float:
+        """E_Q[g(Theta)] once per model: one quadrature, or q_mixing's own mean
+        when g is theta, so that an identity change quotes p(Q) = p(P) exactly."""
+        if isinstance(self.g.tree, Var):
+            return self.q_mixing.moment(1)
+        return expectation(self.q_mixing, self.g)
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +180,8 @@ def validate_change(base: BaseModel, change: MeasureChange, level: int = 1) -> A
     if not xi_positive:
         failures.append(f"xi_positive: {why or 'xi is not positive on the support grid'}")
 
-    def mixing_moment(ell):
-        g = derive_g(change)  # a constant alpha undefined as a number raises DomainError
-        return expectation(base.mixing_law,
-                           lambda t: change.xi.eval_array(t) * g.eval_array(t) ** ell)
-
-    gates = {ell: (attempt(lambda: log_weighted_expectation(
-                       base.claim_law, lambda x: change.gamma.eval_array(x) + ell * np.log(x))),
-                   attempt(lambda: mixing_moment(ell)))
+    gates = {ell: (attempt(lambda: weighted_claim_moment(base, change, ell)),
+                   attempt(lambda: weighted_rate_moment(base, change, ell)))
              for ell in (1, 2)}
 
     level_achieved = max((ell for ell in (1, 2)
@@ -205,6 +200,18 @@ def validate_change(base: BaseModel, change: MeasureChange, level: int = 1) -> A
         claim_gate=claim_gate, mixing_gate=mixing_gate,
         verdict=not failures, failures=tuple(failures),
     )
+
+
+def weighted_claim_moment(base: BaseModel, change: MeasureChange, ell: int) -> float:
+    """E[X^l e^{gamma(X)}] under the base claim law, which is E_Q[X^l]."""
+    return log_weighted_expectation(
+        base.claim_law, lambda x: change.gamma.eval_array(x) + ell * np.log(x))
+
+
+def weighted_rate_moment(base: BaseModel, change: MeasureChange, ell: int) -> float:
+    """E[xi(Theta) g(Theta)^l] under the base mixing law, which is E_Q[g(Theta)^l]."""
+    g = derive_g(change)  # a constant alpha undefined as a number raises DomainError
+    return expectation(base.mixing_law, lambda t: change.xi.eval_array(t) * g.eval_array(t) ** ell)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Premium densities and classical loading principles.
 
-The premium density per unit time is E[S_1] = E[Theta] * E[X];
-under the derived measure that is E_Q[g(Theta)] * E_Q[X].  A derived
-measure prices the risk sensibly when it strictly loads the base premium
+The premium density per unit time is E[S_1] = E[Theta] * E[X], the base
+laws' means; under the derived measure it is E_Q[g(Theta)] * E_Q[X],
+``derived.mean_rate * derived.q_claim.moment(1)``.  A derived measure
+prices the risk sensibly when it strictly loads the base premium
 (condition ``p(P) < p(Q) < inf``, checked at t = 1 since both sides are
 linear in t) and per structure parameter (``p(P_theta) < p(Q_theta)``).
 
@@ -16,13 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional
 
-from .dist import Distribution, DivergentMoment, Tilted, expectation
-from .expr import Bin, Num, RealFn, Var, parse
+from .dist import DivergentMoment
+from .expr import Bin, Num, RealFn, parse
 from .model import BaseModel, DerivedModel, MeasureChange
 from .quadrature import DivergentIntegral, integrate_finite
-from .sim import BASE_P, DERIVED_Q, stream_law
 
 
 class BadInterval(ValueError):
@@ -35,32 +35,28 @@ class AssumptionViolated(ValueError):
 
 @dataclass(frozen=True)
 class PremiumQuote:
+    """p(P) from the base laws' means and p(Q) from the derived model's; the
+    premium job's oracle for p(Q) is E_P[xi(Theta) g(Theta)] E_P[X e^{gamma(X)}],
+    the base-side integrals of ``validate_change``'s level-1 gates."""
+
     p_base: float                    # premium density under the base measure
     p_derived: float                 # premium density under the derived measure
     per_theta_base: RealFn           # theta -> p(P_theta)
     per_theta_derived: RealFn        # theta -> p(Q_theta)
     cond13: bool                     # strict loading: p_base < p_derived < inf
     cond13_margin: float             # p_derived - p_base
-    method: str                      # closed-form | quadrature
 
 
 def _scaled(coef: float, fn: RealFn) -> RealFn:
     return RealFn(Bin("*", Num(coef), fn.tree), fn.var, fn.params)
 
 
-def _stream_premium(mixing: Distribution, rate: RealFn,
-                    claim: Distribution) -> Tuple[float, RealFn]:
-    """(E[rate(Theta)] E[X], theta -> rate(theta) E[X]) of a stream's
-    (mixing law, rate, claim law); a divergent expectation gives inf."""
+def _or_inf(mean: Callable[[], float]) -> float:
+    """A model mean, or inf where its integral diverges."""
     try:
-        e_x = claim.moment(1)
+        return mean()
     except (DivergentIntegral, DivergentMoment):
-        e_x = math.inf
-    try:
-        e_rate = mixing.moment(1) if isinstance(rate.tree, Var) else expectation(mixing, rate)
-    except (DivergentIntegral, DivergentMoment):
-        e_rate = math.inf
-    return e_rate * e_x, _scaled(e_x, rate)
+        return math.inf
 
 
 def premium_density(base: BaseModel, derived: Optional[DerivedModel] = None) -> PremiumQuote:
@@ -68,18 +64,19 @@ def premium_density(base: BaseModel, derived: Optional[DerivedModel] = None) -> 
 
     Without a derived model the quote is the identity one: both sides
     coincide and the strict-loading condition is vacuously false.  A
-    divergent derived-side expectation marks the quote infinite.
+    divergent derived-side mean marks the quote infinite.
     """
-    p_base, per_theta_base = _stream_premium(*stream_law(BASE_P, base, derived))
-    p_derived, per_theta_derived, method = p_base, per_theta_base, "closed-form"
+    e_x = base.claim_law.moment(1)
+    p_base, per_theta_base = base.mixing_law.moment(1) * e_x, _scaled(e_x, base.rate_fn)
+    p_derived, per_theta_derived = p_base, per_theta_base
     if derived is not None:
-        p_derived, per_theta_derived = _stream_premium(*stream_law(DERIVED_Q, base, derived))
-        if isinstance(derived.q_claim, Tilted) or isinstance(derived.q_mixing, Tilted):
-            method = "quadrature"
+        e_qx = _or_inf(lambda: derived.q_claim.moment(1))
+        p_derived = _or_inf(lambda: derived.mean_rate) * e_qx
+        per_theta_derived = _scaled(e_qx, derived.g)
     return PremiumQuote(p_base=p_base, p_derived=p_derived,
                         per_theta_base=per_theta_base, per_theta_derived=per_theta_derived,
                         cond13=math.isfinite(p_derived) and p_base < p_derived,
-                        cond13_margin=p_derived - p_base, method=method)
+                        cond13_margin=p_derived - p_base)
 
 
 def premium_schedule(quote: PremiumQuote, t: float, T: float) -> float:

@@ -57,10 +57,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .dist import NORMALIZATION_TOL, DistError, expectation, parse_distribution
+from .dist import NORMALIZATION_TOL, DistError, parse_distribution
 from .expr import DomainError, RealFn, parse
-from .model import (AdmissibilityReport, BaseModel, DerivedModel,
-                    MeasureChange, derive_q_model, measure_change, validate_change)
+from .model import (AdmissibilityReport, BaseModel, DerivedModel, MeasureChange, derive_q_model,
+                    measure_change, validate_change, weighted_claim_moment, weighted_rate_moment)
 from .premium import (PremiumQuote, esscher_change, expected_value_change,
                       premium_density)
 from .quadrature import DivergentIntegral
@@ -411,7 +411,7 @@ def _row(scn: Scenario, job: str, **kw) -> Row:
 
 def _job_validate(scn: Scenario, rep: AdmissibilityReport) -> List[Row]:
     mk = functools.partial(_row, scn, "validate")
-    rows = [
+    return [
         mk(quantity="gamma_norm", estimate=rep.gamma_norm, oracle=1.0,
            verdict="pass" if abs(rep.gamma_norm - 1.0) <= NORMALIZATION_TOL else "fail"),
         mk(quantity="xi_norm", estimate=rep.xi_norm, oracle=1.0,
@@ -426,7 +426,6 @@ def _job_validate(scn: Scenario, rep: AdmissibilityReport) -> List[Row]:
            verdict="pass" if rep.verdict else "fail",
            detail="; ".join(rep.failures)),
     ]
-    return rows
 
 
 def _mc_row(mk: Callable[..., Row], quantity: str, rep: MCReport, detail: str = "") -> Row:
@@ -452,9 +451,9 @@ def _job_derive_q(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Plan:
 
 def _job_premium(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Plan:
     quote = quote()
-    e_g = expectation(derived.q_mixing, derived.g)
-    # independent recomputation of p(Q), quadrature on both factors
-    pq_oracle = e_g * expectation(derived.q_claim, lambda x: x)
+    # by the change of measure p(Q) is a product of base-side integrals
+    pq_oracle = (weighted_rate_moment(scn.base, scn.change, 1)
+                 * weighted_claim_moment(scn.base, scn.change, 1))
     pq_ok = math.isfinite(quote.p_derived) and \
         abs(quote.p_derived - pq_oracle) <= 1e-8 * max(1.0, abs(pq_oracle))
     med = float(scn.base.mixing_law.quantile(0.5))
@@ -465,8 +464,8 @@ def _job_premium(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Plan:
         mk(quantity="p(P)", estimate=quote.p_base),
         mk(quantity="p(Q)", estimate=quote.p_derived, oracle=pq_oracle,
            verdict="pass" if pq_ok else "fail",
-           detail=f"method={quote.method}"),
-        mk(quantity="E_Q[N_1]", estimate=e_g),
+           detail="oracle=E_P[xi(Theta) g(Theta)]*E_P[X e^gamma(X)]"),
+        mk(quantity="E_Q[N_1]", estimate=derived.mean_rate),
         mk(quantity="p(P_theta)", detail=str(quote.per_theta_base)),
         mk(quantity="p(Q_theta)", detail=str(quote.per_theta_derived)),
         mk(quantity="cond13", estimate=quote.cond13_margin,
@@ -481,8 +480,7 @@ def _job_premium(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Plan:
 
 def _job_simulate(scn: Scenario, derived: DerivedModel, quote: QuoteFn) -> Plan:
     t = scn.horizon
-    e_x = scn.base.claim_law.moment(1)
-    e_rate = expectation(scn.base.mixing_law, scn.base.rate_fn)
+    e_x, e_rate = scn.base.claim_law.moment(1), scn.base.mixing_law.moment(1)
     mk = functools.partial(_row, scn, "simulate")
     p = mc_estimate([f_aggregate(), f_count()], scn.base, derived, BASE_P, t, scn.paths,
                     scn.seed, oracle=[t * e_rate * e_x, t * e_rate])
@@ -649,13 +647,12 @@ def run_scenario(name_or_path: str, overrides: Optional[dict] = None,
         # part of its content, so only result-affecting overrides are recorded,
         # each as the value applied (paths 2000.0 runs and reads as 2000)
         rows: List[Row] = [
-            Row(scenario=scn.name, job="meta", quantity=f"override:{k}",
-                seed=scn.seed, detail=str(getattr(scn, k)))
+            _row(scn, "meta", quantity=f"override:{k}", detail=str(getattr(scn, k)))
             for k, v in sorted(overrides.items())
             if v is not None and k in ("seed", "paths", "horizon")
         ]
-        rows += [Row(scenario=scn.name, job="meta", quantity=f"param:{k}",
-                     seed=scn.seed, detail=repr(v)) for k, v in sorted(params.items())]
+        rows += [_row(scn, "meta", quantity=f"param:{k}", detail=repr(v))
+                 for k, v in sorted(params.items())]
 
         report = validate_change(scn.base, scn.change, scn.level)
         rows += _job_validate(scn, report)
@@ -673,8 +670,7 @@ def run_scenario(name_or_path: str, overrides: Optional[dict] = None,
             return premium_density(scn.base, derived)
 
         def fail_row(job: str, quantity: str, detail: str) -> Row:
-            return Row(scenario=scn.name, job=job, seed=scn.seed, quantity=quantity,
-                       verdict="fail", detail=detail)
+            return _row(scn, job, quantity=quantity, verdict="fail", detail=detail)
 
         def error_row(job: str, e: Exception) -> Row:
             return fail_row(job, "error", f"{type(e).__name__}: {e}")

@@ -238,10 +238,10 @@ def default_event_family(s: float, base: BaseModel, derived: Optional[DerivedMod
 
 def process_v(derived: DerivedModel) -> PathFunctional:
     """Centered aggregate under the derived measure:
-    V_t = S_t - t g(theta) E[X e^{gamma(X)}]."""
+    V_t = S_t - t g(theta) E_Q[X]."""
     def values(b: PathBatch, t: float) -> np.ndarray:
         rates = derived.g.eval_array(b.thetas)
-        return b.aggregates_at(t) - t * rates * derived.claim_tilt_mean
+        return b.aggregates_at(t) - t * rates * derived.q_claim.moment(1)
 
     return PathFunctional("V_t", values, sums=[None])
 
@@ -596,8 +596,7 @@ def degeneracy_test(derived: DerivedModel, *, n: int, seed: int) -> Plan:
     """
     s, t = 0.5, 1.0
     g = derived.g
-    e_g = expectation(derived.q_mixing, g)
-    e_x = derived.q_claim.moment(1)
+    e_g, e_x = derived.mean_rate, derived.q_claim.moment(1)
     med = float(derived.q_mixing.quantile(0.5))
     bounds = [(0.0, med), (med, math.inf)]
     centered = PathFunctional("S_t - t E_Q[g] E_Q[X]",

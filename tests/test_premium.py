@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from cmpplab.premium import (AssumptionViolated, BadInterval,
                              j_integral, j_integral_by_quadrature,
                              premium_density, premium_schedule)
 from cmpplab.sim import DERIVED_Q
-from cmpplab.verify import f_aggregate, mc_estimate
+from cmpplab.verify import degeneracy_test, f_aggregate, mc_estimate
 
 SEED = 20190521
 
@@ -71,7 +72,7 @@ def test_quote_without_derived_model(base62):
     quote = premium_density(base62)
     assert quote.p_base == quote.p_derived == pytest.approx(5.0, rel=1e-12)
     assert not quote.cond13
-    assert quote.cond13_margin == 0.0 and quote.method == "closed-form"
+    assert quote.cond13_margin == 0.0
     assert quote.per_theta_derived is quote.per_theta_base
 
 
@@ -248,3 +249,54 @@ def test_closed_form_premium_matches_monte_carlo_all_builtins():
         rep = mc_estimate(f_aggregate(), scn.base, derived, DERIVED_Q, 1.0,
                           100_000, SEED, oracle=quote.p_derived).run()
         assert abs(rep.estimate - quote.p_derived) <= 4.0 * rep.stderr, name
+
+
+def test_identity_quote_is_exact_where_quadrature_overshoots():
+    # the mean of gamma(rate=2, shape=0.5) by quadrature reads 0.25 + 1e-17:
+    # p(Q) of an identity change must still equal p(P), with no strict loading
+    base = BaseModel(Exponential(0.2), Gamma(2.0, 0.5))
+    assert expectation(base.mixing_law, lambda th: th) > base.mixing_law.moment(1)
+    identity = derive_q_model(validate_change(base, identity_change(), level=1))
+    quote = premium_density(base, identity)
+    assert quote.p_derived == quote.p_base and not quote.cond13
+
+
+def premium_rows(name, swap=None):
+    """The premium job's rows of a builtin, with fields of its derived model
+    replaced by ``swap``."""
+    from cmpplab.scenario import _job_premium, resolve_scenario
+    scn = resolve_scenario(name)
+    derived = replace(derive_q_model(validate_change(scn.base, scn.change, scn.level)),
+                      **(swap or {}))
+    plan = _job_premium(scn, derived, lambda: premium_density(scn.base, derived))
+    return {r.quantity: r for r in plan.finish()}
+
+
+@pytest.mark.parametrize("swap", [None, {"q_mixing": Gamma(rate=3.0, shape=4.5)},
+                                  {"q_claim": Gamma(rate=0.2, shape=2.5)}],
+                         ids=["true", "wrong-q-mixing", "wrong-q-claim"])
+def test_premium_row_fails_a_wrong_derived_law(swap):
+    # p(Q) is judged against base-side integrals, so a derived law that is
+    # not the tilt of its base law fails the row: 27.5 and 27.78 against 22.22
+    row = premium_rows("example-6.2", swap)["p(Q)"]
+    assert row.verdict == ("pass" if swap is None else "fail")
+    assert row.oracle == pytest.approx(200.0 / 9.0, rel=1e-12)
+
+
+def test_q_rate_mean_is_integrated_once_per_model(monkeypatch):
+    from cmpplab import model, premium, scenario, verify
+    from cmpplab.scenario import resolve_scenario
+    scn = resolve_scenario("example-6.2")
+    derived = derive_q_model(validate_change(scn.base, scn.change, scn.level))
+    calls = []
+    for module in (model, premium, scenario, verify):
+        if "expectation" in vars(module):
+            def counted(d, f, inner=module.expectation):
+                calls.append((d, f))
+                return inner(d, f)
+            monkeypatch.setattr(module, "expectation", counted)
+    for theta in np.linspace(0.1, 5.0, 50):
+        check_condition_14(theta, derived)
+    premium_density(scn.base, derived)
+    degeneracy_test(derived, n=1000, seed=SEED)
+    assert sum(d is derived.q_mixing and f is derived.g for d, f in calls) == 1

@@ -1078,7 +1078,8 @@ def test_density_additive_over_increments(base62, change62):
 def test_v_coefficient_recomputation_consistent(base62, change62, derived62):
     fresh = derive_q_model(validate_change(base62, change62, level=2))
     assert fresh is not derived62
-    assert fresh.claim_tilt_mean == derived62.claim_tilt_mean  # bit-stable
+    assert fresh.q_claim.moment(1) == derived62.q_claim.moment(1)  # bit-stable
+    assert fresh.mean_rate == derived62.mean_rate
 
 
 # ---------------------------------------------------------------------------

@@ -357,7 +357,7 @@ def test_default_family_has_eight_distinct_events(name):
 def test_default_family_thresholds_come_from_the_law(base62, derived62, tag, no_simulation):
     # E[S_s] = s E[rate] E[X] under the tag: the base or derived rate and
     # claim mean, the mixing law integrated or theta fixed
-    rate, e_x = ((derived62.g, derived62.claim_tilt_mean) if tag.is_q_side
+    rate, e_x = ((derived62.g, derived62.q_claim.moment(1)) if tag.is_q_side
                  else (base62.rate_fn, base62.claim_law.moment(1)))
     law = derived62.q_mixing if tag.is_q_side else base62.mixing_law
     e_rate = (rate.eval_array(np.array([tag.theta]))[0] if tag.is_conditional
@@ -435,7 +435,7 @@ def test_empty_martingale_inputs_are_refused(base62, derived62, empty):
 # surplus processes
 
 def test_surplus_formulas_62(base62, derived62):
-    assert derived62.claim_tilt_mean == pytest.approx(10.0, rel=1e-9)
+    assert derived62.q_claim.moment(1) == pytest.approx(10.0, rel=1e-9)
     b = simulate_batch(base62, derived62, DERIVED_Q, 1.0, seed=3, n=500)
     v = process_v(derived62).eval_batch(b, 1.0)
     expect = b.aggregates_at(1.0) - 10.0 * b.thetas**2
