@@ -26,13 +26,15 @@ its first N_t values, whatever the horizon and the other reads.  Any other
 read (N_t or a claim sum not declared, ``times`` or ``claims``, as
 ``dump_paths`` and the demos read) runs the loop again with that read
 declared.  A consumer reading no claim (a density with gamma = 0) draws
-none.  The loop runs over row blocks of at
-most ``_ROW_BLOCK`` paths, on W threads (``_spread``), the calling thread
-among them: one per CPU the process may run on and no more than there are
-blocks, and a batch of fewer than W * ``_ROW_BLOCK`` paths is split into W
-blocks.  Each writes its own paths' values only, so the thread count
-changes no bit, and a batch holds arrays of its path count plus at most W
-row blocks of temporaries while the loop runs.
+none.  The loop runs over row blocks of ``_ROW_BLOCK`` paths cut from
+the paths ordered by expected event count, rate * horizon, most first, so
+a block's paths end at about the same step.  The blocks run in that order
+on W threads (``_spread``), the calling thread among them: one per CPU the
+process may run on and no more than there are blocks, so a batch of at
+most ``_ROW_BLOCK`` paths runs on the calling thread.  Each writes its own
+paths' values only, so neither order nor thread count changes a bit, and
+a batch holds arrays of its path count plus at most W row blocks of
+temporaries while the loop runs.
 
 Interarrivals accumulate in blocks of 16 draws, event k of a block at
 (time of the last full block) + (the block's k-th partial sum); the first
@@ -314,9 +316,9 @@ def _arrivals(seed, keys, rates, horizon, law, reads, offsets=None) -> list:
     """The value of each read of ``reads`` on every path: N_t for ("N", t),
     the claim sum (t, fn) for ("S", t, fn), and the flat arrays of the
     layout ``offsets`` for ("times",) and ("claims",).  The loop runs over
-    row blocks of at most _ROW_BLOCK paths, at least one a CPU, spread over
-    threads (``_spread``), so its temporaries span one block a thread:
-    a path's draws and roundings depend on its own draws only, and a block
+    row blocks of _ROW_BLOCK paths, longest first (see the module docstring),
+    on threads (``_spread``), so its temporaries span one block a thread: a
+    path's draws and roundings depend on its own draws only, and a block
     writes its own paths' values only, so the blocks change no bit."""
     n = rates.size
     values = [np.empty(int(offsets[-1])) if len(r) == 1
@@ -332,11 +334,13 @@ def _arrivals(seed, keys, rates, horizon, law, reads, offsets=None) -> list:
             at_t[r[1]] = (v, sums) if r[0] == "N" else (counted, [*sums, (fns.index(r[2]), v)])
     flat = [(r[0], v) for r, v in zip(reads, values) if len(r) == 1]
     if horizon > 0.0 and n:
-        block = min(_ROW_BLOCK, -(-n // _cpus()))
         law = law if fns or ("claims",) in reads else None  # None: no claim is drawn
+        # the paths by expected event count, rate * horizon, most first and ties
+        # in path order: the bits of a float16 >= 0 rise with it (inf past its range)
+        with np.errstate(over="ignore"):
+            heavy = np.argsort(~(rates * horizon).astype(np.float16).view(np.uint16), kind="stable")
         _spread(_arrive, [(seed, keys, rates, horizon, law, fns, list(at_t.items()), flat,
-                           offsets, np.arange(lo, min(lo + block, n)))
-                          for lo in range(0, n, block)])
+                           offsets, heavy[lo:lo + _ROW_BLOCK]) for lo in range(0, n, _ROW_BLOCK)])
     return values
 
 
@@ -434,13 +438,14 @@ def _cpus() -> int:
 
 def _spread(fn, items) -> None:
     """fn(*item) for each item, on up to ``_cpus()`` threads, the calling
-    thread one of them (numpy releases the GIL in its kernels); with one
-    worker the calling thread runs them all, in order, and starts no thread.
-    Each item must write its own rows only, so the threads change no bit.
-    The first failing item's error, in order, is raised, as the serial loop
-    would raise it; no item starts after one failed, and no thread outlives
-    the call.  ``fn`` and ``items`` must not close over the batch: a kept
-    error's traceback keeps its frames' functions, and so their closures."""
+    thread one of them (numpy releases the GIL in its kernels).  Items start
+    in list order, the arrival loop's longest blocks first; one worker, the
+    calling thread, runs them all and starts no thread.  Each item must write
+    its own rows only, so the threads change no bit.  The first failing
+    item's error in list order is raised, as the serial loop would raise it;
+    no item starts after one failed, and no thread outlives the call.  ``fn``
+    and ``items`` must not close over the batch: a kept error's traceback
+    keeps its frames' functions, and so their closures."""
     failed: dict = {}  # item index -> its error
     work = (fn, items, iter(range(len(items))), failed, threading.Lock())
     threads = [threading.Thread(target=_take, args=work)

@@ -401,13 +401,28 @@ def test_a_worker_error_reaches_its_consumer_as_the_serial_error(base62, monkeyp
     # row blocks, their claims and sums with them, run on worker threads.
     # An event-cap error, a gamma DomainError and a claim draw error, each in
     # a row block, reach Consumer.result() with the type and message of the
-    # one-thread run's error (the first failing block's, of several that
-    # fail), and no thread outlives run_streams
+    # one-thread run's error (the first failing block's in schedule order, of
+    # several that fail), and no thread outlives run_streams
     monkeypatch.setattr(cmpplab.sim, "_ROW_BLOCK", 64)
     fast = conditional_p(40.0)
     most = int(simulate_batch(base62, None, fast, 1.0, SEED, n=3000).counts.max())
     ref = simulate_batch(base62, None, BASE_P, 2.0, SEED, n=3000)
-    edge = np.nextafter(ref.claims[:ref.offsets[64]].max(), np.inf)  # past block 0's claims
+    runs = []  # a _spread call's items in order: each one's rows and, run alone, its error
+
+    def alone(fn, items):
+        runs.append([])
+        for item in items:
+            try:
+                fn(*item)
+                runs[-1].append((item[-1], None))
+            except DistError as e:
+                runs[-1].append((item[-1], str(e)))
+
+    spread = cmpplab.sim._spread
+    monkeypatch.setattr(cmpplab.sim, "_spread", alone)
+    simulate_batch(base62, None, BASE_P, 2.0, SEED, n=3000)
+    first = np.concatenate([ref.claims[ref.offsets[i]:ref.offsets[i + 1]] for i in runs[0][0][0]])
+    edge = np.nextafter(first.max(), np.inf)  # past the first block's claims
     gamma = parse("ln(c - x)", "x", params={"c": float(edge)})
 
     class Picky(Exponential):
@@ -418,16 +433,12 @@ def test_a_worker_error_reaches_its_consumer_as_the_serial_error(base62, monkeyp
             return x
 
     picky = BaseModel(Picky(0.2), base62.mixing_law)
-
-    def alone(a):  # the error of the row block of paths a..a+63, run alone
-        try:
-            simulate_batch(picky, None, BASE_P, 2.0, SEED, n=64, start_index=a, sums=[(2.0, None)])
-        except DistError as e:
-            return str(e)
-
-    monkeypatch.setattr(cmpplab.sim, "_cpus", lambda: 1)
-    failing = [e for e in map(alone, range(0, 3000, 64)) if e]
-    assert alone(0) is None and len(set(failing)) > 1
+    runs.clear()
+    simulate_batch(picky, None, BASE_P, 2.0, SEED, n=3000, sums=[(2.0, None)])
+    errors = [e for _, e in runs[0]]
+    failing = [e for e in errors if e]
+    assert errors[0] is None and len(set(failing)) > 1
+    monkeypatch.setattr(cmpplab.sim, "_spread", spread)
     batches = []
     orig = cmpplab.verify.simulate_batch
 

@@ -358,6 +358,75 @@ def test_worker_count_changes_no_bit(declared_case, change62, monkeypatch, worke
         sys.setswitchinterval(interval)
 
 
+@pytest.fixture
+def row_blocks(monkeypatch):
+    """The row arrays of the arrival loop's items, one list a _spread call,
+    in the order they were handed to it."""
+    calls, spread = [], sim._spread
+
+    def recorded(fn, items):
+        calls.append([item[-1].copy() for item in items])
+        return spread(fn, items)
+
+    monkeypatch.setattr(sim, "_spread", recorded)
+    return calls
+
+
+def test_row_blocks_run_heaviest_first(base62, derived62, monkeypatch, row_blocks):
+    # the arrival loop orders a batch's paths by expected event count,
+    # rate * horizon, most first and ties in path order, and cuts its row
+    # blocks from that order; a batch of at most _ROW_BLOCK paths is one
+    # item, whatever the CPUs
+    monkeypatch.setattr(sim, "_ROW_BLOCK", 256)
+    monkeypatch.setattr(sim, "_cpus", lambda: 2)
+    b = simulate_batch(base62, derived62, DERIVED_Q, 20.0, SEED, n=3000)
+    blocks, = row_blocks
+    assert [r.size for r in blocks] == [256] * 11 + [184]
+    order = np.concatenate(blocks)
+    assert np.array_equal(np.sort(order), np.arange(3000))
+    load = sim.stream_law(DERIVED_Q, base62, derived62)[1].eval_array(b.thetas) * 20.0
+    assert load.max() > 10 * load.min()
+    # the sort key rounds the load to 11 significant bits
+    for before, after in zip(blocks, blocks[1:]):
+        assert load[after].max() <= load[before].min() * (1 + 2 ** -10)
+
+    row_blocks.clear()
+    simulate_batch(base62, derived62, DERIVED_Q, 20.0, SEED, n=256)
+    assert [r.size for r in row_blocks[0]] == [256]
+    # equal rates keep path order: block b holds paths 256 b, ..., 256 b + 255
+    row_blocks.clear()
+    simulate_batch(base62, None, conditional_p(40.0), 2.0, SEED, n=600)
+    assert [r.tolist() for r in row_blocks[0]] == \
+        [list(range(lo, min(lo + 256, 600))) for lo in range(0, 600, 256)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_heaviest_first_blocks_change_no_bit(base62, derived62, change62, monkeypatch,
+                                             row_blocks, workers):
+    # gamma-mixed paths of a few to over a hundred events, in reordered row
+    # blocks of 256 over many steps, on 1-3 workers: every read is the
+    # one-block serial batch's, byte for byte
+    ts, gamma = (0.5, 7.0, 20.0), change62.gamma
+
+    def paths():
+        b = simulate_batch(base62, derived62, DERIVED_Q, 20.0, SEED, n=1000, reads=ts,
+                           sums=[(t, f) for t in ts for f in (None, gamma)])
+        return [a.tobytes() for a in (
+            b.counts, *(b.counts_at(t) for t in ts), *(b.aggregates_at(t) for t in ts),
+            *(b.claim_prefix_apply(t, gamma) for t in ts), b.times, b.claims)], b.counts
+
+    monkeypatch.setattr(sim, "_cpus", lambda: 1)
+    serial, counts = paths()
+    assert counts.min() < 4 and counts.max() > 100
+    assert [len(call) for call in row_blocks] == [1, 1, 1]
+    row_blocks.clear()
+    monkeypatch.setattr(sim, "_ROW_BLOCK", 256)
+    monkeypatch.setattr(sim, "_cpus", lambda: workers)
+    assert paths()[0] == serial
+    blocks = row_blocks[0]
+    assert len(blocks) == 4 and not np.array_equal(np.concatenate(blocks), np.arange(1000))
+
+
 def test_a_claim_law_table_is_built_once_across_threads(base62, monkeypatch):
     # the row-block threads make a fresh Gamma claim law's first draws
     # together: its table is built once
@@ -674,7 +743,7 @@ def beta_claims():
 def test_deferred_claims_and_times_equal_eager(base62, derived62, derived_tilted,
                                                beta_claims, monkeypatch, law, row_block):
     # times and claims are each a rerun of the arrival loop, over row blocks
-    # of sim._ROW_BLOCK paths: one a CPU, short blocks, or a path a block
+    # of sim._ROW_BLOCK paths: one block, short blocks, or a path a block
     base, derived, tag = {"Exponential": (base62, None, BASE_P),
                           "Gamma": (base62, derived62, DERIVED_Q),
                           "Beta": (beta_claims, None, BASE_P),
