@@ -407,21 +407,21 @@ def test_a_worker_error_reaches_its_consumer_as_the_serial_error(base62, monkeyp
     fast = conditional_p(40.0)
     most = int(simulate_batch(base62, None, fast, 1.0, SEED, n=3000).counts.max())
     ref = simulate_batch(base62, None, BASE_P, 2.0, SEED, n=3000)
-    runs = []  # a _spread call's items in order: each one's rows and, run alone, its error
+    blocks = []  # the last _spread call's items in order: rows and, run alone, error
 
     def alone(fn, items):
-        runs.append([])
+        blocks.clear()
         for item in items:
             try:
                 fn(*item)
-                runs[-1].append((item[-1], None))
+                blocks.append((item[-1], None))
             except DistError as e:
-                runs[-1].append((item[-1], str(e)))
+                blocks.append((item[-1], str(e)))
 
     spread = cmpplab.sim._spread
     monkeypatch.setattr(cmpplab.sim, "_spread", alone)
     simulate_batch(base62, None, BASE_P, 2.0, SEED, n=3000)
-    first = np.concatenate([ref.claims[ref.offsets[i]:ref.offsets[i + 1]] for i in runs[0][0][0]])
+    first = np.concatenate([ref.claims[ref.offsets[i]:ref.offsets[i + 1]] for i in blocks[0][0]])
     edge = np.nextafter(first.max(), np.inf)  # past the first block's claims
     gamma = parse("ln(c - x)", "x", params={"c": float(edge)})
 
@@ -433,9 +433,8 @@ def test_a_worker_error_reaches_its_consumer_as_the_serial_error(base62, monkeyp
             return x
 
     picky = BaseModel(Picky(0.2), base62.mixing_law)
-    runs.clear()
     simulate_batch(picky, None, BASE_P, 2.0, SEED, n=3000, sums=[(2.0, None)])
-    errors = [e for _, e in runs[0]]
+    errors = [e for _, e in blocks]
     failing = [e for e in errors if e]
     assert errors[0] is None and len(set(failing)) > 1
     monkeypatch.setattr(cmpplab.sim, "_spread", spread)
